@@ -4,7 +4,6 @@ serving smart-grid concentrator fleets."""
 from .config import ScenarioConfig
 from .engine import (
     OracleComparison,
-    PolicySpec,
     RunMetrics,
     compare_with_oracle,
     derive_quality_params,
@@ -41,7 +40,6 @@ from .oracle import (
 )
 from .policy import (
     Action,
-    HpcDecision,
     LyapunovParams,
     QualityParams,
     StaticParams,
@@ -60,13 +58,11 @@ __all__ = [
     "Action",
     "ArrivalBatch",
     "ConfigurationError",
-    "HpcDecision",
     "InfeasibleError",
     "InvariantViolationError",
     "LyapunovParams",
     "OfflineInstance",
     "OracleComparison",
-    "PolicySpec",
     "PriceSample",
     "QualityParams",
     "RunMetrics",

@@ -19,7 +19,6 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .engine import (
-    PolicySpec,
     RunMetrics,
     compare_with_oracle,
     derive_quality_params,
@@ -27,10 +26,10 @@ from .engine import (
     oracle_reference,
     run,
 )
-from .env import generate_trace, load_trace, save_trace
+from .env import generate_trace, load_trace, save_trace, to_dollars
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from .oracle import instance_from_trace, solve_dp
-from .policy import LyapunovParams, QualityParams, StaticParams
+from .policy import LyapunovParams, PolicyParams, QualityParams, StaticParams
 from . import report
 
 OUT_DIR_ENV = "HPCLEASE_OUT_DIR"
@@ -295,50 +294,37 @@ def _json_bytes(doc: object) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def _policy_spec(spec: CommandSpec, cfg: ScenarioConfig, trace) -> PolicySpec:
+def _policy_params(spec: CommandSpec, cfg: ScenarioConfig, trace) -> PolicyParams:
     if spec.policy == "lyapunov":
-        return PolicySpec(
-            "lyapunov", LyapunovParams(v_factor=spec.v_factor, epsilon=spec.epsilon)
-        )
+        return LyapunovParams(v_factor=spec.v_factor, epsilon=spec.epsilon)
     if spec.policy == "static":
-        return PolicySpec(
-            "static", StaticParams(period=spec.period, burst_len=spec.burst_len)
-        )
+        return StaticParams(period=spec.period, burst_len=spec.burst_len)
     explicit = (spec.n_units, spec.deadline, spec.quality_budget)
     if all(v is not None for v in explicit):
-        params = QualityParams(
+        return QualityParams(
             n_units=spec.n_units,
             deadline=spec.deadline,
             quality_budget=spec.quality_budget,
             beta_c=spec.beta_c,
         )
-    elif spec.budget_share is not None:
-        reference = run(
-            cfg,
-            PolicySpec("lyapunov", LyapunovParams(v_factor=spec.v_factor)),
-            trace,
-        )
-        params = derive_quality_params(
+    if spec.budget_share is not None:
+        reference = run(cfg, LyapunovParams(v_factor=spec.v_factor), trace)
+        return derive_quality_params(
             cfg, reference, spec.budget_share, beta_c=spec.beta_c
         )
-    else:
-        raise ConfigurationError(
-            "quality policy needs --n-units/--deadline/--quality-budget "
-            "or --budget-share"
-        )
-    return PolicySpec("quality", params)
+    raise ConfigurationError(
+        "quality policy needs --n-units/--deadline/--quality-budget "
+        "or --budget-share"
+    )
 
 
 def _cmd_run(spec: CommandSpec) -> int:
     cfg = _scenario(spec)
     trace = generate_trace(cfg, cfg.seed)
-    pspec = _policy_spec(spec, cfg, trace)
-    metrics = run(cfg, pspec, trace)
+    metrics = run(cfg, _policy_params(spec, cfg, trace), trace)
     summary = report.run_summary(metrics)
-    if _out_dir(spec) == "-":
-        _write(spec, "", _json_bytes(summary))
-    else:
-        _write(spec, "run_summary.json", _json_bytes(summary))
+    _write(spec, "run_summary.json", _json_bytes(summary))
+    if _out_dir(spec) != "-":
         _write(spec, "run_series.csv", report.run_series_csv(metrics))
     return 0
 
@@ -346,12 +332,12 @@ def _cmd_run(spec: CommandSpec) -> int:
 def _cmd_compare(spec: CommandSpec) -> int:
     cfg = _scenario(spec)
     trace = generate_trace(cfg, cfg.seed)
-    specs = [
-        PolicySpec("lyapunov", LyapunovParams(v_factor=spec.v_factor)),
-        PolicySpec("static", STATIC_SCHEME_1),
-        PolicySpec("static", STATIC_SCHEME_2),
+    policies = [
+        LyapunovParams(v_factor=spec.v_factor),
+        STATIC_SCHEME_1,
+        STATIC_SCHEME_2,
     ]
-    results = [run(cfg, s, trace) for s in specs]
+    results = [run(cfg, p, trace) for p in policies]
     # the appended oracle row gets the most freedom any online row had, so
     # it lower-bounds every workload-complete row in the table
     oracle_units = cfg.horizon - 1
@@ -360,7 +346,7 @@ def _cmd_compare(spec: CommandSpec) -> int:
         params = derive_quality_params(
             cfg, results[0], spec.budget_share, beta_c=spec.beta_c
         )
-        results.append(run(cfg, PolicySpec("quality", params), trace))
+        results.append(run(cfg, params, trace))
         oracle_units = min(oracle_units, params.n_units)
         oracle_budget = params.quality_budget
     rows = [(m, compare_with_oracle(cfg, trace, m)) for m in results]
@@ -383,8 +369,7 @@ def _cmd_sweep_v(spec: CommandSpec) -> int:
     for seed in seeds:
         trace = generate_trace(cfg, seed)
         for v in grid:
-            pspec = PolicySpec("lyapunov", LyapunovParams(v_factor=v))
-            runs_by_v[v].append(run(cfg, pspec, trace))
+            runs_by_v[v].append(run(cfg, LyapunovParams(v_factor=v), trace))
     result = report.v_sweep_summary(runs_by_v)
     _write(spec, f"sweep_v.{spec.format}", report.emit(result, spec.format))
     return 0
@@ -404,9 +389,7 @@ def _cmd_sweep_quality(spec: CommandSpec) -> int:
     )
     for seed in seeds:
         trace = generate_trace(cfg, seed)
-        reference = run(
-            cfg, PolicySpec("lyapunov", LyapunovParams(v_factor=spec.v_factor)), trace
-        )
+        reference = run(cfg, LyapunovParams(v_factor=spec.v_factor), trace)
         budgets_this_seed = set()
         for share in shares:
             params = derive_quality_params(cfg, reference, share, beta_c=spec.beta_c)
@@ -416,7 +399,7 @@ def _cmd_sweep_quality(spec: CommandSpec) -> int:
                     f"budget shares collide at {budget} reduced units"
                 )
             budgets_this_seed.add(budget)
-            metrics = run(cfg, PolicySpec("quality", params), trace)
+            metrics = run(cfg, params, trace)
             runs_by_budget.setdefault(budget, []).append(metrics)
             if oracle_by_budget is not None:
                 comparison = compare_with_oracle(cfg, trace, metrics)
@@ -462,7 +445,7 @@ def _cmd_oracle(spec: CommandSpec) -> int:
         "n_units": spec.n_units,
         "quality_budget": spec.quality_budget or 0,
         "cost_microcents": schedule.total_cost_microcents,
-        "cost_dollars": round(schedule.total_cost_microcents / 1e8, 8),
+        "cost_dollars": round(to_dollars(schedule.total_cost_microcents), 8),
         "reduced_count": schedule.reduced_count,
         "sends": schedule.sends,
         "action_codes": [int(a) for a in schedule.actions],
@@ -474,21 +457,14 @@ def _cmd_oracle(spec: CommandSpec) -> int:
             "4": "buy_reduced",
         },
     }
-    if _out_dir(spec) == "-":
-        _write(spec, "", _json_bytes(doc))
-    else:
-        _write(spec, "oracle.json", _json_bytes(doc))
+    _write(spec, "oracle.json", _json_bytes(doc))
     return 0
 
 
 def _cmd_gen_trace(spec: CommandSpec) -> int:
     cfg = _scenario(spec)
     trace = generate_trace(cfg, cfg.seed)
-    payload = save_trace(trace)
-    if _out_dir(spec) == "-":
-        _write(spec, "", payload)
-    else:
-        _write(spec, f"trace_{cfg.seed}.json", payload)
+    _write(spec, f"trace_{cfg.seed}.json", save_trace(trace))
     return 0
 
 

@@ -17,6 +17,8 @@ from .env import to_microcents, unit_prices
 from .errors import ConfigurationError
 
 ARRIVAL_LAWS = ("deterministic", "poisson")
+INT16_MAX = 2**15 - 1
+INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,10 @@ class ScenarioConfig:
     transmission units internally. ``unit_size_packets`` defaults to the
     mean arrival rate so one unit carries one slot's traffic;
     ``arrival_bound`` (packets per slot, Poisson law only) defaults to four
-    times the mean; ``epsilon`` defaults to the mean arrival rate. Defaults
-    are resolved at construction, so every field reads as a concrete value
-    afterwards.
+    times the mean, capped at the int32 limit; ``epsilon`` defaults to the
+    mean arrival rate. Defaults are resolved at construction, so every field
+    reads as a concrete value afterwards; with_overrides resolves them again
+    from the merged fields.
     """
 
     k_concentrators: int = 60
@@ -45,20 +48,16 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.unit_size_packets is None:
-            object.__setattr__(
-                self, "unit_size_packets", max(1, int(self.mean_arrival))
-            )
-        if self.arrival_bound is None:
-            object.__setattr__(
-                self, "arrival_bound", max(1, 4 * int(self.mean_arrival))
-            )
-        if self.epsilon is None:
-            object.__setattr__(
-                self,
-                "epsilon",
-                float(self.mean_arrival) if self.mean_arrival > 0 else 1.0,
-            )
+        defaults = {
+            "unit_size_packets": max(1, int(self.mean_arrival)),
+            "arrival_bound": min(INT32_MAX, max(1, 4 * int(self.mean_arrival))),
+            "epsilon": float(self.mean_arrival) if self.mean_arrival > 0 else 1.0,
+        }
+        derived = frozenset(name for name in defaults if getattr(self, name) is None)
+        for name in derived:
+            object.__setattr__(self, name, defaults[name])
+        # not a field: with_overrides derives these again from the new values
+        object.__setattr__(self, "_derived", derived)
 
     def validate(self) -> None:
         if self.k_concentrators < 1:
@@ -69,6 +68,17 @@ class ScenarioConfig:
             raise ConfigurationError("mean arrival rate cannot be negative")
         if self.unit_size_packets < 1:
             raise ConfigurationError("unit size must be at least one packet")
+        # served packets per slot are stored as int16, arrivals as int32
+        if self.unit_size_packets > INT16_MAX:
+            raise ConfigurationError(
+                f"unit_size_packets must be at most {INT16_MAX}, "
+                f"got {self.unit_size_packets}"
+            )
+        for name in ("mean_arrival", "arrival_bound"):
+            if getattr(self, name) > INT32_MAX:
+                raise ConfigurationError(
+                    f"{name} must be at most {INT32_MAX}, got {getattr(self, name)}"
+                )
         if not 0 < self.price_low_cents < self.price_high_cents:
             raise ConfigurationError(
                 "per-packet price interval must satisfy 0 < low < high, got "
@@ -139,8 +149,11 @@ class ScenarioConfig:
         return cfg
 
     def with_overrides(self, **changes) -> "ScenarioConfig":
-        """Copy with some fields replaced; unknown names raise."""
-        return dataclasses.replace(self, **_coerce_fields(changes))
+        """Copy with some fields replaced; unknown names raise. Defaults
+        that were derived from mean_arrival are derived again from the
+        merged fields unless an override gives them explicitly."""
+        rederive = dict.fromkeys(self._derived)
+        return dataclasses.replace(self, **{**rederive, **_coerce_fields(changes)})
 
 
 _INT_FIELDS = frozenset(

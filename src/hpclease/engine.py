@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .env import PriceSample, SpectrumLevel, Trace, generate_trace
+from .env import PriceSample, SpectrumLevel, Trace, generate_trace, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
-from .oracle import OfflineInstance, instance_from_trace, lower_bound_gap, solve_dp
+from .oracle import instance_from_trace, lower_bound_gap, solve_dp
 from .policy import (
     Action,
     BasePolicy,
@@ -38,44 +38,6 @@ from .queueing import littles_law_delay
 
 _FULL = int(SpectrumLevel.FULL)
 _REDUCED = int(SpectrumLevel.REDUCED)
-
-_PARAM_TYPES = {
-    "lyapunov": LyapunovParams,
-    "static": StaticParams,
-    "quality": QualityParams,
-}
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """A policy choice plus its parameters, ready to instantiate."""
-
-    kind: str
-    params: PolicyParams
-
-    def __post_init__(self) -> None:
-        expected = _PARAM_TYPES.get(self.kind)
-        if expected is None:
-            raise ConfigurationError(
-                f"unknown policy kind {self.kind!r}; "
-                f"expected one of {sorted(_PARAM_TYPES)}"
-            )
-        if not isinstance(self.params, expected):
-            raise ConfigurationError(
-                f"policy kind {self.kind!r} needs {expected.__name__}, "
-                f"got {type(self.params).__name__}"
-            )
-        self.params.validate()
-
-    @property
-    def label(self) -> str:
-        p = self.params
-        if self.kind == "lyapunov":
-            return f"lyapunov[v={p.v_factor:g}]"
-        if self.kind == "static":
-            return f"static[{p.period}/{p.burst_len}]"
-        return f"quality[m={p.quality_budget}]"
-
 
 def service_capacity(config: ScenarioConfig) -> int:
     """Maximum packets one concentrator can move per slot (one full unit)."""
@@ -111,28 +73,31 @@ def _check_unit_alignment(config: ScenarioConfig) -> None:
         )
 
 
-def make_policy(spec: PolicySpec, config: ScenarioConfig) -> BasePolicy:
-    cap = service_capacity(config)
-    red = reduced_capacity(config)
-    if spec.kind == "lyapunov":
-        return LyapunovPolicy(spec.params, cap, red)
-    if spec.kind == "static":
-        return StaticBurstPolicy(spec.params, cap, red)
-    _check_unit_alignment(config)
-    if spec.params.deadline > config.horizon - 1:
-        raise ConfigurationError(
-            "quality deadline exceeds the last serviceable slot "
-            f"({config.horizon - 1})"
-        )
-    return QualityPolicy(spec.params)
+def make_policy(params: PolicyParams, config: ScenarioConfig) -> BasePolicy:
+    """Instantiate the policy that ``params`` configures for this scenario."""
+    if isinstance(params, QualityParams):
+        policy = QualityPolicy(params)
+        _check_unit_alignment(config)
+        if params.deadline > config.horizon - 1:
+            raise ConfigurationError(
+                "quality deadline exceeds the last serviceable slot "
+                f"({config.horizon - 1})"
+            )
+        return policy
+    if isinstance(params, LyapunovParams):
+        cls = LyapunovPolicy
+    elif isinstance(params, StaticParams):
+        cls = StaticBurstPolicy
+    else:
+        raise ConfigurationError(f"not a policy parameter block: {params!r}")
+    return cls(params, service_capacity(config), reduced_capacity(config))
 
 
 @dataclass(eq=False)
 class RunMetrics:
     """Everything one run produced, in integer-exact form."""
 
-    policy_label: str
-    policy_kind: str
+    params: PolicyParams
     seed: int
     k: int
     horizon: int
@@ -156,8 +121,14 @@ class RunMetrics:
     serves: np.ndarray | None = None       # (K, T) int16, with record_series
     queue_series: np.ndarray | None = None  # (K, T) int32, with record_series
     cost_series: np.ndarray | None = None   # (K, T) int64, with record_series
-    v_factor: float | None = None
-    quality_budget: int | None = None
+
+    @property
+    def policy_kind(self) -> str:
+        return self.params.kind
+
+    @property
+    def policy_label(self) -> str:
+        return self.params.label
 
     @property
     def mean_queue_len(self) -> float:
@@ -188,7 +159,7 @@ class RunMetrics:
 
     @property
     def cost_total_dollars(self) -> float:
-        return self.cost_total_microcents / 1e8
+        return to_dollars(self.cost_total_microcents)
 
     @property
     def workload_complete(self) -> bool:
@@ -229,7 +200,7 @@ def _delay_histogram(
 
 def run(
     config: ScenarioConfig,
-    spec: PolicySpec,
+    params: PolicyParams,
     trace: Trace | None = None,
     *,
     record_series: bool = False,
@@ -243,17 +214,17 @@ def run(
             f"trace is {trace.k}x{trace.horizon}, config wants "
             f"{config.k_concentrators}x{config.horizon}"
         )
-    policy = make_policy(spec, config)
+    policy = make_policy(params, config)
     k, horizon = trace.k, trace.horizon
     policy.reset(k)
 
     epsilon = float(config.epsilon)
-    if spec.kind == "lyapunov" and spec.params.epsilon is not None:
-        epsilon = float(spec.params.epsilon)
+    if isinstance(params, LyapunovParams) and params.epsilon is not None:
+        epsilon = float(params.epsilon)
 
     mu = service_capacity(config)
     red_cap = reduced_capacity(config)
-    unit_world = spec.kind == "quality"
+    unit_world = isinstance(params, QualityParams)
 
     q = np.zeros(k, dtype=np.int64)
     z = np.zeros(k, dtype=np.float64)
@@ -361,8 +332,7 @@ def run(
     )
 
     return RunMetrics(
-        policy_label=spec.label,
-        policy_kind=spec.kind,
+        params=params,
         seed=trace.seed,
         k=k,
         horizon=horizon,
@@ -386,18 +356,12 @@ def run(
         serves=serves if record_series else None,
         queue_series=queue_series,
         cost_series=cost_series,
-        v_factor=(
-            float(spec.params.v_factor) if spec.kind == "lyapunov" else None
-        ),
-        quality_budget=(
-            int(spec.params.quality_budget) if spec.kind == "quality" else None
-        ),
     )
 
 
 def run_matched(
     config: ScenarioConfig,
-    specs: list[PolicySpec],
+    policies: list[PolicyParams],
     trace: Trace | None = None,
     *,
     record_series: bool = False,
@@ -405,7 +369,7 @@ def run_matched(
     """Run several policies against the byte-identical trace."""
     if trace is None:
         trace = generate_trace(config, config.seed)
-    return [run(config, spec, trace, record_series=record_series) for spec in specs]
+    return [run(config, p, trace, record_series=record_series) for p in policies]
 
 
 def derive_quality_params(
@@ -479,13 +443,11 @@ def compare_with_oracle(
     cost beats the offline optimum, which would mean the accounting or the
     oracle is wrong.
     """
-    try:
-        _check_unit_alignment(config)
-    except ConfigurationError:
+    if not is_unit_granular(config):
         return None
     unit = config.unit_size_packets
-    if metrics.policy_kind == "quality":
-        budget = int(metrics.quality_budget)
+    if isinstance(metrics.params, QualityParams):
+        budget = metrics.params.quality_budget
         n_units, spare = divmod(metrics.total_served, unit * metrics.k)
         if spare:
             return None  # pragma: no cover - unit runs serve whole units

@@ -50,7 +50,7 @@ def to_cents(microcents: int) -> float:
     return microcents / MICROCENTS_PER_CENT
 
 
-def to_dollars(microcents: int) -> float:
+def to_dollars(microcents: float) -> float:
     return microcents / MICROCENTS_PER_DOLLAR
 
 
@@ -84,10 +84,6 @@ class PriceSample:
     @property
     def full_cents(self) -> float:
         return to_cents(self.full_microcents)
-
-    @property
-    def reduced_cents(self) -> float:
-        return to_cents(self.reduced_microcents)
 
 
 @dataclass(frozen=True)
@@ -167,12 +163,6 @@ class Trace:
     def horizon(self) -> int:
         return int(self.levels.shape[1])
 
-    def price_sample(self, slot: int) -> PriceSample:
-        return PriceSample(
-            full_microcents=int(self.price_full[slot]),
-            reduced_microcents=int(self.price_reduced[slot]),
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
@@ -203,14 +193,13 @@ def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
     horizon = config.horizon
     lo = to_microcents(config.price_low_cents)
     hi = to_microcents(config.price_high_cents)
+    # validate() compares the bounds in cents; rounding to micro-cents can
+    # still collapse the interval
     if lo < 1 or lo >= hi:
         raise ConfigurationError(
             f"empty per-packet price interval [{config.price_low_cents}, "
             f"{config.price_high_cents}] cents"
         )
-    # Fail early on unit pricing that could never be valid, independent of
-    # the drawn base price.
-    unit_prices(lo, config.unit_size_packets, config.reduced_fraction)
 
     rng = np.random.default_rng(seed)
     levels = rng.integers(0, 3, size=(k, horizon), dtype=np.uint8)
@@ -218,16 +207,9 @@ def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
 
     if config.arrival_law == "deterministic":
         arrivals = np.full((k, horizon), config.mean_arrival, dtype=np.int32)
-    elif config.arrival_law == "poisson":
-        bound = config.effective_arrival_bound()
-        if config.mean_arrival > bound:
-            raise ConfigurationError(
-                f"mean arrival {config.mean_arrival} exceeds bound {bound}"
-            )
+    else:
         draws = rng.poisson(config.mean_arrival, size=(k, horizon))
-        arrivals = np.minimum(draws, bound).astype(np.int32)
-    else:  # pragma: no cover - config.validate() rejects other labels
-        raise ConfigurationError(f"unknown arrival law {config.arrival_law!r}")
+        arrivals = np.minimum(draws, config.effective_arrival_bound()).astype(np.int32)
 
     reduced_packets = reduced_unit_packets(
         config.unit_size_packets, config.reduced_fraction

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import PriceSample, SpectrumLevel
+from .env import SpectrumLevel
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from .policy import Action
 
@@ -72,12 +72,6 @@ class OfflineInstance:
     @property
     def horizon(self) -> int:
         return int(self.levels.shape[0])
-
-    def price_sample(self, t: int) -> PriceSample:
-        return PriceSample(
-            full_microcents=int(self.price_full_microcents[t]),
-            reduced_microcents=int(self.price_reduced_microcents[t]),
-        )
 
 
 @dataclass(frozen=True)

@@ -17,21 +17,23 @@ Three families are implemented.
 * StaticBurstPolicy: purchases in fixed bursts at fixed period boundaries,
   independent of queue state and prices; the classic dumb baseline.
 
-Scalar decision functions are the reference semantics; the policy classes
-wrap them in vectorized per-slot form for the engine. Policy objects are
-single-owner and not thread-safe; reset() restores the pristine state while
-preserving configuration.
+The policy classes decide for the whole fleet at once, one vectorized call
+per slot. Each parameter block names its policy: ``kind`` and ``label``
+identify it in reports, and the engine instantiates the matching class.
+Policy objects are single-owner and not thread-safe; reset() restores the
+pristine state while preserving configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from typing import ClassVar
 
 import numpy as np
 
-from .env import MICROCENTS_PER_CENT, PriceSample, SpectrumLevel
-from .errors import ConfigurationError, InfeasibleError
+from .env import PriceSample, SpectrumLevel
+from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 
 
 class Action(IntEnum):
@@ -56,18 +58,6 @@ class Action(IntEnum):
         return self in (Action.FREE_REDUCED, Action.BUY_REDUCED)
 
 
-@dataclass(frozen=True)
-class HpcDecision:
-    """One slot's decision for one concentrator."""
-
-    action: Action
-
-    @property
-    def d_flag(self) -> bool:
-        """True iff the decision purchases a leased channel this slot."""
-        return self.action.is_purchase
-
-
 # ---------------------------------------------------------------------------
 # parameter blocks
 
@@ -83,8 +73,14 @@ class LyapunovParams:
     (the mean arrival rate).
     """
 
+    kind: ClassVar[str] = "lyapunov"
+
     v_factor: float
     epsilon: float | None = None
+
+    @property
+    def label(self) -> str:
+        return f"{self.kind}[v={self.v_factor:g}]"
 
     def validate(self) -> None:
         if self.v_factor < 0 or not np.isfinite(self.v_factor):
@@ -98,8 +94,14 @@ class StaticParams:
     """Fixed purchase bursts: slots p+1 .. p+burst_len after each boundary
     p = 0, period, 2*period, ..."""
 
+    kind: ClassVar[str] = "static"
+
     period: int = 1000
     burst_len: int = 200
+
+    @property
+    def label(self) -> str:
+        return f"{self.kind}[{self.period}/{self.burst_len}]"
 
     def validate(self) -> None:
         if self.period < 1:
@@ -113,10 +115,16 @@ class QualityParams:
     """Deadline-scheduling instance: n_units to send in slots 1..deadline,
     at most quality_budget of them at reduced quality."""
 
+    kind: ClassVar[str] = "quality"
+
     n_units: int
     deadline: int
     quality_budget: int
     beta_c: float = 1.0
+
+    @property
+    def label(self) -> str:
+        return f"{self.kind}[m={self.quality_budget}]"
 
     def validate(self) -> None:
         if not self.deadline >= self.n_units > self.quality_budget >= 0:
@@ -133,7 +141,7 @@ PolicyParams = LyapunovParams | StaticParams | QualityParams
 
 
 # ---------------------------------------------------------------------------
-# scalar reference operations
+# scalar rules shared by the vectorized policies
 
 
 def lyapunov_threshold(v_factor: float, price_cents: float) -> float:
@@ -143,38 +151,6 @@ def lyapunov_threshold(v_factor: float, price_cents: float) -> float:
     if price_cents <= 0:
         raise ConfigurationError("price must be positive")
     return v_factor * price_cents / 2.0
-
-
-def lyapunov_decide(
-    y: float,
-    threshold: float,
-    level: SpectrumLevel,
-    q_len: int,
-    capacity: int,
-    reduced_capacity: int,
-) -> HpcDecision:
-    """Threshold rule for one concentrator and one slot.
-
-    Free spectrum is preferred: if the free capacity of ``level`` covers
-    min(q_len, capacity), transmit free. Otherwise purchase exactly when
-    y exceeds the threshold (ties do not purchase). With no purchase, any
-    partial free capacity is still used.
-    """
-    if q_len <= 0:
-        return HpcDecision(Action.IDLE)
-    free_cap = (
-        capacity
-        if level == SpectrumLevel.FULL
-        else reduced_capacity if level == SpectrumLevel.REDUCED else 0
-    )
-    need = min(q_len, capacity)
-    if free_cap >= need:
-        return HpcDecision(Action.FREE_FULL)
-    if y > threshold:
-        return HpcDecision(Action.BUY_FULL)
-    if free_cap > 0:
-        return HpcDecision(Action.FREE_FULL)
-    return HpcDecision(Action.IDLE)
 
 
 def static_decide(slot: int, params: StaticParams) -> bool:
@@ -217,88 +193,15 @@ class PapTracker:
             return 0.0
         return self.beta_c * self.sum_reduced_microcents / self.count
 
-    @property
-    def pap_full_cents(self) -> float:
-        return self.pap_full_microcents / MICROCENTS_PER_CENT
-
-    @property
-    def pap_reduced_cents(self) -> float:
-        return self.pap_reduced_microcents / MICROCENTS_PER_CENT
-
     def reset(self) -> None:
         self.count = 0
         self.sum_full_microcents = 0
         self.sum_reduced_microcents = 0
 
 
-def pap_update(tracker: PapTracker, observed: PriceSample) -> PapTracker:
-    """Fold one posted price pair into the running PAP statistics."""
-    tracker.observe(observed)
-    return tracker
-
-
-def quality_decide(
-    params: QualityParams,
-    tracker: PapTracker,
-    slot: int,
-    level: SpectrumLevel,
-    prices: PriceSample,
-    units_remaining: int,
-    budget_remaining: int,
-) -> HpcDecision:
-    """Deadline-scheduling rule for one concentrator and one slot.
-
-    Units arrive one per slot starting at slot 1, so at most
-    min(slot, n_units) units exist. At most one unit leaves per slot.
-    Precedence: the deadline guard (remaining slots == remaining units)
-    forces a transmission, free if the level admits one, else the cheapest
-    admissible purchase; otherwise free spectrum is used greedily (reduced
-    free sends spend budget); otherwise a purchase happens only at
-    attractive prices (price <= PAP, full checked before reduced).
-    """
-    if not 1 <= slot <= params.deadline:
-        raise ConfigurationError(
-            f"slot {slot} outside the scheduling window 1..{params.deadline}"
-        )
-    if units_remaining < 0 or budget_remaining < 0:
-        raise ConfigurationError("negative remaining counters")
-    slots_remaining = params.deadline - slot + 1
-    if units_remaining > slots_remaining:
-        raise InfeasibleError(
-            f"{units_remaining} units cannot fit in {slots_remaining} slots"
-        )
-    if units_remaining == 0:
-        return HpcDecision(Action.IDLE)
-    sent = params.n_units - units_remaining
-    available = min(slot, params.n_units) - sent
-    if available <= 0:
-        return HpcDecision(Action.IDLE)
-
-    if slots_remaining == units_remaining:
-        # deadline guard: transmission is mandatory this slot
-        if level == SpectrumLevel.FULL:
-            return HpcDecision(Action.FREE_FULL)
-        if level == SpectrumLevel.REDUCED and budget_remaining > 0:
-            return HpcDecision(Action.FREE_REDUCED)
-        if budget_remaining > 0:
-            return HpcDecision(Action.BUY_REDUCED)
-        return HpcDecision(Action.BUY_FULL)
-
-    if level == SpectrumLevel.FULL:
-        return HpcDecision(Action.FREE_FULL)
-    if level == SpectrumLevel.REDUCED and budget_remaining > 0:
-        return HpcDecision(Action.FREE_REDUCED)
-    if prices.full_microcents <= tracker.pap_full_microcents:
-        return HpcDecision(Action.BUY_FULL)
-    if budget_remaining > 0 and prices.reduced_microcents <= tracker.pap_reduced_microcents:
-        return HpcDecision(Action.BUY_REDUCED)
-    return HpcDecision(Action.IDLE)
-
-
 # ---------------------------------------------------------------------------
 # vectorized engine-facing policies
 
-_LEVEL_NONE = int(SpectrumLevel.NONE)
 _LEVEL_REDUCED = int(SpectrumLevel.REDUCED)
 _LEVEL_FULL = int(SpectrumLevel.FULL)
 
@@ -310,8 +213,6 @@ class BasePolicy:
     calls it exactly once per slot in slot order, then observe_prices with
     the slot's posted prices.
     """
-
-    name = "base"
 
     def reset(self, k: int) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -333,28 +234,31 @@ class BasePolicy:
         """Hook for end-of-run consistency checks."""
 
 
-class LyapunovPolicy(BasePolicy):
-    name = "lyapunov"
+class _PacketPolicy(BasePolicy):
+    """A policy that moves packets: service capacity per slot and the free
+    capacity of each spectrum level. Q and Z live in the engine, so these
+    policies keep no state between slots."""
 
-    def __init__(self, params: LyapunovParams, capacity: int, reduced_capacity: int):
+    def __init__(
+        self, params: LyapunovParams | StaticParams, capacity: int, reduced_capacity: int
+    ):
         params.validate()
         self.params = params
         self.capacity = capacity
-        self.reduced_capacity = reduced_capacity
+        # free packets per slot, indexed by SpectrumLevel code (NONE, REDUCED, FULL)
+        self.free_capacity = np.array([0, reduced_capacity, capacity], dtype=np.int64)
 
     def reset(self, k: int) -> None:
-        pass  # stateless between slots; Q and Z live in the engine
+        pass
 
+
+class LyapunovPolicy(_PacketPolicy):
     def decide_slot(self, slot, levels, prices, q_len, z_len):
         threshold = lyapunov_threshold(self.params.v_factor, prices.full_cents)
         y = q_len + z_len
         busy = q_len > 0
         need = np.minimum(q_len, self.capacity)
-        free_cap = np.where(
-            levels == _LEVEL_FULL,
-            self.capacity,
-            np.where(levels == _LEVEL_REDUCED, self.reduced_capacity, 0),
-        )
+        free_cap = self.free_capacity[levels]
         covered = busy & (free_cap >= need)
         buying = busy & ~covered & (y > threshold)
         partial = busy & ~covered & ~buying & (free_cap > 0)
@@ -364,42 +268,32 @@ class LyapunovPolicy(BasePolicy):
         return actions
 
 
-class StaticBurstPolicy(BasePolicy):
-    name = "static"
-
-    def __init__(self, params: StaticParams, capacity: int, reduced_capacity: int):
-        params.validate()
-        self.params = params
-        self.capacity = capacity
-        self.reduced_capacity = reduced_capacity
-
-    def reset(self, k: int) -> None:
-        pass
-
+class StaticBurstPolicy(_PacketPolicy):
     def decide_slot(self, slot, levels, prices, q_len, z_len):
         busy = q_len > 0
         actions = np.zeros(len(q_len), dtype=np.uint8)
         if static_decide(slot, self.params):
             actions[busy] = int(Action.BUY_FULL)
             return actions
-        free_cap = np.where(
-            levels == _LEVEL_FULL,
-            self.capacity,
-            np.where(levels == _LEVEL_REDUCED, self.reduced_capacity, 0),
-        )
-        actions[busy & (free_cap > 0)] = int(Action.FREE_FULL)
+        actions[busy & (self.free_capacity[levels] > 0)] = int(Action.FREE_FULL)
         return actions
 
 
 class QualityPolicy(BasePolicy):
-    """Vector form of quality_decide with shared PAP statistics.
+    """Deadline scheduling for every concentrator, with shared PAP statistics.
+
+    Units arrive one per slot from slot 1, so at most min(slot, n_units)
+    exist, and at most one leaves per slot. Precedence: the deadline guard
+    (remaining slots == remaining units) forces a transmission, free if the
+    level admits one, else the cheapest admissible purchase; otherwise free
+    spectrum is used greedily (reduced free sends spend budget); otherwise a
+    purchase happens only at attractive prices (price <= PAP, full checked
+    before reduced).
 
     Unit bookkeeping is internal: sent and reduced_used counters per
     concentrator, one posted price pair folded into the PAP tracker per
     slot after decisions are made (so slot t sees the mean of slots < t).
     """
-
-    name = "quality"
 
     def __init__(self, params: QualityParams):
         params.validate()
@@ -466,8 +360,6 @@ class QualityPolicy(BasePolicy):
         self.tracker.observe(prices)
 
     def finish_run(self) -> None:
-        from .errors import InvariantViolationError
-
         if self.sent.size and int(self.sent.min()) < self.params.n_units:
             raise InvariantViolationError(
                 "quality policy missed its deadline: "

@@ -25,8 +25,6 @@ class ServiceGrant:
     """Realized service for one concentrator in one slot."""
 
     packets_served: int
-    via_hpc: bool = False
-    quality_reduced: bool = False
 
     def __post_init__(self) -> None:
         if self.packets_served < 0:

@@ -12,19 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import MICROCENTS_PER_DOLLAR
+from .env import to_dollars
 from .errors import ConfigurationError
 from .engine import OracleComparison, RunMetrics
 
 AXIS_V_FACTOR = "v_factor"
 AXIS_QUALITY_BUDGET = "quality_budget"
-AXIS_DELAY_CONSTRAINT = "delay_constraint"
 
-_AXES = (AXIS_V_FACTOR, AXIS_QUALITY_BUDGET, AXIS_DELAY_CONSTRAINT)
-
-
-def _dollars(microcents: float) -> float:
-    return microcents / MICROCENTS_PER_DOLLAR
+_AXES = (AXIS_V_FACTOR, AXIS_QUALITY_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,8 @@ def quality_sweep_summary(
 def _point_row(point: SweepPoint, with_oracle: bool) -> list[str]:
     row = [
         f"{point.axis_value:.10g}",
-        f"{_dollars(point.cost_mean_microcents):.8f}",
-        f"{_dollars(point.cost_std_microcents):.8f}",
+        f"{to_dollars(point.cost_mean_microcents):.8f}",
+        f"{to_dollars(point.cost_std_microcents):.8f}",
         f"{point.queue_mean:.6f}",
         f"{point.delay_mean:.6f}",
     ]
@@ -160,7 +155,7 @@ def _point_row(point: SweepPoint, with_oracle: bool) -> list[str]:
         row.append(
             ""
             if point.oracle_cost_microcents is None
-            else f"{_dollars(point.oracle_cost_microcents):.8f}"
+            else f"{to_dollars(point.oracle_cost_microcents):.8f}"
         )
     return row
 
@@ -195,14 +190,14 @@ def emit(result: SweepResult, format: str) -> bytes:
             "points": [
                 {
                     "axis_value": p.axis_value,
-                    "cost_mean_dollars": round(_dollars(p.cost_mean_microcents), 8),
-                    "cost_std_dollars": round(_dollars(p.cost_std_microcents), 8),
+                    "cost_mean_dollars": round(to_dollars(p.cost_mean_microcents), 8),
+                    "cost_std_dollars": round(to_dollars(p.cost_std_microcents), 8),
                     "queue_mean": p.queue_mean,
                     "delay_mean": p.delay_mean,
                     "oracle_cost_dollars": (
                         None
                         if p.oracle_cost_microcents is None
-                        else round(_dollars(p.oracle_cost_microcents), 8)
+                        else round(to_dollars(p.oracle_cost_microcents), 8)
                     ),
                 }
                 for p in result.points
@@ -223,7 +218,7 @@ def run_series_csv(metrics: RunMetrics) -> bytes:
     bought = metrics.purchases_per_slot
     for t in range(metrics.horizon):
         lines.append(
-            f"{t},{_dollars(int(cost[t])):.8f},{queue[t]:.6f},{int(bought[t])}"
+            f"{t},{to_dollars(int(cost[t])):.8f},{queue[t]:.6f},{int(bought[t])}"
         )
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -266,7 +261,7 @@ def comparison_table_csv(
         oracle_cost = ""
         oracle_ratio = ""
         if oracle is not None:
-            oracle_cost = f"{_dollars(oracle.offline_cost_microcents):.8f}"
+            oracle_cost = f"{to_dollars(oracle.offline_cost_microcents):.8f}"
             oracle_ratio = f"{oracle.ratio:.6f}"
         lines.append(
             ",".join(
@@ -285,6 +280,6 @@ def comparison_table_csv(
     if oracle_row is not None:
         label, cost = oracle_row
         lines.append(
-            f"{label},{_dollars(cost):.8f},{cost},0.000000,,true,,"
+            f"{label},{to_dollars(cost):.8f},{cost},0.000000,,true,,"
         )
     return ("\n".join(lines) + "\n").encode("ascii")

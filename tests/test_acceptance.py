@@ -27,7 +27,6 @@ from hpclease import generate_trace, report
 from hpclease.cli import DEFAULT_V_GRID, PRESETS, STATIC_SCHEME_1, STATIC_SCHEME_2
 from hpclease.config import ScenarioConfig
 from hpclease.engine import (
-    PolicySpec,
     compare_with_oracle,
     derive_quality_params,
     run,
@@ -71,8 +70,8 @@ def v_sweep(ref_cfg, seeds, traces):
     runs_by_v = {v: [] for v in DEFAULT_V_GRID}
     for s in seeds:
         for v in DEFAULT_V_GRID:
-            spec = PolicySpec("lyapunov", LyapunovParams(v_factor=v))
-            runs_by_v[v].append(run(ref_cfg, spec, traces.by_seed[s]))
+            params = LyapunovParams(v_factor=v)
+            runs_by_v[v].append(run(ref_cfg, params, traces.by_seed[s]))
     summary = report.v_sweep_summary(runs_by_v)
     elapsed = time.perf_counter() - start + traces.elapsed
     return SimpleNamespace(runs_by_v=runs_by_v, summary=summary, elapsed=elapsed)
@@ -88,11 +87,11 @@ def lyap_best(v_sweep):
 @pytest.fixture(scope="session")
 def static_runs(ref_cfg, seeds, traces):
     wide = [
-        run(ref_cfg, PolicySpec("static", STATIC_SCHEME_1), traces.by_seed[s])
+        run(ref_cfg, STATIC_SCHEME_1, traces.by_seed[s])
         for s in seeds
     ]
     narrow = [
-        run(ref_cfg, PolicySpec("static", STATIC_SCHEME_2), traces.by_seed[s])
+        run(ref_cfg, STATIC_SCHEME_2, traces.by_seed[s])
         for s in seeds
     ]
     return wide, narrow
@@ -113,7 +112,7 @@ def quality_sweep(ref_cfg, seeds, traces, lyap_best):
         row = {}
         for share in BUDGET_SHARES:
             params = derive_quality_params(ref_cfg, reference, share)
-            metrics = run(ref_cfg, PolicySpec("quality", params), traces.by_seed[s])
+            metrics = run(ref_cfg, params, traces.by_seed[s])
             comparisons.append(compare_with_oracle(ref_cfg, traces.by_seed[s], metrics))
             row[share] = metrics
         comparisons.append(compare_with_oracle(ref_cfg, traces.by_seed[s], reference))
@@ -281,7 +280,7 @@ def test_deadline_scheduler_always_completes():
             mean_arrival=int(rng.integers(2, 7)),
             seed=int(rng.integers(0, 2**31)),
         )
-        metrics = run(cfg, PolicySpec("quality", params))
+        metrics = run(cfg, params)
         sends = (metrics.decisions != int(Action.IDLE)).sum(axis=1)
         assert int(sends.min()) == n == int(sends.max()), (
             f"horizon {horizon}, {n} units: sends per concentrator {sends}"

@@ -6,8 +6,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hpclease import cli
+from hpclease import ScenarioConfig, cli
 from hpclease.env import load_trace
+from hpclease.errors import ConfigurationError
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
 
@@ -273,3 +274,69 @@ def test_diagnostics_on_stderr_not_stdout(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "wrote" in captured.err
+
+
+@pytest.mark.parametrize("law", ["deterministic", "poisson"])
+def test_oversized_unit_is_a_config_error(law, tmp_path, capsys):
+    # served packets per slot are int16: a 40,000-packet unit once wrapped
+    # around and surfaced as a false conservation violation (exit 5)
+    cfg = ScenarioConfig(
+        k_concentrators=2, horizon=20, mean_arrival=40000, arrival_law=law
+    )
+    with pytest.raises(ConfigurationError, match="unit_size_packets"):
+        cfg.validate()
+    rc = main(
+        tmp_path, "run", "--set", "k_concentrators=2", "--set", "horizon=20",
+        "--set", "mean_arrival=40000", "--set", f"arrival_law={law}",
+    )
+    assert rc == 3
+    assert "unit_size_packets" in capsys.readouterr().err
+
+
+def test_int32_overflowing_arrivals_are_a_config_error(tmp_path, capsys):
+    # once an uncaught OverflowError while filling the int32 arrival array
+    rc = main(
+        tmp_path, "run", *SMALL, "--set", "mean_arrival=3000000000",
+        "--set", "unit_size_packets=5", "--set", "arrival_bound=3000000000",
+    )
+    assert rc == 3
+    assert "mean_arrival" in capsys.readouterr().err
+    cfg = ScenarioConfig(mean_arrival=5, arrival_bound=2**31)
+    with pytest.raises(ConfigurationError, match="arrival_bound"):
+        cfg.validate()
+    # the derived bound (4x the mean) is capped, not rejected
+    cfg = ScenarioConfig(mean_arrival=2**30, unit_size_packets=5)
+    assert cfg.arrival_bound == 2**31 - 1
+    cfg.validate()
+    schema = json.loads((SCHEMA_DIR / "scenario_config.schema.json").read_text())
+    for field, too_big in [
+        ("unit_size_packets", 2**15),
+        ("mean_arrival", 2**31),
+        ("arrival_bound", 2**31),
+    ]:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({field: too_big}, schema)
+
+
+def test_overrides_rederive_defaults():
+    reference = cli.PRESETS["reference"]
+    cfg = reference.with_overrides(mean_arrival=10)
+    assert cfg == ScenarioConfig(seed=101, mean_arrival=10)
+    assert (cfg.unit_size_packets, cfg.arrival_bound, cfg.epsilon) == (10, 40, 10.0)
+    # a derived field given explicitly wins, and stays put afterwards
+    cfg = reference.with_overrides(mean_arrival=10, unit_size_packets=4)
+    assert (cfg.unit_size_packets, cfg.arrival_bound) == (4, 40)
+    assert cfg.with_overrides(mean_arrival=7).unit_size_packets == 4
+    assert reference.with_overrides(horizon=120) == ScenarioConfig(seed=101, horizon=120)
+
+
+def test_quality_run_after_mean_arrival_override(capsys):
+    argv = [
+        "run", "--policy", "quality", "--budget-share", "0.2",
+        "--set", "mean_arrival=10", "--set", "horizon=200", "-o", "-",
+    ]
+    assert cli._scenario(cli.parse_args(argv)).unit_size_packets == 10
+    assert cli.main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["workload_complete"] is True
+

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from hpclease import (
-    PolicySpec,
     ScenarioConfig,
     compare_with_oracle,
     derive_quality_params,
     generate_trace,
     is_unit_granular,
+    make_policy,
     run,
     run_matched,
 )
@@ -23,7 +23,7 @@ from hpclease.queueing import (
     serve,
 )
 
-LYAP1 = PolicySpec("lyapunov", LyapunovParams(v_factor=1.0))
+LYAP1 = LyapunovParams(v_factor=1.0)
 
 
 def forced_levels_trace(cfg, level):
@@ -39,15 +39,16 @@ def forced_levels_trace(cfg, level):
     )
 
 
-def test_policy_spec_labels_and_validation():
-    assert LYAP1.label == "lyapunov[v=1]"
-    assert PolicySpec("static", StaticParams(1000, 200)).label == "static[1000/200]"
-    q = PolicySpec("quality", QualityParams(n_units=5, deadline=9, quality_budget=2))
-    assert q.label == "quality[m=2]"
+def test_params_labels_and_validation(small_cfg):
+    assert (LYAP1.kind, LYAP1.label) == ("lyapunov", "lyapunov[v=1]")
+    static = StaticParams(1000, 200)
+    assert (static.kind, static.label) == ("static", "static[1000/200]")
+    q = QualityParams(n_units=5, deadline=9, quality_budget=2)
+    assert (q.kind, q.label) == ("quality", "quality[m=2]")
     with pytest.raises(ConfigurationError):
-        PolicySpec("nonsense", LyapunovParams(v_factor=1.0))
+        make_policy("lyapunov", small_cfg)
     with pytest.raises(ConfigurationError):
-        PolicySpec("static", LyapunovParams(v_factor=1.0))
+        make_policy(StaticParams(period=100, burst_len=200), small_cfg)
 
 
 def test_capacities(small_cfg):
@@ -90,8 +91,8 @@ def test_all_none_levels_always_buy_plateau(small_cfg):
 
 def test_static_purchases_exactly_burst_len_per_period():
     cfg = ScenarioConfig(k_concentrators=2, horizon=2000, seed=9)
-    spec = PolicySpec("static", StaticParams(period=1000, burst_len=200))
-    metrics = run(cfg, spec)
+    params = StaticParams(period=1000, burst_len=200)
+    metrics = run(cfg, params)
     per_slot = metrics.purchases_per_slot
     # every concentrator is backlogged at every burst slot in this setup
     for start in (0, 1000):
@@ -131,7 +132,7 @@ def test_matched_cost_nonincreasing_in_v(small_cfg):
     trace = generate_trace(small_cfg, small_cfg.seed)
     grid = [1.0, 10.0, 100.0, 1000.0]
     costs = [
-        run(small_cfg, PolicySpec("lyapunov", LyapunovParams(v_factor=v)), trace
+        run(small_cfg, LyapunovParams(v_factor=v), trace
             ).cost_total_microcents
         for v in grid
     ]
@@ -196,7 +197,7 @@ def test_delay_histogram_matches_queueing_replay(small_cfg):
 
 
 def test_epsilon_override_on_lyapunov_params(small_cfg):
-    custom = PolicySpec("lyapunov", LyapunovParams(v_factor=1.0, epsilon=0.25))
+    custom = LyapunovParams(v_factor=1.0, epsilon=0.25)
     metrics = run(small_cfg, custom)
     assert metrics.epsilon == 0.25
     default = run(small_cfg, LYAP1)
@@ -208,7 +209,7 @@ def test_unit_alignment_gate():
         k_concentrators=2, horizon=50, arrival_law="poisson", seed=3
     )
     assert not is_unit_granular(poisson)
-    q = PolicySpec("quality", QualityParams(n_units=10, deadline=40, quality_budget=0))
+    q = QualityParams(n_units=10, deadline=40, quality_budget=0)
     with pytest.raises(ConfigurationError):
         run(poisson, q)
 
@@ -220,17 +221,14 @@ def test_unit_alignment_gate():
 
 
 def test_quality_deadline_must_fit_horizon(small_cfg):
-    q = PolicySpec(
-        "quality",
-        QualityParams(n_units=10, deadline=small_cfg.horizon, quality_budget=0),
-    )
+    q = QualityParams(n_units=10, deadline=small_cfg.horizon, quality_budget=0)
     with pytest.raises(ConfigurationError):
         run(small_cfg, q)
 
 
 def test_quality_run_meets_its_deadline(small_cfg):
     params = QualityParams(n_units=150, deadline=199, quality_budget=30)
-    metrics = run(small_cfg, PolicySpec("quality", params))
+    metrics = run(small_cfg, params)
     sent = metrics.units_sent_full + metrics.units_sent_reduced
     assert sent == 150 * small_cfg.k_concentrators
     assert metrics.units_sent_reduced <= 30 * small_cfg.k_concentrators
@@ -258,7 +256,7 @@ def test_compare_with_oracle_quality_and_lyapunov(small_cfg):
     assert comp.gap_microcents >= 0
 
     params = derive_quality_params(small_cfg, reference, 0.25)
-    qmetrics = run(small_cfg, PolicySpec("quality", params), trace)
+    qmetrics = run(small_cfg, params, trace)
     qcomp = compare_with_oracle(small_cfg, trace, qmetrics)
     assert qcomp is not None
     assert qcomp.offline_cost_microcents <= qcomp.online_cost_microcents
@@ -267,7 +265,7 @@ def test_compare_with_oracle_quality_and_lyapunov(small_cfg):
 def test_compare_with_oracle_skips_incomparable_runs(small_cfg):
     trace = generate_trace(small_cfg, small_cfg.seed)
     # 10 purchase slots per 50 cannot keep up with constant arrivals
-    static = run(small_cfg, PolicySpec("static", StaticParams(50, 10)), trace)
+    static = run(small_cfg, StaticParams(50, 10), trace)
     assert not static.workload_complete
     assert compare_with_oracle(small_cfg, trace, static) is None
 
@@ -281,8 +279,8 @@ def test_compare_with_oracle_skips_incomparable_runs(small_cfg):
 
 def test_reduced_quality_units_tracked(small_cfg):
     params = QualityParams(n_units=199, deadline=199, quality_budget=60)
-    metrics = run(small_cfg, PolicySpec("quality", params))
-    assert metrics.quality_budget == 60
+    metrics = run(small_cfg, params)
+    assert metrics.params.quality_budget == 60
     assert metrics.units_sent_reduced == int(metrics.reduced_per_concentrator.sum())
     assert (
         metrics.units_sent_full + metrics.units_sent_reduced

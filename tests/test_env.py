@@ -153,13 +153,6 @@ def test_load_rejects_damaged_payloads(small_cfg):
         load_trace(b"not json at all")
 
 
-def test_price_sample_accessor(small_cfg):
-    trace = generate_trace(small_cfg, 7)
-    s = trace.price_sample(0)
-    assert s.full_microcents == int(trace.price_full[0])
-    assert s.reduced_microcents == int(trace.price_reduced[0])
-
-
 def test_spectrum_level_codes_are_stable():
     assert int(SpectrumLevel.NONE) == 0
     assert int(SpectrumLevel.REDUCED) == 1

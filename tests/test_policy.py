@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpclease.env import PriceSample, SpectrumLevel, to_microcents
+from hpclease.env import MICROCENTS_PER_CENT, PriceSample, SpectrumLevel, to_microcents
 from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from hpclease.policy import (
     Action,
-    HpcDecision,
     LyapunovParams,
     LyapunovPolicy,
     PapTracker,
@@ -15,10 +14,7 @@ from hpclease.policy import (
     QualityPolicy,
     StaticBurstPolicy,
     StaticParams,
-    lyapunov_decide,
     lyapunov_threshold,
-    pap_update,
-    quality_decide,
     static_decide,
 )
 
@@ -30,6 +26,79 @@ def price(full_cents, reduced_cents):
         full_microcents=to_microcents(full_cents),
         reduced_microcents=to_microcents(reduced_cents),
     )
+
+
+# -- scalar references: one concentrator, one slot ----------------------
+# The vectorized policies must agree with these straight-line rules.
+
+
+def lyapunov_decide(y, threshold, level, q_len, capacity, reduced_capacity):
+    """Threshold rule for one concentrator and one slot.
+
+    Free spectrum is preferred: if the free capacity of ``level`` covers
+    min(q_len, capacity), transmit free. Otherwise purchase exactly when
+    y exceeds the threshold (ties do not purchase). With no purchase, any
+    partial free capacity is still used.
+    """
+    if q_len <= 0:
+        return Action.IDLE
+    free_cap = (
+        capacity
+        if level == SpectrumLevel.FULL
+        else reduced_capacity if level == SpectrumLevel.REDUCED else 0
+    )
+    need = min(q_len, capacity)
+    if free_cap >= need:
+        return Action.FREE_FULL
+    if y > threshold:
+        return Action.BUY_FULL
+    if free_cap > 0:
+        return Action.FREE_FULL
+    return Action.IDLE
+
+
+def quality_decide(
+    params, tracker, slot, level, prices, units_remaining, budget_remaining
+):
+    """Deadline-scheduling rule for one concentrator and one slot, with the
+    precedence documented on QualityPolicy."""
+    if not 1 <= slot <= params.deadline:
+        raise ConfigurationError(
+            f"slot {slot} outside the scheduling window 1..{params.deadline}"
+        )
+    if units_remaining < 0 or budget_remaining < 0:
+        raise ConfigurationError("negative remaining counters")
+    slots_remaining = params.deadline - slot + 1
+    if units_remaining > slots_remaining:
+        raise InfeasibleError(
+            f"{units_remaining} units cannot fit in {slots_remaining} slots"
+        )
+    if units_remaining == 0:
+        return Action.IDLE
+    sent = params.n_units - units_remaining
+    available = min(slot, params.n_units) - sent
+    if available <= 0:
+        return Action.IDLE
+
+    if slots_remaining == units_remaining:
+        # deadline guard: transmission is mandatory this slot
+        if level == SpectrumLevel.FULL:
+            return Action.FREE_FULL
+        if level == SpectrumLevel.REDUCED and budget_remaining > 0:
+            return Action.FREE_REDUCED
+        if budget_remaining > 0:
+            return Action.BUY_REDUCED
+        return Action.BUY_FULL
+
+    if level == SpectrumLevel.FULL:
+        return Action.FREE_FULL
+    if level == SpectrumLevel.REDUCED and budget_remaining > 0:
+        return Action.FREE_REDUCED
+    if prices.full_microcents <= tracker.pap_full_microcents:
+        return Action.BUY_FULL
+    if budget_remaining > 0 and prices.reduced_microcents <= tracker.pap_reduced_microcents:
+        return Action.BUY_REDUCED
+    return Action.IDLE
 
 
 def test_threshold_examples():
@@ -48,34 +117,34 @@ def test_threshold_rejects_bad_inputs():
 
 def test_lyapunov_decide_buys_above_threshold():
     d = lyapunov_decide(8.1e6, 8.0e6, NONE, q_len=10, capacity=5, reduced_capacity=2)
-    assert d.action == Action.BUY_FULL
-    assert d.d_flag is True
+    assert d == Action.BUY_FULL
+    assert d.is_purchase
 
 
 def test_lyapunov_decide_idle_when_empty():
     d = lyapunov_decide(0.0, 8.0e6, NONE, q_len=0, capacity=5, reduced_capacity=2)
-    assert d.action == Action.IDLE
-    assert d.d_flag is False
+    assert d == Action.IDLE
+    assert not d.is_purchase
 
 
 def test_lyapunov_decide_prefers_free_spectrum():
     d = lyapunov_decide(9.9e9, 1.0, FULL, q_len=10, capacity=5, reduced_capacity=2)
-    assert d.action == Action.FREE_FULL
-    assert d.d_flag is False
+    assert d == Action.FREE_FULL
+    assert not d.is_purchase
 
 
 def test_lyapunov_decide_tie_does_not_buy():
     d = lyapunov_decide(8.0e6, 8.0e6, NONE, q_len=10, capacity=5, reduced_capacity=2)
-    assert d.action == Action.IDLE
+    assert d == Action.IDLE
 
 
 def test_lyapunov_decide_partial_free_capacity():
     # below threshold with reduced spectrum: move what the level gives
     d = lyapunov_decide(3.0, 100.0, REDUCED, q_len=10, capacity=5, reduced_capacity=2)
-    assert d.action == Action.FREE_FULL
+    assert d == Action.FREE_FULL
     # a short queue is fully covered by the reduced level
     d = lyapunov_decide(3.0, 0.0, REDUCED, q_len=2, capacity=5, reduced_capacity=2)
-    assert d.action == Action.FREE_FULL
+    assert d == Action.FREE_FULL
 
 
 @given(
@@ -98,7 +167,7 @@ def test_lyapunov_scaling_invariance(y, c, exp):
         capacity=5,
         reduced_capacity=2,
     )
-    assert base.action == scaled.action
+    assert base == scaled
 
 
 @given(
@@ -114,8 +183,8 @@ def test_lyapunov_purchases_nonincreasing_in_v(y, c, v1, dv):
     args = dict(level=NONE, q_len=9, capacity=5, reduced_capacity=2)
     high = lyapunov_decide(y, lyapunov_threshold(v2, c), **args)
     low = lyapunov_decide(y, lyapunov_threshold(v1, c), **args)
-    if high.action == Action.BUY_FULL:
-        assert low.action == Action.BUY_FULL
+    if high == Action.BUY_FULL:
+        assert low == Action.BUY_FULL
 
 
 def test_static_decide_scheme_boundaries():
@@ -149,22 +218,22 @@ def test_static_burst_length_is_exact():
 
 def test_pap_running_mean():
     tracker = PapTracker(beta_c=0.5)
-    pap_update(tracker, price(0.4, 0.2))
-    pap_update(tracker, price(0.6, 0.3))
-    assert tracker.pap_full_cents == pytest.approx(0.25)
-    assert tracker.pap_reduced_cents == pytest.approx(0.125)
+    tracker.observe(price(0.4, 0.2))
+    tracker.observe(price(0.6, 0.3))
+    assert tracker.pap_full_microcents == pytest.approx(0.25 * MICROCENTS_PER_CENT)
+    assert tracker.pap_reduced_microcents == pytest.approx(0.125 * MICROCENTS_PER_CENT)
 
 
 def test_pap_single_observation():
     tracker = PapTracker(beta_c=1.0)
-    pap_update(tracker, price(0.7, 0.3))
-    assert tracker.pap_full_cents == pytest.approx(0.7)
+    tracker.observe(price(0.7, 0.3))
+    assert tracker.pap_full_microcents == pytest.approx(0.7 * MICROCENTS_PER_CENT)
 
 
 def test_pap_zero_beta_never_attractive():
     tracker = PapTracker(beta_c=0.0)
     for _ in range(5):
-        pap_update(tracker, price(0.9, 0.4))
+        tracker.observe(price(0.9, 0.4))
     assert tracker.pap_full_microcents == 0.0
     assert tracker.pap_reduced_microcents == 0.0
     # cheapest possible posted price still fails price <= pap
@@ -173,7 +242,7 @@ def test_pap_zero_beta_never_attractive():
 
 def test_pap_reset_clears_statistics():
     tracker = PapTracker(beta_c=0.8)
-    pap_update(tracker, price(0.5, 0.2))
+    tracker.observe(price(0.5, 0.2))
     tracker.reset()
     assert tracker.count == 0
     assert tracker.pap_full_microcents == 0.0
@@ -196,28 +265,28 @@ def test_quality_decide_deadline_forces_cheapest_purchase():
     tracker = PapTracker(beta_c=1.0)
     # slots 6,7,8 remain for 3 units: every slot is forced
     d = quality_decide(params, tracker, 6, NONE, price(0.9, 0.5), 3, 1)
-    assert d.action == Action.BUY_REDUCED
+    assert d == Action.BUY_REDUCED
     d = quality_decide(params, tracker, 6, NONE, price(0.9, 0.5), 3, 0)
-    assert d.action == Action.BUY_FULL
+    assert d == Action.BUY_FULL
     d = quality_decide(params, tracker, 6, FULL, price(0.9, 0.5), 3, 0)
-    assert d.action == Action.FREE_FULL
+    assert d == Action.FREE_FULL
     d = quality_decide(params, tracker, 6, REDUCED, price(0.9, 0.5), 3, 1)
-    assert d.action == Action.FREE_REDUCED
+    assert d == Action.FREE_REDUCED
 
 
 def test_quality_decide_free_full_preferred():
     params = quality_params()
     tracker = PapTracker(beta_c=1.0)
     d = quality_decide(params, tracker, 2, FULL, price(0.9, 0.5), 4, 2)
-    assert d.action == Action.FREE_FULL
-    assert d.d_flag is False
+    assert d == Action.FREE_FULL
+    assert not d.is_purchase
 
 
 def test_quality_decide_idle_when_done():
     params = quality_params()
     tracker = PapTracker(beta_c=1.0)
     d = quality_decide(params, tracker, 3, FULL, price(0.1, 0.05), 0, 2)
-    assert d.action == Action.IDLE
+    assert d == Action.IDLE
 
 
 def test_quality_decide_waits_for_arrivals():
@@ -226,24 +295,24 @@ def test_quality_decide_waits_for_arrivals():
     params = quality_params(n=5, t=8, m=0)
     tracker = PapTracker(beta_c=1.0)
     d = quality_decide(params, tracker, 1, FULL, price(0.9, 0.5), 5, 0)
-    assert d.action == Action.FREE_FULL
+    assert d == Action.FREE_FULL
     # 4 remaining of 5 at slot 1 means unit 1 went out at slot 1 already
     d = quality_decide(params, tracker, 1, FULL, price(0.9, 0.5), 4, 0)
-    assert d.action == Action.IDLE
+    assert d == Action.IDLE
 
 
 def test_quality_decide_shops_below_pap():
     params = quality_params(n=2, t=9, m=1)
     tracker = PapTracker(beta_c=1.0)
-    pap_update(tracker, price(0.6, 0.3))
+    tracker.observe(price(0.6, 0.3))
     d = quality_decide(params, tracker, 2, NONE, price(0.5, 0.4), 2, 1)
-    assert d.action == Action.BUY_FULL  # full at/below its average
+    assert d == Action.BUY_FULL  # full at/below its average
     d = quality_decide(params, tracker, 2, NONE, price(0.7, 0.3), 2, 1)
-    assert d.action == Action.BUY_REDUCED  # only reduced is attractive
+    assert d == Action.BUY_REDUCED  # only reduced is attractive
     d = quality_decide(params, tracker, 2, NONE, price(0.7, 0.3), 2, 0)
-    assert d.action == Action.IDLE  # no budget left for the reduced buy
+    assert d == Action.IDLE  # no budget left for the reduced buy
     d = quality_decide(params, tracker, 2, NONE, price(0.7, 0.4), 2, 1)
-    assert d.action == Action.IDLE  # neither price attractive
+    assert d == Action.IDLE  # neither price attractive
 
 
 def test_quality_decide_guards():
@@ -280,8 +349,6 @@ def test_lyapunov_params_validation():
 
 
 def test_d_flag_matches_purchase_actions():
-    for action in Action:
-        assert HpcDecision(action).d_flag == action.is_purchase
     assert Action.BUY_FULL.is_purchase
     assert Action.BUY_REDUCED.is_purchase
     assert not Action.FREE_FULL.is_purchase
@@ -327,7 +394,7 @@ def test_lyapunov_policy_matches_scalar(data):
             5,
             2,
         )
-        assert actions[i] == int(expected.action)
+        assert actions[i] == int(expected)
 
 
 @given(st.data())
@@ -394,13 +461,13 @@ def test_quality_policy_matches_scalar_sequence(data):
                 remaining[i],
                 budget_left[i],
             )
-            assert actions[i] == int(expected.action)
-            if expected.action.is_send:
+            assert actions[i] == int(expected)
+            if expected.is_send:
                 remaining[i] -= 1
-            if expected.action.is_reduced_quality:
+            if expected.is_reduced_quality:
                 budget_left[i] -= 1
         policy.observe_prices(prices)
-        pap_update(mirror, prices)
+        mirror.observe(prices)
 
     assert remaining == [0] * k
     policy.finish_run()

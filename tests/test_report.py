@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hpclease import PolicySpec, ScenarioConfig, generate_trace, run
+from hpclease import ScenarioConfig, generate_trace, run
 from hpclease.errors import ConfigurationError
 from hpclease.policy import LyapunovParams, StaticParams
 from hpclease.report import (
@@ -42,9 +42,9 @@ def small_runs(seeds=(7, 8, 9), v_values=(1.0, 50.0)):
     cfg = ScenarioConfig(k_concentrators=2, horizon=150, seed=0)
     out = {}
     for v in v_values:
-        spec = PolicySpec("lyapunov", LyapunovParams(v_factor=v))
+        params = LyapunovParams(v_factor=v)
         out[v] = [
-            run(cfg.with_overrides(seed=s), spec, generate_trace(cfg, s))
+            run(cfg.with_overrides(seed=s), params, generate_trace(cfg, s))
             for s in seeds
         ]
     return out
@@ -116,8 +116,8 @@ def test_quality_sweep_requires_oracle_cost_for_every_budget():
     from hpclease.policy import QualityParams
 
     runs = {
-        0: [run(cfg, PolicySpec("quality", QualityParams(149, 149, 0)))],
-        30: [run(cfg, PolicySpec("quality", QualityParams(149, 149, 30)))],
+        0: [run(cfg, QualityParams(149, 149, 0))],
+        30: [run(cfg, QualityParams(149, 149, 30))],
     }
     result = quality_sweep_summary(runs)
     assert result.axis == AXIS_QUALITY_BUDGET
@@ -204,7 +204,7 @@ def test_emitted_json_validates_against_published_schema():
 
 
 def test_run_summary_and_series(small_cfg):
-    metrics = run(small_cfg, PolicySpec("lyapunov", LyapunovParams(v_factor=1.0)))
+    metrics = run(small_cfg, LyapunovParams(v_factor=1.0))
     summary = run_summary(metrics)
     assert summary["policy"] == "lyapunov[v=1]"
     assert summary["cost_microcents"] == metrics.cost_total_microcents
@@ -224,8 +224,8 @@ def test_comparison_table_layout(small_cfg):
     from hpclease import compare_with_oracle
 
     trace = generate_trace(small_cfg, small_cfg.seed)
-    lyap = run(small_cfg, PolicySpec("lyapunov", LyapunovParams(v_factor=1.0)), trace)
-    static = run(small_cfg, PolicySpec("static", StaticParams(50, 10)), trace)
+    lyap = run(small_cfg, LyapunovParams(v_factor=1.0), trace)
+    static = run(small_cfg, StaticParams(50, 10), trace)
     rows = [
         (lyap, compare_with_oracle(small_cfg, trace, lyap)),
         (static, compare_with_oracle(small_cfg, trace, static)),
