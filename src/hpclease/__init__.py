@@ -11,7 +11,6 @@ from .engine import (
     make_policy,
     oracle_reference,
     run,
-    run_matched,
 )
 from .env import (
     ArrivalBatch,
@@ -86,7 +85,6 @@ __all__ = [
     "oracle_reference",
     "quality_sweep_summary",
     "run",
-    "run_matched",
     "save_trace",
     "solve_bruteforce",
     "solve_dp",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .env import to_microcents, unit_prices
@@ -19,6 +20,7 @@ from .errors import ConfigurationError
 ARRIVAL_LAWS = ("deterministic", "poisson")
 INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
+EXACT_MICROCENTS = 2**53
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,17 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "per-packet price interval must satisfy 0 < low < high, got "
                 f"[{self.price_low_cents}, {self.price_high_cents}]"
+            )
+        # every cost sum (int64 totals, float64 DP values and means) stays
+        # exact while the fleet's dearest possible bill fits in 2**53
+        if not math.isfinite(self.price_high_cents) or (
+            self.k_concentrators * self.horizon * self.unit_size_packets
+            * to_microcents(self.price_high_cents) > EXACT_MICROCENTS
+        ):
+            raise ConfigurationError(
+                f"price_high_cents {self.price_high_cents} is too high: "
+                "k_concentrators * horizon * unit_size_packets * price_high "
+                f"must be at most {EXACT_MICROCENTS} micro-cents"
             )
         if not 0.0 < self.reduced_fraction < 1.0:
             raise ConfigurationError("reduced_fraction must lie strictly in (0, 1)")
@@ -177,19 +190,20 @@ def _coerce_fields(data: dict) -> dict:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigurationError(f"unknown scenario fields: {', '.join(unknown)}")
+    derivable = {f.name for f in dataclasses.fields(ScenarioConfig) if f.default is None}
     out = {}
     for key, value in data.items():
-        if value is None or isinstance(value, str):
+        if key not in _INT_FIELDS | _FLOAT_FIELDS or (value is None and key in derivable):
             out[key] = value
             continue
-        if isinstance(value, bool):
-            raise ConfigurationError(f"scenario field {key} cannot be a boolean")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(
+                f"scenario field {key} must be a number, got {value!r}"
+            )
         if key in _INT_FIELDS:
             if isinstance(value, float) and not value.is_integer():
                 raise ConfigurationError(f"scenario field {key} must be an integer")
             out[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            out[key] = float(value)
         else:
-            out[key] = value
+            out[key] = float(value)
     return out

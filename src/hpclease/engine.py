@@ -1,14 +1,20 @@
 """Slot-by-slot simulation driver for a fleet of concentrators.
 
-Each slot runs the fixed order: observe queues and the posted price,
-ask the policy for one action per concentrator, serve, account cost,
-advance the virtual queues, then enqueue the slot's arrivals. Everything
-is vectorized across the fleet; per-packet delays are reconstructed after
-the run from the served-count series, which is exact because service is
+The slot loop carries only the state the next slot reads. Each slot it
+observes the queues and the posted price, asks the policy for one action
+per concentrator, serves what the action's grant and the backlog allow,
+advances the virtual queues, then enqueues the slot's arrivals. Everything
+is vectorized across the fleet.
+
+Everything else runs once, over the finished (concentrator, slot)
+decision and service matrices: the invariant checks (each error names the
+policy label, seed, first offending slot and concentrator), the cost
+accounting, and the per-packet delays, which are exact because service is
 FIFO within a concentrator.
 
 Costs are integer micro-cents throughout, so runs are reproducible to the
-last digit across platforms.
+last digit across platforms; ScenarioConfig.validate bounds prices so that
+no cost sum can leave the exactly representable range.
 """
 
 from __future__ import annotations
@@ -36,8 +42,6 @@ from .policy import (
 )
 from .queueing import littles_law_delay
 
-_FULL = int(SpectrumLevel.FULL)
-_REDUCED = int(SpectrumLevel.REDUCED)
 
 def service_capacity(config: ScenarioConfig) -> int:
     """Maximum packets one concentrator can move per slot (one full unit)."""
@@ -221,115 +225,75 @@ def run(
     epsilon = float(config.epsilon)
     if isinstance(params, LyapunovParams) and params.epsilon is not None:
         epsilon = float(params.epsilon)
-
     mu = service_capacity(config)
-    red_cap = reduced_capacity(config)
-    unit_world = isinstance(params, QualityParams)
+    # packets each action may move, indexed [Action code, SpectrumLevel code];
+    # a free send on a level that does not admit it moves nothing
+    grant = np.zeros((len(Action), len(SpectrumLevel)), dtype=np.int64)
+    grant[Action.FREE_FULL, SpectrumLevel.REDUCED :] = reduced_capacity(config), mu
+    grant[Action.FREE_REDUCED, SpectrumLevel.REDUCED] = mu
+    grant[Action.BUY_FULL :] = mu
 
     q = np.zeros(k, dtype=np.int64)
     z = np.zeros(k, dtype=np.float64)
     decisions = np.empty((k, horizon), dtype=np.uint8)
     serves = np.empty((k, horizon), dtype=np.int16)
-    purchases = np.empty(horizon, dtype=np.int32)
-    cost_series_fleet = np.empty(horizon, dtype=np.int64)
     queue_series_mean = np.empty(horizon, dtype=np.float64)
-    cost_per_conc = np.zeros(k, dtype=np.int64)
     queue_series = (
         np.empty((k, horizon), dtype=np.int32) if record_series else None
     )
-    cost_series = (
-        np.empty((k, horizon), dtype=np.int64) if record_series else None
-    )
-    final_queue = np.zeros(k, dtype=np.int64)
-    cost_running = 0
-
-    levels_all = trace.levels
-    arrivals_all = trace.arrivals
-    price_full_all = trace.price_full
-    price_reduced_all = trace.price_reduced
+    levels, arrivals = trace.levels, trace.arrivals
 
     for t in range(horizon):
-        levels = levels_all[:, t]
-        pf = int(price_full_all[t])
-        pr = int(price_reduced_all[t])
-        prices = PriceSample(full_microcents=pf, reduced_microcents=pr)
-
+        prices = PriceSample(int(trace.price_full[t]), int(trace.price_reduced[t]))
         queue_series_mean[t] = q.mean()
         if record_series:
             queue_series[:, t] = q
-
-        actions = policy.decide_slot(t, levels, prices, q, z)
-        if actions.shape != (k,):
-            raise InvariantViolationError("policy returned a malformed action set")
-
-        free_full = actions == int(Action.FREE_FULL)
-        free_reduced = actions == int(Action.FREE_REDUCED)
-        buy = actions >= int(Action.BUY_FULL)
-        lvl_full = levels == _FULL
-        lvl_reduced = levels == _REDUCED
-        if np.any(free_full & ~(lvl_full | lvl_reduced)):
-            raise InvariantViolationError(
-                f"free transmission without free spectrum at slot {t}"
-            )
-        if np.any(free_reduced & ~lvl_reduced):
-            raise InvariantViolationError(
-                f"reduced free transmission without reduced spectrum at slot {t}"
-            )
-
-        grant = np.zeros(k, dtype=np.int64)
-        grant[buy | free_reduced] = mu
-        grant[free_full] = np.where(lvl_full[free_full], mu, red_cap)
-        served = np.minimum(q, grant)
-        if unit_world and np.any((actions != int(Action.IDLE)) & (served != mu)):
-            raise InvariantViolationError(
-                f"unit transmission not backed by a full unit of backlog at slot {t}"
-            )
-
-        paid_full = (actions == int(Action.BUY_FULL)) & (served > 0)
-        paid_reduced = (actions == int(Action.BUY_REDUCED)) & (served > 0)
-        n_full = int(np.count_nonzero(paid_full))
-        n_reduced = int(np.count_nonzero(paid_reduced))
-        cost_running += n_full * pf + n_reduced * pr
-        cost_per_conc[paid_full] += pf
-        cost_per_conc[paid_reduced] += pr
-        purchases[t] = n_full + n_reduced
-        cost_series_fleet[t] = cost_running
-        if record_series:
-            cost_series[:, t] = cost_per_conc
-
+        level = levels[:, t]
+        actions = policy.decide_slot(t, level, prices, q, z)
+        served = np.minimum(q, grant[actions, level])
         decisions[:, t] = actions
         serves[:, t] = served
         busy = q > 0
         q -= served
-        if t == horizon - 1:
-            final_queue[:] = q
         np.maximum(z - served + epsilon * busy, 0.0, out=z)
-        q += arrivals_all[:, t]
+        q += arrivals[:, t]
         policy.observe_prices(prices)
 
-    policy.finish_run()
-
-    total_arrived = int(arrivals_all.sum())
+    run_name = f"{params.label} seed {trace.seed}"
+    _check_decisions(run_name, params, decisions, serves, levels, mu)
+    total_arrived = int(arrivals.sum())
     total_served = int(serves.sum())
     if total_arrived != total_served + int(q.sum()):
         raise InvariantViolationError(
-            "packet conservation broken: "
+            f"{run_name}: packet conservation broken: "
             f"{total_arrived} arrived != {total_served} served + {int(q.sum())} queued"
         )
 
-    hist, total_delay, delivered = _delay_histogram(arrivals_all, serves)
+    hist, total_delay, delivered = _delay_histogram(arrivals, serves)
     if delivered != total_served:
         raise InvariantViolationError(  # pragma: no cover - internal check
             "delay reconstruction lost packets"
         )
 
-    sends = serves > 0
-    full_sends = sends & (
-        (decisions == int(Action.FREE_FULL)) | (decisions == int(Action.BUY_FULL))
-    )
-    reduced_sends = sends & (
-        (decisions == int(Action.FREE_REDUCED)) | (decisions == int(Action.BUY_REDUCED))
-    )
+    # the action of every slot that moved packets; a send that moved nothing is free
+    sent = np.where(serves > 0, decisions, np.uint8(Action.IDLE))
+    reduced_per_conc = np.count_nonzero(sent == Action.FREE_REDUCED, axis=1)
+    reduced_per_conc += np.count_nonzero(sent == Action.BUY_REDUCED, axis=1)
+    # micro-cents one send costs, indexed [Action code, slot]
+    charge = np.zeros((len(Action), horizon), dtype=np.int64)
+    charge[Action.BUY_FULL] = trace.price_full
+    charge[Action.BUY_REDUCED] = trace.price_reduced
+    cost_per_slot = np.zeros(horizon, dtype=np.int64)
+    cost_per_conc = np.empty(k, dtype=np.int64)
+    # blocks of rows: no (K, T) int64 matrix unless record_series asks for
+    # one, and then a single block holds every row
+    rows = k if record_series else max(1, 2**16 // horizon)
+    for lo in range(0, k, rows):
+        paid = charge[sent[lo : lo + rows], np.arange(horizon)]
+        cost_per_slot += paid.sum(axis=0)
+        cost_per_conc[lo : lo + rows] = paid.sum(axis=1)
+    cost_series = np.cumsum(paid, axis=1, out=paid) if record_series else None
+    cost_series_fleet = np.cumsum(cost_per_slot)
 
     return RunMetrics(
         params=params,
@@ -337,20 +301,22 @@ def run(
         k=k,
         horizon=horizon,
         epsilon=epsilon,
-        cost_total_microcents=cost_running,
+        cost_total_microcents=int(cost_series_fleet[-1]),
         cost_per_concentrator=cost_per_conc,
         cost_series_fleet=cost_series_fleet,
-        purchases_per_slot=purchases,
+        purchases_per_slot=np.count_nonzero(
+            sent >= Action.BUY_FULL, axis=0
+        ).astype(np.int32),
         queue_series_mean=queue_series_mean,
-        final_queue=final_queue,
+        final_queue=q - arrivals[:, -1],
         delay_histogram=hist,
         delivered_packets=delivered,
         total_delay_slots=total_delay,
         total_arrived=total_arrived,
         total_served=total_served,
-        units_sent_full=int(np.count_nonzero(full_sends)),
-        units_sent_reduced=int(np.count_nonzero(reduced_sends)),
-        reduced_per_concentrator=reduced_sends.sum(axis=1).astype(np.int64),
+        units_sent_full=int(np.count_nonzero(sent)) - int(reduced_per_conc.sum()),
+        units_sent_reduced=int(reduced_per_conc.sum()),
+        reduced_per_concentrator=reduced_per_conc.astype(np.int64),
         z_final=z,
         decisions=decisions,
         serves=serves if record_series else None,
@@ -359,17 +325,39 @@ def run(
     )
 
 
-def run_matched(
-    config: ScenarioConfig,
-    policies: list[PolicyParams],
-    trace: Trace | None = None,
-    *,
-    record_series: bool = False,
-) -> list[RunMetrics]:
-    """Run several policies against the byte-identical trace."""
-    if trace is None:
-        trace = generate_trace(config, config.seed)
-    return [run(config, p, trace, record_series=record_series) for p in policies]
+def _violations(params, decisions, serves, levels, unit):
+    """Each per-slot rule a run must keep, with its (K, T) offending mask;
+    masks are built one at a time, so only one is alive at once."""
+    yield "free transmission without free spectrum", (
+        (decisions == Action.FREE_FULL) & (levels == SpectrumLevel.NONE)
+    )
+    yield "reduced free transmission without reduced spectrum", (
+        (decisions == Action.FREE_REDUCED) & (levels != SpectrumLevel.REDUCED)
+    )
+    if not isinstance(params, QualityParams):
+        return
+    yield "unit transmission not backed by a full unit of backlog", (
+        (decisions != Action.IDLE) & (serves != unit)
+    )
+    missed = np.zeros(decisions.shape, dtype=bool)
+    missed[:, params.deadline] = np.count_nonzero(decisions, axis=1) < params.n_units
+    yield "quality policy missed its deadline", missed
+    reduced = (decisions == Action.FREE_REDUCED) | (decisions == Action.BUY_REDUCED)
+    yield f"quality budget of {params.quality_budget} exceeded", (
+        np.cumsum(reduced, axis=1) > params.quality_budget
+    )
+
+
+def _check_decisions(run_name, params, decisions, serves, levels, unit) -> None:
+    """Raise at the first slot, then concentrator, that broke a rule."""
+    for rule, offending in _violations(params, decisions, serves, levels, unit):
+        slots = np.flatnonzero(offending.any(axis=0))
+        if slots.size:
+            t = int(slots[0])
+            i = int(np.flatnonzero(offending[:, t])[0])
+            raise InvariantViolationError(
+                f"{run_name}: {rule} at slot {t}, concentrator {i}"
+            )
 
 
 def derive_quality_params(

@@ -86,9 +86,6 @@ class Schedule:
     def sends(self) -> int:
         return int(np.count_nonzero(self.actions != int(Action.IDLE)))
 
-    def send_slots(self) -> np.ndarray:
-        return np.flatnonzero(self.actions != int(Action.IDLE))
-
 
 def validate_schedule(instance: OfflineInstance, schedule: Schedule) -> int:
     """Re-check every schedule invariant; returns the recomputed cost.

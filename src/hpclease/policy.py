@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .env import PriceSample, SpectrumLevel
-from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
+from .errors import ConfigurationError, InfeasibleError
 
 
 class Action(IntEnum):
@@ -230,9 +230,6 @@ class BasePolicy:
     def observe_prices(self, prices: PriceSample) -> None:
         pass
 
-    def finish_run(self) -> None:
-        """Hook for end-of-run consistency checks."""
-
 
 class _PacketPolicy(BasePolicy):
     """A policy that moves packets: service capacity per slot and the free
@@ -358,12 +355,3 @@ class QualityPolicy(BasePolicy):
 
     def observe_prices(self, prices: PriceSample) -> None:
         self.tracker.observe(prices)
-
-    def finish_run(self) -> None:
-        if self.sent.size and int(self.sent.min()) < self.params.n_units:
-            raise InvariantViolationError(
-                "quality policy missed its deadline: "
-                f"min sent {int(self.sent.min())} of {self.params.n_units}"
-            )
-        if self.reduced_used.size and int(self.reduced_used.max()) > self.params.quality_budget:
-            raise InvariantViolationError("quality budget exceeded")

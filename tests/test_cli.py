@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -6,9 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hpclease import ScenarioConfig, cli
+from hpclease import ScenarioConfig, StaticParams, cli, generate_trace, run
 from hpclease.env import load_trace
 from hpclease.errors import ConfigurationError
+from hpclease.policy import Action
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
 
@@ -340,3 +342,49 @@ def test_quality_run_after_mean_arrival_override(capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["workload_complete"] is True
 
+
+
+@pytest.mark.parametrize("field", ["horizon", "mean_arrival"])
+def test_non_numeric_override_is_a_config_error(field, tmp_path, capsys):
+    # a non-numeric string or a null once reached __post_init__/validate and
+    # died with a TypeError or ValueError traceback
+    for value in ("abc", "null"):
+        assert main(tmp_path, "gen-trace", *SMALL, "--set", f"{field}={value}") == 3
+        assert f"scenario field {field}" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError, match=field):
+        ScenarioConfig.from_dict({field: "5"})
+    assert main(tmp_path, "gen-trace", *SMALL, "--set", "arrival_law=poisson") == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the Python-int cost accumulator once raised OverflowError here
+        ["run", "--policy", "static", "--period", "10", "--burst-len", "10",
+         "--set", "k_concentrators=3", "--set", "horizon=50",
+         "--set", "price_low_cents=1e11", "--set", "price_high_cents=1.5e11"],
+        # unit prices once wrapped around in int64 and were quoted negative
+        ["gen-trace", "--set", "price_low_cents=1e12",
+         "--set", "price_high_cents=2e12"],
+        # an infinite price once died with an OverflowError traceback
+        ["gen-trace", "--set", "price_high_cents=Infinity"],
+    ],
+)
+def test_inexact_cost_range_is_a_config_error(argv, tmp_path, capsys):
+    assert main(tmp_path, *argv) == 3
+    assert "price_high_cents" in capsys.readouterr().err
+
+
+def test_costs_exact_just_under_the_price_bound():
+    # 3 x 50 x 5 x 6e12 micro-cents is about half of 2**53
+    cfg = ScenarioConfig(
+        k_concentrators=3, horizon=50, price_low_cents=3e6, price_high_cents=6e6
+    )
+    metrics = run(cfg, StaticParams(period=10, burst_len=10))
+    trace = generate_trace(cfg, cfg.seed)
+    paid = metrics.decisions == Action.BUY_FULL
+    exact = sum(int(p) for row in paid for p in trace.price_full[row])
+    assert metrics.cost_total_microcents == exact > 2**50
+    assert int(metrics.cost_per_concentrator.sum()) == exact
+    with pytest.raises(ConfigurationError, match="price_high_cents"):
+        dataclasses.replace(cfg, price_high_cents=7e7).validate()

@@ -1,20 +1,33 @@
+import dataclasses
+import hashlib
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from hpclease import (
     ScenarioConfig,
+    cli,
     compare_with_oracle,
     derive_quality_params,
+    engine,
     generate_trace,
     is_unit_granular,
     make_policy,
     run,
-    run_matched,
 )
 from hpclease.engine import reduced_capacity, service_capacity
 from hpclease.env import SpectrumLevel, Trace
-from hpclease.errors import ConfigurationError
-from hpclease.policy import Action, LyapunovParams, QualityParams, StaticParams
+from hpclease.errors import ConfigurationError, InvariantViolationError
+from hpclease.policy import (
+    Action,
+    BasePolicy,
+    LyapunovParams,
+    QualityParams,
+    QualityPolicy,
+    StaticParams,
+)
 from hpclease.queueing import (
     ConcentratorState,
     ServiceGrant,
@@ -122,8 +135,9 @@ def test_run_is_deterministic(small_cfg):
     assert a.delay_histogram == b.delay_histogram
 
 
-def test_run_matched_same_trace_identical_metrics(small_cfg):
-    one, two = run_matched(small_cfg, [LYAP1, LYAP1])
+def test_runs_on_one_trace_identical_metrics(small_cfg):
+    trace = generate_trace(small_cfg, small_cfg.seed)
+    one, two = run(small_cfg, LYAP1, trace), run(small_cfg, LYAP1, trace)
     assert one.cost_total_microcents == two.cost_total_microcents
     assert np.array_equal(one.decisions, two.decisions)
 
@@ -286,3 +300,178 @@ def test_reduced_quality_units_tracked(small_cfg):
         metrics.units_sent_full + metrics.units_sent_reduced
         == 199 * small_cfg.k_concentrators
     )
+
+
+def _metrics_digest(metrics):
+    """sha256 over every RunMetrics field: arrays by dtype, shape and bytes,
+    everything else by repr."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(metrics):
+        value = getattr(metrics, f.name)
+        h.update(f.name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, Counter):
+            h.update(repr(sorted(value.items())).encode())
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+_DIGEST_CFG = ScenarioConfig(k_concentrators=4, horizon=200, seed=7)
+_DIGEST_POISSON = ScenarioConfig(
+    k_concentrators=4, horizon=200, arrival_law="poisson", seed=11
+)
+
+
+def _digest_case(case, record_series):
+    lyap = LyapunovParams(v_factor=10.0)
+    if case == "lyapunov":
+        return run(_DIGEST_CFG, lyap, record_series=record_series)
+    if case == "lyapunov_poisson":
+        return run(_DIGEST_POISSON, lyap, record_series=record_series)
+    if case == "static":
+        return run(_DIGEST_CFG, StaticParams(50, 10), record_series=record_series)
+    reference = run(_DIGEST_CFG, lyap)
+    params = derive_quality_params(_DIGEST_CFG, reference, 0.2)
+    return run(_DIGEST_CFG, params, record_series=record_series)
+
+
+# taken from the engine whose slot loop did the accounting and the checks
+# in every slot; any change to a RunMetrics field shows up here
+RUN_METRICS_DIGESTS = {
+    ("lyapunov", False): "a76c8118e7dbcca4bf4cc166fe3eea1097e6f49f6f03df77f4ecd6bccffaac4d",
+    ("lyapunov", True): "ad65ec7fb7f535db5d4718fbfa369901862dfcae986ad6c2aeb78ef184e7f016",
+    ("lyapunov_poisson", False): "e7549ee63d5ec16dfab756f7de75ad50d237e9c4138a16d391436167fe949f9d",
+    ("lyapunov_poisson", True): "581e2e1d6e1bb5ec4226099f35007150409895e901751fdc8644f0c8b4bf42e5",
+    ("static", False): "e9b390f97d0037f5d93a4357ddd248b2b4ef0fe4e7108d7377cc15fe0f0f8cc5",
+    ("static", True): "0af384ee2bddcf789734e9e69784105ed60dfb93d441499563c8f21f6d730395",
+    ("quality", False): "a0115818f6ff970ab9c9f32ff0005def21f0f24a6655c1471028f5f2121c9587",
+    ("quality", True): "acff61a784aae56f0f7a9f06108007206d00131811fe5549f493a63dcf6cafb3",
+}
+
+
+@pytest.mark.parametrize("record_series", [False, True])
+@pytest.mark.parametrize("case", ["lyapunov", "lyapunov_poisson", "static", "quality"])
+def test_run_metrics_digests(case, record_series):
+    metrics = _digest_case(case, record_series)
+    assert _metrics_digest(metrics) == RUN_METRICS_DIGESTS[case, record_series]
+
+
+ROGUE_CFG = ScenarioConfig(k_concentrators=4, horizon=200, seed=7)
+ROGUE_QUALITY = QualityParams(n_units=150, deadline=199, quality_budget=30)
+ROGUE_ARGV = {
+    LYAP1: ["--policy", "lyapunov", "--v-factor", "1"],
+    ROGUE_QUALITY: [
+        "--policy", "quality", "--n-units", "150", "--deadline", "199",
+        "--quality-budget", "30",
+    ],
+}
+
+
+class RoguePolicy(BasePolicy):
+    """The real policy, except that one concentrator takes ``action``
+    whenever ``when(slot, its level)`` holds."""
+
+    def __init__(self, params, concentrator, when, action):
+        self.inner = make_policy(params, ROGUE_CFG)
+        self.concentrator, self.when, self.action = concentrator, when, action
+
+    def reset(self, k):
+        self.inner.reset(k)
+
+    def decide_slot(self, slot, levels, prices, q_len, z_len):
+        actions = self.inner.decide_slot(slot, levels, prices, q_len, z_len).copy()
+        if self.when(slot, levels[self.concentrator]):
+            actions[self.concentrator] = int(self.action)
+        return actions
+
+    def observe_prices(self, prices):
+        self.inner.observe_prices(prices)
+
+
+def _first_slot(row, start):
+    return start + int(np.flatnonzero(row[start:])[0])
+
+
+def _first_over_budget(params, budget):
+    """(slot, concentrator) where a run of ``params`` first passes ``budget``
+    reduced units, lowest concentrator first."""
+    decisions = run(ROGUE_CFG, params).decisions
+    reduced = (decisions == Action.FREE_REDUCED) | (decisions == Action.BUY_REDUCED)
+    t, i = np.argwhere((np.cumsum(reduced, axis=1) > budget).T)[0]
+    return int(t), int(i)
+
+
+def _rogue_cases(levels):
+    """case -> (params, rogue policy, the rule it breaks, (slot, concentrator))."""
+    wider = dataclasses.replace(ROGUE_QUALITY, quality_budget=60)
+    return {
+        # concentrator 2 claims free full service on no spectrum from slot 10
+        "free-without-spectrum": (
+            LYAP1,
+            RoguePolicy(
+                LYAP1, 2, lambda t, lvl: t >= 10 and lvl == SpectrumLevel.NONE,
+                Action.FREE_FULL,
+            ),
+            "free transmission without free spectrum",
+            (_first_slot(levels[2] == SpectrumLevel.NONE, 10), 2),
+        ),
+        # concentrator 1 sends reduced free units on full spectrum from slot 20
+        "reduced-free-without-reduced-spectrum": (
+            LYAP1,
+            RoguePolicy(
+                LYAP1, 1, lambda t, lvl: t >= 20 and lvl == SpectrumLevel.FULL,
+                Action.FREE_REDUCED,
+            ),
+            "reduced free transmission without reduced spectrum",
+            (_first_slot(levels[1] == SpectrumLevel.FULL, 20), 1),
+        ),
+        # concentrator 3 leases at slot 0, before any unit has arrived
+        "unbacked-unit": (
+            ROGUE_QUALITY,
+            RoguePolicy(ROGUE_QUALITY, 3, lambda t, lvl: t == 0, Action.BUY_FULL),
+            "unit transmission not backed by a full unit of backlog",
+            (0, 3),
+        ),
+        # concentrator 2 stays silent for its first 100 slots
+        "missed-deadline": (
+            ROGUE_QUALITY,
+            RoguePolicy(ROGUE_QUALITY, 2, lambda t, lvl: t < 100, Action.IDLE),
+            "quality policy missed its deadline",
+            (ROGUE_QUALITY.deadline, 2),
+        ),
+        # every concentrator may spend twice the budget the run allows
+        "budget-exceeded": (
+            ROGUE_QUALITY,
+            QualityPolicy(wider),
+            "quality budget of 30 exceeded",
+            _first_over_budget(wider, ROGUE_QUALITY.quality_budget),
+        ),
+    }
+
+
+ROGUE_CASE_IDS = [
+    "free-without-spectrum",
+    "reduced-free-without-reduced-spectrum",
+    "unbacked-unit",
+    "missed-deadline",
+    "budget-exceeded",
+]
+
+
+@pytest.mark.parametrize("case", ROGUE_CASE_IDS)
+def test_rogue_policy_is_caught_after_the_run(case, monkeypatch, tmp_path, capsys):
+    trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
+    params, rogue, rule, (slot, concentrator) = _rogue_cases(trace.levels)[case]
+    monkeypatch.setattr(engine, "make_policy", lambda p, c: rogue)
+    expected = f"{params.label} seed 7: {rule} at slot {slot}, concentrator {concentrator}"
+    with pytest.raises(InvariantViolationError, match=re.escape(expected)):
+        run(ROGUE_CFG, params, trace)
+    rc = cli.main([
+        "run", *ROGUE_ARGV[params], "--set", "k_concentrators=4",
+        "--set", "horizon=200", "--seed", "7", "-o", str(tmp_path),
+    ])
+    assert rc == 5
+    assert expected in capsys.readouterr().err

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpclease.env import MICROCENTS_PER_CENT, PriceSample, SpectrumLevel, to_microcents
-from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
+from hpclease.errors import ConfigurationError, InfeasibleError
 from hpclease.policy import (
     Action,
     LyapunovParams,
@@ -470,14 +470,6 @@ def test_quality_policy_matches_scalar_sequence(data):
         mirror.observe(prices)
 
     assert remaining == [0] * k
-    policy.finish_run()
-
-
-def test_quality_policy_finish_run_detects_missed_deadline():
-    policy = QualityPolicy(quality_params(n=3, t=5, m=0))
-    policy.reset(2)
-    with pytest.raises(InvariantViolationError):
-        policy.finish_run()
 
 
 def test_policy_reset_equals_fresh_state():
