@@ -14,21 +14,25 @@ import json
 import math
 from dataclasses import dataclass
 
-from .env import to_microcents, unit_prices
+from .env import reduced_unit_packets, to_microcents
 from .errors import ConfigurationError
 
 ARRIVAL_LAWS = ("deterministic", "poisson")
 INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
 EXACT_MICROCENTS = 2**53
+# a run holds 10 to 27 bytes per (concentrator, slot) cell, so this caps a
+# run near 450 MB; it also keeps a concentrator's delay sum, below
+# horizon**2 * unit_size_packets slots, inside int64
+MAX_CELLS = 2**24
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Immutable description of one simulated deployment.
 
-    Prices are quoted in cents per packet; ``unit_prices`` scales them to
-    transmission units internally. ``unit_size_packets`` defaults to the
+    Prices are quoted in cents per packet and scaled to transmission units
+    internally. ``unit_size_packets`` defaults to the
     mean arrival rate so one unit carries one slot's traffic;
     ``arrival_bound`` (packets per slot, Poisson law only) defaults to four
     times the mean, capped at the int32 limit; ``epsilon`` defaults to the
@@ -66,6 +70,12 @@ class ScenarioConfig:
             raise ConfigurationError("need at least one concentrator")
         if self.horizon < 2:
             raise ConfigurationError("horizon must span at least two slots")
+        if self.k_concentrators * self.horizon > MAX_CELLS:
+            raise ConfigurationError(
+                f"k_concentrators * horizon must be at most {MAX_CELLS} "
+                f"(concentrator, slot) cells, got {self.k_concentrators} * "
+                f"{self.horizon}"
+            )
         if self.mean_arrival < 0:
             raise ConfigurationError("mean arrival rate cannot be negative")
         if self.unit_size_packets < 1:
@@ -97,8 +107,22 @@ class ScenarioConfig:
                 "k_concentrators * horizon * unit_size_packets * price_high "
                 f"must be at most {EXACT_MICROCENTS} micro-cents"
             )
+        # prices are drawn in whole micro-cents
+        low, high = map(to_microcents, (self.price_low_cents, self.price_high_cents))
+        if not 1 <= low < high:
+            raise ConfigurationError(
+                f"price_low_cents {self.price_low_cents} and price_high_cents "
+                f"{self.price_high_cents} must round to 1 <= low < high micro-cents"
+            )
         if not 0.0 < self.reduced_fraction < 1.0:
             raise ConfigurationError("reduced_fraction must lie strictly in (0, 1)")
+        reduced = reduced_unit_packets(self.unit_size_packets, self.reduced_fraction)
+        if reduced >= self.unit_size_packets:
+            raise ConfigurationError(
+                f"unit_size_packets {self.unit_size_packets} with reduced_fraction "
+                f"{self.reduced_fraction} gives a reduced unit of {reduced} "
+                "packets, no smaller than the full unit"
+            )
         if self.arrival_law not in ARRIVAL_LAWS:
             raise ConfigurationError(
                 f"arrival_law must be one of {ARRIVAL_LAWS}, got {self.arrival_law!r}"
@@ -111,12 +135,6 @@ class ScenarioConfig:
             raise ConfigurationError("epsilon must be positive")
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
-        # surface degenerate unit pricing at validation time, not mid-run
-        unit_prices(
-            to_microcents(self.price_low_cents),
-            self.unit_size_packets,
-            self.reduced_fraction,
-        )
 
     def effective_arrival_bound(self) -> int:
         """Hard cap on packets arriving in one slot."""

@@ -9,8 +9,10 @@ is vectorized across the fleet.
 Everything else runs once, over the finished (concentrator, slot)
 decision and service matrices: the invariant checks (each error names the
 policy label, seed, first offending slot and concentrator), the cost
-accounting, and the per-packet delays, which are exact because service is
-FIFO within a concentrator.
+accounting, and the total packet delay. Service is FIFO within a
+concentrator, so the total delay is the area between its cumulative
+arrival and service curves (the sample-path argument behind Little's law),
+computed from per-slot counts and never per packet.
 
 Costs are integer micro-cents throughout, so runs are reproducible to the
 last digit across platforms; ScenarioConfig.validate bounds prices so that
@@ -20,7 +22,6 @@ no cost sum can leave the exactly representable range.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +113,7 @@ class RunMetrics:
     purchases_per_slot: np.ndarray         # (T,) int32, charged leases
     queue_series_mean: np.ndarray          # (T,) float64, pre-service mean
     final_queue: np.ndarray                # (K,) int64, post-service last slot
-    delay_histogram: Counter               # delay slots -> delivered packets
-    delivered_packets: int
-    total_delay_slots: int
+    total_delay_slots: int                 # summed over delivered packets
     total_arrived: int
     total_served: int
     units_sent_full: int
@@ -122,9 +121,6 @@ class RunMetrics:
     reduced_per_concentrator: np.ndarray   # (K,) int64
     z_final: np.ndarray                    # (K,) float64
     decisions: np.ndarray                  # (K, T) uint8 Action codes
-    serves: np.ndarray | None = None       # (K, T) int16, with record_series
-    queue_series: np.ndarray | None = None  # (K, T) int32, with record_series
-    cost_series: np.ndarray | None = None   # (K, T) int64, with record_series
 
     @property
     def policy_kind(self) -> str:
@@ -145,9 +141,8 @@ class RunMetrics:
 
     @property
     def measured_mean_delay(self) -> float:
-        if self.delivered_packets == 0:
-            return 0.0
-        return self.total_delay_slots / self.delivered_packets
+        """Mean slots a delivered packet waited, exact for FIFO service."""
+        return self.total_delay_slots / self.total_served if self.total_served else 0.0
 
     @property
     def empirical_arrival_rate(self) -> float:
@@ -171,43 +166,10 @@ class RunMetrics:
         return bool(np.all(self.final_queue == 0))
 
 
-def _delay_histogram(
-    arrivals: np.ndarray, serves: np.ndarray
-) -> tuple[Counter, int, int]:
-    """Reconstruct per-packet delays from FIFO service counts.
-
-    Packet j (1-based, per concentrator) departs in the first slot where
-    the cumulative served count reaches j; its arrival slot comes from
-    repeating slot indices by the arrival counts. Unserved packets are
-    not delivered and carry no delay.
-    """
-    k, horizon = arrivals.shape
-    slots = np.arange(horizon)
-    hist: Counter = Counter()
-    total_delay = 0
-    delivered = 0
-    for i in range(k):
-        served_cum = np.cumsum(serves[i], dtype=np.int64)
-        n_served = int(served_cum[-1]) if horizon else 0
-        if n_served == 0:
-            continue
-        depart = np.searchsorted(served_cum, np.arange(1, n_served + 1), side="left")
-        arrive = np.repeat(slots, arrivals[i])[:n_served]
-        delays = depart - arrive
-        counts = np.bincount(delays)
-        for d in np.flatnonzero(counts):
-            hist[int(d)] += int(counts[d])
-        total_delay += int(delays.sum())
-        delivered += n_served
-    return hist, total_delay, delivered
-
-
 def run(
     config: ScenarioConfig,
     params: PolicyParams,
     trace: Trace | None = None,
-    *,
-    record_series: bool = False,
 ) -> RunMetrics:
     """Simulate one policy over one trace (drawn from config.seed if absent)."""
     config.validate()
@@ -238,16 +200,11 @@ def run(
     decisions = np.empty((k, horizon), dtype=np.uint8)
     serves = np.empty((k, horizon), dtype=np.int16)
     queue_series_mean = np.empty(horizon, dtype=np.float64)
-    queue_series = (
-        np.empty((k, horizon), dtype=np.int32) if record_series else None
-    )
     levels, arrivals = trace.levels, trace.arrivals
 
     for t in range(horizon):
         prices = PriceSample(int(trace.price_full[t]), int(trace.price_reduced[t]))
         queue_series_mean[t] = q.mean()
-        if record_series:
-            queue_series[:, t] = q
         level = levels[:, t]
         actions = policy.decide_slot(t, level, prices, q, z)
         served = np.minimum(q, grant[actions, level])
@@ -269,12 +226,6 @@ def run(
             f"{total_arrived} arrived != {total_served} served + {int(q.sum())} queued"
         )
 
-    hist, total_delay, delivered = _delay_histogram(arrivals, serves)
-    if delivered != total_served:
-        raise InvariantViolationError(  # pragma: no cover - internal check
-            "delay reconstruction lost packets"
-        )
-
     # the action of every slot that moved packets; a send that moved nothing is free
     sent = np.where(serves > 0, decisions, np.uint8(Action.IDLE))
     reduced_per_conc = np.count_nonzero(sent == Action.FREE_REDUCED, axis=1)
@@ -285,14 +236,21 @@ def run(
     charge[Action.BUY_REDUCED] = trace.price_reduced
     cost_per_slot = np.zeros(horizon, dtype=np.int64)
     cost_per_conc = np.empty(k, dtype=np.int64)
-    # blocks of rows: no (K, T) int64 matrix unless record_series asks for
-    # one, and then a single block holds every row
-    rows = k if record_series else max(1, 2**16 // horizon)
+    total_delay = 0
+    # blocks of rows, so no (K, T) int64 matrix is ever built
+    rows = max(1, 2**16 // horizon)
     for lo in range(0, k, rows):
-        paid = charge[sent[lo : lo + rows], np.arange(horizon)]
+        block = slice(lo, lo + rows)
+        paid = charge[sent[block], np.arange(horizon)]
         cost_per_slot += paid.sum(axis=0)
-        cost_per_conc[lo : lo + rows] = paid.sum(axis=1)
-    cost_series = np.cumsum(paid, axis=1, out=paid) if record_series else None
+        cost_per_conc[block] = paid.sum(axis=1)
+        # each packet waits one slot per slot end at which it has arrived
+        # and is not yet served; only the first S[T-1] arrivals ever leave
+        departed = np.cumsum(serves[block], axis=1, dtype=np.int64)
+        waiting = np.cumsum(arrivals[block], axis=1, dtype=np.int64)
+        np.minimum(waiting, departed[:, -1:], out=waiting)
+        waiting -= departed
+        total_delay += int(waiting.sum())
     cost_series_fleet = np.cumsum(cost_per_slot)
 
     return RunMetrics(
@@ -309,8 +267,6 @@ def run(
         ).astype(np.int32),
         queue_series_mean=queue_series_mean,
         final_queue=q - arrivals[:, -1],
-        delay_histogram=hist,
-        delivered_packets=delivered,
         total_delay_slots=total_delay,
         total_arrived=total_arrived,
         total_served=total_served,
@@ -319,9 +275,6 @@ def run(
         reduced_per_concentrator=reduced_per_conc.astype(np.int64),
         z_final=z,
         decisions=decisions,
-        serves=serves if record_series else None,
-        queue_series=queue_series,
-        cost_series=cost_series,
     )
 
 
@@ -452,9 +405,13 @@ def compare_with_oracle(
     offline_total, offline_per_conc = oracle_reference(
         config, trace, n_units, budget
     )
-    for i in range(trace.k):
-        lower_bound_gap(
-            int(metrics.cost_per_concentrator[i]), int(offline_per_conc[i])
+    beaten = np.flatnonzero(metrics.cost_per_concentrator < offline_per_conc)
+    if beaten.size:
+        i = int(beaten[0])
+        raise InvariantViolationError(
+            f"{metrics.policy_label} seed {metrics.seed}: online cost "
+            f"{metrics.cost_per_concentrator[i]} of concentrator {i} beats the "
+            f"offline optimum {offline_per_conc[i]}; oracle or accounting broken"
         )
     gap, ratio = lower_bound_gap(metrics.cost_total_microcents, offline_total)
     return OracleComparison(

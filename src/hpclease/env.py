@@ -193,13 +193,6 @@ def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
     horizon = config.horizon
     lo = to_microcents(config.price_low_cents)
     hi = to_microcents(config.price_high_cents)
-    # validate() compares the bounds in cents; rounding to micro-cents can
-    # still collapse the interval
-    if lo < 1 or lo >= hi:
-        raise ConfigurationError(
-            f"empty per-packet price interval [{config.price_low_cents}, "
-            f"{config.price_high_cents}] cents"
-        )
 
     rng = np.random.default_rng(seed)
     levels = rng.integers(0, 3, size=(k, horizon), dtype=np.uint8)

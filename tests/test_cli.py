@@ -388,3 +388,41 @@ def test_costs_exact_just_under_the_price_bound():
     assert int(metrics.cost_per_concentrator.sum()) == exact
     with pytest.raises(ConfigurationError, match="price_high_cents"):
         dataclasses.replace(cfg, price_high_cents=7e7).validate()
+
+
+@pytest.mark.parametrize(
+    "overrides, fields",
+    [
+        # once "per-packet price must be positive"
+        (["price_low_cents=1e-7", "price_high_cents=2e-7"], ["price_low_cents"]),
+        # once "empty per-packet price interval"
+        (
+            ["price_low_cents=6e-7", "price_high_cents=7e-7"],
+            ["price_low_cents", "price_high_cents"],
+        ),
+        # both once "degenerate unit size ..."
+        (["reduced_fraction=0.999999"], ["unit_size_packets", "reduced_fraction"]),
+        (["mean_arrival=0"], ["unit_size_packets", "reduced_fraction"]),
+    ],
+)
+def test_config_error_names_the_field(overrides, fields, tmp_path, capsys):
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert main(tmp_path, "gen-trace", *SMALL, *sets) == 3
+    err = capsys.readouterr().err
+    assert all(field in err for field in fields), err
+
+
+def test_fleet_cell_bound_is_a_config_error():
+    # checked at validate only: an oversize run would need gigabytes
+    edge = ScenarioConfig(k_concentrators=2**12, horizon=2**12)
+    edge.validate()
+    for too_big in (
+        dataclasses.replace(edge, horizon=2**12 + 1),
+        cli.PRESETS["reference"].with_overrides(horizon=10_000_000),
+    ):
+        with pytest.raises(ConfigurationError, match=r"k_concentrators \* horizon"):
+            too_big.validate()
+    # the largest benchmark fleet and every preset still validate
+    ScenarioConfig(k_concentrators=1000, horizon=2000, arrival_law="poisson").validate()
+    for preset in cli.PRESETS.values():
+        preset.validate()

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import re
-from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpclease import (
     ScenarioConfig,
@@ -18,7 +20,7 @@ from hpclease import (
     run,
 )
 from hpclease.engine import reduced_capacity, service_capacity
-from hpclease.env import SpectrumLevel, Trace
+from hpclease.env import ArrivalBatch, SpectrumLevel, Trace
 from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.policy import (
     Action,
@@ -77,7 +79,7 @@ def test_zero_arrival_run_costs_nothing():
     assert metrics.cost_total_microcents == 0
     assert np.all(metrics.queue_series_mean == 0)
     assert np.all(metrics.final_queue == 0)
-    assert metrics.delivered_packets == 0
+    assert metrics.total_served == 0
     assert np.all(metrics.decisions == int(Action.IDLE))
 
 
@@ -117,13 +119,19 @@ def test_static_purchases_exactly_burst_len_per_period():
 
 
 def test_cost_series_accounting(small_cfg):
-    metrics = run(small_cfg, LYAP1, record_series=True)
+    trace = generate_trace(small_cfg, small_cfg.seed)
+    metrics = run(small_cfg, LyapunovParams(v_factor=10.0), trace)
     assert metrics.cost_series_fleet[-1] == metrics.cost_total_microcents
     assert np.all(np.diff(metrics.cost_series_fleet) >= 0)
     assert metrics.cost_per_concentrator.sum() == metrics.cost_total_microcents
-    # per-concentrator cumulative series agree with the fleet series
-    assert np.array_equal(metrics.cost_series.sum(axis=0), metrics.cost_series_fleet)
-    assert np.array_equal(metrics.cost_series[:, -1], metrics.cost_per_concentrator)
+    # every lease of a packet policy moves packets, so each one is charged
+    price = {Action.BUY_FULL: trace.price_full, Action.BUY_REDUCED: trace.price_reduced}
+    expected = [
+        sum(int(price[a][t]) for t, a in enumerate(row) if a in price)
+        for row in metrics.decisions
+    ]
+    assert np.count_nonzero(metrics.decisions >= Action.BUY_FULL) > 0
+    assert metrics.cost_per_concentrator.tolist() == expected
 
 
 def test_run_is_deterministic(small_cfg):
@@ -132,7 +140,7 @@ def test_run_is_deterministic(small_cfg):
     assert a.cost_total_microcents == b.cost_total_microcents
     assert np.array_equal(a.decisions, b.decisions)
     assert np.array_equal(a.final_queue, b.final_queue)
-    assert a.delay_histogram == b.delay_histogram
+    assert a.total_delay_slots == b.total_delay_slots
 
 
 def test_runs_on_one_trace_identical_metrics(small_cfg):
@@ -169,45 +177,87 @@ def test_conservation_of_packets(small_cfg):
     # final service opportunity and are not part of final_queue
 
 
-def test_replaying_decisions_reproduces_queue_series(small_cfg):
-    metrics = run(small_cfg, LYAP1, record_series=True)
-    trace = generate_trace(small_cfg, small_cfg.seed)
-    eps = small_cfg.epsilon
-    for i in range(small_cfg.k_concentrators):
-        state = ConcentratorState()
-        for t in range(small_cfg.horizon):
-            assert state.q_len == int(metrics.queue_series[i, t])
-            busy = state.q_len > 0
-            serve(state, ServiceGrant(int(metrics.serves[i, t])), now=t)
-            advance_virtual(state, int(metrics.serves[i, t]), eps, busy)
-            enqueue(state, _batch(t, int(trace.arrivals[i, t])))
-        assert state.z_len == metrics.z_final[i]
-        # the engine's final_queue snapshot predates the last enqueue
-        assert state.q_len == int(metrics.final_queue[i]) + int(
-            trace.arrivals[i, small_cfg.horizon - 1]
+def _grant(action, level, unit, reduced):
+    """Packets one action may move on one spectrum level."""
+    if action == Action.FREE_FULL:
+        return {SpectrumLevel.REDUCED: reduced, SpectrumLevel.FULL: unit}.get(level, 0)
+    if action == Action.FREE_REDUCED:
+        return unit if level == SpectrumLevel.REDUCED else 0
+    return 0 if action == Action.IDLE else unit
+
+
+def _assert_ledger_replay_matches(cfg, params):
+    """Replay a run's decisions through the scalar queueing ledger, slot by
+    slot, and check every queue and delay total the engine reports."""
+    trace = generate_trace(cfg, cfg.seed)
+    metrics = run(cfg, params, trace)
+    unit, reduced = service_capacity(cfg), reduced_capacity(cfg)
+    states = [ConcentratorState() for _ in range(trace.k)]
+    for t in range(trace.horizon):
+        q = np.array([state.q_len for state in states], dtype=np.int64)
+        assert metrics.queue_series_mean[t] == q.mean()
+        for i, state in enumerate(states):
+            busy, before = state.q_len > 0, state.total_served
+            grant = _grant(metrics.decisions[i, t], trace.levels[i, t], unit, reduced)
+            serve(state, ServiceGrant(grant), now=t)
+            advance_virtual(state, state.total_served - before, metrics.epsilon, busy)
+            enqueue(state, ArrivalBatch(slot=t, packets=int(trace.arrivals[i, t])))
+    assert metrics.total_delay_slots == sum(s.total_delay_slots for s in states)
+    assert metrics.total_served == sum(s.total_served for s in states)
+    # the engine's final_queue snapshot predates the last enqueue
+    assert np.array_equal(
+        metrics.final_queue,
+        [s.q_len - int(a) for s, a in zip(states, trace.arrivals[:, -1])],
+    )
+    assert np.array_equal(metrics.z_final, [s.z_len for s in states])
+
+
+@st.composite
+def _ledger_cases(draw):
+    horizon = draw(st.integers(2, 60))
+    policy = draw(st.sampled_from(["lyapunov", "static", "quality"]))
+    if policy == "quality":
+        law = "deterministic"
+        mean_arrival = unit = draw(st.integers(2, 8))
+    else:
+        law = draw(st.sampled_from(["deterministic", "poisson"]))
+        mean_arrival, unit = draw(st.integers(0, 8)), draw(st.integers(2, 8))
+    cfg = ScenarioConfig(
+        k_concentrators=draw(st.integers(1, 6)),
+        horizon=horizon,
+        mean_arrival=mean_arrival,
+        unit_size_packets=unit,
+        arrival_law=law,
+        seed=draw(st.integers(0, 1000)),
+    )
+    if policy == "lyapunov":
+        params = LyapunovParams(draw(st.sampled_from([0.5, 1.0, 10.0, 100.0, 1e4])))
+    elif policy == "static":
+        # short bursts in long periods leave backlog behind
+        period = draw(st.integers(2, 20))
+        params = StaticParams(period, draw(st.integers(1, max(1, period // 4))))
+    else:
+        n_units = draw(st.integers(1, horizon - 1))
+        params = QualityParams(
+            n_units=n_units,
+            deadline=horizon - 1,
+            quality_budget=draw(st.integers(0, n_units - 1)),
         )
-        assert state.total_served == int(metrics.serves[i].sum())
+    return cfg, params
 
 
-def _batch(slot, packets):
-    from hpclease.env import ArrivalBatch
+@given(_ledger_cases())
+@settings(max_examples=80, deadline=None)
+def test_run_matches_queueing_ledger_replay(case):
+    _assert_ledger_replay_matches(*case)
 
-    return ArrivalBatch(slot=slot, packets=packets)
 
-
-def test_delay_histogram_matches_queueing_replay(small_cfg):
-    metrics = run(small_cfg, LYAP1, record_series=True)
-    trace = generate_trace(small_cfg, small_cfg.seed)
-    from collections import Counter
-
-    hist = Counter()
-    for i in range(small_cfg.k_concentrators):
-        state = ConcentratorState()
-        for t in range(small_cfg.horizon):
-            serve(state, ServiceGrant(int(metrics.serves[i, t])), now=t)
-            enqueue(state, _batch(t, int(trace.arrivals[i, t])))
-        hist.update(state.delivered_delays)
-    assert hist == metrics.delay_histogram
+def test_run_matches_queueing_ledger_replay_over_two_row_blocks():
+    # 40 x 2000 cells: the post-loop pass takes rows in blocks of 32
+    cfg = ScenarioConfig(
+        k_concentrators=40, horizon=2000, arrival_law="poisson", seed=5
+    )
+    _assert_ledger_replay_matches(cfg, LyapunovParams(v_factor=10.0))
 
 
 def test_epsilon_override_on_lyapunov_params(small_cfg):
@@ -276,6 +326,28 @@ def test_compare_with_oracle_quality_and_lyapunov(small_cfg):
     assert qcomp.offline_cost_microcents <= qcomp.online_cost_microcents
 
 
+def test_oracle_dominance_failure_names_the_concentrator(small_cfg, monkeypatch):
+    trace = generate_trace(small_cfg, small_cfg.seed)
+    metrics = run(small_cfg, LYAP1, trace)
+    online = metrics.cost_per_concentrator
+    real_reference = engine.oracle_reference
+
+    def overstated(*args):
+        total, per_conc = real_reference(*args)
+        assert np.all(per_conc <= online)
+        per_conc = per_conc.copy()
+        per_conc[2] = online[2] + 1
+        return int(per_conc.sum()), per_conc
+
+    monkeypatch.setattr(engine, "oracle_reference", overstated)
+    expected = (
+        f"lyapunov[v=1] seed 7: online cost {online[2]} of concentrator 2 "
+        f"beats the offline optimum {online[2] + 1}"
+    )
+    with pytest.raises(InvariantViolationError, match=re.escape(expected)):
+        compare_with_oracle(small_cfg, trace, metrics)
+
+
 def test_compare_with_oracle_skips_incomparable_runs(small_cfg):
     trace = generate_trace(small_cfg, small_cfg.seed)
     # 10 purchase slots per 50 cannot keep up with constant arrivals
@@ -312,8 +384,6 @@ def _metrics_digest(metrics):
         if isinstance(value, np.ndarray):
             h.update(f"{value.dtype}{value.shape}".encode())
             h.update(np.ascontiguousarray(value).tobytes())
-        elif isinstance(value, Counter):
-            h.update(repr(sorted(value.items())).encode())
         else:
             h.update(repr(value).encode())
     return h.hexdigest()
@@ -325,38 +395,51 @@ _DIGEST_POISSON = ScenarioConfig(
 )
 
 
-def _digest_case(case, record_series):
+def _digest_case(case):
     lyap = LyapunovParams(v_factor=10.0)
     if case == "lyapunov":
-        return run(_DIGEST_CFG, lyap, record_series=record_series)
+        return run(_DIGEST_CFG, lyap)
     if case == "lyapunov_poisson":
-        return run(_DIGEST_POISSON, lyap, record_series=record_series)
+        return run(_DIGEST_POISSON, lyap)
     if case == "static":
-        return run(_DIGEST_CFG, StaticParams(50, 10), record_series=record_series)
-    reference = run(_DIGEST_CFG, lyap)
-    params = derive_quality_params(_DIGEST_CFG, reference, 0.2)
-    return run(_DIGEST_CFG, params, record_series=record_series)
+        return run(_DIGEST_CFG, StaticParams(50, 10))
+    params = derive_quality_params(_DIGEST_CFG, run(_DIGEST_CFG, lyap), 0.2)
+    return run(_DIGEST_CFG, params)
 
 
-# taken from the engine whose slot loop did the accounting and the checks
-# in every slot; any change to a RunMetrics field shows up here
+# taken from the engine that rebuilt a per-packet delay histogram, over the
+# fields kept since; any change to a RunMetrics field shows up here
 RUN_METRICS_DIGESTS = {
-    ("lyapunov", False): "a76c8118e7dbcca4bf4cc166fe3eea1097e6f49f6f03df77f4ecd6bccffaac4d",
-    ("lyapunov", True): "ad65ec7fb7f535db5d4718fbfa369901862dfcae986ad6c2aeb78ef184e7f016",
-    ("lyapunov_poisson", False): "e7549ee63d5ec16dfab756f7de75ad50d237e9c4138a16d391436167fe949f9d",
-    ("lyapunov_poisson", True): "581e2e1d6e1bb5ec4226099f35007150409895e901751fdc8644f0c8b4bf42e5",
-    ("static", False): "e9b390f97d0037f5d93a4357ddd248b2b4ef0fe4e7108d7377cc15fe0f0f8cc5",
-    ("static", True): "0af384ee2bddcf789734e9e69784105ed60dfb93d441499563c8f21f6d730395",
-    ("quality", False): "a0115818f6ff970ab9c9f32ff0005def21f0f24a6655c1471028f5f2121c9587",
-    ("quality", True): "acff61a784aae56f0f7a9f06108007206d00131811fe5549f493a63dcf6cafb3",
+    "lyapunov": "00825ca882be94ef0aa66af51fa5f8e00063117aac7402b99b8555a1eff09821",
+    "lyapunov_poisson": "3e5b5f77b12b185306c8038ef268e0e0761633c719cee5bd552f66da7c6690fc",
+    "static": "83d1439f7edb2ed369ba0c792768405bf7f4d7647cdcf735dcc1667bbbfe4f24",
+    "quality": "84ea5b59d5257d199bfe12a635d397028a24d5ba14a102c87c3e39f77bd0c2ac",
 }
 
 
-@pytest.mark.parametrize("record_series", [False, True])
 @pytest.mark.parametrize("case", ["lyapunov", "lyapunov_poisson", "static", "quality"])
-def test_run_metrics_digests(case, record_series):
-    metrics = _digest_case(case, record_series)
-    assert _metrics_digest(metrics) == RUN_METRICS_DIGESTS[case, record_series]
+def test_run_metrics_digests(case):
+    assert _metrics_digest(_digest_case(case)) == RUN_METRICS_DIGESTS[case]
+
+
+def test_huge_arrivals_run_in_fleet_sized_memory():
+    # 2**31 - 1 packets arrive per slot; delays come from cumulative counts,
+    # never from one int64 per packet, which here would be 860 GB per concentrator
+    cfg = ScenarioConfig(
+        k_concentrators=2, horizon=50, mean_arrival=2**31 - 1,
+        unit_size_packets=5, seed=3,
+    )
+    run(dataclasses.replace(cfg, mean_arrival=5), LYAP1)  # first-call imports
+    tracemalloc.start()
+    try:
+        metrics = run(cfg, LYAP1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # every slot from 1 on leases a unit of slot-0 packets: delays 1..49
+    assert metrics.total_served == 2 * 49 * 5
+    assert metrics.total_delay_slots == 2 * 5 * sum(range(1, 50)) == 12250
 
 
 ROGUE_CFG = ScenarioConfig(k_concentrators=4, horizon=200, seed=7)
