@@ -186,30 +186,57 @@ def _grant(action, level, unit, reduced):
     return 0 if action == Action.IDLE else unit
 
 
-def _assert_ledger_replay_matches(cfg, params):
+def _ledger_replay(cfg, params):
     """Replay a run's decisions through the scalar queueing ledger, slot by
-    slot, and check every queue and delay total the engine reports."""
+    slot. Returns the run, the trace, the ledger's mean queue at the start of
+    each slot and its final per-concentrator states."""
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, params, trace)
     unit, reduced = service_capacity(cfg), reduced_capacity(cfg)
     states = [ConcentratorState() for _ in range(trace.k)]
+    queue_means = []
     for t in range(trace.horizon):
-        q = np.array([state.q_len for state in states], dtype=np.int64)
-        assert metrics.queue_series_mean[t] == q.mean()
+        queue_means.append(np.mean([state.q_len for state in states]))
         for i, state in enumerate(states):
             busy, before = state.q_len > 0, state.total_served
             grant = _grant(metrics.decisions[i, t], trace.levels[i, t], unit, reduced)
             serve(state, ServiceGrant(grant), now=t)
             advance_virtual(state, state.total_served - before, metrics.epsilon, busy)
             enqueue(state, ArrivalBatch(slot=t, packets=int(trace.arrivals[i, t])))
-    assert metrics.total_delay_slots == sum(s.total_delay_slots for s in states)
-    assert metrics.total_served == sum(s.total_served for s in states)
+    return metrics, trace, queue_means, states
+
+
+def _assert_queues_match(metrics, trace, queue_means, states):
+    assert list(metrics.queue_series_mean) == queue_means
     # the engine's final_queue snapshot predates the last enqueue
     assert np.array_equal(
         metrics.final_queue,
         [s.q_len - int(a) for s, a in zip(states, trace.arrivals[:, -1])],
     )
     assert np.array_equal(metrics.z_final, [s.z_len for s in states])
+
+
+def _assert_delays_match(metrics, states):
+    assert metrics.total_delay_slots == sum(s.total_delay_slots for s in states)
+    assert metrics.total_served == sum(s.total_served for s in states)
+
+
+def _assert_ledger_replay_matches(cfg, params):
+    metrics, trace, queue_means, states = _ledger_replay(cfg, params)
+    _assert_queues_match(metrics, trace, queue_means, states)
+    _assert_delays_match(metrics, states)
+
+
+def test_replaying_decisions_reproduces_queue_series(small_cfg):
+    _assert_queues_match(*_ledger_replay(small_cfg, LYAP1))
+
+
+def test_delay_histogram_matches_queueing_replay(small_cfg):
+    # the engine's FIFO delay total, from cumulative counts, equals the
+    # ledger's sum over each delivered packet's own delay
+    metrics, _, _, states = _ledger_replay(small_cfg, LYAP1)
+    assert metrics.total_delay_slots > 0
+    _assert_delays_match(metrics, states)
 
 
 @st.composite
