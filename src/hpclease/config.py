@@ -96,7 +96,7 @@ class ScenarioConfig:
                 "per-packet price interval must satisfy 0 < low < high, got "
                 f"[{self.price_low_cents}, {self.price_high_cents}]"
             )
-        # every cost sum (int64 totals, float64 DP values and means) stays
+        # every cost sum (int64 totals and dual sums, float64 means) stays
         # exact while the fleet's dearest possible bill fits in 2**53
         if not math.isfinite(self.price_high_cents) or (
             self.k_concentrators * self.horizon * self.unit_size_packets

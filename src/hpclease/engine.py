@@ -296,9 +296,11 @@ def _violations(params, decisions, serves, levels, unit):
     missed[:, params.deadline] = np.count_nonzero(decisions, axis=1) < params.n_units
     yield "quality policy missed its deadline", missed
     reduced = (decisions == Action.FREE_REDUCED) | (decisions == Action.BUY_REDUCED)
-    yield f"quality budget of {params.quality_budget} exceeded", (
-        np.cumsum(reduced, axis=1) > params.quality_budget
-    )
+    # running counts only for the rows whose total is over budget
+    over = np.flatnonzero(np.count_nonzero(reduced, axis=1) > params.quality_budget)
+    exceeded = np.zeros(decisions.shape, dtype=bool)
+    exceeded[over] = np.cumsum(reduced[over], axis=1) > params.quality_budget
+    yield f"quality budget of {params.quality_budget} exceeded", exceeded
 
 
 def _check_decisions(run_name, params, decisions, serves, levels, unit) -> None:
@@ -363,7 +365,13 @@ def oracle_reference(
     per_conc = np.zeros(trace.k, dtype=np.int64)
     for i in range(trace.k):
         inst = instance_from_trace(trace, i, n_units, quality_budget)
-        per_conc[i] = solve_dp(inst).total_cost_microcents
+        try:
+            per_conc[i] = solve_dp(inst).total_cost_microcents
+        except InvariantViolationError as exc:
+            raise InvariantViolationError(
+                f"oracle seed {trace.seed}, concentrator {i}, n_units {n_units}, "
+                f"budget {quality_budget}: {exc}"
+            ) from exc
     return int(per_conc.sum()), per_conc
 
 

@@ -2,7 +2,9 @@
 
 Given the whole sequence of spectrum levels and posted prices, choose when
 to send N unit arrivals within T slots, at most M of them at reduced
-quality, minimizing total spend. solve_dp is the production solver;
+quality, minimizing total spend. solve_dp is the production solver: it
+prices the quality budget with a Lagrange multiplier (exact, as the problem
+is a min-cost flow) and certifies its schedule by the dual bound.
 solve_bruteforce exhaustively enumerates small instances to cross-check it.
 
 Conventions shared with the online policies: unit i (0-based) arrives at
@@ -17,16 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EXACT_MICROCENTS
 from .env import SpectrumLevel
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from .policy import Action
 
 _BRUTE_FORCE_MAX_SLOTS = 12
-# choice-table entries before the exact-schedule DP refuses the instance
-_DP_MAX_CHOICE_ENTRIES = 200_000_000
-
-# choice codes, ordered by tie-break preference (argmin picks the lowest)
-_IDLE, _FREE, _PAID_FULL, _PAID_REDUCED = 0, 1, 2, 3
+# the action of a slot by [option (0 idle, 1 full, 2 reduced), SpectrumLevel]
+_SEND_ACTION = np.array(
+    [[Action.IDLE] * 3,
+     [Action.BUY_FULL, Action.BUY_FULL, Action.FREE_FULL],
+     [Action.BUY_REDUCED, Action.FREE_REDUCED, Action.BUY_REDUCED]],
+    dtype=np.uint8,
+)
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,8 @@ class OfflineInstance:
     levels[t] is the free-spectrum state of slot t; price arrays hold the
     posted per-unit lease prices in micro-cents. n_units must fit in the
     horizon and quality_budget must leave at least one full-quality unit.
+    T times the dearest full price is at most 2**53 micro-cents, as validate
+    bounds a fleet's bill, so every cost sum the solver forms is exact.
     """
 
     levels: np.ndarray
@@ -58,6 +65,10 @@ class OfflineInstance:
             raise ConfigurationError("unknown spectrum level code in instance")
         if np.any(reduced < 1) or np.any(full <= reduced):
             raise ConfigurationError("prices must satisfy full > reduced > 0")
+        if t * int(full.max(initial=0)) > EXACT_MICROCENTS:
+            raise ConfigurationError(
+                f"{t} slots at full prices up to {int(full.max())} pass 2**53 micro-cents"
+            )
         if self.n_units < 0 or self.quality_budget < 0:
             raise ConfigurationError("n_units and quality_budget cannot be negative")
         if self.n_units > 0 and self.quality_budget >= self.n_units:
@@ -131,153 +142,94 @@ def validate_schedule(instance: OfflineInstance, schedule: Schedule) -> int:
     return cost
 
 
-def _solve_all_forced(instance: OfflineInstance) -> Schedule:
-    """T == n_units: every slot sends, only the budget placement is free.
-
-    Spending one budget token turns a reduced-spectrum slot's forced full
-    lease into a free reduced send (saves the full price) or a bare slot's
-    full lease into a reduced lease (saves the price difference). The
-    optimum takes the largest positive savings, earliest slot on ties.
-    """
-    t = instance.horizon
-    levels = instance.levels
-    cf = instance.price_full_microcents
-    cr = instance.price_reduced_microcents
-    is_full = levels == int(SpectrumLevel.FULL)
-    is_reduced = levels == int(SpectrumLevel.REDUCED)
-
-    savings = np.where(is_reduced, cf, cf - cr)
-    savings[is_full] = 0
-
-    actions = np.full(t, int(Action.BUY_FULL), dtype=np.uint8)
-    actions[is_full] = int(Action.FREE_FULL)
-    order = np.argsort(-savings, kind="stable")
-    chosen = order[: instance.quality_budget]
-    chosen = chosen[savings[chosen] > 0]
-    actions[chosen[is_reduced[chosen]]] = int(Action.FREE_REDUCED)
-    actions[chosen[~is_reduced[chosen]]] = int(Action.BUY_REDUCED)
-
-    base = int(cf[~is_full].sum())
-    cost = base - int(savings[chosen].sum())
-    schedule = Schedule(
-        actions=actions,
-        total_cost_microcents=cost,
-        reduced_count=int(chosen.size),
-    )
-    validate_schedule(instance, schedule)
-    return schedule
-
-
 def solve_dp(instance: OfflineInstance) -> Schedule:
-    """Minimum-cost feasible schedule by dynamic programming.
+    """Minimum-cost feasible schedule by selection, exact in int64.
 
-    State: (slot, units sent, reduced used). Units-sent is banded: with s
-    sent after t slots, feasibility forces t - (T - N) <= s <= t, so only
-    the slack u = t - s in [0, T - N] is materialized. Values roll slot by
-    slot; choices are kept as one byte per state for reconstruction. Ties
-    prefer idle, then free, then a full-price lease, then a reduced lease,
-    resolving earlier slots first.
+    Causality never binds, so the problem is to send in N of the T slots,
+    each at full quality for a_t (0 on full spectrum, else the full price)
+    or reduced for b_t (0 on reduced spectrum, else the reduced price), at
+    most M reduced. That is a min-cost flow, so pricing the budget is
+    exact: the dual L(lam) = (sum of the N smallest min(a, b + lam)) -
+    lam * M peaks at the smallest integer lam* where it stops rising, found
+    by bisection on two exact sums (when N == T, it is the (M+1)-th largest
+    a - b). With eff = min(a, b + lam*) and theta its N-th smallest value,
+    the optimal schedules send every slot with eff < theta and none above
+    theta, each at an option costing eff (plus lam* if reduced), with
+    exactly M reduced sends if lam* > 0. The slots this leaves open
+    (eff == theta, or both options at eff) are walked in time order, each
+    taking the first choice, in the tie order idle, free, full lease,
+    reduced lease, after which the rest stays feasible. The walk's cost
+    must equal L(lam*), which certifies it optimal.
     """
-    t_total = instance.horizon
-    n = instance.n_units
-    m_budget = instance.quality_budget
+    t_total, n, m = instance.horizon, instance.n_units, instance.quality_budget
     if n == 0:
-        schedule = Schedule(
-            actions=np.zeros(t_total, dtype=np.uint8),
-            total_cost_microcents=0,
-            reduced_count=0,
-        )
+        schedule = Schedule(np.zeros(t_total, dtype=np.uint8), 0, 0)
         validate_schedule(instance, schedule)
         return schedule
-    if t_total == n:
-        return _solve_all_forced(instance)
+    levels = instance.levels
+    a = np.where(levels == SpectrumLevel.FULL, 0, instance.price_full_microcents)
+    b = np.where(levels == SpectrumLevel.REDUCED, 0, instance.price_reduced_microcents)
+    d = a - b
 
-    width = t_total - n + 1  # slack axis size
-    m_axis = m_budget + 1
-    if t_total * width * m_axis > _DP_MAX_CHOICE_ENTRIES:
-        raise ConfigurationError(
-            "instance too large for exact schedule reconstruction"
-        )
+    def dual(lam: int) -> int:
+        eff = np.minimum(a, b + lam)
+        if n < t_total:
+            eff = np.partition(eff, n - 1)[:n]
+        return int(eff.sum()) - lam * m
 
-    inf = np.inf
-    choices = np.empty((t_total, width, m_axis), dtype=np.uint8)
-    # value[u, m]: min cost-to-go from the start of the current slot
-    value = np.full((width, m_axis), inf)
-    value[t_total - n, :] = 0.0  # at t = T only s = N survives
+    if n == t_total:
+        lam = max(0, int(np.partition(d, n - m - 1)[n - m - 1]))
+        send, optional = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    else:
+        lam, hi = 0, max(0, int(d.max()))  # past max(d), L falls by M a step
+        while lam < hi:
+            mid = (lam + hi) // 2
+            lam, hi = (lam, mid) if dual(mid + 1) <= dual(mid) else (mid + 1, hi)
+        eff = np.minimum(a, b + lam)
+        theta = np.partition(eff, n - 1)[n - 1]
+        send, optional = eff < theta, eff == theta
 
-    candidates = np.empty((4, width, m_axis))
-    for t in range(t_total - 1, -1, -1):
-        level = int(instance.levels[t])
-        cf = float(instance.price_full_microcents[t])
-        cr = float(instance.price_reduced_microcents[t])
+    # a send costs eff at its full option if d <= lam, reduced if d >= lam
+    reduced = send & (d > lam)
+    actions = _SEND_ACTION[send + reduced.view(np.uint8), levels]
+    walked = np.flatnonzero(optional | (send & (d == lam)))
+    opt, full_ok, reduced_ok = optional[walked], d[walked] <= lam, d[walked] >= lam
+    # counts over walked[j:] of tied sends, then of optional slots with the
+    # full option only, the reduced option only, or both
+    both = full_ok & reduced_ok
+    kinds = np.stack([~opt, opt & ~reduced_ok, opt & ~full_ok, opt & both])
+    suffix = np.zeros((4, walked.size + 1), dtype=np.int64)
+    suffix[:, :-1] = np.cumsum(kinds[:, ::-1], axis=1)[:, ::-1]
+    tied, full_only, reduced_only, either = suffix.tolist()
 
-        cand = candidates
-        cand.fill(inf)
-        # idle: slack grows by one
-        cand[_IDLE, : width - 1, :] = value[1:, :]
-        # sending keeps the slack; a unit must remain (s < n, masked below)
-        cand[_PAID_FULL, :, :] = cf + value
-        # reduced sends move m -> m+1
-        cand[_PAID_REDUCED, :, : m_axis - 1] = cr + value[:, 1:]
-        if level == int(SpectrumLevel.FULL):
-            cand[_FREE, :, :] = value
-        elif level == int(SpectrumLevel.REDUCED):
-            cand[_FREE, :, : m_axis - 1] = value[:, 1:]
+    def feasible(j: int, sends: int, reds: int) -> bool:
+        k = sends - tied[j]  # optional slots still to send
+        fewest = max(0, k - full_only[j] - either[j])
+        most = tied[j] + min(k, reduced_only[j] + either[j])
+        return (0 <= k <= full_only[j] + reduced_only[j] + either[j]
+                and fewest <= reds and (lam == 0 or reds <= most))
 
-        # mask send actions where no unit remains: s = t - u >= n
-        u_no_unit = np.arange(width) <= t - n
-        if u_no_unit.any():
-            cand[_FREE, u_no_unit, :] = inf
-            cand[_PAID_FULL, u_no_unit, :] = inf
-            cand[_PAID_REDUCED, u_no_unit, :] = inf
-        # mask states outside this slot's reachable band: u in [max(0, t-n), min(t, T-n)]
-        u_lo = max(0, t - n)
-        u_hi = min(t, t_total - n)
-        best = cand.min(axis=0)
-        pick = cand.argmin(axis=0).astype(np.uint8)
-        if u_lo > 0:
-            best[:u_lo, :] = inf
-        if u_hi + 1 < width:
-            best[u_hi + 1 :, :] = inf
-        choices[t] = pick
-        value = best.copy()
-
-    start_cost = value[0, 0]
-    if not math.isfinite(start_cost):
-        raise InfeasibleError("no feasible schedule exists")  # pragma: no cover
-
-    actions = np.zeros(t_total, dtype=np.uint8)
-    sent = 0
-    used = 0
-    cost = 0
-    for t in range(t_total):
-        u = t - sent
-        code = int(choices[t, u, used])
-        if code == _IDLE:
-            continue
-        level = int(instance.levels[t])
-        if code == _FREE:
-            if level == int(SpectrumLevel.FULL):
-                actions[t] = int(Action.FREE_FULL)
-            else:
-                actions[t] = int(Action.FREE_REDUCED)
-                used += 1
-        elif code == _PAID_FULL:
-            actions[t] = int(Action.BUY_FULL)
-            cost += int(instance.price_full_microcents[t])
-        else:
-            actions[t] = int(Action.BUY_REDUCED)
-            cost += int(instance.price_reduced_microcents[t])
-            used += 1
-        sent += 1
-
-    if cost != int(start_cost):
-        raise InvariantViolationError(  # pragma: no cover - internal check
-            f"schedule walk cost {cost} != dp value {int(start_cost)}"
-        )
-    schedule = Schedule(
-        actions=actions, total_cost_microcents=cost, reduced_count=used
+    sends_left = n - int(np.count_nonzero(send)) + tied[0]
+    reduced_left = m - int(np.count_nonzero(reduced))
+    walk = zip(
+        walked.tolist(), opt.tolist(), full_ok.tolist(), reduced_ok.tolist(),
+        *_SEND_ACTION[1:, levels[walked]].tolist(),  # full and reduced send codes
     )
+    for j, (t, is_opt, f_ok, r_ok, f_code, r_code) in enumerate(walk, start=1):
+        # (action, sends, reduced sends); Action codes order idle, free,
+        # full lease, reduced lease, as the tie rule does
+        choices = sorted(
+            [(0, 0, 0)] * is_opt + [(f_code, 1, 0)] * f_ok + [(r_code, 1, 1)] * r_ok
+        )
+        for action, ds, dr in choices:
+            if feasible(j, sends_left - ds, reduced_left - dr):
+                break
+        actions[t] = action
+        sends_left -= ds
+        reduced_left -= dr
+
+    # validate_schedule recomputes the cost: equal to the dual bound, optimal
+    schedule = Schedule(actions, dual(lam), reduced_count=m - reduced_left)
     validate_schedule(instance, schedule)
     return schedule
 

@@ -5,11 +5,13 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from hpclease import ScenarioConfig, StaticParams, cli, generate_trace, run
 from hpclease.env import load_trace
 from hpclease.errors import ConfigurationError
+from hpclease.oracle import Schedule, instance_from_trace, validate_schedule
 from hpclease.policy import Action
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
@@ -215,6 +217,24 @@ def test_oracle_subcommand(tmp_path):
     assert doc["reduced_count"] <= 10
     assert len(doc["action_codes"]) == 299  # slots 1..299
     assert doc["cost_microcents"] >= 0
+
+
+def test_oracle_solves_a_wide_budget_instance(tmp_path):
+    # 2999 slots, 1500 units, 1000 of them reduced: an instance whose
+    # (slot, slack, budget) table would hold 4.5e9 entries
+    argv = ["--set", "horizon=3000", "--set", "k_concentrators=1"]
+    rc = main(tmp_path, "oracle", *argv, "--n-units", "1500", "--quality-budget", "1000")
+    assert rc == 0
+    doc = json.loads((tmp_path / "oracle.json").read_text())
+    cfg = ScenarioConfig(horizon=3000, k_concentrators=1, seed=101)  # reference preset
+    instance = instance_from_trace(generate_trace(cfg, cfg.seed), 0, 1500, 1000)
+    schedule = Schedule(
+        np.array(doc["action_codes"], dtype=np.uint8),
+        doc["cost_microcents"],
+        doc["reduced_count"],
+    )
+    assert validate_schedule(instance, schedule) == doc["cost_microcents"]
+    assert doc["sends"] == 1500
 
 
 def test_oracle_infeasible_exits_4(tmp_path, capsys):

@@ -375,6 +375,21 @@ def test_oracle_dominance_failure_names_the_concentrator(small_cfg, monkeypatch)
         compare_with_oracle(small_cfg, trace, metrics)
 
 
+def test_oracle_solve_failure_names_its_instance(small_cfg, monkeypatch):
+    trace = generate_trace(small_cfg, small_cfg.seed)
+
+    def broken(instance):
+        raise InvariantViolationError("walk cost 5 != dual bound 4")
+
+    monkeypatch.setattr(engine, "solve_dp", broken)
+    expected = (
+        "oracle seed 7, concentrator 0, n_units 150, budget 30: "
+        "walk cost 5 != dual bound 4"
+    )
+    with pytest.raises(InvariantViolationError, match=re.escape(expected)):
+        engine.oracle_reference(small_cfg, trace, 150, 30)
+
+
 def test_compare_with_oracle_skips_incomparable_runs(small_cfg):
     trace = generate_trace(small_cfg, small_cfg.seed)
     # 10 purchase slots per 50 cannot keep up with constant arrivals

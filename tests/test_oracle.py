@@ -18,6 +18,7 @@ from hpclease.oracle import (
 from hpclease.policy import Action
 
 from conftest import make_instance
+from reference import solve_banded_dp
 
 N0, R1, F2 = int(SpectrumLevel.NONE), int(SpectrumLevel.REDUCED), int(SpectrumLevel.FULL)
 
@@ -294,3 +295,81 @@ def test_forced_fast_path_matches_general_dp():
         dp = solve_dp(forced)
         assert dp.total_cost_microcents == bf.total_cost_microcents
         assert np.array_equal(dp.actions, bf.actions)
+
+
+def _grid_instance(rng, t, n, m, tie_heavy):
+    levels = rng.integers(0, 3, size=t).astype(np.uint8)
+    if tie_heavy:
+        # prices of 1-4 micro-cents, so equal costs and savings abound
+        reduced = rng.integers(1, 4, size=t)
+        full = reduced + rng.integers(1, 5 - reduced)
+    else:
+        reduced = rng.integers(1, 500_000, size=t)
+        full = reduced + rng.integers(1, 500_000, size=t)
+    return OfflineInstance(levels, full, reduced, n_units=n, quality_budget=m)
+
+
+def test_solver_matches_banded_dp_and_bruteforce():
+    # T <= 9: every N <= T and every M < N, tie-heavy and ordinary prices.
+    # Above: every N, the budget cycling through 0..N-1 as T grows, and the
+    # price kind alternating with T + N
+    rng = np.random.default_rng(80)
+    checked = 0
+    for t in range(1, 81):
+        for n in range(t + 1):
+            if t <= 9:
+                cases = [(m, tie) for m in range(max(1, n)) for tie in (True, False)]
+            else:
+                cases = [(t % max(1, n), (t + n) % 2 == 0)]
+            for m, tie_heavy in cases:
+                inst = _grid_instance(rng, t, n, m, tie_heavy)
+                got = solve_dp(inst)
+                refs = [solve_banded_dp(inst)]
+                if t <= 9:
+                    refs.append(solve_bruteforce(inst))
+                for ref in refs:
+                    assert np.array_equal(got.actions, ref.actions), (t, n, m)
+                    assert got.total_cost_microcents == ref.total_cost_microcents
+                    assert got.reduced_count == ref.reduced_count
+                checked += 1
+    assert checked > 3000
+
+
+def test_all_forced_tie_keeps_the_full_lease_at_the_earlier_slot():
+    # slots 1 and 2 save the same by going reduced; the tie rule leases
+    # slot 1 at full price and slot 2 reduced, as brute force does
+    inst = make_instance(
+        [R1, N0, N0, N0], [4, 3, 3, 2], [1, 1, 1, 1], n_units=4, quality_budget=2
+    )
+    sched = solve_dp(inst)
+    assert sched.actions.tolist() == [2, 3, 4, 3]
+    assert np.array_equal(solve_bruteforce(inst).actions, sched.actions)
+
+
+def test_half_workload_with_large_budget_runs():
+    # T=10,000, N=5,000, M=3,000: far past any table of (slot, sent, used)
+    # states; mostly bare spectrum, so the budget binds
+    rng = np.random.default_rng(12)
+    t = 10_000
+    levels = rng.choice(np.array([N0, R1, F2], dtype=np.uint8), size=t, p=[0.9, 0.05, 0.05])
+    full = rng.integers(100_000, 1_000_001, size=t)
+    reduced = full * 3 // 5
+    inst = OfflineInstance(levels, full, reduced, n_units=5000, quality_budget=3000)
+    sched = solve_dp(inst)
+    assert validate_schedule(inst, sched) == sched.total_cost_microcents
+    assert sched.sends == 5000
+    assert sched.reduced_count == 3000
+    tighter = solve_dp(
+        OfflineInstance(levels, full, reduced, n_units=5000, quality_budget=2999)
+    )
+    assert sched.total_cost_microcents < tighter.total_cost_microcents
+
+
+def test_instance_prices_bounded_for_exact_sums():
+    # horizon * dearest full price may reach 2**53 micro-cents, not pass it
+    top = 2**52
+    OfflineInstance(np.zeros(2, np.uint8), [top, 2], [1, 1], n_units=1, quality_budget=0)
+    with pytest.raises(ConfigurationError, match=r"pass 2\*\*53"):
+        OfflineInstance(
+            np.zeros(2, np.uint8), [top + 1, 2], [1, 1], n_units=1, quality_budget=0
+        )
