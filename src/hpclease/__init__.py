@@ -13,14 +13,11 @@ from .engine import (
     run,
 )
 from .env import (
-    ArrivalBatch,
-    PriceSample,
     SpectrumLevel,
     Trace,
     generate_trace,
     load_trace,
     save_trace,
-    unit_prices,
 )
 from .errors import (
     ConfigurationError,
@@ -33,7 +30,6 @@ from .oracle import (
     Schedule,
     instance_from_trace,
     lower_bound_gap,
-    solve_bruteforce,
     solve_dp,
     validate_schedule,
 )
@@ -55,14 +51,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "ArrivalBatch",
     "ConfigurationError",
     "InfeasibleError",
     "InvariantViolationError",
     "LyapunovParams",
     "OfflineInstance",
     "OracleComparison",
-    "PriceSample",
     "QualityParams",
     "RunMetrics",
     "Schedule",
@@ -86,9 +80,7 @@ __all__ = [
     "quality_sweep_summary",
     "run",
     "save_trace",
-    "solve_bruteforce",
     "solve_dp",
-    "unit_prices",
     "v_sweep_summary",
     "validate_schedule",
     "__version__",

@@ -353,7 +353,7 @@ def _cmd_compare(spec: CommandSpec) -> int:
 
     oracle_row = None
     if is_unit_granular(cfg):
-        total, _ = oracle_reference(cfg, trace, oracle_units, oracle_budget)
+        total, _ = oracle_reference(trace, oracle_units, oracle_budget)
         oracle_row = (f"oracle[m={oracle_budget}]", total)
     _write(spec, "comparison.csv", report.comparison_table_csv(rows, oracle_row))
     return 0
@@ -427,23 +427,30 @@ def _cmd_oracle(spec: CommandSpec) -> int:
     else:
         cfg = _scenario(spec)
         trace = generate_trace(cfg, cfg.seed)
+    budget = spec.quality_budget or 0
+    last_slot = spec.last_slot if spec.last_slot is not None else trace.horizon - 1
     instance = instance_from_trace(
         trace,
         spec.concentrator,
         spec.n_units,
-        spec.quality_budget or 0,
+        budget,
         first_slot=spec.first_slot,
-        last_slot=spec.last_slot,
+        last_slot=last_slot,
     )
-    schedule = solve_dp(instance)
+    try:
+        schedule = solve_dp(instance)
+    except InvariantViolationError as exc:
+        raise InvariantViolationError(
+            f"oracle seed {trace.seed}, concentrator {spec.concentrator}, slots "
+            f"{spec.first_slot}-{last_slot}, n_units {spec.n_units}, "
+            f"budget {budget}: {exc}"
+        ) from exc
     doc = {
         "concentrator": spec.concentrator,
         "first_slot": spec.first_slot,
-        "last_slot": (
-            spec.last_slot if spec.last_slot is not None else trace.horizon - 1
-        ),
+        "last_slot": last_slot,
         "n_units": spec.n_units,
-        "quality_budget": spec.quality_budget or 0,
+        "quality_budget": budget,
         "cost_microcents": schedule.total_cost_microcents,
         "cost_dollars": round(to_dollars(schedule.total_cost_microcents), 8),
         "reduced_count": schedule.reduced_count,

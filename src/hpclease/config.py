@@ -131,8 +131,10 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "arrival_bound must be at least max(1, mean_arrival)"
             )
-        if not self.epsilon > 0:
-            raise ConfigurationError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigurationError(
+                f"epsilon must be finite and positive, got {self.epsilon}"
+            )
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
 

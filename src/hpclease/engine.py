@@ -1,10 +1,11 @@
 """Slot-by-slot simulation driver for a fleet of concentrators.
 
-The slot loop carries only the state the next slot reads. Each slot it
-observes the queues and the posted price, asks the policy for one action
-per concentrator, serves what the action's grant and the backlog allow,
-advances the virtual queues, then enqueues the slot's arrivals. Everything
-is vectorized across the fleet.
+The policy is built once per run from the trace, so its price rules are
+per-slot arrays before the first slot. The slot loop carries only the
+state the next slot reads. Each slot it observes the queues, asks the
+policy for one action per concentrator, serves what the action's grant and
+the backlog allow, advances the virtual queues, then enqueues the slot's
+arrivals. Everything is vectorized across the fleet.
 
 Everything else runs once, over the finished (concentrator, slot)
 decision and service matrices: the invariant checks (each error names the
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
-from .env import PriceSample, SpectrumLevel, Trace, generate_trace, to_dollars
+from .config import EXACT_MICROCENTS, ScenarioConfig
+from .env import SpectrumLevel, Trace, generate_trace, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
 from .oracle import instance_from_trace, lower_bound_gap, solve_dp
 from .policy import (
@@ -41,7 +42,6 @@ from .policy import (
     StaticBurstPolicy,
     StaticParams,
 )
-from .queueing import littles_law_delay
 
 
 def service_capacity(config: ScenarioConfig) -> int:
@@ -78,10 +78,12 @@ def _check_unit_alignment(config: ScenarioConfig) -> None:
         )
 
 
-def make_policy(params: PolicyParams, config: ScenarioConfig) -> BasePolicy:
-    """Instantiate the policy that ``params`` configures for this scenario."""
+def make_policy(
+    params: PolicyParams, config: ScenarioConfig, trace: Trace
+) -> BasePolicy:
+    """Build the policy that ``params`` configures for one run on ``trace``."""
     if isinstance(params, QualityParams):
-        policy = QualityPolicy(params)
+        policy = QualityPolicy(params, trace.k, trace.price_full, trace.price_reduced)
         _check_unit_alignment(config)
         if params.deadline > config.horizon - 1:
             raise ConfigurationError(
@@ -89,13 +91,12 @@ def make_policy(params: PolicyParams, config: ScenarioConfig) -> BasePolicy:
                 f"({config.horizon - 1})"
             )
         return policy
+    capacities = service_capacity(config), reduced_capacity(config)
     if isinstance(params, LyapunovParams):
-        cls = LyapunovPolicy
-    elif isinstance(params, StaticParams):
-        cls = StaticBurstPolicy
-    else:
-        raise ConfigurationError(f"not a policy parameter block: {params!r}")
-    return cls(params, service_capacity(config), reduced_capacity(config))
+        return LyapunovPolicy(params, *capacities, trace.price_full)
+    if isinstance(params, StaticParams):
+        return StaticBurstPolicy(params, *capacities)
+    raise ConfigurationError(f"not a policy parameter block: {params!r}")
 
 
 @dataclass(eq=False)
@@ -152,9 +153,7 @@ class RunMetrics:
     def littles_delay(self) -> float:
         """Delay implied by Little's law from the run's own averages."""
         rate = self.empirical_arrival_rate
-        if rate == 0:
-            return 0.0
-        return littles_law_delay(self.mean_queue_len, rate)
+        return self.mean_queue_len / rate if rate else 0.0
 
     @property
     def cost_total_dollars(self) -> float:
@@ -180,9 +179,9 @@ def run(
             f"trace is {trace.k}x{trace.horizon}, config wants "
             f"{config.k_concentrators}x{config.horizon}"
         )
-    policy = make_policy(params, config)
+    _check_prices(trace)
+    policy = make_policy(params, config, trace)
     k, horizon = trace.k, trace.horizon
-    policy.reset(k)
 
     epsilon = float(config.epsilon)
     if isinstance(params, LyapunovParams) and params.epsilon is not None:
@@ -203,10 +202,9 @@ def run(
     levels, arrivals = trace.levels, trace.arrivals
 
     for t in range(horizon):
-        prices = PriceSample(int(trace.price_full[t]), int(trace.price_reduced[t]))
         queue_series_mean[t] = q.mean()
         level = levels[:, t]
-        actions = policy.decide_slot(t, level, prices, q, z)
+        actions = policy.decide_slot(t, level, q, z)
         served = np.minimum(q, grant[actions, level])
         decisions[:, t] = actions
         serves[:, t] = served
@@ -214,7 +212,6 @@ def run(
         q -= served
         np.maximum(z - served + epsilon * busy, 0.0, out=z)
         q += arrivals[:, t]
-        policy.observe_prices(prices)
 
     run_name = f"{params.label} seed {trace.seed}"
     _check_decisions(run_name, params, decisions, serves, levels, mu)
@@ -276,6 +273,21 @@ def run(
         z_final=z,
         decisions=decisions,
     )
+
+
+def _check_prices(trace: Trace) -> None:
+    """Every slot must post 0 < reduced < full prices, with full prices low
+    enough that a horizon of them sums exactly (below 2**53 micro-cents)."""
+    full, reduced = trace.price_full, trace.price_reduced
+    dearest = EXACT_MICROCENTS // trace.horizon
+    bad = np.flatnonzero((reduced < 1) | (full <= reduced) | (full > dearest))
+    if bad.size:
+        t = int(bad[0])
+        raise ConfigurationError(
+            f"trace seed {trace.seed}: slot {t} prices must satisfy 0 < reduced "
+            f"< full <= {dearest} micro-cents, got full={int(full[t])} "
+            f"reduced={int(reduced[t])}"
+        )
 
 
 def _violations(params, decisions, serves, levels, unit):
@@ -356,7 +368,6 @@ class OracleComparison:
 
 
 def oracle_reference(
-    config: ScenarioConfig,
     trace: Trace,
     n_units: int,
     quality_budget: int,
@@ -410,9 +421,7 @@ def compare_with_oracle(
         n_units = config.horizon - 1
         if metrics.total_served != n_units * unit * metrics.k:
             return None
-    offline_total, offline_per_conc = oracle_reference(
-        config, trace, n_units, budget
-    )
+    offline_total, offline_per_conc = oracle_reference(trace, n_units, budget)
     beaten = np.flatnonzero(metrics.cost_per_concentrator < offline_per_conc)
     if beaten.size:
         i = int(beaten[0])

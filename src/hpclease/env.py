@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, TraceFormatError
+from .errors import TraceFormatError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .config import ScenarioConfig
@@ -46,10 +46,6 @@ def to_microcents(cents: float) -> int:
     return round(cents * MICROCENTS_PER_CENT)
 
 
-def to_cents(microcents: int) -> float:
-    return microcents / MICROCENTS_PER_CENT
-
-
 def to_dollars(microcents: float) -> float:
     return microcents / MICROCENTS_PER_DOLLAR
 
@@ -62,77 +58,9 @@ class SpectrumLevel(IntEnum):
     FULL = 2
 
 
-@dataclass(frozen=True)
-class PriceSample:
-    """Leasing prices for one slot, per transmitted data unit.
-
-    full_microcents is the price of a full-size unit, reduced_microcents the
-    price of a reduced-size unit. A valid sample always satisfies
-    full > reduced > 0.
-    """
-
-    full_microcents: int
-    reduced_microcents: int
-
-    def __post_init__(self) -> None:
-        if not (self.full_microcents > self.reduced_microcents > 0):
-            raise ConfigurationError(
-                "price sample requires full > reduced > 0, got "
-                f"full={self.full_microcents} reduced={self.reduced_microcents}"
-            )
-
-    @property
-    def full_cents(self) -> float:
-        return to_cents(self.full_microcents)
-
-
-@dataclass(frozen=True)
-class ArrivalBatch:
-    """Packets arriving at one concentrator at the end of one slot."""
-
-    slot: int
-    packets: int
-
-    def __post_init__(self) -> None:
-        if self.slot < 0 or self.packets < 0:
-            raise ConfigurationError(
-                f"arrival batch requires slot >= 0 and packets >= 0, "
-                f"got slot={self.slot} packets={self.packets}"
-            )
-
-
 def reduced_unit_packets(unit_size_packets: int, reduced_fraction: float) -> int:
     """Packet count of a reduced-size unit: ceil(fraction * unit_size)."""
     return math.ceil(reduced_fraction * unit_size_packets - _CEIL_GUARD)
-
-
-def unit_prices(
-    base_packet_microcents: int,
-    unit_size_packets: int,
-    reduced_fraction: float,
-) -> PriceSample:
-    """Expand a per-packet price into full and reduced unit prices.
-
-    The full unit carries ``unit_size_packets`` packets, the reduced unit
-    ``ceil(reduced_fraction * unit_size_packets)``. Raises ConfigurationError
-    when the reduced unit would not be strictly cheaper than the full one
-    (degenerate unit size).
-    """
-    if base_packet_microcents <= 0:
-        raise ConfigurationError("per-packet price must be positive")
-    if unit_size_packets < 1:
-        raise ConfigurationError("unit size must be at least one packet")
-    if not 0.0 < reduced_fraction < 1.0:
-        raise ConfigurationError("reduced fraction must lie strictly in (0, 1)")
-    reduced_packets = reduced_unit_packets(unit_size_packets, reduced_fraction)
-    full = base_packet_microcents * unit_size_packets
-    reduced = base_packet_microcents * reduced_packets
-    if reduced >= full:
-        raise ConfigurationError(
-            f"degenerate unit size {unit_size_packets}: reduced unit of "
-            f"{reduced_packets} packets is not cheaper than the full unit"
-        )
-    return PriceSample(full_microcents=full, reduced_microcents=reduced)
 
 
 @dataclass(eq=False)

@@ -5,7 +5,6 @@ to send N unit arrivals within T slots, at most M of them at reduced
 quality, minimizing total spend. solve_dp is the production solver: it
 prices the quality budget with a Lagrange multiplier (exact, as the problem
 is a min-cost flow) and certifies its schedule by the dual bound.
-solve_bruteforce exhaustively enumerates small instances to cross-check it.
 
 Conventions shared with the online policies: unit i (0-based) arrives at
 slot i and cannot be sent earlier; at most one unit leaves per slot; a
@@ -24,7 +23,6 @@ from .env import SpectrumLevel
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from .policy import Action
 
-_BRUTE_FORCE_MAX_SLOTS = 12
 # the action of a slot by [option (0 idle, 1 full, 2 reduced), SpectrumLevel]
 _SEND_ACTION = np.array(
     [[Action.IDLE] * 3,
@@ -230,74 +228,6 @@ def solve_dp(instance: OfflineInstance) -> Schedule:
 
     # validate_schedule recomputes the cost: equal to the dual bound, optimal
     schedule = Schedule(actions, dual(lam), reduced_count=m - reduced_left)
-    validate_schedule(instance, schedule)
-    return schedule
-
-
-def solve_bruteforce(instance: OfflineInstance) -> Schedule:
-    """Exhaustive minimum over all feasible schedules; small instances only."""
-    t_total = instance.horizon
-    if t_total > _BRUTE_FORCE_MAX_SLOTS:
-        raise ConfigurationError(
-            f"brute force handles at most {_BRUTE_FORCE_MAX_SLOTS} slots, "
-            f"got {t_total}"
-        )
-    n = instance.n_units
-    m_budget = instance.quality_budget
-    best_cost = math.inf
-    best_actions: list[int] | None = None
-    actions: list[int] = []
-
-    def options(t: int) -> list[tuple[int, int, int]]:
-        # (action, cost, reduced) in tie-break preference order
-        level = int(instance.levels[t])
-        cf = int(instance.price_full_microcents[t])
-        cr = int(instance.price_reduced_microcents[t])
-        out: list[tuple[int, int, int]] = []
-        if level == int(SpectrumLevel.FULL):
-            out.append((int(Action.FREE_FULL), 0, 0))
-        elif level == int(SpectrumLevel.REDUCED):
-            out.append((int(Action.FREE_REDUCED), 0, 1))
-        out.append((int(Action.BUY_FULL), cf, 0))
-        out.append((int(Action.BUY_REDUCED), cr, 1))
-        return out
-
-    def dfs(t: int, sent: int, used: int, cost: int) -> None:
-        nonlocal best_cost, best_actions
-        if cost >= best_cost:
-            return
-        remaining = n - sent
-        if remaining > t_total - t:
-            return
-        if t == t_total:
-            if remaining == 0:
-                best_cost = cost
-                best_actions = actions.copy()
-            return
-        # idle first: the preferred branch on cost ties
-        if remaining < t_total - t:
-            actions.append(int(Action.IDLE))
-            dfs(t + 1, sent, used, cost)
-            actions.pop()
-        if sent < n and sent <= t:
-            for act, price, reduced in options(t):
-                if used + reduced > m_budget:
-                    continue
-                actions.append(act)
-                dfs(t + 1, sent + 1, used + reduced, cost + price)
-                actions.pop()
-
-    dfs(0, 0, 0, 0)
-    if best_actions is None:
-        raise InfeasibleError("no feasible schedule exists")  # pragma: no cover
-    reduced_mask = [
-        a in (int(Action.FREE_REDUCED), int(Action.BUY_REDUCED)) for a in best_actions
-    ]
-    schedule = Schedule(
-        actions=np.asarray(best_actions, dtype=np.uint8),
-        total_cost_microcents=int(best_cost),
-        reduced_count=sum(reduced_mask),
-    )
     validate_schedule(instance, schedule)
     return schedule
 

@@ -19,9 +19,11 @@ Three families are implemented.
 
 The policy classes decide for the whole fleet at once, one vectorized call
 per slot. Each parameter block names its policy: ``kind`` and ``label``
-identify it in reports, and the engine instantiates the matching class.
-Policy objects are single-owner and not thread-safe; reset() restores the
-pristine state while preserving configuration.
+identify it in reports, and the engine builds the matching class once per
+run. The price rules depend only on the trace, so a policy computes them
+for every slot when it is built: the purchase threshold, and whether the
+posted prices are at most their PAP. A policy object serves one run; the
+next run builds a new one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .env import PriceSample, SpectrumLevel
+from .env import MICROCENTS_PER_CENT, SpectrumLevel
 from .errors import ConfigurationError, InfeasibleError
 
 
@@ -44,18 +46,6 @@ class Action(IntEnum):
     FREE_REDUCED = 2   # transmit a reduced-quality unit over free spectrum
     BUY_FULL = 3       # lease the channel, transmit a full unit
     BUY_REDUCED = 4    # lease the channel, transmit a reduced unit
-
-    @property
-    def is_purchase(self) -> bool:
-        return self in (Action.BUY_FULL, Action.BUY_REDUCED)
-
-    @property
-    def is_send(self) -> bool:
-        return self is not Action.IDLE
-
-    @property
-    def is_reduced_quality(self) -> bool:
-        return self in (Action.FREE_REDUCED, Action.BUY_REDUCED)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +75,8 @@ class LyapunovParams:
     def validate(self) -> None:
         if self.v_factor < 0 or not np.isfinite(self.v_factor):
             raise ConfigurationError("v_factor must be finite and nonnegative")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ConfigurationError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ConfigurationError("epsilon must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -141,16 +131,7 @@ PolicyParams = LyapunovParams | StaticParams | QualityParams
 
 
 # ---------------------------------------------------------------------------
-# scalar rules shared by the vectorized policies
-
-
-def lyapunov_threshold(v_factor: float, price_cents: float) -> float:
-    """Purchase threshold V * c / 2 for the combined queue length Q + Z."""
-    if v_factor < 0:
-        raise ConfigurationError("v_factor must be nonnegative")
-    if price_cents <= 0:
-        raise ConfigurationError("price must be positive")
-    return v_factor * price_cents / 2.0
+# rules shared by the vectorized policies
 
 
 def static_decide(slot: int, params: StaticParams) -> bool:
@@ -160,43 +141,16 @@ def static_decide(slot: int, params: StaticParams) -> bool:
     return (slot - 1) % params.period < params.burst_len
 
 
-class PapTracker:
-    """Running purchase-attractiveness prices.
-
-    Tracks the arithmetic mean of every posted price pair observed so far;
-    the PAP thresholds are beta_c times those means. With no observations
-    (or beta_c = 0) both PAPs are 0 and no price classifies as attractive.
-    """
-
-    def __init__(self, beta_c: float) -> None:
-        if not 0.0 <= beta_c <= 1.0:
-            raise ConfigurationError("beta_c must lie in [0, 1]")
-        self.beta_c = beta_c
-        self.count = 0
-        self.sum_full_microcents = 0
-        self.sum_reduced_microcents = 0
-
-    def observe(self, prices: PriceSample) -> None:
-        self.count += 1
-        self.sum_full_microcents += prices.full_microcents
-        self.sum_reduced_microcents += prices.reduced_microcents
-
-    @property
-    def pap_full_microcents(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.beta_c * self.sum_full_microcents / self.count
-
-    @property
-    def pap_reduced_microcents(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.beta_c * self.sum_reduced_microcents / self.count
-
-    def reset(self) -> None:
-        self.count = 0
-        self.sum_full_microcents = 0
-        self.sum_reduced_microcents = 0
+def attractive_prices(prices: np.ndarray, beta_c: float) -> np.ndarray:
+    """Per slot t, whether prices[t] is at most its purchase-attractiveness
+    price, beta_c times the mean of prices[:t]; never at t = 0, which has no
+    earlier price. Prices are int64 micro-cents whose sum stays below 2**53,
+    so each prefix sum converts to float64 exactly and beta_c * sum / t
+    rounds as the scalar running mean does."""
+    attractive = np.zeros(prices.shape, dtype=bool)
+    earlier = np.arange(1, prices.size)
+    attractive[1:] = prices[1:] <= beta_c * np.cumsum(prices)[:-1] / earlier
+    return attractive
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +164,17 @@ class BasePolicy:
     """Per-slot decision maker over all k concentrators at once.
 
     decide_slot returns one uint8 Action code per concentrator. The engine
-    calls it exactly once per slot in slot order, then observe_prices with
-    the slot's posted prices.
+    calls it exactly once per slot, in slot order.
     """
-
-    def reset(self, k: int) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
 
     def decide_slot(
         self,
         slot: int,
         levels: np.ndarray,
-        prices: PriceSample,
         q_len: np.ndarray,
         z_len: np.ndarray,
     ) -> np.ndarray:  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def observe_prices(self, prices: PriceSample) -> None:
-        pass
 
 
 class _PacketPolicy(BasePolicy):
@@ -245,19 +191,28 @@ class _PacketPolicy(BasePolicy):
         # free packets per slot, indexed by SpectrumLevel code (NONE, REDUCED, FULL)
         self.free_capacity = np.array([0, reduced_capacity, capacity], dtype=np.int64)
 
-    def reset(self, k: int) -> None:
-        pass
-
 
 class LyapunovPolicy(_PacketPolicy):
-    def decide_slot(self, slot, levels, prices, q_len, z_len):
-        threshold = lyapunov_threshold(self.params.v_factor, prices.full_cents)
+    """Purchases when Q + Z exceeds threshold[slot] = V * c / 2, with c the
+    slot's full-unit price in cents."""
+
+    def __init__(
+        self,
+        params: LyapunovParams,
+        capacity: int,
+        reduced_capacity: int,
+        price_full: np.ndarray,
+    ):
+        super().__init__(params, capacity, reduced_capacity)
+        self.threshold = params.v_factor * (price_full / MICROCENTS_PER_CENT) / 2.0
+
+    def decide_slot(self, slot, levels, q_len, z_len):
         y = q_len + z_len
         busy = q_len > 0
         need = np.minimum(q_len, self.capacity)
         free_cap = self.free_capacity[levels]
         covered = busy & (free_cap >= need)
-        buying = busy & ~covered & (y > threshold)
+        buying = busy & ~covered & (y > self.threshold[slot])
         partial = busy & ~covered & ~buying & (free_cap > 0)
         actions = np.zeros(len(q_len), dtype=np.uint8)
         actions[covered | partial] = int(Action.FREE_FULL)
@@ -266,7 +221,7 @@ class LyapunovPolicy(_PacketPolicy):
 
 
 class StaticBurstPolicy(_PacketPolicy):
-    def decide_slot(self, slot, levels, prices, q_len, z_len):
+    def decide_slot(self, slot, levels, q_len, z_len):
         busy = q_len > 0
         actions = np.zeros(len(q_len), dtype=np.uint8)
         if static_decide(slot, self.params):
@@ -277,7 +232,7 @@ class StaticBurstPolicy(_PacketPolicy):
 
 
 class QualityPolicy(BasePolicy):
-    """Deadline scheduling for every concentrator, with shared PAP statistics.
+    """Deadline scheduling for a fleet of k concentrators.
 
     Units arrive one per slot from slot 1, so at most min(slot, n_units)
     exist, and at most one leaves per slot. Precedence: the deadline guard
@@ -287,24 +242,26 @@ class QualityPolicy(BasePolicy):
     purchase happens only at attractive prices (price <= PAP, full checked
     before reduced).
 
-    Unit bookkeeping is internal: sent and reduced_used counters per
-    concentrator, one posted price pair folded into the PAP tracker per
-    slot after decisions are made (so slot t sees the mean of slots < t).
+    The PAP tests of every slot come from the run's price arrays (slot t
+    compares with the mean of slots < t). Unit bookkeeping is internal:
+    sent and reduced_used counters per concentrator.
     """
 
-    def __init__(self, params: QualityParams):
+    def __init__(
+        self,
+        params: QualityParams,
+        k: int,
+        price_full: np.ndarray,
+        price_reduced: np.ndarray,
+    ):
         params.validate()
         self.params = params
-        self.tracker = PapTracker(params.beta_c)
-        self.sent: np.ndarray = np.zeros(0, dtype=np.int64)
-        self.reduced_used: np.ndarray = np.zeros(0, dtype=np.int64)
-
-    def reset(self, k: int) -> None:
-        self.tracker.reset()
+        self.attractive_full = attractive_prices(price_full, params.beta_c)
+        self.attractive_reduced = attractive_prices(price_reduced, params.beta_c)
         self.sent = np.zeros(k, dtype=np.int64)
         self.reduced_used = np.zeros(k, dtype=np.int64)
 
-    def decide_slot(self, slot, levels, prices, q_len, z_len):
+    def decide_slot(self, slot, levels, q_len, z_len):
         p = self.params
         actions = np.zeros(len(levels), dtype=np.uint8)
         if not 1 <= slot <= p.deadline:
@@ -335,15 +292,10 @@ class QualityPolicy(BasePolicy):
         actions[relaxed & is_reduced & has_budget] = int(Action.FREE_REDUCED)
         # remaining relaxed concentrators shop by price
         shopping = relaxed & ~is_full & ~(is_reduced & has_budget)
-        if shopping.any():
-            buy_full = prices.full_microcents <= self.tracker.pap_full_microcents
-            buy_reduced = (
-                prices.reduced_microcents <= self.tracker.pap_reduced_microcents
-            )
-            if buy_full:
-                actions[shopping] = int(Action.BUY_FULL)
-            elif buy_reduced:
-                actions[shopping & has_budget] = int(Action.BUY_REDUCED)
+        if self.attractive_full[slot]:
+            actions[shopping] = int(Action.BUY_FULL)
+        elif self.attractive_reduced[slot]:
+            actions[shopping & has_budget] = int(Action.BUY_REDUCED)
 
         sends = actions != int(Action.IDLE)
         reduced_sends = (actions == int(Action.FREE_REDUCED)) | (
@@ -352,6 +304,3 @@ class QualityPolicy(BasePolicy):
         self.sent += sends
         self.reduced_used += reduced_sends
         return actions
-
-    def observe_prices(self, prices: PriceSample) -> None:
-        self.tracker.observe(prices)

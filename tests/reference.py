@@ -1,20 +1,274 @@
 """Scalar and loop references that tests replay the production code against.
 
-solve_banded_dp is the banded 3-D dynamic program that was the production
-offline solver before the selection solver replaced it. It handles every
-instance, T == n_units included, and shares the production tie rule.
+* Queue algebra for one concentrator: a FIFO ledger of arrival stamps, the
+  delay virtual queue and per-packet delays. The engine's vectorized slot
+  loop and its closed-form delay totals are replayed against it. Slot order
+  (as in the engine): observe state, decide, serve, advance the virtual
+  queue, then enqueue the slot's arrivals, so a packet served in its
+  arrival slot has delay 0 and decisions never see same-slot arrivals.
+* PapMirror: the running-mean purchase-attractiveness prices that
+  QualityPolicy computes for every slot from a trace's price arrays.
+* solve_bruteforce enumerates every schedule of a small offline instance.
+* solve_banded_dp is the banded 3-D dynamic program that was the production
+  offline solver before the selection solver replaced it. It handles every
+  instance, T == n_units included, and shares the production tie rule.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from hpclease.env import SpectrumLevel
-from hpclease.errors import InfeasibleError, InvariantViolationError
+from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from hpclease.oracle import OfflineInstance, Schedule, validate_schedule
 from hpclease.policy import Action
+
+# ---------------------------------------------------------------------------
+# queue algebra
+
+
+@dataclass(frozen=True)
+class ArrivalBatch:
+    """Packets arriving at one concentrator at the end of one slot."""
+
+    slot: int
+    packets: int
+
+    def __post_init__(self) -> None:
+        if self.slot < 0 or self.packets < 0:
+            raise ConfigurationError(
+                f"arrival batch requires slot >= 0 and packets >= 0, "
+                f"got slot={self.slot} packets={self.packets}"
+            )
+
+
+@dataclass(frozen=True)
+class ServiceGrant:
+    """Realized service for one concentrator in one slot."""
+
+    packets_served: int
+
+    def __post_init__(self) -> None:
+        if self.packets_served < 0:
+            raise ConfigurationError("packets_served cannot be negative")
+
+
+@dataclass
+class ConcentratorState:
+    """Backlog bookkeeping for one concentrator.
+
+    packet_ledger holds [arrival_slot, count] runs in FIFO order; its
+    total count always equals q_len. delivered_delays counts served
+    packets by their whole-slot delay.
+    """
+
+    q_len: int = 0
+    z_len: float = 0.0
+    packet_ledger: deque = field(default_factory=deque)
+    delivered_delays: Counter = field(default_factory=Counter)
+    total_arrived: int = 0
+    total_served: int = 0
+    total_delay_slots: int = 0
+
+    def copy(self) -> "ConcentratorState":
+        return ConcentratorState(
+            q_len=self.q_len,
+            z_len=self.z_len,
+            packet_ledger=deque([slot, count] for slot, count in self.packet_ledger),
+            delivered_delays=Counter(self.delivered_delays),
+            total_arrived=self.total_arrived,
+            total_served=self.total_served,
+            total_delay_slots=self.total_delay_slots,
+        )
+
+    @property
+    def y_len(self) -> float:
+        """Policy-visible congestion measure: real plus virtual backlog."""
+        return self.q_len + self.z_len
+
+    def ledger_count(self) -> int:
+        return sum(count for _, count in self.packet_ledger)
+
+
+def enqueue(state: ConcentratorState, batch: ArrivalBatch) -> ConcentratorState:
+    """Append one slot's arrivals; mutates and returns ``state``."""
+    if batch.packets > 0:
+        state.packet_ledger.append([batch.slot, batch.packets])
+        state.q_len += batch.packets
+        state.total_arrived += batch.packets
+    return state
+
+
+def serve(state: ConcentratorState, grant: ServiceGrant, now: int) -> ConcentratorState:
+    """Remove up to ``grant.packets_served`` oldest packets at slot ``now``.
+
+    Clamps at the current backlog (no underflow) and records each removed
+    packet's delay now - arrival_slot. Mutates and returns ``state``.
+    """
+    remaining = min(state.q_len, grant.packets_served)
+    ledger = state.packet_ledger
+    while remaining > 0:
+        entry = ledger[0]
+        take = min(entry[1], remaining)
+        delay = now - entry[0]
+        state.delivered_delays[delay] += take
+        state.total_delay_slots += delay * take
+        state.total_served += take
+        state.q_len -= take
+        remaining -= take
+        if take == entry[1]:
+            ledger.popleft()
+        else:
+            entry[1] -= take
+    return state
+
+
+def advance_virtual(
+    state: ConcentratorState,
+    served: int,
+    epsilon: float,
+    busy_before_service: bool,
+) -> ConcentratorState:
+    """Advance the delay virtual queue one slot.
+
+    z <- max(z - served + epsilon * 1[backlog before service > 0], 0).
+    The pre-service occupancy flag must be sampled by the caller because
+    serve() has already run by the time this executes.
+    """
+    if epsilon <= 0:
+        raise ConfigurationError("epsilon must be positive")
+    if served < 0:
+        raise ConfigurationError("served cannot be negative")
+    bump = epsilon if busy_before_service else 0.0
+    state.z_len = max(state.z_len - served + bump, 0.0)
+    return state
+
+
+def littles_law_delay(mean_queue_len: float, mean_arrival_rate: float) -> float:
+    """Average delay implied by Little's law, in slots."""
+    if mean_arrival_rate <= 0:
+        raise ValueError("mean arrival rate must be positive")
+    return mean_queue_len / mean_arrival_rate
+
+
+def measured_mean_delay(state: ConcentratorState) -> float:
+    """Mean per-packet delay over everything this concentrator served."""
+    if state.total_served == 0:
+        return 0.0
+    return state.total_delay_slots / state.total_served
+
+
+# ---------------------------------------------------------------------------
+# purchase-attractiveness prices
+
+
+class PapMirror:
+    """Running purchase-attractiveness prices, one posted price pair folded
+    in per slot after that slot's decisions. The PAPs are beta_c times the
+    mean of every pair observed so far; with no observations both are 0, so
+    no price classifies as attractive."""
+
+    def __init__(self, beta_c: float) -> None:
+        self.beta_c = beta_c
+        self.count = 0
+        self.sum_full_microcents = 0
+        self.sum_reduced_microcents = 0
+
+    def observe(self, full_microcents: int, reduced_microcents: int) -> None:
+        self.count += 1
+        self.sum_full_microcents += full_microcents
+        self.sum_reduced_microcents += reduced_microcents
+
+    @property
+    def pap_full_microcents(self) -> float:
+        if self.count == 0:
+            return 0.0
+        return self.beta_c * self.sum_full_microcents / self.count
+
+    @property
+    def pap_reduced_microcents(self) -> float:
+        if self.count == 0:
+            return 0.0
+        return self.beta_c * self.sum_reduced_microcents / self.count
+
+
+# ---------------------------------------------------------------------------
+# offline solvers
+
+_BRUTE_FORCE_MAX_SLOTS = 12
+
+
+def solve_bruteforce(instance: OfflineInstance) -> Schedule:
+    """Exhaustive minimum over all feasible schedules; small instances only."""
+    t_total = instance.horizon
+    if t_total > _BRUTE_FORCE_MAX_SLOTS:
+        raise ConfigurationError(
+            f"brute force handles at most {_BRUTE_FORCE_MAX_SLOTS} slots, "
+            f"got {t_total}"
+        )
+    n = instance.n_units
+    m_budget = instance.quality_budget
+    best_cost = math.inf
+    best_actions: list[int] | None = None
+    actions: list[int] = []
+
+    def options(t: int) -> list[tuple[int, int, int]]:
+        # (action, cost, reduced) in tie-break preference order
+        level = int(instance.levels[t])
+        cf = int(instance.price_full_microcents[t])
+        cr = int(instance.price_reduced_microcents[t])
+        out: list[tuple[int, int, int]] = []
+        if level == int(SpectrumLevel.FULL):
+            out.append((int(Action.FREE_FULL), 0, 0))
+        elif level == int(SpectrumLevel.REDUCED):
+            out.append((int(Action.FREE_REDUCED), 0, 1))
+        out.append((int(Action.BUY_FULL), cf, 0))
+        out.append((int(Action.BUY_REDUCED), cr, 1))
+        return out
+
+    def dfs(t: int, sent: int, used: int, cost: int) -> None:
+        nonlocal best_cost, best_actions
+        if cost >= best_cost:
+            return
+        remaining = n - sent
+        if remaining > t_total - t:
+            return
+        if t == t_total:
+            if remaining == 0:
+                best_cost = cost
+                best_actions = actions.copy()
+            return
+        # idle first: the preferred branch on cost ties
+        if remaining < t_total - t:
+            actions.append(int(Action.IDLE))
+            dfs(t + 1, sent, used, cost)
+            actions.pop()
+        if sent < n and sent <= t:
+            for act, price, reduced in options(t):
+                if used + reduced > m_budget:
+                    continue
+                actions.append(act)
+                dfs(t + 1, sent + 1, used + reduced, cost + price)
+                actions.pop()
+
+    dfs(0, 0, 0, 0)
+    if best_actions is None:
+        raise InfeasibleError("no feasible schedule exists")  # pragma: no cover
+    reduced_mask = [
+        a in (int(Action.FREE_REDUCED), int(Action.BUY_REDUCED)) for a in best_actions
+    ]
+    schedule = Schedule(
+        actions=np.asarray(best_actions, dtype=np.uint8),
+        total_cost_microcents=int(best_cost),
+        reduced_count=sum(reduced_mask),
+    )
+    validate_schedule(instance, schedule)
+    return schedule
+
 
 # choice codes, ordered by tie-break preference (argmin picks the lowest)
 _IDLE, _FREE, _PAID_FULL, _PAID_REDUCED = 0, 1, 2, 3

@@ -31,15 +31,17 @@ from hpclease.engine import (
     derive_quality_params,
     run,
 )
-from hpclease.env import ArrivalBatch
-from hpclease.oracle import OfflineInstance, solve_bruteforce, solve_dp
+from hpclease.oracle import OfflineInstance, solve_dp
 from hpclease.policy import Action, LyapunovParams, QualityParams
-from hpclease.queueing import (
+
+from reference import (
+    ArrivalBatch,
     ConcentratorState,
     ServiceGrant,
     advance_virtual,
     enqueue,
     serve,
+    solve_bruteforce,
 )
 
 SEED_COUNT = 5

@@ -10,7 +10,7 @@ import pytest
 
 from hpclease import ScenarioConfig, StaticParams, cli, generate_trace, run
 from hpclease.env import load_trace
-from hpclease.errors import ConfigurationError
+from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.oracle import Schedule, instance_from_trace, validate_schedule
 from hpclease.policy import Action
 
@@ -243,6 +243,28 @@ def test_oracle_infeasible_exits_4(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_oracle_solve_failure_names_its_instance(monkeypatch, tmp_path, capsys):
+    def broken(instance):
+        raise InvariantViolationError("walk cost 5 != dual bound 4")
+
+    monkeypatch.setattr(cli, "solve_dp", broken)
+    rc = main(
+        tmp_path, "oracle", *SMALL, "--seed", "9", "--concentrator", "2",
+        "--first-slot", "5", "--last-slot", "120", "--n-units", "40",
+        "--quality-budget", "7",
+    )
+    assert rc == 5
+    assert (
+        "oracle seed 9, concentrator 2, slots 5-120, n_units 40, budget 7: "
+        "walk cost 5 != dual bound 4"
+    ) in capsys.readouterr().err
+
+
+def test_infinite_lyapunov_epsilon_exits_3(tmp_path, capsys):
+    assert main(tmp_path, "run", *SMALL, "--epsilon", "inf") == 3
+    assert "epsilon must be finite" in capsys.readouterr().err
+
+
 def test_gen_trace_then_oracle_round_trip(tmp_path):
     rc = main(tmp_path, "gen-trace", *SMALL, "--seed", "42")
     assert rc == 0
@@ -275,8 +297,6 @@ def test_bad_override_value_exits_3(tmp_path, capsys):
 
 
 def test_invariant_violation_maps_to_exit_5(monkeypatch, tmp_path):
-    from hpclease.errors import InvariantViolationError
-
     def boom(spec):
         raise InvariantViolationError("synthetic")
 
@@ -423,6 +443,8 @@ def test_costs_exact_just_under_the_price_bound():
         # both once "degenerate unit size ..."
         (["reduced_fraction=0.999999"], ["unit_size_packets", "reduced_fraction"]),
         (["mean_arrival=0"], ["unit_size_packets", "reduced_fraction"]),
+        # JSON reads 1e999 as inf; once a run with NaN virtual queues
+        (["epsilon=1e999"], ["epsilon"]),
     ],
 )
 def test_config_error_names_the_field(overrides, fields, tmp_path, capsys):

@@ -20,17 +20,18 @@ from hpclease import (
     run,
 )
 from hpclease.engine import reduced_capacity, service_capacity
-from hpclease.env import ArrivalBatch, SpectrumLevel, Trace
+from hpclease.env import SpectrumLevel
 from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.policy import (
     Action,
     BasePolicy,
     LyapunovParams,
     QualityParams,
-    QualityPolicy,
     StaticParams,
 )
-from hpclease.queueing import (
+
+from reference import (
+    ArrivalBatch,
     ConcentratorState,
     ServiceGrant,
     advance_virtual,
@@ -43,15 +44,7 @@ LYAP1 = LyapunovParams(v_factor=1.0)
 
 def forced_levels_trace(cfg, level):
     base = generate_trace(cfg, cfg.seed)
-    return Trace(
-        seed=base.seed,
-        config_digest=base.config_digest,
-        levels=np.full_like(base.levels, int(level)),
-        arrivals=base.arrivals,
-        price_packet=base.price_packet,
-        price_full=base.price_full,
-        price_reduced=base.price_reduced,
-    )
+    return dataclasses.replace(base, levels=np.full_like(base.levels, int(level)))
 
 
 def test_params_labels_and_validation(small_cfg):
@@ -60,10 +53,34 @@ def test_params_labels_and_validation(small_cfg):
     assert (static.kind, static.label) == ("static", "static[1000/200]")
     q = QualityParams(n_units=5, deadline=9, quality_budget=2)
     assert (q.kind, q.label) == ("quality", "quality[m=2]")
+    trace = generate_trace(small_cfg, small_cfg.seed)
     with pytest.raises(ConfigurationError):
-        make_policy("lyapunov", small_cfg)
+        make_policy("lyapunov", small_cfg, trace)
     with pytest.raises(ConfigurationError):
-        make_policy(StaticParams(period=100, burst_len=200), small_cfg)
+        make_policy(StaticParams(period=100, burst_len=200), small_cfg, trace)
+
+
+@pytest.mark.parametrize("case", ["reduced-above-full", "full-too-dear"])
+def test_bad_trace_prices_name_their_slot(small_cfg, case):
+    # the bound keeps a horizon of full prices summable exactly: 2**53 / T
+    base = generate_trace(small_cfg, small_cfg.seed)
+    dearest = 2**53 // small_cfg.horizon
+    full, reduced = base.price_full.copy(), base.price_reduced.copy()
+    if case == "reduced-above-full":
+        reduced[137] = full[137] + 1
+    else:
+        full[137] = dearest + 1
+    trace = dataclasses.replace(base, price_full=full, price_reduced=reduced)
+    expected = (
+        f"trace seed 7: slot 137 prices must satisfy 0 < reduced < full <= "
+        f"{dearest} micro-cents, got full={full[137]} reduced={reduced[137]}"
+    )
+    for params in (LYAP1, QualityParams(n_units=150, deadline=199, quality_budget=30)):
+        with pytest.raises(ConfigurationError, match=re.escape(expected)):
+            run(small_cfg, params, trace)
+    full[137] = dearest
+    reduced[137] = dearest - 1
+    run(small_cfg, LYAP1, trace)  # the bound itself is admitted
 
 
 def test_capacities(small_cfg):
@@ -387,7 +404,7 @@ def test_oracle_solve_failure_names_its_instance(small_cfg, monkeypatch):
         "walk cost 5 != dual bound 4"
     )
     with pytest.raises(InvariantViolationError, match=re.escape(expected)):
-        engine.oracle_reference(small_cfg, trace, 150, 30)
+        engine.oracle_reference(trace, 150, 30)
 
 
 def test_compare_with_oracle_skips_incomparable_runs(small_cfg):
@@ -500,20 +517,19 @@ class RoguePolicy(BasePolicy):
     whenever ``when(slot, its level)`` holds."""
 
     def __init__(self, params, concentrator, when, action):
-        self.inner = make_policy(params, ROGUE_CFG)
+        self.params = params
         self.concentrator, self.when, self.action = concentrator, when, action
 
-    def reset(self, k):
-        self.inner.reset(k)
+    def build(self, config, trace):
+        """The engine's make_policy: a fresh inner policy for every run."""
+        self.inner = make_policy(self.params, config, trace)
+        return self
 
-    def decide_slot(self, slot, levels, prices, q_len, z_len):
-        actions = self.inner.decide_slot(slot, levels, prices, q_len, z_len).copy()
+    def decide_slot(self, slot, levels, q_len, z_len):
+        actions = self.inner.decide_slot(slot, levels, q_len, z_len).copy()
         if self.when(slot, levels[self.concentrator]):
             actions[self.concentrator] = int(self.action)
         return actions
-
-    def observe_prices(self, prices):
-        self.inner.observe_prices(prices)
 
 
 def _first_slot(row, start):
@@ -570,7 +586,7 @@ def _rogue_cases(levels):
         # every concentrator may spend twice the budget the run allows
         "budget-exceeded": (
             ROGUE_QUALITY,
-            QualityPolicy(wider),
+            RoguePolicy(wider, 0, lambda t, lvl: False, Action.IDLE),
             "quality budget of 30 exceeded",
             _first_over_budget(wider, ROGUE_QUALITY.quality_budget),
         ),
@@ -590,7 +606,7 @@ ROGUE_CASE_IDS = [
 def test_rogue_policy_is_caught_after_the_run(case, monkeypatch, tmp_path, capsys):
     trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
     params, rogue, rule, (slot, concentrator) = _rogue_cases(trace.levels)[case]
-    monkeypatch.setattr(engine, "make_policy", lambda p, c: rogue)
+    monkeypatch.setattr(engine, "make_policy", lambda p, c, t: rogue.build(c, t))
     expected = f"{params.label} seed 7: {rule} at slot {slot}, concentrator {concentrator}"
     with pytest.raises(InvariantViolationError, match=re.escape(expected)):
         run(ROGUE_CFG, params, trace)

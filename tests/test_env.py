@@ -1,43 +1,56 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hpclease import ScenarioConfig, generate_trace, load_trace, save_trace, unit_prices
-from hpclease.env import (
-    ArrivalBatch,
-    PriceSample,
-    SpectrumLevel,
-    reduced_unit_packets,
-    to_microcents,
+from hpclease import (
+    LyapunovParams,
+    ScenarioConfig,
+    generate_trace,
+    load_trace,
+    run,
+    save_trace,
 )
+from hpclease.env import SpectrumLevel, reduced_unit_packets, to_microcents
 from hpclease.errors import ConfigurationError, TraceFormatError
+
+from reference import ArrivalBatch
 
 
 def test_unit_prices_half_fraction():
-    p = unit_prices(to_microcents(0.5), 5, 0.5)
-    assert p.full_microcents == to_microcents(2.5)
-    assert p.reduced_microcents == to_microcents(1.5)  # ceil(2.5) = 3 packets
+    # half of an odd 7-packet unit rounds up to a 4-packet reduced unit
+    cfg = ScenarioConfig(k_concentrators=1, horizon=50, unit_size_packets=7)
+    trace = generate_trace(cfg, 3)
+    assert np.array_equal(trace.price_full, trace.price_packet * 7)
+    assert np.array_equal(trace.price_reduced, trace.price_packet * 4)
 
 
 def test_unit_prices_degenerate_single_packet_unit():
-    with pytest.raises(ConfigurationError):
-        unit_prices(to_microcents(1.0), 1, 0.5)
+    # a reduced one-packet unit is no cheaper than the full one
+    with pytest.raises(ConfigurationError, match="unit_size_packets 1"):
+        ScenarioConfig(k_concentrators=1, horizon=50, mean_arrival=1).validate()
 
 
 def test_unit_prices_small_fraction():
-    p = unit_prices(to_microcents(0.1), 10, 0.3)
-    assert p.full_microcents == to_microcents(1.0)
-    assert p.reduced_microcents == to_microcents(0.3)
+    # ceil(0.3 * 10) is 3 packets, though the float product is 2.9999999999999996
+    cfg = ScenarioConfig(
+        k_concentrators=1, horizon=50, mean_arrival=10, reduced_fraction=0.3
+    )
+    trace = generate_trace(cfg, 3)
+    assert np.array_equal(trace.price_full, trace.price_packet * 10)
+    assert np.array_equal(trace.price_reduced, trace.price_packet * 3)
 
 
 def test_unit_prices_rejects_bad_inputs():
-    with pytest.raises(ConfigurationError):
-        unit_prices(0, 5, 0.5)
-    with pytest.raises(ConfigurationError):
-        unit_prices(100, 0, 0.5)
-    with pytest.raises(ConfigurationError):
-        unit_prices(100, 5, 0.0)
-    with pytest.raises(ConfigurationError):
-        unit_prices(100, 5, 1.0)
+    cfg = ScenarioConfig(k_concentrators=1, horizon=50)
+    for bad in (
+        {"price_low_cents": 0.0},
+        {"unit_size_packets": 0},
+        {"reduced_fraction": 0.0},
+        {"reduced_fraction": 1.0},
+    ):
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(cfg, **bad).validate()
 
 
 def test_reduced_unit_packets_is_exact_ceiling():
@@ -48,11 +61,20 @@ def test_reduced_unit_packets_is_exact_ceiling():
 
 
 def test_price_sample_ordering_enforced():
-    PriceSample(full_microcents=2, reduced_microcents=1)
-    with pytest.raises(ConfigurationError):
-        PriceSample(full_microcents=1, reduced_microcents=1)
-    with pytest.raises(ConfigurationError):
-        PriceSample(full_microcents=2, reduced_microcents=0)
+    # a run checks every slot of a hand-built trace for 0 < reduced < full
+    cfg = ScenarioConfig(k_concentrators=2, horizon=6)
+    base = generate_trace(cfg, 0)
+    ones = np.ones(6, dtype=np.int64)
+    good = dataclasses.replace(base, price_full=2 * ones, price_reduced=ones)
+    run(cfg, LyapunovParams(v_factor=1.0), good)
+    for full, reduced in ((1, 1), (2, 0)):
+        bad = dataclasses.replace(
+            good,
+            price_full=np.where(np.arange(6) == 3, full, good.price_full),
+            price_reduced=np.where(np.arange(6) == 3, reduced, good.price_reduced),
+        )
+        with pytest.raises(ConfigurationError, match="slot 3 prices"):
+            run(cfg, LyapunovParams(v_factor=1.0), bad)
 
 
 def test_arrival_batch_rejects_negative():

@@ -48,3 +48,41 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes that no code of the other top-level
+    statements (in any of ``sources``) names, by a bare name or an attribute;
+    uses inside a definition's own body do not count."""
+    defined, users = [], {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (module, stmt.name)
+                defined.append(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add(owner)
+    return [
+        f"{module}:{name}"
+        for module, name in defined
+        if not users.get(name, set()) - {(module, name)}
+    ]
+
+
+def test_checker_flags_an_unused_definition():
+    sources = {
+        "a.py": "def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n",
+        "b.py": "import a\n\ndef g():\n    return a.C()\n\nh = g\n",
+    }
+    assert unused_definitions(sources) == ["a.py:f"]
+
+
+def test_every_definition_is_used_by_the_package():
+    # the package's own code must use each definition; __init__ re-exports
+    # and tests do not count, so a test-only helper belongs under tests/
+    sources = {module.name: module.read_text() for module in MODULES}
+    assert unused_definitions(sources) == []

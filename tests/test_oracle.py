@@ -11,14 +11,13 @@ from hpclease.oracle import (
     Schedule,
     instance_from_trace,
     lower_bound_gap,
-    solve_bruteforce,
     solve_dp,
     validate_schedule,
 )
 from hpclease.policy import Action
 
 from conftest import make_instance
-from reference import solve_banded_dp
+from reference import solve_banded_dp, solve_bruteforce
 
 N0, R1, F2 = int(SpectrumLevel.NONE), int(SpectrumLevel.REDUCED), int(SpectrumLevel.FULL)
 

@@ -1,31 +1,45 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpclease.env import MICROCENTS_PER_CENT, PriceSample, SpectrumLevel, to_microcents
+from hpclease import ScenarioConfig, generate_trace, run
+from hpclease.cli import PRESETS
+from hpclease.env import MICROCENTS_PER_CENT, SpectrumLevel, to_microcents
 from hpclease.errors import ConfigurationError, InfeasibleError
 from hpclease.policy import (
     Action,
     LyapunovParams,
     LyapunovPolicy,
-    PapTracker,
     QualityParams,
     QualityPolicy,
     StaticBurstPolicy,
     StaticParams,
-    lyapunov_threshold,
     static_decide,
 )
+
+from reference import PapMirror
 
 NONE, REDUCED, FULL = SpectrumLevel.NONE, SpectrumLevel.REDUCED, SpectrumLevel.FULL
 
 
 def price(full_cents, reduced_cents):
-    return PriceSample(
-        full_microcents=to_microcents(full_cents),
-        reduced_microcents=to_microcents(reduced_cents),
-    )
+    """One slot's (full, reduced) unit prices in micro-cents."""
+    return to_microcents(full_cents), to_microcents(reduced_cents)
+
+
+def thresholds(v_factor, full_microcents):
+    """The Lyapunov policy's per-slot purchase thresholds for these prices."""
+    prices = np.asarray(full_microcents, dtype=np.int64)
+    return LyapunovPolicy(LyapunovParams(v_factor), 5, 2, prices).threshold
+
+
+def quality_policy(params, prices, k=1):
+    """A deadline scheduler over (full, reduced) micro-cent pairs, one per slot."""
+    full, reduced = np.array(prices, dtype=np.int64).reshape(-1, 2).T
+    return QualityPolicy(params, k, full, reduced)
 
 
 # -- scalar references: one concentrator, one slot ----------------------
@@ -94,43 +108,48 @@ def quality_decide(
         return Action.FREE_FULL
     if level == SpectrumLevel.REDUCED and budget_remaining > 0:
         return Action.FREE_REDUCED
-    if prices.full_microcents <= tracker.pap_full_microcents:
+    full, reduced = prices
+    if full <= tracker.pap_full_microcents:
         return Action.BUY_FULL
-    if budget_remaining > 0 and prices.reduced_microcents <= tracker.pap_reduced_microcents:
+    if budget_remaining > 0 and reduced <= tracker.pap_reduced_microcents:
         return Action.BUY_REDUCED
     return Action.IDLE
 
 
 def test_threshold_examples():
-    assert lyapunov_threshold(3.2e7, 0.5) == 8.0e6
-    assert lyapunov_threshold(0.0, 0.42) == 0.0
-    for v, c in [(1.0, 0.3), (17.0, 0.9), (250.0, 0.11)]:
-        assert lyapunov_threshold(2 * v, c) == 2 * lyapunov_threshold(v, c)
+    assert thresholds(3.2e7, [to_microcents(0.5)]).tolist() == [8.0e6]
+    assert thresholds(0.0, [to_microcents(0.42)]).tolist() == [0.0]
+    prices = [to_microcents(c) for c in (0.3, 0.9, 0.11)]
+    for v in (1.0, 17.0, 250.0):
+        assert np.array_equal(thresholds(2 * v, prices), 2 * thresholds(v, prices))
 
 
 def test_threshold_rejects_bad_inputs():
     with pytest.raises(ConfigurationError):
-        lyapunov_threshold(-1.0, 0.5)
-    with pytest.raises(ConfigurationError):
-        lyapunov_threshold(1.0, 0.0)
+        thresholds(-1.0, [to_microcents(0.5)])
+    # a zero price never reaches a threshold: the run rejects its trace
+    cfg = ScenarioConfig(k_concentrators=1, horizon=4)
+    zero = np.zeros(4, dtype=np.int64)
+    trace = dataclasses.replace(
+        generate_trace(cfg, 0), price_full=zero, price_reduced=zero
+    )
+    with pytest.raises(ConfigurationError, match="slot 0 prices"):
+        run(cfg, LyapunovParams(v_factor=1.0), trace)
 
 
 def test_lyapunov_decide_buys_above_threshold():
     d = lyapunov_decide(8.1e6, 8.0e6, NONE, q_len=10, capacity=5, reduced_capacity=2)
     assert d == Action.BUY_FULL
-    assert d.is_purchase
 
 
 def test_lyapunov_decide_idle_when_empty():
     d = lyapunov_decide(0.0, 8.0e6, NONE, q_len=0, capacity=5, reduced_capacity=2)
     assert d == Action.IDLE
-    assert not d.is_purchase
 
 
 def test_lyapunov_decide_prefers_free_spectrum():
     d = lyapunov_decide(9.9e9, 1.0, FULL, q_len=10, capacity=5, reduced_capacity=2)
     assert d == Action.FREE_FULL
-    assert not d.is_purchase
 
 
 def test_lyapunov_decide_tie_does_not_buy():
@@ -149,19 +168,21 @@ def test_lyapunov_decide_partial_free_capacity():
 
 @given(
     st.floats(min_value=0, max_value=1e9),
-    st.floats(min_value=0.1, max_value=1.0),
+    st.integers(min_value=6_250, max_value=62_500),
     st.integers(min_value=0, max_value=4),
 )
 @settings(max_examples=300, deadline=None)
-def test_lyapunov_scaling_invariance(y, c, exp):
-    # V -> alpha*V and c -> c/alpha with alpha a power of two is exact
-    alpha = float(2**exp)
+def test_lyapunov_scaling_invariance(y, c16, exp):
+    # V -> alpha*V and c -> c/alpha with alpha a power of two is exact; c is
+    # a multiple of 16 micro-cents, so c/alpha is a whole price too
+    alpha = 2**exp
+    c = 16 * c16
     base = lyapunov_decide(
-        y, lyapunov_threshold(64.0, c), NONE, q_len=7, capacity=5, reduced_capacity=2
+        y, thresholds(64.0, [c])[0], NONE, q_len=7, capacity=5, reduced_capacity=2
     )
     scaled = lyapunov_decide(
         y,
-        lyapunov_threshold(64.0 * alpha, c / alpha),
+        thresholds(64.0 * alpha, [c // alpha])[0],
         NONE,
         q_len=7,
         capacity=5,
@@ -172,7 +193,7 @@ def test_lyapunov_scaling_invariance(y, c, exp):
 
 @given(
     st.floats(min_value=0, max_value=1e8),
-    st.floats(min_value=0.1, max_value=1.0),
+    st.integers(min_value=100_000, max_value=1_000_000),
     st.floats(min_value=0, max_value=1e4),
     st.floats(min_value=0, max_value=1e4),
 )
@@ -181,8 +202,8 @@ def test_lyapunov_purchases_nonincreasing_in_v(y, c, v1, dv):
     # anything bought at the larger V is also bought at the smaller V
     v2 = v1 + dv
     args = dict(level=NONE, q_len=9, capacity=5, reduced_capacity=2)
-    high = lyapunov_decide(y, lyapunov_threshold(v2, c), **args)
-    low = lyapunov_decide(y, lyapunov_threshold(v1, c), **args)
+    high = lyapunov_decide(y, thresholds(v2, [c])[0], **args)
+    low = lyapunov_decide(y, thresholds(v1, [c])[0], **args)
     if high == Action.BUY_FULL:
         assert low == Action.BUY_FULL
 
@@ -217,43 +238,67 @@ def test_static_burst_length_is_exact():
 
 
 def test_pap_running_mean():
-    tracker = PapTracker(beta_c=0.5)
-    tracker.observe(price(0.4, 0.2))
-    tracker.observe(price(0.6, 0.3))
-    assert tracker.pap_full_microcents == pytest.approx(0.25 * MICROCENTS_PER_CENT)
-    assert tracker.pap_reduced_microcents == pytest.approx(0.125 * MICROCENTS_PER_CENT)
+    mirror = PapMirror(beta_c=0.5)
+    mirror.observe(*price(0.4, 0.2))
+    mirror.observe(*price(0.6, 0.3))
+    assert mirror.pap_full_microcents == pytest.approx(0.25 * MICROCENTS_PER_CENT)
+    assert mirror.pap_reduced_microcents == pytest.approx(0.125 * MICROCENTS_PER_CENT)
+    # the policy's third slot compares with that mean; prices equal to it qualify
+    policy = quality_policy(
+        quality_params(beta=0.5), [price(0.4, 0.2), price(0.6, 0.3), price(0.25, 0.125)]
+    )
+    assert policy.attractive_full.tolist() == [False, False, True]
+    assert policy.attractive_reduced.tolist() == [False, False, True]
 
 
 def test_pap_single_observation():
-    tracker = PapTracker(beta_c=1.0)
-    tracker.observe(price(0.7, 0.3))
-    assert tracker.pap_full_microcents == pytest.approx(0.7 * MICROCENTS_PER_CENT)
+    mirror = PapMirror(beta_c=1.0)
+    mirror.observe(*price(0.7, 0.3))
+    assert mirror.pap_full_microcents == pytest.approx(0.7 * MICROCENTS_PER_CENT)
+    policy = quality_policy(
+        quality_params(), [price(0.7, 0.3), price(0.7, 0.3), price(0.71, 0.29)]
+    )
+    assert policy.attractive_full.tolist() == [False, True, False]
+    assert policy.attractive_reduced.tolist() == [False, True, True]
 
 
 def test_pap_zero_beta_never_attractive():
-    tracker = PapTracker(beta_c=0.0)
+    mirror = PapMirror(beta_c=0.0)
     for _ in range(5):
-        tracker.observe(price(0.9, 0.4))
-    assert tracker.pap_full_microcents == 0.0
-    assert tracker.pap_reduced_microcents == 0.0
-    # cheapest possible posted price still fails price <= pap
-    assert not (1 <= tracker.pap_full_microcents)
-
-
-def test_pap_reset_clears_statistics():
-    tracker = PapTracker(beta_c=0.8)
-    tracker.observe(price(0.5, 0.2))
-    tracker.reset()
-    assert tracker.count == 0
-    assert tracker.pap_full_microcents == 0.0
-    assert tracker.beta_c == 0.8  # configuration survives reset
+        mirror.observe(*price(0.9, 0.4))
+    assert mirror.pap_full_microcents == 0.0
+    assert mirror.pap_reduced_microcents == 0.0
+    # the cheapest possible posted price still fails price <= pap
+    policy = quality_policy(quality_params(beta=0.0), [price(0.9, 0.4)] * 5 + [(2, 1)])
+    assert not policy.attractive_full.any()
+    assert not policy.attractive_reduced.any()
 
 
 def test_pap_rejects_bad_beta():
-    with pytest.raises(ConfigurationError):
-        PapTracker(beta_c=1.5)
-    with pytest.raises(ConfigurationError):
-        PapTracker(beta_c=-0.1)
+    for beta in (1.5, -0.1):
+        with pytest.raises(ConfigurationError):
+            quality_policy(quality_params(beta=beta), [price(0.9, 0.4)])
+
+
+@pytest.mark.parametrize("beta_c", [0.0, 0.7, 1.0])
+def test_pap_flags_match_running_mean_mirror(beta_c):
+    # every slot of a 10,000-slot reference trace, bit for bit
+    cfg = PRESETS["reference"]
+    trace = generate_trace(cfg, cfg.seed)
+    params = QualityParams(
+        n_units=9_000, deadline=9_999, quality_budget=0, beta_c=beta_c
+    )
+    policy = QualityPolicy(params, trace.k, trace.price_full, trace.price_reduced)
+    mirror = PapMirror(beta_c)
+    full_flags, reduced_flags = [], []
+    for full, reduced in zip(trace.price_full.tolist(), trace.price_reduced.tolist()):
+        full_flags.append(full <= mirror.pap_full_microcents)
+        reduced_flags.append(reduced <= mirror.pap_reduced_microcents)
+        mirror.observe(full, reduced)
+    assert trace.horizon == len(full_flags) == 10_000
+    assert policy.attractive_full.tolist() == full_flags
+    assert policy.attractive_reduced.tolist() == reduced_flags
+    assert (0 < sum(full_flags) < trace.horizon) == (beta_c > 0)
 
 
 def quality_params(n=5, t=8, m=2, beta=1.0):
@@ -262,7 +307,7 @@ def quality_params(n=5, t=8, m=2, beta=1.0):
 
 def test_quality_decide_deadline_forces_cheapest_purchase():
     params = quality_params(n=5, t=8, m=2)
-    tracker = PapTracker(beta_c=1.0)
+    tracker = PapMirror(beta_c=1.0)
     # slots 6,7,8 remain for 3 units: every slot is forced
     d = quality_decide(params, tracker, 6, NONE, price(0.9, 0.5), 3, 1)
     assert d == Action.BUY_REDUCED
@@ -276,15 +321,14 @@ def test_quality_decide_deadline_forces_cheapest_purchase():
 
 def test_quality_decide_free_full_preferred():
     params = quality_params()
-    tracker = PapTracker(beta_c=1.0)
+    tracker = PapMirror(beta_c=1.0)
     d = quality_decide(params, tracker, 2, FULL, price(0.9, 0.5), 4, 2)
     assert d == Action.FREE_FULL
-    assert not d.is_purchase
 
 
 def test_quality_decide_idle_when_done():
     params = quality_params()
-    tracker = PapTracker(beta_c=1.0)
+    tracker = PapMirror(beta_c=1.0)
     d = quality_decide(params, tracker, 3, FULL, price(0.1, 0.05), 0, 2)
     assert d == Action.IDLE
 
@@ -293,7 +337,7 @@ def test_quality_decide_waits_for_arrivals():
     # slot 1, two units already sent is impossible; with zero sent the
     # only available unit is unit 1
     params = quality_params(n=5, t=8, m=0)
-    tracker = PapTracker(beta_c=1.0)
+    tracker = PapMirror(beta_c=1.0)
     d = quality_decide(params, tracker, 1, FULL, price(0.9, 0.5), 5, 0)
     assert d == Action.FREE_FULL
     # 4 remaining of 5 at slot 1 means unit 1 went out at slot 1 already
@@ -303,8 +347,8 @@ def test_quality_decide_waits_for_arrivals():
 
 def test_quality_decide_shops_below_pap():
     params = quality_params(n=2, t=9, m=1)
-    tracker = PapTracker(beta_c=1.0)
-    tracker.observe(price(0.6, 0.3))
+    tracker = PapMirror(beta_c=1.0)
+    tracker.observe(*price(0.6, 0.3))
     d = quality_decide(params, tracker, 2, NONE, price(0.5, 0.4), 2, 1)
     assert d == Action.BUY_FULL  # full at/below its average
     d = quality_decide(params, tracker, 2, NONE, price(0.7, 0.3), 2, 1)
@@ -317,7 +361,7 @@ def test_quality_decide_shops_below_pap():
 
 def test_quality_decide_guards():
     params = quality_params(n=5, t=8)
-    tracker = PapTracker(beta_c=1.0)
+    tracker = PapMirror(beta_c=1.0)
     with pytest.raises(InfeasibleError):
         quality_decide(params, tracker, 7, NONE, price(0.9, 0.5), 3, 1)
     with pytest.raises(ConfigurationError):
@@ -346,21 +390,23 @@ def test_lyapunov_params_validation():
         LyapunovParams(v_factor=-1.0).validate()
     with pytest.raises(ConfigurationError):
         LyapunovParams(v_factor=1.0, epsilon=0.0).validate()
+    with pytest.raises(ConfigurationError):
+        LyapunovParams(v_factor=1.0, epsilon=float("inf")).validate()
 
 
 def test_d_flag_matches_purchase_actions():
-    assert Action.BUY_FULL.is_purchase
-    assert Action.BUY_REDUCED.is_purchase
-    assert not Action.FREE_FULL.is_purchase
-    assert not Action.FREE_REDUCED.is_purchase
-    assert not Action.IDLE.is_purchase
+    # the engine counts a send as a lease when its code is >= BUY_FULL
+    purchases = {a for a in Action if a >= Action.BUY_FULL}
+    assert purchases == {Action.BUY_FULL, Action.BUY_REDUCED}
 
 
 def test_action_classification():
-    sends = {a for a in Action if a.is_send}
-    assert sends == {Action.FREE_FULL, Action.FREE_REDUCED, Action.BUY_FULL, Action.BUY_REDUCED}
-    reduced = {a for a in Action if a.is_reduced_quality}
-    assert reduced == {Action.FREE_REDUCED, Action.BUY_REDUCED}
+    # codes are stored in the decision matrix and named in the oracle's
+    # output legend; their order is the oracle's tie rule
+    assert [(a.name, int(a)) for a in Action] == [
+        ("IDLE", 0), ("FREE_FULL", 1), ("FREE_REDUCED", 2),
+        ("BUY_FULL", 3), ("BUY_REDUCED", 4),
+    ]
 
 
 # -- vectorized policies agree with the scalar rules --------------------
@@ -380,11 +426,11 @@ def test_lyapunov_policy_matches_scalar(data):
             st.lists(st.floats(min_value=0, max_value=50), min_size=k, max_size=k)
         )
     )
-    prices = price(0.8, 0.4)
-    policy = LyapunovPolicy(LyapunovParams(v_factor=v), capacity=5, reduced_capacity=2)
-    policy.reset(k)
-    actions = policy.decide_slot(3, levels, prices, q, z)
-    threshold = lyapunov_threshold(v, prices.full_cents)
+    full = data.draw(st.integers(min_value=2, max_value=1_000_000))
+    prices = np.array([7, 7, 7, full], dtype=np.int64)
+    policy = LyapunovPolicy(LyapunovParams(v_factor=v), 5, 2, prices)
+    actions = policy.decide_slot(3, levels, q, z)
+    threshold = v * (full / MICROCENTS_PER_CENT) / 2.0  # the scalar V * c / 2
     for i in range(k):
         expected = lyapunov_decide(
             float(q[i] + z[i]),
@@ -408,8 +454,7 @@ def test_static_policy_matches_scalar(data):
     )
     params = StaticParams(period=1000, burst_len=200)
     policy = StaticBurstPolicy(params, capacity=5, reduced_capacity=2)
-    policy.reset(k)
-    actions = policy.decide_slot(slot, levels, price(0.5, 0.25), q, np.zeros(k))
+    actions = policy.decide_slot(slot, levels, q, np.zeros(k))
     for i in range(k):
         if q[i] == 0:
             assert actions[i] == int(Action.IDLE)
@@ -432,58 +477,40 @@ def test_quality_policy_matches_scalar_sequence(data):
     params = QualityParams(
         n_units=n_units, deadline=deadline, quality_budget=budget, beta_c=beta
     )
+    full_cents = data.draw(
+        st.lists(st.integers(2, 100), min_size=deadline + 1, max_size=deadline + 1)
+    )
+    prices = [(c * 10_000, c * 5_000) for c in full_cents]
 
-    policy = QualityPolicy(params)
-    policy.reset(k)
-    mirror = PapTracker(beta_c=beta)
+    policy = quality_policy(params, prices, k)
+    mirror = PapMirror(beta_c=beta)
     remaining = [n_units] * k
     budget_left = [budget] * k
+    idle = policy.decide_slot(0, np.zeros(k, np.uint8), np.zeros(k, int), np.zeros(k))
+    assert not idle.any()  # no unit exists before slot 1
+    mirror.observe(*prices[0])
 
     for slot in range(1, deadline + 1):
         levels = np.array(
             data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)),
             dtype=np.uint8,
         )
-        full_c = data.draw(st.integers(min_value=2, max_value=100))
-        prices = PriceSample(
-            full_microcents=full_c * 10_000, reduced_microcents=full_c * 5_000
-        )
-        actions = policy.decide_slot(
-            slot, levels, prices, np.zeros(k, int), np.zeros(k)
-        )
+        actions = policy.decide_slot(slot, levels, np.zeros(k, int), np.zeros(k))
         for i in range(k):
             expected = quality_decide(
                 params,
                 mirror,
                 slot,
                 SpectrumLevel(levels[i]),
-                prices,
+                prices[slot],
                 remaining[i],
                 budget_left[i],
             )
             assert actions[i] == int(expected)
-            if expected.is_send:
+            if expected != Action.IDLE:
                 remaining[i] -= 1
-            if expected.is_reduced_quality:
+            if expected in (Action.FREE_REDUCED, Action.BUY_REDUCED):
                 budget_left[i] -= 1
-        policy.observe_prices(prices)
-        mirror.observe(prices)
+        mirror.observe(*prices[slot])
 
     assert remaining == [0] * k
-
-
-def test_policy_reset_equals_fresh_state():
-    params = quality_params(n=3, t=6, m=1, beta=0.7)
-    used = QualityPolicy(params)
-    used.reset(2)
-    used.decide_slot(1, np.array([2, 2], dtype=np.uint8), price(0.5, 0.25),
-                     np.zeros(2, int), np.zeros(2))
-    used.observe_prices(price(0.5, 0.25))
-    used.reset(2)
-
-    fresh = QualityPolicy(params)
-    fresh.reset(2)
-    assert used.tracker.count == fresh.tracker.count == 0
-    assert np.array_equal(used.sent, fresh.sent)
-    assert np.array_equal(used.reduced_used, fresh.reduced_used)
-    assert used.params.beta_c == 0.7

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpclease.env import ArrivalBatch
 from hpclease.errors import ConfigurationError
-from hpclease.queueing import (
+
+from reference import (
+    ArrivalBatch,
     ConcentratorState,
     ServiceGrant,
     advance_virtual,
