@@ -3,7 +3,6 @@ serving smart-grid concentrator fleets."""
 
 from .config import ScenarioConfig
 from .engine import (
-    OracleComparison,
     RunMetrics,
     compare_with_oracle,
     derive_quality_params,
@@ -29,7 +28,6 @@ from .oracle import (
     OfflineInstance,
     Schedule,
     instance_from_trace,
-    lower_bound_gap,
     solve_dp,
     validate_schedule,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "InvariantViolationError",
     "LyapunovParams",
     "OfflineInstance",
-    "OracleComparison",
     "QualityParams",
     "RunMetrics",
     "Schedule",
@@ -74,7 +71,6 @@ __all__ = [
     "instance_from_trace",
     "is_unit_granular",
     "load_trace",
-    "lower_bound_gap",
     "make_policy",
     "oracle_reference",
     "quality_sweep_summary",

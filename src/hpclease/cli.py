@@ -9,7 +9,6 @@ stderr; data goes to stdout only with `-o -`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -47,38 +46,6 @@ DEFAULT_V_GRID = [float(v) for v in np.logspace(0.0, 4.0, 10)]
 DEFAULT_BUDGET_SHARES = [0.0, 0.1, 0.2, 0.3]
 
 
-@dataclasses.dataclass
-class CommandSpec:
-    """Parsed and validated command line."""
-
-    command: str
-    config_path: str | None = None
-    preset: str = "reference"
-    overrides: dict = dataclasses.field(default_factory=dict)
-    seed: int | None = None
-    seeds: list[int] | None = None
-    seed_count: int | None = None
-    out: str | None = None
-    format: str = "csv"
-    policy: str = "lyapunov"
-    v_factor: float = 1.0
-    epsilon: float | None = None
-    period: int = 1000
-    burst_len: int = 200
-    n_units: int | None = None
-    deadline: int | None = None
-    quality_budget: int | None = None
-    budget_share: float | None = None
-    beta_c: float = 1.0
-    v_values: list[float] | None = None
-    budget_shares: list[float] | None = None
-    with_oracle: bool = False
-    trace_path: str | None = None
-    concentrator: int = 0
-    first_slot: int = 1
-    last_slot: int | None = None
-
-
 def _key_value(text: str) -> tuple[str, object]:
     if "=" not in text:
         raise argparse.ArgumentTypeError(
@@ -109,7 +76,11 @@ def _seed_list(text: str) -> list[int]:
     return parts
 
 
-def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
+def _subcommand(subs, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """A subparser with the shared scenario flags whose namespace carries
+    ``handler``, the function that `main` calls with it."""
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(handler=handler)
     sub.add_argument("--config", dest="config_path", help="scenario JSON file")
     sub.add_argument(
         "--preset",
@@ -133,17 +104,17 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
         help="output directory, or - for stdout (default: "
         f"${OUT_DIR_ENV} or the working directory)",
     )
+    return sub
 
 
-def parse_args(argv: list[str] | None = None) -> CommandSpec:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="hpclease",
         description="Leased-channel simulator for smart-grid concentrator fleets",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_run = subs.add_parser("run", help="simulate one policy on one trace")
-    _add_scenario_args(p_run)
+    p_run = _subcommand(subs, "run", _cmd_run, "simulate one policy on one trace")
     p_run.add_argument(
         "--policy", default="lyapunov", choices=["lyapunov", "static", "quality"]
     )
@@ -161,10 +132,9 @@ def parse_args(argv: list[str] | None = None) -> CommandSpec:
     )
     p_run.add_argument("--beta-c", type=float, default=1.0)
 
-    p_cmp = subs.add_parser(
-        "compare", help="matched-trace policy table with offline reference"
+    p_cmp = _subcommand(
+        subs, "compare", _cmd_compare, "matched-trace policy table with offline reference"
     )
-    _add_scenario_args(p_cmp)
     p_cmp.add_argument("--v-factor", type=float, default=1.0)
     p_cmp.add_argument(
         "--budget-share",
@@ -173,8 +143,9 @@ def parse_args(argv: list[str] | None = None) -> CommandSpec:
     )
     p_cmp.add_argument("--beta-c", type=float, default=1.0)
 
-    p_sv = subs.add_parser("sweep-v", help="cost-weight sweep, aggregated over seeds")
-    _add_scenario_args(p_sv)
+    p_sv = _subcommand(
+        subs, "sweep-v", _cmd_sweep_v, "cost-weight sweep, aggregated over seeds"
+    )
     p_sv.add_argument(
         "--v",
         dest="v_values",
@@ -188,10 +159,12 @@ def parse_args(argv: list[str] | None = None) -> CommandSpec:
     )
     p_sv.add_argument("--format", default="csv", choices=["csv", "json", "dat"])
 
-    p_sq = subs.add_parser(
-        "sweep-quality", help="quality-budget sweep at a matched delay target"
+    p_sq = _subcommand(
+        subs,
+        "sweep-quality",
+        _cmd_sweep_quality,
+        "quality-budget sweep at a matched delay target",
     )
-    _add_scenario_args(p_sq)
     p_sq.add_argument(
         "--budgets",
         dest="budget_shares",
@@ -204,8 +177,7 @@ def parse_args(argv: list[str] | None = None) -> CommandSpec:
     p_sq.add_argument("--with-oracle", action="store_true")
     p_sq.add_argument("--format", default="csv", choices=["csv", "json", "dat"])
 
-    p_or = subs.add_parser("oracle", help="solve one offline instance exactly")
-    _add_scenario_args(p_or)
+    p_or = _subcommand(subs, "oracle", _cmd_oracle, "solve one offline instance exactly")
     p_or.add_argument("--trace", dest="trace_path", help="saved trace file")
     p_or.add_argument("--n-units", type=int, required=True)
     p_or.add_argument("--quality-budget", type=int, default=0)
@@ -213,26 +185,11 @@ def parse_args(argv: list[str] | None = None) -> CommandSpec:
     p_or.add_argument("--first-slot", type=int, default=1)
     p_or.add_argument("--last-slot", type=int)
 
-    p_gt = subs.add_parser("gen-trace", help="draw and save a scenario trace")
-    _add_scenario_args(p_gt)
-
-    ns = parser.parse_args(argv)
-    spec = CommandSpec(command=ns.command)
-    for field in dataclasses.fields(CommandSpec):
-        if field.name == "overrides":
-            spec.overrides = dict(getattr(ns, "overrides", []) or [])
-        elif hasattr(ns, field.name):
-            value = getattr(ns, field.name)
-            if value is not None:
-                setattr(spec, field.name, value)
-    if getattr(ns, "seeds", None) is not None and len(ns.seeds) == 1:
-        # one number means a seed count anchored at the base seed
-        spec.seeds = None
-        spec.seed_count = ns.seeds[0]
-    return spec
+    _subcommand(subs, "gen-trace", _cmd_gen_trace, "draw and save a scenario trace")
+    return parser.parse_args(argv)
 
 
-def _scenario(spec: CommandSpec) -> ScenarioConfig:
+def _scenario(spec: argparse.Namespace) -> ScenarioConfig:
     if spec.config_path:
         try:
             with open(spec.config_path, "rb") as fh:
@@ -255,22 +212,26 @@ def _scenario(spec: CommandSpec) -> ScenarioConfig:
     return cfg
 
 
-def _seeds(spec: CommandSpec, cfg: ScenarioConfig, default_count: int = 5) -> list[int]:
-    if spec.seeds is not None:
+def _seeds(spec: argparse.Namespace, cfg: ScenarioConfig) -> list[int]:
+    """--seeds as a list: one number is a count of seeds from the base seed
+    (5 when the flag is absent), more are the seeds themselves."""
+    if spec.seeds is not None and len(spec.seeds) > 1:
+        if min(spec.seeds) < 0:
+            raise ConfigurationError("--seeds must be nonnegative")
         return spec.seeds
-    count = spec.seed_count if spec.seed_count is not None else default_count
+    count = 5 if spec.seeds is None else spec.seeds[0]
     if count < 1:
         raise ConfigurationError("seed count must be at least 1")
     return [cfg.seed + i for i in range(count)]
 
 
-def _out_dir(spec: CommandSpec) -> str:
+def _out_dir(spec: argparse.Namespace) -> str:
     if spec.out is not None:
         return spec.out
     return os.environ.get(OUT_DIR_ENV, ".")
 
 
-def _write(spec: CommandSpec, filename: str, payload: bytes) -> None:
+def _write(spec: argparse.Namespace, filename: str, payload: bytes) -> None:
     """Atomic file write, or stdout when the output target is '-'."""
     target = _out_dir(spec)
     if target == "-":
@@ -294,7 +255,7 @@ def _json_bytes(doc: object) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def _policy_params(spec: CommandSpec, cfg: ScenarioConfig, trace) -> PolicyParams:
+def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig, trace) -> PolicyParams:
     if spec.policy == "lyapunov":
         return LyapunovParams(v_factor=spec.v_factor, epsilon=spec.epsilon)
     if spec.policy == "static":
@@ -318,7 +279,7 @@ def _policy_params(spec: CommandSpec, cfg: ScenarioConfig, trace) -> PolicyParam
     )
 
 
-def _cmd_run(spec: CommandSpec) -> int:
+def _cmd_run(spec: argparse.Namespace) -> int:
     cfg = _scenario(spec)
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, _policy_params(spec, cfg, trace), trace)
@@ -329,7 +290,7 @@ def _cmd_run(spec: CommandSpec) -> int:
     return 0
 
 
-def _cmd_compare(spec: CommandSpec) -> int:
+def _cmd_compare(spec: argparse.Namespace) -> int:
     cfg = _scenario(spec)
     trace = generate_trace(cfg, cfg.seed)
     policies = [
@@ -353,18 +314,20 @@ def _cmd_compare(spec: CommandSpec) -> int:
 
     oracle_row = None
     if is_unit_granular(cfg):
-        total, _ = oracle_reference(trace, oracle_units, oracle_budget)
+        total = int(oracle_reference(trace, oracle_units, oracle_budget).sum())
         oracle_row = (f"oracle[m={oracle_budget}]", total)
     _write(spec, "comparison.csv", report.comparison_table_csv(rows, oracle_row))
     return 0
 
 
-def _cmd_sweep_v(spec: CommandSpec) -> int:
+def _cmd_sweep_v(spec: argparse.Namespace) -> int:
     cfg = _scenario(spec)
     seeds = _seeds(spec, cfg)
     grid = spec.v_values if spec.v_values is not None else DEFAULT_V_GRID
     if len(set(grid)) != len(grid):
         raise ConfigurationError("duplicate values in the sweep grid")
+    if len(grid) < 2:
+        raise ConfigurationError("a sweep needs at least two distinct axis values")
     runs_by_v: dict[float, list[RunMetrics]] = {v: [] for v in grid}
     for seed in seeds:
         trace = generate_trace(cfg, seed)
@@ -375,7 +338,7 @@ def _cmd_sweep_v(spec: CommandSpec) -> int:
     return 0
 
 
-def _cmd_sweep_quality(spec: CommandSpec) -> int:
+def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
     cfg = _scenario(spec)
     seeds = _seeds(spec, cfg)
     shares = (
@@ -383,6 +346,8 @@ def _cmd_sweep_quality(spec: CommandSpec) -> int:
         if spec.budget_shares is not None
         else DEFAULT_BUDGET_SHARES
     )
+    if not shares:
+        raise ConfigurationError("empty sweep")
     runs_by_budget: dict[int, list[RunMetrics]] = {}
     oracle_by_budget: dict[int, list[int]] | None = (
         {} if spec.with_oracle else None
@@ -402,20 +367,18 @@ def _cmd_sweep_quality(spec: CommandSpec) -> int:
             metrics = run(cfg, params, trace)
             runs_by_budget.setdefault(budget, []).append(metrics)
             if oracle_by_budget is not None:
-                comparison = compare_with_oracle(cfg, trace, metrics)
-                if comparison is None:
+                offline = compare_with_oracle(cfg, trace, metrics)
+                if offline is None:
                     raise ConfigurationError(
                         "oracle comparison requested but the run is not comparable"
                     )
-                oracle_by_budget.setdefault(budget, []).append(
-                    comparison.offline_cost_microcents
-                )
+                oracle_by_budget.setdefault(budget, []).append(offline)
     result = report.quality_sweep_summary(runs_by_budget, oracle_by_budget)
     _write(spec, f"sweep_quality.{spec.format}", report.emit(result, spec.format))
     return 0
 
 
-def _cmd_oracle(spec: CommandSpec) -> int:
+def _cmd_oracle(spec: argparse.Namespace) -> int:
     if spec.trace_path:
         try:
             with open(spec.trace_path, "rb") as fh:
@@ -427,7 +390,7 @@ def _cmd_oracle(spec: CommandSpec) -> int:
     else:
         cfg = _scenario(spec)
         trace = generate_trace(cfg, cfg.seed)
-    budget = spec.quality_budget or 0
+    budget = spec.quality_budget
     last_slot = spec.last_slot if spec.last_slot is not None else trace.horizon - 1
     instance = instance_from_trace(
         trace,
@@ -468,31 +431,17 @@ def _cmd_oracle(spec: CommandSpec) -> int:
     return 0
 
 
-def _cmd_gen_trace(spec: CommandSpec) -> int:
+def _cmd_gen_trace(spec: argparse.Namespace) -> int:
     cfg = _scenario(spec)
     trace = generate_trace(cfg, cfg.seed)
     _write(spec, f"trace_{cfg.seed}.json", save_trace(trace))
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "compare": _cmd_compare,
-    "sweep-v": _cmd_sweep_v,
-    "sweep-quality": _cmd_sweep_quality,
-    "oracle": _cmd_oracle,
-    "gen-trace": _cmd_gen_trace,
-}
-
-
-def execute(spec: CommandSpec) -> int:
-    return _COMMANDS[spec.command](spec)
-
-
 def main(argv: list[str] | None = None) -> int:
     spec = parse_args(argv)
     try:
-        return execute(spec)
+        return spec.handler(spec)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -30,7 +30,7 @@ import numpy as np
 from .config import EXACT_MICROCENTS, ScenarioConfig
 from .env import SpectrumLevel, Trace, generate_trace, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
-from .oracle import instance_from_trace, lower_bound_gap, solve_dp
+from .oracle import instance_from_trace, solve_dp
 from .policy import (
     Action,
     BasePolicy,
@@ -356,22 +356,11 @@ def derive_quality_params(
     )
 
 
-@dataclass(frozen=True)
-class OracleComparison:
-    """Offline-optimal reference against one completed online run."""
-
-    policy_label: str
-    online_cost_microcents: int
-    offline_cost_microcents: int
-    gap_microcents: int
-    ratio: float
-
-
 def oracle_reference(
     trace: Trace,
     n_units: int,
     quality_budget: int,
-) -> tuple[int, np.ndarray]:
+) -> np.ndarray:
     """Offline-optimal cost of the (n_units, budget) workload per concentrator."""
     per_conc = np.zeros(trace.k, dtype=np.int64)
     for i in range(trace.k):
@@ -383,15 +372,16 @@ def oracle_reference(
                 f"oracle seed {trace.seed}, concentrator {i}, n_units {n_units}, "
                 f"budget {quality_budget}: {exc}"
             ) from exc
-    return int(per_conc.sum()), per_conc
+    return per_conc
 
 
 def compare_with_oracle(
     config: ScenarioConfig,
     trace: Trace,
     metrics: RunMetrics,
-) -> OracleComparison | None:
-    """Check offline dominance for one run, if the run is comparable.
+) -> int | None:
+    """The fleet's offline-optimal cost in micro-cents for one run's
+    workload, after checking offline dominance, if the run is comparable.
 
     Comparable means the run maps onto an offline scheduling instance:
     the scenario is unit-granular, and either the policy is the deadline
@@ -421,7 +411,7 @@ def compare_with_oracle(
         n_units = config.horizon - 1
         if metrics.total_served != n_units * unit * metrics.k:
             return None
-    offline_total, offline_per_conc = oracle_reference(trace, n_units, budget)
+    offline_per_conc = oracle_reference(trace, n_units, budget)
     beaten = np.flatnonzero(metrics.cost_per_concentrator < offline_per_conc)
     if beaten.size:
         i = int(beaten[0])
@@ -430,11 +420,4 @@ def compare_with_oracle(
             f"{metrics.cost_per_concentrator[i]} of concentrator {i} beats the "
             f"offline optimum {offline_per_conc[i]}; oracle or accounting broken"
         )
-    gap, ratio = lower_bound_gap(metrics.cost_total_microcents, offline_total)
-    return OracleComparison(
-        policy_label=metrics.policy_label,
-        online_cost_microcents=metrics.cost_total_microcents,
-        offline_cost_microcents=offline_total,
-        gap_microcents=gap,
-        ratio=ratio,
-    )
+    return int(offline_per_conc.sum())

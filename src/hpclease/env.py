@@ -217,6 +217,11 @@ def load_trace(data: bytes) -> Trace:
 
 
 def _validate_trace_shape(trace: Trace, envelope: dict) -> None:
+    # generate_trace's dtypes; the price and queue arithmetic assumes them
+    for name in ("levels", "arrivals", "price_packet", "price_full", "price_reduced"):
+        want = np.dtype({"levels": np.uint8, "arrivals": np.int32}.get(name, np.int64))
+        if getattr(trace, name).dtype != want:
+            raise TraceFormatError(f"trace array {name!r} is not {want}")
     k = envelope.get("k")
     horizon = envelope.get("horizon")
     if trace.levels.shape != (k, horizon) or trace.arrivals.shape != (k, horizon):

@@ -13,7 +13,6 @@ reduced-quality send consumes the budget whether it was free or paid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,25 +229,6 @@ def solve_dp(instance: OfflineInstance) -> Schedule:
     schedule = Schedule(actions, dual(lam), reduced_count=m - reduced_left)
     validate_schedule(instance, schedule)
     return schedule
-
-
-def lower_bound_gap(
-    online_cost_microcents: int, offline_cost_microcents: int
-) -> tuple[int, float]:
-    """Gap and ratio of an online policy's cost against the offline optimum."""
-    if offline_cost_microcents < 0:
-        raise ConfigurationError("offline cost cannot be negative")
-    if online_cost_microcents < offline_cost_microcents:
-        raise InvariantViolationError(
-            f"online cost {online_cost_microcents} beats the offline optimum "
-            f"{offline_cost_microcents}; the oracle or the accounting is broken"
-        )
-    gap = online_cost_microcents - offline_cost_microcents
-    if offline_cost_microcents == 0:
-        ratio = 1.0 if online_cost_microcents == 0 else math.inf
-    else:
-        ratio = online_cost_microcents / offline_cost_microcents
-    return gap, ratio
 
 
 def instance_from_trace(

@@ -8,13 +8,14 @@ identical inputs produce byte-identical CSV/JSON/dat output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .env import to_dollars
 from .errors import ConfigurationError
-from .engine import OracleComparison, RunMetrics
+from .engine import RunMetrics
 
 AXIS_V_FACTOR = "v_factor"
 AXIS_QUALITY_BUDGET = "quality_budget"
@@ -245,11 +246,14 @@ def run_summary(metrics: RunMetrics) -> dict:
 
 
 def comparison_table_csv(
-    rows: list[tuple[RunMetrics, OracleComparison | None]],
+    rows: list[tuple[RunMetrics, int | None]],
     oracle_row: tuple[str, int] | None = None,
 ) -> bytes:
-    """Side-by-side policy table; oracle columns are blank when a run is not
-    comparable (incomplete workload or non-unit scenario). oracle_row, when
+    """Side-by-side policy table. Each row pairs a run with the offline-optimal
+    cost of its workload in micro-cents, or None when the run is not
+    comparable (incomplete workload or non-unit scenario), which leaves the
+    oracle columns blank. The ratio is online over offline cost: 1 when both
+    are 0, inf when only the offline cost is. oracle_row, when
     given, appends an offline optimum as (label, cost_microcents); the caller
     must pick its workload loose enough (smallest unit count, largest quality
     budget across the rows) for it to lower-bound every complete row."""
@@ -257,12 +261,17 @@ def comparison_table_csv(
         "policy,cost_dollars,cost_microcents,final_queue_mean,delay_mean,"
         "workload_complete,oracle_cost_dollars,oracle_ratio"
     ]
-    for metrics, oracle in rows:
+    for metrics, offline in rows:
         oracle_cost = ""
         oracle_ratio = ""
-        if oracle is not None:
-            oracle_cost = f"{to_dollars(oracle.offline_cost_microcents):.8f}"
-            oracle_ratio = f"{oracle.ratio:.6f}"
+        if offline is not None:
+            online = metrics.cost_total_microcents
+            if offline:
+                ratio = online / offline
+            else:
+                ratio = 1.0 if online == 0 else math.inf
+            oracle_cost = f"{to_dollars(offline):.8f}"
+            oracle_ratio = f"{ratio:.6f}"
         lines.append(
             ",".join(
                 [

@@ -27,14 +27,84 @@ def test_parse_sweep_grid_and_seed_count():
     spec = cli.parse_args(["sweep-v", "--v", "1e6,3.2e7,1e8", "--seeds", "5"])
     assert spec.command == "sweep-v"
     assert spec.v_values == [1e6, 3.2e7, 1e8]
-    assert spec.seeds is None
-    assert spec.seed_count == 5
+    assert cli._seeds(spec, ScenarioConfig(seed=40)) == [40, 41, 42, 43, 44]
+    absent = cli.parse_args(["sweep-v"])
+    assert cli._seeds(absent, ScenarioConfig(seed=40)) == [40, 41, 42, 43, 44]
 
 
 def test_parse_explicit_seed_list():
     spec = cli.parse_args(["sweep-v", "--seeds", "101,102,103"])
-    assert spec.seeds == [101, 102, 103]
-    assert spec.seed_count is None
+    assert cli._seeds(spec, ScenarioConfig(seed=40)) == [101, 102, 103]
+
+
+@pytest.mark.parametrize("command", ["sweep-v", "sweep-quality"])
+def test_negative_seeds_are_a_config_error(command, tmp_path, capsys):
+    assert main(tmp_path, command, "--seeds=-1,2", *SMALL) == 3
+    assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-v", "--v", "5"], "a sweep needs at least two distinct axis values"),
+        (["sweep-quality", "--budgets", "", "--seeds", "2"], "empty sweep"),
+    ],
+)
+def test_degenerate_sweep_grid_fails_before_any_run(
+    argv, message, monkeypatch, tmp_path, capsys
+):
+    def no_trace(*args):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(cli, "generate_trace", no_trace)
+    assert main(tmp_path, *argv) == 3
+    assert message in capsys.readouterr().err
+
+
+SCENARIO_DEFAULTS = {
+    "config_path": None,
+    "preset": "reference",
+    "overrides": [],
+    "seed": None,
+    "out": None,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (
+            ["run"],
+            {
+                "policy": "lyapunov", "v_factor": 1.0, "epsilon": None, "period": 1000,
+                "burst_len": 200, "n_units": None, "deadline": None,
+                "quality_budget": None, "budget_share": None, "beta_c": 1.0,
+            },
+        ),
+        (["compare"], {"v_factor": 1.0, "budget_share": None, "beta_c": 1.0}),
+        (["sweep-v"], {"v_values": None, "seeds": None, "format": "csv"}),
+        (
+            ["sweep-quality"],
+            {
+                "budget_shares": None, "v_factor": 1.0, "beta_c": 1.0, "seeds": None,
+                "with_oracle": False, "format": "csv",
+            },
+        ),
+        (
+            ["oracle", "--n-units", "7"],
+            {
+                "trace_path": None, "n_units": 7, "quality_budget": 0,
+                "concentrator": 0, "first_slot": 1, "last_slot": None,
+            },
+        ),
+        (["gen-trace"], {}),
+    ],
+    ids=["run", "compare", "sweep-v", "sweep-quality", "oracle", "gen-trace"],
+)
+def test_subcommand_defaults(argv, defaults):
+    parsed = vars(cli.parse_args(argv))
+    assert parsed.pop("handler") is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
+    assert parsed == {"command": argv[0], **SCENARIO_DEFAULTS, **defaults}
 
 
 def test_parse_missing_subcommand_is_usage_error():
@@ -300,7 +370,7 @@ def test_invariant_violation_maps_to_exit_5(monkeypatch, tmp_path):
     def boom(spec):
         raise InvariantViolationError("synthetic")
 
-    monkeypatch.setitem(cli._COMMANDS, "run", boom)
+    monkeypatch.setattr(cli, "_cmd_run", boom)
     assert main(tmp_path, "run") == 5
 
 

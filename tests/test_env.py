@@ -175,6 +175,18 @@ def test_load_rejects_damaged_payloads(small_cfg):
         load_trace(b"not json at all")
 
 
+@pytest.mark.parametrize(
+    "levels",
+    [lambda shape: np.full(shape, "1", dtype="<U1"), lambda shape: np.full(shape, 1.5)],
+    ids=["str", "float64"],
+)
+def test_load_rejects_arrays_of_another_dtype(small_cfg, levels):
+    trace = generate_trace(small_cfg, 7)
+    payload = save_trace(dataclasses.replace(trace, levels=levels(trace.levels.shape)))
+    with pytest.raises(TraceFormatError, match="'levels'"):
+        load_trace(payload)
+
+
 def test_spectrum_level_codes_are_stable():
     assert int(SpectrumLevel.NONE) == 0
     assert int(SpectrumLevel.REDUCED) == 1

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hpclease"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hpclease"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -45,7 +46,11 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == ["os (line 1)"]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "module",
+    MODULES + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
 

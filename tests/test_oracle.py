@@ -1,16 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
-from hpclease import ScenarioConfig, generate_trace
+from hpclease import generate_trace
 from hpclease.env import SpectrumLevel, to_microcents
 from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from hpclease.oracle import (
     OfflineInstance,
     Schedule,
     instance_from_trace,
-    lower_bound_gap,
     solve_dp,
     validate_schedule,
 )
@@ -219,18 +216,6 @@ def test_validate_schedule_catches_causality_violation():
     short = Schedule(np.array([int(Action.FREE_FULL), 0, 0], dtype=np.uint8), 0, 0)
     with pytest.raises(InvariantViolationError):
         validate_schedule(inst, short)
-
-
-def test_lower_bound_gap_examples():
-    assert lower_bound_gap(10, 8) == (2, 1.25)
-    assert lower_bound_gap(8, 8) == (0, 1.0)
-    assert lower_bound_gap(0, 0) == (0, 1.0)
-    gap, ratio = lower_bound_gap(5, 0)
-    assert gap == 5 and ratio == math.inf
-    with pytest.raises(InvariantViolationError):
-        lower_bound_gap(7, 8)
-    with pytest.raises(ConfigurationError):
-        lower_bound_gap(5, -1)
 
 
 def test_instance_from_trace_window(small_cfg):

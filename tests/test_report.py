@@ -1,11 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 from hpclease import ScenarioConfig, generate_trace, run
@@ -241,3 +241,13 @@ def test_comparison_table_layout(small_cfg):
     oracle_cells = lines[3].split(",")
     assert oracle_cells[0] == "oracle[m=0]"
     assert oracle_cells[2] == "4200"
+
+
+def test_comparison_ratio_cells(small_cfg):
+    base = run(small_cfg, LyapunovParams(v_factor=1.0), generate_trace(small_cfg, 7))
+    rows = [
+        (dataclasses.replace(base, cost_total_microcents=online), offline)
+        for online, offline in [(10, 8), (0, 0), (5, 0)]
+    ]
+    lines = comparison_table_csv(rows).decode().strip().split("\n")[1:]
+    assert [line.split(",")[7] for line in lines] == ["1.250000", "1.000000", "inf"]
