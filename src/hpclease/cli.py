@@ -218,6 +218,8 @@ def _seeds(spec: argparse.Namespace, cfg: ScenarioConfig) -> list[int]:
     if spec.seeds is not None and len(spec.seeds) > 1:
         if min(spec.seeds) < 0:
             raise ConfigurationError("--seeds must be nonnegative")
+        if len(set(spec.seeds)) < len(spec.seeds):
+            raise ConfigurationError(f"--seeds repeats a seed: {spec.seeds}")
         return spec.seeds
     count = 5 if spec.seeds is None else spec.seeds[0]
     if count < 1:

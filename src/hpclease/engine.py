@@ -2,18 +2,18 @@
 
 The policy is built once per run from the trace, so its price rules are
 per-slot arrays before the first slot. The slot loop carries only the
-state the next slot reads. Each slot it observes the queues, asks the
-policy for one action per concentrator, serves what the action's grant and
-the backlog allow, advances the virtual queues, then enqueues the slot's
-arrivals. Everything is vectorized across the fleet.
+state the next slot reads. Each slot it asks the policy for one action per
+concentrator, serves what the action's grant and the backlog allow,
+advances the virtual queues, then enqueues the slot's arrivals. Everything
+is vectorized across the fleet.
 
 Everything else runs once, over the finished (concentrator, slot)
 decision and service matrices: the invariant checks (each error names the
 policy label, seed, first offending slot and concentrator), the cost
-accounting, and the total packet delay. Service is FIFO within a
-concentrator, so the total delay is the area between its cumulative
-arrival and service curves (the sample-path argument behind Little's law),
-computed from per-slot counts and never per packet.
+accounting, the fleet's mean backlog per slot, and the total packet delay.
+Service is FIFO within a concentrator, so the total delay is the area
+between its cumulative arrival and service curves (the sample-path argument
+behind Little's law), computed from per-slot counts and never per packet.
 
 Costs are integer micro-cents throughout, so runs are reproducible to the
 last digit across platforms; ScenarioConfig.validate bounds prices so that
@@ -95,7 +95,7 @@ def make_policy(
     if isinstance(params, LyapunovParams):
         return LyapunovPolicy(params, *capacities, trace.price_full)
     if isinstance(params, StaticParams):
-        return StaticBurstPolicy(params, *capacities)
+        return StaticBurstPolicy(params, *capacities, trace.horizon)
     raise ConfigurationError(f"not a policy parameter block: {params!r}")
 
 
@@ -170,7 +170,14 @@ def run(
     params: PolicyParams,
     trace: Trace | None = None,
 ) -> RunMetrics:
-    """Simulate one policy over one trace (drawn from config.seed if absent)."""
+    """Simulate one policy over one trace (drawn from config.seed if absent).
+
+    queue_series_mean[t] is the fleet's backlog before slot t's service,
+    the cumulative arrivals minus the cumulative service through slot t - 1,
+    summed in int64 and divided by k. It equals the mean of the backlog
+    vector at that point while the fleet backlog stays below 2**53; above
+    that the int64 sum is the more exact of the two.
+    """
     config.validate()
     if trace is None:
         trace = generate_trace(config, config.seed)
@@ -198,11 +205,9 @@ def run(
     z = np.zeros(k, dtype=np.float64)
     decisions = np.empty((k, horizon), dtype=np.uint8)
     serves = np.empty((k, horizon), dtype=np.int16)
-    queue_series_mean = np.empty(horizon, dtype=np.float64)
     levels, arrivals = trace.levels, trace.arrivals
 
     for t in range(horizon):
-        queue_series_mean[t] = q.mean()
         level = levels[:, t]
         actions = policy.decide_slot(t, level, q, z)
         served = np.minimum(q, grant[actions, level])
@@ -249,6 +254,9 @@ def run(
         waiting -= departed
         total_delay += int(waiting.sum())
     cost_series_fleet = np.cumsum(cost_per_slot)
+    backlog = np.zeros(horizon, dtype=np.int64)
+    net = arrivals.sum(axis=0, dtype=np.int64) - serves.sum(axis=0, dtype=np.int64)
+    np.cumsum(net[:-1], out=backlog[1:])
 
     return RunMetrics(
         params=params,
@@ -262,7 +270,7 @@ def run(
         purchases_per_slot=np.count_nonzero(
             sent >= Action.BUY_FULL, axis=0
         ).astype(np.int32),
-        queue_series_mean=queue_series_mean,
+        queue_series_mean=backlog / k,
         final_queue=q - arrivals[:, -1],
         total_delay_slots=total_delay,
         total_arrived=total_arrived,

@@ -20,10 +20,13 @@ Three families are implemented.
 The policy classes decide for the whole fleet at once, one vectorized call
 per slot. Each parameter block names its policy: ``kind`` and ``label``
 identify it in reports, and the engine builds the matching class once per
-run. The price rules depend only on the trace, so a policy computes them
-for every slot when it is built: the purchase threshold, and whether the
-posted prices are at most their PAP. A policy object serves one run; the
-next run builds a new one.
+run. Whatever depends only on the trace and the parameters is computed for
+every slot when a policy is built: the purchase threshold, whether the
+posted prices are at most their PAP, and whether a slot lies in a static
+burst. A slot's decision is then a few array operations: a ``np.where``
+chain for the packet policies, and one lookup in ``QUALITY_TABLE`` for the
+deadline scheduler. A policy object serves one run; the next run builds a
+new one.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .env import MICROCENTS_PER_CENT, SpectrumLevel
-from .errors import ConfigurationError, InfeasibleError
+from .env import MICROCENTS_PER_CENT
+from .errors import ConfigurationError
 
 
 class Action(IntEnum):
@@ -134,13 +137,6 @@ PolicyParams = LyapunovParams | StaticParams | QualityParams
 # rules shared by the vectorized policies
 
 
-def static_decide(slot: int, params: StaticParams) -> bool:
-    """True iff ``slot`` falls inside a purchase burst."""
-    if slot < 1:
-        return False
-    return (slot - 1) % params.period < params.burst_len
-
-
 def attractive_prices(prices: np.ndarray, beta_c: float) -> np.ndarray:
     """Per slot t, whether prices[t] is at most its purchase-attractiveness
     price, beta_c times the mean of prices[:t]; never at t = 0, which has no
@@ -156,8 +152,32 @@ def attractive_prices(prices: np.ndarray, beta_c: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # vectorized engine-facing policies
 
-_LEVEL_REDUCED = int(SpectrumLevel.REDUCED)
-_LEVEL_FULL = int(SpectrumLevel.FULL)
+_IDLE, _FREE_FULL, _BUY_FULL = (
+    np.uint8(a) for a in (Action.IDLE, Action.FREE_FULL, Action.BUY_FULL)
+)
+
+# whether an Action code sends a reduced-quality unit
+IS_REDUCED = np.array([a in (Action.FREE_REDUCED, Action.BUY_REDUCED) for a in Action])
+
+# The deadline scheduler's rule as Action codes (0 IDLE, 1 FREE_FULL,
+# 2 FREE_REDUCED, 3 BUY_FULL, 4 BUY_REDUCED), indexed
+# QUALITY_TABLE[price_class][state * 6 + level * 2 + has_budget]:
+# * price_class is 0 when the full price is attractive, 1 when only the
+#   reduced price is, 2 when neither is;
+# * state is 0 when the concentrator cannot send, 1 when it may, 2 when the
+#   deadline guard forces it;
+# * level is the SpectrumLevel code: 0 NONE, 1 REDUCED, 2 FULL; each level
+#   is a (no budget, budget) pair of columns.
+QUALITY_TABLE = np.array(
+    [
+        # cannot send      may send          forced
+        #  N     R     F     N     R     F     N     R     F
+        [0, 0, 0, 0, 0, 0, 3, 3, 3, 2, 1, 1, 3, 4, 3, 2, 1, 1],  # full attractive
+        [0, 0, 0, 0, 0, 0, 0, 4, 0, 2, 1, 1, 3, 4, 3, 2, 1, 1],  # only reduced
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 3, 4, 3, 2, 1, 1],  # neither
+    ],
+    dtype=np.uint8,
+)
 
 
 class BasePolicy:
@@ -190,11 +210,14 @@ class _PacketPolicy(BasePolicy):
         self.capacity = capacity
         # free packets per slot, indexed by SpectrumLevel code (NONE, REDUCED, FULL)
         self.free_capacity = np.array([0, reduced_capacity, capacity], dtype=np.int64)
+        # what a busy concentrator does on each level when it does not buy
+        self.free_action = np.where(self.free_capacity > 0, _FREE_FULL, _IDLE)
 
 
 class LyapunovPolicy(_PacketPolicy):
     """Purchases when Q + Z exceeds threshold[slot] = V * c / 2, with c the
-    slot's full-unit price in cents."""
+    slot's full-unit price in cents, unless the level's free capacity covers
+    the slot's service; without a purchase, any free capacity is used."""
 
     def __init__(
         self,
@@ -207,28 +230,26 @@ class LyapunovPolicy(_PacketPolicy):
         self.threshold = params.v_factor * (price_full / MICROCENTS_PER_CENT) / 2.0
 
     def decide_slot(self, slot, levels, q_len, z_len):
-        y = q_len + z_len
-        busy = q_len > 0
-        need = np.minimum(q_len, self.capacity)
-        free_cap = self.free_capacity[levels]
-        covered = busy & (free_cap >= need)
-        buying = busy & ~covered & (y > self.threshold[slot])
-        partial = busy & ~covered & ~buying & (free_cap > 0)
-        actions = np.zeros(len(q_len), dtype=np.uint8)
-        actions[covered | partial] = int(Action.FREE_FULL)
-        actions[buying] = int(Action.BUY_FULL)
-        return actions
+        covered = self.free_capacity[levels] >= np.minimum(q_len, self.capacity)
+        buying = q_len + z_len > self.threshold[slot]
+        actions = np.where(buying, _BUY_FULL, self.free_action[levels])
+        return np.where(q_len > 0, np.where(covered, _FREE_FULL, actions), _IDLE)
 
 
 class StaticBurstPolicy(_PacketPolicy):
+    """Every busy concentrator buys in the slots of a burst and uses free
+    spectrum otherwise; in_burst[slot] marks the burst slots of the run."""
+
+    def __init__(
+        self, params: StaticParams, capacity: int, reduced_capacity: int, horizon: int
+    ):
+        super().__init__(params, capacity, reduced_capacity)
+        slots = np.arange(horizon)
+        self.in_burst = (slots >= 1) & ((slots - 1) % params.period < params.burst_len)
+
     def decide_slot(self, slot, levels, q_len, z_len):
-        busy = q_len > 0
-        actions = np.zeros(len(q_len), dtype=np.uint8)
-        if static_decide(slot, self.params):
-            actions[busy] = int(Action.BUY_FULL)
-            return actions
-        actions[busy & (self.free_capacity[levels] > 0)] = int(Action.FREE_FULL)
-        return actions
+        actions = _BUY_FULL if self.in_burst[slot] else self.free_action[levels]
+        return np.where(q_len > 0, actions, _IDLE)
 
 
 class QualityPolicy(BasePolicy):
@@ -242,9 +263,12 @@ class QualityPolicy(BasePolicy):
     purchase happens only at attractive prices (price <= PAP, full checked
     before reduced).
 
-    The PAP tests of every slot come from the run's price arrays (slot t
-    compares with the mean of slots < t). Unit bookkeeping is internal:
-    sent and reduced_used counters per concentrator.
+    QUALITY_TABLE holds that rule for every combination of its inputs. The
+    PAP tests of every slot come from the run's price arrays (slot t
+    compares with the mean of slots < t) and fold into one price class per
+    slot. Per concentrator the policy counts the units sent and the reduced
+    units used; from them, a slot's decision is one table lookup. A forced
+    concentrator always sends, so the guard keeps every deadline.
     """
 
     def __init__(
@@ -258,49 +282,24 @@ class QualityPolicy(BasePolicy):
         self.params = params
         self.attractive_full = attractive_prices(price_full, params.beta_c)
         self.attractive_reduced = attractive_prices(price_reduced, params.beta_c)
+        self.price_class = np.where(
+            self.attractive_full, 0, np.where(self.attractive_reduced, 1, 2)
+        )
         self.sent = np.zeros(k, dtype=np.int64)
         self.reduced_used = np.zeros(k, dtype=np.int64)
 
     def decide_slot(self, slot, levels, q_len, z_len):
         p = self.params
-        actions = np.zeros(len(levels), dtype=np.uint8)
         if not 1 <= slot <= p.deadline:
-            return actions
-        remaining = p.n_units - self.sent
-        slots_remaining = p.deadline - slot + 1
-        if int(remaining.max(initial=0)) > slots_remaining:
-            raise InfeasibleError(
-                "deadline guard breached: more units remaining than slots"
-            )
-        available = np.minimum(slot, p.n_units) - self.sent
-        can_send = (remaining > 0) & (available > 0)
-        has_budget = self.reduced_used < p.quality_budget
-
-        forced = can_send & (remaining == slots_remaining)
-        is_full = levels == _LEVEL_FULL
-        is_reduced = levels == _LEVEL_REDUCED
-
-        actions[forced & is_full] = int(Action.FREE_FULL)
-        actions[forced & is_reduced & has_budget] = int(Action.FREE_REDUCED)
-        actions[forced & is_reduced & ~has_budget] = int(Action.BUY_FULL)
-        forced_none = forced & ~is_full & ~is_reduced
-        actions[forced_none & has_budget] = int(Action.BUY_REDUCED)
-        actions[forced_none & ~has_budget] = int(Action.BUY_FULL)
-
-        relaxed = can_send & ~forced
-        actions[relaxed & is_full] = int(Action.FREE_FULL)
-        actions[relaxed & is_reduced & has_budget] = int(Action.FREE_REDUCED)
-        # remaining relaxed concentrators shop by price
-        shopping = relaxed & ~is_full & ~(is_reduced & has_budget)
-        if self.attractive_full[slot]:
-            actions[shopping] = int(Action.BUY_FULL)
-        elif self.attractive_reduced[slot]:
-            actions[shopping & has_budget] = int(Action.BUY_REDUCED)
-
-        sends = actions != int(Action.IDLE)
-        reduced_sends = (actions == int(Action.FREE_REDUCED)) | (
-            actions == int(Action.BUY_REDUCED)
+            return np.zeros(len(levels), dtype=np.uint8)
+        # 0 cannot send, 1 may send, 2 forced; forced implies can_send
+        state = np.add(
+            self.sent < min(slot, p.n_units),
+            self.sent == p.n_units - (p.deadline - slot + 1),
+            dtype=np.uint8,
         )
-        self.sent += sends
-        self.reduced_used += reduced_sends
+        cell = 6 * state + 2 * levels + (self.reduced_used < p.quality_budget)
+        actions = QUALITY_TABLE[self.price_class[slot]][cell]
+        self.sent += actions != _IDLE
+        self.reduced_used += IS_REDUCED[actions]
         return actions

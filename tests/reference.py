@@ -8,6 +8,10 @@
   arrival slot has delay 0 and decisions never see same-slot arrivals.
 * PapMirror: the running-mean purchase-attractiveness prices that
   QualityPolicy computes for every slot from a trace's price arrays.
+* lyapunov_decide, static_decide and quality_decide: each policy's rule for
+  one concentrator and one slot, as straight-line code. The vectorized
+  policies must agree with them, and QUALITY_TABLE is rebuilt from
+  quality_decide cell by cell.
 * solve_bruteforce enumerates every schedule of a small offline instance.
 * solve_banded_dp is the banded 3-D dynamic program that was the production
   offline solver before the selection solver replaced it. It handles every
@@ -25,7 +29,7 @@ import numpy as np
 from hpclease.env import SpectrumLevel
 from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from hpclease.oracle import OfflineInstance, Schedule, validate_schedule
-from hpclease.policy import Action
+from hpclease.policy import Action, StaticParams
 
 # ---------------------------------------------------------------------------
 # queue algebra
@@ -194,6 +198,87 @@ class PapMirror:
         if self.count == 0:
             return 0.0
         return self.beta_c * self.sum_reduced_microcents / self.count
+
+
+# ---------------------------------------------------------------------------
+# scalar policy rules
+
+
+def lyapunov_decide(y, threshold, level, q_len, capacity, reduced_capacity):
+    """Threshold rule for one concentrator and one slot.
+
+    Free spectrum is preferred: if the free capacity of ``level`` covers
+    min(q_len, capacity), transmit free. Otherwise purchase exactly when
+    y exceeds the threshold (ties do not purchase). With no purchase, any
+    partial free capacity is still used.
+    """
+    if q_len <= 0:
+        return Action.IDLE
+    free_cap = (
+        capacity
+        if level == SpectrumLevel.FULL
+        else reduced_capacity if level == SpectrumLevel.REDUCED else 0
+    )
+    need = min(q_len, capacity)
+    if free_cap >= need:
+        return Action.FREE_FULL
+    if y > threshold:
+        return Action.BUY_FULL
+    if free_cap > 0:
+        return Action.FREE_FULL
+    return Action.IDLE
+
+
+def static_decide(slot: int, params: StaticParams) -> bool:
+    """True iff ``slot`` falls inside a purchase burst."""
+    if slot < 1:
+        return False
+    return (slot - 1) % params.period < params.burst_len
+
+
+def quality_decide(
+    params, tracker, slot, level, prices, units_remaining, budget_remaining
+):
+    """Deadline-scheduling rule for one concentrator and one slot, with the
+    precedence documented on QualityPolicy."""
+    if not 1 <= slot <= params.deadline:
+        raise ConfigurationError(
+            f"slot {slot} outside the scheduling window 1..{params.deadline}"
+        )
+    if units_remaining < 0 or budget_remaining < 0:
+        raise ConfigurationError("negative remaining counters")
+    slots_remaining = params.deadline - slot + 1
+    if units_remaining > slots_remaining:
+        raise InfeasibleError(
+            f"{units_remaining} units cannot fit in {slots_remaining} slots"
+        )
+    if units_remaining == 0:
+        return Action.IDLE
+    sent = params.n_units - units_remaining
+    available = min(slot, params.n_units) - sent
+    if available <= 0:
+        return Action.IDLE
+
+    if slots_remaining == units_remaining:
+        # deadline guard: transmission is mandatory this slot
+        if level == SpectrumLevel.FULL:
+            return Action.FREE_FULL
+        if level == SpectrumLevel.REDUCED and budget_remaining > 0:
+            return Action.FREE_REDUCED
+        if budget_remaining > 0:
+            return Action.BUY_REDUCED
+        return Action.BUY_FULL
+
+    if level == SpectrumLevel.FULL:
+        return Action.FREE_FULL
+    if level == SpectrumLevel.REDUCED and budget_remaining > 0:
+        return Action.FREE_REDUCED
+    full, reduced = prices
+    if full <= tracker.pap_full_microcents:
+        return Action.BUY_FULL
+    if budget_remaining > 0 and reduced <= tracker.pap_reduced_microcents:
+        return Action.BUY_REDUCED
+    return Action.IDLE
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,18 @@ def test_negative_seeds_are_a_config_error(command, tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep-v", "sweep-quality"])
+def test_repeated_seeds_are_a_config_error(command, monkeypatch, tmp_path, capsys):
+    def no_trace(*args):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(cli, "generate_trace", no_trace)
+    assert main(tmp_path, command, "--seeds", "3,4,3", *SMALL) == 3
+    err = capsys.readouterr().err
+    assert "--seeds repeats a seed" in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -257,8 +257,8 @@ def test_delay_histogram_matches_queueing_replay(small_cfg):
 
 
 @st.composite
-def _ledger_cases(draw):
-    horizon = draw(st.integers(2, 60))
+def _ledger_cases(draw, max_k=6, max_horizon=60):
+    horizon = draw(st.integers(2, max_horizon))
     policy = draw(st.sampled_from(["lyapunov", "static", "quality"]))
     if policy == "quality":
         law = "deterministic"
@@ -267,7 +267,7 @@ def _ledger_cases(draw):
         law = draw(st.sampled_from(["deterministic", "poisson"]))
         mean_arrival, unit = draw(st.integers(0, 8)), draw(st.integers(2, 8))
     cfg = ScenarioConfig(
-        k_concentrators=draw(st.integers(1, 6)),
+        k_concentrators=draw(st.integers(1, max_k)),
         horizon=horizon,
         mean_arrival=mean_arrival,
         unit_size_packets=unit,
@@ -294,6 +294,28 @@ def _ledger_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_run_matches_queueing_ledger_replay(case):
     _assert_ledger_replay_matches(*case)
+
+
+@given(_ledger_cases(max_k=40, max_horizon=400))
+@settings(max_examples=60, deadline=None)
+def test_queue_series_mean_matches_per_slot_replay(case):
+    # the post-loop fleet backlog equals the mean of the backlog vector
+    # taken before each slot's service, as a slot loop would observe it
+    cfg, params = case
+    trace = generate_trace(cfg, cfg.seed)
+    metrics = run(cfg, params, trace)
+    unit, reduced = service_capacity(cfg), reduced_capacity(cfg)
+    grant = np.array(
+        [[_grant(a, lvl, unit, reduced) for lvl in SpectrumLevel] for a in Action]
+    )
+    q = np.zeros(trace.k, dtype=np.int64)
+    observed = np.empty(trace.horizon)
+    for t in range(trace.horizon):
+        observed[t] = q.mean()
+        q -= np.minimum(q, grant[metrics.decisions[:, t], trace.levels[:, t]])
+        q += trace.arrivals[:, t]
+    assert metrics.queue_series_mean.dtype == np.float64
+    assert np.array_equal(metrics.queue_series_mean, observed)
 
 
 def test_run_matches_queueing_ledger_replay_over_two_row_blocks():

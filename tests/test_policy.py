@@ -10,6 +10,7 @@ from hpclease.cli import PRESETS
 from hpclease.env import MICROCENTS_PER_CENT, SpectrumLevel, to_microcents
 from hpclease.errors import ConfigurationError, InfeasibleError
 from hpclease.policy import (
+    QUALITY_TABLE,
     Action,
     LyapunovParams,
     LyapunovPolicy,
@@ -17,10 +18,9 @@ from hpclease.policy import (
     QualityPolicy,
     StaticBurstPolicy,
     StaticParams,
-    static_decide,
 )
 
-from reference import PapMirror
+from reference import PapMirror, lyapunov_decide, quality_decide, static_decide
 
 NONE, REDUCED, FULL = SpectrumLevel.NONE, SpectrumLevel.REDUCED, SpectrumLevel.FULL
 
@@ -40,80 +40,6 @@ def quality_policy(params, prices, k=1):
     """A deadline scheduler over (full, reduced) micro-cent pairs, one per slot."""
     full, reduced = np.array(prices, dtype=np.int64).reshape(-1, 2).T
     return QualityPolicy(params, k, full, reduced)
-
-
-# -- scalar references: one concentrator, one slot ----------------------
-# The vectorized policies must agree with these straight-line rules.
-
-
-def lyapunov_decide(y, threshold, level, q_len, capacity, reduced_capacity):
-    """Threshold rule for one concentrator and one slot.
-
-    Free spectrum is preferred: if the free capacity of ``level`` covers
-    min(q_len, capacity), transmit free. Otherwise purchase exactly when
-    y exceeds the threshold (ties do not purchase). With no purchase, any
-    partial free capacity is still used.
-    """
-    if q_len <= 0:
-        return Action.IDLE
-    free_cap = (
-        capacity
-        if level == SpectrumLevel.FULL
-        else reduced_capacity if level == SpectrumLevel.REDUCED else 0
-    )
-    need = min(q_len, capacity)
-    if free_cap >= need:
-        return Action.FREE_FULL
-    if y > threshold:
-        return Action.BUY_FULL
-    if free_cap > 0:
-        return Action.FREE_FULL
-    return Action.IDLE
-
-
-def quality_decide(
-    params, tracker, slot, level, prices, units_remaining, budget_remaining
-):
-    """Deadline-scheduling rule for one concentrator and one slot, with the
-    precedence documented on QualityPolicy."""
-    if not 1 <= slot <= params.deadline:
-        raise ConfigurationError(
-            f"slot {slot} outside the scheduling window 1..{params.deadline}"
-        )
-    if units_remaining < 0 or budget_remaining < 0:
-        raise ConfigurationError("negative remaining counters")
-    slots_remaining = params.deadline - slot + 1
-    if units_remaining > slots_remaining:
-        raise InfeasibleError(
-            f"{units_remaining} units cannot fit in {slots_remaining} slots"
-        )
-    if units_remaining == 0:
-        return Action.IDLE
-    sent = params.n_units - units_remaining
-    available = min(slot, params.n_units) - sent
-    if available <= 0:
-        return Action.IDLE
-
-    if slots_remaining == units_remaining:
-        # deadline guard: transmission is mandatory this slot
-        if level == SpectrumLevel.FULL:
-            return Action.FREE_FULL
-        if level == SpectrumLevel.REDUCED and budget_remaining > 0:
-            return Action.FREE_REDUCED
-        if budget_remaining > 0:
-            return Action.BUY_REDUCED
-        return Action.BUY_FULL
-
-    if level == SpectrumLevel.FULL:
-        return Action.FREE_FULL
-    if level == SpectrumLevel.REDUCED and budget_remaining > 0:
-        return Action.FREE_REDUCED
-    full, reduced = prices
-    if full <= tracker.pap_full_microcents:
-        return Action.BUY_FULL
-    if budget_remaining > 0 and reduced <= tracker.pap_reduced_microcents:
-        return Action.BUY_REDUCED
-    return Action.IDLE
 
 
 def test_threshold_examples():
@@ -427,9 +353,12 @@ def test_lyapunov_policy_matches_scalar(data):
         )
     )
     full = data.draw(st.integers(min_value=2, max_value=1_000_000))
+    # a reduced level may be worth no packets at all
+    reduced_capacity = data.draw(st.sampled_from([0, 2]))
     prices = np.array([7, 7, 7, full], dtype=np.int64)
-    policy = LyapunovPolicy(LyapunovParams(v_factor=v), 5, 2, prices)
+    policy = LyapunovPolicy(LyapunovParams(v_factor=v), 5, reduced_capacity, prices)
     actions = policy.decide_slot(3, levels, q, z)
+    assert actions.dtype == np.uint8
     threshold = v * (full / MICROCENTS_PER_CENT) / 2.0  # the scalar V * c / 2
     for i in range(k):
         expected = lyapunov_decide(
@@ -438,7 +367,7 @@ def test_lyapunov_policy_matches_scalar(data):
             SpectrumLevel(levels[i]),
             int(q[i]),
             5,
-            2,
+            reduced_capacity,
         )
         assert actions[i] == int(expected)
 
@@ -447,13 +376,14 @@ def test_lyapunov_policy_matches_scalar(data):
 @settings(max_examples=100, deadline=None)
 def test_static_policy_matches_scalar(data):
     k = 4
+    period = data.draw(st.integers(min_value=1, max_value=1000))
+    params = StaticParams(period, data.draw(st.integers(min_value=1, max_value=period)))
     slot = data.draw(st.integers(min_value=0, max_value=2500))
     q = np.array(data.draw(st.lists(st.integers(0, 9), min_size=k, max_size=k)))
     levels = np.array(
         data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=np.uint8
     )
-    params = StaticParams(period=1000, burst_len=200)
-    policy = StaticBurstPolicy(params, capacity=5, reduced_capacity=2)
+    policy = StaticBurstPolicy(params, capacity=5, reduced_capacity=2, horizon=2501)
     actions = policy.decide_slot(slot, levels, q, np.zeros(k))
     for i in range(k):
         if q[i] == 0:
@@ -464,6 +394,90 @@ def test_static_policy_matches_scalar(data):
             assert actions[i] == int(Action.FREE_FULL)
         else:
             assert actions[i] == int(Action.IDLE)
+
+
+# -- the deadline scheduler's table is its specification ----------------
+
+
+def _quality_cell(price_class, state, level, has_budget):
+    """quality_decide on a scenario that realizes one table cell.
+
+    Three units are due by slot 6 with a budget of one reduced unit. The
+    price history holds one pair, (0.6, 0.3) cents; the slot's pair then
+    makes the full price attractive, only the reduced one, or neither.
+    Cannot-send is checked both ways it can happen: every unit already
+    sent, and the next unit not yet arrived."""
+    params = QualityParams(n_units=3, deadline=6, quality_budget=1)
+    mirror = PapMirror(beta_c=1.0)
+    mirror.observe(*price(0.6, 0.3))
+    prices = [price(0.5, 0.4), price(0.7, 0.3), price(0.7, 0.4)][price_class]
+    # (slot, units remaining): forced leaves as many slots as units
+    cases = {0: [(3, 0), (1, 2)], 1: [(3, 2)], 2: [(5, 2)]}[state]
+    decided = {
+        quality_decide(
+            params, mirror, slot, SpectrumLevel(level), prices, remaining, has_budget
+        )
+        for slot, remaining in cases
+    }
+    assert len(decided) == 1
+    return int(decided.pop())
+
+
+def test_quality_table_rebuilt_from_scalar_rule():
+    rebuilt = np.zeros_like(QUALITY_TABLE)
+    for price_class in range(3):
+        for state in range(3):
+            for level in range(3):
+                for has_budget in range(2):
+                    rebuilt[price_class, state * 6 + level * 2 + has_budget] = (
+                        _quality_cell(price_class, state, level, has_budget)
+                    )
+    assert QUALITY_TABLE.shape == (3, 18)
+    assert np.array_equal(rebuilt, QUALITY_TABLE)
+
+
+@st.composite
+def _quality_runs(draw):
+    """Valid params (deadline >= n_units > budget >= 0) with any per-slot
+    price classes and levels over the scheduling window."""
+    deadline = draw(st.integers(min_value=1, max_value=30))
+    n_units = draw(st.integers(min_value=1, max_value=deadline))
+    budget = draw(st.integers(min_value=0, max_value=n_units - 1))
+    k = draw(st.integers(min_value=1, max_value=5))
+    slots = deadline + 1
+    price_class = draw(st.lists(st.integers(0, 2), min_size=slots, max_size=slots))
+    levels = draw(
+        st.lists(
+            st.lists(st.integers(0, 2), min_size=k, max_size=k),
+            min_size=slots,
+            max_size=slots,
+        )
+    )
+    params = QualityParams(n_units=n_units, deadline=deadline, quality_budget=budget)
+    return params, np.array(price_class), np.array(levels, dtype=np.uint8)
+
+
+@given(_quality_runs())
+@settings(max_examples=200, deadline=None)
+def test_forced_concentrator_always_sends(case):
+    # the invariant that makes the deadline guard unbreakable: each slot,
+    # remaining units <= remaining slots, with equality forcing a send
+    params, price_class, levels = case
+    k = levels.shape[1]
+    prices = np.full(params.deadline + 1, 10**6, dtype=np.int64)
+    policy = QualityPolicy(params, k, prices, prices // 2)
+    policy.price_class = price_class
+    for slot in range(params.deadline + 1):
+        remaining = params.n_units - policy.sent
+        actions = policy.decide_slot(slot, levels[slot], np.zeros(k), np.zeros(k))
+        if slot == 0:
+            assert not actions.any()
+            continue
+        slots_remaining = params.deadline - slot + 1
+        assert (remaining <= slots_remaining).all()
+        assert actions[remaining == slots_remaining].all()
+        assert (policy.reduced_used <= params.quality_budget).all()
+    assert (policy.sent == params.n_units).all()
 
 
 @given(st.data())
