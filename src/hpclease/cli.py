@@ -9,6 +9,7 @@ stderr; data goes to stdout only with `-o -`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,10 +20,12 @@ import numpy as np
 from .config import ScenarioConfig
 from .engine import (
     RunMetrics,
+    check_offline_dominance,
     compare_with_oracle,
     derive_quality_params,
     is_unit_granular,
     oracle_reference,
+    oracle_workload,
     run,
 )
 from .env import generate_trace, load_trace, save_trace, to_dollars
@@ -262,18 +265,27 @@ def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig, trace) -> Poli
         return LyapunovParams(v_factor=spec.v_factor, epsilon=spec.epsilon)
     if spec.policy == "static":
         return StaticParams(period=spec.period, burst_len=spec.burst_len)
-    explicit = (spec.n_units, spec.deadline, spec.quality_budget)
-    if all(v is not None for v in explicit):
+    explicit = zip(
+        ("--n-units", "--deadline", "--quality-budget"),
+        (spec.n_units, spec.deadline, spec.quality_budget),
+    )
+    given = [flag for flag, value in explicit if value is not None]
+    if spec.budget_share is not None:
+        if given:
+            raise ConfigurationError(
+                "--budget-share derives the quality workload and conflicts "
+                f"with {', '.join(given)}"
+            )
+        reference = run(cfg, LyapunovParams(v_factor=spec.v_factor), trace)
+        return derive_quality_params(
+            cfg, reference, spec.budget_share, beta_c=spec.beta_c
+        )
+    if len(given) == 3:
         return QualityParams(
             n_units=spec.n_units,
             deadline=spec.deadline,
             quality_budget=spec.quality_budget,
             beta_c=spec.beta_c,
-        )
-    if spec.budget_share is not None:
-        reference = run(cfg, LyapunovParams(v_factor=spec.v_factor), trace)
-        return derive_quality_params(
-            cfg, reference, spec.budget_share, beta_c=spec.beta_c
         )
     raise ConfigurationError(
         "quality policy needs --n-units/--deadline/--quality-budget "
@@ -312,11 +324,19 @@ def _cmd_compare(spec: argparse.Namespace) -> int:
         results.append(run(cfg, params, trace))
         oracle_units = min(oracle_units, params.n_units)
         oracle_budget = params.quality_budget
-    rows = [(m, compare_with_oracle(cfg, trace, m)) for m in results]
+    # rows and the oracle row often share a workload; each is solved once
+    offline = functools.cache(functools.partial(oracle_reference, trace))
+    rows = []
+    for metrics in results:
+        workload = oracle_workload(cfg, metrics)
+        offline_cost = None
+        if workload is not None:
+            offline_cost = check_offline_dominance(metrics, offline(*workload))
+        rows.append((metrics, offline_cost))
 
     oracle_row = None
     if is_unit_granular(cfg):
-        total = int(oracle_reference(trace, oracle_units, oracle_budget).sum())
+        total = int(offline(oracle_units, oracle_budget).sum())
         oracle_row = (f"oracle[m={oracle_budget}]", total)
     _write(spec, "comparison.csv", report.comparison_table_csv(rows, oracle_row))
     return 0

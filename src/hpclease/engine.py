@@ -2,15 +2,17 @@
 
 The policy is built once per run from the trace, so its price rules are
 per-slot arrays before the first slot. The slot loop carries only the
-state the next slot reads. Each slot it asks the policy for one action per
-concentrator, serves what the action's grant and the backlog allow,
-advances the virtual queues, then enqueues the slot's arrivals. Everything
-is vectorized across the fleet.
+state the next slot reads. Each slot it asks the policy how many packets
+each concentrator may move, serves the smaller of that grant and the
+backlog, advances the virtual queues, then enqueues the slot's arrivals.
+Everything is vectorized across the fleet, and the loop records only the
+packets served.
 
-Everything else runs once, over the finished (concentrator, slot)
-decision and service matrices: the invariant checks (each error names the
-policy label, seed, first offending slot and concentrator), the cost
-accounting, the fleet's mean backlog per slot, and the total packet delay.
+Everything else runs once, after the last slot. The policy turns the
+(concentrator, slot) service matrix into Action codes; then come the
+invariant checks over codes and service (each error names the policy
+label, seed, first offending slot and concentrator), the cost accounting,
+the fleet's mean backlog per slot, and the total packet delay.
 Service is FIFO within a concentrator, so the total delay is the area
 between its cumulative arrival and service curves (the sample-path argument
 behind Little's law), computed from per-slot counts and never per packet.
@@ -82,8 +84,11 @@ def make_policy(
     params: PolicyParams, config: ScenarioConfig, trace: Trace
 ) -> BasePolicy:
     """Build the policy that ``params`` configures for one run on ``trace``."""
+    unit = service_capacity(config)
     if isinstance(params, QualityParams):
-        policy = QualityPolicy(params, trace.k, trace.price_full, trace.price_reduced)
+        policy = QualityPolicy(
+            params, trace.k, unit, trace.price_full, trace.price_reduced
+        )
         _check_unit_alignment(config)
         if params.deadline > config.horizon - 1:
             raise ConfigurationError(
@@ -91,7 +96,7 @@ def make_policy(
                 f"({config.horizon - 1})"
             )
         return policy
-    capacities = service_capacity(config), reduced_capacity(config)
+    capacities = unit, reduced_capacity(config)
     if isinstance(params, LyapunovParams):
         return LyapunovPolicy(params, *capacities, trace.price_full)
     if isinstance(params, StaticParams):
@@ -188,38 +193,40 @@ def run(
         )
     _check_prices(trace)
     policy = make_policy(params, config, trace)
-    k, horizon = trace.k, trace.horizon
-
     epsilon = float(config.epsilon)
     if isinstance(params, LyapunovParams) and params.epsilon is not None:
         epsilon = float(params.epsilon)
-    mu = service_capacity(config)
-    # packets each action may move, indexed [Action code, SpectrumLevel code];
-    # a free send on a level that does not admit it moves nothing
-    grant = np.zeros((len(Action), len(SpectrumLevel)), dtype=np.int64)
-    grant[Action.FREE_FULL, SpectrumLevel.REDUCED :] = reduced_capacity(config), mu
-    grant[Action.FREE_REDUCED, SpectrumLevel.REDUCED] = mu
-    grant[Action.BUY_FULL :] = mu
+    serves, q, z = _serve_slots(policy, trace, epsilon)
+    decisions = policy.actions(serves, trace.levels)
+    return _summarize(
+        params, trace, epsilon, service_capacity(config), decisions, serves, q, z
+    )
 
-    q = np.zeros(k, dtype=np.int64)
-    z = np.zeros(k, dtype=np.float64)
-    decisions = np.empty((k, horizon), dtype=np.uint8)
-    serves = np.empty((k, horizon), dtype=np.int16)
+
+def _serve_slots(policy: BasePolicy, trace: Trace, epsilon: float):
+    """The slot loop: the (K, T) int16 packets served, and Q and Z after
+    the last slot."""
+    q = np.zeros(trace.k, dtype=np.int64)
+    z = np.zeros(trace.k, dtype=np.float64)
+    serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
     levels, arrivals = trace.levels, trace.arrivals
-
-    for t in range(horizon):
-        level = levels[:, t]
-        actions = policy.decide_slot(t, level, q, z)
-        served = np.minimum(q, grant[actions, level])
-        decisions[:, t] = actions
+    for t in range(trace.horizon):
+        served = np.minimum(q, policy.decide_slot(t, levels[:, t], q, z))
         serves[:, t] = served
         busy = q > 0
         q -= served
         np.maximum(z - served + epsilon * busy, 0.0, out=z)
         q += arrivals[:, t]
+    return serves, q, z
 
+
+def _summarize(params, trace, epsilon, unit, decisions, serves, q, z) -> RunMetrics:
+    """Check a finished run and account for it, from its (K, T) Action
+    codes and packets served and its final Q and Z."""
+    k, horizon = trace.k, trace.horizon
+    levels, arrivals = trace.levels, trace.arrivals
     run_name = f"{params.label} seed {trace.seed}"
-    _check_decisions(run_name, params, decisions, serves, levels, mu)
+    _check_decisions(run_name, params, decisions, serves, levels, unit)
     total_arrived = int(arrivals.sum())
     total_served = int(serves.sum())
     if total_arrived != total_served + int(q.sum()):
@@ -383,43 +390,42 @@ def oracle_reference(
     return per_conc
 
 
-def compare_with_oracle(
-    config: ScenarioConfig,
-    trace: Trace,
-    metrics: RunMetrics,
-) -> int | None:
-    """The fleet's offline-optimal cost in micro-cents for one run's
-    workload, after checking offline dominance, if the run is comparable.
+def oracle_workload(
+    config: ScenarioConfig, metrics: RunMetrics
+) -> tuple[int, int] | None:
+    """The (n_units, quality_budget) offline workload whose schedules a run's
+    sends realize, or None if the run is not comparable.
 
     Comparable means the run maps onto an offline scheduling instance:
     the scenario is unit-granular, and either the policy is the deadline
     scheduler (whose realized sends are a feasible schedule for its own
     workload by construction) or the run drained every serviceable packet
     (then the realized sends are a feasible schedule for the full
-    horizon - 1 unit workload at zero quality budget). Returns None
-    otherwise. Raises InvariantViolationError if any concentrator's online
-    cost beats the offline optimum, which would mean the accounting or the
-    oracle is wrong.
+    horizon - 1 unit workload at zero quality budget).
     """
     if not is_unit_granular(config):
         return None
     unit = config.unit_size_packets
     if isinstance(metrics.params, QualityParams):
-        budget = metrics.params.quality_budget
         n_units, spare = divmod(metrics.total_served, unit * metrics.k)
         if spare:
             return None  # pragma: no cover - unit runs serve whole units
-    else:
-        # completion in a unit-granular scenario forces one whole unit
-        # through every serviceable slot, so the realized sends form a
-        # feasible full-workload schedule with no quality degradation
-        if not metrics.workload_complete:
-            return None
-        budget = 0
-        n_units = config.horizon - 1
-        if metrics.total_served != n_units * unit * metrics.k:
-            return None
-    offline_per_conc = oracle_reference(trace, n_units, budget)
+        return n_units, metrics.params.quality_budget
+    # completion in a unit-granular scenario forces one whole unit
+    # through every serviceable slot, so the realized sends form a
+    # feasible full-workload schedule with no quality degradation
+    if not metrics.workload_complete:
+        return None
+    n_units = config.horizon - 1
+    if metrics.total_served != n_units * unit * metrics.k:
+        return None
+    return n_units, 0
+
+
+def check_offline_dominance(metrics: RunMetrics, offline_per_conc: np.ndarray) -> int:
+    """The fleet's offline-optimal cost in micro-cents, after checking that
+    no concentrator's online cost beats its offline optimum, which would
+    mean the accounting or the oracle is wrong (InvariantViolationError)."""
     beaten = np.flatnonzero(metrics.cost_per_concentrator < offline_per_conc)
     if beaten.size:
         i = int(beaten[0])
@@ -429,3 +435,17 @@ def compare_with_oracle(
             f"offline optimum {offline_per_conc[i]}; oracle or accounting broken"
         )
     return int(offline_per_conc.sum())
+
+
+def compare_with_oracle(
+    config: ScenarioConfig,
+    trace: Trace,
+    metrics: RunMetrics,
+) -> int | None:
+    """The fleet's offline-optimal cost in micro-cents for one run's
+    oracle_workload, after check_offline_dominance; None if the run is not
+    comparable."""
+    workload = oracle_workload(config, metrics)
+    if workload is None:
+        return None
+    return check_offline_dominance(metrics, oracle_reference(trace, *workload))

@@ -18,14 +18,18 @@ Three families are implemented.
   independent of queue state and prices; the classic dumb baseline.
 
 The policy classes decide for the whole fleet at once, one vectorized call
-per slot. Each parameter block names its policy: ``kind`` and ``label``
-identify it in reports, and the engine builds the matching class once per
-run. Whatever depends only on the trace and the parameters is computed for
-every slot when a policy is built: the purchase threshold, whether the
-posted prices are at most their PAP, and whether a slot lies in a static
-burst. A slot's decision is then a few array operations: a ``np.where``
-chain for the packet policies, and one lookup in ``QUALITY_TABLE`` for the
-deadline scheduler. A policy object serves one run; the next run builds a
+per slot that returns the packets each concentrator may move. Each
+parameter block names its policy: ``kind`` and ``label`` identify it in
+reports, and the engine builds the matching class once per run. Whatever
+depends only on the trace and the parameters is computed for every slot
+when a policy is built: the purchase threshold, whether the posted prices
+are at most their PAP, and whether a slot lies in a static burst. A slot's
+grant is then a few array operations: one ``np.where`` for the threshold
+policy, the burst flag for the static baseline, and one lookup in
+``QUALITY_TABLE`` for the deadline scheduler. After the run, ``actions``
+names each (concentrator, slot) as an Action code: the packet policies
+recover it from the packets served, and the deadline scheduler returns the
+codes it recorded. A policy object serves one run; the next run builds a
 new one.
 """
 
@@ -183,8 +187,11 @@ QUALITY_TABLE = np.array(
 class BasePolicy:
     """Per-slot decision maker over all k concentrators at once.
 
-    decide_slot returns one uint8 Action code per concentrator. The engine
-    calls it exactly once per slot, in slot order.
+    decide_slot returns the packets each concentrator may move in the slot,
+    as int64 (a scalar grants every concentrator the same); the engine
+    serves the smaller of that grant and the backlog. It calls decide_slot
+    exactly once per slot, in slot order. After the last slot, actions
+    turns the run's (K, T) service matrix into uint8 Action codes.
     """
 
     def decide_slot(
@@ -193,6 +200,11 @@ class BasePolicy:
         levels: np.ndarray,
         q_len: np.ndarray,
         z_len: np.ndarray,
+    ) -> np.ndarray | int:  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    def actions(
+        self, serves: np.ndarray, levels: np.ndarray
     ) -> np.ndarray:  # pragma: no cover - overridden
         raise NotImplementedError
 
@@ -210,14 +222,17 @@ class _PacketPolicy(BasePolicy):
         self.capacity = capacity
         # free packets per slot, indexed by SpectrumLevel code (NONE, REDUCED, FULL)
         self.free_capacity = np.array([0, reduced_capacity, capacity], dtype=np.int64)
-        # what a busy concentrator does on each level when it does not buy
-        self.free_action = np.where(self.free_capacity > 0, _FREE_FULL, _IDLE)
 
 
 class LyapunovPolicy(_PacketPolicy):
     """Purchases when Q + Z exceeds threshold[slot] = V * c / 2, with c the
     slot's full-unit price in cents, unless the level's free capacity covers
-    the slot's service; without a purchase, any free capacity is used."""
+    the slot's service; without a purchase, any free capacity is used.
+
+    A purchase grants a full unit. On a slot whose free capacity covers
+    min(Q, unit) that moves the same packets as the free send, so the
+    grant needs no coverage test; the codes do: a slot was a purchase
+    exactly when it moved more than the level's free capacity."""
 
     def __init__(
         self,
@@ -230,10 +245,16 @@ class LyapunovPolicy(_PacketPolicy):
         self.threshold = params.v_factor * (price_full / MICROCENTS_PER_CENT) / 2.0
 
     def decide_slot(self, slot, levels, q_len, z_len):
-        covered = self.free_capacity[levels] >= np.minimum(q_len, self.capacity)
         buying = q_len + z_len > self.threshold[slot]
-        actions = np.where(buying, _BUY_FULL, self.free_action[levels])
-        return np.where(q_len > 0, np.where(covered, _FREE_FULL, actions), _IDLE)
+        return np.where(buying, self.capacity, self.free_capacity[levels])
+
+    def actions(self, serves, levels):
+        # the code of each (level, packets moved), looked up so that no
+        # (K, T) temporary is built besides the codes themselves
+        moved = np.arange(self.capacity + 1)
+        codes = np.where(moved > self.free_capacity[:, None], _BUY_FULL, _FREE_FULL)
+        codes[:, 0] = _IDLE
+        return codes[levels, serves]
 
 
 class StaticBurstPolicy(_PacketPolicy):
@@ -248,8 +269,11 @@ class StaticBurstPolicy(_PacketPolicy):
         self.in_burst = (slots >= 1) & ((slots - 1) % params.period < params.burst_len)
 
     def decide_slot(self, slot, levels, q_len, z_len):
-        actions = _BUY_FULL if self.in_burst[slot] else self.free_action[levels]
-        return np.where(q_len > 0, actions, _IDLE)
+        return self.capacity if self.in_burst[slot] else self.free_capacity[levels]
+
+    def actions(self, serves, levels):
+        codes = np.where(self.in_burst, _BUY_FULL, _FREE_FULL)
+        return np.where(serves == 0, _IDLE, codes)
 
 
 class QualityPolicy(BasePolicy):
@@ -268,18 +292,22 @@ class QualityPolicy(BasePolicy):
     compares with the mean of slots < t) and fold into one price class per
     slot. Per concentrator the policy counts the units sent and the reduced
     units used; from them, a slot's decision is one table lookup. A forced
-    concentrator always sends, so the guard keeps every deadline.
+    concentrator always sends, so the guard keeps every deadline. Every
+    send grants one unit; the codes are recorded in a (K, T) matrix, since
+    the packets served cannot tell a full unit from a reduced one.
     """
 
     def __init__(
         self,
         params: QualityParams,
         k: int,
+        capacity: int,
         price_full: np.ndarray,
         price_reduced: np.ndarray,
     ):
         params.validate()
         self.params = params
+        self.capacity = capacity
         self.attractive_full = attractive_prices(price_full, params.beta_c)
         self.attractive_reduced = attractive_prices(price_reduced, params.beta_c)
         self.price_class = np.where(
@@ -287,11 +315,12 @@ class QualityPolicy(BasePolicy):
         )
         self.sent = np.zeros(k, dtype=np.int64)
         self.reduced_used = np.zeros(k, dtype=np.int64)
+        self.codes = np.zeros((k, price_full.size), dtype=np.uint8)
 
     def decide_slot(self, slot, levels, q_len, z_len):
         p = self.params
         if not 1 <= slot <= p.deadline:
-            return np.zeros(len(levels), dtype=np.uint8)
+            return 0
         # 0 cannot send, 1 may send, 2 forced; forced implies can_send
         state = np.add(
             self.sent < min(slot, p.n_units),
@@ -300,6 +329,11 @@ class QualityPolicy(BasePolicy):
         )
         cell = 6 * state + 2 * levels + (self.reduced_used < p.quality_budget)
         actions = QUALITY_TABLE[self.price_class[slot]][cell]
-        self.sent += actions != _IDLE
+        self.codes[:, slot] = actions
+        sends = actions != _IDLE
+        self.sent += sends
         self.reduced_used += IS_REDUCED[actions]
-        return actions
+        return self.capacity * sends
+
+    def actions(self, serves, levels):
+        return self.codes

@@ -12,6 +12,11 @@
   one concentrator and one slot, as straight-line code. The vectorized
   policies must agree with them, and QUALITY_TABLE is rebuilt from
   quality_decide cell by cell.
+* run_codes is the slot loop the engine ran before the policies granted
+  packets: each slot a policy returned one Action code per concentrator,
+  and packet_grant turned code and spectrum level into packets.
+  lyapunov_codes, static_codes and QualityCodes are the code-returning
+  rules it ran, over a production policy's per-run arrays.
 * solve_bruteforce enumerates every schedule of a small offline instance.
 * solve_banded_dp is the banded 3-D dynamic program that was the production
   offline solver before the selection solver replaced it. It handles every
@@ -29,7 +34,15 @@ import numpy as np
 from hpclease.env import SpectrumLevel
 from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from hpclease.oracle import OfflineInstance, Schedule, validate_schedule
-from hpclease.policy import Action, StaticParams
+from hpclease.policy import (
+    IS_REDUCED,
+    QUALITY_TABLE,
+    Action,
+    LyapunovPolicy,
+    QualityPolicy,
+    StaticBurstPolicy,
+    StaticParams,
+)
 
 # ---------------------------------------------------------------------------
 # queue algebra
@@ -279,6 +292,99 @@ def quality_decide(
     if budget_remaining > 0 and reduced <= tracker.pap_reduced_microcents:
         return Action.BUY_REDUCED
     return Action.IDLE
+
+
+# ---------------------------------------------------------------------------
+# the slot loop over Action codes
+
+_IDLE_CODE, _FREE_FULL_CODE, _BUY_FULL_CODE = (
+    np.uint8(a) for a in (Action.IDLE, Action.FREE_FULL, Action.BUY_FULL)
+)
+
+
+def packet_grant(capacity: int, reduced_capacity: int) -> np.ndarray:
+    """Packets each action may move, indexed [Action code, SpectrumLevel
+    code]; a free send on a level that does not admit it moves nothing."""
+    grant = np.zeros((len(Action), len(SpectrumLevel)), dtype=np.int64)
+    grant[Action.FREE_FULL, SpectrumLevel.REDUCED :] = reduced_capacity, capacity
+    grant[Action.FREE_REDUCED, SpectrumLevel.REDUCED] = capacity
+    grant[Action.BUY_FULL :] = capacity
+    return grant
+
+
+def _free_action(policy, levels):
+    """What a busy concentrator does on each level when it does not buy."""
+    return np.where(policy.free_capacity[levels] > 0, _FREE_FULL_CODE, _IDLE_CODE)
+
+
+def lyapunov_codes(policy: LyapunovPolicy, slot, levels, q_len, z_len):
+    """LyapunovPolicy's rule as one Action code per concentrator."""
+    covered = policy.free_capacity[levels] >= np.minimum(q_len, policy.capacity)
+    buying = q_len + z_len > policy.threshold[slot]
+    actions = np.where(buying, _BUY_FULL_CODE, _free_action(policy, levels))
+    return np.where(q_len > 0, np.where(covered, _FREE_FULL_CODE, actions), _IDLE_CODE)
+
+
+def static_codes(policy: StaticBurstPolicy, slot, levels, q_len, z_len):
+    """StaticBurstPolicy's rule as one Action code per concentrator."""
+    actions = _BUY_FULL_CODE if policy.in_burst[slot] else _free_action(policy, levels)
+    return np.where(q_len > 0, actions, _IDLE_CODE)
+
+
+class QualityCodes:
+    """QualityPolicy's rule as one Action code per concentrator, with its
+    own counts of units sent and reduced units used."""
+
+    def __init__(self, policy: QualityPolicy):
+        self.params, self.price_class = policy.params, policy.price_class
+        self.sent = np.zeros_like(policy.sent)
+        self.reduced_used = np.zeros_like(policy.reduced_used)
+
+    def __call__(self, slot, levels, q_len, z_len):
+        p = self.params
+        if not 1 <= slot <= p.deadline:
+            return np.zeros(len(levels), dtype=np.uint8)
+        state = np.add(
+            self.sent < min(slot, p.n_units),
+            self.sent == p.n_units - (p.deadline - slot + 1),
+            dtype=np.uint8,
+        )
+        cell = 6 * state + 2 * levels + (self.reduced_used < p.quality_budget)
+        actions = QUALITY_TABLE[self.price_class[slot]][cell]
+        self.sent += actions != _IDLE_CODE
+        self.reduced_used += IS_REDUCED[actions]
+        return actions
+
+
+def code_rule(policy):
+    """The code-returning rule of a production policy."""
+    if isinstance(policy, LyapunovPolicy):
+        return lambda *slot_state: lyapunov_codes(policy, *slot_state)
+    if isinstance(policy, StaticBurstPolicy):
+        return lambda *slot_state: static_codes(policy, *slot_state)
+    return QualityCodes(policy)
+
+
+def run_codes(decide, trace, capacity, reduced_capacity, epsilon):
+    """The slot loop over Action codes. ``decide(slot, levels, q, z)``
+    returns the slot's codes. Returns the (K, T) uint8 codes, the (K, T)
+    int16 packets served, and Q and Z after the last slot."""
+    grant = packet_grant(capacity, reduced_capacity)
+    q = np.zeros(trace.k, dtype=np.int64)
+    z = np.zeros(trace.k, dtype=np.float64)
+    decisions = np.empty((trace.k, trace.horizon), dtype=np.uint8)
+    serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
+    for t in range(trace.horizon):
+        level = trace.levels[:, t]
+        actions = decide(t, level, q, z)
+        served = np.minimum(q, grant[actions, level])
+        decisions[:, t] = actions
+        serves[:, t] = served
+        busy = q > 0
+        q -= served
+        np.maximum(z - served + epsilon * busy, 0.0, out=z)
+        q += trace.arrivals[:, t]
+    return decisions, serves, q, z
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from hpclease import ScenarioConfig, StaticParams, cli, generate_trace, run
+from hpclease import ScenarioConfig, StaticParams, cli, engine, generate_trace, run
 from hpclease.env import load_trace
 from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.oracle import Schedule, instance_from_trace, validate_schedule
@@ -210,6 +211,56 @@ def test_run_quality_policy_requires_workload_flags(tmp_path, capsys):
     rc = main(tmp_path, "run", *SMALL, "--policy", "quality")
     assert rc == 3
     assert "quality policy needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--quality-budget", "3", "--budget-share", "0.2"], "--quality-budget"),
+        (["--n-units", "50", "--budget-share", "0.1"], "--n-units"),
+        (
+            ["--n-units", "50", "--deadline", "99", "--quality-budget", "3",
+             "--budget-share", "0.1"],
+            "--n-units, --deadline, --quality-budget",
+        ),
+    ],
+    ids=["quality-budget", "n-units", "all-three"],
+)
+def test_run_quality_flags_conflict_with_budget_share(flags, named, tmp_path, capsys):
+    rc = main(
+        tmp_path, "run", "--set", "horizon=100", "--set", "k_concentrators=3",
+        "--policy", "quality", *flags,
+    )
+    assert rc == 3
+    assert f"--budget-share derives the quality workload and conflicts with {named}" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "run_summary.json").exists()
+
+
+def test_compare_solves_each_oracle_workload_once(monkeypatch, tmp_path):
+    # the quality row and the oracle row share their (n_units, budget)
+    solves = Counter()
+    solve = engine.solve_dp
+
+    def counting_solve(instance):
+        solves[instance.n_units, instance.quality_budget] += 1
+        return solve(instance)
+
+    monkeypatch.setattr(engine, "solve_dp", counting_solve)
+    rc = main(
+        tmp_path, "compare", "--set", "horizon=400", "--set", "k_concentrators=4",
+        "--budget-share", "0.1",
+    )
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "comparison.csv").read_text())))
+    assert rows[0]["workload_complete"] == "true"
+    oracle_budget = int(rows[-1]["policy"].split("m=")[1].rstrip("]"))
+    # the drained lyapunov row's full workload, and the quality row's: one
+    # solve per concentrator each
+    assert solves[399, 0] == 4
+    assert oracle_budget in {budget for _, budget in solves}
+    assert sorted(solves.values()) == [4, 4]
 
 
 def test_compare_table_with_oracle_row(tmp_path):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpclease import (
@@ -35,7 +35,10 @@ from reference import (
     ConcentratorState,
     ServiceGrant,
     advance_virtual,
+    code_rule,
     enqueue,
+    packet_grant,
+    run_codes,
     serve,
 )
 
@@ -194,30 +197,21 @@ def test_conservation_of_packets(small_cfg):
     # final service opportunity and are not part of final_queue
 
 
-def _grant(action, level, unit, reduced):
-    """Packets one action may move on one spectrum level."""
-    if action == Action.FREE_FULL:
-        return {SpectrumLevel.REDUCED: reduced, SpectrumLevel.FULL: unit}.get(level, 0)
-    if action == Action.FREE_REDUCED:
-        return unit if level == SpectrumLevel.REDUCED else 0
-    return 0 if action == Action.IDLE else unit
-
-
 def _ledger_replay(cfg, params):
     """Replay a run's decisions through the scalar queueing ledger, slot by
     slot. Returns the run, the trace, the ledger's mean queue at the start of
     each slot and its final per-concentrator states."""
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, params, trace)
-    unit, reduced = service_capacity(cfg), reduced_capacity(cfg)
+    grant = packet_grant(service_capacity(cfg), reduced_capacity(cfg))
     states = [ConcentratorState() for _ in range(trace.k)]
     queue_means = []
     for t in range(trace.horizon):
         queue_means.append(np.mean([state.q_len for state in states]))
         for i, state in enumerate(states):
             busy, before = state.q_len > 0, state.total_served
-            grant = _grant(metrics.decisions[i, t], trace.levels[i, t], unit, reduced)
-            serve(state, ServiceGrant(grant), now=t)
+            packets = grant[metrics.decisions[i, t], trace.levels[i, t]]
+            serve(state, ServiceGrant(int(packets)), now=t)
             advance_virtual(state, state.total_served - before, metrics.epsilon, busy)
             enqueue(state, ArrivalBatch(slot=t, packets=int(trace.arrivals[i, t])))
     return metrics, trace, queue_means, states
@@ -304,10 +298,7 @@ def test_queue_series_mean_matches_per_slot_replay(case):
     cfg, params = case
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, params, trace)
-    unit, reduced = service_capacity(cfg), reduced_capacity(cfg)
-    grant = np.array(
-        [[_grant(a, lvl, unit, reduced) for lvl in SpectrumLevel] for a in Action]
-    )
+    grant = packet_grant(service_capacity(cfg), reduced_capacity(cfg))
     q = np.zeros(trace.k, dtype=np.int64)
     observed = np.empty(trace.horizon)
     for t in range(trace.horizon):
@@ -502,6 +493,89 @@ def test_run_metrics_digests(case):
     assert _metrics_digest(_digest_case(case)) == RUN_METRICS_DIGESTS[case]
 
 
+@st.composite
+def _code_loop_cases(draw):
+    """Small configs of every policy kind, both arrival laws and reduced
+    capacities of 0 (a tenth of at most 8 packets) and above 0."""
+    horizon = draw(st.integers(2, 80))
+    policy = draw(st.sampled_from(["lyapunov", "static", "quality"]))
+    unit = draw(st.integers(2, 8))
+    if policy == "quality":
+        law, mean_arrival = "deterministic", unit
+    else:
+        law = draw(st.sampled_from(["deterministic", "poisson"]))
+        mean_arrival = draw(st.integers(0, 8))
+    cfg = ScenarioConfig(
+        k_concentrators=draw(st.integers(1, 6)),
+        horizon=horizon,
+        mean_arrival=mean_arrival,
+        unit_size_packets=unit,
+        reduced_fraction=draw(st.sampled_from([0.1, 0.5])),
+        arrival_law=law,
+        seed=draw(st.integers(0, 1000)),
+    )
+    if policy == "lyapunov":
+        params = LyapunovParams(
+            draw(st.sampled_from([0.5, 10.0, 1e4])),
+            epsilon=draw(st.sampled_from([None, 0.25, 3.0])),
+        )
+    elif policy == "static":
+        period = draw(st.integers(1, 20))
+        params = StaticParams(period, draw(st.integers(1, period)))
+    else:
+        n_units = draw(st.integers(1, horizon - 1))
+        params = QualityParams(
+            n_units=n_units,
+            deadline=horizon - 1,
+            quality_budget=draw(st.integers(0, n_units - 1)),
+        )
+    return cfg, params
+
+
+_CODE_LOOP_CFG = ScenarioConfig(k_concentrators=4, horizon=60, seed=7)
+
+
+@given(_code_loop_cases())
+# bursts over every level, FULL included; quality budgets 0 and above 0;
+# an epsilon override on Poisson arrivals with no reduced capacity
+@example((_CODE_LOOP_CFG, StaticParams(10, 4)))
+@example((_CODE_LOOP_CFG, QualityParams(n_units=50, deadline=59, quality_budget=0)))
+@example((_CODE_LOOP_CFG, QualityParams(n_units=50, deadline=59, quality_budget=9)))
+@example((
+    dataclasses.replace(_CODE_LOOP_CFG, reduced_fraction=0.1, arrival_law="poisson"),
+    LyapunovParams(10.0, epsilon=0.25),
+))
+@settings(max_examples=100, deadline=None)
+def test_grant_loop_matches_action_code_loop(case):
+    # the engine's loop over packet grants, with codes recovered after the
+    # run, against the loop it replaced, which carried one Action code per
+    # concentrator and slot and turned it into packets by table lookup
+    cfg, params = case
+    trace = generate_trace(cfg, cfg.seed)
+    metrics = run(cfg, params, trace)
+    serves, q, z = engine._serve_slots(
+        make_policy(params, cfg, trace), trace, metrics.epsilon
+    )
+    unit = service_capacity(cfg)
+    codes, ref_serves, ref_q, ref_z = run_codes(
+        code_rule(make_policy(params, cfg, trace)),
+        trace,
+        unit,
+        reduced_capacity(cfg),
+        metrics.epsilon,
+    )
+    assert metrics.decisions.dtype == codes.dtype
+    assert np.array_equal(metrics.decisions, codes)
+    assert serves.dtype == ref_serves.dtype
+    assert np.array_equal(serves, ref_serves)
+    assert np.array_equal(q, ref_q)
+    assert z.tobytes() == ref_z.tobytes()
+    expected = engine._summarize(
+        params, trace, metrics.epsilon, unit, codes, ref_serves, ref_q, ref_z
+    )
+    assert _metrics_digest(metrics) == _metrics_digest(expected)
+
+
 def test_huge_arrivals_run_in_fleet_sized_memory():
     # 2**31 - 1 packets arrive per slot; delays come from cumulative counts,
     # never from one int64 per packet, which here would be 860 GB per concentrator
@@ -535,7 +609,8 @@ ROGUE_ARGV = {
 
 class RoguePolicy(BasePolicy):
     """The real policy, except that one concentrator takes ``action``
-    whenever ``when(slot, its level)`` holds."""
+    whenever ``when(slot, its level)`` holds: its grant is what that action
+    may move on the level, and ``actions`` reports the action's code."""
 
     def __init__(self, params, concentrator, when, action):
         self.params = params
@@ -544,13 +619,22 @@ class RoguePolicy(BasePolicy):
     def build(self, config, trace):
         """The engine's make_policy: a fresh inner policy for every run."""
         self.inner = make_policy(self.params, config, trace)
+        self.grant = packet_grant(service_capacity(config), reduced_capacity(config))
+        self.slots = []
         return self
 
     def decide_slot(self, slot, levels, q_len, z_len):
-        actions = self.inner.decide_slot(slot, levels, q_len, z_len).copy()
-        if self.when(slot, levels[self.concentrator]):
-            actions[self.concentrator] = int(self.action)
-        return actions
+        grant = np.full(len(levels), self.inner.decide_slot(slot, levels, q_len, z_len))
+        level = levels[self.concentrator]
+        if self.when(slot, level):
+            grant[self.concentrator] = self.grant[self.action, level]
+            self.slots.append(slot)
+        return grant
+
+    def actions(self, serves, levels):
+        codes = self.inner.actions(serves, levels).copy()
+        codes[self.concentrator, self.slots] = int(self.action)
+        return codes
 
 
 def _first_slot(row, start):

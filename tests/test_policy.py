@@ -20,7 +20,13 @@ from hpclease.policy import (
     StaticParams,
 )
 
-from reference import PapMirror, lyapunov_decide, quality_decide, static_decide
+from reference import (
+    PapMirror,
+    lyapunov_decide,
+    packet_grant,
+    quality_decide,
+    static_decide,
+)
 
 NONE, REDUCED, FULL = SpectrumLevel.NONE, SpectrumLevel.REDUCED, SpectrumLevel.FULL
 
@@ -39,7 +45,7 @@ def thresholds(v_factor, full_microcents):
 def quality_policy(params, prices, k=1):
     """A deadline scheduler over (full, reduced) micro-cent pairs, one per slot."""
     full, reduced = np.array(prices, dtype=np.int64).reshape(-1, 2).T
-    return QualityPolicy(params, k, full, reduced)
+    return QualityPolicy(params, k, 5, full, reduced)
 
 
 def test_threshold_examples():
@@ -214,7 +220,9 @@ def test_pap_flags_match_running_mean_mirror(beta_c):
     params = QualityParams(
         n_units=9_000, deadline=9_999, quality_budget=0, beta_c=beta_c
     )
-    policy = QualityPolicy(params, trace.k, trace.price_full, trace.price_reduced)
+    policy = QualityPolicy(
+        params, trace.k, 5, trace.price_full, trace.price_reduced
+    )
     mirror = PapMirror(beta_c)
     full_flags, reduced_flags = [], []
     for full, reduced in zip(trace.price_full.tolist(), trace.price_reduced.tolist()):
@@ -338,6 +346,15 @@ def test_action_classification():
 # -- vectorized policies agree with the scalar rules --------------------
 
 
+def _served_and_codes(policy, slot, horizon, levels, served):
+    """One slot's service as int16, and the codes a packet policy recovers
+    for it from a run that moved nothing in any other slot."""
+    serves = np.zeros((len(levels), horizon), dtype=np.int16)
+    serves[:, slot] = served
+    codes = policy.actions(serves, np.broadcast_to(levels[:, None], serves.shape))
+    return serves[:, slot], codes[:, slot]
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_lyapunov_policy_matches_scalar(data):
@@ -357,8 +374,11 @@ def test_lyapunov_policy_matches_scalar(data):
     reduced_capacity = data.draw(st.sampled_from([0, 2]))
     prices = np.array([7, 7, 7, full], dtype=np.int64)
     policy = LyapunovPolicy(LyapunovParams(v_factor=v), 5, reduced_capacity, prices)
-    actions = policy.decide_slot(3, levels, q, z)
-    assert actions.dtype == np.uint8
+    grant = policy.decide_slot(3, levels, q, z)
+    assert grant.dtype == np.int64
+    served, codes = _served_and_codes(policy, 3, 4, levels, np.minimum(q, grant))
+    assert codes.dtype == np.uint8
+    moves = packet_grant(5, reduced_capacity)
     threshold = v * (full / MICROCENTS_PER_CENT) / 2.0  # the scalar V * c / 2
     for i in range(k):
         expected = lyapunov_decide(
@@ -369,7 +389,8 @@ def test_lyapunov_policy_matches_scalar(data):
             5,
             reduced_capacity,
         )
-        assert actions[i] == int(expected)
+        assert codes[i] == int(expected)
+        assert served[i] == min(q[i], moves[expected, levels[i]])
 
 
 @given(st.data())
@@ -384,16 +405,22 @@ def test_static_policy_matches_scalar(data):
         data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=np.uint8
     )
     policy = StaticBurstPolicy(params, capacity=5, reduced_capacity=2, horizon=2501)
-    actions = policy.decide_slot(slot, levels, q, np.zeros(k))
+    grant = policy.decide_slot(slot, levels, q, np.zeros(k))
+    served, codes = _served_and_codes(
+        policy, slot, 2501, levels, np.minimum(q, grant)
+    )
+    moves = packet_grant(5, 2)
     for i in range(k):
         if q[i] == 0:
-            assert actions[i] == int(Action.IDLE)
+            expected = Action.IDLE
         elif static_decide(slot, params):
-            assert actions[i] == int(Action.BUY_FULL)
+            expected = Action.BUY_FULL
         elif levels[i] != int(SpectrumLevel.NONE):
-            assert actions[i] == int(Action.FREE_FULL)
+            expected = Action.FREE_FULL
         else:
-            assert actions[i] == int(Action.IDLE)
+            expected = Action.IDLE
+        assert codes[i] == int(expected)
+        assert served[i] == min(q[i], moves[expected, levels[i]])
 
 
 # -- the deadline scheduler's table is its specification ----------------
@@ -465,17 +492,18 @@ def test_forced_concentrator_always_sends(case):
     params, price_class, levels = case
     k = levels.shape[1]
     prices = np.full(params.deadline + 1, 10**6, dtype=np.int64)
-    policy = QualityPolicy(params, k, prices, prices // 2)
+    policy = QualityPolicy(params, k, 5, prices, prices // 2)
     policy.price_class = price_class
     for slot in range(params.deadline + 1):
         remaining = params.n_units - policy.sent
-        actions = policy.decide_slot(slot, levels[slot], np.zeros(k), np.zeros(k))
+        grant = policy.decide_slot(slot, levels[slot], np.zeros(k), np.zeros(k))
+        grant = np.broadcast_to(grant, k)
         if slot == 0:
-            assert not actions.any()
+            assert not grant.any()
             continue
         slots_remaining = params.deadline - slot + 1
         assert (remaining <= slots_remaining).all()
-        assert actions[remaining == slots_remaining].all()
+        assert (grant[remaining == slots_remaining] == 5).all()
         assert (policy.reduced_used <= params.quality_budget).all()
     assert (policy.sent == params.n_units).all()
 
@@ -501,15 +529,20 @@ def test_quality_policy_matches_scalar_sequence(data):
     remaining = [n_units] * k
     budget_left = [budget] * k
     idle = policy.decide_slot(0, np.zeros(k, np.uint8), np.zeros(k, int), np.zeros(k))
-    assert not idle.any()  # no unit exists before slot 1
+    assert not np.any(idle)  # no unit exists before slot 1
     mirror.observe(*prices[0])
 
+    # the run's grants as served packets, its levels and the scalar codes
+    serves = np.zeros((k, deadline + 1), dtype=np.int16)
+    all_levels = np.zeros((k, deadline + 1), dtype=np.uint8)
+    expected_codes = np.zeros((k, deadline + 1), dtype=np.uint8)
     for slot in range(1, deadline + 1):
         levels = np.array(
             data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)),
             dtype=np.uint8,
         )
-        actions = policy.decide_slot(slot, levels, np.zeros(k, int), np.zeros(k))
+        grant = policy.decide_slot(slot, levels, np.zeros(k, int), np.zeros(k))
+        serves[:, slot], all_levels[:, slot] = grant, levels
         for i in range(k):
             expected = quality_decide(
                 params,
@@ -520,7 +553,8 @@ def test_quality_policy_matches_scalar_sequence(data):
                 remaining[i],
                 budget_left[i],
             )
-            assert actions[i] == int(expected)
+            expected_codes[i, slot] = expected
+            assert grant[i] == (0 if expected == Action.IDLE else 5)
             if expected != Action.IDLE:
                 remaining[i] -= 1
             if expected in (Action.FREE_REDUCED, Action.BUY_REDUCED):
@@ -528,3 +562,4 @@ def test_quality_policy_matches_scalar_sequence(data):
         mirror.observe(*prices[slot])
 
     assert remaining == [0] * k
+    assert np.array_equal(policy.actions(serves, all_levels), expected_codes)
