@@ -260,6 +260,13 @@ def _json_bytes(doc: object) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
+# run's flags that one policy reads, all with argparse default None
+_POLICY_FLAGS = {
+    "epsilon": "lyapunov",
+    **dict.fromkeys(("n_units", "deadline", "quality_budget", "budget_share"), "quality"),
+}
+
+
 def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig, trace) -> PolicyParams:
     if spec.policy == "lyapunov":
         return LyapunovParams(v_factor=spec.v_factor, epsilon=spec.epsilon)
@@ -294,6 +301,14 @@ def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig, trace) -> Poli
 
 
 def _cmd_run(spec: argparse.Namespace) -> int:
+    unread = [
+        "--" + name.replace("_", "-")
+        for name, policy in _POLICY_FLAGS.items()
+        if policy != spec.policy and getattr(spec, name) is not None
+    ]
+    if unread:
+        flags = ", ".join(unread)
+        raise ConfigurationError(f"--policy {spec.policy} does not read {flags}")
     cfg = _scenario(spec)
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, _policy_params(spec, cfg, trace), trace)

@@ -2,20 +2,23 @@
 
 The policy is built once per run from the trace, so its price rules are
 per-slot arrays before the first slot. The slot loop carries only the
-state the next slot reads. Each slot it asks the policy how many packets
-each concentrator may move, serves the smaller of that grant and the
-backlog, advances the virtual queues, then enqueues the slot's arrivals.
-Everything is vectorized across the fleet, and the loop records only the
-packets served.
+state the next slot reads: the backlog Q of each concentrator. Each slot
+it asks the policy how many packets each concentrator may move, serves the
+smaller of that grant and the backlog, then enqueues the slot's arrivals.
+Whatever else a policy reads from slot to slot, such as the Lyapunov
+policy's virtual queues, the policy keeps itself. Everything is vectorized
+across the fleet, and the loop records only the packets served.
 
 Everything else runs once, after the last slot. The policy turns the
 (concentrator, slot) service matrix into Action codes; then come the
 invariant checks over codes and service (each error names the policy
 label, seed, first offending slot and concentrator), the cost accounting,
-the fleet's mean backlog per slot, and the total packet delay.
-Service is FIFO within a concentrator, so the total delay is the area
-between its cumulative arrival and service curves (the sample-path argument
-behind Little's law), computed from per-slot counts and never per packet.
+the fleet's mean backlog per slot, and the total packet delay. A run's
+RunMetrics keeps only these summaries, never the codes or the service
+matrix. Service is FIFO within a concentrator, so the total delay is the
+area between its cumulative arrival and service curves (the sample-path
+argument behind Little's law), computed from per-slot counts and never per
+packet.
 
 Costs are integer micro-cents throughout, so runs are reproducible to the
 last digit across platforms; ScenarioConfig.validate bounds prices so that
@@ -98,7 +101,10 @@ def make_policy(
         return policy
     capacities = unit, reduced_capacity(config)
     if isinstance(params, LyapunovParams):
-        return LyapunovPolicy(params, *capacities, trace.price_full)
+        epsilon = config.epsilon if params.epsilon is None else params.epsilon
+        return LyapunovPolicy(
+            params, *capacities, trace.price_full, trace.k, float(epsilon)
+        )
     if isinstance(params, StaticParams):
         return StaticBurstPolicy(params, *capacities, trace.horizon)
     raise ConfigurationError(f"not a policy parameter block: {params!r}")
@@ -106,13 +112,12 @@ def make_policy(
 
 @dataclass(eq=False)
 class RunMetrics:
-    """Everything one run produced, in integer-exact form."""
+    """What one run produced, in integer-exact form; no field is (K, T)."""
 
     params: PolicyParams
     seed: int
     k: int
     horizon: int
-    epsilon: float
     cost_total_microcents: int
     cost_per_concentrator: np.ndarray      # (K,) int64, final totals
     cost_series_fleet: np.ndarray          # (T,) int64, cumulative
@@ -124,9 +129,6 @@ class RunMetrics:
     total_served: int
     units_sent_full: int
     units_sent_reduced: int
-    reduced_per_concentrator: np.ndarray   # (K,) int64
-    z_final: np.ndarray                    # (K,) float64
-    decisions: np.ndarray                  # (K, T) uint8 Action codes
 
     @property
     def policy_kind(self) -> str:
@@ -193,36 +195,28 @@ def run(
         )
     _check_prices(trace)
     policy = make_policy(params, config, trace)
-    epsilon = float(config.epsilon)
-    if isinstance(params, LyapunovParams) and params.epsilon is not None:
-        epsilon = float(params.epsilon)
-    serves, q, z = _serve_slots(policy, trace, epsilon)
+    serves, q = _serve_slots(policy, trace)
     decisions = policy.actions(serves, trace.levels)
-    return _summarize(
-        params, trace, epsilon, service_capacity(config), decisions, serves, q, z
-    )
+    return _summarize(params, trace, service_capacity(config), decisions, serves, q)
 
 
-def _serve_slots(policy: BasePolicy, trace: Trace, epsilon: float):
-    """The slot loop: the (K, T) int16 packets served, and Q and Z after
-    the last slot."""
+def _serve_slots(policy: BasePolicy, trace: Trace):
+    """The slot loop: the (K, T) int16 packets served, and Q after the
+    last slot."""
     q = np.zeros(trace.k, dtype=np.int64)
-    z = np.zeros(trace.k, dtype=np.float64)
     serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
     levels, arrivals = trace.levels, trace.arrivals
     for t in range(trace.horizon):
-        served = np.minimum(q, policy.decide_slot(t, levels[:, t], q, z))
+        served = np.minimum(q, policy.decide_slot(t, levels[:, t], q))
         serves[:, t] = served
-        busy = q > 0
         q -= served
-        np.maximum(z - served + epsilon * busy, 0.0, out=z)
         q += arrivals[:, t]
-    return serves, q, z
+    return serves, q
 
 
-def _summarize(params, trace, epsilon, unit, decisions, serves, q, z) -> RunMetrics:
+def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
     """Check a finished run and account for it, from its (K, T) Action
-    codes and packets served and its final Q and Z."""
+    codes and packets served and its final Q."""
     k, horizon = trace.k, trace.horizon
     levels, arrivals = trace.levels, trace.arrivals
     run_name = f"{params.label} seed {trace.seed}"
@@ -235,10 +229,9 @@ def _summarize(params, trace, epsilon, unit, decisions, serves, q, z) -> RunMetr
             f"{total_arrived} arrived != {total_served} served + {int(q.sum())} queued"
         )
 
-    # the action of every slot that moved packets; a send that moved nothing is free
-    sent = np.where(serves > 0, decisions, np.uint8(Action.IDLE))
-    reduced_per_conc = np.count_nonzero(sent == Action.FREE_REDUCED, axis=1)
-    reduced_per_conc += np.count_nonzero(sent == Action.BUY_REDUCED, axis=1)
+    # a code is IDLE exactly where nothing moved, so every other code is a send
+    reduced = int(np.count_nonzero(decisions == Action.FREE_REDUCED))
+    reduced += int(np.count_nonzero(decisions == Action.BUY_REDUCED))
     # micro-cents one send costs, indexed [Action code, slot]
     charge = np.zeros((len(Action), horizon), dtype=np.int64)
     charge[Action.BUY_FULL] = trace.price_full
@@ -250,7 +243,7 @@ def _summarize(params, trace, epsilon, unit, decisions, serves, q, z) -> RunMetr
     rows = max(1, 2**16 // horizon)
     for lo in range(0, k, rows):
         block = slice(lo, lo + rows)
-        paid = charge[sent[block], np.arange(horizon)]
+        paid = charge[decisions[block], np.arange(horizon)]
         cost_per_slot += paid.sum(axis=0)
         cost_per_conc[block] = paid.sum(axis=1)
         # each packet waits one slot per slot end at which it has arrived
@@ -270,23 +263,19 @@ def _summarize(params, trace, epsilon, unit, decisions, serves, q, z) -> RunMetr
         seed=trace.seed,
         k=k,
         horizon=horizon,
-        epsilon=epsilon,
         cost_total_microcents=int(cost_series_fleet[-1]),
         cost_per_concentrator=cost_per_conc,
         cost_series_fleet=cost_series_fleet,
         purchases_per_slot=np.count_nonzero(
-            sent >= Action.BUY_FULL, axis=0
+            decisions >= Action.BUY_FULL, axis=0
         ).astype(np.int32),
         queue_series_mean=backlog / k,
         final_queue=q - arrivals[:, -1],
         total_delay_slots=total_delay,
         total_arrived=total_arrived,
         total_served=total_served,
-        units_sent_full=int(np.count_nonzero(sent)) - int(reduced_per_conc.sum()),
-        units_sent_reduced=int(reduced_per_conc.sum()),
-        reduced_per_concentrator=reduced_per_conc.astype(np.int64),
-        z_final=z,
-        decisions=decisions,
+        units_sent_full=int(np.count_nonzero(decisions)) - reduced,
+        units_sent_reduced=reduced,
     )
 
 

@@ -18,9 +18,12 @@ Three families are implemented.
   independent of queue state and prices; the classic dumb baseline.
 
 The policy classes decide for the whole fleet at once, one vectorized call
-per slot that returns the packets each concentrator may move. Each
-parameter block names its policy: ``kind`` and ``label`` identify it in
-reports, and the engine builds the matching class once per run. Whatever
+per slot that returns the packets each concentrator may move. The engine
+carries only the backlog Q; a policy keeps whatever else it reads from slot
+to slot: LyapunovPolicy its virtual queue Z, QualityPolicy its counts of
+units sent and reduced units used. Each parameter block names its policy:
+``kind`` and ``label`` identify it in reports, and the engine builds the
+matching class once per run. Whatever
 depends only on the trace and the parameters is computed for every slot
 when a policy is built: the purchase threshold, whether the posted prices
 are at most their PAP, and whether a slot lies in a static burst. A slot's
@@ -188,31 +191,29 @@ class BasePolicy:
     """Per-slot decision maker over all k concentrators at once.
 
     decide_slot returns the packets each concentrator may move in the slot,
-    as int64 (a scalar grants every concentrator the same); the engine
-    serves the smaller of that grant and the backlog. It calls decide_slot
-    exactly once per slot, in slot order. After the last slot, actions
-    turns the run's (K, T) service matrix into uint8 Action codes.
+    given the backlog q_len before the slot's service, as int64 (a scalar
+    grants every concentrator the same); the engine serves the smaller of
+    that grant and the backlog. It calls decide_slot exactly once per slot,
+    in slot order.
     """
 
     def decide_slot(
-        self,
-        slot: int,
-        levels: np.ndarray,
-        q_len: np.ndarray,
-        z_len: np.ndarray,
+        self, slot: int, levels: np.ndarray, q_len: np.ndarray
     ) -> np.ndarray | int:  # pragma: no cover - overridden
         raise NotImplementedError
 
     def actions(
         self, serves: np.ndarray, levels: np.ndarray
     ) -> np.ndarray:  # pragma: no cover - overridden
+        """The run's (K, T) uint8 Action codes, after the last slot. A code
+        is IDLE exactly where the run moved no packets, so the engine counts
+        and charges sends from the codes alone."""
         raise NotImplementedError
 
 
 class _PacketPolicy(BasePolicy):
     """A policy that moves packets: service capacity per slot and the free
-    capacity of each spectrum level. Q and Z live in the engine, so these
-    policies keep no state between slots."""
+    capacity of each spectrum level."""
 
     def __init__(
         self, params: LyapunovParams | StaticParams, capacity: int, reduced_capacity: int
@@ -232,7 +233,11 @@ class LyapunovPolicy(_PacketPolicy):
     A purchase grants a full unit. On a slot whose free capacity covers
     min(Q, unit) that moves the same packets as the free send, so the
     grant needs no coverage test; the codes do: a slot was a purchase
-    exactly when it moved more than the level's free capacity."""
+    exactly when it moved more than the level's free capacity.
+
+    The policy holds each concentrator's virtual queue Z, a (K,) float64
+    array. Each slot, after the grant, Z drops by the packets served and
+    grows by epsilon if the concentrator was busy, floored at 0."""
 
     def __init__(
         self,
@@ -240,13 +245,20 @@ class LyapunovPolicy(_PacketPolicy):
         capacity: int,
         reduced_capacity: int,
         price_full: np.ndarray,
+        k: int,
+        epsilon: float,
     ):
         super().__init__(params, capacity, reduced_capacity)
         self.threshold = params.v_factor * (price_full / MICROCENTS_PER_CENT) / 2.0
+        self.epsilon = epsilon
+        self.z = np.zeros(k, dtype=np.float64)
 
-    def decide_slot(self, slot, levels, q_len, z_len):
-        buying = q_len + z_len > self.threshold[slot]
-        return np.where(buying, self.capacity, self.free_capacity[levels])
+    def decide_slot(self, slot, levels, q_len):
+        buying = q_len + self.z > self.threshold[slot]
+        grant = np.where(buying, self.capacity, self.free_capacity[levels])
+        served = np.minimum(q_len, grant)
+        np.maximum(self.z - served + self.epsilon * (q_len > 0), 0.0, out=self.z)
+        return grant
 
     def actions(self, serves, levels):
         # the code of each (level, packets moved), looked up so that no
@@ -268,7 +280,7 @@ class StaticBurstPolicy(_PacketPolicy):
         slots = np.arange(horizon)
         self.in_burst = (slots >= 1) & ((slots - 1) % params.period < params.burst_len)
 
-    def decide_slot(self, slot, levels, q_len, z_len):
+    def decide_slot(self, slot, levels, q_len):
         return self.capacity if self.in_burst[slot] else self.free_capacity[levels]
 
     def actions(self, serves, levels):
@@ -317,7 +329,7 @@ class QualityPolicy(BasePolicy):
         self.reduced_used = np.zeros(k, dtype=np.int64)
         self.codes = np.zeros((k, price_full.size), dtype=np.uint8)
 
-    def decide_slot(self, slot, levels, q_len, z_len):
+    def decide_slot(self, slot, levels, q_len):
         p = self.params
         if not 1 <= slot <= p.deadline:
             return 0

@@ -1,9 +1,12 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from hpclease import ScenarioConfig
+from hpclease import ScenarioConfig, engine, generate_trace, make_policy
 from hpclease.env import MICROCENTS_PER_CENT
 from hpclease.oracle import OfflineInstance
+from hpclease.policy import BasePolicy
 
 
 def cents(x: float) -> int:
@@ -26,3 +29,20 @@ def small_cfg():
     # 4 concentrators, 200 slots: big enough for behavior, fast enough
     # to run dozens of times per test module
     return ScenarioConfig(k_concentrators=4, horizon=200, seed=7)
+
+
+class Core(NamedTuple):
+    policy: BasePolicy  # after the run; a LyapunovPolicy holds z and epsilon
+    codes: np.ndarray   # (K, T) uint8 Action codes
+    serves: np.ndarray  # (K, T) int16 packets served
+    q: np.ndarray       # (K,) int64 backlog after the last slot
+
+
+def run_core(config, params, trace=None) -> Core:
+    """One run through the engine's private slot loop, for the per-cell and
+    per-policy state that RunMetrics does not keep."""
+    if trace is None:
+        trace = generate_trace(config, config.seed)
+    policy = make_policy(params, config, trace)
+    serves, q = engine._serve_slots(policy, trace)
+    return Core(policy, policy.actions(serves, trace.levels), serves, q)

@@ -32,8 +32,9 @@ from hpclease.engine import (
     run,
 )
 from hpclease.oracle import OfflineInstance, solve_dp
-from hpclease.policy import Action, LyapunovParams, QualityParams
+from hpclease.policy import IS_REDUCED, Action, LyapunovParams, QualityParams
 
+from conftest import run_core
 from reference import (
     ArrivalBatch,
     ConcentratorState,
@@ -283,12 +284,13 @@ def test_deadline_scheduler_always_completes():
             mean_arrival=int(rng.integers(2, 7)),
             seed=int(rng.integers(0, 2**31)),
         )
-        metrics = run(cfg, params)
-        sends = (metrics.decisions != int(Action.IDLE)).sum(axis=1)
+        run(cfg, params)  # raises if a deadline or the budget is broken
+        codes = run_core(cfg, params).codes
+        sends = (codes != int(Action.IDLE)).sum(axis=1)
         assert int(sends.min()) == n == int(sends.max()), (
             f"horizon {horizon}, {n} units: sends per concentrator {sends}"
         )
-        assert int(metrics.reduced_per_concentrator.max()) <= params.quality_budget
+        assert int(IS_REDUCED[codes].sum(axis=1).max()) <= params.quality_budget
 
 
 def test_queue_operations_replay_against_reference():

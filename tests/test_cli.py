@@ -15,6 +15,8 @@ from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.oracle import Schedule, instance_from_trace, validate_schedule
 from hpclease.policy import Action
 
+from conftest import run_core
+
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
 
 SMALL = ["--set", "k_concentrators=3", "--set", "horizon=300"]
@@ -235,6 +237,34 @@ def test_run_quality_flags_conflict_with_budget_share(flags, named, tmp_path, ca
     assert f"--budget-share derives the quality workload and conflicts with {named}" in (
         capsys.readouterr().err
     )
+    assert not (tmp_path / "run_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--policy", "static", "--epsilon", "3"], "--epsilon"),
+        (
+            ["--policy", "quality", "--n-units", "150", "--deadline", "199",
+             "--quality-budget", "30", "--epsilon", "3"],
+            "--epsilon",
+        ),
+        (["--policy", "lyapunov", "--n-units", "50"], "--n-units"),
+        (["--policy", "static", "--budget-share", "0.1"], "--budget-share"),
+        (
+            ["--policy", "lyapunov", "--epsilon", "3", "--deadline", "9",
+             "--quality-budget", "3"],
+            "--deadline, --quality-budget",
+        ),
+    ],
+    ids=["static-epsilon", "quality-epsilon", "lyapunov-n-units",
+         "static-budget-share", "lyapunov-two-quality-flags"],
+)
+def test_run_rejects_flags_its_policy_does_not_read(flags, named, tmp_path, capsys):
+    # each of these once ran and silently ignored the flag
+    rc = main(tmp_path, "run", *SMALL, *flags)
+    assert rc == 3
+    assert f"--policy {flags[1]} does not read {named}" in capsys.readouterr().err
     assert not (tmp_path / "run_summary.json").exists()
 
 
@@ -553,9 +583,10 @@ def test_costs_exact_just_under_the_price_bound():
     cfg = ScenarioConfig(
         k_concentrators=3, horizon=50, price_low_cents=3e6, price_high_cents=6e6
     )
-    metrics = run(cfg, StaticParams(period=10, burst_len=10))
+    params = StaticParams(period=10, burst_len=10)
+    metrics = run(cfg, params)
     trace = generate_trace(cfg, cfg.seed)
-    paid = metrics.decisions == Action.BUY_FULL
+    paid = run_core(cfg, params, trace).codes == Action.BUY_FULL
     exact = sum(int(p) for row in paid for p in trace.price_full[row])
     assert metrics.cost_total_microcents == exact > 2**50
     assert int(metrics.cost_per_concentrator.sum()) == exact

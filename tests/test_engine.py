@@ -23,13 +23,16 @@ from hpclease.engine import reduced_capacity, service_capacity
 from hpclease.env import SpectrumLevel
 from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.policy import (
+    IS_REDUCED,
     Action,
     BasePolicy,
     LyapunovParams,
+    LyapunovPolicy,
     QualityParams,
     StaticParams,
 )
 
+from conftest import run_core
 from reference import (
     ArrivalBatch,
     ConcentratorState,
@@ -100,7 +103,7 @@ def test_zero_arrival_run_costs_nothing():
     assert np.all(metrics.queue_series_mean == 0)
     assert np.all(metrics.final_queue == 0)
     assert metrics.total_served == 0
-    assert np.all(metrics.decisions == int(Action.IDLE))
+    assert np.all(run_core(cfg, LYAP1).codes == int(Action.IDLE))
 
 
 def test_all_full_levels_run_is_free_and_stable(small_cfg):
@@ -141,6 +144,7 @@ def test_static_purchases_exactly_burst_len_per_period():
 def test_cost_series_accounting(small_cfg):
     trace = generate_trace(small_cfg, small_cfg.seed)
     metrics = run(small_cfg, LyapunovParams(v_factor=10.0), trace)
+    codes = run_core(small_cfg, LyapunovParams(v_factor=10.0), trace).codes
     assert metrics.cost_series_fleet[-1] == metrics.cost_total_microcents
     assert np.all(np.diff(metrics.cost_series_fleet) >= 0)
     assert metrics.cost_per_concentrator.sum() == metrics.cost_total_microcents
@@ -148,9 +152,9 @@ def test_cost_series_accounting(small_cfg):
     price = {Action.BUY_FULL: trace.price_full, Action.BUY_REDUCED: trace.price_reduced}
     expected = [
         sum(int(price[a][t]) for t, a in enumerate(row) if a in price)
-        for row in metrics.decisions
+        for row in codes
     ]
-    assert np.count_nonzero(metrics.decisions >= Action.BUY_FULL) > 0
+    assert np.count_nonzero(codes >= Action.BUY_FULL) > 0
     assert metrics.cost_per_concentrator.tolist() == expected
 
 
@@ -158,7 +162,10 @@ def test_run_is_deterministic(small_cfg):
     a = run(small_cfg, LYAP1)
     b = run(small_cfg, LYAP1)
     assert a.cost_total_microcents == b.cost_total_microcents
-    assert np.array_equal(a.decisions, b.decisions)
+    assert np.array_equal(a.purchases_per_slot, b.purchases_per_slot)
+    assert np.array_equal(
+        run_core(small_cfg, LYAP1).codes, run_core(small_cfg, LYAP1).codes
+    )
     assert np.array_equal(a.final_queue, b.final_queue)
     assert a.total_delay_slots == b.total_delay_slots
 
@@ -167,7 +174,9 @@ def test_runs_on_one_trace_identical_metrics(small_cfg):
     trace = generate_trace(small_cfg, small_cfg.seed)
     one, two = run(small_cfg, LYAP1, trace), run(small_cfg, LYAP1, trace)
     assert one.cost_total_microcents == two.cost_total_microcents
-    assert np.array_equal(one.decisions, two.decisions)
+    assert np.array_equal(
+        run_core(small_cfg, LYAP1, trace).codes, run_core(small_cfg, LYAP1, trace).codes
+    )
 
 
 def test_matched_cost_nonincreasing_in_v(small_cfg):
@@ -199,10 +208,12 @@ def test_conservation_of_packets(small_cfg):
 
 def _ledger_replay(cfg, params):
     """Replay a run's decisions through the scalar queueing ledger, slot by
-    slot. Returns the run, the trace, the ledger's mean queue at the start of
-    each slot and its final per-concentrator states."""
+    slot, advancing the virtual queue only for the policy that keeps one.
+    Returns the run, the policy after the run, the trace, the ledger's mean
+    queue at the start of each slot and its final per-concentrator states."""
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, params, trace)
+    policy, codes, _, _ = run_core(cfg, params, trace)
     grant = packet_grant(service_capacity(cfg), reduced_capacity(cfg))
     states = [ConcentratorState() for _ in range(trace.k)]
     queue_means = []
@@ -210,21 +221,24 @@ def _ledger_replay(cfg, params):
         queue_means.append(np.mean([state.q_len for state in states]))
         for i, state in enumerate(states):
             busy, before = state.q_len > 0, state.total_served
-            packets = grant[metrics.decisions[i, t], trace.levels[i, t]]
+            packets = grant[codes[i, t], trace.levels[i, t]]
             serve(state, ServiceGrant(int(packets)), now=t)
-            advance_virtual(state, state.total_served - before, metrics.epsilon, busy)
+            if isinstance(policy, LyapunovPolicy):
+                served = state.total_served - before
+                advance_virtual(state, served, policy.epsilon, busy)
             enqueue(state, ArrivalBatch(slot=t, packets=int(trace.arrivals[i, t])))
-    return metrics, trace, queue_means, states
+    return metrics, policy, trace, queue_means, states
 
 
-def _assert_queues_match(metrics, trace, queue_means, states):
+def _assert_queues_match(metrics, policy, trace, queue_means, states):
     assert list(metrics.queue_series_mean) == queue_means
     # the engine's final_queue snapshot predates the last enqueue
     assert np.array_equal(
         metrics.final_queue,
         [s.q_len - int(a) for s, a in zip(states, trace.arrivals[:, -1])],
     )
-    assert np.array_equal(metrics.z_final, [s.z_len for s in states])
+    if isinstance(policy, LyapunovPolicy):
+        assert np.array_equal(policy.z, [s.z_len for s in states])
 
 
 def _assert_delays_match(metrics, states):
@@ -233,8 +247,8 @@ def _assert_delays_match(metrics, states):
 
 
 def _assert_ledger_replay_matches(cfg, params):
-    metrics, trace, queue_means, states = _ledger_replay(cfg, params)
-    _assert_queues_match(metrics, trace, queue_means, states)
+    metrics, policy, trace, queue_means, states = _ledger_replay(cfg, params)
+    _assert_queues_match(metrics, policy, trace, queue_means, states)
     _assert_delays_match(metrics, states)
 
 
@@ -245,7 +259,7 @@ def test_replaying_decisions_reproduces_queue_series(small_cfg):
 def test_delay_histogram_matches_queueing_replay(small_cfg):
     # the engine's FIFO delay total, from cumulative counts, equals the
     # ledger's sum over each delivered packet's own delay
-    metrics, _, _, states = _ledger_replay(small_cfg, LYAP1)
+    metrics, _, _, _, states = _ledger_replay(small_cfg, LYAP1)
     assert metrics.total_delay_slots > 0
     _assert_delays_match(metrics, states)
 
@@ -298,12 +312,13 @@ def test_queue_series_mean_matches_per_slot_replay(case):
     cfg, params = case
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, params, trace)
+    codes = run_core(cfg, params, trace).codes
     grant = packet_grant(service_capacity(cfg), reduced_capacity(cfg))
     q = np.zeros(trace.k, dtype=np.int64)
     observed = np.empty(trace.horizon)
     for t in range(trace.horizon):
         observed[t] = q.mean()
-        q -= np.minimum(q, grant[metrics.decisions[:, t], trace.levels[:, t]])
+        q -= np.minimum(q, grant[codes[:, t], trace.levels[:, t]])
         q += trace.arrivals[:, t]
     assert metrics.queue_series_mean.dtype == np.float64
     assert np.array_equal(metrics.queue_series_mean, observed)
@@ -318,11 +333,10 @@ def test_run_matches_queueing_ledger_replay_over_two_row_blocks():
 
 
 def test_epsilon_override_on_lyapunov_params(small_cfg):
+    trace = generate_trace(small_cfg, small_cfg.seed)
     custom = LyapunovParams(v_factor=1.0, epsilon=0.25)
-    metrics = run(small_cfg, custom)
-    assert metrics.epsilon == 0.25
-    default = run(small_cfg, LYAP1)
-    assert default.epsilon == small_cfg.epsilon
+    assert make_policy(custom, small_cfg, trace).epsilon == 0.25
+    assert make_policy(LYAP1, small_cfg, trace).epsilon == small_cfg.epsilon
 
 
 def test_unit_alignment_gate():
@@ -353,7 +367,7 @@ def test_quality_run_meets_its_deadline(small_cfg):
     sent = metrics.units_sent_full + metrics.units_sent_reduced
     assert sent == 150 * small_cfg.k_concentrators
     assert metrics.units_sent_reduced <= 30 * small_cfg.k_concentrators
-    assert np.all(metrics.reduced_per_concentrator <= 30)
+    assert np.all(IS_REDUCED[run_core(small_cfg, params).codes].sum(axis=1) <= 30)
 
 
 def test_derive_quality_params_round_trip(small_cfg):
@@ -438,7 +452,8 @@ def test_reduced_quality_units_tracked(small_cfg):
     params = QualityParams(n_units=199, deadline=199, quality_budget=60)
     metrics = run(small_cfg, params)
     assert metrics.params.quality_budget == 60
-    assert metrics.units_sent_reduced == int(metrics.reduced_per_concentrator.sum())
+    codes = run_core(small_cfg, params).codes
+    assert metrics.units_sent_reduced == np.count_nonzero(IS_REDUCED[codes]) > 0
     assert (
         metrics.units_sent_full + metrics.units_sent_reduced
         == 199 * small_cfg.k_concentrators
@@ -478,19 +493,24 @@ def _digest_case(case):
     return run(_DIGEST_CFG, params)
 
 
-# taken from the engine that rebuilt a per-packet delay histogram, over the
-# fields kept since; any change to a RunMetrics field shows up here
+# taken from the engine that still kept the Action codes and the virtual
+# queues in RunMetrics, over the fields kept since; any change to a
+# RunMetrics field shows up here
 RUN_METRICS_DIGESTS = {
-    "lyapunov": "00825ca882be94ef0aa66af51fa5f8e00063117aac7402b99b8555a1eff09821",
-    "lyapunov_poisson": "3e5b5f77b12b185306c8038ef268e0e0761633c719cee5bd552f66da7c6690fc",
-    "static": "83d1439f7edb2ed369ba0c792768405bf7f4d7647cdcf735dcc1667bbbfe4f24",
-    "quality": "84ea5b59d5257d199bfe12a635d397028a24d5ba14a102c87c3e39f77bd0c2ac",
+    "lyapunov": "21818e14962c4845666e86ad4c4016e70592bbc88a7605fd228bf6d9478b22b5",
+    "lyapunov_poisson": "966f856343d33be23d7a5b8df67c13806c1407b74f5b8c2f1d16c7e3ef9a777b",
+    "static": "ddcedaa0d8e3c803cb338f05d269de1709c3485e21fccffc139a822a6e5c361d",
+    "quality": "7894eb2455e4fe006ff94a997b6e92bf8666897e8ecdfff41091f846481d28e3",
 }
 
 
 @pytest.mark.parametrize("case", ["lyapunov", "lyapunov_poisson", "static", "quality"])
 def test_run_metrics_digests(case):
-    assert _metrics_digest(_digest_case(case)) == RUN_METRICS_DIGESTS[case]
+    metrics = _digest_case(case)
+    # a run keeps summaries, never a per-cell matrix
+    arrays = [getattr(metrics, f.name) for f in dataclasses.fields(metrics)]
+    assert all(a.ndim == 1 for a in arrays if isinstance(a, np.ndarray))
+    assert _metrics_digest(metrics) == RUN_METRICS_DIGESTS[case]
 
 
 @st.composite
@@ -553,26 +573,26 @@ def test_grant_loop_matches_action_code_loop(case):
     cfg, params = case
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, params, trace)
-    serves, q, z = engine._serve_slots(
-        make_policy(params, cfg, trace), trace, metrics.epsilon
-    )
+    policy, codes, serves, q = run_core(cfg, params, trace)
+    lyapunov = isinstance(policy, LyapunovPolicy)
     unit = service_capacity(cfg)
-    codes, ref_serves, ref_q, ref_z = run_codes(
+    ref_codes, ref_serves, ref_q, ref_z = run_codes(
         code_rule(make_policy(params, cfg, trace)),
         trace,
         unit,
         reduced_capacity(cfg),
-        metrics.epsilon,
+        policy.epsilon if lyapunov else cfg.epsilon,
     )
-    assert metrics.decisions.dtype == codes.dtype
-    assert np.array_equal(metrics.decisions, codes)
+    assert codes.dtype == ref_codes.dtype
+    assert np.array_equal(codes, ref_codes)
+    # the engine counts sends from the codes: IDLE exactly where nothing moved
+    assert np.array_equal(codes != Action.IDLE, serves > 0)
     assert serves.dtype == ref_serves.dtype
     assert np.array_equal(serves, ref_serves)
     assert np.array_equal(q, ref_q)
-    assert z.tobytes() == ref_z.tobytes()
-    expected = engine._summarize(
-        params, trace, metrics.epsilon, unit, codes, ref_serves, ref_q, ref_z
-    )
+    if lyapunov:
+        assert policy.z.tobytes() == ref_z.tobytes()
+    expected = engine._summarize(params, trace, unit, ref_codes, ref_serves, ref_q)
     assert _metrics_digest(metrics) == _metrics_digest(expected)
 
 
@@ -623,8 +643,8 @@ class RoguePolicy(BasePolicy):
         self.slots = []
         return self
 
-    def decide_slot(self, slot, levels, q_len, z_len):
-        grant = np.full(len(levels), self.inner.decide_slot(slot, levels, q_len, z_len))
+    def decide_slot(self, slot, levels, q_len):
+        grant = np.full(len(levels), self.inner.decide_slot(slot, levels, q_len))
         level = levels[self.concentrator]
         if self.when(slot, level):
             grant[self.concentrator] = self.grant[self.action, level]
@@ -644,8 +664,7 @@ def _first_slot(row, start):
 def _first_over_budget(params, budget):
     """(slot, concentrator) where a run of ``params`` first passes ``budget``
     reduced units, lowest concentrator first."""
-    decisions = run(ROGUE_CFG, params).decisions
-    reduced = (decisions == Action.FREE_REDUCED) | (decisions == Action.BUY_REDUCED)
+    reduced = IS_REDUCED[run_core(ROGUE_CFG, params).codes]
     t, i = np.argwhere((np.cumsum(reduced, axis=1) > budget).T)[0]
     return int(t), int(i)
 

@@ -91,3 +91,34 @@ def test_every_definition_is_used_by_the_package():
     # and tests do not count, so a test-only helper belongs under tests/
     sources = {module.name: module.read_text() for module in MODULES}
     assert unused_definitions(sources) == []
+
+
+def unread_fields(sources: dict[str, str], cls: str) -> list[str]:
+    """Annotated fields of class ``cls`` that no code in ``sources`` reads as
+    an attribute, matched by name; passing a field by keyword, as the
+    constructor call does, and storing to it are not reads."""
+    fields, read = [], set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and node.name == cls:
+                fields += [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in fields if name not in read]
+
+
+def test_checker_flags_an_unread_field():
+    sources = {
+        "a.py": (
+            "class M:\n    x: int\n    y: int\n    z: int\n\n"
+            "    @property\n    def w(self):\n        return self.x\n"
+        ),
+        "b.py": "def f(m):\n    m.z = 1\n    return M(x=1, y=2, z=3)\n",
+    }
+    assert unread_fields(sources, "M") == ["y", "z"]
+
+
+def test_every_run_metrics_field_is_read_by_the_package():
+    # a field that only tests read belongs in a test helper, not in every run
+    sources = {module.name: module.read_text() for module in MODULES}
+    assert unread_fields(sources, "RunMetrics") == []

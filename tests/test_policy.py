@@ -21,7 +21,9 @@ from hpclease.policy import (
 )
 
 from reference import (
+    ConcentratorState,
     PapMirror,
+    advance_virtual,
     lyapunov_decide,
     packet_grant,
     quality_decide,
@@ -39,7 +41,7 @@ def price(full_cents, reduced_cents):
 def thresholds(v_factor, full_microcents):
     """The Lyapunov policy's per-slot purchase thresholds for these prices."""
     prices = np.asarray(full_microcents, dtype=np.int64)
-    return LyapunovPolicy(LyapunovParams(v_factor), 5, 2, prices).threshold
+    return LyapunovPolicy(LyapunovParams(v_factor), 5, 2, prices, 1, 1.0).threshold
 
 
 def quality_policy(params, prices, k=1):
@@ -372,9 +374,13 @@ def test_lyapunov_policy_matches_scalar(data):
     full = data.draw(st.integers(min_value=2, max_value=1_000_000))
     # a reduced level may be worth no packets at all
     reduced_capacity = data.draw(st.sampled_from([0, 2]))
+    epsilon = data.draw(st.sampled_from([0.25, 1.0, 5.0]))
     prices = np.array([7, 7, 7, full], dtype=np.int64)
-    policy = LyapunovPolicy(LyapunovParams(v_factor=v), 5, reduced_capacity, prices)
-    grant = policy.decide_slot(3, levels, q, z)
+    policy = LyapunovPolicy(
+        LyapunovParams(v_factor=v), 5, reduced_capacity, prices, k, epsilon
+    )
+    policy.z[:] = z
+    grant = policy.decide_slot(3, levels, q)
     assert grant.dtype == np.int64
     served, codes = _served_and_codes(policy, 3, 4, levels, np.minimum(q, grant))
     assert codes.dtype == np.uint8
@@ -391,6 +397,10 @@ def test_lyapunov_policy_matches_scalar(data):
         )
         assert codes[i] == int(expected)
         assert served[i] == min(q[i], moves[expected, levels[i]])
+        # the virtual queue advances past the slot's service
+        state = ConcentratorState(z_len=float(z[i]))
+        advance_virtual(state, int(served[i]), epsilon, bool(q[i] > 0))
+        assert policy.z[i] == state.z_len
 
 
 @given(st.data())
@@ -405,7 +415,7 @@ def test_static_policy_matches_scalar(data):
         data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=np.uint8
     )
     policy = StaticBurstPolicy(params, capacity=5, reduced_capacity=2, horizon=2501)
-    grant = policy.decide_slot(slot, levels, q, np.zeros(k))
+    grant = policy.decide_slot(slot, levels, q)
     served, codes = _served_and_codes(
         policy, slot, 2501, levels, np.minimum(q, grant)
     )
@@ -496,7 +506,7 @@ def test_forced_concentrator_always_sends(case):
     policy.price_class = price_class
     for slot in range(params.deadline + 1):
         remaining = params.n_units - policy.sent
-        grant = policy.decide_slot(slot, levels[slot], np.zeros(k), np.zeros(k))
+        grant = policy.decide_slot(slot, levels[slot], np.zeros(k))
         grant = np.broadcast_to(grant, k)
         if slot == 0:
             assert not grant.any()
@@ -528,7 +538,7 @@ def test_quality_policy_matches_scalar_sequence(data):
     mirror = PapMirror(beta_c=beta)
     remaining = [n_units] * k
     budget_left = [budget] * k
-    idle = policy.decide_slot(0, np.zeros(k, np.uint8), np.zeros(k, int), np.zeros(k))
+    idle = policy.decide_slot(0, np.zeros(k, np.uint8), np.zeros(k, int))
     assert not np.any(idle)  # no unit exists before slot 1
     mirror.observe(*prices[0])
 
@@ -541,7 +551,7 @@ def test_quality_policy_matches_scalar_sequence(data):
             data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)),
             dtype=np.uint8,
         )
-        grant = policy.decide_slot(slot, levels, np.zeros(k, int), np.zeros(k))
+        grant = policy.decide_slot(slot, levels, np.zeros(k, int))
         serves[:, slot], all_levels[:, slot] = grant, levels
         for i in range(k):
             expected = quality_decide(
