@@ -211,7 +211,6 @@ def _scenario(spec: argparse.Namespace) -> ScenarioConfig:
         changes["seed"] = spec.seed
     if changes:
         cfg = cfg.with_overrides(**changes)
-    cfg.validate()
     return cfg
 
 
@@ -321,12 +320,12 @@ def _cmd_run(spec: argparse.Namespace) -> int:
 
 def _cmd_compare(spec: argparse.Namespace) -> int:
     cfg = _scenario(spec)
-    trace = generate_trace(cfg, cfg.seed)
     policies = [
         LyapunovParams(v_factor=spec.v_factor),
         STATIC_SCHEME_1,
         STATIC_SCHEME_2,
     ]
+    trace = generate_trace(cfg, cfg.seed)
     results = [run(cfg, p, trace) for p in policies]
     # the appended oracle row gets the most freedom any online row had, so
     # it lower-bounds every workload-complete row in the table
@@ -365,11 +364,12 @@ def _cmd_sweep_v(spec: argparse.Namespace) -> int:
         raise ConfigurationError("duplicate values in the sweep grid")
     if len(grid) < 2:
         raise ConfigurationError("a sweep needs at least two distinct axis values")
+    policies = [LyapunovParams(v_factor=v) for v in grid]
     runs_by_v: dict[float, list[RunMetrics]] = {v: [] for v in grid}
     for seed in seeds:
         trace = generate_trace(cfg, seed)
-        for v in grid:
-            runs_by_v[v].append(run(cfg, LyapunovParams(v_factor=v), trace))
+        for params in policies:
+            runs_by_v[params.v_factor].append(run(cfg, params, trace))
     result = report.v_sweep_summary(runs_by_v)
     _write(spec, f"sweep_v.{spec.format}", report.emit(result, spec.format))
     return 0
@@ -389,9 +389,10 @@ def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
     oracle_by_budget: dict[int, list[int]] | None = (
         {} if spec.with_oracle else None
     )
+    reference_params = LyapunovParams(v_factor=spec.v_factor)
     for seed in seeds:
         trace = generate_trace(cfg, seed)
-        reference = run(cfg, LyapunovParams(v_factor=spec.v_factor), trace)
+        reference = run(cfg, reference_params, trace)
         budgets_this_seed = set()
         for share in shares:
             params = derive_quality_params(cfg, reference, share, beta_c=spec.beta_c)

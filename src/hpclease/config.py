@@ -14,16 +14,16 @@ import json
 import math
 from dataclasses import dataclass
 
-from .env import reduced_unit_packets, to_microcents
+from .env import EXACT_MICROCENTS, reduced_unit_packets, to_microcents
 from .errors import ConfigurationError
 
 ARRIVAL_LAWS = ("deterministic", "poisson")
 INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
-EXACT_MICROCENTS = 2**53
-# a run holds 10 to 27 bytes per (concentrator, slot) cell, so this caps a
-# run near 450 MB; it also keeps a concentrator's delay sum, below
-# horizon**2 * unit_size_packets slots, inside int64
+# a run peaks near 10 bytes per (concentrator, slot) cell, 20 with Poisson
+# arrivals (measured), so this caps a run near 350 MB; it also keeps a
+# concentrator's delay sum, below horizon**2 * unit_size_packets slots,
+# inside int64
 MAX_CELLS = 2**24
 
 
@@ -38,7 +38,9 @@ class ScenarioConfig:
     times the mean, capped at the int32 limit; ``epsilon`` defaults to the
     mean arrival rate. Defaults are resolved at construction, so every field
     reads as a concrete value afterwards; with_overrides resolves them again
-    from the merged fields.
+    from the merged fields. Construction then checks every field and
+    combination (ConfigurationError naming the field), so a ScenarioConfig
+    that exists is valid.
     """
 
     k_concentrators: int = 60
@@ -65,7 +67,6 @@ class ScenarioConfig:
         # not a field: with_overrides derives these again from the new values
         object.__setattr__(self, "_derived", derived)
 
-    def validate(self) -> None:
         if self.k_concentrators < 1:
             raise ConfigurationError("need at least one concentrator")
         if self.horizon < 2:
@@ -167,19 +168,14 @@ class ScenarioConfig:
         canon = json.dumps(self.env_fields(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigurationError("scenario config must be a JSON object")
         try:
-            cfg = cls(**_coerce_fields(data))
+            return cls(**_coerce_fields(data))
         except TypeError as exc:
             raise ConfigurationError(f"bad scenario config: {exc}") from exc
-        cfg.validate()
-        return cfg
 
     def with_overrides(self, **changes) -> "ScenarioConfig":
         """Copy with some fields replaced; unknown names raise. Defaults

@@ -21,8 +21,9 @@ argument behind Little's law), computed from per-slot counts and never per
 packet.
 
 Costs are integer micro-cents throughout, so runs are reproducible to the
-last digit across platforms; ScenarioConfig.validate bounds prices so that
-no cost sum can leave the exactly representable range.
+last digit across platforms: a ScenarioConfig bounds prices when it is
+built, and a Trace bounds its own, so that no cost sum can leave the
+exactly representable range.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EXACT_MICROCENTS, ScenarioConfig
+from .config import ScenarioConfig
 from .env import SpectrumLevel, Trace, generate_trace, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
 from .oracle import instance_from_trace, solve_dp
@@ -185,7 +186,6 @@ def run(
     vector at that point while the fleet backlog stays below 2**53; above
     that the int64 sum is the more exact of the two.
     """
-    config.validate()
     if trace is None:
         trace = generate_trace(config, config.seed)
     if trace.k != config.k_concentrators or trace.horizon != config.horizon:
@@ -193,7 +193,6 @@ def run(
             f"trace is {trace.k}x{trace.horizon}, config wants "
             f"{config.k_concentrators}x{config.horizon}"
         )
-    _check_prices(trace)
     policy = make_policy(params, config, trace)
     serves, q = _serve_slots(policy, trace)
     decisions = policy.actions(serves, trace.levels)
@@ -277,21 +276,6 @@ def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
         units_sent_full=int(np.count_nonzero(decisions)) - reduced,
         units_sent_reduced=reduced,
     )
-
-
-def _check_prices(trace: Trace) -> None:
-    """Every slot must post 0 < reduced < full prices, with full prices low
-    enough that a horizon of them sums exactly (below 2**53 micro-cents)."""
-    full, reduced = trace.price_full, trace.price_reduced
-    dearest = EXACT_MICROCENTS // trace.horizon
-    bad = np.flatnonzero((reduced < 1) | (full <= reduced) | (full > dearest))
-    if bad.size:
-        t = int(bad[0])
-        raise ConfigurationError(
-            f"trace seed {trace.seed}: slot {t} prices must satisfy 0 < reduced "
-            f"< full <= {dearest} micro-cents, got full={int(full[t])} "
-            f"reduced={int(reduced[t])}"
-        )
 
 
 def _violations(params, decisions, serves, levels, unit):

@@ -32,6 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 MICROCENTS_PER_CENT = 1_000_000
 MICROCENTS_PER_DOLLAR = 100 * MICROCENTS_PER_CENT
+# every cost sum (int64 totals and dual sums, float64 means) is exact below this
+EXACT_MICROCENTS = 2**53
 
 TRACE_FORMAT = "hpclease.trace"
 TRACE_VERSION = 1
@@ -63,16 +65,25 @@ def reduced_unit_packets(unit_size_packets: int, reduced_fraction: float) -> int
     return math.ceil(reduced_fraction * unit_size_packets - _CEIL_GUARD)
 
 
-@dataclass(eq=False)
+_ARRAYS = ("levels", "arrivals", "price_packet", "price_full", "price_reduced")
+
+
+@dataclass(frozen=True, eq=False)
 class Trace:
     """One fully materialized scenario.
 
     Arrays are indexed [concentrator, slot] or [slot]:
 
     * levels: uint8 SpectrumLevel codes, shape (k, horizon)
-    * arrivals: int32 packet counts, shape (k, horizon)
+    * arrivals: int32 nonnegative packet counts, shape (k, horizon)
     * price_packet: int64 per-packet micro-cents, shape (horizon,)
-    * price_full / price_reduced: int64 per-unit micro-cents, shape (horizon,)
+    * price_full / price_reduced: int64 per-unit micro-cents, shape (horizon,),
+      with 0 < reduced < full in every slot and full low enough that a
+      horizon of them sums exactly (at most 2**53 micro-cents)
+
+    Construction checks all of this (TraceFormatError, the price error
+    naming the seed and first bad slot). The fields are frozen and the
+    arrays read-only, so a Trace stays valid for as long as it lives.
     """
 
     seed: int
@@ -82,6 +93,36 @@ class Trace:
     price_packet: np.ndarray
     price_full: np.ndarray
     price_reduced: np.ndarray
+
+    def __post_init__(self) -> None:
+        # generate_trace's dtypes; the price and queue arithmetic assumes them
+        for name in _ARRAYS:
+            want = np.dtype({"levels": np.uint8, "arrivals": np.int32}.get(name, np.int64))
+            if getattr(getattr(self, name), "dtype", None) != want:
+                raise TraceFormatError(f"trace array {name!r} is not {want}")
+        if self.levels.ndim != 2 or self.arrivals.shape != self.levels.shape:
+            raise TraceFormatError(
+                "trace arrays 'levels' and 'arrivals' must share one (k, horizon) shape"
+            )
+        for name in ("price_packet", "price_full", "price_reduced"):
+            if getattr(self, name).shape != (self.horizon,):
+                raise TraceFormatError(f"trace array {name!r} has wrong shape")
+        if int(self.levels.max(initial=0)) > int(SpectrumLevel.FULL):
+            raise TraceFormatError("trace contains invalid spectrum level codes")
+        if int(self.arrivals.min(initial=0)) < 0:
+            raise TraceFormatError("trace contains negative arrival counts")
+        full, reduced = self.price_full, self.price_reduced
+        dearest = EXACT_MICROCENTS // max(1, self.horizon)
+        bad = np.flatnonzero((reduced < 1) | (full <= reduced) | (full > dearest))
+        if bad.size:
+            t = int(bad[0])
+            raise TraceFormatError(
+                f"trace seed {self.seed}: slot {t} prices must satisfy 0 < reduced "
+                f"< full <= {dearest} micro-cents, got full={int(full[t])} "
+                f"reduced={int(reduced[t])}"
+            )
+        for name in _ARRAYS:
+            getattr(self, name).flags.writeable = False
 
     @property
     def k(self) -> int:
@@ -97,11 +138,10 @@ class Trace:
         return (
             self.seed == other.seed
             and self.config_digest == other.config_digest
-            and np.array_equal(self.levels, other.levels)
-            and np.array_equal(self.arrivals, other.arrivals)
-            and np.array_equal(self.price_packet, other.price_packet)
-            and np.array_equal(self.price_full, other.price_full)
-            and np.array_equal(self.price_reduced, other.price_reduced)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in _ARRAYS
+            )
         )
 
 
@@ -116,7 +156,6 @@ def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
     ``mean_arrival`` per slot, or Poisson(``mean_arrival``) clipped at
     ``arrival_bound``.
     """
-    config.validate()
     k = config.k_concentrators
     horizon = config.horizon
     lo = to_microcents(config.price_low_cents)
@@ -161,7 +200,7 @@ def _decode_array(obj: dict, name: str) -> np.ndarray:
     try:
         raw = base64.b64decode(obj["b64"].encode("ascii"), validate=True)
         arr = np.frombuffer(raw, dtype=np.dtype(obj["dtype"]))
-        return arr.reshape(obj["shape"]).copy()
+        return arr.reshape(obj["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"trace array {name!r} is corrupt: {exc}") from exc
 
@@ -175,13 +214,7 @@ def save_trace(trace: Trace) -> bytes:
         "config_digest": trace.config_digest,
         "k": trace.k,
         "horizon": trace.horizon,
-        "arrays": {
-            "levels": _encode_array(trace.levels),
-            "arrivals": _encode_array(trace.arrivals),
-            "price_packet": _encode_array(trace.price_packet),
-            "price_full": _encode_array(trace.price_full),
-            "price_reduced": _encode_array(trace.price_reduced),
-        },
+        "arrays": {name: _encode_array(getattr(trace, name)) for name in _ARRAYS},
     }
     return json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -204,32 +237,10 @@ def load_trace(data: bytes) -> Trace:
         trace = Trace(
             seed=int(envelope["seed"]),
             config_digest=str(envelope["config_digest"]),
-            levels=_decode_array(arrays["levels"], "levels"),
-            arrivals=_decode_array(arrays["arrivals"], "arrivals"),
-            price_packet=_decode_array(arrays["price_packet"], "price_packet"),
-            price_full=_decode_array(arrays["price_full"], "price_full"),
-            price_reduced=_decode_array(arrays["price_reduced"], "price_reduced"),
+            **{name: _decode_array(arrays[name], name) for name in _ARRAYS},
         )
     except (KeyError, TypeError) as exc:
         raise TraceFormatError(f"trace file is truncated or corrupt: {exc}") from exc
-    _validate_trace_shape(trace, envelope)
-    return trace
-
-
-def _validate_trace_shape(trace: Trace, envelope: dict) -> None:
-    # generate_trace's dtypes; the price and queue arithmetic assumes them
-    for name in ("levels", "arrivals", "price_packet", "price_full", "price_reduced"):
-        want = np.dtype({"levels": np.uint8, "arrivals": np.int32}.get(name, np.int64))
-        if getattr(trace, name).dtype != want:
-            raise TraceFormatError(f"trace array {name!r} is not {want}")
-    k = envelope.get("k")
-    horizon = envelope.get("horizon")
-    if trace.levels.shape != (k, horizon) or trace.arrivals.shape != (k, horizon):
+    if trace.levels.shape != (envelope.get("k"), envelope.get("horizon")):
         raise TraceFormatError("trace array shapes disagree with header")
-    for name in ("price_packet", "price_full", "price_reduced"):
-        if getattr(trace, name).shape != (horizon,):
-            raise TraceFormatError(f"trace array {name!r} has wrong shape")
-    if trace.levels.size and int(trace.levels.max()) > int(SpectrumLevel.FULL):
-        raise TraceFormatError("trace contains invalid spectrum level codes")
-    if trace.arrivals.size and int(trace.arrivals.min()) < 0:
-        raise TraceFormatError("trace contains negative arrival counts")
+    return trace

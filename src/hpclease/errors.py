@@ -10,7 +10,8 @@ class ConfigurationError(ValueError):
 
 
 class TraceFormatError(ConfigurationError):
-    """A serialized trace is corrupt, truncated, or has the wrong version."""
+    """A trace breaks its rules, or its serialized form is corrupt,
+    truncated, or has the wrong version."""
 
 
 class InfeasibleError(ValueError):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EXACT_MICROCENTS
-from .env import SpectrumLevel
+from .env import EXACT_MICROCENTS, SpectrumLevel
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from .policy import Action
 
@@ -38,8 +37,9 @@ class OfflineInstance:
     levels[t] is the free-spectrum state of slot t; price arrays hold the
     posted per-unit lease prices in micro-cents. n_units must fit in the
     horizon and quality_budget must leave at least one full-quality unit.
-    T times the dearest full price is at most 2**53 micro-cents, as validate
-    bounds a fleet's bill, so every cost sum the solver forms is exact.
+    T times the dearest full price is at most 2**53 micro-cents, as a
+    ScenarioConfig bounds a fleet's bill, so every cost sum the solver forms
+    is exact.
     """
 
     levels: np.ndarray

@@ -21,9 +21,9 @@ The policy classes decide for the whole fleet at once, one vectorized call
 per slot that returns the packets each concentrator may move. The engine
 carries only the backlog Q; a policy keeps whatever else it reads from slot
 to slot: LyapunovPolicy its virtual queue Z, QualityPolicy its counts of
-units sent and reduced units used. Each parameter block names its policy:
-``kind`` and ``label`` identify it in reports, and the engine builds the
-matching class once per run. Whatever
+units sent and reduced units used. Each parameter block checks its values
+when built and names its policy: ``kind`` and ``label`` identify it in
+reports, and the engine builds the matching class once per run. Whatever
 depends only on the trace and the parameters is computed for every slot
 when a policy is built: the purchase threshold, whether the posted prices
 are at most their PAP, and whether a slot lies in a static burst. A slot's
@@ -82,7 +82,7 @@ class LyapunovParams:
     def label(self) -> str:
         return f"{self.kind}[v={self.v_factor:g}]"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.v_factor < 0 or not np.isfinite(self.v_factor):
             raise ConfigurationError("v_factor must be finite and nonnegative")
         if self.epsilon is not None and not 0 < self.epsilon < np.inf:
@@ -103,7 +103,7 @@ class StaticParams:
     def label(self) -> str:
         return f"{self.kind}[{self.period}/{self.burst_len}]"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.period < 1:
             raise ConfigurationError("static period must be >= 1 slot")
         if not 0 < self.burst_len <= self.period:
@@ -126,7 +126,7 @@ class QualityParams:
     def label(self) -> str:
         return f"{self.kind}[m={self.quality_budget}]"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.deadline >= self.n_units > self.quality_budget >= 0:
             raise ConfigurationError(
                 "quality params require deadline >= n_units > budget >= 0, got "
@@ -218,7 +218,6 @@ class _PacketPolicy(BasePolicy):
     def __init__(
         self, params: LyapunovParams | StaticParams, capacity: int, reduced_capacity: int
     ):
-        params.validate()
         self.params = params
         self.capacity = capacity
         # free packets per slot, indexed by SpectrumLevel code (NONE, REDUCED, FULL)
@@ -317,7 +316,6 @@ class QualityPolicy(BasePolicy):
         price_full: np.ndarray,
         price_reduced: np.ndarray,
     ):
-        params.validate()
         self.params = params
         self.capacity = capacity
         self.attractive_full = attractive_prices(price_full, params.beta_c)

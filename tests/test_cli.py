@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hpclease import ScenarioConfig, StaticParams, cli, engine, generate_trace, run
-from hpclease.env import load_trace
+from hpclease.env import Trace, load_trace, save_trace
 from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.oracle import Schedule, instance_from_trace, validate_schedule
 from hpclease.policy import Action
@@ -74,6 +74,24 @@ def test_degenerate_sweep_grid_fails_before_any_run(
     monkeypatch.setattr(cli, "generate_trace", no_trace)
     assert main(tmp_path, *argv) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-v", "--v", "2,-1", "--seeds", "2"],
+        ["compare", "--v-factor", "-1"],
+        ["sweep-quality", "--v-factor", "-1"],
+    ],
+)
+def test_bad_policy_params_fail_before_any_trace(argv, monkeypatch, tmp_path, capsys):
+    # a sweep once drew a trace and ran a whole reference run first
+    def no_trace(*args):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(cli, "generate_trace", no_trace)
+    assert main(tmp_path, *argv) == 3
+    assert "v_factor" in capsys.readouterr().err
 
 
 SCENARIO_DEFAULTS = {
@@ -169,7 +187,7 @@ def test_seed_flag_supersedes_config_and_set(tmp_path):
 def test_preset_matches_published_config_schema():
     schema = json.loads((SCHEMA_DIR / "scenario_config.schema.json").read_text())
     jsonschema.Draft202012Validator.check_schema(schema)
-    jsonschema.validate(cli.PRESETS["reference"].to_dict(), schema)
+    jsonschema.validate(dataclasses.asdict(cli.PRESETS["reference"]), schema)
     jsonschema.validate({"horizon": 100}, schema)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"horizon": 100, "bogus_key": 1}, schema)
@@ -445,6 +463,23 @@ def test_gen_trace_then_oracle_round_trip(tmp_path):
     assert len(doc["action_codes"]) == 100
 
 
+def test_zero_slot_trace_file_exits_3(tmp_path, capsys):
+    # a trace bounds its prices by 2**53 // horizon, which must not divide by 0
+    prices = ("price_packet", "price_full", "price_reduced")
+    empty = {name: np.zeros(0, dtype=np.int64) for name in prices}
+    trace = Trace(
+        seed=0,
+        config_digest="0" * 16,
+        levels=np.zeros((1, 0), dtype=np.uint8),
+        arrivals=np.zeros((1, 0), dtype=np.int32),
+        **empty,
+    )
+    trace_file = tmp_path / "trace_0.json"
+    trace_file.write_bytes(save_trace(trace))
+    assert main(tmp_path, "oracle", "--trace", str(trace_file), "--n-units", "1") == 3
+    assert "outside trace horizon" in capsys.readouterr().err
+
+
 def test_bad_config_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -485,11 +520,10 @@ def test_diagnostics_on_stderr_not_stdout(tmp_path, capsys):
 def test_oversized_unit_is_a_config_error(law, tmp_path, capsys):
     # served packets per slot are int16: a 40,000-packet unit once wrapped
     # around and surfaced as a false conservation violation (exit 5)
-    cfg = ScenarioConfig(
-        k_concentrators=2, horizon=20, mean_arrival=40000, arrival_law=law
-    )
     with pytest.raises(ConfigurationError, match="unit_size_packets"):
-        cfg.validate()
+        ScenarioConfig(
+            k_concentrators=2, horizon=20, mean_arrival=40000, arrival_law=law
+        )
     rc = main(
         tmp_path, "run", "--set", "k_concentrators=2", "--set", "horizon=20",
         "--set", "mean_arrival=40000", "--set", f"arrival_law={law}",
@@ -506,13 +540,11 @@ def test_int32_overflowing_arrivals_are_a_config_error(tmp_path, capsys):
     )
     assert rc == 3
     assert "mean_arrival" in capsys.readouterr().err
-    cfg = ScenarioConfig(mean_arrival=5, arrival_bound=2**31)
     with pytest.raises(ConfigurationError, match="arrival_bound"):
-        cfg.validate()
+        ScenarioConfig(mean_arrival=5, arrival_bound=2**31)
     # the derived bound (4x the mean) is capped, not rejected
     cfg = ScenarioConfig(mean_arrival=2**30, unit_size_packets=5)
     assert cfg.arrival_bound == 2**31 - 1
-    cfg.validate()
     schema = json.loads((SCHEMA_DIR / "scenario_config.schema.json").read_text())
     for field, too_big in [
         ("unit_size_packets", 2**15),
@@ -591,7 +623,7 @@ def test_costs_exact_just_under_the_price_bound():
     assert metrics.cost_total_microcents == exact > 2**50
     assert int(metrics.cost_per_concentrator.sum()) == exact
     with pytest.raises(ConfigurationError, match="price_high_cents"):
-        dataclasses.replace(cfg, price_high_cents=7e7).validate()
+        dataclasses.replace(cfg, price_high_cents=7e7)
 
 
 @pytest.mark.parametrize(
@@ -619,16 +651,15 @@ def test_config_error_names_the_field(overrides, fields, tmp_path, capsys):
 
 
 def test_fleet_cell_bound_is_a_config_error():
-    # checked at validate only: an oversize run would need gigabytes
+    # checked when the config is built: an oversize run would need gigabytes
     edge = ScenarioConfig(k_concentrators=2**12, horizon=2**12)
-    edge.validate()
     for too_big in (
-        dataclasses.replace(edge, horizon=2**12 + 1),
-        cli.PRESETS["reference"].with_overrides(horizon=10_000_000),
+        lambda: dataclasses.replace(edge, horizon=2**12 + 1),
+        lambda: cli.PRESETS["reference"].with_overrides(horizon=10_000_000),
     ):
         with pytest.raises(ConfigurationError, match=r"k_concentrators \* horizon"):
-            too_big.validate()
-    # the largest benchmark fleet and every preset still validate
-    ScenarioConfig(k_concentrators=1000, horizon=2000, arrival_law="poisson").validate()
+            too_big()
+    # the largest benchmark fleet and every preset still build
+    ScenarioConfig(k_concentrators=1000, horizon=2000, arrival_law="poisson")
     for preset in cli.PRESETS.values():
-        preset.validate()
+        dataclasses.replace(preset)

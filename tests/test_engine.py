@@ -76,17 +76,17 @@ def test_bad_trace_prices_name_their_slot(small_cfg, case):
         reduced[137] = full[137] + 1
     else:
         full[137] = dearest + 1
-    trace = dataclasses.replace(base, price_full=full, price_reduced=reduced)
     expected = (
         f"trace seed 7: slot 137 prices must satisfy 0 < reduced < full <= "
         f"{dearest} micro-cents, got full={full[137]} reduced={reduced[137]}"
     )
-    for params in (LYAP1, QualityParams(n_units=150, deadline=199, quality_budget=30)):
-        with pytest.raises(ConfigurationError, match=re.escape(expected)):
-            run(small_cfg, params, trace)
+    # building the trace rejects it, so no policy ever runs on it
+    with pytest.raises(ConfigurationError, match=re.escape(expected)):
+        dataclasses.replace(base, price_full=full, price_reduced=reduced)
     full[137] = dearest
     reduced[137] = dearest - 1
-    run(small_cfg, LYAP1, trace)  # the bound itself is admitted
+    edge = dataclasses.replace(base, price_full=full, price_reduced=reduced)
+    run(small_cfg, LYAP1, edge)  # the bound itself is admitted
 
 
 def test_capacities(small_cfg):

@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ def test_unit_prices_half_fraction():
 def test_unit_prices_degenerate_single_packet_unit():
     # a reduced one-packet unit is no cheaper than the full one
     with pytest.raises(ConfigurationError, match="unit_size_packets 1"):
-        ScenarioConfig(k_concentrators=1, horizon=50, mean_arrival=1).validate()
+        ScenarioConfig(k_concentrators=1, horizon=50, mean_arrival=1)
 
 
 def test_unit_prices_small_fraction():
@@ -50,7 +52,7 @@ def test_unit_prices_rejects_bad_inputs():
         {"reduced_fraction": 1.0},
     ):
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(cfg, **bad).validate()
+            dataclasses.replace(cfg, **bad)
 
 
 def test_reduced_unit_packets_is_exact_ceiling():
@@ -61,20 +63,19 @@ def test_reduced_unit_packets_is_exact_ceiling():
 
 
 def test_price_sample_ordering_enforced():
-    # a run checks every slot of a hand-built trace for 0 < reduced < full
+    # building a trace checks every slot for 0 < reduced < full
     cfg = ScenarioConfig(k_concentrators=2, horizon=6)
     base = generate_trace(cfg, 0)
     ones = np.ones(6, dtype=np.int64)
     good = dataclasses.replace(base, price_full=2 * ones, price_reduced=ones)
     run(cfg, LyapunovParams(v_factor=1.0), good)
     for full, reduced in ((1, 1), (2, 0)):
-        bad = dataclasses.replace(
-            good,
-            price_full=np.where(np.arange(6) == 3, full, good.price_full),
-            price_reduced=np.where(np.arange(6) == 3, reduced, good.price_reduced),
-        )
         with pytest.raises(ConfigurationError, match="slot 3 prices"):
-            run(cfg, LyapunovParams(v_factor=1.0), bad)
+            dataclasses.replace(
+                good,
+                price_full=np.where(np.arange(6) == 3, full, good.price_full),
+                price_reduced=np.where(np.arange(6) == 3, reduced, good.price_reduced),
+            )
 
 
 def test_arrival_batch_rejects_negative():
@@ -106,9 +107,8 @@ def test_trace_zero_horizon_rejected():
 
 
 def test_trace_empty_price_interval_rejected():
-    cfg = ScenarioConfig(price_low_cents=0.5, price_high_cents=0.5)
     with pytest.raises(ConfigurationError):
-        generate_trace(cfg, 0)
+        ScenarioConfig(price_low_cents=0.5, price_high_cents=0.5)
 
 
 def test_trace_prices_within_bounds_and_consistent():
@@ -182,9 +182,43 @@ def test_load_rejects_damaged_payloads(small_cfg):
 )
 def test_load_rejects_arrays_of_another_dtype(small_cfg, levels):
     trace = generate_trace(small_cfg, 7)
-    payload = save_trace(dataclasses.replace(trace, levels=levels(trace.levels.shape)))
+    # a Trace cannot hold such levels, so the bad array goes into the file
+    envelope = json.loads(save_trace(trace))
+    bad = levels(trace.levels.shape)
+    envelope["arrays"]["levels"] = {
+        "dtype": str(bad.dtype),
+        "shape": list(bad.shape),
+        "b64": base64.b64encode(bad.tobytes()).decode("ascii"),
+    }
     with pytest.raises(TraceFormatError, match="'levels'"):
-        load_trace(payload)
+        load_trace(json.dumps(envelope).encode("utf-8"))
+
+
+def _with_cell(arr: np.ndarray, value: int) -> np.ndarray:
+    out = arr.copy()
+    out[0, 4] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "field, bad, match",
+    [
+        ("arrivals", lambda t: _with_cell(t.arrivals, -7), "negative arrival counts"),
+        ("levels", lambda t: _with_cell(t.levels, 3), "invalid spectrum level codes"),
+        ("levels", lambda t: t.levels.astype(np.int64), "'levels' is not uint8"),
+    ],
+    ids=["negative-arrival", "level-code-3", "int64-levels"],
+)
+def test_hand_built_trace_is_checked_when_built(small_cfg, field, bad, match):
+    # each once ran, crashed with IndexError or was accepted, before any check
+    trace = generate_trace(small_cfg, 7)
+    with pytest.raises(TraceFormatError, match=match):
+        dataclasses.replace(trace, **{field: bad(trace)})
+    # a built trace cannot be edited into an invalid one
+    with pytest.raises(ValueError, match="read-only"):
+        trace.price_full[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.price_full = np.zeros_like(trace.price_full)
 
 
 def test_spectrum_level_codes_are_stable():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpclease import ScenarioConfig, generate_trace, run
+from hpclease import ScenarioConfig, generate_trace
 from hpclease.cli import PRESETS
 from hpclease.env import MICROCENTS_PER_CENT, SpectrumLevel, to_microcents
 from hpclease.errors import ConfigurationError, InfeasibleError
@@ -61,14 +61,11 @@ def test_threshold_examples():
 def test_threshold_rejects_bad_inputs():
     with pytest.raises(ConfigurationError):
         thresholds(-1.0, [to_microcents(0.5)])
-    # a zero price never reaches a threshold: the run rejects its trace
+    # a zero price never reaches a threshold: no trace can hold one
     cfg = ScenarioConfig(k_concentrators=1, horizon=4)
     zero = np.zeros(4, dtype=np.int64)
-    trace = dataclasses.replace(
-        generate_trace(cfg, 0), price_full=zero, price_reduced=zero
-    )
     with pytest.raises(ConfigurationError, match="slot 0 prices"):
-        run(cfg, LyapunovParams(v_factor=1.0), trace)
+        dataclasses.replace(generate_trace(cfg, 0), price_full=zero, price_reduced=zero)
 
 
 def test_lyapunov_decide_buys_above_threshold():
@@ -158,9 +155,9 @@ def test_static_decide_scheme_boundaries():
 
 def test_static_params_validation():
     with pytest.raises(ConfigurationError):
-        StaticParams(period=1000, burst_len=0).validate()
+        StaticParams(period=1000, burst_len=0)
     with pytest.raises(ConfigurationError):
-        StaticParams(period=100, burst_len=200).validate()
+        StaticParams(period=100, burst_len=200)
 
 
 def test_static_burst_length_is_exact():
@@ -309,25 +306,25 @@ def test_quality_decide_guards():
 
 
 def test_quality_params_validation():
-    quality_params().validate()
+    quality_params()
     with pytest.raises(ConfigurationError):
-        QualityParams(n_units=5, deadline=4, quality_budget=0).validate()
+        QualityParams(n_units=5, deadline=4, quality_budget=0)
     with pytest.raises(ConfigurationError):
-        QualityParams(n_units=5, deadline=8, quality_budget=5).validate()
+        QualityParams(n_units=5, deadline=8, quality_budget=5)
     with pytest.raises(ConfigurationError):
-        QualityParams(n_units=5, deadline=8, quality_budget=0, beta_c=2.0).validate()
+        QualityParams(n_units=5, deadline=8, quality_budget=0, beta_c=2.0)
     with pytest.raises(ConfigurationError):
-        QualityParams(n_units=0, deadline=8, quality_budget=0).validate()
+        QualityParams(n_units=0, deadline=8, quality_budget=0)
 
 
 def test_lyapunov_params_validation():
-    LyapunovParams(v_factor=0.0).validate()
+    LyapunovParams(v_factor=0.0)
     with pytest.raises(ConfigurationError):
-        LyapunovParams(v_factor=-1.0).validate()
+        LyapunovParams(v_factor=-1.0)
     with pytest.raises(ConfigurationError):
-        LyapunovParams(v_factor=1.0, epsilon=0.0).validate()
+        LyapunovParams(v_factor=1.0, epsilon=0.0)
     with pytest.raises(ConfigurationError):
-        LyapunovParams(v_factor=1.0, epsilon=float("inf")).validate()
+        LyapunovParams(v_factor=1.0, epsilon=float("inf"))
 
 
 def test_d_flag_matches_purchase_actions():
