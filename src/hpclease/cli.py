@@ -309,8 +309,13 @@ def _cmd_run(spec: argparse.Namespace) -> int:
         flags = ", ".join(unread)
         raise ConfigurationError(f"--policy {spec.policy} does not read {flags}")
     cfg = _scenario(spec)
+    # only a workload derived by --budget-share needs the trace; any other
+    # parameter block is built, and so checked, before the draw
+    params = _policy_params(spec, cfg, None) if spec.budget_share is None else None
     trace = generate_trace(cfg, cfg.seed)
-    metrics = run(cfg, _policy_params(spec, cfg, trace), trace)
+    if params is None:
+        params = _policy_params(spec, cfg, trace)
+    metrics = run(cfg, params, trace)
     summary = report.run_summary(metrics)
     _write(spec, "run_summary.json", _json_bytes(summary))
     if _out_dir(spec) != "-":

@@ -20,8 +20,8 @@ from .errors import ConfigurationError
 ARRIVAL_LAWS = ("deterministic", "poisson")
 INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
-# a run peaks near 10 bytes per (concentrator, slot) cell, 20 with Poisson
-# arrivals (measured), so this caps a run near 350 MB; it also keeps a
+# a run peaks near 10 bytes per (concentrator, slot) cell, 12 with Poisson
+# arrivals (measured), so this caps a run near 200 MB; it also keeps a
 # concentrator's delay sum, below horizon**2 * unit_size_packets slots,
 # inside int64
 MAX_CELLS = 2**24

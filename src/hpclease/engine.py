@@ -1,15 +1,20 @@
-"""Slot-by-slot simulation driver for a fleet of concentrators.
+"""Simulation driver for a fleet of concentrators.
 
 The policy is built once per run from the trace, so its price rules are
-per-slot arrays before the first slot. The slot loop carries only the
-state the next slot reads: the backlog Q of each concentrator. Each slot
-it asks the policy how many packets each concentrator may move, serves the
-smaller of that grant and the backlog, then enqueues the slot's arrivals.
-Whatever else a policy reads from slot to slot, such as the Lyapunov
-policy's virtual queues, the policy keeps itself. Everything is vectorized
-across the fleet, and the loop records only the packets served.
+per-slot arrays before the first slot. How a run is served depends on
+whether its grants read the backlog. The threshold policy's do, so it runs
+in a slot loop that carries only the backlog Q of each concentrator: each
+slot the policy serves the smaller of its grant and the backlog, keeping
+whatever else it reads from slot to slot (its virtual queues) itself, and
+the loop enqueues the slot's arrivals. The static baseline and the deadline
+scheduler never read the backlog, so each grants every slot of the run at
+once, as a (K, T) matrix, and the engine serves that matrix in closed form:
+the backlog after each slot's service follows the Lindley recursion, one
+prefix sum and one running minimum per row. Everything is vectorized
+across the fleet, and a step that needs an int64 per cell works in blocks
+of rows.
 
-Everything else runs once, after the last slot. The policy turns the
+Everything else runs once, after the service. The policy turns the
 (concentrator, slot) service matrix into Action codes; then come the
 invariant checks over codes and service (each error names the policy
 label, seed, first offending slot and concentrator), the cost accounting,
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .env import SpectrumLevel, Trace, generate_trace, to_dollars
+from .env import SpectrumLevel, Trace, generate_trace, row_blocks, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
 from .oracle import instance_from_trace, solve_dp
 from .policy import (
@@ -90,9 +95,7 @@ def make_policy(
     """Build the policy that ``params`` configures for one run on ``trace``."""
     unit = service_capacity(config)
     if isinstance(params, QualityParams):
-        policy = QualityPolicy(
-            params, trace.k, unit, trace.price_full, trace.price_reduced
-        )
+        policy = QualityPolicy(params, unit, trace.price_full, trace.price_reduced)
         _check_unit_alignment(config)
         if params.deadline > config.horizon - 1:
             raise ConfigurationError(
@@ -194,23 +197,58 @@ def run(
             f"{config.k_concentrators}x{config.horizon}"
         )
     policy = make_policy(params, config, trace)
-    serves, q = _serve_slots(policy, trace)
+    serves, q = _serve(policy, trace)
     decisions = policy.actions(serves, trace.levels)
     return _summarize(params, trace, service_capacity(config), decisions, serves, q)
 
 
+def _serve(policy: BasePolicy, trace: Trace):
+    """The (K, T) int16 packets served, and Q after the last slot: a slot
+    loop for the threshold policy, whose grants read the backlog, and one
+    pass over the grants fixed in advance for the other policies."""
+    if isinstance(policy.params, LyapunovParams):
+        return _serve_slots(policy, trace)
+    return _serve_grants(policy.grants(trace.levels), trace.arrivals)
+
+
 def _serve_slots(policy: BasePolicy, trace: Trace):
-    """The slot loop: the (K, T) int16 packets served, and Q after the
-    last slot."""
+    """The slot loop: the policy serves each slot from the backlog Q."""
     q = np.zeros(trace.k, dtype=np.int64)
     serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
     levels, arrivals = trace.levels, trace.arrivals
     for t in range(trace.horizon):
-        served = np.minimum(q, policy.decide_slot(t, levels[:, t], q))
+        served = policy.decide_slot(t, levels[:, t], q)
         serves[:, t] = served
         q -= served
         q += arrivals[:, t]
     return serves, q
+
+
+def _serve_grants(grants: np.ndarray, arrivals: np.ndarray):
+    """Serve min(Q, grant) in every slot of a (K, T) int16 grant matrix; the
+    packets served overwrite the grants, and Q after the last slot is
+    returned with them.
+
+    The backlog u_t after slot t's service obeys the Lindley recursion
+    u_t = max(u_{t-1} + a_{t-1} - g_t, 0), with u_{-1} = a_{-1} = 0. With
+    S_t the prefix sum of a_{t-1} - g_t and m_t the running minimum of
+    min(S_t, 0), u_t = S_t - m_t: slot t serves its grant less the part an
+    empty queue left unused, g_t - (m_{t-1} - m_t), and Q after the last
+    slot is u_{T-1} + a_{T-1}.
+    """
+    k, horizon = grants.shape
+    q = np.empty(k, dtype=np.int64)
+    for block in row_blocks(k, horizon):
+        m = np.zeros(grants[block].shape, dtype=np.int64)
+        m[:, 1:] = arrivals[block, :-1]
+        m -= grants[block]
+        np.cumsum(m, axis=1, out=m)
+        q[block] = m[:, -1] + arrivals[block, -1]
+        np.minimum(m, 0, out=m)
+        np.minimum.accumulate(m, axis=1, out=m)
+        q[block] -= m[:, -1]
+        grants[block] += np.diff(m, axis=1, prepend=0)
+    return grants, q
 
 
 def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
@@ -239,9 +277,7 @@ def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
     cost_per_conc = np.empty(k, dtype=np.int64)
     total_delay = 0
     # blocks of rows, so no (K, T) int64 matrix is ever built
-    rows = max(1, 2**16 // horizon)
-    for lo in range(0, k, rows):
-        block = slice(lo, lo + rows)
+    for block in row_blocks(k, horizon):
         paid = charge[decisions[block], np.arange(horizon)]
         cost_per_slot += paid.sum(axis=0)
         cost_per_conc[block] = paid.sum(axis=1)

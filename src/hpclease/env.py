@@ -65,6 +65,14 @@ def reduced_unit_packets(unit_size_packets: int, reduced_fraction: float) -> int
     return math.ceil(reduced_fraction * unit_size_packets - _CEIL_GUARD)
 
 
+def row_blocks(k: int, horizon: int) -> list[slice]:
+    """Slices of rows that cover a (k, horizon) array in blocks of about 2**16
+    cells (at least one row each), so that a (rows, horizon) int64 temporary
+    stays near 512 KiB however large the fleet."""
+    rows = max(1, 2**16 // horizon)
+    return [slice(lo, lo + rows) for lo in range(0, k, rows)]
+
+
 _ARRAYS = ("levels", "arrivals", "price_packet", "price_full", "price_reduced")
 
 
@@ -169,7 +177,8 @@ def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
         arrivals = np.full((k, horizon), config.mean_arrival, dtype=np.int32)
     else:
         draws = rng.poisson(config.mean_arrival, size=(k, horizon))
-        arrivals = np.minimum(draws, config.effective_arrival_bound()).astype(np.int32)
+        np.minimum(draws, config.effective_arrival_bound(), out=draws)
+        arrivals = draws.astype(np.int32)
 
     reduced_packets = reduced_unit_packets(
         config.unit_size_packets, config.reduced_fraction

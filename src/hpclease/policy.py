@@ -17,23 +17,25 @@ Three families are implemented.
 * StaticBurstPolicy: purchases in fixed bursts at fixed period boundaries,
   independent of queue state and prices; the classic dumb baseline.
 
-The policy classes decide for the whole fleet at once, one vectorized call
-per slot that returns the packets each concentrator may move. The engine
-carries only the backlog Q; a policy keeps whatever else it reads from slot
-to slot: LyapunovPolicy its virtual queue Z, QualityPolicy its counts of
-units sent and reduced units used. Each parameter block checks its values
-when built and names its policy: ``kind`` and ``label`` identify it in
-reports, and the engine builds the matching class once per run. Whatever
-depends only on the trace and the parameters is computed for every slot
-when a policy is built: the purchase threshold, whether the posted prices
-are at most their PAP, and whether a slot lies in a static burst. A slot's
-grant is then a few array operations: one ``np.where`` for the threshold
-policy, the burst flag for the static baseline, and one lookup in
-``QUALITY_TABLE`` for the deadline scheduler. After the run, ``actions``
-names each (concentrator, slot) as an Action code: the packet policies
-recover it from the packets served, and the deadline scheduler returns the
-codes it recorded. A policy object serves one run; the next run builds a
-new one.
+The policy classes decide for the whole fleet at once. Only the threshold
+policy reads the backlog: the engine calls its ``decide_slot`` once per
+slot, and it serves each concentrator and advances its virtual queue Z.
+The static baseline and the deadline scheduler never read the backlog, so
+``grants(levels)`` decides every slot of a run in one call, returning the
+(K, T) packets each concentrator may move. Each parameter block checks its
+values when built and names its policy: ``kind`` and ``label`` identify it
+in reports, and the engine builds the matching class once per run.
+Whatever depends only on the trace and the parameters is computed for
+every slot when a policy is built: the purchase threshold, whether the
+posted prices are at most their PAP, and whether a slot lies in a static
+burst. A grant is then a few array operations: one ``np.where`` per slot
+for the threshold policy, the burst flag or the level's free capacity for
+the static baseline, and for the deadline scheduler one lookup in
+``QUALITY_TABLE`` per slot, decided phase by phase. After the run,
+``actions`` names each (concentrator, slot) as an Action code: the packet
+policies recover it from the packets served, and the deadline scheduler
+returns the codes it decided. A policy object serves one run; the next run
+builds a new one.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .env import MICROCENTS_PER_CENT
+from .env import MICROCENTS_PER_CENT, row_blocks
 from .errors import ConfigurationError
 
 
@@ -188,19 +190,16 @@ QUALITY_TABLE = np.array(
 
 
 class BasePolicy:
-    """Per-slot decision maker over all k concentrators at once.
+    """One run's decision maker over all k concentrators at once.
 
-    decide_slot returns the packets each concentrator may move in the slot,
-    given the backlog q_len before the slot's service, as int64 (a scalar
-    grants every concentrator the same); the engine serves the smaller of
-    that grant and the backlog. It calls decide_slot exactly once per slot,
-    in slot order.
+    LyapunovPolicy reads the backlog, so the engine runs it slot by slot:
+    ``decide_slot(slot, levels, q_len)``, called exactly once per slot in
+    slot order with the backlog before the slot's service, returns the
+    packets each concentrator moves, at most its backlog. The other
+    policies never read the backlog: ``grants(levels)`` returns the (K, T)
+    int16 packets each concentrator may move in each slot, and the engine
+    serves the smaller of grant and backlog in closed form.
     """
-
-    def decide_slot(
-        self, slot: int, levels: np.ndarray, q_len: np.ndarray
-    ) -> np.ndarray | int:  # pragma: no cover - overridden
-        raise NotImplementedError
 
     def actions(
         self, serves: np.ndarray, levels: np.ndarray
@@ -257,7 +256,7 @@ class LyapunovPolicy(_PacketPolicy):
         grant = np.where(buying, self.capacity, self.free_capacity[levels])
         served = np.minimum(q_len, grant)
         np.maximum(self.z - served + self.epsilon * (q_len > 0), 0.0, out=self.z)
-        return grant
+        return served
 
     def actions(self, serves, levels):
         # the code of each (level, packets moved), looked up so that no
@@ -279,12 +278,19 @@ class StaticBurstPolicy(_PacketPolicy):
         slots = np.arange(horizon)
         self.in_burst = (slots >= 1) & ((slots - 1) % params.period < params.burst_len)
 
-    def decide_slot(self, slot, levels, q_len):
-        return self.capacity if self.in_burst[slot] else self.free_capacity[levels]
+    def grants(self, levels):
+        grants = self.free_capacity.astype(np.int16)[levels]
+        grants[:, self.in_burst] = self.capacity
+        return grants
 
     def actions(self, serves, levels):
         codes = np.where(self.in_burst, _BUY_FULL, _FREE_FULL)
         return np.where(serves == 0, _IDLE, codes)
+
+
+def _first(hits: np.ndarray, missing: int) -> np.ndarray:
+    """Per row, the column of the first True in ``hits``, else ``missing``."""
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), missing)
 
 
 class QualityPolicy(BasePolicy):
@@ -301,17 +307,19 @@ class QualityPolicy(BasePolicy):
     QUALITY_TABLE holds that rule for every combination of its inputs. The
     PAP tests of every slot come from the run's price arrays (slot t
     compares with the mean of slots < t) and fold into one price class per
-    slot. Per concentrator the policy counts the units sent and the reduced
-    units used; from them, a slot's decision is one table lookup. A forced
+    slot. A slot's decision is one table lookup, given whether the
+    concentrator may or must send and whether budget remains. A forced
     concentrator always sends, so the guard keeps every deadline. Every
-    send grants one unit; the codes are recorded in a (K, T) matrix, since
-    the packets served cannot tell a full unit from a reduced one.
+    send grants one unit; the codes are kept for ``actions``, since the
+    packets served cannot tell a full unit from a reduced one.
+
+    The rule never reads the packet backlog, so ``grants`` decides every
+    slot at once, phase by phase (see ``_schedule``).
     """
 
     def __init__(
         self,
         params: QualityParams,
-        k: int,
         capacity: int,
         price_full: np.ndarray,
         price_reduced: np.ndarray,
@@ -323,27 +331,77 @@ class QualityPolicy(BasePolicy):
         self.price_class = np.where(
             self.attractive_full, 0, np.where(self.attractive_reduced, 1, 2)
         )
-        self.sent = np.zeros(k, dtype=np.int64)
-        self.reduced_used = np.zeros(k, dtype=np.int64)
-        self.codes = np.zeros((k, price_full.size), dtype=np.uint8)
 
-    def decide_slot(self, slot, levels, q_len):
+    def grants(self, levels):
+        self.codes = np.zeros(levels.shape, dtype=np.uint8)
+        for block in row_blocks(*levels.shape):
+            self._schedule(levels[block], self.codes[block])
+        grants = np.minimum(self.codes, 1, dtype=np.int16)
+        grants *= self.capacity
+        return grants
+
+    def _schedule(self, levels, codes):
+        """Write the Action codes of a block of rows into ``codes``.
+
+        While a row's deadline guard and budget flag stay fixed, a phase,
+        its code in slot t is QUALITY_TABLE[price_class[t]][6 * state +
+        2 * level + has_budget] whenever it has a unit to send, and IDLE
+        otherwise. Its unit backlog (one arrival per slot in slots
+        1..n_units, service 0 or 1) then follows the Lindley recursion,
+        from prefix sums. Each pass runs every unfinished row to its next
+        phase change: the first slot at which the guard binds (it binds
+        from then on) or the slot after its reduced units reach the
+        budget. A row changes phase at most twice.
+        """
         p = self.params
-        if not 1 <= slot <= p.deadline:
-            return 0
-        # 0 cannot send, 1 may send, 2 forced; forced implies can_send
-        state = np.add(
-            self.sent < min(slot, p.n_units),
-            self.sent == p.n_units - (p.deadline - slot + 1),
-            dtype=np.uint8,
-        )
-        cell = 6 * state + 2 * levels + (self.reduced_used < p.quality_budget)
-        actions = QUALITY_TABLE[self.price_class[slot]][cell]
-        self.codes[:, slot] = actions
-        sends = actions != _IDLE
-        self.sent += sends
-        self.reduced_used += IS_REDUCED[actions]
-        return self.capacity * sends
+        rows, horizon = levels.shape
+        slot = np.arange(horizon, dtype=np.int32)
+        arrived = np.minimum(slot, p.n_units)  # units that exist at each slot
+        guard = p.n_units - p.deadline - 1  # sent - slot, before a forced slot
+        start = np.ones(rows, dtype=np.int32)  # the phase's first slot
+        sent = np.zeros(rows, dtype=np.int32)  # units sent before it
+        used = np.zeros(rows, dtype=np.int32)  # reduced units sent before it
+        forced = np.full(rows, p.n_units == p.deadline)
+        funded = np.full(rows, p.quality_budget > 0)
+        live = np.arange(rows)
+        for _ in range(3):  # a row changes phase at most twice
+            if not live.size:
+                break
+            ahead = slot >= start[live, None]
+            window = ahead & (slot <= p.deadline)
+            cell = (6 + 6 * forced[live] + funded[live]).astype(np.uint8)
+            phase = QUALITY_TABLE[self.price_class, 2 * levels[live] + cell[:, None]]
+            phase[~window] = _IDLE
+            # units sent in the phase through each slot: the sends the rule
+            # wants, less those that found no unit (the Lindley recursion)
+            done = np.cumsum(phase != _IDLE, axis=1, dtype=np.int32)
+            missed = arrived - sent[live, None] - done
+            np.minimum(missed, 0, out=missed)
+            missed[~ahead] = 0
+            np.minimum.accumulate(missed, axis=1, out=missed)
+            done += missed
+            del missed
+            # slot 0 never sends, so a slot sent exactly where done grew
+            phase[:, 1:][done[:, 1:] == done[:, :-1]] = _IDLE
+            reduced = np.cumsum(IS_REDUCED[phase], axis=1, dtype=np.int32)
+            binds = sent[live, None] - slot
+            binds[:, 1:] += done[:, :-1]
+            binds = (binds == guard) & window
+            binds[forced[live]] = False
+            spent = (used[live, None] + reduced >= p.quality_budget) & window
+            spent[~funded[live]] = False
+            end = np.minimum(
+                _first(binds, p.deadline + 1), _first(spent, p.deadline) + 1
+            )
+            phase[slot >= end[:, None]] = _IDLE
+            codes[live] += phase
+            last = (end - 1)[:, None]
+            sent[live] += np.take_along_axis(done, last, axis=1)[:, 0]
+            used[live] += np.take_along_axis(reduced, last, axis=1)[:, 0]
+            start[live] = end
+            forced[live] = sent[live] - end == guard
+            funded[live] = used[live] < p.quality_budget
+            live = live[end <= p.deadline]
 
     def actions(self, serves, levels):
         return self.codes

@@ -39,10 +39,10 @@ class Core(NamedTuple):
 
 
 def run_core(config, params, trace=None) -> Core:
-    """One run through the engine's private slot loop, for the per-cell and
-    per-policy state that RunMetrics does not keep."""
+    """One run through the engine's private service step, for the per-cell
+    and per-policy state that RunMetrics does not keep."""
     if trace is None:
         trace = generate_trace(config, config.seed)
     policy = make_policy(params, config, trace)
-    serves, q = engine._serve_slots(policy, trace)
+    serves, q = engine._serve(policy, trace)
     return Core(policy, policy.actions(serves, trace.levels), serves, q)

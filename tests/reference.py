@@ -15,8 +15,11 @@
 * run_codes is the slot loop the engine ran before the policies granted
   packets: each slot a policy returned one Action code per concentrator,
   and packet_grant turned code and spectrum level into packets.
-  lyapunov_codes, static_codes and QualityCodes are the code-returning
-  rules it ran, over a production policy's per-run arrays.
+  lyapunov_codes and static_codes are the code-returning rules it ran, over
+  a production policy's per-run arrays, and code_rule picks a policy's.
+* serve_grant_slots is the grant loop that followed it, before the static
+  and deadline-scheduler runs took their service in closed form;
+  static_grant and QualityGrants are the per-slot rules it ran for them.
 * solve_bruteforce enumerates every schedule of a small offline instance.
 * solve_banded_dp is the banded 3-D dynamic program that was the production
   offline solver before the selection solver replaced it. It handles every
@@ -331,19 +334,24 @@ def static_codes(policy: StaticBurstPolicy, slot, levels, q_len, z_len):
     return np.where(q_len > 0, actions, _IDLE_CODE)
 
 
-class QualityCodes:
-    """QualityPolicy's rule as one Action code per concentrator, with its
-    own counts of units sent and reduced units used."""
+class QualityGrants:
+    """QualityPolicy's rule as the engine's grant loop ran it, one slot at a
+    time: per concentrator it counts the units sent and the reduced units
+    used, decides by one lookup in QUALITY_TABLE, records the slot's codes
+    in a (K, T) matrix and grants a unit to every send."""
 
-    def __init__(self, policy: QualityPolicy):
+    def __init__(self, policy: QualityPolicy, k: int, horizon: int):
         self.params, self.price_class = policy.params, policy.price_class
-        self.sent = np.zeros_like(policy.sent)
-        self.reduced_used = np.zeros_like(policy.reduced_used)
+        self.capacity = policy.capacity
+        self.sent = np.zeros(k, dtype=np.int64)
+        self.reduced_used = np.zeros(k, dtype=np.int64)
+        self.codes = np.zeros((k, horizon), dtype=np.uint8)
 
-    def __call__(self, slot, levels, q_len, z_len):
+    def __call__(self, slot, levels, q_len):
         p = self.params
         if not 1 <= slot <= p.deadline:
-            return np.zeros(len(levels), dtype=np.uint8)
+            return 0
+        # 0 cannot send, 1 may send, 2 forced; forced implies can_send
         state = np.add(
             self.sent < min(slot, p.n_units),
             self.sent == p.n_units - (p.deadline - slot + 1),
@@ -351,18 +359,52 @@ class QualityCodes:
         )
         cell = 6 * state + 2 * levels + (self.reduced_used < p.quality_budget)
         actions = QUALITY_TABLE[self.price_class[slot]][cell]
-        self.sent += actions != _IDLE_CODE
+        self.codes[:, slot] = actions
+        sends = actions != _IDLE_CODE
+        self.sent += sends
         self.reduced_used += IS_REDUCED[actions]
-        return actions
+        return self.capacity * sends
 
 
-def code_rule(policy):
-    """The code-returning rule of a production policy."""
+def static_grant(policy: StaticBurstPolicy):
+    """StaticBurstPolicy's rule as the grant loop ran it: a full unit in a
+    burst slot, the level's free capacity otherwise."""
+
+    def decide(slot, levels, q_len):
+        return policy.capacity if policy.in_burst[slot] else policy.free_capacity[levels]
+
+    return decide
+
+
+def serve_grant_slots(decide, trace):
+    """The engine's slot loop over packet grants, as it ran every policy
+    before the static and deadline-scheduler runs took their service in
+    closed form: ``decide(slot, levels, q)`` grants each concentrator
+    packets, and the loop serves the smaller of grant and backlog. Returns
+    the (K, T) int16 packets served and Q after the last slot."""
+    q = np.zeros(trace.k, dtype=np.int64)
+    serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
+    for t in range(trace.horizon):
+        served = np.minimum(q, decide(t, trace.levels[:, t], q))
+        serves[:, t] = served
+        q -= served
+        q += trace.arrivals[:, t]
+    return serves, q
+
+
+def code_rule(policy, trace):
+    """The code-returning rule of a production policy for a run on ``trace``."""
     if isinstance(policy, LyapunovPolicy):
         return lambda *slot_state: lyapunov_codes(policy, *slot_state)
     if isinstance(policy, StaticBurstPolicy):
         return lambda *slot_state: static_codes(policy, *slot_state)
-    return QualityCodes(policy)
+    grants = QualityGrants(policy, trace.k, trace.horizon)
+
+    def quality_codes(slot, levels, q_len, z_len):
+        grants(slot, levels, q_len)
+        return grants.codes[:, slot]
+
+    return quality_codes
 
 
 def run_codes(decide, trace, capacity, reduced_capacity, epsilon):

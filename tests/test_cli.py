@@ -82,6 +82,7 @@ def test_degenerate_sweep_grid_fails_before_any_run(
         ["sweep-v", "--v", "2,-1", "--seeds", "2"],
         ["compare", "--v-factor", "-1"],
         ["sweep-quality", "--v-factor", "-1"],
+        ["run", "--v-factor", "-1"],
     ],
 )
 def test_bad_policy_params_fail_before_any_trace(argv, monkeypatch, tmp_path, capsys):

@@ -36,6 +36,7 @@ from conftest import run_core
 from reference import (
     ArrivalBatch,
     ConcentratorState,
+    QualityGrants,
     ServiceGrant,
     advance_virtual,
     code_rule,
@@ -43,6 +44,8 @@ from reference import (
     packet_grant,
     run_codes,
     serve,
+    serve_grant_slots,
+    static_grant,
 )
 
 LYAP1 = LyapunovParams(v_factor=1.0)
@@ -567,8 +570,9 @@ _CODE_LOOP_CFG = ScenarioConfig(k_concentrators=4, horizon=60, seed=7)
 ))
 @settings(max_examples=100, deadline=None)
 def test_grant_loop_matches_action_code_loop(case):
-    # the engine's loop over packet grants, with codes recovered after the
-    # run, against the loop it replaced, which carried one Action code per
+    # the engine's service of packet grants (a slot loop for the threshold
+    # policy, closed forms for the others), with codes recovered after the
+    # run, against the slot loop that carried one Action code per
     # concentrator and slot and turned it into packets by table lookup
     cfg, params = case
     trace = generate_trace(cfg, cfg.seed)
@@ -577,7 +581,7 @@ def test_grant_loop_matches_action_code_loop(case):
     lyapunov = isinstance(policy, LyapunovPolicy)
     unit = service_capacity(cfg)
     ref_codes, ref_serves, ref_q, ref_z = run_codes(
-        code_rule(make_policy(params, cfg, trace)),
+        code_rule(make_policy(params, cfg, trace), trace),
         trace,
         unit,
         reduced_capacity(cfg),
@@ -594,6 +598,100 @@ def test_grant_loop_matches_action_code_loop(case):
         assert policy.z.tobytes() == ref_z.tobytes()
     expected = engine._summarize(params, trace, unit, ref_codes, ref_serves, ref_q)
     assert _metrics_digest(metrics) == _metrics_digest(expected)
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """Static runs under both arrival laws, and deadline-scheduler runs with
+    any deadline, workload, budget and beta_c, at small K x T."""
+    horizon = draw(st.integers(2, 80))
+    k = draw(st.integers(1, 6))
+    unit = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 1000))
+    if draw(st.booleans()):
+        cfg = ScenarioConfig(
+            k_concentrators=k,
+            horizon=horizon,
+            mean_arrival=draw(st.integers(0, 8)),
+            unit_size_packets=unit,
+            reduced_fraction=draw(st.sampled_from([0.1, 0.5])),
+            arrival_law=draw(st.sampled_from(["deterministic", "poisson"])),
+            seed=seed,
+        )
+        period = draw(st.integers(1, 20))
+        return cfg, StaticParams(period, draw(st.integers(1, period)))
+    cfg = ScenarioConfig(
+        k_concentrators=k, horizon=horizon, mean_arrival=unit,
+        unit_size_packets=unit, seed=seed,
+    )
+    deadline = draw(st.integers(1, horizon - 1))
+    n_units = draw(st.integers(1, deadline))
+    return cfg, QualityParams(
+        n_units=n_units,
+        deadline=deadline,
+        quality_budget=draw(st.integers(0, n_units - 1)),
+        beta_c=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+
+
+def _assert_closed_form_matches_grant_loop(cfg, params):
+    """The engine's closed-form service of a static or deadline-scheduler
+    run against the grant loop it replaced: codes, packets served and Q.
+    Returns the codes."""
+    trace = generate_trace(cfg, cfg.seed)
+    _, codes, serves, q = run_core(cfg, params, trace)
+    reference = make_policy(params, cfg, trace)
+    if isinstance(params, QualityParams):
+        rule = QualityGrants(reference, trace.k, trace.horizon)
+    else:
+        rule = static_grant(reference)
+    ref_serves, ref_q = serve_grant_slots(rule, trace)
+    ref_codes = rule.codes if isinstance(params, QualityParams) else (
+        reference.actions(ref_serves, trace.levels)
+    )
+    assert codes.dtype == ref_codes.dtype
+    assert np.array_equal(codes, ref_codes)
+    assert serves.dtype == ref_serves.dtype
+    assert np.array_equal(serves, ref_serves)
+    assert np.array_equal(q, ref_q)
+    return codes
+
+
+# on concentrator 0 the budget runs out (at slot 7) before the deadline
+# guard binds (slot 16); on concentrator 1 the guard binds (slot 8) before
+# a forced reduced lease spends the last of its budget (slot 9)
+PHASE_ORDER_CFG = ScenarioConfig(k_concentrators=3, horizon=20, seed=0)
+PHASE_ORDER_PARAMS = QualityParams(n_units=14, deadline=19, quality_budget=2, beta_c=0.0)
+
+
+_TWO_BLOCKS_CFG = ScenarioConfig(k_concentrators=40, horizon=2000, seed=5)
+
+
+@given(_closed_form_cases())
+@example((PHASE_ORDER_CFG, PHASE_ORDER_PARAMS))
+# 40 x 2000 cells: rows in blocks of 32
+@example((
+    dataclasses.replace(_TWO_BLOCKS_CFG, arrival_law="poisson"), StaticParams(100, 20)
+))
+@example((_TWO_BLOCKS_CFG, QualityParams(1990, 1999, 300, beta_c=0.5)))
+@example((PHASE_ORDER_CFG, QualityParams(n_units=19, deadline=19, quality_budget=9)))
+@settings(max_examples=150, deadline=None)
+def test_closed_forms_match_grant_loop(case):
+    _assert_closed_form_matches_grant_loop(*case)
+
+
+def test_quality_phases_change_in_either_order():
+    params = PHASE_ORDER_PARAMS
+    codes = _assert_closed_form_matches_grant_loop(PHASE_ORDER_CFG, params)
+    sent = np.cumsum(codes != Action.IDLE, axis=1)
+    slot = np.arange(PHASE_ORDER_CFG.horizon)
+    # sent - slot before a slot reaches n_units - deadline - 1 where the guard binds
+    binds = sent - (codes != Action.IDLE) - slot == params.n_units - params.deadline - 1
+    spent = np.cumsum(IS_REDUCED[codes], axis=1) == params.quality_budget
+    guard_slots = [int(np.flatnonzero(row)[0]) for row in binds[:2]]
+    budget_slots = [int(np.flatnonzero(row)[0]) for row in spent[:2]]
+    assert guard_slots == [16, 8]
+    assert budget_slots == [7, 9]
 
 
 def test_huge_arrivals_run_in_fleet_sized_memory():
@@ -616,6 +714,53 @@ def test_huge_arrivals_run_in_fleet_sized_memory():
     assert metrics.total_delay_slots == 2 * 5 * sum(range(1, 50)) == 12250
 
 
+# Bytes per (concentrator, slot) cell, from the dtypes the program stores:
+# a trace keeps levels (uint8) and arrivals (int32); a Poisson draw is int64
+# and lives until its int32 copy is made. A run keeps the packets served
+# (int16) and the Action codes (uint8), and its checks hold at most three
+# boolean masks at once; the closed forms' grant matrix (int16) becomes the
+# packets served. Work that scales with the fleet beyond that is done in row
+# blocks of at most 2**16 cells, so one int64 block temporary is the slack.
+TRACE_BYTES_PER_CELL = 1 + 4
+POISSON_DRAW_BYTES_PER_CELL = 8
+RUN_BYTES_PER_CELL = 2 + 1 + 3
+BLOCK_SLACK_BYTES = 8 * 2**16
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("law", ["deterministic", "poisson"])
+def test_trace_and_runs_peak_within_their_bytes_per_cell(law):
+    cfg = ScenarioConfig(k_concentrators=1000, horizon=1000, arrival_law=law, seed=3)
+    cells = cfg.k_concentrators * cfg.horizon
+    # the deadline scheduler needs unit-granular, hence deterministic, arrivals
+    policies = [LYAP1, StaticParams(100, 20)]
+    if law == "deterministic":
+        policies += [
+            QualityParams(n_units=997, deadline=999, quality_budget=199),
+            QualityParams(n_units=500, deadline=999, quality_budget=0),
+        ]
+    small = dataclasses.replace(cfg, k_concentrators=2, horizon=1000)
+    for params in policies:  # first-call imports and caches
+        run(small, params)
+
+    draw = TRACE_BYTES_PER_CELL + POISSON_DRAW_BYTES_PER_CELL * (law == "poisson")
+    assert _peak_bytes(lambda: generate_trace(cfg, cfg.seed)) <= (
+        draw * cells + BLOCK_SLACK_BYTES
+    )
+    trace = generate_trace(cfg, cfg.seed)
+    for params in policies:
+        peak = _peak_bytes(lambda: run(cfg, params, trace))
+        assert peak <= RUN_BYTES_PER_CELL * cells + BLOCK_SLACK_BYTES, params.label
+
+
 ROGUE_CFG = ScenarioConfig(k_concentrators=4, horizon=200, seed=7)
 ROGUE_QUALITY = QualityParams(n_units=150, deadline=199, quality_budget=30)
 ROGUE_ARGV = {
@@ -629,8 +774,11 @@ ROGUE_ARGV = {
 
 class RoguePolicy(BasePolicy):
     """The real policy, except that one concentrator takes ``action``
-    whenever ``when(slot, its level)`` holds: its grant is what that action
-    may move on the level, and ``actions`` reports the action's code."""
+    whenever ``when(slot, its level)`` holds: it moves what that action may
+    move on the level, and ``actions`` reports the action's code. A
+    threshold run is altered slot by slot, as the slot loop serves it; a
+    deadline-scheduler run has its grants altered before the engine serves
+    them in closed form."""
 
     def __init__(self, params, concentrator, when, action):
         self.params = params
@@ -644,12 +792,19 @@ class RoguePolicy(BasePolicy):
         return self
 
     def decide_slot(self, slot, levels, q_len):
-        grant = np.full(len(levels), self.inner.decide_slot(slot, levels, q_len))
-        level = levels[self.concentrator]
-        if self.when(slot, level):
-            grant[self.concentrator] = self.grant[self.action, level]
+        served = self.inner.decide_slot(slot, levels, q_len)
+        i = self.concentrator
+        if self.when(slot, levels[i]):
+            served[i] = min(q_len[i], self.grant[self.action, levels[i]])
             self.slots.append(slot)
-        return grant
+        return served
+
+    def grants(self, levels):
+        grants = self.inner.grants(levels)
+        row = levels[self.concentrator]
+        self.slots = [t for t in range(len(row)) if self.when(t, row[t])]
+        grants[self.concentrator, self.slots] = self.grant[self.action, row[self.slots]]
+        return grants
 
     def actions(self, serves, levels):
         codes = self.inner.actions(serves, levels).copy()

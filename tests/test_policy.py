@@ -10,6 +10,7 @@ from hpclease.cli import PRESETS
 from hpclease.env import MICROCENTS_PER_CENT, SpectrumLevel, to_microcents
 from hpclease.errors import ConfigurationError, InfeasibleError
 from hpclease.policy import (
+    IS_REDUCED,
     QUALITY_TABLE,
     Action,
     LyapunovParams,
@@ -44,10 +45,10 @@ def thresholds(v_factor, full_microcents):
     return LyapunovPolicy(LyapunovParams(v_factor), 5, 2, prices, 1, 1.0).threshold
 
 
-def quality_policy(params, prices, k=1):
+def quality_policy(params, prices):
     """A deadline scheduler over (full, reduced) micro-cent pairs, one per slot."""
     full, reduced = np.array(prices, dtype=np.int64).reshape(-1, 2).T
-    return QualityPolicy(params, k, 5, full, reduced)
+    return QualityPolicy(params, 5, full, reduced)
 
 
 def test_threshold_examples():
@@ -219,9 +220,7 @@ def test_pap_flags_match_running_mean_mirror(beta_c):
     params = QualityParams(
         n_units=9_000, deadline=9_999, quality_budget=0, beta_c=beta_c
     )
-    policy = QualityPolicy(
-        params, trace.k, 5, trace.price_full, trace.price_reduced
-    )
+    policy = QualityPolicy(params, 5, trace.price_full, trace.price_reduced)
     mirror = PapMirror(beta_c)
     full_flags, reduced_flags = [], []
     for full, reduced in zip(trace.price_full.tolist(), trace.price_reduced.tolist()):
@@ -377,9 +376,9 @@ def test_lyapunov_policy_matches_scalar(data):
         LyapunovParams(v_factor=v), 5, reduced_capacity, prices, k, epsilon
     )
     policy.z[:] = z
-    grant = policy.decide_slot(3, levels, q)
-    assert grant.dtype == np.int64
-    served, codes = _served_and_codes(policy, 3, 4, levels, np.minimum(q, grant))
+    served = policy.decide_slot(3, levels, q)
+    assert served.dtype == np.int64
+    served, codes = _served_and_codes(policy, 3, 4, levels, served)
     assert codes.dtype == np.uint8
     moves = packet_grant(5, reduced_capacity)
     threshold = v * (full / MICROCENTS_PER_CENT) / 2.0  # the scalar V * c / 2
@@ -412,9 +411,10 @@ def test_static_policy_matches_scalar(data):
         data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=np.uint8
     )
     policy = StaticBurstPolicy(params, capacity=5, reduced_capacity=2, horizon=2501)
-    grant = policy.decide_slot(slot, levels, q)
+    grants = policy.grants(np.repeat(levels[:, None], 2501, axis=1))
+    assert grants.dtype == np.int16
     served, codes = _served_and_codes(
-        policy, slot, 2501, levels, np.minimum(q, grant)
+        policy, slot, 2501, levels, np.minimum(q, grants[:, slot])
     )
     moves = packet_grant(5, 2)
     for i in range(k):
@@ -497,22 +497,24 @@ def test_forced_concentrator_always_sends(case):
     # the invariant that makes the deadline guard unbreakable: each slot,
     # remaining units <= remaining slots, with equality forcing a send
     params, price_class, levels = case
-    k = levels.shape[1]
     prices = np.full(params.deadline + 1, 10**6, dtype=np.int64)
-    policy = QualityPolicy(params, k, 5, prices, prices // 2)
+    policy = QualityPolicy(params, 5, prices, prices // 2)
     policy.price_class = price_class
-    for slot in range(params.deadline + 1):
-        remaining = params.n_units - policy.sent
-        grant = policy.decide_slot(slot, levels[slot], np.zeros(k))
-        grant = np.broadcast_to(grant, k)
-        if slot == 0:
-            assert not grant.any()
-            continue
-        slots_remaining = params.deadline - slot + 1
-        assert (remaining <= slots_remaining).all()
-        assert (grant[remaining == slots_remaining] == 5).all()
-        assert (policy.reduced_used <= params.quality_budget).all()
-    assert (policy.sent == params.n_units).all()
+    grants = policy.grants(np.ascontiguousarray(levels.T))
+    assert grants.dtype == np.int16
+    assert not grants[:, 0].any()  # no unit exists before slot 1
+    sends = grants // 5
+    assert np.array_equal(sends, policy.codes != Action.IDLE)
+    # units remaining before each slot, and the slots left for them
+    remaining = params.n_units - np.cumsum(sends, axis=1) + sends
+    slots_remaining = params.deadline - np.arange(params.deadline + 1) + 1
+    assert (remaining[:, 1:] <= slots_remaining[1:]).all()
+    forced = remaining == slots_remaining
+    forced[:, 0] = False
+    assert (sends[forced] == 1).all()
+    reduced = np.cumsum(IS_REDUCED[policy.codes], axis=1)
+    assert (reduced <= params.quality_budget).all()
+    assert (sends.sum(axis=1) == params.n_units).all()
 
 
 @given(st.data())
@@ -530,38 +532,36 @@ def test_quality_policy_matches_scalar_sequence(data):
         st.lists(st.integers(2, 100), min_size=deadline + 1, max_size=deadline + 1)
     )
     prices = [(c * 10_000, c * 5_000) for c in full_cents]
+    levels = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.integers(0, 2), min_size=deadline + 1, max_size=deadline + 1),
+                min_size=k,
+                max_size=k,
+            )
+        ),
+        dtype=np.uint8,
+    )
 
-    policy = quality_policy(params, prices, k)
+    policy = quality_policy(params, prices)
+    grants = policy.grants(levels)
     mirror = PapMirror(beta_c=beta)
+    mirror.observe(*prices[0])
     remaining = [n_units] * k
     budget_left = [budget] * k
-    idle = policy.decide_slot(0, np.zeros(k, np.uint8), np.zeros(k, int))
-    assert not np.any(idle)  # no unit exists before slot 1
-    mirror.observe(*prices[0])
-
-    # the run's grants as served packets, its levels and the scalar codes
-    serves = np.zeros((k, deadline + 1), dtype=np.int16)
-    all_levels = np.zeros((k, deadline + 1), dtype=np.uint8)
     expected_codes = np.zeros((k, deadline + 1), dtype=np.uint8)
     for slot in range(1, deadline + 1):
-        levels = np.array(
-            data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)),
-            dtype=np.uint8,
-        )
-        grant = policy.decide_slot(slot, levels, np.zeros(k, int))
-        serves[:, slot], all_levels[:, slot] = grant, levels
         for i in range(k):
             expected = quality_decide(
                 params,
                 mirror,
                 slot,
-                SpectrumLevel(levels[i]),
+                SpectrumLevel(levels[i, slot]),
                 prices[slot],
                 remaining[i],
                 budget_left[i],
             )
             expected_codes[i, slot] = expected
-            assert grant[i] == (0 if expected == Action.IDLE else 5)
             if expected != Action.IDLE:
                 remaining[i] -= 1
             if expected in (Action.FREE_REDUCED, Action.BUY_REDUCED):
@@ -569,4 +569,5 @@ def test_quality_policy_matches_scalar_sequence(data):
         mirror.observe(*prices[slot])
 
     assert remaining == [0] * k
-    assert np.array_equal(policy.actions(serves, all_levels), expected_codes)
+    assert np.array_equal(grants, 5 * (expected_codes != Action.IDLE))
+    assert np.array_equal(policy.actions(grants, levels), expected_codes)
