@@ -9,7 +9,6 @@ stderr; data goes to stdout only with `-o -`.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -20,18 +19,15 @@ import numpy as np
 from .config import ScenarioConfig
 from .engine import (
     RunMetrics,
-    check_offline_dominance,
+    check_budget_share,
     compare_with_oracle,
     derive_quality_params,
-    is_unit_granular,
-    oracle_reference,
-    oracle_workload,
     run,
 )
 from .env import generate_trace, load_trace, save_trace, to_dollars
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from .oracle import instance_from_trace, solve_dp
-from .policy import LyapunovParams, PolicyParams, QualityParams, StaticParams
+from .policy import Action, LyapunovParams, PolicyParams, QualityParams, StaticParams
 from . import report
 
 OUT_DIR_ENV = "HPCLEASE_OUT_DIR"
@@ -122,7 +118,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "--policy", default="lyapunov", choices=["lyapunov", "static", "quality"]
     )
     p_run.add_argument("--v-factor", type=float, default=1.0)
-    p_run.add_argument("--epsilon", type=float)
     p_run.add_argument("--period", type=int, default=1000)
     p_run.add_argument("--burst-len", type=int, default=200)
     p_run.add_argument("--n-units", type=int)
@@ -259,16 +254,16 @@ def _json_bytes(doc: object) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-# run's flags that one policy reads, all with argparse default None
-_POLICY_FLAGS = {
-    "epsilon": "lyapunov",
-    **dict.fromkeys(("n_units", "deadline", "quality_budget", "budget_share"), "quality"),
-}
+# run's flags that only the quality policy reads, all with argparse default None
+_QUALITY_FLAGS = ("n_units", "deadline", "quality_budget", "budget_share")
 
 
-def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig, trace) -> PolicyParams:
+def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig) -> PolicyParams:
+    """The parameter block --policy names, built (and so checked) before any
+    trace is drawn. With --budget-share it is the reference threshold run's,
+    from which _cmd_run derives the quality workload."""
     if spec.policy == "lyapunov":
-        return LyapunovParams(v_factor=spec.v_factor, epsilon=spec.epsilon)
+        return LyapunovParams(v_factor=spec.v_factor)
     if spec.policy == "static":
         return StaticParams(period=spec.period, burst_len=spec.burst_len)
     explicit = zip(
@@ -282,10 +277,8 @@ def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig, trace) -> Poli
                 "--budget-share derives the quality workload and conflicts "
                 f"with {', '.join(given)}"
             )
-        reference = run(cfg, LyapunovParams(v_factor=spec.v_factor), trace)
-        return derive_quality_params(
-            cfg, reference, spec.budget_share, beta_c=spec.beta_c
-        )
+        check_budget_share(cfg, spec.budget_share)
+        return LyapunovParams(v_factor=spec.v_factor)
     if len(given) == 3:
         return QualityParams(
             n_units=spec.n_units,
@@ -302,19 +295,20 @@ def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig, trace) -> Poli
 def _cmd_run(spec: argparse.Namespace) -> int:
     unread = [
         "--" + name.replace("_", "-")
-        for name, policy in _POLICY_FLAGS.items()
-        if policy != spec.policy and getattr(spec, name) is not None
+        for name in _QUALITY_FLAGS
+        if spec.policy != "quality" and getattr(spec, name) is not None
     ]
     if unread:
         flags = ", ".join(unread)
         raise ConfigurationError(f"--policy {spec.policy} does not read {flags}")
     cfg = _scenario(spec)
-    # only a workload derived by --budget-share needs the trace; any other
-    # parameter block is built, and so checked, before the draw
-    params = _policy_params(spec, cfg, None) if spec.budget_share is None else None
+    params = _policy_params(spec, cfg)
     trace = generate_trace(cfg, cfg.seed)
-    if params is None:
-        params = _policy_params(spec, cfg, trace)
+    if spec.budget_share is not None:
+        reference = run(cfg, params, trace)
+        params = derive_quality_params(
+            cfg, reference, spec.budget_share, beta_c=spec.beta_c
+        )
     metrics = run(cfg, params, trace)
     summary = report.run_summary(metrics)
     _write(spec, "run_summary.json", _json_bytes(summary))
@@ -330,33 +324,17 @@ def _cmd_compare(spec: argparse.Namespace) -> int:
         STATIC_SCHEME_1,
         STATIC_SCHEME_2,
     ]
+    if spec.budget_share is not None:
+        check_budget_share(cfg, spec.budget_share)
     trace = generate_trace(cfg, cfg.seed)
     results = [run(cfg, p, trace) for p in policies]
-    # the appended oracle row gets the most freedom any online row had, so
-    # it lower-bounds every workload-complete row in the table
-    oracle_units = cfg.horizon - 1
-    oracle_budget = 0
     if spec.budget_share is not None:
         params = derive_quality_params(
             cfg, results[0], spec.budget_share, beta_c=spec.beta_c
         )
         results.append(run(cfg, params, trace))
-        oracle_units = min(oracle_units, params.n_units)
-        oracle_budget = params.quality_budget
-    # rows and the oracle row often share a workload; each is solved once
-    offline = functools.cache(functools.partial(oracle_reference, trace))
-    rows = []
-    for metrics in results:
-        workload = oracle_workload(cfg, metrics)
-        offline_cost = None
-        if workload is not None:
-            offline_cost = check_offline_dominance(metrics, offline(*workload))
-        rows.append((metrics, offline_cost))
-
-    oracle_row = None
-    if is_unit_granular(cfg):
-        total = int(offline(oracle_units, oracle_budget).sum())
-        oracle_row = (f"oracle[m={oracle_budget}]", total)
+    offline, oracle_row = compare_with_oracle(cfg, trace, results)
+    rows = list(zip(results, offline))
     _write(spec, "comparison.csv", report.comparison_table_csv(rows, oracle_row))
     return 0
 
@@ -390,6 +368,8 @@ def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
     )
     if not shares:
         raise ConfigurationError("empty sweep")
+    for share in shares:
+        check_budget_share(cfg, share)
     runs_by_budget: dict[int, list[RunMetrics]] = {}
     oracle_by_budget: dict[int, list[int]] | None = (
         {} if spec.with_oracle else None
@@ -398,24 +378,20 @@ def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
     for seed in seeds:
         trace = generate_trace(cfg, seed)
         reference = run(cfg, reference_params, trace)
-        budgets_this_seed = set()
+        runs: dict[int, RunMetrics] = {}
         for share in shares:
             params = derive_quality_params(cfg, reference, share, beta_c=spec.beta_c)
             budget = params.quality_budget
-            if budget in budgets_this_seed:
+            if budget in runs:
                 raise ConfigurationError(
                     f"budget shares collide at {budget} reduced units"
                 )
-            budgets_this_seed.add(budget)
-            metrics = run(cfg, params, trace)
-            runs_by_budget.setdefault(budget, []).append(metrics)
-            if oracle_by_budget is not None:
-                offline = compare_with_oracle(cfg, trace, metrics)
-                if offline is None:
-                    raise ConfigurationError(
-                        "oracle comparison requested but the run is not comparable"
-                    )
-                oracle_by_budget.setdefault(budget, []).append(offline)
+            runs[budget] = run(cfg, params, trace)
+            runs_by_budget.setdefault(budget, []).append(runs[budget])
+        if oracle_by_budget is not None:
+            offline, _ = compare_with_oracle(cfg, trace, list(runs.values()))
+            for budget, cost in zip(runs, offline):
+                oracle_by_budget.setdefault(budget, []).append(cost)
     result = report.quality_sweep_summary(runs_by_budget, oracle_by_budget)
     _write(spec, f"sweep_quality.{spec.format}", report.emit(result, spec.format))
     return 0
@@ -462,13 +438,7 @@ def _cmd_oracle(spec: argparse.Namespace) -> int:
         "reduced_count": schedule.reduced_count,
         "sends": schedule.sends,
         "action_codes": [int(a) for a in schedule.actions],
-        "action_legend": {
-            "0": "idle",
-            "1": "free_full",
-            "2": "free_reduced",
-            "3": "buy_full",
-            "4": "buy_reduced",
-        },
+        "action_legend": {str(int(a)): a.name.lower() for a in Action},
     }
     _write(spec, "oracle.json", _json_bytes(doc))
     return 0

@@ -25,6 +25,11 @@ area between its cumulative arrival and service curves (the sample-path
 argument behind Little's law), computed from per-slot counts and never per
 packet.
 
+compare_with_oracle is the one offline comparison: it takes every run on
+one trace, solves each distinct (n_units, quality_budget) workload once
+per concentrator, and returns each run's offline optimum and the oracle
+row of the batch's loosest workload.
+
 Costs are integer micro-cents throughout, so runs are reproducible to the
 last digit across platforms: a ScenarioConfig bounds prices when it is
 built, and a Trace bounds its own, so that no cost sum can leave the
@@ -105,9 +110,8 @@ def make_policy(
         return policy
     capacities = unit, reduced_capacity(config)
     if isinstance(params, LyapunovParams):
-        epsilon = config.epsilon if params.epsilon is None else params.epsilon
         return LyapunovPolicy(
-            params, *capacities, trace.price_full, trace.k, float(epsilon)
+            params, *capacities, trace.price_full, trace.k, float(config.epsilon)
         )
     if isinstance(params, StaticParams):
         return StaticBurstPolicy(params, *capacities, trace.horizon)
@@ -351,6 +355,14 @@ def _check_decisions(run_name, params, decisions, serves, levels, unit) -> None:
             )
 
 
+def check_budget_share(config: ScenarioConfig, budget_share: float) -> None:
+    """Refuse a budget share, or a scenario, that derive_quality_params
+    cannot size a workload from, before any trace is drawn."""
+    _check_unit_alignment(config)
+    if not 0.0 <= budget_share < 1.0:
+        raise ConfigurationError("budget_share must lie in [0, 1)")
+
+
 def derive_quality_params(
     config: ScenarioConfig,
     reference: RunMetrics,
@@ -365,9 +377,7 @@ def derive_quality_params(
     the last serviceable slot as the deadline. The quality budget is the
     requested share of those units, rounded down.
     """
-    _check_unit_alignment(config)
-    if not 0.0 <= budget_share < 1.0:
-        raise ConfigurationError("budget_share must lie in [0, 1)")
+    check_budget_share(config, budget_share)
     d = max(1, round(reference.littles_delay))
     n_units = config.horizon - d
     if n_units < 1:
@@ -399,62 +409,57 @@ def oracle_reference(
     return per_conc
 
 
-def oracle_workload(
-    config: ScenarioConfig, metrics: RunMetrics
-) -> tuple[int, int] | None:
-    """The (n_units, quality_budget) offline workload whose schedules a run's
-    sends realize, or None if the run is not comparable.
-
-    Comparable means the run maps onto an offline scheduling instance:
-    the scenario is unit-granular, and either the policy is the deadline
-    scheduler (whose realized sends are a feasible schedule for its own
-    workload by construction) or the run drained every serviceable packet
-    (then the realized sends are a feasible schedule for the full
-    horizon - 1 unit workload at zero quality budget).
-    """
-    if not is_unit_granular(config):
-        return None
-    unit = config.unit_size_packets
-    if isinstance(metrics.params, QualityParams):
-        n_units, spare = divmod(metrics.total_served, unit * metrics.k)
-        if spare:
-            return None  # pragma: no cover - unit runs serve whole units
-        return n_units, metrics.params.quality_budget
-    # completion in a unit-granular scenario forces one whole unit
-    # through every serviceable slot, so the realized sends form a
-    # feasible full-workload schedule with no quality degradation
-    if not metrics.workload_complete:
-        return None
-    n_units = config.horizon - 1
-    if metrics.total_served != n_units * unit * metrics.k:
-        return None
-    return n_units, 0
-
-
-def check_offline_dominance(metrics: RunMetrics, offline_per_conc: np.ndarray) -> int:
-    """The fleet's offline-optimal cost in micro-cents, after checking that
-    no concentrator's online cost beats its offline optimum, which would
-    mean the accounting or the oracle is wrong (InvariantViolationError)."""
-    beaten = np.flatnonzero(metrics.cost_per_concentrator < offline_per_conc)
-    if beaten.size:
-        i = int(beaten[0])
-        raise InvariantViolationError(
-            f"{metrics.policy_label} seed {metrics.seed}: online cost "
-            f"{metrics.cost_per_concentrator[i]} of concentrator {i} beats the "
-            f"offline optimum {offline_per_conc[i]}; oracle or accounting broken"
-        )
-    return int(offline_per_conc.sum())
-
-
 def compare_with_oracle(
     config: ScenarioConfig,
     trace: Trace,
-    metrics: RunMetrics,
-) -> int | None:
-    """The fleet's offline-optimal cost in micro-cents for one run's
-    oracle_workload, after check_offline_dominance; None if the run is not
-    comparable."""
-    workload = oracle_workload(config, metrics)
-    if workload is None:
-        return None
-    return check_offline_dominance(metrics, oracle_reference(trace, *workload))
+    runs: list[RunMetrics],
+) -> tuple[list[int | None], tuple[str, int] | None]:
+    """Every run on ``trace`` against the offline optimum, each distinct
+    (n_units, quality_budget) workload solved once.
+
+    Returns each run's fleet offline-optimal cost in micro-cents, None
+    when the run is not comparable, and the oracle row (label, micro-cents),
+    None off unit-granular scenarios. A run is comparable in a
+    unit-granular scenario when it ran the deadline scheduler, whose sends
+    are a feasible schedule for its own workload, or drained every
+    serviceable packet, which forces one whole unit through every slot from
+    1 on: a feasible schedule for the horizon - 1 unit workload at zero
+    quality budget. The oracle row solves the loosest workload of the
+    batch, the fewest units and the largest budget (less than the units),
+    so it lower-bounds every comparable run. A concentrator whose online
+    cost beats its offline optimum means the accounting or the oracle is
+    wrong (InvariantViolationError).
+    """
+    if not is_unit_granular(config):
+        return [None] * len(runs), None
+    solved: dict[tuple[int, int], np.ndarray] = {}
+
+    def offline(workload: tuple[int, int]) -> np.ndarray:
+        if workload not in solved:
+            solved[workload] = oracle_reference(trace, *workload)
+        return solved[workload]
+
+    quality = [m.params for m in runs if isinstance(m.params, QualityParams)]
+    n_units = min([config.horizon - 1, *(p.n_units for p in quality)])
+    budget = min(n_units - 1, max([0, *(p.quality_budget for p in quality)]))
+    fleet: list[int | None] = []
+    for metrics in runs:
+        params = metrics.params
+        if isinstance(params, QualityParams):
+            workload = params.n_units, params.quality_budget
+        elif metrics.workload_complete:
+            workload = config.horizon - 1, 0
+        else:
+            fleet.append(None)
+            continue
+        per_conc = offline(workload)
+        beaten = np.flatnonzero(metrics.cost_per_concentrator < per_conc)
+        if beaten.size:
+            i = int(beaten[0])
+            raise InvariantViolationError(
+                f"{metrics.policy_label} seed {metrics.seed}: online cost "
+                f"{metrics.cost_per_concentrator[i]} of concentrator {i} beats the "
+                f"offline optimum {per_conc[i]}; oracle or accounting broken"
+            )
+        fleet.append(int(per_conc.sum()))
+    return fleet, (f"oracle[m={budget}]", int(offline((n_units, budget)).sum()))

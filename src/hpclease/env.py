@@ -176,9 +176,15 @@ def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
     if config.arrival_law == "deterministic":
         arrivals = np.full((k, horizon), config.mean_arrival, dtype=np.int32)
     else:
-        draws = rng.poisson(config.mean_arrival, size=(k, horizon))
-        np.minimum(draws, config.effective_arrival_bound(), out=draws)
-        arrivals = draws.astype(np.int32)
+        # drawn in row blocks, the same stream as one (k, horizon) draw; the
+        # del frees each int64 block before the next is drawn
+        arrivals = np.empty((k, horizon), dtype=np.int32)
+        bound = config.effective_arrival_bound()
+        for block in row_blocks(k, horizon):
+            draws = rng.poisson(config.mean_arrival, size=arrivals[block].shape)
+            np.minimum(draws, bound, out=draws)
+            arrivals[block] = draws
+            del draws
 
     reduced_packets = reduced_unit_packets(
         config.unit_size_packets, config.reduced_fraction

@@ -70,15 +70,13 @@ class LyapunovParams:
 
     v_factor trades accumulated cost against backlog; its units are
     packets per cent because thresholds compare packet counts (Q + Z)
-    against v_factor * unit_price_cents / 2. epsilon is the per-busy-slot
-    increment of the virtual queue; None defers to the scenario default
-    (the mean arrival rate).
+    against v_factor * unit_price_cents / 2. The per-busy-slot increment
+    of the virtual queue is the scenario's epsilon.
     """
 
     kind: ClassVar[str] = "lyapunov"
 
     v_factor: float
-    epsilon: float | None = None
 
     @property
     def label(self) -> str:
@@ -87,8 +85,6 @@ class LyapunovParams:
     def __post_init__(self) -> None:
         if self.v_factor < 0 or not np.isfinite(self.v_factor):
             raise ConfigurationError("v_factor must be finite and nonnegative")
-        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
-            raise ConfigurationError("epsilon must be finite and positive")
 
 
 @dataclass(frozen=True)

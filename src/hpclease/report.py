@@ -254,9 +254,8 @@ def comparison_table_csv(
     comparable (incomplete workload or non-unit scenario), which leaves the
     oracle columns blank. The ratio is online over offline cost: 1 when both
     are 0, inf when only the offline cost is. oracle_row, when
-    given, appends an offline optimum as (label, cost_microcents); the caller
-    must pick its workload loose enough (smallest unit count, largest quality
-    budget across the rows) for it to lower-bound every complete row."""
+    given, appends an offline optimum as (label, cost_microcents), as
+    engine.compare_with_oracle returns it."""
     lines = [
         "policy,cost_dollars,cost_microcents,final_queue_mean,delay_mean,"
         "workload_complete,oracle_cost_dollars,oracle_ratio"

@@ -106,7 +106,8 @@ def quality_sweep(ref_cfg, seeds, traces, lyap_best):
 
     The delay target comes from each seed's drained threshold run, so all
     four budgets share one workload per seed. Every run here and each
-    threshold reference is also checked against the offline optimum.
+    threshold reference is also checked against the offline optimum, one
+    comparison per seed.
     """
     by_seed = []
     comparisons = []  # (metrics, offline-optimal cost) pairs
@@ -115,12 +116,10 @@ def quality_sweep(ref_cfg, seeds, traces, lyap_best):
         row = {}
         for share in BUDGET_SHARES:
             params = derive_quality_params(ref_cfg, reference, share)
-            metrics = run(ref_cfg, params, traces.by_seed[s])
-            offline = compare_with_oracle(ref_cfg, traces.by_seed[s], metrics)
-            comparisons.append((metrics, offline))
-            row[share] = metrics
-        offline = compare_with_oracle(ref_cfg, traces.by_seed[s], reference)
-        comparisons.append((reference, offline))
+            row[share] = run(ref_cfg, params, traces.by_seed[s])
+        runs = [*row.values(), reference]
+        offline, _ = compare_with_oracle(ref_cfg, traces.by_seed[s], runs)
+        comparisons += zip(runs, offline)
         by_seed.append(row)
     return by_seed, comparisons
 

@@ -52,4 +52,7 @@ def test_traced_workload_counts_every_conc_slot(name, tmp_path):
     finally:
         traced.remove()
     assert code == 0
+    # the spans and counters the benchmark reports all have their target
+    for target in ("engine.run", "engine.compare_with_oracle", "oracle.solve_dp"):
+        assert target not in traced.missing
     assert traced.counts["engine.conc_slots"] == workload.conc_slots

@@ -83,6 +83,9 @@ def test_degenerate_sweep_grid_fails_before_any_run(
         ["compare", "--v-factor", "-1"],
         ["sweep-quality", "--v-factor", "-1"],
         ["run", "--v-factor", "-1"],
+        ["run", "--policy", "quality", "--budget-share", "1.5"],
+        ["compare", "--budget-share", "1.5"],
+        ["sweep-quality", "--budgets", "0,1.5"],
     ],
 )
 def test_bad_policy_params_fail_before_any_trace(argv, monkeypatch, tmp_path, capsys):
@@ -92,7 +95,8 @@ def test_bad_policy_params_fail_before_any_trace(argv, monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(cli, "generate_trace", no_trace)
     assert main(tmp_path, *argv) == 3
-    assert "v_factor" in capsys.readouterr().err
+    field = "budget_share" if any("1.5" in arg for arg in argv) else "v_factor"
+    assert field in capsys.readouterr().err
 
 
 SCENARIO_DEFAULTS = {
@@ -110,7 +114,7 @@ SCENARIO_DEFAULTS = {
         (
             ["run"],
             {
-                "policy": "lyapunov", "v_factor": 1.0, "epsilon": None, "period": 1000,
+                "policy": "lyapunov", "v_factor": 1.0, "period": 1000,
                 "burst_len": 200, "n_units": None, "deadline": None,
                 "quality_budget": None, "budget_share": None, "beta_c": 1.0,
             },
@@ -262,22 +266,14 @@ def test_run_quality_flags_conflict_with_budget_share(flags, named, tmp_path, ca
 @pytest.mark.parametrize(
     "flags, named",
     [
-        (["--policy", "static", "--epsilon", "3"], "--epsilon"),
-        (
-            ["--policy", "quality", "--n-units", "150", "--deadline", "199",
-             "--quality-budget", "30", "--epsilon", "3"],
-            "--epsilon",
-        ),
         (["--policy", "lyapunov", "--n-units", "50"], "--n-units"),
         (["--policy", "static", "--budget-share", "0.1"], "--budget-share"),
         (
-            ["--policy", "lyapunov", "--epsilon", "3", "--deadline", "9",
-             "--quality-budget", "3"],
+            ["--policy", "lyapunov", "--deadline", "9", "--quality-budget", "3"],
             "--deadline, --quality-budget",
         ),
     ],
-    ids=["static-epsilon", "quality-epsilon", "lyapunov-n-units",
-         "static-budget-share", "lyapunov-two-quality-flags"],
+    ids=["lyapunov-n-units", "static-budget-share", "lyapunov-two-quality-flags"],
 )
 def test_run_rejects_flags_its_policy_does_not_read(flags, named, tmp_path, capsys):
     # each of these once ran and silently ignored the flag
@@ -443,7 +439,8 @@ def test_oracle_solve_failure_names_its_instance(monkeypatch, tmp_path, capsys):
 
 
 def test_infinite_lyapunov_epsilon_exits_3(tmp_path, capsys):
-    assert main(tmp_path, "run", *SMALL, "--epsilon", "inf") == 3
+    # JSON reads 1e999 as inf
+    assert main(tmp_path, "run", *SMALL, "--set", "epsilon=1e999") == 3
     assert "epsilon must be finite" in capsys.readouterr().err
 
 

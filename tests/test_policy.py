@@ -320,10 +320,10 @@ def test_lyapunov_params_validation():
     LyapunovParams(v_factor=0.0)
     with pytest.raises(ConfigurationError):
         LyapunovParams(v_factor=-1.0)
-    with pytest.raises(ConfigurationError):
-        LyapunovParams(v_factor=1.0, epsilon=0.0)
-    with pytest.raises(ConfigurationError):
-        LyapunovParams(v_factor=1.0, epsilon=float("inf"))
+    # the policy's epsilon is the scenario's
+    for epsilon in (0.0, float("inf")):
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            dataclasses.replace(ScenarioConfig(), epsilon=epsilon)
 
 
 def test_d_flag_matches_purchase_actions():

@@ -226,10 +226,8 @@ def test_comparison_table_layout(small_cfg):
     trace = generate_trace(small_cfg, small_cfg.seed)
     lyap = run(small_cfg, LyapunovParams(v_factor=1.0), trace)
     static = run(small_cfg, StaticParams(50, 10), trace)
-    rows = [
-        (lyap, compare_with_oracle(small_cfg, trace, lyap)),
-        (static, compare_with_oracle(small_cfg, trace, static)),
-    ]
+    offline, _ = compare_with_oracle(small_cfg, trace, [lyap, static])
+    rows = list(zip([lyap, static], offline))
     table = comparison_table_csv(rows, oracle_row=("oracle[m=0]", 4200)).decode()
     lines = table.strip().split("\n")
     assert lines[0].split(",")[0] == "policy"
