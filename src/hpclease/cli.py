@@ -20,6 +20,7 @@ from .config import ScenarioConfig
 from .engine import (
     RunMetrics,
     check_budget_share,
+    check_quality_params,
     compare_with_oracle,
     derive_quality_params,
     run,
@@ -117,9 +118,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     p_run.add_argument(
         "--policy", default="lyapunov", choices=["lyapunov", "static", "quality"]
     )
-    p_run.add_argument("--v-factor", type=float, default=1.0)
-    p_run.add_argument("--period", type=int, default=1000)
-    p_run.add_argument("--burst-len", type=int, default=200)
+    p_run.add_argument("--v-factor", type=float)
+    p_run.add_argument("--period", type=int)
+    p_run.add_argument("--burst-len", type=int)
     p_run.add_argument("--n-units", type=int)
     p_run.add_argument("--deadline", type=int)
     p_run.add_argument("--quality-budget", type=int)
@@ -128,18 +129,18 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         type=float,
         help="derive the quality workload from a reference run at --v-factor",
     )
-    p_run.add_argument("--beta-c", type=float, default=1.0)
+    p_run.add_argument("--beta-c", type=float)
 
     p_cmp = _subcommand(
         subs, "compare", _cmd_compare, "matched-trace policy table with offline reference"
     )
-    p_cmp.add_argument("--v-factor", type=float, default=1.0)
+    p_cmp.add_argument("--v-factor", type=float)
     p_cmp.add_argument(
         "--budget-share",
         type=float,
         help="also run the quality policy at this budget share",
     )
-    p_cmp.add_argument("--beta-c", type=float, default=1.0)
+    p_cmp.add_argument("--beta-c", type=float)
 
     p_sv = _subcommand(
         subs, "sweep-v", _cmd_sweep_v, "cost-weight sweep, aggregated over seeds"
@@ -254,8 +255,19 @@ def _json_bytes(doc: object) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-# run's flags that only the quality policy reads, all with argparse default None
-_QUALITY_FLAGS = ("n_units", "deadline", "quality_budget", "budget_share")
+def _given(spec: argparse.Namespace, *names: str) -> dict[str, object]:
+    """The named flags that were given, as keyword arguments: a policy flag
+    defaults to None, and one left out takes its parameter block's default."""
+    return {n: getattr(spec, n) for n in names if getattr(spec, n) is not None}
+
+
+# the flags each run policy reads; with --budget-share the quality policy
+# also reads --v-factor, the weight of the run that sizes its workload
+_POLICY_READS = {
+    "lyapunov": ("v_factor",),
+    "static": ("period", "burst_len"),
+    "quality": ("n_units", "deadline", "quality_budget", "budget_share", "beta_c"),
+}
 
 
 def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig) -> PolicyParams:
@@ -263,9 +275,9 @@ def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig) -> PolicyParam
     trace is drawn. With --budget-share it is the reference threshold run's,
     from which _cmd_run derives the quality workload."""
     if spec.policy == "lyapunov":
-        return LyapunovParams(v_factor=spec.v_factor)
+        return LyapunovParams(**_given(spec, "v_factor"))
     if spec.policy == "static":
-        return StaticParams(period=spec.period, burst_len=spec.burst_len)
+        return StaticParams(**_given(spec, "period", "burst_len"))
     explicit = zip(
         ("--n-units", "--deadline", "--quality-budget"),
         (spec.n_units, spec.deadline, spec.quality_budget),
@@ -277,15 +289,17 @@ def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig) -> PolicyParam
                 "--budget-share derives the quality workload and conflicts "
                 f"with {', '.join(given)}"
             )
-        check_budget_share(cfg, spec.budget_share)
-        return LyapunovParams(v_factor=spec.v_factor)
+        check_budget_share(cfg, spec.budget_share, **_given(spec, "beta_c"))
+        return LyapunovParams(**_given(spec, "v_factor"))
     if len(given) == 3:
-        return QualityParams(
+        params = QualityParams(
             n_units=spec.n_units,
             deadline=spec.deadline,
             quality_budget=spec.quality_budget,
-            beta_c=spec.beta_c,
+            **_given(spec, "beta_c"),
         )
+        check_quality_params(cfg, params)
+        return params
     raise ConfigurationError(
         "quality policy needs --n-units/--deadline/--quality-budget "
         "or --budget-share"
@@ -293,10 +307,14 @@ def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig) -> PolicyParam
 
 
 def _cmd_run(spec: argparse.Namespace) -> int:
+    reads = _POLICY_READS[spec.policy]
+    if spec.policy == "quality" and spec.budget_share is not None:
+        reads += ("v_factor",)
     unread = [
         "--" + name.replace("_", "-")
-        for name in _QUALITY_FLAGS
-        if spec.policy != "quality" and getattr(spec, name) is not None
+        for names in _POLICY_READS.values()
+        for name in names
+        if name not in reads and getattr(spec, name) is not None
     ]
     if unread:
         flags = ", ".join(unread)
@@ -307,7 +325,7 @@ def _cmd_run(spec: argparse.Namespace) -> int:
     if spec.budget_share is not None:
         reference = run(cfg, params, trace)
         params = derive_quality_params(
-            cfg, reference, spec.budget_share, beta_c=spec.beta_c
+            cfg, reference, spec.budget_share, **_given(spec, "beta_c")
         )
     metrics = run(cfg, params, trace)
     summary = report.run_summary(metrics)
@@ -318,20 +336,21 @@ def _cmd_run(spec: argparse.Namespace) -> int:
 
 
 def _cmd_compare(spec: argparse.Namespace) -> int:
+    if spec.budget_share is None and spec.beta_c is not None:
+        raise ConfigurationError("compare reads --beta-c only with --budget-share")
     cfg = _scenario(spec)
     policies = [
-        LyapunovParams(v_factor=spec.v_factor),
+        LyapunovParams(**_given(spec, "v_factor")),
         STATIC_SCHEME_1,
         STATIC_SCHEME_2,
     ]
+    beta_c = _given(spec, "beta_c")
     if spec.budget_share is not None:
-        check_budget_share(cfg, spec.budget_share)
+        check_budget_share(cfg, spec.budget_share, **beta_c)
     trace = generate_trace(cfg, cfg.seed)
     results = [run(cfg, p, trace) for p in policies]
     if spec.budget_share is not None:
-        params = derive_quality_params(
-            cfg, results[0], spec.budget_share, beta_c=spec.beta_c
-        )
+        params = derive_quality_params(cfg, results[0], spec.budget_share, **beta_c)
         results.append(run(cfg, params, trace))
     offline, oracle_row = compare_with_oracle(cfg, trace, results)
     rows = list(zip(results, offline))
@@ -369,7 +388,7 @@ def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
     if not shares:
         raise ConfigurationError("empty sweep")
     for share in shares:
-        check_budget_share(cfg, share)
+        check_budget_share(cfg, share, spec.beta_c)
     runs_by_budget: dict[int, list[RunMetrics]] = {}
     oracle_by_budget: dict[int, list[int]] | None = (
         {} if spec.with_oracle else None

@@ -1,24 +1,12 @@
 """Simulation driver for a fleet of concentrators.
 
-The policy is built once per run from the trace, so its price rules are
-per-slot arrays before the first slot. How a run is served depends on
-whether its grants read the backlog. The threshold policy's do, so it runs
-in a slot loop that carries only the backlog Q of each concentrator: each
-slot the policy serves the smaller of its grant and the backlog, keeping
-whatever else it reads from slot to slot (its virtual queues) itself, and
-the loop enqueues the slot's arrivals. The static baseline and the deadline
-scheduler never read the backlog, so each grants every slot of the run at
-once, as a (K, T) matrix, and the engine serves that matrix in closed form:
-the backlog after each slot's service follows the Lindley recursion, one
-prefix sum and one running minimum per row. Everything is vectorized
-across the fleet, and a step that needs an int64 per cell works in blocks
-of rows.
-
-Everything else runs once, after the service. The policy turns the
-(concentrator, slot) service matrix into Action codes; then come the
-invariant checks over codes and service (each error names the policy
-label, seed, first offending slot and concentrator), the cost accounting,
-the fleet's mean backlog per slot, and the total packet delay. A run's
+The policy is built once per run from the trace and serves that run (see
+``policy``): it returns the (concentrator, slot) Action codes and packets
+served, and the backlog after the last slot. Then come the invariant
+checks over codes and service (each error names the policy label, seed,
+first offending slot and concentrator), the cost accounting, the fleet's
+mean backlog per slot, and the total packet delay, all vectorized across
+the fleet, in blocks of rows where a step needs an int64 per cell. A run's
 RunMetrics keeps only these summaries, never the codes or the service
 matrix. Service is FIFO within a concentrator, so the total delay is the
 area between its cumulative arrival and service curves (the sample-path
@@ -49,7 +37,6 @@ from .errors import ConfigurationError, InvariantViolationError
 from .oracle import instance_from_trace, solve_dp
 from .policy import (
     Action,
-    BasePolicy,
     LyapunovParams,
     LyapunovPolicy,
     PolicyParams,
@@ -57,6 +44,7 @@ from .policy import (
     QualityPolicy,
     StaticBurstPolicy,
     StaticParams,
+    check_beta_c,
 )
 
 
@@ -83,10 +71,10 @@ def is_unit_granular(config: ScenarioConfig) -> bool:
 def _check_unit_alignment(config: ScenarioConfig) -> None:
     if config.arrival_law != "deterministic":
         raise ConfigurationError(
-            "unit-granular scheduling needs deterministic arrivals"
+            "unit-granular scheduling needs arrival_law deterministic, "
+            f"got {config.arrival_law}"
         )
-    if config.mean_arrival < 1:
-        raise ConfigurationError("unit-granular scheduling needs arrivals")
+    # unit_size_packets >= 1, so this also refuses a scenario without arrivals
     if config.unit_size_packets != config.mean_arrival:
         raise ConfigurationError(
             "unit-granular scheduling needs unit_size_packets == mean_arrival "
@@ -94,20 +82,25 @@ def _check_unit_alignment(config: ScenarioConfig) -> None:
         )
 
 
+def check_quality_params(config: ScenarioConfig, params: QualityParams) -> None:
+    """Refuse a deadline-scheduling workload the scenario cannot run, before
+    any trace is drawn."""
+    _check_unit_alignment(config)
+    if params.deadline > config.horizon - 1:
+        raise ConfigurationError(
+            f"quality deadline {params.deadline} exceeds the last serviceable "
+            f"slot ({config.horizon - 1})"
+        )
+
+
 def make_policy(
     params: PolicyParams, config: ScenarioConfig, trace: Trace
-) -> BasePolicy:
+) -> LyapunovPolicy | StaticBurstPolicy | QualityPolicy:
     """Build the policy that ``params`` configures for one run on ``trace``."""
     unit = service_capacity(config)
     if isinstance(params, QualityParams):
-        policy = QualityPolicy(params, unit, trace.price_full, trace.price_reduced)
-        _check_unit_alignment(config)
-        if params.deadline > config.horizon - 1:
-            raise ConfigurationError(
-                "quality deadline exceeds the last serviceable slot "
-                f"({config.horizon - 1})"
-            )
-        return policy
+        check_quality_params(config, params)
+        return QualityPolicy(params, unit, trace.price_full, trace.price_reduced)
     capacities = unit, reduced_capacity(config)
     if isinstance(params, LyapunovParams):
         return LyapunovPolicy(
@@ -200,59 +193,8 @@ def run(
             f"trace is {trace.k}x{trace.horizon}, config wants "
             f"{config.k_concentrators}x{config.horizon}"
         )
-    policy = make_policy(params, config, trace)
-    serves, q = _serve(policy, trace)
-    decisions = policy.actions(serves, trace.levels)
+    decisions, serves, q = make_policy(params, config, trace).serve(trace)
     return _summarize(params, trace, service_capacity(config), decisions, serves, q)
-
-
-def _serve(policy: BasePolicy, trace: Trace):
-    """The (K, T) int16 packets served, and Q after the last slot: a slot
-    loop for the threshold policy, whose grants read the backlog, and one
-    pass over the grants fixed in advance for the other policies."""
-    if isinstance(policy.params, LyapunovParams):
-        return _serve_slots(policy, trace)
-    return _serve_grants(policy.grants(trace.levels), trace.arrivals)
-
-
-def _serve_slots(policy: BasePolicy, trace: Trace):
-    """The slot loop: the policy serves each slot from the backlog Q."""
-    q = np.zeros(trace.k, dtype=np.int64)
-    serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
-    levels, arrivals = trace.levels, trace.arrivals
-    for t in range(trace.horizon):
-        served = policy.decide_slot(t, levels[:, t], q)
-        serves[:, t] = served
-        q -= served
-        q += arrivals[:, t]
-    return serves, q
-
-
-def _serve_grants(grants: np.ndarray, arrivals: np.ndarray):
-    """Serve min(Q, grant) in every slot of a (K, T) int16 grant matrix; the
-    packets served overwrite the grants, and Q after the last slot is
-    returned with them.
-
-    The backlog u_t after slot t's service obeys the Lindley recursion
-    u_t = max(u_{t-1} + a_{t-1} - g_t, 0), with u_{-1} = a_{-1} = 0. With
-    S_t the prefix sum of a_{t-1} - g_t and m_t the running minimum of
-    min(S_t, 0), u_t = S_t - m_t: slot t serves its grant less the part an
-    empty queue left unused, g_t - (m_{t-1} - m_t), and Q after the last
-    slot is u_{T-1} + a_{T-1}.
-    """
-    k, horizon = grants.shape
-    q = np.empty(k, dtype=np.int64)
-    for block in row_blocks(k, horizon):
-        m = np.zeros(grants[block].shape, dtype=np.int64)
-        m[:, 1:] = arrivals[block, :-1]
-        m -= grants[block]
-        np.cumsum(m, axis=1, out=m)
-        q[block] = m[:, -1] + arrivals[block, -1]
-        np.minimum(m, 0, out=m)
-        np.minimum.accumulate(m, axis=1, out=m)
-        q[block] -= m[:, -1]
-        grants[block] += np.diff(m, axis=1, prepend=0)
-    return grants, q
 
 
 def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
@@ -355,12 +297,16 @@ def _check_decisions(run_name, params, decisions, serves, levels, unit) -> None:
             )
 
 
-def check_budget_share(config: ScenarioConfig, budget_share: float) -> None:
-    """Refuse a budget share, or a scenario, that derive_quality_params
-    cannot size a workload from, before any trace is drawn."""
+def check_budget_share(
+    config: ScenarioConfig, budget_share: float, beta_c: float = 1.0
+) -> None:
+    """Refuse a budget share, PAP multiplier or scenario that
+    derive_quality_params cannot size a workload from, before any trace is
+    drawn."""
     _check_unit_alignment(config)
     if not 0.0 <= budget_share < 1.0:
         raise ConfigurationError("budget_share must lie in [0, 1)")
+    check_beta_c(beta_c)
 
 
 def derive_quality_params(
@@ -377,7 +323,7 @@ def derive_quality_params(
     the last serviceable slot as the deadline. The quality budget is the
     requested share of those units, rounded down.
     """
-    check_budget_share(config, budget_share)
+    check_budget_share(config, budget_share, beta_c)
     d = max(1, round(reference.littles_delay))
     n_units = config.horizon - d
     if n_units < 1:

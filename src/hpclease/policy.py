@@ -17,25 +17,28 @@ Three families are implemented.
 * StaticBurstPolicy: purchases in fixed bursts at fixed period boundaries,
   independent of queue state and prices; the classic dumb baseline.
 
-The policy classes decide for the whole fleet at once. Only the threshold
-policy reads the backlog: the engine calls its ``decide_slot`` once per
-slot, and it serves each concentrator and advances its virtual queue Z.
-The static baseline and the deadline scheduler never read the backlog, so
-``grants(levels)`` decides every slot of a run in one call, returning the
-(K, T) packets each concentrator may move. Each parameter block checks its
-values when built and names its policy: ``kind`` and ``label`` identify it
-in reports, and the engine builds the matching class once per run.
-Whatever depends only on the trace and the parameters is computed for
-every slot when a policy is built: the purchase threshold, whether the
-posted prices are at most their PAP, and whether a slot lies in a static
-burst. A grant is then a few array operations: one ``np.where`` per slot
-for the threshold policy, the burst flag or the level's free capacity for
-the static baseline, and for the deadline scheduler one lookup in
-``QUALITY_TABLE`` per slot, decided phase by phase. After the run,
-``actions`` names each (concentrator, slot) as an Action code: the packet
-policies recover it from the packets served, and the deadline scheduler
-returns the codes it decided. A policy object serves one run; the next run
-builds a new one.
+The policy classes decide for the whole fleet at once, and each serves its
+own run: ``serve(trace)`` returns the (K, T) uint8 Action codes, the (K, T)
+int16 packets served and the backlog Q after the last slot. A code is IDLE
+exactly where nothing moved. The threshold policy's grants read the
+backlog, so it serves in a slot loop that carries Q: each slot
+``decide_slot`` serves min(grant, Q) and advances the virtual queues Z, and
+the loop enqueues the slot's arrivals. The static baseline and the
+deadline scheduler never read the backlog: each grants every slot at once,
+and ``serve_grants`` serves the (K, T) grants in closed form, by the
+Lindley recursion (one prefix sum and one running minimum per row).
+
+Each parameter block checks its values when built and names its policy:
+``kind`` and ``label`` identify it in reports. Whatever depends only on the
+trace and the parameters is computed for every slot when a policy is built:
+the purchase threshold, whether the posted prices are at most their PAP,
+and whether a slot lies in a static burst. A grant is then a few array
+operations: one ``np.where`` per slot for the threshold policy, the burst
+flag or the level's free capacity for the static baseline, and for the
+deadline scheduler one lookup in ``QUALITY_TABLE`` per slot, decided phase
+by phase. The packet policies recover each code from the packets served;
+the deadline scheduler decides its codes and grants a unit to every send.
+A policy object serves one run; the next run builds a new one.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .env import MICROCENTS_PER_CENT, row_blocks
+from .env import MICROCENTS_PER_CENT, Trace, row_blocks
 from .errors import ConfigurationError
 
 
@@ -76,7 +79,7 @@ class LyapunovParams:
 
     kind: ClassVar[str] = "lyapunov"
 
-    v_factor: float
+    v_factor: float = 1.0
 
     @property
     def label(self) -> str:
@@ -131,8 +134,13 @@ class QualityParams:
                 f"deadline={self.deadline} n_units={self.n_units} "
                 f"budget={self.quality_budget}"
             )
-        if not 0.0 <= self.beta_c <= 1.0:
-            raise ConfigurationError("beta_c must lie in [0, 1]")
+        check_beta_c(self.beta_c)
+
+
+def check_beta_c(beta_c: float) -> None:
+    """Refuse a PAP multiplier outside [0, 1]."""
+    if not 0.0 <= beta_c <= 1.0:
+        raise ConfigurationError("beta_c must lie in [0, 1]")
 
 
 PolicyParams = LyapunovParams | StaticParams | QualityParams
@@ -152,6 +160,33 @@ def attractive_prices(prices: np.ndarray, beta_c: float) -> np.ndarray:
     earlier = np.arange(1, prices.size)
     attractive[1:] = prices[1:] <= beta_c * np.cumsum(prices)[:-1] / earlier
     return attractive
+
+
+def serve_grants(grants: np.ndarray, arrivals: np.ndarray):
+    """Serve min(Q, grant) in every slot of a (K, T) int16 grant matrix; the
+    packets served overwrite the grants, and Q after the last slot is
+    returned with them.
+
+    The backlog u_t after slot t's service obeys the Lindley recursion
+    u_t = max(u_{t-1} + a_{t-1} - g_t, 0), with u_{-1} = a_{-1} = 0. With
+    S_t the prefix sum of a_{t-1} - g_t and m_t the running minimum of
+    min(S_t, 0), u_t = S_t - m_t: slot t serves its grant less the part an
+    empty queue left unused, g_t - (m_{t-1} - m_t), and Q after the last
+    slot is u_{T-1} + a_{T-1}.
+    """
+    k, horizon = grants.shape
+    q = np.empty(k, dtype=np.int64)
+    for block in row_blocks(k, horizon):
+        m = np.zeros(grants[block].shape, dtype=np.int64)
+        m[:, 1:] = arrivals[block, :-1]
+        m -= grants[block]
+        np.cumsum(m, axis=1, out=m)
+        q[block] = m[:, -1] + arrivals[block, -1]
+        np.minimum(m, 0, out=m)
+        np.minimum.accumulate(m, axis=1, out=m)
+        q[block] -= m[:, -1]
+        grants[block] += np.diff(m, axis=1, prepend=0)
+    return grants, q
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +220,7 @@ QUALITY_TABLE = np.array(
 )
 
 
-class BasePolicy:
-    """One run's decision maker over all k concentrators at once.
-
-    LyapunovPolicy reads the backlog, so the engine runs it slot by slot:
-    ``decide_slot(slot, levels, q_len)``, called exactly once per slot in
-    slot order with the backlog before the slot's service, returns the
-    packets each concentrator moves, at most its backlog. The other
-    policies never read the backlog: ``grants(levels)`` returns the (K, T)
-    int16 packets each concentrator may move in each slot, and the engine
-    serves the smaller of grant and backlog in closed form.
-    """
-
-    def actions(
-        self, serves: np.ndarray, levels: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - overridden
-        """The run's (K, T) uint8 Action codes, after the last slot. A code
-        is IDLE exactly where the run moved no packets, so the engine counts
-        and charges sends from the codes alone."""
-        raise NotImplementedError
-
-
-class _PacketPolicy(BasePolicy):
+class _PacketPolicy:
     """A policy that moves packets: service capacity per slot and the free
     capacity of each spectrum level."""
 
@@ -247,7 +261,20 @@ class LyapunovPolicy(_PacketPolicy):
         self.epsilon = epsilon
         self.z = np.zeros(k, dtype=np.float64)
 
+    def serve(self, trace: Trace):
+        q = np.zeros(trace.k, dtype=np.int64)
+        serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
+        levels, arrivals = trace.levels, trace.arrivals
+        for t in range(trace.horizon):
+            served = self.decide_slot(t, levels[:, t], q)
+            serves[:, t] = served
+            q -= served
+            q += arrivals[:, t]
+        return self.actions(serves, levels), serves, q
+
     def decide_slot(self, slot, levels, q_len):
+        """The packets each concentrator moves in ``slot``, at most its
+        backlog ``q_len``; Z advances past them."""
         buying = q_len + self.z > self.threshold[slot]
         grant = np.where(buying, self.capacity, self.free_capacity[levels])
         served = np.minimum(q_len, grant)
@@ -274,6 +301,10 @@ class StaticBurstPolicy(_PacketPolicy):
         slots = np.arange(horizon)
         self.in_burst = (slots >= 1) & ((slots - 1) % params.period < params.burst_len)
 
+    def serve(self, trace: Trace):
+        serves, q = serve_grants(self.grants(trace.levels), trace.arrivals)
+        return self.actions(serves, trace.levels), serves, q
+
     def grants(self, levels):
         grants = self.free_capacity.astype(np.int16)[levels]
         grants[:, self.in_burst] = self.capacity
@@ -289,7 +320,7 @@ def _first(hits: np.ndarray, missing: int) -> np.ndarray:
     return np.where(hits.any(axis=1), hits.argmax(axis=1), missing)
 
 
-class QualityPolicy(BasePolicy):
+class QualityPolicy:
     """Deadline scheduling for a fleet of k concentrators.
 
     Units arrive one per slot from slot 1, so at most min(slot, n_units)
@@ -306,10 +337,10 @@ class QualityPolicy(BasePolicy):
     slot. A slot's decision is one table lookup, given whether the
     concentrator may or must send and whether budget remains. A forced
     concentrator always sends, so the guard keeps every deadline. Every
-    send grants one unit; the codes are kept for ``actions``, since the
+    send grants one unit; the run's codes are the decided ones, since the
     packets served cannot tell a full unit from a reduced one.
 
-    The rule never reads the packet backlog, so ``grants`` decides every
+    The rule never reads the packet backlog, so ``schedule`` decides every
     slot at once, phase by phase (see ``_schedule``).
     """
 
@@ -328,13 +359,19 @@ class QualityPolicy(BasePolicy):
             self.attractive_full, 0, np.where(self.attractive_reduced, 1, 2)
         )
 
-    def grants(self, levels):
-        self.codes = np.zeros(levels.shape, dtype=np.uint8)
-        for block in row_blocks(*levels.shape):
-            self._schedule(levels[block], self.codes[block])
-        grants = np.minimum(self.codes, 1, dtype=np.int16)
+    def serve(self, trace: Trace):
+        codes = self.schedule(trace.levels)
+        grants = np.minimum(codes, 1, dtype=np.int16)
         grants *= self.capacity
-        return grants
+        serves, q = serve_grants(grants, trace.arrivals)
+        return codes, serves, q
+
+    def schedule(self, levels):
+        """The (K, T) uint8 Action codes of a run on ``levels``."""
+        codes = np.zeros(levels.shape, dtype=np.uint8)
+        for block in row_blocks(*levels.shape):
+            self._schedule(levels[block], codes[block])
+        return codes
 
     def _schedule(self, levels, codes):
         """Write the Action codes of a block of rows into ``codes``.
@@ -398,6 +435,3 @@ class QualityPolicy(BasePolicy):
             forced[live] = sent[live] - end == guard
             funded[live] = used[live] < p.quality_budget
             live = live[end <= p.deadline]
-
-    def actions(self, serves, levels):
-        return self.codes

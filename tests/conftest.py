@@ -3,10 +3,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from hpclease import ScenarioConfig, engine, generate_trace, make_policy
+from hpclease import ScenarioConfig, generate_trace, make_policy
 from hpclease.env import MICROCENTS_PER_CENT
 from hpclease.oracle import OfflineInstance
-from hpclease.policy import BasePolicy
 
 
 def cents(x: float) -> int:
@@ -32,17 +31,16 @@ def small_cfg():
 
 
 class Core(NamedTuple):
-    policy: BasePolicy  # after the run; a LyapunovPolicy holds z and epsilon
+    policy: object      # after the run; a LyapunovPolicy holds z and epsilon
     codes: np.ndarray   # (K, T) uint8 Action codes
     serves: np.ndarray  # (K, T) int16 packets served
     q: np.ndarray       # (K,) int64 backlog after the last slot
 
 
 def run_core(config, params, trace=None) -> Core:
-    """One run through the engine's private service step, for the per-cell
-    and per-policy state that RunMetrics does not keep."""
+    """One run served as the engine serves it, for the per-cell and
+    per-policy state that RunMetrics does not keep."""
     if trace is None:
         trace = generate_trace(config, config.seed)
     policy = make_policy(params, config, trace)
-    serves, q = engine._serve(policy, trace)
-    return Core(policy, policy.actions(serves, trace.levels), serves, q)
+    return Core(policy, *policy.serve(trace))

@@ -4,8 +4,10 @@
 `bench/tracer.py` and exits 1 when a traced call fails or when the
 `engine.conc_slots` it counts differs from the workload's size. Each
 workload runs here once at the self-test's tiny size under the same
-wrappers, so a change that breaks that contract fails tier-1 first.
-Nothing is written under `bench/`.
+wrappers, so a change that breaks that contract fails tier-1 first. So
+does a slot loop that stops calling `decide_slot` through the policy
+instance, where the benchmark's per-slot span wraps it. Nothing is
+written under `bench/`.
 """
 
 import importlib.util
@@ -40,6 +42,11 @@ def _load_bench():
 
 tracer, bench_run, selftest = _load_bench()
 
+# one traced decide_slot per slot of every threshold run: sweep_v's two
+# weights over 200 slots, wide_fleet's one run over 300, and quality_oracle's
+# reference run over 200 (its deadline-scheduler runs have no slot loop)
+DECIDE_SLOT_CALLS = {"sweep_v": 400, "wide_fleet": 300, "quality_oracle": 200}
+
 
 @pytest.mark.parametrize("name", sorted(selftest.TINY))
 def test_traced_workload_counts_every_conc_slot(name, tmp_path):
@@ -56,3 +63,5 @@ def test_traced_workload_counts_every_conc_slot(name, tmp_path):
     for target in ("engine.run", "engine.compare_with_oracle", "oracle.solve_dp"):
         assert target not in traced.missing
     assert traced.counts["engine.conc_slots"] == workload.conc_slots
+    calls = traced.totals()[2]
+    assert calls.get("policy.decide_slot", 0) == DECIDE_SLOT_CALLS[name]

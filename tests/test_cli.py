@@ -76,6 +76,19 @@ def test_degenerate_sweep_grid_fails_before_any_run(
     assert message in capsys.readouterr().err
 
 
+QUALITY_RUN = [
+    "run", "--policy", "quality", "--n-units", "5", "--deadline", "20",
+    "--quality-budget", "0",
+]
+# the field a bad argv below must name, by a token of the argv; else v_factor
+NAMED_FIELDS = (
+    ("1.5", "budget_share"),
+    ("--beta-c", "beta_c"),
+    ("arrival_law", "arrival_law"),
+    ("20000", "deadline"),
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -86,6 +99,11 @@ def test_degenerate_sweep_grid_fails_before_any_run(
         ["run", "--policy", "quality", "--budget-share", "1.5"],
         ["compare", "--budget-share", "1.5"],
         ["sweep-quality", "--budgets", "0,1.5"],
+        [*QUALITY_RUN, "--set", "arrival_law=poisson"],
+        [*QUALITY_RUN, "--deadline", "20000"],
+        ["run", "--policy", "quality", "--budget-share", "0.1", "--beta-c", "2"],
+        ["compare", "--budget-share", "0.1", "--beta-c", "2"],
+        ["sweep-quality", "--beta-c", "2"],
     ],
 )
 def test_bad_policy_params_fail_before_any_trace(argv, monkeypatch, tmp_path, capsys):
@@ -95,7 +113,9 @@ def test_bad_policy_params_fail_before_any_trace(argv, monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(cli, "generate_trace", no_trace)
     assert main(tmp_path, *argv) == 3
-    field = "budget_share" if any("1.5" in arg for arg in argv) else "v_factor"
+    field = next(
+        (f for token, f in NAMED_FIELDS if any(token in arg for arg in argv)), "v_factor"
+    )
     assert field in capsys.readouterr().err
 
 
@@ -114,12 +134,12 @@ SCENARIO_DEFAULTS = {
         (
             ["run"],
             {
-                "policy": "lyapunov", "v_factor": 1.0, "period": 1000,
-                "burst_len": 200, "n_units": None, "deadline": None,
-                "quality_budget": None, "budget_share": None, "beta_c": 1.0,
+                "policy": "lyapunov", "v_factor": None, "period": None,
+                "burst_len": None, "n_units": None, "deadline": None,
+                "quality_budget": None, "budget_share": None, "beta_c": None,
             },
         ),
-        (["compare"], {"v_factor": 1.0, "budget_share": None, "beta_c": 1.0}),
+        (["compare"], {"v_factor": None, "budget_share": None, "beta_c": None}),
         (["sweep-v"], {"v_values": None, "seeds": None, "format": "csv"}),
         (
             ["sweep-quality"],
@@ -223,8 +243,10 @@ def test_run_stdout_mode(capsys):
 
 
 def test_run_quality_policy_by_budget_share(tmp_path):
+    # the reference run reads --v-factor, the derived workload --beta-c
     rc = main(
-        tmp_path, "run", *SMALL, "--policy", "quality", "--budget-share", "0.2"
+        tmp_path, "run", *SMALL, "--policy", "quality", "--budget-share", "0.2",
+        "--v-factor", "1", "--beta-c", "1",
     )
     assert rc == 0
     summary = json.loads((tmp_path / "run_summary.json").read_text())
@@ -272,8 +294,19 @@ def test_run_quality_flags_conflict_with_budget_share(flags, named, tmp_path, ca
             ["--policy", "lyapunov", "--deadline", "9", "--quality-budget", "3"],
             "--deadline, --quality-budget",
         ),
+        (["--policy", "lyapunov", "--beta-c", "0.5"], "--beta-c"),
+        (["--policy", "lyapunov", "--period", "7"], "--period"),
+        (["--policy", "static", "--v-factor", "50", "--beta-c", "0.1"],
+         "--v-factor, --beta-c"),
+        ([*QUALITY_RUN[1:], "--v-factor", "50"], "--v-factor"),
+        (["--policy", "quality", "--budget-share", "0.1", "--burst-len", "9"],
+         "--burst-len"),
     ],
-    ids=["lyapunov-n-units", "static-budget-share", "lyapunov-two-quality-flags"],
+    ids=[
+        "lyapunov-n-units", "static-budget-share", "lyapunov-two-quality-flags",
+        "lyapunov-beta-c", "lyapunov-period", "static-v-factor-beta-c",
+        "quality-v-factor-without-budget-share", "quality-burst-len",
+    ],
 )
 def test_run_rejects_flags_its_policy_does_not_read(flags, named, tmp_path, capsys):
     # each of these once ran and silently ignored the flag
@@ -281,6 +314,13 @@ def test_run_rejects_flags_its_policy_does_not_read(flags, named, tmp_path, caps
     assert rc == 3
     assert f"--policy {flags[1]} does not read {named}" in capsys.readouterr().err
     assert not (tmp_path / "run_summary.json").exists()
+
+
+def test_compare_rejects_beta_c_without_budget_share(tmp_path, capsys):
+    # it once ran and ignored --beta-c, which only the quality row reads
+    assert main(tmp_path, "compare", *SMALL, "--beta-c", "0.2") == 3
+    assert "compare reads --beta-c only with --budget-share" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_compare_solves_each_oracle_workload_once(monkeypatch, tmp_path):

@@ -26,7 +26,6 @@ from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.policy import (
     IS_REDUCED,
     Action,
-    BasePolicy,
     LyapunovParams,
     LyapunovPolicy,
     QualityParams,
@@ -835,13 +834,13 @@ ROGUE_ARGV = {
 }
 
 
-class RoguePolicy(BasePolicy):
+class RoguePolicy:
     """The real policy, except that one concentrator takes ``action``
     whenever ``when(slot, its level)`` holds: it moves what that action may
-    move on the level, and ``actions`` reports the action's code. A
-    threshold run is altered slot by slot, as the slot loop serves it; a
-    deadline-scheduler run has its grants altered before the engine serves
-    them in closed form."""
+    move on the level, and the run reports the action's code. A threshold
+    run is altered slot by slot, as its slot loop serves it; a
+    deadline-scheduler run has its codes altered before it grants a unit to
+    every send and serves the grants in closed form."""
 
     def __init__(self, params, concentrator, when, action):
         self.params = params
@@ -851,28 +850,34 @@ class RoguePolicy(BasePolicy):
         """The engine's make_policy: a fresh inner policy for every run."""
         self.inner = make_policy(self.params, config, trace)
         self.grant = packet_grant(service_capacity(config), reduced_capacity(config))
-        self.slots = []
         return self
 
-    def decide_slot(self, slot, levels, q_len):
-        served = self.inner.decide_slot(slot, levels, q_len)
-        i = self.concentrator
-        if self.when(slot, levels[i]):
-            served[i] = min(q_len[i], self.grant[self.action, levels[i]])
-            self.slots.append(slot)
-        return served
+    def serve(self, trace):
+        i, inner = self.concentrator, self.inner
+        row = trace.levels[i]
+        slots = [t for t in range(len(row)) if self.when(t, row[t])]
+        if isinstance(inner, LyapunovPolicy):
+            decide = inner.decide_slot
 
-    def grants(self, levels):
-        grants = self.inner.grants(levels)
-        row = levels[self.concentrator]
-        self.slots = [t for t in range(len(row)) if self.when(t, row[t])]
-        grants[self.concentrator, self.slots] = self.grant[self.action, row[self.slots]]
-        return grants
+            def decide_slot(slot, levels, q_len):
+                served = decide(slot, levels, q_len)
+                if slot in slots:
+                    served[i] = min(q_len[i], self.grant[self.action, levels[i]])
+                return served
 
-    def actions(self, serves, levels):
-        codes = self.inner.actions(serves, levels).copy()
-        codes[self.concentrator, self.slots] = int(self.action)
-        return codes
+            inner.decide_slot = decide_slot
+        else:
+            schedule = inner.schedule
+
+            def rogue_schedule(levels):
+                codes = schedule(levels)
+                codes[i, slots] = int(self.action)
+                return codes
+
+            inner.schedule = rogue_schedule
+        codes, serves, q = inner.serve(trace)
+        codes[i, slots] = int(self.action)
+        return codes, serves, q
 
 
 def _first_slot(row, start):

@@ -500,11 +500,10 @@ def test_forced_concentrator_always_sends(case):
     prices = np.full(params.deadline + 1, 10**6, dtype=np.int64)
     policy = QualityPolicy(params, 5, prices, prices // 2)
     policy.price_class = price_class
-    grants = policy.grants(np.ascontiguousarray(levels.T))
-    assert grants.dtype == np.int16
-    assert not grants[:, 0].any()  # no unit exists before slot 1
-    sends = grants // 5
-    assert np.array_equal(sends, policy.codes != Action.IDLE)
+    codes = policy.schedule(np.ascontiguousarray(levels.T))
+    assert codes.dtype == np.uint8
+    sends = (codes != Action.IDLE).astype(np.int64)
+    assert not sends[:, 0].any()  # no unit exists before slot 1
     # units remaining before each slot, and the slots left for them
     remaining = params.n_units - np.cumsum(sends, axis=1) + sends
     slots_remaining = params.deadline - np.arange(params.deadline + 1) + 1
@@ -512,7 +511,7 @@ def test_forced_concentrator_always_sends(case):
     forced = remaining == slots_remaining
     forced[:, 0] = False
     assert (sends[forced] == 1).all()
-    reduced = np.cumsum(IS_REDUCED[policy.codes], axis=1)
+    reduced = np.cumsum(IS_REDUCED[codes], axis=1)
     assert (reduced <= params.quality_budget).all()
     assert (sends.sum(axis=1) == params.n_units).all()
 
@@ -543,8 +542,7 @@ def test_quality_policy_matches_scalar_sequence(data):
         dtype=np.uint8,
     )
 
-    policy = quality_policy(params, prices)
-    grants = policy.grants(levels)
+    codes = quality_policy(params, prices).schedule(levels)
     mirror = PapMirror(beta_c=beta)
     mirror.observe(*prices[0])
     remaining = [n_units] * k
@@ -569,5 +567,4 @@ def test_quality_policy_matches_scalar_sequence(data):
         mirror.observe(*prices[slot])
 
     assert remaining == [0] * k
-    assert np.array_equal(grants, 5 * (expected_codes != Action.IDLE))
-    assert np.array_equal(policy.actions(grants, levels), expected_codes)
+    assert np.array_equal(codes, expected_codes)
