@@ -170,8 +170,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         type=_float_list,
         help="comma-separated budget shares (default: 0,0.1,0.2,0.3)",
     )
-    p_sq.add_argument("--v-factor", type=float, default=1.0)
-    p_sq.add_argument("--beta-c", type=float, default=1.0)
+    p_sq.add_argument("--v-factor", type=float)
+    p_sq.add_argument("--beta-c", type=float)
     p_sq.add_argument("--seeds", type=_seed_list)
     p_sq.add_argument("--with-oracle", action="store_true")
     p_sq.add_argument("--format", default="csv", choices=["csv", "json", "dat"])
@@ -221,7 +221,7 @@ def _seeds(spec: argparse.Namespace, cfg: ScenarioConfig) -> list[int]:
         return spec.seeds
     count = 5 if spec.seeds is None else spec.seeds[0]
     if count < 1:
-        raise ConfigurationError("seed count must be at least 1")
+        raise ConfigurationError(f"--seeds: seed count must be at least 1, got {count}")
     return [cfg.seed + i for i in range(count)]
 
 
@@ -301,8 +301,8 @@ def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig) -> PolicyParam
         check_quality_params(cfg, params)
         return params
     raise ConfigurationError(
-        "quality policy needs --n-units/--deadline/--quality-budget "
-        "or --budget-share"
+        "--policy quality: quality policy needs --n-units/--deadline/"
+        "--quality-budget or --budget-share"
     )
 
 
@@ -363,9 +363,9 @@ def _cmd_sweep_v(spec: argparse.Namespace) -> int:
     seeds = _seeds(spec, cfg)
     grid = spec.v_values if spec.v_values is not None else DEFAULT_V_GRID
     if len(set(grid)) != len(grid):
-        raise ConfigurationError("duplicate values in the sweep grid")
+        raise ConfigurationError(f"--v: duplicate values in the sweep grid {grid}")
     if len(grid) < 2:
-        raise ConfigurationError("a sweep needs at least two distinct axis values")
+        raise ConfigurationError("--v: a sweep needs at least two distinct axis values")
     policies = [LyapunovParams(v_factor=v) for v in grid]
     runs_by_v: dict[float, list[RunMetrics]] = {v: [] for v in grid}
     for seed in seeds:
@@ -380,30 +380,26 @@ def _cmd_sweep_v(spec: argparse.Namespace) -> int:
 def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
     cfg = _scenario(spec)
     seeds = _seeds(spec, cfg)
-    shares = (
-        spec.budget_shares
-        if spec.budget_shares is not None
-        else DEFAULT_BUDGET_SHARES
-    )
+    shares = DEFAULT_BUDGET_SHARES if spec.budget_shares is None else spec.budget_shares
     if not shares:
-        raise ConfigurationError("empty sweep")
+        raise ConfigurationError("--budgets: empty sweep")
+    beta_c = _given(spec, "beta_c")
     for share in shares:
-        check_budget_share(cfg, share, spec.beta_c)
+        check_budget_share(cfg, share, name="--budgets budget_share", **beta_c)
     runs_by_budget: dict[int, list[RunMetrics]] = {}
-    oracle_by_budget: dict[int, list[int]] | None = (
-        {} if spec.with_oracle else None
-    )
-    reference_params = LyapunovParams(v_factor=spec.v_factor)
+    oracle_by_budget: dict[int, list[int]] | None = {} if spec.with_oracle else None
+    reference_params = LyapunovParams(**_given(spec, "v_factor"))
     for seed in seeds:
         trace = generate_trace(cfg, seed)
         reference = run(cfg, reference_params, trace)
         runs: dict[int, RunMetrics] = {}
         for share in shares:
-            params = derive_quality_params(cfg, reference, share, beta_c=spec.beta_c)
+            params = derive_quality_params(cfg, reference, share, **beta_c)
             budget = params.quality_budget
             if budget in runs:
                 raise ConfigurationError(
-                    f"budget shares collide at {budget} reduced units"
+                    f"--budgets: budget shares collide at {budget} reduced units "
+                    f"of n_units {params.n_units}"
                 )
             runs[budget] = run(cfg, params, trace)
             runs_by_budget.setdefault(budget, []).append(runs[budget])

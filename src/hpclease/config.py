@@ -4,6 +4,9 @@ A ScenarioConfig pins the environment (fleet size, horizon, traffic,
 price interval, spectrum statistics) plus the control epsilon and the
 base seed. Policies are configured separately; the same scenario is
 shared by every policy under comparison so their traces match.
+
+check_field_types is the package's one type rule: each value class types its
+numeric fields when built, on every construction path.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .env import EXACT_MICROCENTS, reduced_unit_packets, to_microcents
@@ -27,6 +31,28 @@ INT32_MAX = 2**31 - 1
 MAX_CELLS = 2**24
 
 
+def check_field_types(value: object, owner: str | None = None) -> None:
+    """Give each int or float field of dataclass ``value`` its annotated type,
+    in place: an integral number (np.int64(5), 40.0) becomes an int, a real
+    number in a float field a float; None stays only as a ``| None`` default.
+    Anything else raises ConfigurationError naming ``owner`` and the field."""
+    for field in dataclasses.fields(value):
+        kind = field.type.removesuffix(" | None")
+        x = getattr(value, field.name)
+        if kind not in ("int", "float") or (x is None and field.default is None):
+            continue
+        name = f"{owner or type(value).__name__} field {field.name}"
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ConfigurationError(f"{name} must be a number, got {x!r}")
+        try:
+            typed = int(x) if kind == "int" else float(x)
+        except (OverflowError, ValueError) as exc:  # inf, nan or past the float range
+            raise ConfigurationError(f"{name} must be finite, got {x!r}") from exc
+        if kind == "int" and typed != x:
+            raise ConfigurationError(f"{name} must be an integer, got {x!r}")
+        object.__setattr__(value, field.name, typed)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Immutable description of one simulated deployment.
@@ -36,11 +62,11 @@ class ScenarioConfig:
     mean arrival rate so one unit carries one slot's traffic;
     ``arrival_bound`` (packets per slot, Poisson law only) defaults to four
     times the mean, capped at the int32 limit; ``epsilon`` defaults to the
-    mean arrival rate. Defaults are resolved at construction, so every field
-    reads as a concrete value afterwards; with_overrides resolves them again
-    from the merged fields. Construction then checks every field and
-    combination (ConfigurationError naming the field), so a ScenarioConfig
-    that exists is valid.
+    mean arrival rate. Construction types each numeric field
+    (check_field_types), resolves the defaults (with_overrides resolves them
+    again from the merged fields), then checks every field and combination
+    (ConfigurationError naming the field), so a ScenarioConfig that exists
+    is valid and every field reads as a concrete int, float or string.
     """
 
     k_concentrators: int = 60
@@ -56,10 +82,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self, "scenario")
         defaults = {
-            "unit_size_packets": max(1, int(self.mean_arrival)),
-            "arrival_bound": min(INT32_MAX, max(1, 4 * int(self.mean_arrival))),
-            "epsilon": float(self.mean_arrival) if self.mean_arrival > 0 else 1.0,
+            "unit_size_packets": max(1, self.mean_arrival),
+            "arrival_bound": min(INT32_MAX, max(1, 4 * self.mean_arrival)),
+            "epsilon": float(self.mean_arrival or 1),
         }
         derived = frozenset(name for name in defaults if getattr(self, name) is None)
         for name in derived:
@@ -95,11 +122,12 @@ class ScenarioConfig:
         if not 0 < self.price_low_cents < self.price_high_cents:
             raise ConfigurationError(
                 "per-packet price interval must satisfy 0 < low < high, got "
-                f"[{self.price_low_cents}, {self.price_high_cents}]"
+                f"price_low_cents {self.price_low_cents}, "
+                f"price_high_cents {self.price_high_cents}"
             )
         # every cost sum (int64 totals and dual sums, float64 means) stays
         # exact while the fleet's dearest possible bill fits in 2**53
-        if not math.isfinite(self.price_high_cents) or (
+        if not self.price_high_cents <= EXACT_MICROCENTS or (
             self.k_concentrators * self.horizon * self.unit_size_packets
             * to_microcents(self.price_high_cents) > EXACT_MICROCENTS
         ):
@@ -139,24 +167,18 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
 
-    def effective_arrival_bound(self) -> int:
-        """Hard cap on packets arriving in one slot."""
-        if self.arrival_law == "deterministic":
-            return int(self.mean_arrival)
-        return int(self.arrival_bound)
-
     def env_fields(self) -> dict:
         """The fields that determine trace content, in canonical form."""
         return {
-            "arrival_bound": int(self.arrival_bound),
+            "arrival_bound": self.arrival_bound,
             "arrival_law": self.arrival_law,
-            "horizon": int(self.horizon),
-            "k_concentrators": int(self.k_concentrators),
-            "mean_arrival": int(self.mean_arrival),
+            "horizon": self.horizon,
+            "k_concentrators": self.k_concentrators,
+            "mean_arrival": self.mean_arrival,
             "price_high_microcents": to_microcents(self.price_high_cents),
             "price_low_microcents": to_microcents(self.price_low_cents),
-            "reduced_fraction": float(self.reduced_fraction),
-            "unit_size_packets": int(self.unit_size_packets),
+            "reduced_fraction": self.reduced_fraction,
+            "unit_size_packets": self.unit_size_packets,
         }
 
     def env_digest(self) -> str:
@@ -172,54 +194,19 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigurationError("scenario config must be a JSON object")
-        try:
-            return cls(**_coerce_fields(data))
-        except TypeError as exc:
-            raise ConfigurationError(f"bad scenario config: {exc}") from exc
+        return cls(**_known_fields(data))
 
     def with_overrides(self, **changes) -> "ScenarioConfig":
         """Copy with some fields replaced; unknown names raise. Defaults
         that were derived from mean_arrival are derived again from the
         merged fields unless an override gives them explicitly."""
         rederive = dict.fromkeys(self._derived)
-        return dataclasses.replace(self, **{**rederive, **_coerce_fields(changes)})
+        return dataclasses.replace(self, **{**rederive, **_known_fields(changes)})
 
 
-_INT_FIELDS = frozenset(
-    {
-        "k_concentrators",
-        "horizon",
-        "mean_arrival",
-        "unit_size_packets",
-        "arrival_bound",
-        "seed",
-    }
-)
-_FLOAT_FIELDS = frozenset(
-    {"price_low_cents", "price_high_cents", "reduced_fraction", "epsilon"}
-)
-
-
-def _coerce_fields(data: dict) -> dict:
-    """Normalize JSON-sourced values to field types; unknown keys raise."""
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = sorted(set(data) - known)
+def _known_fields(data: dict) -> dict:
+    """``data`` itself, once every key is a ScenarioConfig field."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(ScenarioConfig)})
     if unknown:
         raise ConfigurationError(f"unknown scenario fields: {', '.join(unknown)}")
-    derivable = {f.name for f in dataclasses.fields(ScenarioConfig) if f.default is None}
-    out = {}
-    for key, value in data.items():
-        if key not in _INT_FIELDS | _FLOAT_FIELDS or (value is None and key in derivable):
-            out[key] = value
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"scenario field {key} must be a number, got {value!r}"
-            )
-        if key in _INT_FIELDS:
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigurationError(f"scenario field {key} must be an integer")
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
-    return out
+    return data

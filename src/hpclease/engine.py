@@ -48,14 +48,10 @@ from .policy import (
 )
 
 
-def service_capacity(config: ScenarioConfig) -> int:
-    """Maximum packets one concentrator can move per slot (one full unit)."""
-    return int(config.unit_size_packets)
-
 def reduced_capacity(config: ScenarioConfig) -> int:
     """Free packets per slot on reduced-level spectrum, for packet policies."""
     # guard against float dust in the product before flooring
-    return int(math.floor(config.reduced_fraction * config.unit_size_packets + 1e-9))
+    return math.floor(config.reduced_fraction * config.unit_size_packets + 1e-9)
 
 
 def is_unit_granular(config: ScenarioConfig) -> bool:
@@ -97,14 +93,14 @@ def make_policy(
     params: PolicyParams, config: ScenarioConfig, trace: Trace
 ) -> LyapunovPolicy | StaticBurstPolicy | QualityPolicy:
     """Build the policy that ``params`` configures for one run on ``trace``."""
-    unit = service_capacity(config)
+    unit = config.unit_size_packets
     if isinstance(params, QualityParams):
         check_quality_params(config, params)
         return QualityPolicy(params, unit, trace.price_full, trace.price_reduced)
     capacities = unit, reduced_capacity(config)
     if isinstance(params, LyapunovParams):
         return LyapunovPolicy(
-            params, *capacities, trace.price_full, trace.k, float(config.epsilon)
+            params, *capacities, trace.price_full, trace.k, config.epsilon
         )
     if isinstance(params, StaticParams):
         return StaticBurstPolicy(params, *capacities, trace.horizon)
@@ -179,6 +175,8 @@ def run(
     trace: Trace | None = None,
 ) -> RunMetrics:
     """Simulate one policy over one trace (drawn from config.seed if absent).
+    A trace drawn for another scenario (config_digest != config.env_digest())
+    raises ConfigurationError; epsilon-only variants share a trace.
 
     queue_series_mean[t] is the fleet's backlog before slot t's service,
     the cumulative arrivals minus the cumulative service through slot t - 1,
@@ -188,13 +186,18 @@ def run(
     """
     if trace is None:
         trace = generate_trace(config, config.seed)
-    if trace.k != config.k_concentrators or trace.horizon != config.horizon:
-        raise ConfigurationError(
-            f"trace is {trace.k}x{trace.horizon}, config wants "
-            f"{config.k_concentrators}x{config.horizon}"
-        )
+    _check_trace(config, trace)
     decisions, serves, q = make_policy(params, config, trace).serve(trace)
-    return _summarize(params, trace, service_capacity(config), decisions, serves, q)
+    return _summarize(params, trace, config.unit_size_packets, decisions, serves, q)
+
+
+def _check_trace(config: ScenarioConfig, trace: Trace) -> None:
+    """Refuse a trace that was not drawn for ``config``'s environment."""
+    if trace.config_digest != config.env_digest():
+        raise ConfigurationError(
+            f"trace seed {trace.seed} was drawn for another scenario: an environment "
+            "field (k_concentrators, horizon, arrival_law, ...) differs"
+        )
 
 
 def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
@@ -298,14 +301,15 @@ def _check_decisions(run_name, params, decisions, serves, levels, unit) -> None:
 
 
 def check_budget_share(
-    config: ScenarioConfig, budget_share: float, beta_c: float = 1.0
+    config: ScenarioConfig, budget_share: float, beta_c: float = 1.0,
+    name: str = "budget_share",
 ) -> None:
-    """Refuse a budget share, PAP multiplier or scenario that
-    derive_quality_params cannot size a workload from, before any trace is
-    drawn."""
+    """Refuse a budget share (called ``name`` in the error), PAP multiplier
+    or scenario that derive_quality_params cannot size a workload from,
+    before any trace is drawn."""
     _check_unit_alignment(config)
     if not 0.0 <= budget_share < 1.0:
-        raise ConfigurationError("budget_share must lie in [0, 1)")
+        raise ConfigurationError(f"{name} must lie in [0, 1), got {budget_share}")
     check_beta_c(beta_c)
 
 
@@ -375,7 +379,17 @@ def compare_with_oracle(
     so it lower-bounds every comparable run. A concentrator whose online
     cost beats its offline optimum means the accounting or the oracle is
     wrong (InvariantViolationError).
+
+    A trace drawn for another scenario, or a run whose seed, k or horizon
+    differs from the trace's, raises ConfigurationError.
     """
+    _check_trace(config, trace)
+    for m in runs:
+        if (m.seed, m.k, m.horizon) != (trace.seed, trace.k, trace.horizon):
+            raise ConfigurationError(
+                f"{m.policy_label} ran on seed {m.seed} ({m.k}x{m.horizon}), not on "
+                f"the compared trace (seed {trace.seed}, {trace.k}x{trace.horizon})"
+            )
     if not is_unit_granular(config):
         return [None] * len(runs), None
     solved: dict[tuple[int, int], np.ndarray] = {}

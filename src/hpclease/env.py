@@ -179,10 +179,9 @@ def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
         # drawn in row blocks, the same stream as one (k, horizon) draw; the
         # del frees each int64 block before the next is drawn
         arrivals = np.empty((k, horizon), dtype=np.int32)
-        bound = config.effective_arrival_bound()
         for block in row_blocks(k, horizon):
             draws = rng.poisson(config.mean_arrival, size=arrivals[block].shape)
-            np.minimum(draws, bound, out=draws)
+            np.minimum(draws, config.arrival_bound, out=draws)
             arrivals[block] = draws
             del draws
 

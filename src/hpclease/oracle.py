@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_field_types
 from .env import EXACT_MICROCENTS, SpectrumLevel
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from .policy import Action
@@ -36,7 +37,8 @@ class OfflineInstance:
 
     levels[t] is the free-spectrum state of slot t; price arrays hold the
     posted per-unit lease prices in micro-cents. n_units must fit in the
-    horizon and quality_budget must leave at least one full-quality unit.
+    horizon and quality_budget must leave at least one full-quality unit;
+    both are ints once built (config.check_field_types).
     T times the dearest full price is at most 2**53 micro-cents, as a
     ScenarioConfig bounds a fleet's bill, so every cost sum the solver forms
     is exact.
@@ -49,6 +51,7 @@ class OfflineInstance:
     quality_budget: int
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         levels = np.ascontiguousarray(self.levels, dtype=np.uint8)
         full = np.ascontiguousarray(self.price_full_microcents, dtype=np.int64)
         reduced = np.ascontiguousarray(self.price_reduced_microcents, dtype=np.int64)
@@ -68,10 +71,11 @@ class OfflineInstance:
             )
         if self.n_units < 0 or self.quality_budget < 0:
             raise ConfigurationError("n_units and quality_budget cannot be negative")
-        if self.n_units > 0 and self.quality_budget >= self.n_units:
-            raise ConfigurationError("quality budget must leave a full-quality unit")
-        if self.n_units == 0 and self.quality_budget != 0:
-            raise ConfigurationError("empty instance cannot carry a quality budget")
+        if self.quality_budget >= max(1, self.n_units):
+            raise ConfigurationError(
+                "quality budget must leave a full-quality unit, or be 0 in an empty "
+                f"instance: quality_budget {self.quality_budget}, n_units {self.n_units}"
+            )
         if self.n_units > t:
             raise InfeasibleError(
                 f"{self.n_units} units cannot be sent in {t} slots"
@@ -253,7 +257,8 @@ def instance_from_trace(
         last_slot = trace.horizon - 1
     if not 0 <= first_slot <= last_slot < trace.horizon:
         raise ConfigurationError(
-            f"slot window [{first_slot}, {last_slot}] outside trace horizon"
+            f"slot window [{first_slot}, {last_slot}] outside trace horizon: need "
+            f"0 <= first_slot <= last_slot < {trace.horizon}"
         )
     window = slice(first_slot, last_slot + 1)
     return OfflineInstance(

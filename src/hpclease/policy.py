@@ -28,7 +28,8 @@ deadline scheduler never read the backlog: each grants every slot at once,
 and ``serve_grants`` serves the (K, T) grants in closed form, by the
 Lindley recursion (one prefix sum and one running minimum per row).
 
-Each parameter block checks its values when built and names its policy:
+Each parameter block checks its values when built (its numeric fields take
+their annotated types by ``config.check_field_types``) and names its policy:
 ``kind`` and ``label`` identify it in reports. Whatever depends only on the
 trace and the parameters is computed for every slot when a policy is built:
 the purchase threshold, whether the posted prices are at most their PAP,
@@ -49,6 +50,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .config import check_field_types
 from .env import MICROCENTS_PER_CENT, Trace, row_blocks
 from .errors import ConfigurationError
 
@@ -86,6 +88,7 @@ class LyapunovParams:
         return f"{self.kind}[v={self.v_factor:g}]"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.v_factor < 0 or not np.isfinite(self.v_factor):
             raise ConfigurationError("v_factor must be finite and nonnegative")
 
@@ -105,6 +108,7 @@ class StaticParams:
         return f"{self.kind}[{self.period}/{self.burst_len}]"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.period < 1:
             raise ConfigurationError("static period must be >= 1 slot")
         if not 0 < self.burst_len <= self.period:
@@ -128,6 +132,7 @@ class QualityParams:
         return f"{self.kind}[m={self.quality_budget}]"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not self.deadline >= self.n_units > self.quality_budget >= 0:
             raise ConfigurationError(
                 "quality params require deadline >= n_units > budget >= 0, got "

@@ -52,13 +52,33 @@ class SweepResult:
             raise ConfigurationError("sweep points must be sorted by axis value")
 
 
-def _aggregate(runs: list[RunMetrics]) -> tuple[float, float, float, float]:
-    costs = np.array([r.cost_total_microcents for r in runs], dtype=np.float64)
-    cost_mean = float(costs.mean())
-    cost_std = float(costs.std(ddof=1)) if len(costs) > 1 else 0.0
-    queue_mean = float(np.mean([r.final_queue_mean for r in runs]))
-    delay_mean = float(np.mean([r.measured_mean_delay for r in runs]))
-    return cost_mean, cost_std, queue_mean, delay_mean
+def _points(
+    axis: str,
+    runs_by_value: dict[float, list[RunMetrics]],
+    oracle_by_value: dict[float, list[int]] | None = None,
+) -> tuple[int, tuple[SweepPoint, ...]]:
+    """The seed count every value of ``axis`` shares and its sorted
+    SweepPoints, each with its value's mean offline cost when
+    ``oracle_by_value`` is given."""
+    counts = {len(runs) for runs in runs_by_value.values()}
+    if len(counts) != 1 or 0 in counts:
+        raise ConfigurationError(f"every {axis} value needs the same nonzero seed count")
+    points = []
+    for value in sorted(runs_by_value):
+        runs = runs_by_value[value]
+        costs = np.array([r.cost_total_microcents for r in runs], dtype=np.float64)
+        oracle = None if oracle_by_value is None else oracle_by_value[value]
+        points.append(
+            SweepPoint(
+                axis_value=float(value),
+                cost_mean_microcents=float(costs.mean()),
+                cost_std_microcents=float(costs.std(ddof=1)) if len(costs) > 1 else 0.0,
+                queue_mean=float(np.mean([r.final_queue_mean for r in runs])),
+                delay_mean=float(np.mean([r.measured_mean_delay for r in runs])),
+                oracle_cost_microcents=None if oracle is None else float(np.mean(oracle)),
+            )
+        )
+    return counts.pop(), tuple(points)
 
 
 def v_sweep_summary(runs_by_v: dict[float, list[RunMetrics]]) -> SweepResult:
@@ -70,35 +90,13 @@ def v_sweep_summary(runs_by_v: dict[float, list[RunMetrics]]) -> SweepResult:
     """
     if len(runs_by_v) < 2:
         raise ConfigurationError("a sweep needs at least two distinct axis values")
-    counts = {len(runs) for runs in runs_by_v.values()}
-    if len(counts) != 1 or 0 in counts:
-        raise ConfigurationError("every axis value needs the same nonzero seed count")
-
-    points = []
-    for v in sorted(runs_by_v):
-        cost_mean, cost_std, queue_mean, delay_mean = _aggregate(runs_by_v[v])
-        points.append(
-            SweepPoint(
-                axis_value=float(v),
-                cost_mean_microcents=cost_mean,
-                cost_std_microcents=cost_std,
-                queue_mean=queue_mean,
-                delay_mean=delay_mean,
-            )
-        )
-
+    count, points = _points(AXIS_V_FACTOR, runs_by_v)
     drained = [p for p in points if p.queue_mean == 0.0]
     v_star = None
     if drained:
         best = min(p.cost_mean_microcents for p in drained)
         v_star = min(p.axis_value for p in drained if p.cost_mean_microcents == best)
-
-    return SweepResult(
-        axis=AXIS_V_FACTOR,
-        seed_count=counts.pop(),
-        points=tuple(points),
-        v_star=v_star,
-    )
+    return SweepResult(AXIS_V_FACTOR, count, points, v_star)
 
 
 def quality_sweep_summary(
@@ -109,39 +107,14 @@ def quality_sweep_summary(
     the offline-optimal cost on the same traces."""
     if not runs_by_budget:
         raise ConfigurationError("empty sweep")
-    counts = {len(runs) for runs in runs_by_budget.values()}
-    if len(counts) != 1 or 0 in counts:
-        raise ConfigurationError("every budget needs the same nonzero seed count")
     if oracle_costs_by_budget is not None:
         missing = sorted(set(runs_by_budget) - set(oracle_costs_by_budget))
         if missing:
             raise ConfigurationError(
                 f"oracle baseline missing for budgets {missing}"
             )
-
-    points = []
-    for budget in sorted(runs_by_budget):
-        cost_mean, cost_std, queue_mean, delay_mean = _aggregate(
-            runs_by_budget[budget]
-        )
-        oracle_cost = None
-        if oracle_costs_by_budget is not None:
-            oracle_cost = float(np.mean(oracle_costs_by_budget[budget]))
-        points.append(
-            SweepPoint(
-                axis_value=float(budget),
-                cost_mean_microcents=cost_mean,
-                cost_std_microcents=cost_std,
-                queue_mean=queue_mean,
-                delay_mean=delay_mean,
-                oracle_cost_microcents=oracle_cost,
-            )
-        )
-    return SweepResult(
-        axis=AXIS_QUALITY_BUDGET,
-        seed_count=counts.pop(),
-        points=tuple(points),
-    )
+    count, points = _points(AXIS_QUALITY_BUDGET, runs_by_budget, oracle_costs_by_budget)
+    return SweepResult(AXIS_QUALITY_BUDGET, count, points)
 
 
 def _point_row(point: SweepPoint, with_oracle: bool) -> list[str]:

@@ -144,7 +144,7 @@ SCENARIO_DEFAULTS = {
         (
             ["sweep-quality"],
             {
-                "budget_shares": None, "v_factor": 1.0, "beta_c": 1.0, "seeds": None,
+                "budget_shares": None, "v_factor": None, "beta_c": None, "seeds": None,
                 "with_oracle": False, "format": "csv",
             },
         ),
@@ -641,6 +641,8 @@ def test_non_numeric_override_is_a_config_error(field, tmp_path, capsys):
          "--set", "price_high_cents=2e12"],
         # an infinite price once died with an OverflowError traceback
         ["gen-trace", "--set", "price_high_cents=Infinity"],
+        # so did a finite price whose micro-cents overflow a float
+        ["gen-trace", "--set", "price_high_cents=1e303"],
     ],
 )
 def test_inexact_cost_range_is_a_config_error(argv, tmp_path, capsys):

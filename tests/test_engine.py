@@ -20,7 +20,7 @@ from hpclease import (
     make_policy,
     run,
 )
-from hpclease.engine import reduced_capacity, service_capacity
+from hpclease.engine import reduced_capacity
 from hpclease.env import SpectrumLevel
 from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.policy import (
@@ -93,7 +93,6 @@ def test_bad_trace_prices_name_their_slot(small_cfg, case):
 
 
 def test_capacities(small_cfg):
-    assert service_capacity(small_cfg) == 5
     assert reduced_capacity(small_cfg) == 2  # floor(0.5 * 5)
 
 
@@ -217,7 +216,7 @@ def _ledger_replay(cfg, params):
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, params, trace)
     policy, codes, _, _ = run_core(cfg, params, trace)
-    grant = packet_grant(service_capacity(cfg), reduced_capacity(cfg))
+    grant = packet_grant(cfg.unit_size_packets, reduced_capacity(cfg))
     states = [ConcentratorState() for _ in range(trace.k)]
     queue_means = []
     for t in range(trace.horizon):
@@ -316,7 +315,7 @@ def test_queue_series_mean_matches_per_slot_replay(case):
     trace = generate_trace(cfg, cfg.seed)
     metrics = run(cfg, params, trace)
     codes = run_core(cfg, params, trace).codes
-    grant = packet_grant(service_capacity(cfg), reduced_capacity(cfg))
+    grant = packet_grant(cfg.unit_size_packets, reduced_capacity(cfg))
     q = np.zeros(trace.k, dtype=np.int64)
     observed = np.empty(trace.horizon)
     for t in range(trace.horizon):
@@ -639,7 +638,7 @@ def test_grant_loop_matches_action_code_loop(case):
     metrics = run(cfg, params, trace)
     policy, codes, serves, q = run_core(cfg, params, trace)
     lyapunov = isinstance(policy, LyapunovPolicy)
-    unit = service_capacity(cfg)
+    unit = cfg.unit_size_packets
     ref_codes, ref_serves, ref_q, ref_z = run_codes(
         code_rule(make_policy(params, cfg, trace), trace),
         trace,
@@ -849,7 +848,7 @@ class RoguePolicy:
     def build(self, config, trace):
         """The engine's make_policy: a fresh inner policy for every run."""
         self.inner = make_policy(self.params, config, trace)
-        self.grant = packet_grant(service_capacity(config), reduced_capacity(config))
+        self.grant = packet_grant(config.unit_size_packets, reduced_capacity(config))
         return self
 
     def serve(self, trace):

@@ -146,7 +146,7 @@ def test_poisson_arrival_mean_near_configured():
     trace = generate_trace(cfg, 29)
     mean = trace.arrivals.mean()
     assert abs(mean - 5) / 5 < 0.02
-    assert trace.arrivals.max() <= cfg.effective_arrival_bound()
+    assert trace.arrivals.max() <= cfg.arrival_bound
 
 
 def test_deterministic_arrivals_are_constant():

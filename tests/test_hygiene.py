@@ -55,35 +55,72 @@ def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
 
 
+def _members(cls: ast.ClassDef) -> list[ast.FunctionDef]:
+    """The methods and properties of ``cls``, dunders aside."""
+    return [
+        m for m in cls.body
+        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (m.name.startswith("__") and m.name.endswith("__"))
+    ]
+
+
 def unused_definitions(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes that no code of the other top-level
-    statements (in any of ``sources``) names, by a bare name or an attribute;
-    uses inside a definition's own body do not count."""
+    """Top-level functions and classes, and the methods and properties of
+    those classes (dunders aside), that no code (in any of ``sources``)
+    names by a bare name or an attribute, matched by name; uses inside a
+    definition's own body do not count, and a class's body includes its
+    members."""
     defined, users = [], {}
+
+    def scan(node, owner):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                users.setdefault(sub.id, set()).add(owner)
+            elif isinstance(sub, ast.Attribute):
+                users.setdefault(sub.attr, set()).add(owner)
+
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = (module, stmt.name)
-                defined.append(owner)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    users.setdefault(node.id, set()).add(owner)
-                elif isinstance(node, ast.Attribute):
-                    users.setdefault(node.attr, set()).add(owner)
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(stmt, (module, ""))
+                continue
+            defined.append((module, stmt.name))
+            members = _members(stmt) if isinstance(stmt, ast.ClassDef) else []
+            for member in members:
+                defined.append((module, f"{stmt.name}.{member.name}"))
+                scan(member, (module, f"{stmt.name}.{member.name}"))
+            for node in ast.iter_child_nodes(stmt):
+                if node not in members:
+                    scan(node, (module, stmt.name))
+
+    def outside(module, qualname, owner):
+        return owner[0] != module or (
+            owner[1] != qualname and not owner[1].startswith(qualname + ".")
+        )
+
     return [
-        f"{module}:{name}"
-        for module, name in defined
-        if not users.get(name, set()) - {(module, name)}
+        f"{module}:{qualname}"
+        for module, qualname in defined
+        if not any(
+            outside(module, qualname, owner)
+            for owner in users.get(qualname.rpartition(".")[2], ())
+        )
     ]
 
 
 def test_checker_flags_an_unused_definition():
     sources = {
-        "a.py": "def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n",
-        "b.py": "import a\n\ndef g():\n    return a.C()\n\nh = g\n",
+        "a.py": (
+            "def f(n):\n    return f(n - 1)\n\n"
+            "class C:\n    def __init__(self):\n        self.m()\n\n"
+            "    def m(self):\n        return C\n\n"
+            "    def r(self):\n        return self.r()\n\n"
+            "    @property\n    def p(self):\n        return 1\n\n"
+            "    def u(self):\n        return self.p\n"
+        ),
+        "b.py": "import a\n\ndef g():\n    return a.C().u()\n\nh = g\n",
     }
-    assert unused_definitions(sources) == ["a.py:f"]
+    assert unused_definitions(sources) == ["a.py:f", "a.py:C.r"]
 
 
 def test_every_definition_is_used_by_the_package():
