@@ -13,13 +13,15 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import MISSING, fields
+from statistics import fmean
+from typing import get_args
 
 import numpy as np
 
 from .config import ScenarioConfig
 from .engine import (
     RunMetrics,
-    check_budget_share,
     check_quality_params,
     compare_with_oracle,
     derive_quality_params,
@@ -261,71 +263,65 @@ def _given(spec: argparse.Namespace, *names: str) -> dict[str, object]:
     return {n: getattr(spec, n) for n in names if getattr(spec, n) is not None}
 
 
-# the flags each run policy reads; with --budget-share the quality policy
-# also reads --v-factor, the weight of the run that sizes its workload
-_POLICY_READS = {
-    "lyapunov": ("v_factor",),
-    "static": ("period", "burst_len"),
-    "quality": ("n_units", "deadline", "quality_budget", "budget_share", "beta_c"),
-}
+def _fields(block: type) -> list[str]:
+    return [f.name for f in fields(block)]
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+# each --policy's parameter block; run's policy flags are the blocks' fields
+# and --budget-share, with which the quality policy derives its workload
+_BLOCKS = {block.kind: block for block in get_args(PolicyParams)}
+_RUN_FLAGS = [*(name for b in _BLOCKS.values() for name in _fields(b)), "budget_share"]
 
 
 def _policy_params(spec: argparse.Namespace, cfg: ScenarioConfig) -> PolicyParams:
     """The parameter block --policy names, built (and so checked) before any
-    trace is drawn. With --budget-share it is the reference threshold run's,
-    from which _cmd_run derives the quality workload."""
-    if spec.policy == "lyapunov":
-        return LyapunovParams(**_given(spec, "v_factor"))
-    if spec.policy == "static":
-        return StaticParams(**_given(spec, "period", "burst_len"))
-    explicit = zip(
-        ("--n-units", "--deadline", "--quality-budget"),
-        (spec.n_units, spec.deadline, spec.quality_budget),
-    )
-    given = [flag for flag, value in explicit if value is not None]
+    trace is drawn; a flag that its policy does not read is refused. With
+    --budget-share, which derives the quality fields that have no default,
+    it is the reference threshold run's block, from which _cmd_run derives
+    the quality workload."""
+    block = _BLOCKS[spec.policy]
+    reads = _fields(block)
+    if block is QualityParams:
+        reads.append("budget_share")
+        if spec.budget_share is not None:
+            reads += _fields(LyapunovParams)
+    unread = ", ".join(_flag(n) for n in _given(spec, *_RUN_FLAGS) if n not in reads)
+    if unread:
+        raise ConfigurationError(f"--policy {spec.policy} does not read {unread}")
+    if block is not QualityParams:
+        return block(**_given(spec, *reads))
+    workload = [f.name for f in fields(block) if f.default is MISSING]
+    given = [_flag(n) for n in _given(spec, *workload)]
     if spec.budget_share is not None:
         if given:
             raise ConfigurationError(
                 "--budget-share derives the quality workload and conflicts "
                 f"with {', '.join(given)}"
             )
-        check_budget_share(cfg, spec.budget_share, **_given(spec, "beta_c"))
-        return LyapunovParams(**_given(spec, "v_factor"))
-    if len(given) == 3:
-        params = QualityParams(
-            n_units=spec.n_units,
-            deadline=spec.deadline,
-            quality_budget=spec.quality_budget,
-            **_given(spec, "beta_c"),
+        derive_quality_params(cfg, 1, spec.budget_share, **_given(spec, "beta_c"))
+        return LyapunovParams(**_given(spec, *_fields(LyapunovParams)))
+    if len(given) < len(workload):
+        raise ConfigurationError(
+            f"--policy quality: quality policy needs {'/'.join(map(_flag, workload))} "
+            "or --budget-share"
         )
-        check_quality_params(cfg, params)
-        return params
-    raise ConfigurationError(
-        "--policy quality: quality policy needs --n-units/--deadline/"
-        "--quality-budget or --budget-share"
-    )
+    params = QualityParams(**_given(spec, *_fields(block)))
+    check_quality_params(cfg, params)
+    return params
 
 
 def _cmd_run(spec: argparse.Namespace) -> int:
-    reads = _POLICY_READS[spec.policy]
-    if spec.policy == "quality" and spec.budget_share is not None:
-        reads += ("v_factor",)
-    unread = [
-        "--" + name.replace("_", "-")
-        for names in _POLICY_READS.values()
-        for name in names
-        if name not in reads and getattr(spec, name) is not None
-    ]
-    if unread:
-        flags = ", ".join(unread)
-        raise ConfigurationError(f"--policy {spec.policy} does not read {flags}")
     cfg = _scenario(spec)
     params = _policy_params(spec, cfg)
     trace = generate_trace(cfg, cfg.seed)
     if spec.budget_share is not None:
-        reference = run(cfg, params, trace)
+        delay = run(cfg, params, trace).littles_delay
         params = derive_quality_params(
-            cfg, reference, spec.budget_share, **_given(spec, "beta_c")
+            cfg, delay, spec.budget_share, **_given(spec, "beta_c")
         )
     metrics = run(cfg, params, trace)
     summary = report.run_summary(metrics)
@@ -346,11 +342,12 @@ def _cmd_compare(spec: argparse.Namespace) -> int:
     ]
     beta_c = _given(spec, "beta_c")
     if spec.budget_share is not None:
-        check_budget_share(cfg, spec.budget_share, **beta_c)
+        derive_quality_params(cfg, 1, spec.budget_share, **beta_c)
     trace = generate_trace(cfg, cfg.seed)
     results = [run(cfg, p, trace) for p in policies]
     if spec.budget_share is not None:
-        params = derive_quality_params(cfg, results[0], spec.budget_share, **beta_c)
+        delay = results[0].littles_delay
+        params = derive_quality_params(cfg, delay, spec.budget_share, **beta_c)
         results.append(run(cfg, params, trace))
     offline, oracle_row = compare_with_oracle(cfg, trace, results)
     rows = list(zip(results, offline))
@@ -385,16 +382,16 @@ def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
         raise ConfigurationError("--budgets: empty sweep")
     beta_c = _given(spec, "beta_c")
     for share in shares:
-        check_budget_share(cfg, share, name="--budgets budget_share", **beta_c)
-    runs_by_budget: dict[int, list[RunMetrics]] = {}
-    oracle_by_budget: dict[int, list[int]] | None = {} if spec.with_oracle else None
+        derive_quality_params(cfg, 1, share, name="--budgets budget_share", **beta_c)
+    runs_by_share: dict[float, list[RunMetrics]] = {share: [] for share in shares}
+    oracle_by_share: dict[float, list[int]] = {share: [] for share in shares}
     reference_params = LyapunovParams(**_given(spec, "v_factor"))
     for seed in seeds:
         trace = generate_trace(cfg, seed)
-        reference = run(cfg, reference_params, trace)
+        delay = run(cfg, reference_params, trace).littles_delay
         runs: dict[int, RunMetrics] = {}
         for share in shares:
-            params = derive_quality_params(cfg, reference, share, **beta_c)
+            params = derive_quality_params(cfg, delay, share, **beta_c)
             budget = params.quality_budget
             if budget in runs:
                 raise ConfigurationError(
@@ -402,12 +399,18 @@ def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
                     f"of n_units {params.n_units}"
                 )
             runs[budget] = run(cfg, params, trace)
-            runs_by_budget.setdefault(budget, []).append(runs[budget])
-        if oracle_by_budget is not None:
+            runs_by_share[share].append(runs[budget])
+        if spec.with_oracle:
             offline, _ = compare_with_oracle(cfg, trace, list(runs.values()))
-            for budget, cost in zip(runs, offline):
-                oracle_by_budget.setdefault(budget, []).append(cost)
-    result = report.quality_sweep_summary(runs_by_budget, oracle_by_budget)
+            for share, cost in zip(shares, offline):
+                oracle_by_share[share].append(cost)
+    # one point per share, at its mean budget over the seeds; shares that
+    # never collide on a seed have distinct means
+    axis = [fmean(m.params.quality_budget for m in r) for r in runs_by_share.values()]
+    result = report.quality_sweep_summary(
+        dict(zip(axis, runs_by_share.values())),
+        dict(zip(axis, oracle_by_share.values())) if spec.with_oracle else None,
+    )
     _write(spec, f"sweep_quality.{spec.format}", report.emit(result, spec.format))
     return 0
 

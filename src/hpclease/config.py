@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -29,6 +28,9 @@ INT32_MAX = 2**31 - 1
 # concentrator's delay sum, below horizon**2 * unit_size_packets slots,
 # inside int64
 MAX_CELLS = 2**24
+# bounds epsilon and v_factor, so that (horizon + 1) * epsilon and v_factor
+# times a unit price of at most 2**53 micro-cents stay finite
+MAX_WEIGHT = 1e290
 
 
 def check_field_types(value: object, owner: str | None = None) -> None:
@@ -160,9 +162,9 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "arrival_bound must be at least max(1, mean_arrival)"
             )
-        if not 0 < self.epsilon < math.inf:
+        if not 0 < self.epsilon <= MAX_WEIGHT:
             raise ConfigurationError(
-                f"epsilon must be finite and positive, got {self.epsilon}"
+                f"epsilon must be finite, in (0, {MAX_WEIGHT:g}], got {self.epsilon}"
             )
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")

@@ -44,7 +44,6 @@ from .policy import (
     QualityPolicy,
     StaticBurstPolicy,
     StaticParams,
-    check_beta_c,
 )
 
 
@@ -113,6 +112,7 @@ class RunMetrics:
 
     params: PolicyParams
     seed: int
+    config_digest: str                     # the trace's environment digest
     k: int
     horizon: int
     cost_total_microcents: int
@@ -245,6 +245,7 @@ def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
     return RunMetrics(
         params=params,
         seed=trace.seed,
+        config_digest=trace.config_digest,
         k=k,
         horizon=horizon,
         cost_total_microcents=int(cost_series_fleet[-1]),
@@ -300,44 +301,38 @@ def _check_decisions(run_name, params, decisions, serves, levels, unit) -> None:
             )
 
 
-def check_budget_share(
-    config: ScenarioConfig, budget_share: float, beta_c: float = 1.0,
-    name: str = "budget_share",
-) -> None:
-    """Refuse a budget share (called ``name`` in the error), PAP multiplier
-    or scenario that derive_quality_params cannot size a workload from,
-    before any trace is drawn."""
-    _check_unit_alignment(config)
-    if not 0.0 <= budget_share < 1.0:
-        raise ConfigurationError(f"{name} must lie in [0, 1), got {budget_share}")
-    check_beta_c(beta_c)
-
-
 def derive_quality_params(
     config: ScenarioConfig,
-    reference: RunMetrics,
+    delay: float,
     budget_share: float,
     beta_c: float = 1.0,
+    name: str = "budget_share",
 ) -> QualityParams:
-    """Size a deadline-scheduling workload to match a reference run's delay.
+    """Size a deadline-scheduling workload to match a reference run's
+    Little's-law ``delay`` d (whole slots, at least 1): units arriving in the
+    last d slots can never meet it, so the workload is horizon - d units due
+    by the last serviceable slot, and its quality budget is the requested
+    share of them, rounded down. A share outside [0, 1) (called ``name`` in
+    the error) or a workload the scenario cannot run raises ConfigurationError.
 
-    The reference run's Little's-law delay d (whole slots, at least 1)
-    becomes the per-unit latency target: units arriving in the last d
-    slots can never meet it, so the workload is horizon - d units with
-    the last serviceable slot as the deadline. The quality budget is the
-    requested share of those units, rounded down.
+    At delay 1 it checks a share before any trace is drawn. That workload,
+    horizon - 1 units, is the loosest any reference gives: only n_units
+    depends on the delay, and int(share * n) < n while share < 1, so every
+    derivation with at least one unit builds if it does.
     """
-    check_budget_share(config, budget_share, beta_c)
-    d = max(1, round(reference.littles_delay))
-    n_units = config.horizon - d
+    if not 0.0 <= budget_share < 1.0:
+        raise ConfigurationError(f"{name} must lie in [0, 1), got {budget_share}")
+    n_units = config.horizon - max(1, round(delay))
     if n_units < 1:
         raise ConfigurationError("horizon too short for the derived delay target")
-    return QualityParams(
+    params = QualityParams(
         n_units=n_units,
         deadline=config.horizon - 1,
         quality_budget=int(budget_share * n_units),
         beta_c=beta_c,
     )
+    check_quality_params(config, params)
+    return params
 
 
 def oracle_reference(
@@ -380,15 +375,15 @@ def compare_with_oracle(
     cost beats its offline optimum means the accounting or the oracle is
     wrong (InvariantViolationError).
 
-    A trace drawn for another scenario, or a run whose seed, k or horizon
-    differs from the trace's, raises ConfigurationError.
+    A trace drawn for another scenario, or a run whose seed or environment
+    digest differs from the trace's, raises ConfigurationError.
     """
     _check_trace(config, trace)
     for m in runs:
-        if (m.seed, m.k, m.horizon) != (trace.seed, trace.k, trace.horizon):
+        if (m.seed, m.config_digest) != (trace.seed, trace.config_digest):
             raise ConfigurationError(
-                f"{m.policy_label} ran on seed {m.seed} ({m.k}x{m.horizon}), not on "
-                f"the compared trace (seed {trace.seed}, {trace.k}x{trace.horizon})"
+                f"{m.policy_label} ran on seed {m.seed} of scenario {m.config_digest}, "
+                f"not on the compared trace (seed {trace.seed}, {trace.config_digest})"
             )
     if not is_unit_granular(config):
         return [None] * len(runs), None

@@ -140,18 +140,6 @@ class Trace:
     def horizon(self) -> int:
         return int(self.levels.shape[1])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.config_digest == other.config_digest
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in _ARRAYS
-            )
-        )
-
 
 def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
     """Draw a trace for ``config`` from the deterministic stream of ``seed``.

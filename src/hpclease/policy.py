@@ -50,7 +50,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import check_field_types
+from .config import MAX_WEIGHT, check_field_types
 from .env import MICROCENTS_PER_CENT, Trace, row_blocks
 from .errors import ConfigurationError
 
@@ -89,8 +89,8 @@ class LyapunovParams:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.v_factor < 0 or not np.isfinite(self.v_factor):
-            raise ConfigurationError("v_factor must be finite and nonnegative")
+        if not 0 <= self.v_factor <= MAX_WEIGHT:
+            raise ConfigurationError(f"v_factor must lie in [0, {MAX_WEIGHT:g}]")
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,8 @@ class QualityParams:
                 f"deadline={self.deadline} n_units={self.n_units} "
                 f"budget={self.quality_budget}"
             )
-        check_beta_c(self.beta_c)
-
-
-def check_beta_c(beta_c: float) -> None:
-    """Refuse a PAP multiplier outside [0, 1]."""
-    if not 0.0 <= beta_c <= 1.0:
-        raise ConfigurationError("beta_c must lie in [0, 1]")
+        if not 0.0 <= self.beta_c <= 1.0:
+            raise ConfigurationError("beta_c must lie in [0, 1]")
 
 
 PolicyParams = LyapunovParams | StaticParams | QualityParams

@@ -115,7 +115,7 @@ def quality_sweep(ref_cfg, seeds, traces, lyap_best):
         reference = lyap_best[idx]
         row = {}
         for share in BUDGET_SHARES:
-            params = derive_quality_params(ref_cfg, reference, share)
+            params = derive_quality_params(ref_cfg, reference.littles_delay, share)
             row[share] = run(ref_cfg, params, traces.by_seed[s])
         runs = [*row.values(), reference]
         offline, _ = compare_with_oracle(ref_cfg, traces.by_seed[s], runs)

@@ -9,7 +9,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hpclease import ScenarioConfig, StaticParams, cli, engine, generate_trace, run
+from hpclease import (
+    LyapunovParams,
+    ScenarioConfig,
+    StaticParams,
+    cli,
+    derive_quality_params,
+    engine,
+    generate_trace,
+    run,
+)
 from hpclease.env import Trace, load_trace, save_trace
 from hpclease.errors import ConfigurationError, InvariantViolationError
 from hpclease.oracle import Schedule, instance_from_trace, validate_schedule
@@ -413,6 +422,24 @@ def test_sweep_quality_json_with_oracle(tmp_path):
     assert doc["points"][1]["cost_mean_dollars"] <= doc["points"][0]["cost_mean_dollars"]
 
 
+@pytest.mark.parametrize("oracle", [[], ["--with-oracle"]], ids=["plain", "oracle"])
+def test_sweep_quality_point_sits_at_the_mean_budget_of_its_share(oracle, tmp_path):
+    # the seeds derive different budgets from the one share; the sweep once
+    # drew and ran every trace, then exited 3 ("the same nonzero seed count")
+    scenario = ["--set", "k_concentrators=1", "--set", "horizon=5"]
+    argv = [*scenario, "--v-factor", "10", "--seeds", "3", "--budgets", "0.5"]
+    assert main(tmp_path, "sweep-quality", *argv, *oracle) == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "sweep_quality.csv").read_text())))
+    cfg = ScenarioConfig(k_concentrators=1, horizon=5, seed=101)
+    budgets = []
+    for seed in (101, 102, 103):
+        delay = run(cfg, LyapunovParams(10.0), generate_trace(cfg, seed)).littles_delay
+        budgets.append(derive_quality_params(cfg, delay, 0.5).quality_budget)
+    assert len(set(budgets)) > 1
+    assert len(rows) == 2 and rows[1][0] == f"{sum(budgets) / 3:.10g}" == "1.666666667"
+    assert rows[0][-1] == ("oracle_cost" if oracle else "delay_mean")
+
+
 def test_sweep_quality_oracle_needs_unit_world(tmp_path, capsys):
     rc = main(
         tmp_path,
@@ -482,6 +509,20 @@ def test_infinite_lyapunov_epsilon_exits_3(tmp_path, capsys):
     # JSON reads 1e999 as inf
     assert main(tmp_path, "run", *SMALL, "--set", "epsilon=1e999") == 3
     assert "epsilon must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--set", "epsilon=1e308"], "epsilon"), (["--v-factor", "1e308"], "v_factor")],
+    ids=["epsilon", "v_factor"],
+)
+def test_overflowing_threshold_weights_exit_3(flags, field, tmp_path, capsys):
+    # each once overflowed a float64 (the virtual queue Z, the purchase
+    # threshold) with only a RuntimeWarning, and ran on
+    scenario = ["--set", "k_concentrators=2", "--set", "horizon=50", "--seed", "1"]
+    assert main(tmp_path, "run", *scenario, *flags) == 3
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_gen_trace_then_oracle_round_trip(tmp_path):

@@ -144,5 +144,11 @@ def test_comparison_refuses_a_run_from_another_trace():
     assert seed7.workload_complete
     with pytest.raises(ConfigurationError, match="ran on seed 7"):
         compare_with_oracle(cfg, generate_trace(cfg, 8), [seed7])
+    # a run of the same seed and size on another scenario's trace once
+    # raised "online cost 3024030 of concentrator 0 beats the offline optimum"
+    cheap = cfg.with_overrides(price_low_cents=0.01, price_high_cents=0.02)
+    cheap7 = run(cheap, LyapunovParams(v_factor=1.0))
+    with pytest.raises(ConfigurationError, match="ran on seed 7"):
+        compare_with_oracle(cfg, generate_trace(cfg, 7), [cheap7])
     offline, _ = compare_with_oracle(cfg, generate_trace(cfg, 7), [seed7])
     assert offline[0] is not None

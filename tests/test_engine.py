@@ -374,13 +374,13 @@ def test_quality_run_meets_its_deadline(small_cfg):
 
 def test_derive_quality_params_round_trip(small_cfg):
     reference = run(small_cfg, LYAP1)
-    params = derive_quality_params(small_cfg, reference, 0.2)
+    params = derive_quality_params(small_cfg, reference.littles_delay, 0.2)
     assert params.deadline == small_cfg.horizon - 1
     d = max(1, round(reference.littles_delay))
     assert params.n_units == small_cfg.horizon - d
     assert params.quality_budget == int(0.2 * params.n_units)
     with pytest.raises(ConfigurationError):
-        derive_quality_params(small_cfg, reference, 1.0)
+        derive_quality_params(small_cfg, reference.littles_delay, 1.0)
 
 
 def test_compare_with_oracle_quality_and_lyapunov(small_cfg):
@@ -391,7 +391,7 @@ def test_compare_with_oracle_quality_and_lyapunov(small_cfg):
     assert isinstance(offline, int)
     assert offline <= reference.cost_total_microcents
 
-    params = derive_quality_params(small_cfg, reference, 0.25)
+    params = derive_quality_params(small_cfg, reference.littles_delay, 0.25)
     qmetrics = run(small_cfg, params, trace)
     (qoffline,), _ = compare_with_oracle(small_cfg, trace, [qmetrics])
     assert isinstance(qoffline, int)
@@ -469,7 +469,7 @@ def test_compare_with_oracle_solves_each_workload_once(small_cfg, monkeypatch):
     static = run(small_cfg, StaticParams(50, 10), trace)
     drained = run(small_cfg, LYAP1, trace)
     assert not static.workload_complete and drained.workload_complete
-    params = derive_quality_params(small_cfg, drained, 0.25)
+    params = derive_quality_params(small_cfg, drained.littles_delay, 0.25)
     quality = run(small_cfg, params, trace)
     solves = _count_solves(monkeypatch)
     offline, oracle_row = compare_with_oracle(
@@ -549,8 +549,8 @@ def _digest_case(case):
         return run(_DIGEST_POISSON, lyap)
     if case == "static":
         return run(_DIGEST_CFG, StaticParams(50, 10))
-    params = derive_quality_params(_DIGEST_CFG, run(_DIGEST_CFG, lyap), 0.2)
-    return run(_DIGEST_CFG, params)
+    delay = run(_DIGEST_CFG, lyap).littles_delay
+    return run(_DIGEST_CFG, derive_quality_params(_DIGEST_CFG, delay, 0.2))
 
 
 # taken from the engine that still kept the Action codes and the virtual
@@ -558,11 +558,13 @@ def _digest_case(case):
 # RunMetrics field shows up here. The two threshold digests changed once
 # more, and only through repr(params), when LyapunovParams lost its epsilon
 # field to ScenarioConfig.epsilon: every array and count stayed bit-equal.
+# All four changed again only by the new config_digest field: the digest
+# over the other fields still equals the pin before it.
 RUN_METRICS_DIGESTS = {
-    "lyapunov": "1f4933453e188a9d415fbed80efabe21e7bfb71b32c3903aa1b563c997788ebc",
-    "lyapunov_poisson": "35b5c0ac6752477c08cc6ecf33a479401fde74b1ff10eda498aa5e0fa4d610b7",
-    "static": "ddcedaa0d8e3c803cb338f05d269de1709c3485e21fccffc139a822a6e5c361d",
-    "quality": "7894eb2455e4fe006ff94a997b6e92bf8666897e8ecdfff41091f846481d28e3",
+    "lyapunov": "35c9365b2ad5e7edd966b18962c6c3818a87e03e54185f06ec8db9f74c917fbb",
+    "lyapunov_poisson": "f5de8c5d20578222439cc2feda9d448e96a56186e2eb43109af7f59126683bc0",
+    "static": "e47e2c819714bd25bf49037fcddcc0d0ed1847be2f1ef51de5d59d2c582ba88b",
+    "quality": "477cae4965ee22365bc01350dc8695d7aa65c43daf14496c2a7ab77dd42b4da3",
 }
 
 

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,13 @@ from hypothesis import strategies as st
 
 from hpclease import ScenarioConfig, generate_trace
 from hpclease.cli import PRESETS
-from hpclease.env import MICROCENTS_PER_CENT, SpectrumLevel, to_microcents
+from hpclease.config import MAX_CELLS, MAX_WEIGHT
+from hpclease.env import (
+    EXACT_MICROCENTS,
+    MICROCENTS_PER_CENT,
+    SpectrumLevel,
+    to_microcents,
+)
 from hpclease.errors import ConfigurationError, InfeasibleError
 from hpclease.policy import (
     IS_REDUCED,
@@ -21,6 +30,7 @@ from hpclease.policy import (
     StaticParams,
 )
 
+from conftest import run_core
 from reference import (
     ConcentratorState,
     PapMirror,
@@ -324,6 +334,73 @@ def test_lyapunov_params_validation():
     for epsilon in (0.0, float("inf")):
         with pytest.raises(ConfigurationError, match="epsilon"):
             dataclasses.replace(ScenarioConfig(), epsilon=epsilon)
+
+
+def test_threshold_weights_are_bounded_so_no_float_overflows():
+    # epsilon 1e308 once overflowed Z, and v_factor 1e308 the threshold, to
+    # inf with only a RuntimeWarning, and the run went on
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        ScenarioConfig(k_concentrators=2, horizon=50, epsilon=1e308, seed=1)
+    with pytest.raises(ConfigurationError, match="v_factor"):
+        LyapunovParams(v_factor=1e308)
+    # at the bound, Z over the longest horizon and the threshold at the
+    # dearest unit price stay finite; tier-1 fails on a RuntimeWarning
+    assert np.isfinite(np.float64(MAX_WEIGHT) * (MAX_CELLS + 1))
+    assert np.isfinite(np.float64(MAX_WEIGHT) * EXACT_MICROCENTS / MICROCENTS_PER_CENT)
+    cfg = ScenarioConfig(k_concentrators=2, horizon=50, epsilon=MAX_WEIGHT, seed=1)
+    core = run_core(cfg, LyapunovParams(v_factor=MAX_WEIGHT))
+    assert np.isfinite(core.policy.z).all()
+    schema = Path(__file__).resolve().parent.parent / "docs" / "schema"
+    config_schema = json.loads((schema / "scenario_config.schema.json").read_text())
+    assert config_schema["properties"]["epsilon"]["maximum"] == MAX_WEIGHT
+
+
+@st.composite
+def _threshold_runs(draw):
+    cfg = ScenarioConfig(
+        k_concentrators=draw(st.integers(1, 5)),
+        horizon=draw(st.integers(50, 600)),
+        mean_arrival=draw(st.integers(2, 8)),
+        arrival_law=draw(st.sampled_from(["deterministic", "poisson"])),
+        epsilon=draw(st.sampled_from([None, 0.5, 3.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return cfg, LyapunovParams(v_factor=draw(st.floats(1.0, 1000.0)))
+
+
+@given(_threshold_runs())
+@settings(max_examples=40, deadline=None)
+def test_threshold_policy_keeps_its_worst_case_delay_bound(case):
+    """No packet waits more than ceil((Q_max + Z_max) / epsilon) slots, the
+    epsilon-persistent queue bound (M. J. Neely, Stochastic Network
+    Optimization, 2010; INFOCOM 2011): a packet unserved for D slots saw
+    Q > 0 in each, so Z grew by epsilon * D less the fewer than Q_max
+    packets served ahead of it."""
+    cfg, params = case
+    q_max = np.zeros(cfg.k_concentrators, dtype=np.int64)
+    z_max = np.zeros(cfg.k_concentrators)
+    decide = LyapunovPolicy.decide_slot
+
+    def recording(self, slot, levels, q_len):
+        np.maximum(q_max, q_len, out=q_max)  # pre-service Q
+        served = decide(self, slot, levels, q_len)
+        np.maximum(z_max, self.z, out=z_max)
+        return served
+
+    trace = generate_trace(cfg, cfg.seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LyapunovPolicy, "decide_slot", recording)
+        core = run_core(cfg, params, trace)
+    np.maximum(q_max, core.q, out=q_max)  # Q after the last slot's arrivals
+    arrived = np.cumsum(trace.arrivals, axis=1)
+    served = np.cumsum(core.serves, axis=1)
+    for i in range(cfg.k_concentrators):
+        # the last packet of each slot's batch waits longest; one still
+        # queued at the end counts its wait so far (it leaves at the horizon)
+        slots = np.flatnonzero(trace.arrivals[i])
+        wait = int((np.searchsorted(served[i], arrived[i, slots]) - slots).max())
+        bound = math.ceil((q_max[i] + z_max[i]) / cfg.epsilon)
+        assert wait <= bound, (i, wait, bound)
 
 
 def test_d_flag_matches_purchase_actions():
