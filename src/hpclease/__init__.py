@@ -6,9 +6,6 @@ from .engine import (
     RunMetrics,
     compare_with_oracle,
     derive_quality_params,
-    is_unit_granular,
-    make_policy,
-    oracle_reference,
     run,
 )
 from .env import (
@@ -29,7 +26,6 @@ from .oracle import (
     Schedule,
     instance_from_trace,
     solve_dp,
-    validate_schedule,
 )
 from .policy import (
     Action,
@@ -69,15 +65,11 @@ __all__ = [
     "emit",
     "generate_trace",
     "instance_from_trace",
-    "is_unit_granular",
     "load_trace",
-    "make_policy",
-    "oracle_reference",
     "quality_sweep_summary",
     "run",
     "save_trace",
     "solve_dp",
     "v_sweep_summary",
-    "validate_schedule",
     "__version__",
 ]

@@ -97,7 +97,7 @@ class ScenarioConfig:
         object.__setattr__(self, "_derived", derived)
 
         if self.k_concentrators < 1:
-            raise ConfigurationError("need at least one concentrator")
+            raise ConfigurationError("k_concentrators: need at least one concentrator")
         if self.horizon < 2:
             raise ConfigurationError("horizon must span at least two slots")
         if self.k_concentrators * self.horizon > MAX_CELLS:
@@ -107,9 +107,11 @@ class ScenarioConfig:
                 f"{self.horizon}"
             )
         if self.mean_arrival < 0:
-            raise ConfigurationError("mean arrival rate cannot be negative")
+            raise ConfigurationError("mean_arrival: mean arrival rate cannot be negative")
         if self.unit_size_packets < 1:
-            raise ConfigurationError("unit size must be at least one packet")
+            raise ConfigurationError(
+                "unit_size_packets: unit size must be at least one packet"
+            )
         # served packets per slot are stored as int16, arrivals as int32
         if self.unit_size_packets > INT16_MAX:
             raise ConfigurationError(

@@ -26,7 +26,6 @@ exactly representable range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +34,7 @@ from .config import ScenarioConfig
 from .env import SpectrumLevel, Trace, generate_trace, row_blocks, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
 from .oracle import instance_from_trace, solve_dp
-from .policy import (
-    Action,
-    LyapunovParams,
-    LyapunovPolicy,
-    PolicyParams,
-    QualityParams,
-    QualityPolicy,
-    StaticBurstPolicy,
-    StaticParams,
-)
-
-
-def reduced_capacity(config: ScenarioConfig) -> int:
-    """Free packets per slot on reduced-level spectrum, for packet policies."""
-    # guard against float dust in the product before flooring
-    return math.floor(config.reduced_fraction * config.unit_size_packets + 1e-9)
+from .policy import POLICIES, Action, PolicyParams, QualityParams
 
 
 def is_unit_granular(config: ScenarioConfig) -> bool:
@@ -88,22 +72,16 @@ def check_quality_params(config: ScenarioConfig, params: QualityParams) -> None:
         )
 
 
-def make_policy(
-    params: PolicyParams, config: ScenarioConfig, trace: Trace
-) -> LyapunovPolicy | StaticBurstPolicy | QualityPolicy:
-    """Build the policy that ``params`` configures for one run on ``trace``."""
-    unit = config.unit_size_packets
+def make_policy(params: PolicyParams, config: ScenarioConfig, trace: Trace):
+    """Build the policy that ``params`` configures for one run on ``trace``:
+    the class that POLICIES keys by the block's type, which reads what it
+    needs from the block, the scenario and the trace. A deadline-scheduling
+    block is first checked against the scenario (check_quality_params)."""
+    if type(params) not in POLICIES:
+        raise ConfigurationError(f"not a policy parameter block: {params!r}")
     if isinstance(params, QualityParams):
         check_quality_params(config, params)
-        return QualityPolicy(params, unit, trace.price_full, trace.price_reduced)
-    capacities = unit, reduced_capacity(config)
-    if isinstance(params, LyapunovParams):
-        return LyapunovPolicy(
-            params, *capacities, trace.price_full, trace.k, config.epsilon
-        )
-    if isinstance(params, StaticParams):
-        return StaticBurstPolicy(params, *capacities, trace.horizon)
-    raise ConfigurationError(f"not a policy parameter block: {params!r}")
+    return POLICIES[type(params)](params, config, trace)
 
 
 @dataclass(eq=False)
@@ -275,11 +253,16 @@ def _violations(params, decisions, serves, levels, unit):
     )
     if not isinstance(params, QualityParams):
         return
+    # a free unit needs a full free channel, a free packet only some spectrum
+    yield "free full unit without full spectrum", (
+        (decisions == Action.FREE_FULL) & (levels != SpectrumLevel.FULL)
+    )
     yield "unit transmission not backed by a full unit of backlog", (
         (decisions != Action.IDLE) & (serves != unit)
     )
     missed = np.zeros(decisions.shape, dtype=bool)
-    missed[:, params.deadline] = np.count_nonzero(decisions, axis=1) < params.n_units
+    on_time = np.count_nonzero(decisions[:, : params.deadline + 1], axis=1)
+    missed[:, params.deadline] = on_time < params.n_units
     yield "quality policy missed its deadline", missed
     reduced = (decisions == Action.FREE_REDUCED) | (decisions == Action.BUY_REDUCED)
     # running counts only for the rows whose total is over budget

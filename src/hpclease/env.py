@@ -86,8 +86,8 @@ class Trace:
     * arrivals: int32 nonnegative packet counts, shape (k, horizon)
     * price_packet: int64 per-packet micro-cents, shape (horizon,)
     * price_full / price_reduced: int64 per-unit micro-cents, shape (horizon,),
-      with 0 < reduced < full in every slot and full low enough that a
-      horizon of them sums exactly (at most 2**53 micro-cents)
+      with 0 < reduced < full in every slot and full low enough that
+      k * horizon of them sum exactly (at most 2**53 micro-cents)
 
     Construction checks all of this (TraceFormatError, the price error
     naming the seed and first bad slot). The fields are frozen and the
@@ -120,7 +120,8 @@ class Trace:
         if int(self.arrivals.min(initial=0)) < 0:
             raise TraceFormatError("trace contains negative arrival counts")
         full, reduced = self.price_full, self.price_reduced
-        dearest = EXACT_MICROCENTS // max(1, self.horizon)
+        # the scenario's bound: a fleet's bill at these prices sums exactly
+        dearest = EXACT_MICROCENTS // max(1, self.k * self.horizon)
         bad = np.flatnonzero((reduced < 1) | (full <= reduced) | (full > dearest))
         if bad.size:
             t = int(bad[0])

@@ -114,10 +114,6 @@ def validate_schedule(instance: OfflineInstance, schedule: Schedule) -> int:
             f"schedule sends {int(np.count_nonzero(sends))} units, "
             f"instance requires {instance.n_units}"
         )
-    # causality: through slot t at most t+1 units have arrived
-    cum = np.cumsum(sends)
-    if np.any(cum > np.arange(1, instance.horizon + 1)):
-        raise InvariantViolationError("schedule sends a unit before it arrives")
     free_full = acts == int(Action.FREE_FULL)
     free_reduced = acts == int(Action.FREE_REDUCED)
     if np.any(free_full & (instance.levels != int(SpectrumLevel.FULL))):

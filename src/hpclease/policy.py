@@ -17,9 +17,11 @@ Three families are implemented.
 * StaticBurstPolicy: purchases in fixed bursts at fixed period boundaries,
   independent of queue state and prices; the classic dumb baseline.
 
-The policy classes decide for the whole fleet at once, and each serves its
-own run: ``serve(trace)`` returns the (K, T) uint8 Action codes, the (K, T)
-int16 packets served and the backlog Q after the last slot. A code is IDLE
+Each policy is built from its parameter block, the scenario and the trace,
+``Policy(params, config, trace)``, and reads what it needs of them. It
+decides for the whole fleet at once, and serves its own run:
+``serve(trace)`` returns the (K, T) uint8 Action codes, the (K, T) int16
+packets served and the backlog Q after the last slot. A code is IDLE
 exactly where nothing moved. The threshold policy's grants read the
 backlog, so it serves in a slot loop that carries Q: each slot
 ``decide_slot`` serves min(grant, Q) and advances the virtual queues Z, and
@@ -44,13 +46,14 @@ A policy object serves one run; the next run builds a new one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import ClassVar
 
 import numpy as np
 
-from .config import MAX_WEIGHT, check_field_types
+from .config import MAX_WEIGHT, ScenarioConfig, check_field_types
 from .env import MICROCENTS_PER_CENT, Trace, row_blocks
 from .errors import ConfigurationError
 
@@ -112,7 +115,7 @@ class StaticParams:
         if self.period < 1:
             raise ConfigurationError("static period must be >= 1 slot")
         if not 0 < self.burst_len <= self.period:
-            raise ConfigurationError("burst length must lie in [1, period]")
+            raise ConfigurationError("burst_len: burst length must lie in [1, period]")
 
 
 @dataclass(frozen=True)
@@ -220,17 +223,21 @@ QUALITY_TABLE = np.array(
 )
 
 
-class _PacketPolicy:
-    """A policy that moves packets: service capacity per slot and the free
-    capacity of each spectrum level."""
+def reduced_capacity(config: ScenarioConfig) -> int:
+    """Free packets per slot on reduced-level spectrum, for packet policies."""
+    # guard against float dust in the product before flooring
+    return math.floor(config.reduced_fraction * config.unit_size_packets + 1e-9)
 
-    def __init__(
-        self, params: LyapunovParams | StaticParams, capacity: int, reduced_capacity: int
-    ):
+
+class _PacketPolicy:
+    """A policy that moves packets: service capacity per slot (one unit)
+    and the free capacity of each spectrum level."""
+
+    def __init__(self, params: LyapunovParams | StaticParams, config: ScenarioConfig):
         self.params = params
-        self.capacity = capacity
+        unit = self.capacity = config.unit_size_packets
         # free packets per slot, indexed by SpectrumLevel code (NONE, REDUCED, FULL)
-        self.free_capacity = np.array([0, reduced_capacity, capacity], dtype=np.int64)
+        self.free_capacity = np.array([0, reduced_capacity(config), unit], dtype=np.int64)
 
 
 class LyapunovPolicy(_PacketPolicy):
@@ -247,19 +254,12 @@ class LyapunovPolicy(_PacketPolicy):
     array. Each slot, after the grant, Z drops by the packets served and
     grows by epsilon if the concentrator was busy, floored at 0."""
 
-    def __init__(
-        self,
-        params: LyapunovParams,
-        capacity: int,
-        reduced_capacity: int,
-        price_full: np.ndarray,
-        k: int,
-        epsilon: float,
-    ):
-        super().__init__(params, capacity, reduced_capacity)
-        self.threshold = params.v_factor * (price_full / MICROCENTS_PER_CENT) / 2.0
-        self.epsilon = epsilon
-        self.z = np.zeros(k, dtype=np.float64)
+    def __init__(self, params: LyapunovParams, config: ScenarioConfig, trace: Trace):
+        super().__init__(params, config)
+        price_cents = trace.price_full / MICROCENTS_PER_CENT
+        self.threshold = params.v_factor * price_cents / 2.0
+        self.epsilon = config.epsilon
+        self.z = np.zeros(trace.k, dtype=np.float64)
 
     def serve(self, trace: Trace):
         q = np.zeros(trace.k, dtype=np.int64)
@@ -294,11 +294,9 @@ class StaticBurstPolicy(_PacketPolicy):
     """Every busy concentrator buys in the slots of a burst and uses free
     spectrum otherwise; in_burst[slot] marks the burst slots of the run."""
 
-    def __init__(
-        self, params: StaticParams, capacity: int, reduced_capacity: int, horizon: int
-    ):
-        super().__init__(params, capacity, reduced_capacity)
-        slots = np.arange(horizon)
+    def __init__(self, params: StaticParams, config: ScenarioConfig, trace: Trace):
+        super().__init__(params, config)
+        slots = np.arange(trace.horizon)
         self.in_burst = (slots >= 1) & ((slots - 1) % params.period < params.burst_len)
 
     def serve(self, trace: Trace):
@@ -344,17 +342,11 @@ class QualityPolicy:
     slot at once, phase by phase (see ``_schedule``).
     """
 
-    def __init__(
-        self,
-        params: QualityParams,
-        capacity: int,
-        price_full: np.ndarray,
-        price_reduced: np.ndarray,
-    ):
+    def __init__(self, params: QualityParams, config: ScenarioConfig, trace: Trace):
         self.params = params
-        self.capacity = capacity
-        self.attractive_full = attractive_prices(price_full, params.beta_c)
-        self.attractive_reduced = attractive_prices(price_reduced, params.beta_c)
+        self.capacity = config.unit_size_packets
+        self.attractive_full = attractive_prices(trace.price_full, params.beta_c)
+        self.attractive_reduced = attractive_prices(trace.price_reduced, params.beta_c)
         self.price_class = np.where(
             self.attractive_full, 0, np.where(self.attractive_reduced, 1, 2)
         )
@@ -435,3 +427,11 @@ class QualityPolicy:
             forced[live] = sent[live] - end == guard
             funded[live] = used[live] < p.quality_budget
             live = live[end <= p.deadline]
+
+
+# the policy class that each type of parameter block configures
+POLICIES = {
+    LyapunovParams: LyapunovPolicy,
+    StaticParams: StaticBurstPolicy,
+    QualityParams: QualityPolicy,
+}

@@ -3,7 +3,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from hpclease import ScenarioConfig, generate_trace, make_policy
+from hpclease import ScenarioConfig, generate_trace
+from hpclease.engine import make_policy
 from hpclease.env import MICROCENTS_PER_CENT
 from hpclease.oracle import OfflineInstance
 

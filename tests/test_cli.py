@@ -95,6 +95,8 @@ NAMED_FIELDS = (
     ("--beta-c", "beta_c"),
     ("arrival_law", "arrival_law"),
     ("20000", "deadline"),
+    ("--period", "period"),
+    ("--burst-len", "burst_len"),
 )
 
 
@@ -113,6 +115,8 @@ NAMED_FIELDS = (
         ["run", "--policy", "quality", "--budget-share", "0.1", "--beta-c", "2"],
         ["compare", "--budget-share", "0.1", "--beta-c", "2"],
         ["sweep-quality", "--beta-c", "2"],
+        ["run", "--policy", "static", "--period", "0"],
+        ["run", "--policy", "static", "--burst-len", "0"],
     ],
 )
 def test_bad_policy_params_fail_before_any_trace(argv, monkeypatch, tmp_path, capsys):
@@ -189,6 +193,15 @@ def test_parse_unknown_flag_is_usage_error():
 def test_parse_bad_grid_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.parse_args(["sweep-v", "--v", "1,two,3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep-v", "--seeds", "1,x"], ["run", "--set", "horizon"]]
+)
+def test_parse_bad_seeds_or_override_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
     assert exc.value.code == 2
 
 
@@ -566,6 +579,15 @@ def test_bad_config_file_exits_3(tmp_path, capsys):
     bad.write_text(json.dumps({"unknown_field": 3}))
     assert main(tmp_path, "run", "--config", str(bad)) == 3
     assert main(tmp_path, "run", "--config", str(tmp_path / "absent.json")) == 3
+    bad.write_text(json.dumps([{"horizon": 50}]))
+    assert main(tmp_path, "run", "--config", str(bad)) == 3
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_missing_trace_file_exits_3(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    assert main(tmp_path, "oracle", "--trace", str(absent), "--n-units", "1") == 3
+    assert f"cannot read {absent}" in capsys.readouterr().err
 
 
 def test_bad_override_value_exits_3(tmp_path, capsys):
@@ -722,6 +744,10 @@ def test_costs_exact_just_under_the_price_bound():
         (["mean_arrival=0"], ["unit_size_packets", "reduced_fraction"]),
         # JSON reads 1e999 as inf; once a run with NaN virtual queues
         (["epsilon=1e999"], ["epsilon"]),
+        # each once named no field
+        (["k_concentrators=0"], ["k_concentrators"]),
+        (["mean_arrival=-1"], ["mean_arrival"]),
+        (["unit_size_packets=0"], ["unit_size_packets"]),
     ],
 )
 def test_config_error_names_the_field(overrides, fields, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Schema-driven CLI fuzz: scenarios drawn from the published config schema,
-crossed with each subcommand's flags, at small fleets (k <= 3, horizon <= 60).
+and one step outside it, crossed with each subcommand's flags, at small
+fleets (k <= 3, horizon <= 60).
 
 Every call the parser accepts must exit 0, 3 or 4 without a traceback; an
 exit-0 output must parse, and an exit-3 message must name a config or
@@ -36,17 +37,18 @@ FIELDS = {
 
 
 def schema_value(name: str) -> st.SearchStrategy:
-    """Values of one scenario field within its schema, k and horizon capped."""
+    """Values of one scenario field within its schema, k and horizon capped,
+    and one step outside it: an integer past either bound, or a string
+    outside the enum."""
     prop = SCHEMA["properties"][name]
     if "enum" in prop:
-        return st.sampled_from(prop["enum"])
+        return st.one_of(st.sampled_from(prop["enum"]), st.just("uniform"))
     if prop["type"] == "integer":
-        low = prop["minimum"]
+        low, high = prop["minimum"], prop.get("maximum")
+        past = st.sampled_from([low - 1] + ([] if high is None else [high + 1]))
         if name in SIZE_CAPS:
-            return st.integers(low, SIZE_CAPS[name])
-        return st.one_of(
-            st.integers(low, low + 12), st.integers(low, prop.get("maximum"))
-        )
+            return st.one_of(st.integers(low, SIZE_CAPS[name]), past)
+        return st.one_of(st.integers(low, low + 12), st.integers(low, high), past)
     low, high = prop.get("exclusiveMinimum", 0), prop.get("exclusiveMaximum")
     if high is not None:
         return st.floats(low, high, exclude_min=True, exclude_max=True)

@@ -1,5 +1,7 @@
+import base64
 import dataclasses
 import hashlib
+import json
 import re
 import tracemalloc
 from collections import Counter
@@ -16,13 +18,11 @@ from hpclease import (
     derive_quality_params,
     engine,
     generate_trace,
-    is_unit_granular,
-    make_policy,
     run,
 )
-from hpclease.engine import reduced_capacity
-from hpclease.env import SpectrumLevel
-from hpclease.errors import ConfigurationError, InvariantViolationError
+from hpclease.engine import is_unit_granular, make_policy
+from hpclease.env import SpectrumLevel, save_trace
+from hpclease.errors import ConfigurationError, InvariantViolationError, TraceFormatError
 from hpclease.policy import (
     IS_REDUCED,
     Action,
@@ -30,6 +30,7 @@ from hpclease.policy import (
     LyapunovPolicy,
     QualityParams,
     StaticParams,
+    reduced_capacity,
 )
 
 from conftest import run_core
@@ -71,9 +72,9 @@ def test_params_labels_and_validation(small_cfg):
 
 @pytest.mark.parametrize("case", ["reduced-above-full", "full-too-dear"])
 def test_bad_trace_prices_name_their_slot(small_cfg, case):
-    # the bound keeps a horizon of full prices summable exactly: 2**53 / T
+    # the bound keeps a fleet's bill at full prices exact: 2**53 / (k * T)
     base = generate_trace(small_cfg, small_cfg.seed)
-    dearest = 2**53 // small_cfg.horizon
+    dearest = 2**53 // (small_cfg.k_concentrators * small_cfg.horizon)
     full, reduced = base.price_full.copy(), base.price_reduced.copy()
     if case == "reduced-above-full":
         reduced[137] = full[137] + 1
@@ -90,6 +91,27 @@ def test_bad_trace_prices_name_their_slot(small_cfg, case):
     reduced[137] = dearest - 1
     edge = dataclasses.replace(base, price_full=full, price_reduced=reduced)
     run(small_cfg, LYAP1, edge)  # the bound itself is admitted
+
+
+def test_trace_prices_bound_the_fleet_bill(tmp_path, capsys):
+    # a row's worth of 2**53 // 16 per slot once passed the Trace, and 2048
+    # concentrators leasing at it wrapped the run's int64 bill negative
+    cfg = ScenarioConfig(k_concentrators=2048, horizon=16, seed=1)
+    base = generate_trace(cfg, cfg.seed)
+    full = np.full(16, 2**53 // 16, dtype=np.int64)
+    bound = f"full <= {2**53 // (2048 * 16)} micro-cents"
+    with pytest.raises(TraceFormatError, match=re.escape(bound)):
+        dataclasses.replace(base, price_full=full, price_reduced=full // 2)
+    # the same prices in a trace file exit 3
+    envelope = json.loads(save_trace(base))
+    for name, prices in (("price_full", full), ("price_reduced", full // 2)):
+        envelope["arrays"][name]["b64"] = base64.b64encode(prices.tobytes()).decode()
+    trace_file = tmp_path / "trace_1.json"
+    trace_file.write_text(json.dumps(envelope))
+    assert cli.main([
+        "oracle", "--trace", str(trace_file), "--n-units", "1", "-o", str(tmp_path)
+    ]) == 3
+    assert bound in capsys.readouterr().err
 
 
 def test_capacities(small_cfg):
@@ -381,6 +403,8 @@ def test_derive_quality_params_round_trip(small_cfg):
     assert params.quality_budget == int(0.2 * params.n_units)
     with pytest.raises(ConfigurationError):
         derive_quality_params(small_cfg, reference.littles_delay, 1.0)
+    with pytest.raises(ConfigurationError, match="horizon too short"):
+        derive_quality_params(small_cfg, small_cfg.horizon, 0.2)
 
 
 def test_compare_with_oracle_quality_and_lyapunov(small_cfg):
@@ -826,26 +850,31 @@ def test_trace_and_runs_peak_within_their_bytes_per_cell(law):
 
 ROGUE_CFG = ScenarioConfig(k_concentrators=4, horizon=200, seed=7)
 ROGUE_QUALITY = QualityParams(n_units=150, deadline=199, quality_budget=30)
+ROGUE_EARLY_DEADLINE = QualityParams(n_units=100, deadline=150, quality_budget=10)
 ROGUE_ARGV = {
     LYAP1: ["--policy", "lyapunov", "--v-factor", "1"],
     ROGUE_QUALITY: [
         "--policy", "quality", "--n-units", "150", "--deadline", "199",
         "--quality-budget", "30",
     ],
+    ROGUE_EARLY_DEADLINE: [
+        "--policy", "quality", "--n-units", "100", "--deadline", "150",
+        "--quality-budget", "10",
+    ],
 }
 
 
 class RoguePolicy:
-    """The real policy, except that one concentrator takes ``action``
-    whenever ``when(slot, its level)`` holds: it moves what that action may
-    move on the level, and the run reports the action's code. A threshold
-    run is altered slot by slot, as its slot loop serves it; a
-    deadline-scheduler run has its codes altered before it grants a unit to
-    every send and serves the grants in closed form."""
+    """The real policy, except that one concentrator takes the action
+    ``recode(slot, its level)`` wherever that is not None: it moves what
+    that action may move on the level, and the run reports the action's
+    code. A threshold run is altered slot by slot, as its slot loop serves
+    it; a deadline-scheduler run has its codes altered before it grants a
+    unit to every send and serves the grants in closed form."""
 
-    def __init__(self, params, concentrator, when, action):
+    def __init__(self, params, concentrator, recode):
         self.params = params
-        self.concentrator, self.when, self.action = concentrator, when, action
+        self.concentrator, self.recode = concentrator, recode
 
     def build(self, config, trace):
         """The engine's make_policy: a fresh inner policy for every run."""
@@ -856,14 +885,16 @@ class RoguePolicy:
     def serve(self, trace):
         i, inner = self.concentrator, self.inner
         row = trace.levels[i]
-        slots = [t for t in range(len(row)) if self.when(t, row[t])]
+        taken = {t: self.recode(t, row[t]) for t in range(len(row))}
+        taken = {t: int(action) for t, action in taken.items() if action is not None}
+        slots, actions = list(taken), list(taken.values())
         if isinstance(inner, LyapunovPolicy):
             decide = inner.decide_slot
 
             def decide_slot(slot, levels, q_len):
                 served = decide(slot, levels, q_len)
-                if slot in slots:
-                    served[i] = min(q_len[i], self.grant[self.action, levels[i]])
+                if slot in taken:
+                    served[i] = min(q_len[i], self.grant[taken[slot], levels[i]])
                 return served
 
             inner.decide_slot = decide_slot
@@ -872,13 +903,18 @@ class RoguePolicy:
 
             def rogue_schedule(levels):
                 codes = schedule(levels)
-                codes[i, slots] = int(self.action)
+                codes[i, slots] = actions
                 return codes
 
             inner.schedule = rogue_schedule
         codes, serves, q = inner.serve(trace)
-        codes[i, slots] = int(self.action)
+        codes[i, slots] = actions
         return codes, serves, q
+
+
+def _taking(action, when):
+    """A recode rule: ``action`` wherever ``when(slot, level)`` holds."""
+    return lambda t, lvl: action if when(t, lvl) else None
 
 
 def _first_slot(row, start):
@@ -896,47 +932,68 @@ def _first_over_budget(params, budget):
 def _rogue_cases(levels):
     """case -> (params, rogue policy, the rule it breaks, (slot, concentrator))."""
     wider = dataclasses.replace(ROGUE_QUALITY, quality_budget=60)
+    bought = run_core(ROGUE_CFG, ROGUE_QUALITY).codes[2] == Action.BUY_FULL
+    bought_on_reduced = bought & (levels[2] == SpectrumLevel.REDUCED)
+    sends = np.flatnonzero(run_core(ROGUE_CFG, ROGUE_EARLY_DEADLINE).codes[2])
+    moved = {
+        **dict.fromkeys(sends[-5:].tolist(), Action.IDLE),
+        **dict.fromkeys(range(160, 165), Action.BUY_FULL),
+    }
     return {
         # concentrator 2 claims free full service on no spectrum from slot 10
         "free-without-spectrum": (
             LYAP1,
-            RoguePolicy(
-                LYAP1, 2, lambda t, lvl: t >= 10 and lvl == SpectrumLevel.NONE,
-                Action.FREE_FULL,
-            ),
+            RoguePolicy(LYAP1, 2, _taking(
+                Action.FREE_FULL, lambda t, lvl: t >= 10 and lvl == SpectrumLevel.NONE
+            )),
             "free transmission without free spectrum",
             (_first_slot(levels[2] == SpectrumLevel.NONE, 10), 2),
         ),
         # concentrator 1 sends reduced free units on full spectrum from slot 20
         "reduced-free-without-reduced-spectrum": (
             LYAP1,
-            RoguePolicy(
-                LYAP1, 1, lambda t, lvl: t >= 20 and lvl == SpectrumLevel.FULL,
-                Action.FREE_REDUCED,
-            ),
+            RoguePolicy(LYAP1, 1, _taking(
+                Action.FREE_REDUCED, lambda t, lvl: t >= 20 and lvl == SpectrumLevel.FULL
+            )),
             "reduced free transmission without reduced spectrum",
             (_first_slot(levels[1] == SpectrumLevel.FULL, 20), 1),
         ),
         # concentrator 3 leases at slot 0, before any unit has arrived
         "unbacked-unit": (
             ROGUE_QUALITY,
-            RoguePolicy(ROGUE_QUALITY, 3, lambda t, lvl: t == 0, Action.BUY_FULL),
+            RoguePolicy(ROGUE_QUALITY, 3, _taking(Action.BUY_FULL, lambda t, lvl: t == 0)),
             "unit transmission not backed by a full unit of backlog",
             (0, 3),
         ),
         # concentrator 2 stays silent for its first 100 slots
         "missed-deadline": (
             ROGUE_QUALITY,
-            RoguePolicy(ROGUE_QUALITY, 2, lambda t, lvl: t < 100, Action.IDLE),
+            RoguePolicy(ROGUE_QUALITY, 2, _taking(Action.IDLE, lambda t, lvl: t < 100)),
             "quality policy missed its deadline",
             (ROGUE_QUALITY.deadline, 2),
         ),
         # every concentrator may spend twice the budget the run allows
         "budget-exceeded": (
             ROGUE_QUALITY,
-            RoguePolicy(wider, 0, lambda t, lvl: False, Action.IDLE),
+            RoguePolicy(wider, 0, lambda t, lvl: None),
             "quality budget of 30 exceeded",
             _first_over_budget(wider, ROGUE_QUALITY.quality_budget),
+        ),
+        # concentrator 2 calls its leased units on reduced spectrum free ones
+        "free-full-unit-without-full-spectrum": (
+            ROGUE_QUALITY,
+            RoguePolicy(ROGUE_QUALITY, 2, _taking(
+                Action.FREE_FULL, lambda t, lvl: bought_on_reduced[t]
+            )),
+            "free full unit without full spectrum",
+            (_first_slot(bought_on_reduced, 0), 2),
+        ),
+        # concentrator 2 sends its last five units after the deadline
+        "sends-after-the-deadline": (
+            ROGUE_EARLY_DEADLINE,
+            RoguePolicy(ROGUE_EARLY_DEADLINE, 2, lambda t, lvl: moved.get(t)),
+            "quality policy missed its deadline",
+            (ROGUE_EARLY_DEADLINE.deadline, 2),
         ),
     }
 
@@ -947,6 +1004,8 @@ ROGUE_CASE_IDS = [
     "unbacked-unit",
     "missed-deadline",
     "budget-exceeded",
+    "free-full-unit-without-full-spectrum",
+    "sends-after-the-deadline",
 ]
 
 

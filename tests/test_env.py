@@ -176,6 +176,28 @@ def test_load_rejects_damaged_payloads(small_cfg):
         load_trace(b"not json at all")
 
 
+def _corrupt_levels(envelope):
+    envelope["arrays"]["levels"]["b64"] = "!not base64!"
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda envelope: envelope.update(version=2), "unsupported trace version 2"),
+        (lambda envelope: envelope["arrays"].pop("arrivals"), "truncated or corrupt"),
+        (_corrupt_levels, "'levels' is corrupt"),
+        (lambda envelope: envelope.update(k=5), "disagree with header"),
+        (lambda envelope: envelope.update(horizon=7), "disagree with header"),
+    ],
+    ids=["version-2", "missing-array", "corrupt-base64", "header-k", "header-horizon"],
+)
+def test_load_rejects_a_damaged_envelope(small_cfg, damage, match):
+    envelope = json.loads(save_trace(generate_trace(small_cfg, 7)))
+    damage(envelope)
+    with pytest.raises(TraceFormatError, match=match):
+        load_trace(json.dumps(envelope).encode("utf-8"))
+
+
 @pytest.mark.parametrize(
     "levels",
     [lambda shape: np.full(shape, "1", dtype="<U1"), lambda shape: np.full(shape, 1.5)],

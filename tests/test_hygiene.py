@@ -159,3 +159,45 @@ def test_every_run_metrics_field_is_read_by_the_package():
     # a field that only tests read belongs in a test helper, not in every run
     sources = {module.name: module.read_text() for module in MODULES}
     assert unread_fields(sources, "RunMetrics") == []
+
+
+def unshared_exports(init_source: str, sources: dict[str, str]) -> list[str]:
+    """Functions that ``__all__`` in ``init_source`` exports and that no
+    module of ``sources`` but their own names, by a bare name or an
+    attribute."""
+    (exported,) = [
+        ast.literal_eval(stmt.value)
+        for stmt in ast.parse(init_source).body
+        if isinstance(stmt, ast.Assign)
+        and getattr(stmt.targets[0], "id", None) == "__all__"
+    ]
+    home, users = {}, {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        home.update(
+            (stmt.name, module) for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+        )
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            users.setdefault(name, set()).add(module)
+    return [n for n in exported if n in home and not users.get(n, set()) - {home[n]}]
+
+
+def test_checker_flags_an_export_only_its_own_module_names():
+    sources = {
+        "a.py": (
+            "def f():\n    return g()\n\n"
+            "def g():\n    return 1\n\n"
+            "def h():\n    return f()\n"
+        ),
+        "b.py": "import a\n\nx = a.h()\n",
+    }
+    init = "from .a import f, g, h\n\n__all__ = ['C', 'f', 'g', 'h']\n"
+    assert unshared_exports(init, sources) == ["f", "g"]
+
+
+def test_every_exported_function_is_used_beyond_its_module():
+    # a public function that only its own module and tests call is no API
+    sources = {module.name: module.read_text() for module in MODULES}
+    init = (PACKAGE / "__init__.py").read_text()
+    assert unshared_exports(init, sources) == []

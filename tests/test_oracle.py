@@ -97,6 +97,10 @@ def test_instance_validation():
         make_instance([N0], [5], [2], n_units=0, quality_budget=1)
     with pytest.raises(ConfigurationError):
         make_instance([9], [5], [2], n_units=1)  # unknown level code
+    with pytest.raises(ConfigurationError, match="1-D"):
+        make_instance([[N0, N0]], [5, 5], [2, 2], n_units=1)
+    with pytest.raises(ConfigurationError, match="cannot be negative"):
+        make_instance([N0], [5], [2], n_units=-1)
 
 
 def test_bruteforce_guard():
@@ -199,6 +203,17 @@ def test_validate_schedule_catches_corruption():
     cost = int(inst.price_reduced_microcents[0] + inst.price_full_microcents[1])
     with pytest.raises(InvariantViolationError):
         validate_schedule(inst, Schedule(over_budget, cost, 1))
+
+    with pytest.raises(InvariantViolationError, match="length"):
+        validate_schedule(inst, Schedule(good.actions[:2], good.total_cost_microcents, 0))
+    reduced_without_level = good.actions.copy()
+    reduced_without_level[1] = int(Action.FREE_REDUCED)  # level there is None
+    with pytest.raises(InvariantViolationError, match="without reduced spectrum"):
+        validate_schedule(
+            inst, Schedule(reduced_without_level, good.total_cost_microcents, 1)
+        )
+    with pytest.raises(InvariantViolationError, match="reduced_count"):
+        validate_schedule(inst, Schedule(good.actions, good.total_cost_microcents, 1))
 
 
 def test_validate_schedule_catches_causality_violation():

@@ -15,6 +15,7 @@ from hpclease.env import (
     EXACT_MICROCENTS,
     MICROCENTS_PER_CENT,
     SpectrumLevel,
+    Trace,
     to_microcents,
 )
 from hpclease.errors import ConfigurationError, InfeasibleError
@@ -49,16 +50,32 @@ def price(full_cents, reduced_cents):
     return to_microcents(full_cents), to_microcents(reduced_cents)
 
 
+def unit5(free_reduced=2, **fields):
+    """A scenario with 5-packet units and ``free_reduced`` (0 or 2) free
+    packets per slot on reduced spectrum."""
+    return ScenarioConfig(reduced_fraction={0: 0.1, 2: 0.5}[free_reduced], **fields)
+
+
+def price_trace(full, reduced=None, k=1):
+    """A trace of k concentrators with these per-slot unit prices in
+    micro-cents (reduced ones at half by default), no free spectrum and no
+    arrivals: a policy's constructor reads only its prices and shape."""
+    full = np.asarray(full, dtype=np.int64)
+    reduced = full // 2 if reduced is None else np.asarray(reduced, dtype=np.int64)
+    levels = np.zeros((k, full.size), dtype=np.uint8)
+    return Trace(0, "", levels, levels.astype(np.int32), full, full, reduced)
+
+
 def thresholds(v_factor, full_microcents):
     """The Lyapunov policy's per-slot purchase thresholds for these prices."""
-    prices = np.asarray(full_microcents, dtype=np.int64)
-    return LyapunovPolicy(LyapunovParams(v_factor), 5, 2, prices, 1, 1.0).threshold
+    trace = price_trace(full_microcents)
+    return LyapunovPolicy(LyapunovParams(v_factor), unit5(), trace).threshold
 
 
 def quality_policy(params, prices):
     """A deadline scheduler over (full, reduced) micro-cent pairs, one per slot."""
     full, reduced = np.array(prices, dtype=np.int64).reshape(-1, 2).T
-    return QualityPolicy(params, 5, full, reduced)
+    return QualityPolicy(params, unit5(), price_trace(full, reduced))
 
 
 def test_threshold_examples():
@@ -230,7 +247,7 @@ def test_pap_flags_match_running_mean_mirror(beta_c):
     params = QualityParams(
         n_units=9_000, deadline=9_999, quality_budget=0, beta_c=beta_c
     )
-    policy = QualityPolicy(params, 5, trace.price_full, trace.price_reduced)
+    policy = QualityPolicy(params, cfg, trace)
     mirror = PapMirror(beta_c)
     full_flags, reduced_flags = [], []
     for full, reduced in zip(trace.price_full.tolist(), trace.price_reduced.tolist()):
@@ -448,9 +465,10 @@ def test_lyapunov_policy_matches_scalar(data):
     # a reduced level may be worth no packets at all
     reduced_capacity = data.draw(st.sampled_from([0, 2]))
     epsilon = data.draw(st.sampled_from([0.25, 1.0, 5.0]))
-    prices = np.array([7, 7, 7, full], dtype=np.int64)
     policy = LyapunovPolicy(
-        LyapunovParams(v_factor=v), 5, reduced_capacity, prices, k, epsilon
+        LyapunovParams(v_factor=v),
+        unit5(reduced_capacity, epsilon=epsilon),
+        price_trace([7, 7, 7, full], k=k),
     )
     policy.z[:] = z
     served = policy.decide_slot(3, levels, q)
@@ -487,7 +505,7 @@ def test_static_policy_matches_scalar(data):
     levels = np.array(
         data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=np.uint8
     )
-    policy = StaticBurstPolicy(params, capacity=5, reduced_capacity=2, horizon=2501)
+    policy = StaticBurstPolicy(params, unit5(), price_trace(np.full(2501, 10**6)))
     grants = policy.grants(np.repeat(levels[:, None], 2501, axis=1))
     assert grants.dtype == np.int16
     served, codes = _served_and_codes(
@@ -574,8 +592,9 @@ def test_forced_concentrator_always_sends(case):
     # the invariant that makes the deadline guard unbreakable: each slot,
     # remaining units <= remaining slots, with equality forcing a send
     params, price_class, levels = case
-    prices = np.full(params.deadline + 1, 10**6, dtype=np.int64)
-    policy = QualityPolicy(params, 5, prices, prices // 2)
+    policy = QualityPolicy(
+        params, unit5(), price_trace(np.full(params.deadline + 1, 10**6))
+    )
     policy.price_class = price_class
     codes = policy.schedule(np.ascontiguousarray(levels.T))
     assert codes.dtype == np.uint8

@@ -119,6 +119,8 @@ def test_quality_sweep_requires_oracle_cost_for_every_budget():
         0: [run(cfg, QualityParams(149, 149, 0))],
         30: [run(cfg, QualityParams(149, 149, 30))],
     }
+    with pytest.raises(ConfigurationError, match="empty sweep"):
+        quality_sweep_summary({})
     result = quality_sweep_summary(runs)
     assert result.axis == AXIS_QUALITY_BUDGET
     assert [p.axis_value for p in result.points] == [0.0, 30.0]
