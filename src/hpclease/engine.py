@@ -2,16 +2,21 @@
 
 The policy is built once per run from the trace and serves that run (see
 ``policy``): it returns the (concentrator, slot) Action codes and packets
-served, and the backlog after the last slot. Then come the invariant
-checks over codes and service (each error names the policy label, seed,
-first offending slot and concentrator), the cost accounting, the fleet's
-mean backlog per slot, and the total packet delay, all vectorized across
-the fleet, in blocks of rows where a step needs an int64 per cell. A run's
+served, and the backlog after the last slot. Then one pass over blocks of
+about 2**16 cells of rows does all the rest: the invariant checks over
+codes and service (each error names the policy label, seed, first
+offending slot and concentrator; every rule is searched in every block,
+and the first rule in order that any block broke is reported), the cost
+accounting, the fleet's backlog per slot, and the total packet delay. A
+slot's bill is its count of full leases times the full price plus its
+count of reduced leases times the reduced price; a concentrator's bill is
+an exact int64 product of its lease masks with the price rows. A run's
 RunMetrics keeps only these summaries, never the codes or the service
 matrix. Service is FIFO within a concentrator, so the total delay is the
 area between its cumulative arrival and service curves (the sample-path
 argument behind Little's law), computed from per-slot counts and never per
-packet.
+packet: with A_t the arrivals through slot t, s_t the packets served in
+slot t and n their total, it is sum_t min(A_t, n) - sum_t s_t (T - t).
 
 compare_with_oracle is the one offline comparison: it takes every run on
 one trace, solves each distinct (n_units, quality_budget) workload once
@@ -34,7 +39,7 @@ from .config import ScenarioConfig
 from .env import SpectrumLevel, Trace, generate_trace, row_blocks, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
 from .oracle import instance_from_trace, solve_dp
-from .policy import POLICIES, Action, PolicyParams, QualityParams
+from .policy import POLICIES, Action, PolicyParams, QualityParams, free_capacities
 
 
 def is_unit_granular(config: ScenarioConfig) -> bool:
@@ -166,7 +171,7 @@ def run(
         trace = generate_trace(config, config.seed)
     _check_trace(config, trace)
     decisions, serves, q = make_policy(params, config, trace).serve(trace)
-    return _summarize(params, trace, config.unit_size_packets, decisions, serves, q)
+    return _summarize(params, config, trace, decisions, serves, q)
 
 
 def _check_trace(config: ScenarioConfig, trace: Trace) -> None:
@@ -178,46 +183,78 @@ def _check_trace(config: ScenarioConfig, trace: Trace) -> None:
         )
 
 
-def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
+# Action codes and spectrum levels as uint8 scalars: a (K, T) uint8 matrix
+# compares with one several times faster than with an IntEnum member
+_IDLE, _FREE_FULL, _FREE_REDUCED, _BUY_FULL, _BUY_REDUCED = (np.uint8(a) for a in Action)
+_NONE, _REDUCED, _FULL = (np.uint8(level) for level in SpectrumLevel)
+
+
+def _summarize(params, config, trace, decisions, serves, q) -> RunMetrics:
     """Check a finished run and account for it, from its (K, T) Action
-    codes and packets served and its final Q."""
+    codes and packets served and its final Q, in one pass over blocks of
+    rows, so that no (K, T) temporary is ever built."""
     k, horizon = trace.k, trace.horizon
-    levels, arrivals = trace.levels, trace.arrivals
     run_name = f"{params.label} seed {trace.seed}"
-    _check_decisions(run_name, params, decisions, serves, levels, unit)
-    total_arrived = int(arrivals.sum())
-    total_served = int(serves.sum())
+    free = free_capacities(config).astype(np.int16)
+    # slot t's service is still counted as departed at T - t slot ends
+    remaining = np.arange(horizon, 0, -1, dtype=np.int64)
+    leases_full = np.zeros(horizon, dtype=np.int64)
+    leases_reduced = np.zeros(horizon, dtype=np.int64)
+    cost_per_conc = np.empty(k, dtype=np.int64)
+    net = np.zeros(horizon, dtype=np.int64)
+    # each rule's first offence so far: (slot, concentrator), or None
+    first: dict[str, tuple[int, int] | None] = {}
+    total_arrived = total_served = total_delay = sent = reduced = 0
+    for block in row_blocks(k, horizon):
+        codes, served = decisions[block], serves[block]
+        arrivals = trace.arrivals[block]
+        rules = _violations(params, free, codes, served, trace.levels[block])
+        for rule, offending in rules:
+            found = first.setdefault(rule, None)
+            if offending.any():
+                t = int(offending.any(axis=0).argmax())
+                if found is None or t < found[0]:
+                    first[rule] = t, block.start + int(offending[:, t].argmax())
+
+        full = codes == _BUY_FULL
+        part = codes == _BUY_REDUCED
+        leases_full += full.sum(axis=0)
+        leases_reduced += part.sum(axis=0)
+        cost_per_conc[block] = full @ trace.price_full + part @ trace.price_reduced
+        # a code is IDLE exactly where nothing moved, so every other code is a send
+        sent += int(np.count_nonzero(codes))
+        reduced += int(np.count_nonzero(part) + np.count_nonzero(codes == _FREE_REDUCED))
+
+        # each packet waits one slot per slot end at which it has arrived
+        # and is not yet served; only the first n arrivals ever leave, n the
+        # row's packets served: sum_t min(A_t, n) - sum_t S_t, and
+        # sum_t S_t = sum_t s_t (T - t)
+        departed = served.sum(axis=1, dtype=np.int64)
+        total_served += int(departed.sum())
+        total_delay -= int((served @ remaining).sum())
+        waiting = arrivals.astype(np.int64)
+        np.cumsum(waiting, axis=1, out=waiting)
+        total_arrived += int(waiting[:, -1].sum())
+        np.minimum(waiting, departed[:, None], out=waiting)
+        total_delay += int(waiting.sum())
+        del waiting  # before the next block's temporaries
+        net += arrivals.sum(axis=0, dtype=np.int64)
+        net -= served.sum(axis=0, dtype=np.int64)
+
+    for rule, found in first.items():
+        if found is not None:
+            raise InvariantViolationError(
+                f"{run_name}: {rule} at slot {found[0]}, concentrator {found[1]}"
+            )
     if total_arrived != total_served + int(q.sum()):
         raise InvariantViolationError(
             f"{run_name}: packet conservation broken: "
             f"{total_arrived} arrived != {total_served} served + {int(q.sum())} queued"
         )
-
-    # a code is IDLE exactly where nothing moved, so every other code is a send
-    reduced = int(np.count_nonzero(decisions == Action.FREE_REDUCED))
-    reduced += int(np.count_nonzero(decisions == Action.BUY_REDUCED))
-    # micro-cents one send costs, indexed [Action code, slot]
-    charge = np.zeros((len(Action), horizon), dtype=np.int64)
-    charge[Action.BUY_FULL] = trace.price_full
-    charge[Action.BUY_REDUCED] = trace.price_reduced
-    cost_per_slot = np.zeros(horizon, dtype=np.int64)
-    cost_per_conc = np.empty(k, dtype=np.int64)
-    total_delay = 0
-    # blocks of rows, so no (K, T) int64 matrix is ever built
-    for block in row_blocks(k, horizon):
-        paid = charge[decisions[block], np.arange(horizon)]
-        cost_per_slot += paid.sum(axis=0)
-        cost_per_conc[block] = paid.sum(axis=1)
-        # each packet waits one slot per slot end at which it has arrived
-        # and is not yet served; only the first S[T-1] arrivals ever leave
-        departed = np.cumsum(serves[block], axis=1, dtype=np.int64)
-        waiting = np.cumsum(arrivals[block], axis=1, dtype=np.int64)
-        np.minimum(waiting, departed[:, -1:], out=waiting)
-        waiting -= departed
-        total_delay += int(waiting.sum())
-    cost_series_fleet = np.cumsum(cost_per_slot)
+    cost_series_fleet = np.cumsum(
+        leases_full * trace.price_full + leases_reduced * trace.price_reduced
+    )
     backlog = np.zeros(horizon, dtype=np.int64)
-    net = arrivals.sum(axis=0, dtype=np.int64) - serves.sum(axis=0, dtype=np.int64)
     np.cumsum(net[:-1], out=backlog[1:])
 
     return RunMetrics(
@@ -229,59 +266,51 @@ def _summarize(params, trace, unit, decisions, serves, q) -> RunMetrics:
         cost_total_microcents=int(cost_series_fleet[-1]),
         cost_per_concentrator=cost_per_conc,
         cost_series_fleet=cost_series_fleet,
-        purchases_per_slot=np.count_nonzero(
-            decisions >= Action.BUY_FULL, axis=0
-        ).astype(np.int32),
+        purchases_per_slot=(leases_full + leases_reduced).astype(np.int32),
         queue_series_mean=backlog / k,
-        final_queue=q - arrivals[:, -1],
+        final_queue=q - trace.arrivals[:, -1],
         total_delay_slots=total_delay,
         total_arrived=total_arrived,
         total_served=total_served,
-        units_sent_full=int(np.count_nonzero(decisions)) - reduced,
+        units_sent_full=sent - reduced,
         units_sent_reduced=reduced,
     )
 
 
-def _violations(params, decisions, serves, levels, unit):
-    """Each per-slot rule a run must keep, with its (K, T) offending mask;
-    masks are built one at a time, so only one is alive at once."""
+def _violations(params, free, decisions, serves, levels):
+    """Each per-slot rule a block of rows must keep, in the order they are
+    reported, with its offending mask; masks are built one at a time, so
+    only one is alive at once. ``free`` is the free capacity of each
+    spectrum level."""
     yield "free transmission without free spectrum", (
-        (decisions == Action.FREE_FULL) & (levels == SpectrumLevel.NONE)
+        (decisions == _FREE_FULL) & (levels == _NONE)
     )
     yield "reduced free transmission without reduced spectrum", (
-        (decisions == Action.FREE_REDUCED) & (levels != SpectrumLevel.REDUCED)
+        (decisions == _FREE_REDUCED) & (levels != _REDUCED)
     )
     if not isinstance(params, QualityParams):
+        # a lease relabelled as a free send would drop its price from the bill
+        yield "free send moved more than the level's free capacity", (
+            (decisions == _FREE_FULL) & (serves > free.take(levels))
+        )
         return
     # a free unit needs a full free channel, a free packet only some spectrum
     yield "free full unit without full spectrum", (
-        (decisions == Action.FREE_FULL) & (levels != SpectrumLevel.FULL)
+        (decisions == _FREE_FULL) & (levels != _FULL)
     )
     yield "unit transmission not backed by a full unit of backlog", (
-        (decisions != Action.IDLE) & (serves != unit)
+        (decisions != _IDLE) & (serves != free[_FULL])
     )
     missed = np.zeros(decisions.shape, dtype=bool)
     on_time = np.count_nonzero(decisions[:, : params.deadline + 1], axis=1)
     missed[:, params.deadline] = on_time < params.n_units
     yield "quality policy missed its deadline", missed
-    reduced = (decisions == Action.FREE_REDUCED) | (decisions == Action.BUY_REDUCED)
+    reduced = (decisions == _FREE_REDUCED) | (decisions == _BUY_REDUCED)
     # running counts only for the rows whose total is over budget
     over = np.flatnonzero(np.count_nonzero(reduced, axis=1) > params.quality_budget)
     exceeded = np.zeros(decisions.shape, dtype=bool)
     exceeded[over] = np.cumsum(reduced[over], axis=1) > params.quality_budget
     yield f"quality budget of {params.quality_budget} exceeded", exceeded
-
-
-def _check_decisions(run_name, params, decisions, serves, levels, unit) -> None:
-    """Raise at the first slot, then concentrator, that broke a rule."""
-    for rule, offending in _violations(params, decisions, serves, levels, unit):
-        slots = np.flatnonzero(offending.any(axis=0))
-        if slots.size:
-            t = int(slots[0])
-            i = int(np.flatnonzero(offending[:, t])[0])
-            raise InvariantViolationError(
-                f"{run_name}: {rule} at slot {t}, concentrator {i}"
-            )
 
 
 def derive_quality_params(

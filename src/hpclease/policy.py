@@ -25,10 +25,14 @@ packets served and the backlog Q after the last slot. A code is IDLE
 exactly where nothing moved. The threshold policy's grants read the
 backlog, so it serves in a slot loop that carries Q: each slot
 ``decide_slot`` serves min(grant, Q) and advances the virtual queues Z, and
-the loop enqueues the slot's arrivals. The static baseline and the
-deadline scheduler never read the backlog: each grants every slot at once,
-and ``serve_grants`` serves the (K, T) grants in closed form, by the
-Lindley recursion (one prefix sum and one running minimum per row).
+the loop enqueues the slot's arrivals. The loop walks the horizon in
+blocks of about 2**16 cells, each copied once into slot-major (slots, K)
+rows of levels and arrivals, and writes the packets served into a
+slot-major block that goes into the (K, T) matrix once. The static
+baseline and the deadline scheduler never read the backlog: each grants
+every slot at once, and ``serve_grants`` serves the (K, T) grants in
+closed form, by the Lindley recursion (one prefix sum and one running
+minimum per row).
 
 Each parameter block checks its values when built (its numeric fields take
 their annotated types by ``config.check_field_types``) and names its policy:
@@ -36,10 +40,12 @@ their annotated types by ``config.check_field_types``) and names its policy:
 trace and the parameters is computed for every slot when a policy is built:
 the purchase threshold, whether the posted prices are at most their PAP,
 and whether a slot lies in a static burst. A grant is then a few array
-operations: one ``np.where`` per slot for the threshold policy, the burst
+operations: the level's free capacity, raised to a unit where the
+concentrator buys, per slot for the threshold policy, the burst
 flag or the level's free capacity for the static baseline, and for the
 deadline scheduler one lookup in ``QUALITY_TABLE`` per slot, decided phase
-by phase. The packet policies recover each code from the packets served;
+by phase. The packet policies recover each code from the packets served
+(the threshold policy by comparing them with the level's free capacity);
 the deadline scheduler decides its codes and grants a unit to every send.
 A policy object serves one run; the next run builds a new one.
 """
@@ -188,7 +194,8 @@ def serve_grants(grants: np.ndarray, arrivals: np.ndarray):
         np.minimum(m, 0, out=m)
         np.minimum.accumulate(m, axis=1, out=m)
         q[block] -= m[:, -1]
-        grants[block] += np.diff(m, axis=1, prepend=0)
+        grants[block, 0] += m[:, 0]
+        grants[block, 1:] += np.diff(m, axis=1)
     return grants, q
 
 
@@ -229,15 +236,21 @@ def reduced_capacity(config: ScenarioConfig) -> int:
     return math.floor(config.reduced_fraction * config.unit_size_packets + 1e-9)
 
 
+def free_capacities(config: ScenarioConfig) -> np.ndarray:
+    """Free packets per slot of each spectrum level, for packet policies,
+    indexed by SpectrumLevel code (NONE, REDUCED, FULL)."""
+    unit = config.unit_size_packets
+    return np.array([0, reduced_capacity(config), unit], dtype=np.int64)
+
+
 class _PacketPolicy:
     """A policy that moves packets: service capacity per slot (one unit)
     and the free capacity of each spectrum level."""
 
     def __init__(self, params: LyapunovParams | StaticParams, config: ScenarioConfig):
         self.params = params
-        unit = self.capacity = config.unit_size_packets
-        # free packets per slot, indexed by SpectrumLevel code (NONE, REDUCED, FULL)
-        self.free_capacity = np.array([0, reduced_capacity(config), unit], dtype=np.int64)
+        self.capacity = config.unit_size_packets
+        self.free_capacity = free_capacities(config)
 
 
 class LyapunovPolicy(_PacketPolicy):
@@ -264,30 +277,45 @@ class LyapunovPolicy(_PacketPolicy):
     def serve(self, trace: Trace):
         q = np.zeros(trace.k, dtype=np.int64)
         serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
-        levels, arrivals = trace.levels, trace.arrivals
-        for t in range(trace.horizon):
-            served = self.decide_slot(t, levels[:, t], q)
-            serves[:, t] = served
-            q -= served
-            q += arrivals[:, t]
-        return self.actions(serves, levels), serves, q
+        # slots in blocks of about 2**16 cells (the row blocks of the
+        # (T, K) transpose), each copied once into slot-major (slots, K)
+        # rows, so that no slot reads or writes a strided column of a
+        # (K, T) array
+        for block in row_blocks(trace.horizon, trace.k):
+            levels = trace.levels[:, block].T.copy()
+            arrivals = trace.arrivals[:, block].T.copy()
+            served = np.empty(levels.shape, dtype=np.int16)
+            for b, slot in enumerate(range(trace.horizon)[block]):
+                served[b] = moved = self.decide_slot(slot, levels[b], q)
+                q -= moved
+                q += arrivals[b]
+            serves[:, block] = served.T
+        return self.actions(serves, trace.levels), serves, q
 
     def decide_slot(self, slot, levels, q_len):
         """The packets each concentrator moves in ``slot``, at most its
         backlog ``q_len``; Z advances past them."""
-        buying = q_len + self.z > self.threshold[slot]
-        grant = np.where(buying, self.capacity, self.free_capacity[levels])
-        served = np.minimum(q_len, grant)
-        np.maximum(self.z - served + self.epsilon * (q_len > 0), 0.0, out=self.z)
-        return served
+        grant = self.free_capacity.take(levels)
+        grant[q_len + self.z > self.threshold[slot]] = self.capacity
+        np.minimum(q_len, grant, out=grant)
+        # in place, in the order of max(Z - served + epsilon * busy, 0)
+        z = self.z
+        z -= grant
+        z += self.epsilon * (q_len > 0)
+        np.maximum(z, 0.0, out=z)
+        return grant
 
     def actions(self, serves, levels):
-        # the code of each (level, packets moved), looked up so that no
-        # (K, T) temporary is built besides the codes themselves
-        moved = np.arange(self.capacity + 1)
-        codes = np.where(moved > self.free_capacity[:, None], _BUY_FULL, _FREE_FULL)
-        codes[:, 0] = _IDLE
-        return codes[levels, serves]
+        # a slot bought exactly when it moved more than the level frees, so
+        # its code is 2 * bought + moved: BUY_FULL, FREE_FULL or IDLE
+        free = self.free_capacity.astype(np.int16)
+        codes = np.empty(serves.shape, dtype=np.uint8)
+        for block in row_blocks(*serves.shape):
+            sent, code = serves[block], codes[block]
+            np.greater(sent, free.take(levels[block]), out=code)
+            code *= _BUY_FULL - _FREE_FULL
+            code += sent > 0
+        return codes
 
 
 class StaticBurstPolicy(_PacketPolicy):

@@ -18,8 +18,16 @@
   lyapunov_codes and static_codes are the code-returning rules it ran, over
   a production policy's per-run arrays, and code_rule picks a policy's.
 * serve_grant_slots is the grant loop that followed it, before the static
-  and deadline-scheduler runs took their service in closed form;
-  static_grant and QualityGrants are the per-slot rules it ran for them.
+  and deadline-scheduler runs took their service in closed form and the
+  threshold policy walked its slots in slot-major blocks; static_grant and
+  QualityGrants are the per-slot rules it ran for the first two, and a
+  LyapunovPolicy's decide_slot is the rule it ran for the third.
+* summarize is the engine's post-run pass as it was before the pass was
+  fused into one row-block loop: each rule's offending (K, T) mask built
+  and searched in turn, the bill gathered from a (code, slot) price table,
+  and the delay from two cumulative sums. It also keeps the packet-policy
+  rule that the fused pass added (a free send that moved more than the
+  level's free capacity), so that both report every rogue run alike.
 * solve_bruteforce enumerates every schedule of a small offline instance.
 * solve_banded_dp is the banded 3-D dynamic program that was the production
   offline solver before the selection solver replaced it. It handles every
@@ -34,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hpclease.env import SpectrumLevel
+from hpclease.engine import RunMetrics
+from hpclease.env import SpectrumLevel, row_blocks
 from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from hpclease.oracle import OfflineInstance, Schedule, validate_schedule
 from hpclease.policy import (
@@ -42,9 +51,11 @@ from hpclease.policy import (
     QUALITY_TABLE,
     Action,
     LyapunovPolicy,
+    QualityParams,
     QualityPolicy,
     StaticBurstPolicy,
     StaticParams,
+    free_capacities,
 )
 
 # ---------------------------------------------------------------------------
@@ -377,11 +388,13 @@ def static_grant(policy: StaticBurstPolicy):
 
 
 def serve_grant_slots(decide, trace):
-    """The engine's slot loop over packet grants, as it ran every policy
-    before the static and deadline-scheduler runs took their service in
-    closed form: ``decide(slot, levels, q)`` grants each concentrator
-    packets, and the loop serves the smaller of grant and backlog. Returns
-    the (K, T) int16 packets served and Q after the last slot."""
+    """The slot loop over packet grants, as it ran every policy before the
+    static and deadline-scheduler runs took their service in closed form
+    and the threshold policy's loop read slot-major blocks: one strided
+    (K, T) column per slot. ``decide(slot, levels, q)`` grants each
+    concentrator packets, and the loop serves the smaller of grant and
+    backlog. Returns the (K, T) int16 packets served and Q after the last
+    slot."""
     q = np.zeros(trace.k, dtype=np.int64)
     serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
     for t in range(trace.horizon):
@@ -427,6 +440,113 @@ def run_codes(decide, trace, capacity, reduced_capacity, epsilon):
         np.maximum(z - served + epsilon * busy, 0.0, out=z)
         q += trace.arrivals[:, t]
     return decisions, serves, q, z
+
+
+# ---------------------------------------------------------------------------
+# the post-run pass, rule by rule
+
+
+def summarize(params, config, trace, decisions, serves, q) -> RunMetrics:
+    """Check a finished run and account for it, as the engine did before
+    its post-run pass became one loop over blocks of rows."""
+    k, horizon = trace.k, trace.horizon
+    levels, arrivals = trace.levels, trace.arrivals
+    run_name = f"{params.label} seed {trace.seed}"
+    check_decisions(run_name, params, config, decisions, serves, levels)
+    total_arrived = int(arrivals.sum())
+    total_served = int(serves.sum())
+    if total_arrived != total_served + int(q.sum()):
+        raise InvariantViolationError(
+            f"{run_name}: packet conservation broken: "
+            f"{total_arrived} arrived != {total_served} served + {int(q.sum())} queued"
+        )
+
+    # a code is IDLE exactly where nothing moved, so every other code is a send
+    reduced = int(np.count_nonzero(decisions == Action.FREE_REDUCED))
+    reduced += int(np.count_nonzero(decisions == Action.BUY_REDUCED))
+    # micro-cents one send costs, indexed [Action code, slot]
+    charge = np.zeros((len(Action), horizon), dtype=np.int64)
+    charge[Action.BUY_FULL] = trace.price_full
+    charge[Action.BUY_REDUCED] = trace.price_reduced
+    cost_per_slot = np.zeros(horizon, dtype=np.int64)
+    cost_per_conc = np.empty(k, dtype=np.int64)
+    total_delay = 0
+    for block in row_blocks(k, horizon):
+        paid = charge[decisions[block], np.arange(horizon)]
+        cost_per_slot += paid.sum(axis=0)
+        cost_per_conc[block] = paid.sum(axis=1)
+        # each packet waits one slot per slot end at which it has arrived
+        # and is not yet served; only the first S[T-1] arrivals ever leave
+        departed = np.cumsum(serves[block], axis=1, dtype=np.int64)
+        waiting = np.cumsum(arrivals[block], axis=1, dtype=np.int64)
+        np.minimum(waiting, departed[:, -1:], out=waiting)
+        waiting -= departed
+        total_delay += int(waiting.sum())
+    cost_series_fleet = np.cumsum(cost_per_slot)
+    backlog = np.zeros(horizon, dtype=np.int64)
+    net = arrivals.sum(axis=0, dtype=np.int64) - serves.sum(axis=0, dtype=np.int64)
+    np.cumsum(net[:-1], out=backlog[1:])
+
+    return RunMetrics(
+        params=params,
+        seed=trace.seed,
+        config_digest=trace.config_digest,
+        k=k,
+        horizon=horizon,
+        cost_total_microcents=int(cost_series_fleet[-1]),
+        cost_per_concentrator=cost_per_conc,
+        cost_series_fleet=cost_series_fleet,
+        purchases_per_slot=np.count_nonzero(
+            decisions >= Action.BUY_FULL, axis=0
+        ).astype(np.int32),
+        queue_series_mean=backlog / k,
+        final_queue=q - arrivals[:, -1],
+        total_delay_slots=total_delay,
+        total_arrived=total_arrived,
+        total_served=total_served,
+        units_sent_full=int(np.count_nonzero(decisions)) - reduced,
+        units_sent_reduced=reduced,
+    )
+
+
+def violations(params, config, decisions, serves, levels):
+    """Each per-slot rule a run must keep, with its (K, T) offending mask."""
+    yield "free transmission without free spectrum", (
+        (decisions == Action.FREE_FULL) & (levels == SpectrumLevel.NONE)
+    )
+    yield "reduced free transmission without reduced spectrum", (
+        (decisions == Action.FREE_REDUCED) & (levels != SpectrumLevel.REDUCED)
+    )
+    if not isinstance(params, QualityParams):
+        yield "free send moved more than the level's free capacity", (
+            (decisions == Action.FREE_FULL) & (serves > free_capacities(config)[levels])
+        )
+        return
+    yield "free full unit without full spectrum", (
+        (decisions == Action.FREE_FULL) & (levels != SpectrumLevel.FULL)
+    )
+    yield "unit transmission not backed by a full unit of backlog", (
+        (decisions != Action.IDLE) & (serves != config.unit_size_packets)
+    )
+    missed = np.zeros(decisions.shape, dtype=bool)
+    on_time = np.count_nonzero(decisions[:, : params.deadline + 1], axis=1)
+    missed[:, params.deadline] = on_time < params.n_units
+    yield "quality policy missed its deadline", missed
+    reduced = (decisions == Action.FREE_REDUCED) | (decisions == Action.BUY_REDUCED)
+    exceeded = np.cumsum(reduced, axis=1) > params.quality_budget
+    yield f"quality budget of {params.quality_budget} exceeded", exceeded
+
+
+def check_decisions(run_name, params, config, decisions, serves, levels) -> None:
+    """Raise at the first slot, then concentrator, that broke a rule."""
+    for rule, offending in violations(params, config, decisions, serves, levels):
+        slots = np.flatnonzero(offending.any(axis=0))
+        if slots.size:
+            t = int(slots[0])
+            i = int(np.flatnonzero(offending[:, t])[0])
+            raise InvariantViolationError(
+                f"{run_name}: {rule} at slot {t}, concentrator {i}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from reference import (
     serve,
     serve_grant_slots,
     static_grant,
+    summarize,
 )
 
 LYAP1 = LyapunovParams(v_factor=1.0)
@@ -639,6 +640,9 @@ def _code_loop_cases(draw):
 
 
 _CODE_LOOP_CFG = ScenarioConfig(k_concentrators=4, horizon=60, seed=7)
+# 40 x 2000 cells: rows in blocks of 32, and the threshold policy's slots
+# in blocks of 1,638
+_TWO_BLOCKS_CFG = ScenarioConfig(k_concentrators=40, horizon=2000, seed=5)
 
 
 @given(_code_loop_cases())
@@ -651,6 +655,15 @@ _CODE_LOOP_CFG = ScenarioConfig(k_concentrators=4, horizon=60, seed=7)
     dataclasses.replace(
         _CODE_LOOP_CFG, reduced_fraction=0.1, arrival_law="poisson", epsilon=0.25
     ),
+    LyapunovParams(10.0),
+))
+# threshold runs over two slot blocks, and over one slot per block
+@example((
+    dataclasses.replace(_TWO_BLOCKS_CFG, arrival_law="poisson"), LyapunovParams(10.0)
+))
+@example((_TWO_BLOCKS_CFG, LyapunovParams(0.5)))
+@example((
+    ScenarioConfig(k_concentrators=2**15 + 1, horizon=3, arrival_law="poisson", seed=2),
     LyapunovParams(10.0),
 ))
 @settings(max_examples=100, deadline=None)
@@ -681,8 +694,66 @@ def test_grant_loop_matches_action_code_loop(case):
     assert np.array_equal(q, ref_q)
     if lyapunov:
         assert policy.z.tobytes() == ref_z.tobytes()
-    expected = engine._summarize(params, trace, unit, ref_codes, ref_serves, ref_q)
+        # the column-by-column slot loop that the slot-major blocks replaced
+        column = make_policy(params, cfg, trace)
+        col_serves, col_q = serve_grant_slots(column.decide_slot, trace)
+        assert np.array_equal(serves, col_serves) and np.array_equal(q, col_q)
+        assert column.z.tobytes() == ref_z.tobytes()
+    expected = engine._summarize(params, cfg, trace, ref_codes, ref_serves, ref_q)
     assert _metrics_digest(metrics) == _metrics_digest(expected)
+
+
+@st.composite
+def _tampered_runs(draw):
+    """A run of any policy kind (see _code_loop_cases) with up to three
+    cells recoded and up to two cells' packets served replaced."""
+    cfg, params = draw(_code_loop_cases())
+    cells = st.tuples(
+        st.integers(0, cfg.k_concentrators - 1), st.integers(0, cfg.horizon - 1)
+    )
+    recoded = draw(st.lists(st.tuples(cells, st.sampled_from(list(Action))), max_size=3))
+    packets = st.integers(0, cfg.unit_size_packets + 1)
+    return cfg, params, recoded, draw(st.lists(st.tuples(cells, packets), max_size=2))
+
+
+_TWO_BLOCKS_QUALITY = QualityParams(1990, 1999, 300, beta_c=0.5)
+
+
+@given(_tampered_runs())
+# honest runs of every policy over two row blocks
+@example((dataclasses.replace(_TWO_BLOCKS_CFG, arrival_law="poisson"), LYAP1, [], []))
+@example((_TWO_BLOCKS_CFG, StaticParams(100, 20), [], []))
+@example((_TWO_BLOCKS_CFG, _TWO_BLOCKS_QUALITY, [], []))
+# unbacked sends in both row blocks: the second block's comes first (slot
+# 2, concentrator 38), then a tie at slot 3 goes to the first block's
+@example((
+    _TWO_BLOCKS_CFG, _TWO_BLOCKS_QUALITY,
+    [((38, 2), Action.BUY_FULL), ((5, 3), Action.BUY_FULL)], [((5, 3), 0), ((38, 2), 0)],
+))
+@example((
+    _TWO_BLOCKS_CFG, _TWO_BLOCKS_QUALITY,
+    [((38, 3), Action.BUY_FULL), ((5, 3), Action.BUY_FULL)], [((5, 3), 0), ((38, 3), 0)],
+))
+@settings(max_examples=100, deadline=None)
+def test_post_run_pass_matches_reference(case):
+    # the fused row-block pass against the rule-by-rule pass it replaced:
+    # every RunMetrics field, or the same error at the same slot and
+    # concentrator
+    cfg, params, recoded, reserved = case
+    trace = generate_trace(cfg, cfg.seed)
+    _, codes, serves, q = run_core(cfg, params, trace)
+    for (i, t), action in recoded:
+        codes[i, t] = action
+    for (i, t), packets in reserved:
+        serves[i, t] = packets
+    try:
+        expected = summarize(params, cfg, trace, codes, serves, q)
+    except InvariantViolationError as exc:
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(exc))}$"):
+            engine._summarize(params, cfg, trace, codes, serves, q)
+    else:
+        metrics = engine._summarize(params, cfg, trace, codes, serves, q)
+        assert _metrics_digest(metrics) == _metrics_digest(expected)
 
 
 @st.composite
@@ -749,16 +820,13 @@ PHASE_ORDER_CFG = ScenarioConfig(k_concentrators=3, horizon=20, seed=0)
 PHASE_ORDER_PARAMS = QualityParams(n_units=14, deadline=19, quality_budget=2, beta_c=0.0)
 
 
-_TWO_BLOCKS_CFG = ScenarioConfig(k_concentrators=40, horizon=2000, seed=5)
-
-
 @given(_closed_form_cases())
 @example((PHASE_ORDER_CFG, PHASE_ORDER_PARAMS))
 # 40 x 2000 cells: rows in blocks of 32
 @example((
     dataclasses.replace(_TWO_BLOCKS_CFG, arrival_law="poisson"), StaticParams(100, 20)
 ))
-@example((_TWO_BLOCKS_CFG, QualityParams(1990, 1999, 300, beta_c=0.5)))
+@example((_TWO_BLOCKS_CFG, _TWO_BLOCKS_QUALITY))
 @example((PHASE_ORDER_CFG, QualityParams(n_units=19, deadline=19, quality_budget=9)))
 @settings(max_examples=150, deadline=None)
 def test_closed_forms_match_grant_loop(case):
@@ -801,15 +869,17 @@ def test_huge_arrivals_run_in_fleet_sized_memory():
 
 # Bytes per (concentrator, slot) cell, from the dtypes the program stores:
 # a trace keeps levels (uint8) and arrivals (int32), plus three int64 prices
-# per slot. A run keeps the packets
-# served (int16) and the Action codes (uint8), and its checks hold at most
-# three boolean masks at once; the closed forms' grant matrix (int16)
-# becomes the packets served. Work that scales with the fleet beyond that,
-# the int64 Poisson draw included, is done in row blocks of at most 2**16
-# cells, so one int64 block temporary is the slack.
+# per slot. A run keeps the packets served (int16) and the Action codes
+# (uint8); the closed forms' grant matrix (int16) becomes the packets
+# served. Work that scales with the fleet beyond that, the int64 Poisson
+# draw, the threshold policy's slot blocks and the post-run pass included,
+# is done in blocks of at most 2**16 cells, so one int64 block temporary
+# is the slack. The last byte of a run covers the rest of its block work
+# (at 1000 x 1000, a run peaks at 3.96-4.20 bytes per cell, slack
+# included) and the static baseline's (K, T) boolean test of what moved.
 TRACE_BYTES_PER_CELL = 1 + 4
 TRACE_BYTES_PER_SLOT = 3 * 8
-RUN_BYTES_PER_CELL = 2 + 1 + 3
+RUN_BYTES_PER_CELL = 2 + 1 + 1
 BLOCK_SLACK_BYTES = 8 * 2**16
 
 
@@ -870,11 +940,14 @@ class RoguePolicy:
     that action may move on the level, and the run reports the action's
     code. A threshold run is altered slot by slot, as its slot loop serves
     it; a deadline-scheduler run has its codes altered before it grants a
-    unit to every send and serves the grants in closed form."""
+    unit to every send and serves the grants in closed form. With
+    ``relabel``, the concentrator moves what the real policy moved, and
+    only the reported code changes."""
 
-    def __init__(self, params, concentrator, recode):
+    def __init__(self, params, concentrator, recode, relabel=False):
         self.params = params
         self.concentrator, self.recode = concentrator, recode
+        self.relabel = relabel
 
     def build(self, config, trace):
         """The engine's make_policy: a fresh inner policy for every run."""
@@ -888,7 +961,9 @@ class RoguePolicy:
         taken = {t: self.recode(t, row[t]) for t in range(len(row))}
         taken = {t: int(action) for t, action in taken.items() if action is not None}
         slots, actions = list(taken), list(taken.values())
-        if isinstance(inner, LyapunovPolicy):
+        if self.relabel:
+            pass
+        elif isinstance(inner, LyapunovPolicy):
             decide = inner.decide_slot
 
             def decide_slot(slot, levels, q_len):
@@ -934,6 +1009,8 @@ def _rogue_cases(levels):
     wider = dataclasses.replace(ROGUE_QUALITY, quality_budget=60)
     bought = run_core(ROGUE_CFG, ROGUE_QUALITY).codes[2] == Action.BUY_FULL
     bought_on_reduced = bought & (levels[2] == SpectrumLevel.REDUCED)
+    leased = run_core(ROGUE_CFG, LYAP1).codes[3] == Action.BUY_FULL
+    leased_on_reduced = leased & (levels[3] == SpectrumLevel.REDUCED)
     sends = np.flatnonzero(run_core(ROGUE_CFG, ROGUE_EARLY_DEADLINE).codes[2])
     moved = {
         **dict.fromkeys(sends[-5:].tolist(), Action.IDLE),
@@ -995,6 +1072,17 @@ def _rogue_cases(levels):
             "quality policy missed its deadline",
             (ROGUE_EARLY_DEADLINE.deadline, 2),
         ),
+        # concentrator 3 reports its leases on reduced spectrum as free
+        # sends: each moves a unit where the level frees 2 packets, and the
+        # bill would drop by their price
+        "hidden-lease": (
+            LYAP1,
+            RoguePolicy(LYAP1, 3, _taking(
+                Action.FREE_FULL, lambda t, lvl: leased_on_reduced[t]
+            ), relabel=True),
+            "free send moved more than the level's free capacity",
+            (_first_slot(leased_on_reduced, 0), 3),
+        ),
     }
 
 
@@ -1006,6 +1094,7 @@ ROGUE_CASE_IDS = [
     "budget-exceeded",
     "free-full-unit-without-full-spectrum",
     "sends-after-the-deadline",
+    "hidden-lease",
 ]
 
 
@@ -1023,3 +1112,14 @@ def test_rogue_policy_is_caught_after_the_run(case, monkeypatch, tmp_path, capsy
     ])
     assert rc == 5
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ROGUE_CASE_IDS)
+def test_post_run_pass_reports_rogue_runs_as_reference(case):
+    trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
+    params, rogue, _, _ = _rogue_cases(trace.levels)[case]
+    codes, serves, q = rogue.build(ROGUE_CFG, trace).serve(trace)
+    with pytest.raises(InvariantViolationError) as expected:
+        summarize(params, ROGUE_CFG, trace, codes, serves, q)
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(expected.value))}$"):
+        engine._summarize(params, ROGUE_CFG, trace, codes, serves, q)

@@ -420,6 +420,41 @@ def test_threshold_policy_keeps_its_worst_case_delay_bound(case):
         assert wait <= bound, (i, wait, bound)
 
 
+@st.composite
+def _unit_batch_runs(draw):
+    unit = draw(st.integers(2, 8))
+    cfg = ScenarioConfig(
+        k_concentrators=draw(st.integers(1, 5)),
+        horizon=draw(st.integers(50, 600)),
+        mean_arrival=draw(st.integers(1, unit)),
+        unit_size_packets=unit,
+        arrival_law=draw(st.sampled_from(["deterministic", "poisson"])),
+        arrival_bound=unit,
+        reduced_fraction=draw(st.sampled_from([0.1, 0.5])),
+        epsilon=draw(st.sampled_from([None, 0.5, 3.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return cfg, LyapunovParams(v_factor=draw(st.floats(0.0, 100.0)))
+
+
+@given(_unit_batch_runs())
+@settings(max_examples=40, deadline=None)
+def test_threshold_policy_keeps_its_backlog_bound(case):
+    """When no arrival batch exceeds the unit, the pre-service backlog stays
+    at most max(threshold) + max(arrivals): above the largest threshold
+    Q + Z exceeds every slot's threshold, so the policy leases a full unit,
+    which serves at least the batch that arrives after it."""
+    cfg, params = case
+    trace = generate_trace(cfg, cfg.seed)
+    assert trace.arrivals.max() <= cfg.unit_size_packets  # the premise
+    core = run_core(cfg, params, trace)
+    backlog = np.cumsum(trace.arrivals - core.serves, axis=1)
+    before = np.zeros(trace.arrivals.shape, dtype=np.int64)
+    before[:, 1:] = backlog[:, :-1]  # Q before each slot's service
+    bound = core.policy.threshold.max() + trace.arrivals.max(axis=1)
+    assert (before.max(axis=1) <= bound).all()
+
+
 def test_d_flag_matches_purchase_actions():
     # the engine counts a send as a lease when its code is >= BUY_FULL
     purchases = {a for a in Action if a >= Action.BUY_FULL}
