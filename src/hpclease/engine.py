@@ -20,8 +20,9 @@ slot t and n their total, it is sum_t min(A_t, n) - sum_t s_t (T - t).
 
 compare_with_oracle is the one offline comparison: it takes every run on
 one trace, solves each distinct (n_units, quality_budget) workload once
-per concentrator, and returns each run's offline optimum and the oracle
-row of the batch's loosest workload.
+for the whole fleet (oracle_reference, a row block at a time), and returns
+each run's offline optimum and the oracle row of the batch's loosest
+workload.
 
 Costs are integer micro-cents throughout, so runs are reproducible to the
 last digit across platforms: a ScenarioConfig bounds prices when it is
@@ -38,7 +39,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .env import SpectrumLevel, Trace, generate_trace, row_blocks, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
-from .oracle import instance_from_trace, solve_dp
+from .oracle import check_workload, schedule_violation, solve_rows
 from .policy import POLICIES, Action, PolicyParams, QualityParams, free_capacities
 
 
@@ -352,17 +353,29 @@ def oracle_reference(
     n_units: int,
     quality_budget: int,
 ) -> np.ndarray:
-    """Offline-optimal cost of the (n_units, budget) workload per concentrator."""
-    per_conc = np.zeros(trace.k, dtype=np.int64)
-    for i in range(trace.k):
-        inst = instance_from_trace(trace, i, n_units, quality_budget)
-        try:
-            per_conc[i] = solve_dp(inst).total_cost_microcents
-        except InvariantViolationError as exc:
+    """Offline-optimal cost of the (n_units, budget) workload per concentrator,
+    over slots 1 to T - 1 (instance_from_trace's window): solve_rows solves
+    the fleet a row block at a time, and each block's schedules must keep
+    schedule_violation's rules and recompute to the dual bound that
+    certifies them."""
+    window = slice(1, trace.horizon)
+    price_full, price_reduced = trace.price_full[window], trace.price_reduced[window]
+    check_workload(trace.horizon - 1, n_units, quality_budget)
+    per_conc = np.empty(trace.k, dtype=np.int64)
+    for block in row_blocks(trace.k, trace.horizon - 1):
+        levels = trace.levels[block, window]
+        rows = solve_rows(levels, price_full, price_reduced, n_units, quality_budget)
+        broken = schedule_violation(
+            levels, price_full, price_reduced, n_units, quality_budget,
+            rows.actions, rows.cost, rows.reduced_count,
+        )
+        if broken is not None:
+            row, message = broken
             raise InvariantViolationError(
-                f"oracle seed {trace.seed}, concentrator {i}, n_units {n_units}, "
-                f"budget {quality_budget}: {exc}"
-            ) from exc
+                f"oracle seed {trace.seed}, concentrator {block.start + row}, "
+                f"n_units {n_units}, budget {quality_budget}: {message}"
+            )
+        per_conc[block] = rows.cost
     return per_conc
 
 

@@ -337,8 +337,12 @@ class StaticBurstPolicy(_PacketPolicy):
         return grants
 
     def actions(self, serves, levels):
-        codes = np.where(self.in_burst, _BUY_FULL, _FREE_FULL)
-        return np.where(serves == 0, _IDLE, codes)
+        # IDLE (0) where nothing moved; a move leased in a burst, else was free
+        sending = np.where(self.in_burst, _BUY_FULL, _FREE_FULL)
+        codes = np.empty(serves.shape, dtype=np.uint8)
+        for block in row_blocks(*serves.shape):
+            np.multiply(serves[block] > 0, sending, out=codes[block])
+        return codes
 
 
 def _first(hits: np.ndarray, missing: int) -> np.ndarray:

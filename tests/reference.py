@@ -29,6 +29,11 @@
   rule that the fused pass added (a free send that moved more than the
   level's free capacity), so that both report every rogue run alike.
 * solve_bruteforce enumerates every schedule of a small offline instance.
+* solve_by_bisection is the selection solver as it ran one instance at a
+  time, before it solved a block of rows at once: it bisects the budget's
+  multiplier over [0, max(0, max(a - b))], evaluating the dual by two
+  selections and two exact sums per step, and walks the open slots under
+  the production tie rule. It returns the multiplier lam* with the schedule.
 * solve_banded_dp is the banded 3-D dynamic program that was the production
   offline solver before the selection solver replaced it. It handles every
   instance, T == n_units included, and shares the production tie rule.
@@ -621,6 +626,94 @@ def solve_bruteforce(instance: OfflineInstance) -> Schedule:
     )
     validate_schedule(instance, schedule)
     return schedule
+
+
+# the action of a slot by [option (0 idle, 1 full, 2 reduced), SpectrumLevel]
+_SEND_ACTION = np.array(
+    [[Action.IDLE] * 3,
+     [Action.BUY_FULL, Action.BUY_FULL, Action.FREE_FULL],
+     [Action.BUY_REDUCED, Action.FREE_REDUCED, Action.BUY_REDUCED]],
+    dtype=np.uint8,
+)
+
+
+def solve_by_bisection(instance: OfflineInstance) -> tuple[Schedule, int]:
+    """The optimal schedule under the tie rule and the budget's multiplier
+    lam*, one instance at a time: the dual L(lam) = (sum of the N smallest
+    min(a, b + lam)) - lam * M peaks at the least integer lam* where
+    L(lam + 1) <= L(lam), and the walk over the slots it leaves open must
+    cost L(lam*)."""
+    t_total, n, m = instance.horizon, instance.n_units, instance.quality_budget
+    if n == 0:
+        schedule = Schedule(np.zeros(t_total, dtype=np.uint8), 0, 0)
+        validate_schedule(instance, schedule)
+        return schedule, 0
+    levels = instance.levels
+    a = np.where(levels == SpectrumLevel.FULL, 0, instance.price_full_microcents)
+    b = np.where(levels == SpectrumLevel.REDUCED, 0, instance.price_reduced_microcents)
+    d = a - b
+
+    def dual(lam: int) -> int:
+        eff = np.minimum(a, b + lam)
+        if n < t_total:
+            eff = np.partition(eff, n - 1)[:n]
+        return int(eff.sum()) - lam * m
+
+    if n == t_total:
+        lam = max(0, int(np.partition(d, n - m - 1)[n - m - 1]))
+        send, optional = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    else:
+        lam, hi = 0, max(0, int(d.max()))  # past max(d), L falls by M a step
+        while lam < hi:
+            mid = (lam + hi) // 2
+            lam, hi = (lam, mid) if dual(mid + 1) <= dual(mid) else (mid + 1, hi)
+        eff = np.minimum(a, b + lam)
+        theta = np.partition(eff, n - 1)[n - 1]
+        send, optional = eff < theta, eff == theta
+
+    # a send costs eff at its full option if d <= lam, reduced if d >= lam
+    reduced = send & (d > lam)
+    actions = _SEND_ACTION[send + reduced.view(np.uint8), levels]
+    walked = np.flatnonzero(optional | (send & (d == lam)))
+    opt, full_ok, reduced_ok = optional[walked], d[walked] <= lam, d[walked] >= lam
+    # counts over walked[j:] of tied sends, then of optional slots with the
+    # full option only, the reduced option only, or both
+    both = full_ok & reduced_ok
+    kinds = np.stack([~opt, opt & ~reduced_ok, opt & ~full_ok, opt & both])
+    suffix = np.zeros((4, walked.size + 1), dtype=np.int64)
+    suffix[:, :-1] = np.cumsum(kinds[:, ::-1], axis=1)[:, ::-1]
+    tied, full_only, reduced_only, either = suffix.tolist()
+
+    def feasible(j: int, sends: int, reds: int) -> bool:
+        k = sends - tied[j]  # optional slots still to send
+        fewest = max(0, k - full_only[j] - either[j])
+        most = tied[j] + min(k, reduced_only[j] + either[j])
+        return (0 <= k <= full_only[j] + reduced_only[j] + either[j]
+                and fewest <= reds and (lam == 0 or reds <= most))
+
+    sends_left = n - int(np.count_nonzero(send)) + tied[0]
+    reduced_left = m - int(np.count_nonzero(reduced))
+    walk = zip(
+        walked.tolist(), opt.tolist(), full_ok.tolist(), reduced_ok.tolist(),
+        *_SEND_ACTION[1:, levels[walked]].tolist(),  # full and reduced send codes
+    )
+    for j, (t, is_opt, f_ok, r_ok, f_code, r_code) in enumerate(walk, start=1):
+        # (action, sends, reduced sends); Action codes order idle, free,
+        # full lease, reduced lease, as the tie rule does
+        choices = sorted(
+            [(0, 0, 0)] * is_opt + [(f_code, 1, 0)] * f_ok + [(r_code, 1, 1)] * r_ok
+        )
+        for action, ds, dr in choices:
+            if feasible(j, sends_left - ds, reduced_left - dr):
+                break
+        actions[t] = action
+        sends_left -= ds
+        reduced_left -= dr
+
+    # validate_schedule recomputes the cost: equal to the dual bound, optimal
+    schedule = Schedule(actions, dual(lam), reduced_count=m - reduced_left)
+    validate_schedule(instance, schedule)
+    return schedule, lam
 
 
 # choice codes, ordered by tie-break preference (argmin picks the lowest)

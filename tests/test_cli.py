@@ -348,13 +348,13 @@ def test_compare_rejects_beta_c_without_budget_share(tmp_path, capsys):
 def test_compare_solves_each_oracle_workload_once(monkeypatch, tmp_path):
     # the quality row and the oracle row share their (n_units, budget)
     solves = Counter()
-    solve = engine.solve_dp
+    solve = engine.oracle_reference
 
-    def counting_solve(instance):
-        solves[instance.n_units, instance.quality_budget] += 1
-        return solve(instance)
+    def counting_solve(trace, n_units, quality_budget):
+        solves[n_units, quality_budget] += 1
+        return solve(trace, n_units, quality_budget)
 
-    monkeypatch.setattr(engine, "solve_dp", counting_solve)
+    monkeypatch.setattr(engine, "oracle_reference", counting_solve)
     rc = main(
         tmp_path, "compare", "--set", "horizon=400", "--set", "k_concentrators=4",
         "--budget-share", "0.1",
@@ -364,10 +364,10 @@ def test_compare_solves_each_oracle_workload_once(monkeypatch, tmp_path):
     assert rows[0]["workload_complete"] == "true"
     oracle_budget = int(rows[-1]["policy"].split("m=")[1].rstrip("]"))
     # the drained lyapunov row's full workload, and the quality row's: one
-    # solve per concentrator each
-    assert solves[399, 0] == 4
+    # fleet solve each
+    assert solves[399, 0] == 1
     assert oracle_budget in {budget for _, budget in solves}
-    assert sorted(solves.values()) == [4, 4]
+    assert sorted(solves.values()) == [1, 1]
 
 
 def test_compare_table_with_oracle_row(tmp_path):

@@ -21,7 +21,7 @@ from hpclease import (
     run,
 )
 from hpclease.engine import is_unit_granular, make_policy
-from hpclease.env import SpectrumLevel, save_trace
+from hpclease.env import SpectrumLevel, row_blocks, save_trace
 from hpclease.errors import ConfigurationError, InvariantViolationError, TraceFormatError
 from hpclease.policy import (
     IS_REDUCED,
@@ -445,17 +445,37 @@ def test_oracle_dominance_failure_names_the_concentrator(small_cfg, monkeypatch)
         compare_with_oracle(small_cfg, trace, [metrics])
 
 
+def _misstate_one_bound(monkeypatch, trace, concentrator, n_units, budget) -> str:
+    """Make the block core state one bound too high for ``concentrator``;
+    returns the error oracle_reference must then raise."""
+    optimum = int(engine.oracle_reference(trace, n_units, budget)[concentrator])
+    solve = engine.solve_rows
+
+    def misstated(levels, *args):
+        rows = solve(levels, *args)
+        rows.cost[(levels == trace.levels[concentrator, 1:]).all(axis=1)] += 1
+        return rows
+
+    monkeypatch.setattr(engine, "solve_rows", misstated)
+    return (
+        f"oracle seed {trace.seed}, concentrator {concentrator}, n_units {n_units}, "
+        f"budget {budget}: stored cost {optimum + 1} != recomputed {optimum}"
+    )
+
+
 def test_oracle_solve_failure_names_its_instance(small_cfg, monkeypatch):
     trace = generate_trace(small_cfg, small_cfg.seed)
+    expected = _misstate_one_bound(monkeypatch, trace, 0, 150, 30)
+    with pytest.raises(InvariantViolationError, match=re.escape(expected)):
+        engine.oracle_reference(trace, 150, 30)
 
-    def broken(instance):
-        raise InvariantViolationError("walk cost 5 != dual bound 4")
 
-    monkeypatch.setattr(engine, "solve_dp", broken)
-    expected = (
-        "oracle seed 7, concentrator 0, n_units 150, budget 30: "
-        "walk cost 5 != dual bound 4"
-    )
+def test_oracle_solve_failure_names_a_concentrator_past_the_first_block(monkeypatch):
+    cfg = ScenarioConfig(k_concentrators=200, horizon=1000, seed=7)
+    trace = generate_trace(cfg, cfg.seed)
+    # blocks of 65 rows: concentrator 130 is row 0 of the third
+    assert slice(130, 195) in row_blocks(cfg.k_concentrators, cfg.horizon - 1)
+    expected = _misstate_one_bound(monkeypatch, trace, 130, 150, 30)
     with pytest.raises(InvariantViolationError, match=re.escape(expected)):
         engine.oracle_reference(trace, 150, 30)
 
@@ -477,15 +497,16 @@ def test_compare_with_oracle_skips_incomparable_runs(small_cfg):
 
 
 def _count_solves(monkeypatch) -> Counter:
-    """Count engine.solve_dp calls by (n_units, quality_budget)."""
+    """Count engine.oracle_reference calls, each a fleet's solve, by
+    (n_units, quality_budget)."""
     solves = Counter()
-    solve = engine.solve_dp
+    solve = engine.oracle_reference
 
-    def counting_solve(instance):
-        solves[instance.n_units, instance.quality_budget] += 1
-        return solve(instance)
+    def counting_solve(trace, n_units, quality_budget):
+        solves[n_units, quality_budget] += 1
+        return solve(trace, n_units, quality_budget)
 
-    monkeypatch.setattr(engine, "solve_dp", counting_solve)
+    monkeypatch.setattr(engine, "oracle_reference", counting_solve)
     return solves
 
 
@@ -504,8 +525,8 @@ def test_compare_with_oracle_solves_each_workload_once(small_cfg, monkeypatch):
     assert all(isinstance(cost, int) for cost in offline[1:])
     # the quality run's workload is the loosest: fewest units, largest budget
     assert oracle_row == (f"oracle[m={params.quality_budget}]", offline[2])
-    k, full = small_cfg.k_concentrators, small_cfg.horizon - 1
-    assert solves == {(full, 0): k, (params.n_units, params.quality_budget): k}
+    full = small_cfg.horizon - 1
+    assert solves == {(full, 0): 1, (params.n_units, params.quality_budget): 1}
 
 
 def test_compare_with_oracle_solves_the_oracle_row_alone(small_cfg, monkeypatch):
@@ -516,7 +537,7 @@ def test_compare_with_oracle_solves_the_oracle_row_alone(small_cfg, monkeypatch)
     offline, (label, cost) = compare_with_oracle(small_cfg, trace, [static])
     assert offline == [None]
     full = small_cfg.horizon - 1
-    assert solves == {(full, 0): small_cfg.k_concentrators}
+    assert solves == {(full, 0): 1}
     assert label == "oracle[m=0]"
     assert cost == int(engine.oracle_reference(trace, full, 0).sum())
 
@@ -876,7 +897,7 @@ def test_huge_arrivals_run_in_fleet_sized_memory():
 # is done in blocks of at most 2**16 cells, so one int64 block temporary
 # is the slack. The last byte of a run covers the rest of its block work
 # (at 1000 x 1000, a run peaks at 3.96-4.20 bytes per cell, slack
-# included) and the static baseline's (K, T) boolean test of what moved.
+# included).
 TRACE_BYTES_PER_CELL = 1 + 4
 TRACE_BYTES_PER_SLOT = 3 * 8
 RUN_BYTES_PER_CELL = 2 + 1 + 1
@@ -916,6 +937,25 @@ def test_trace_and_runs_peak_within_their_bytes_per_cell(law):
     for params in policies:
         peak = _peak_bytes(lambda: run(cfg, params, trace))
         assert peak <= RUN_BYTES_PER_CELL * cells + BLOCK_SLACK_BYTES, params.label
+
+
+# The oracle solves a fleet a row block at a time, so its peak is a fixed
+# count of block temporaries however many rows the fleet has: a block's
+# costs and savings, the bisection's keys, and the final pass's masks and
+# codes (2.3 MB at 1000 x 1000, about 4.4 int64 blocks). One (K, T) int64
+# array would take 8 MB there on its own.
+ORACLE_BLOCK_TEMPORARIES = 6
+
+
+def test_oracle_peaks_at_a_fixed_count_of_block_temporaries():
+    cfg = ScenarioConfig(k_concentrators=1000, horizon=1000, seed=3)
+    small = dataclasses.replace(cfg, k_concentrators=2)
+    # first-call imports and caches
+    engine.oracle_reference(generate_trace(small, small.seed), 997, 199)
+    trace = generate_trace(cfg, cfg.seed)
+    for n_units, budget in [(997, 199), (999, 0)]:
+        peak = _peak_bytes(lambda: engine.oracle_reference(trace, n_units, budget))
+        assert peak <= ORACLE_BLOCK_TEMPORARIES * BLOCK_SLACK_BYTES, (n_units, budget)
 
 
 ROGUE_CFG = ScenarioConfig(k_concentrators=4, horizon=200, seed=7)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hpclease import generate_trace
 from hpclease.env import SpectrumLevel, to_microcents
@@ -9,12 +11,13 @@ from hpclease.oracle import (
     Schedule,
     instance_from_trace,
     solve_dp,
+    solve_rows,
     validate_schedule,
 )
 from hpclease.policy import Action
 
 from conftest import make_instance
-from reference import solve_banded_dp, solve_bruteforce
+from reference import solve_banded_dp, solve_bruteforce, solve_by_bisection
 
 N0, R1, F2 = int(SpectrumLevel.NONE), int(SpectrumLevel.REDUCED), int(SpectrumLevel.FULL)
 
@@ -332,6 +335,50 @@ def test_solver_matches_banded_dp_and_bruteforce():
                     assert got.reduced_count == ref.reduced_count
                 checked += 1
     assert checked > 3000
+
+
+@st.composite
+def _workloads(draw):
+    """(seed, rows, T, N, M, tie_heavy) of a block of rows: N drawn from
+    the ends (0, T), near 0 (N << T) or anywhere, M from 0 or anywhere."""
+    t = draw(st.integers(1, 60))
+    n = draw(st.one_of(
+        st.sampled_from([0, t]), st.integers(1, max(1, t // 10)), st.integers(0, t)
+    ))
+    m = draw(st.one_of(st.just(0), st.integers(0, n - 1))) if n > 1 else 0
+    seed, rows = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 8))
+    return seed, rows, t, n, m, draw(st.booleans())
+
+
+@given(_workloads())
+@settings(max_examples=200, deadline=None)
+@example((1, 8, 60, 0, 0, True))     # nothing to send
+@example((2, 8, 60, 60, 0, True))    # every slot sends, no budget
+@example((3, 8, 60, 60, 45, False))  # every slot sends, a wide budget
+@example((4, 8, 60, 3, 2, True))     # N << T
+@example((5, 8, 60, 40, 0, False))   # M = 0
+@example((6, 1, 1, 1, 0, False))     # one row of one slot
+def test_row_block_solver_matches_the_per_row_bisection(workload):
+    seed, rows, t, n, m, tie_heavy = workload
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 3, size=(rows, t)).astype(np.uint8)
+    row = _grid_instance(rng, t, n, m, tie_heavy)
+    full, reduced = row.price_full_microcents, row.price_reduced_microcents
+    got = solve_rows(levels, full, reduced, n, m)
+    assert got.actions.shape == (rows, t)
+    for i in range(rows):
+        want, lam = solve_by_bisection(OfflineInstance(levels[i], full, reduced, n, m))
+        assert got.lam[i] == lam
+        assert np.array_equal(got.actions[i], want.actions)
+        assert got.cost[i] == want.total_cost_microcents
+        assert got.reduced_count[i] == want.reduced_count
+        if n:
+            # lam* lies in [max(0, D_{M+T-N+1}), max(0, D_{M+1})], D_j the
+            # j-th largest saving d = a - b
+            a = np.where(levels[i] == F2, 0, full)
+            b = np.where(levels[i] == R1, 0, reduced)
+            ordered = np.sort(a - b)
+            assert max(0, ordered[n - m - 1]) <= lam <= max(0, ordered[t - m - 1])
 
 
 def test_all_forced_tie_keeps_the_full_lease_at_the_earlier_slot():
