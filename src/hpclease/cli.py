@@ -86,9 +86,9 @@ def _subcommand(subs, name: str, handler, help: str) -> argparse.ArgumentParser:
     sub.add_argument("--config", dest="config_path", help="scenario JSON file")
     sub.add_argument(
         "--preset",
-        default="reference",
         choices=sorted(PRESETS),
-        help="bundled scenario to start from when --config is absent",
+        help="bundled scenario to start from when --config is absent "
+        "(default: reference)",
     )
     sub.add_argument(
         "--set",
@@ -203,7 +203,7 @@ def _scenario(spec: argparse.Namespace) -> ScenarioConfig:
             ) from exc
         cfg = ScenarioConfig.from_dict(data)
     else:
-        cfg = PRESETS[spec.preset]
+        cfg = PRESETS[spec.preset or "reference"]
     changes = dict(spec.overrides)
     if spec.seed is not None:
         changes["seed"] = spec.seed
@@ -417,6 +417,15 @@ def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
 
 def _cmd_oracle(spec: argparse.Namespace) -> int:
     if spec.trace_path:
+        # the trace file fixes the scenario, so no scenario flag is read
+        unread = [
+            flag for flag, value in [
+                ("--config", spec.config_path), ("--preset", spec.preset),
+                ("--set", spec.overrides), ("--seed", spec.seed is not None),
+            ] if value
+        ]
+        if unread:
+            raise ConfigurationError(f"--trace does not read {', '.join(unread)}")
         try:
             with open(spec.trace_path, "rb") as fh:
                 trace = load_trace(fh.read())

@@ -6,8 +6,10 @@ quality, minimizing total spend. solve_rows is the one solver: it solves a
 block of rows (concentrators) over shared price rows at once, pricing the
 quality budget with a Lagrange multiplier (exact, as the problem is a
 min-cost flow) that each row bisects inside a bracket of its savings' order
-statistics, one row-wise selection per step, and every schedule it returns
-must meet the dual bound that certifies it. solve_dp is its one-row case;
+statistics, one row-wise selection per step. The slots that the multiplier
+leaves open it settles under the tie rule for the whole block at once, in
+a few rounds of array operations, and every schedule it returns must meet
+the dual bound that certifies it. solve_dp is its one-row case;
 engine.oracle_reference solves a fleet with it. schedule_violation holds
 the rules a schedule must keep, for a block of rows; validate_schedule is
 their one-row case.
@@ -238,9 +240,13 @@ def solve_rows(levels, price_full, price_reduced, n_units, quality_budget) -> Ro
     At lam* the optimal schedules send every slot with eff < theta and none
     above theta, each at an option costing eff (plus lam* if reduced), with
     exactly M reduced sends if lam* > 0. The slots this leaves open (eff ==
-    theta, or both options at eff) are walked per row in time order, each
-    taking the first choice, in the tie order idle, free, full lease,
-    reduced lease, after which the rest stays feasible. Each row's cost is
+    theta, or both options at eff) follow the tie rule: in time order, each
+    takes the first choice, in the tie order idle, free, full lease,
+    reduced lease, after which the rest stays feasible. The rest is
+    feasible while six counts stay >= 0; each choice uses some of them up
+    and none ever rises, so a row's choices change only where a count runs
+    out, and a few rounds of one cumulative sum and one search each settle
+    the open slots of the whole block (_settle). Each row's cost is
     the dual bound L(lam*) = (sum of eff below theta) + need * theta -
     lam* M; a schedule that keeps every rule and recomputes to it is
     optimal (the caller checks, with schedule_violation).
@@ -280,9 +286,8 @@ def solve_rows(levels, price_full, price_reduced, n_units, quality_budget) -> Ro
         np.add(b, 2 * mid[:, None], out=key)
         np.minimum(a, key, out=key)
         key.partition(n - 1, axis=1)
-        rises = key[:, :n]
-        rises &= 1
-        rising = rises.sum(axis=1) > m  # s(mid) > M: lam* > mid
+        # the odd keys among the N smallest rise; s(mid) > M: lam* > mid
+        rising = np.bitwise_and(key[:, :n], 1, out=key[:, :n]).sum(axis=1) > m
         lo = np.where(rising, mid + 1, lo)
         hi = np.where(rising, hi, mid)
     lam = lo
@@ -309,58 +314,113 @@ def solve_rows(levels, price_full, price_reduced, n_units, quality_budget) -> Ro
     reduced_left = m - reduced.sum(axis=1)
     unsent = n - send.sum(axis=1)
 
-    row, walked = np.nonzero(optional | (send & (d == lam_col)))
-    slack = d[row, walked] - lam[row]
-    codes = _SEND_ACTION[1:, levels[row, walked]]  # full and reduced send codes
-    bounds = np.searchsorted(row, np.arange(rows + 1)).tolist()
-    for i in np.flatnonzero(np.diff(bounds)).tolist():
-        part = slice(bounds[i], bounds[i + 1])
-        reduced_left[i] = _walk(
-            actions[i], walked[part], optional[i, walked[part]], slack[part] <= 0,
-            slack[part] >= 0, codes[:, part], int(unsent[i]), int(reduced_left[i]),
-            int(lam[i]),
-        )
+    # the open slots, row by row in time order: the optional ones and the
+    # sends that cost eff at either option
+    row, slot = np.nonzero(optional | (send & (d == lam_col)))
+    slack = d[row, slot] - lam[row]
+    del d
+    level = levels[row, slot]
+    kind = optional[row, slot].view(np.uint8)
+    kind |= (slack <= 0) * np.uint8(2)
+    kind |= (slack >= 0) * np.uint8(4)
+    kind |= _REDUCED_FIRST[level]
+    del slack
+    choice, reduced_left = _settle(row, kind, unsent, reduced_left, lam > 0)
+    actions[row, slot] = _SEND_ACTION[choice, level]
     return RowSchedules(actions, cost, m - reduced_left, lam)
 
 
-def _walk(actions, walked, opt, full_ok, reduced_ok, codes, unsent, reduced_left, lam):
-    """Settle one row's open slots ``walked`` in time order under the tie
-    rule, writing their codes into ``actions``; returns the reduced sends
-    still allowed. ``unsent`` counts the units the row's sends leave
-    unsent, its tied sends among them."""
-    # counts over walked[j:] of tied sends, then of optional slots with the
-    # full option only, the reduced option only, or both
-    both = full_ok & reduced_ok
-    kinds = np.stack([~opt, opt & ~reduced_ok, opt & ~full_ok, opt & both])
-    suffix = np.zeros((4, walked.size + 1), dtype=np.int64)
-    suffix[:, :-1] = np.cumsum(kinds[:, ::-1], axis=1)[:, ::-1]
-    tied, full_only, reduced_only, either = suffix.tolist()
+# An open slot's kind, by bit: 0 optional (else a send due at either
+# option), 1 full option, 2 reduced option, 3 reduced before full in the
+# tie order (the reduced send's code is the lower, on reduced spectrum)
+_REDUCED_FIRST = (_SEND_ACTION[2] < _SEND_ACTION[1]) * np.uint8(8)
+# The tie rule's gaps, by bit. Before an open slot, let S be the units
+# still to send, t of them the sends due at this slot and after, and R the
+# reduced sends still allowed. The open slots from here on can take them iff
+# six counts are >= 0: the optional sends owed (S - t), the optional slots
+# that may still idle, R, the full-capable slots to spare over the S - R
+# sends not reduced, and, when lam* > 0 as the budget is then spent
+# exactly, S - R and the reduced-capable slots to spare over R.
+_OWED, _IDLE_LEFT, _REDUCED_LEFT, _FULL_SPARE, _FULL_OWED, _REDUCED_SPARE = range(6)
+# which kinds count towards the optional slots, the optional slots with the
+# full option, the sends due, and the slots with the reduced option
+_COUNTED = np.stack([(k & 1, k & 3 == 3, ~k & 1, k >> 2 & 1) for k in range(16)], axis=1)
 
-    def feasible(j: int, sends: int, reds: int) -> bool:
-        k = sends - tied[j]  # optional slots still to send
-        fewest = max(0, k - full_only[j] - either[j])
-        most = tied[j] + min(k, reduced_only[j] + either[j])
-        return (0 <= k <= full_only[j] + reduced_only[j] + either[j]
-                and fewest <= reds and (lam == 0 or reds <= most))
 
-    sends_left = unsent + tied[0]
-    walk = zip(
-        walked.tolist(), opt.tolist(), full_ok.tolist(), reduced_ok.tolist(),
-        *codes.tolist(),
-    )
-    for j, (t, is_opt, f_ok, r_ok, f_code, r_code) in enumerate(walk, start=1):
-        # (action, sends, reduced sends); Action codes order idle, free,
-        # full lease, reduced lease, as the tie rule does
-        choices = sorted(
-            [(0, 0, 0)] * is_opt + [(f_code, 1, 0)] * f_ok + [(r_code, 1, 1)] * r_ok
-        )
-        for action, ds, dr in choices:
-            if feasible(j, sends_left - ds, reduced_left - dr):
-                break
-        actions[t] = action
-        sends_left -= ds
-        reduced_left -= dr
-    return reduced_left
+def _tie_rule() -> np.ndarray:
+    """The tie rule's step, at [kind * 64 + the mask of the gaps that have
+    run out]: the choice (0 idle, 1 full, 2 reduced) in bits 6-7 and the
+    gaps it uses up in bits 0-5. The step takes the first choice, in the
+    tie order idle, free, full lease, reduced lease, that uses up no gap
+    that has run out (the last choice when each does)."""
+    table = np.zeros((16, 64), dtype=np.uint8)
+    out = np.arange(64)
+    for kind in range(16):
+        opt, full, red, red_first = (kind >> bit & 1 for bit in range(4))
+        # an idle uses up a slot that may idle and a spare of each option
+        # the slot has; a send, a send owed at its quality, an optional send
+        # if the slot is optional and a spare of the slot's other option
+        idle = 1 << _IDLE_LEFT | full << _FULL_SPARE | red << _REDUCED_SPARE
+        sends = [(1, 1 << _FULL_OWED | opt << _OWED | red << _REDUCED_SPARE)] * full
+        sends += [(2, 1 << _REDUCED_LEFT | opt << _OWED | full << _FULL_SPARE)] * red
+        choices = [(0, idle)] * opt + (sends[::-1] if red_first else sends)
+        # from the last choice, which stands where none fits, to the first
+        for rank, (choice, uses) in enumerate(choices[::-1]):
+            table[kind, (out & uses == 0) | (rank == 0)] = choice << 6 | uses
+    return table.ravel()
+
+
+_TIE_RULE = _tie_rule()
+
+
+def _settle(row, kind, unsent, reduced_left, priced):
+    """The open slots' choices under the tie rule, and each row's reduced
+    sends still allowed after them.
+
+    ``row`` and ``kind`` give each open slot's row, in row then time order,
+    and its kind; ``unsent`` and ``reduced_left`` are per row, before the
+    open slots, and ``priced`` marks the rows with lam* > 0. A gap only
+    falls, so once run out it stays out, and a row's choices change only
+    where a gap runs out: at most six times. Each round settles every row
+    up to its next such slot at once, found by one cumulative sum of the
+    gaps each choice uses up and one search.
+    """
+    rows, size = unsent.size, row.size
+    counts = np.bincount(row * 16 + kind, minlength=16 * rows).reshape(rows, 16)
+    optional, optional_full, due, red_capable = _COUNTED @ counts.T
+    gaps = np.stack([
+        unsent, optional - unsent, reduced_left, optional_full - unsent + reduced_left,
+        unsent + due - reduced_left, red_capable - reduced_left,
+    ])
+    never = 6 * (size + 1)  # past any count of gaps used up
+    gaps[_FULL_OWED:] = np.where(priced, gaps[_FULL_OWED:], never)
+
+    bounds = np.searchsorted(row, np.arange(rows + 1))
+    start, end = bounds[:-1], bounds[1:]
+    at = np.arange(size)
+    index = kind.astype(np.uint16) << 6
+    # the step of slot j at key[j + 1]; key[0] indexes a kind without
+    # choices, whose step is 0, so each gap's cumulative count starts at 0
+    key = np.zeros(size + 1, dtype=np.uint16)
+    offsets = np.arange(0, never, size + 1)[:, None]
+    steps = np.empty(size, dtype=np.uint8)
+    # one running count over the gaps in turn, so that one search finds
+    # where each gap of each row runs out; [g, j] counts gap g used up
+    # before slot j, plus every count of the gaps before it
+    used = np.empty((6, size + 1), dtype=np.intp)
+    while (start < end).any():
+        out = np.packbits(gaps <= 0, axis=0, bitorder="little")[0]
+        np.add(index, out[row], out=key[1:])
+        step = _TIE_RULE.take(key)
+        np.copyto(steps, step[1:], where=at >= start[row])
+        used[...] = np.unpackbits(step[None], axis=0, count=6, bitorder="little")
+        np.cumsum(used, out=used.ravel())
+        base = used[:, start]
+        stop = np.searchsorted(used.ravel(), base + np.where(gaps > 0, gaps, never))
+        stop = np.minimum((stop - offsets).min(axis=0), end)
+        gaps -= used[:, stop] - base
+        start = stop
+    return steps >> 6, gaps[_REDUCED_LEFT]
 
 
 def instance_from_trace(

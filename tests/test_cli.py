@@ -134,7 +134,7 @@ def test_bad_policy_params_fail_before_any_trace(argv, monkeypatch, tmp_path, ca
 
 SCENARIO_DEFAULTS = {
     "config_path": None,
-    "preset": "reference",
+    "preset": None,
     "overrides": [],
     "seed": None,
     "out": None,
@@ -553,6 +553,33 @@ def test_gen_trace_then_oracle_round_trip(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "oracle.json").read_text())
     assert len(doc["action_codes"]) == 100
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed", "7"],
+        ["--set", "horizon=999"],
+        ["--config", "scenario.json"],
+        ["--preset", "reference"],
+        ["--seed", "7", "--set", "horizon=999"],
+    ],
+    ids=["seed", "set", "config", "preset", "seed-and-set"],
+)
+def test_oracle_trace_refuses_scenario_flags(flags, monkeypatch, tmp_path, capsys):
+    # the trace file fixes the scenario: a scenario flag beside it would be
+    # ignored, so it exits 3 naming the flag, before the file is read
+    def no_read(data):
+        raise AssertionError("the trace file was read")
+
+    monkeypatch.setattr(cli, "load_trace", no_read)
+    trace_file = tmp_path / "trace_101.json"
+    trace_file.write_text("{}")
+    argv = ["oracle", "--trace", str(trace_file), "--n-units", "40"]
+    assert main(tmp_path, *argv, *flags) == 3
+    err = capsys.readouterr().err
+    for flag in flags[::2]:
+        assert flag in err
 
 
 def test_zero_slot_trace_file_exits_3(tmp_path, capsys):

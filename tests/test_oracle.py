@@ -358,6 +358,9 @@ def _workloads(draw):
 @example((4, 8, 60, 3, 2, True))     # N << T
 @example((5, 8, 60, 40, 0, False))   # M = 0
 @example((6, 1, 1, 1, 0, False))     # one row of one slot
+@example((7, 8, 400, 200, 40, True))   # long walks: half of a tie-heavy row open
+@example((8, 8, 400, 200, 0, True))    # long walks without a budget
+@example((9, 3, 400, 399, 100, False))  # N = T - 1 with a wide budget
 def test_row_block_solver_matches_the_per_row_bisection(workload):
     seed, rows, t, n, m, tie_heavy = workload
     rng = np.random.default_rng(seed)
@@ -409,6 +412,23 @@ def test_half_workload_with_large_budget_runs():
         OfflineInstance(levels, full, reduced, n_units=5000, quality_budget=2999)
     )
     assert sched.total_cost_microcents < tighter.total_cost_microcents
+
+
+def test_tie_heavy_half_workload_matches_the_per_row_bisection():
+    # T=10,000, N=5,000, M=3,000 over levels drawn uniformly: thousands of
+    # free slots tie at theta, so most of the row is left open to the tie rule
+    rng = np.random.default_rng(5)
+    t = 10_000
+    levels = rng.integers(0, 3, size=t).astype(np.uint8)
+    full = rng.integers(100_000, 1_000_001, size=t)
+    reduced = full * 3 // 5
+    inst = OfflineInstance(levels, full, reduced, n_units=5000, quality_budget=3000)
+    want, lam = solve_by_bisection(inst)
+    got = solve_rows(levels[None], full, reduced, 5000, 3000)
+    assert got.lam[0] == lam
+    assert np.array_equal(got.actions[0], want.actions)
+    assert got.cost[0] == want.total_cost_microcents
+    assert got.reduced_count[0] == want.reduced_count
 
 
 def test_instance_prices_bounded_for_exact_sums():
