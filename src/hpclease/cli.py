@@ -87,7 +87,7 @@ def _subcommand(subs, name: str, handler, help: str) -> argparse.ArgumentParser:
     sub.add_argument(
         "--preset",
         choices=sorted(PRESETS),
-        help="bundled scenario to start from when --config is absent "
+        help="bundled scenario to start from, instead of --config "
         "(default: reference)",
     )
     sub.add_argument(
@@ -191,6 +191,10 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def _scenario(spec: argparse.Namespace) -> ScenarioConfig:
+    if spec.config_path and spec.preset:
+        raise ConfigurationError(
+            "--config and --preset each name the scenario to start from; give one"
+        )
     if spec.config_path:
         try:
             with open(spec.config_path, "rb") as fh:

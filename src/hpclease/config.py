@@ -17,7 +17,7 @@ import json
 import numbers
 from dataclasses import dataclass
 
-from .env import EXACT_MICROCENTS, reduced_unit_packets, to_microcents
+from .env import EXACT_MICROCENTS, EXACT_PACKETS, reduced_unit_packets, to_microcents
 from .errors import ConfigurationError
 
 ARRIVAL_LAWS = ("deterministic", "poisson")
@@ -163,6 +163,15 @@ class ScenarioConfig:
         if self.arrival_bound < max(1, self.mean_arrival):
             raise ConfigurationError(
                 "arrival_bound must be at least max(1, mean_arrival)"
+            )
+        # the threshold policy's float64 backlog stays exact while no
+        # concentrator can receive more than 2**53 packets over the horizon
+        name = "mean_arrival" if self.arrival_law == "deterministic" else "arrival_bound"
+        most = getattr(self, name)
+        if self.horizon * most > EXACT_PACKETS:
+            raise ConfigurationError(
+                f"horizon * {name} must be at most {EXACT_PACKETS} packets, got "
+                f"{self.horizon} * {most}"
             )
         if not 0 < self.epsilon <= MAX_WEIGHT:
             raise ConfigurationError(

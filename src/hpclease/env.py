@@ -34,6 +34,9 @@ MICROCENTS_PER_CENT = 1_000_000
 MICROCENTS_PER_DOLLAR = 100 * MICROCENTS_PER_CENT
 # every cost sum (int64 totals and dual sums, float64 means) is exact below this
 EXACT_MICROCENTS = 2**53
+# the threshold policy keeps each backlog in float64, exact up to this many
+# packets: no concentrator may receive more over the horizon
+EXACT_PACKETS = 2**53
 
 TRACE_FORMAT = "hpclease.trace"
 TRACE_VERSION = 1
@@ -83,14 +86,16 @@ class Trace:
     Arrays are indexed [concentrator, slot] or [slot]:
 
     * levels: uint8 SpectrumLevel codes, shape (k, horizon)
-    * arrivals: int32 nonnegative packet counts, shape (k, horizon)
+    * arrivals: int32 nonnegative packet counts, shape (k, horizon), each at
+      most 2**53 // horizon, so that no backlog can pass 2**53 packets
     * price_packet: int64 per-packet micro-cents, shape (horizon,)
     * price_full / price_reduced: int64 per-unit micro-cents, shape (horizon,),
       with 0 < reduced < full in every slot and full low enough that
       k * horizon of them sum exactly (at most 2**53 micro-cents)
 
-    Construction checks all of this (TraceFormatError, the price error
-    naming the seed and first bad slot). The fields are frozen and the
+    Construction checks all of this (TraceFormatError; the arrival error
+    names the seed, concentrator and slot of the first bad count, the price
+    error the seed and first bad slot). The fields are frozen and the
     arrays read-only, so a Trace stays valid for as long as it lives.
     """
 
@@ -117,8 +122,21 @@ class Trace:
                 raise TraceFormatError(f"trace array {name!r} has wrong shape")
         if int(self.levels.max(initial=0)) > int(SpectrumLevel.FULL):
             raise TraceFormatError("trace contains invalid spectrum level codes")
-        if int(self.arrivals.min(initial=0)) < 0:
-            raise TraceFormatError("trace contains negative arrival counts")
+        # one pass over the counts: as uint32, a negative int32 reads above
+        # INT32_MAX, and so above the bound
+        most = min(np.iinfo(np.int32).max, EXACT_PACKETS // max(1, self.horizon))
+        if int(self.arrivals.view(np.uint32).max(initial=0)) > most:
+            bad = (self.arrivals < 0) | (self.arrivals > most)
+            i, t = np.unravel_index(int(bad.argmax()), bad.shape)
+            n = int(self.arrivals[i, t])
+            if n < 0:
+                what = "negative arrival counts"
+            else:
+                what = f"more arrivals than {most} (2**53 // horizon)"
+            raise TraceFormatError(
+                f"trace seed {self.seed} contains {what}: concentrator {i}, "
+                f"slot {t} has {n}"
+            )
         full, reduced = self.price_full, self.price_reduced
         # the scenario's bound: a fleet's bill at these prices sums exactly
         dearest = EXACT_MICROCENTS // max(1, self.k * self.horizon)

@@ -24,11 +24,17 @@ decides for the whole fleet at once, and serves its own run:
 packets served and the backlog Q after the last slot. A code is IDLE
 exactly where nothing moved. The threshold policy's grants read the
 backlog, so it serves in a slot loop that carries Q: each slot
-``decide_slot`` serves min(grant, Q) and advances the virtual queues Z, and
-the loop enqueues the slot's arrivals. The loop walks the horizon in
-blocks of about 2**16 cells, each copied once into slot-major (slots, K)
-rows of levels and arrivals, and writes the packets served into a
-slot-major block that goes into the (K, T) matrix once. The static
+``decide_slot`` writes the slot's row of packets served, min(grant, Q), and
+advances the virtual queues Z, and the loop takes that row from Q and
+adds the slot's arrivals. Q, Z and the step's work rows and masks are
+(K,) arrays allocated once per run, all float64 but the masks, so each
+slot makes only in-place numpy calls that neither allocate nor cast. Q
+counts exactly because a ScenarioConfig and a Trace bound a
+concentrator's arrivals over the horizon by 2**53. The loop walks the
+horizon in blocks of about 2**14 cells, each read once into slot-major
+(slots, K) float64 rows of free capacity and arrivals, and writes the
+packets served into a slot-major block that goes into the (K, T) int16
+matrix once. The static
 baseline and the deadline scheduler never read the backlog: each grants
 every slot at once, and ``serve_grants`` serves the (K, T) grants in
 closed form, by the Lindley recursion (one prefix sum and one running
@@ -272,38 +278,55 @@ class LyapunovPolicy(_PacketPolicy):
         price_cents = trace.price_full / MICROCENTS_PER_CENT
         self.threshold = params.v_factor * price_cents / 2.0
         self.epsilon = config.epsilon
-        self.z = np.zeros(trace.k, dtype=np.float64)
+        k = trace.k
+        self.z = np.zeros(k)
+        # the slot step's float64 rows and masks, allocated once per run
+        self.unit = np.full(k, float(self.capacity))
+        self.epsilon_row = np.full(k, self.epsilon)
+        self.zero = np.zeros(k)
+        self.work = np.empty(k)
+        self.buy = np.empty(k, dtype=bool)
+        self.busy = np.empty(k, dtype=bool)
 
     def serve(self, trace: Trace):
-        q = np.zeros(trace.k, dtype=np.int64)
+        # the backlog Q in float64, exact while no concentrator's arrivals
+        # can sum past 2**53 (a ScenarioConfig and a Trace both refuse more)
+        q = np.zeros(trace.k)
         serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
-        # slots in blocks of about 2**16 cells (the row blocks of the
-        # (T, K) transpose), each copied once into slot-major (slots, K)
-        # rows, so that no slot reads or writes a strided column of a
-        # (K, T) array
-        for block in row_blocks(trace.horizon, trace.k):
-            levels = trace.levels[:, block].T.copy()
-            arrivals = trace.arrivals[:, block].T.copy()
-            served = np.empty(levels.shape, dtype=np.int16)
-            for b, slot in enumerate(range(trace.horizon)[block]):
-                served[b] = moved = self.decide_slot(slot, levels[b], q)
+        free = self.free_capacity.astype(np.float64)
+        # slots in blocks of about 2**14 cells (the row blocks of the (T, K)
+        # transpose at 4 * K columns), each read once into slot-major
+        # (slots, K) float64 rows of free capacity and arrivals, so that no
+        # slot reads or writes a strided column of a (K, T) array or casts
+        for block in row_blocks(trace.horizon, 4 * trace.k):
+            free_rows = free.take(trace.levels[:, block].T)
+            arrivals = np.ascontiguousarray(trace.arrivals[:, block].T, dtype=np.float64)
+            served = np.empty(free_rows.shape)
+            slots = range(trace.horizon)[block]
+            for slot, free_row, moved, arrived in zip(slots, free_rows, served, arrivals):
+                self.decide_slot(slot, free_row, q, moved)
                 q -= moved
-                q += arrivals[b]
+                q += arrived
             serves[:, block] = served.T
-        return self.actions(serves, trace.levels), serves, q
+        return self.actions(serves, trace.levels), serves, q.astype(np.int64)
 
-    def decide_slot(self, slot, levels, q_len):
-        """The packets each concentrator moves in ``slot``, at most its
-        backlog ``q_len``; Z advances past them."""
-        grant = self.free_capacity.take(levels)
-        grant[q_len + self.z > self.threshold[slot]] = self.capacity
-        np.minimum(q_len, grant, out=grant)
-        # in place, in the order of max(Z - served + epsilon * busy, 0)
-        z = self.z
-        z -= grant
-        z += self.epsilon * (q_len > 0)
-        np.maximum(z, 0.0, out=z)
-        return grant
+    def decide_slot(self, slot, free, q, served):
+        """Write into ``served`` the packets each concentrator moves in
+        ``slot``: the slot's free capacity ``free``, raised to a unit where
+        Q + Z exceeds the threshold, and at most the backlog ``q``; then
+        advance Z past them. Every row is a (K,) float64 array and every
+        call works in place, so a slot neither allocates nor casts."""
+        z, work, buy, busy = self.z, self.work, self.buy, self.busy
+        np.add(q, z, out=work)
+        np.greater(work, self.threshold[slot], out=buy)
+        np.copyto(served, free)
+        np.copyto(served, self.unit, where=buy)
+        np.minimum(q, served, out=served)
+        # in the order of max(Z - served + epsilon * busy, 0)
+        np.subtract(z, served, out=z)
+        np.greater(q, self.zero, out=busy)
+        np.add(z, self.epsilon_row, out=z, where=busy)
+        np.maximum(z, self.zero, out=z)
 
     def actions(self, serves, levels):
         # a slot bought exactly when it moved more than the level frees, so

@@ -20,8 +20,12 @@
 * serve_grant_slots is the grant loop that followed it, before the static
   and deadline-scheduler runs took their service in closed form and the
   threshold policy walked its slots in slot-major blocks; static_grant and
-  QualityGrants are the per-slot rules it ran for the first two, and a
-  LyapunovPolicy's decide_slot is the rule it ran for the third.
+  QualityGrants are the per-slot rules it ran for the first two, and
+  lyapunov_step is the rule it ran for the third.
+* lyapunov_step is the threshold policy's slot step as it ran before the
+  step worked in place on float64 rows: it takes the slot's levels and the
+  int64 backlog, returns a new int64 grant array and advances the policy's
+  Z through mixed int64 and float64 arithmetic.
 * summarize is the engine's post-run pass as it was before the pass was
   fused into one row-block loop: each rule's offending (K, T) mask built
   and searched in turn, the bill gathered from a (code, slot) price table,
@@ -390,6 +394,20 @@ def static_grant(policy: StaticBurstPolicy):
         return policy.capacity if policy.in_burst[slot] else policy.free_capacity[levels]
 
     return decide
+
+
+def lyapunov_step(policy: LyapunovPolicy, slot, levels, q_len):
+    """The packets each concentrator moves in ``slot``, at most its int64
+    backlog ``q_len``; the policy's Z advances past them."""
+    grant = policy.free_capacity.take(levels)
+    grant[q_len + policy.z > policy.threshold[slot]] = policy.capacity
+    np.minimum(q_len, grant, out=grant)
+    # in place, in the order of max(Z - served + epsilon * busy, 0)
+    z = policy.z
+    z -= grant
+    z += policy.epsilon * (q_len > 0)
+    np.maximum(z, 0.0, out=z)
+    return grant
 
 
 def serve_grant_slots(decide, trace):

@@ -611,6 +611,30 @@ def test_bad_config_file_exits_3(tmp_path, capsys):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+# every subcommand that reads a scenario; oracle reads one without --trace
+SCENARIO_COMMANDS = [
+    ["run"], ["compare"], ["sweep-v"], ["sweep-quality"],
+    ["oracle", "--n-units", "1"], ["gen-trace"],
+]
+
+
+@pytest.mark.parametrize("argv", SCENARIO_COMMANDS, ids=lambda argv: argv[0])
+def test_config_with_preset_exits_3(argv, monkeypatch, tmp_path, capsys):
+    # gen-trace once wrote the file's trace and ignored the preset
+    def no_trace(*args):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(cli, "generate_trace", no_trace)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"k_concentrators": 3, "horizon": 300}))
+    out = tmp_path / "out"
+    argv = [*argv, "--config", str(config), "--preset", "reference", "-o", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "--config" in err and "--preset" in err
+    assert not out.exists()
+
+
 def test_missing_trace_file_exits_3(tmp_path, capsys):
     absent = tmp_path / "absent.json"
     assert main(tmp_path, "oracle", "--trace", str(absent), "--n-units", "1") == 3
@@ -782,6 +806,51 @@ def test_config_error_names_the_field(overrides, fields, tmp_path, capsys):
     assert main(tmp_path, "gen-trace", *SMALL, *sets) == 3
     err = capsys.readouterr().err
     assert all(field in err for field in fields), err
+
+
+# The threshold policy keeps each backlog in float64, exact up to 2**53
+# packets, so a scenario bounds what a concentrator can receive over its
+# horizon: horizon * mean_arrival (deterministic) or horizon * arrival_bound
+# (poisson). Arrival counts are int32, so only a horizon above 2**22 can
+# reach the bound. These scenarios are built, never run.
+HUGE = dict(
+    k_concentrators=1, horizon=2**23, unit_size_packets=2,
+    price_low_cents=1e-6, price_high_cents=2e-6,
+)
+
+
+@pytest.mark.parametrize(
+    "accepted, refused, field",
+    [
+        (dict(mean_arrival=2**30), dict(mean_arrival=2**30 + 1), "mean_arrival"),
+        (dict(mean_arrival=2**30), dict(mean_arrival=2**30, horizon=2**23 + 1), "mean_arrival"),
+        (
+            dict(arrival_law="poisson", arrival_bound=2**30),
+            dict(arrival_law="poisson", arrival_bound=2**30 + 1),
+            "arrival_bound",
+        ),
+    ],
+    ids=["deterministic-mean", "deterministic-horizon", "poisson-bound"],
+)
+def test_backlog_bound_is_a_config_error(
+    accepted, refused, field, monkeypatch, tmp_path, capsys
+):
+    largest = ScenarioConfig(**{**HUGE, **accepted})
+    assert largest.horizon * getattr(largest, field) == 2**53
+    # the rule reads one field per law
+    if field == "mean_arrival":
+        ScenarioConfig(**{**HUGE, **accepted, "arrival_bound": 2**31 - 1})
+    with pytest.raises(ConfigurationError, match=rf"horizon \* {field} must be at most"):
+        ScenarioConfig(**{**HUGE, **refused})
+
+    def no_trace(*args):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(cli, "generate_trace", no_trace)
+    flags = [f"--set={name}={json.dumps(v)}" for name, v in {**HUGE, **refused}.items()]
+    assert main(tmp_path, "gen-trace", *flags) == 3
+    err = capsys.readouterr().err
+    assert "horizon" in err and field in err
 
 
 def test_fleet_cell_bound_is_a_config_error():

@@ -5,6 +5,7 @@ import json
 import re
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from reference import (
     advance_virtual,
     code_rule,
     enqueue,
+    lyapunov_step,
     packet_grant,
     run_codes,
     serve,
@@ -717,7 +719,7 @@ def test_grant_loop_matches_action_code_loop(case):
         assert policy.z.tobytes() == ref_z.tobytes()
         # the column-by-column slot loop that the slot-major blocks replaced
         column = make_policy(params, cfg, trace)
-        col_serves, col_q = serve_grant_slots(column.decide_slot, trace)
+        col_serves, col_q = serve_grant_slots(partial(lyapunov_step, column), trace)
         assert np.array_equal(serves, col_serves) and np.array_equal(q, col_q)
         assert column.z.tobytes() == ref_z.tobytes()
     expected = engine._summarize(params, cfg, trace, ref_codes, ref_serves, ref_q)
@@ -1007,11 +1009,10 @@ class RoguePolicy:
         elif isinstance(inner, LyapunovPolicy):
             decide = inner.decide_slot
 
-            def decide_slot(slot, levels, q_len):
-                served = decide(slot, levels, q_len)
+            def decide_slot(slot, free, q, served):
+                decide(slot, free, q, served)
                 if slot in taken:
-                    served[i] = min(q_len[i], self.grant[taken[slot], levels[i]])
-                return served
+                    served[i] = min(q[i], self.grant[taken[slot], row[slot]])
 
             inner.decide_slot = decide_slot
         else:

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hpclease import (
     run,
     save_trace,
 )
-from hpclease.env import SpectrumLevel, reduced_unit_packets, to_microcents
+from hpclease.env import SpectrumLevel, Trace, reduced_unit_packets, to_microcents
 from hpclease.errors import ConfigurationError, TraceFormatError
 
 from reference import ArrivalBatch
@@ -242,6 +243,38 @@ def test_hand_built_trace_is_checked_when_built(small_cfg, field, bad, match):
         trace.price_full[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.price_full = np.zeros_like(trace.price_full)
+
+
+def test_arrival_error_names_the_concentrator_and_slot(small_cfg):
+    trace = generate_trace(small_cfg, 7)
+    arrivals = trace.arrivals.copy()
+    arrivals[2, 9] = -7
+    arrivals[3, 1] = -1
+    with pytest.raises(TraceFormatError, match="concentrator 2, slot 9 has -7"):
+        dataclasses.replace(trace, arrivals=arrivals)
+
+
+def test_trace_refuses_arrivals_past_the_exact_backlog():
+    # at 2**23 slots a count above 2**53 // horizon = 2**30 could carry a
+    # backlog past 2**53 packets, where float64 stops counting exactly; the
+    # trace is built, never run
+    horizon = 2**23
+    levels = np.zeros((1, horizon), dtype=np.uint8)
+    full = np.broadcast_to(np.int64(2), (horizon,))
+    reduced = np.broadcast_to(np.int64(1), (horizon,))
+
+    def trace(count):
+        arrivals = np.zeros((1, horizon), dtype=np.int32)
+        arrivals[0, 12345] = count
+        return Trace(9, "", levels, arrivals, full, full, reduced)
+
+    assert int(trace(2**30).arrivals.max()) == 2**30
+    message = (
+        "trace seed 9 contains more arrivals than 1073741824 (2**53 // horizon): "
+        "concentrator 0, slot 12345 has 1073741825"
+    )
+    with pytest.raises(TraceFormatError, match=re.escape(message)):
+        trace(2**30 + 1)
 
 
 def test_spectrum_level_codes_are_stable():

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpclease import ScenarioConfig, generate_trace
@@ -37,8 +38,10 @@ from reference import (
     PapMirror,
     advance_virtual,
     lyapunov_decide,
+    lyapunov_step,
     packet_grant,
     quality_decide,
+    serve_grant_slots,
     static_decide,
 )
 
@@ -394,15 +397,14 @@ def test_threshold_policy_keeps_its_worst_case_delay_bound(case):
     Q > 0 in each, so Z grew by epsilon * D less the fewer than Q_max
     packets served ahead of it."""
     cfg, params = case
-    q_max = np.zeros(cfg.k_concentrators, dtype=np.int64)
+    q_max = np.zeros(cfg.k_concentrators)
     z_max = np.zeros(cfg.k_concentrators)
     decide = LyapunovPolicy.decide_slot
 
-    def recording(self, slot, levels, q_len):
-        np.maximum(q_max, q_len, out=q_max)  # pre-service Q
-        served = decide(self, slot, levels, q_len)
+    def recording(self, slot, free, q, served):
+        np.maximum(q_max, q, out=q_max)  # pre-service Q
+        decide(self, slot, free, q, served)
         np.maximum(z_max, self.z, out=z_max)
-        return served
 
     trace = generate_trace(cfg, cfg.seed)
     with pytest.MonkeyPatch.context() as patch:
@@ -453,6 +455,47 @@ def test_threshold_policy_keeps_its_backlog_bound(case):
     before[:, 1:] = backlog[:, :-1]  # Q before each slot's service
     bound = core.policy.threshold.max() + trace.arrivals.max(axis=1)
     assert (before.max(axis=1) <= bound).all()
+
+
+@st.composite
+def _step_runs(draw):
+    """Threshold runs with 0 or unit // 2 free packets on reduced spectrum."""
+    unit = draw(st.integers(2, 8))
+    cfg = ScenarioConfig(
+        k_concentrators=draw(st.integers(1, 40)),
+        horizon=draw(st.integers(2, 400)),
+        mean_arrival=draw(st.integers(1, 2 * unit)),
+        unit_size_packets=unit,
+        arrival_law=draw(st.sampled_from(["deterministic", "poisson"])),
+        reduced_fraction=draw(st.sampled_from([0.1, 0.5])),
+        epsilon=draw(st.sampled_from([None, 0.37, 3.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return cfg, LyapunovParams(v_factor=draw(st.floats(0.0, 1000.0)))
+
+
+# the reference preset's fleet over four slot blocks, and one slot per block
+@example((PRESETS["reference"].with_overrides(horizon=1000, epsilon=0.37), LyapunovParams(10.0)))
+@example((
+    ScenarioConfig(k_concentrators=2**14 + 1, horizon=3, arrival_law="poisson", seed=2),
+    LyapunovParams(10.0),
+))
+@given(_step_runs())
+@settings(max_examples=60, deadline=None)
+def test_in_place_slot_step_matches_the_int64_step(case):
+    """A threshold run, each slot stepped in place on float64 rows, against
+    the step it replaced (an int64 backlog, a new grant array per slot):
+    the same codes, packets served, Q and Z, to the bit."""
+    cfg, params = case
+    trace = generate_trace(cfg, cfg.seed)
+    core = run_core(cfg, params, trace)
+    reference = LyapunovPolicy(params, cfg, trace)
+    serves, q = serve_grant_slots(partial(lyapunov_step, reference), trace)
+    codes = reference.actions(serves, trace.levels)
+    assert core.codes.dtype == codes.dtype and core.codes.tobytes() == codes.tobytes()
+    assert core.serves.dtype == serves.dtype and core.serves.tobytes() == serves.tobytes()
+    assert core.q.dtype == q.dtype and core.q.tobytes() == q.tobytes()
+    assert core.policy.z.tobytes() == reference.z.tobytes()
 
 
 def test_d_flag_matches_purchase_actions():
@@ -506,8 +549,9 @@ def test_lyapunov_policy_matches_scalar(data):
         price_trace([7, 7, 7, full], k=k),
     )
     policy.z[:] = z
-    served = policy.decide_slot(3, levels, q)
-    assert served.dtype == np.int64
+    served = np.empty(k)
+    free = policy.free_capacity[levels].astype(np.float64)
+    policy.decide_slot(3, free, q.astype(np.float64), served)
     served, codes = _served_and_codes(policy, 3, 4, levels, served)
     assert codes.dtype == np.uint8
     moves = packet_grant(5, reduced_capacity)
