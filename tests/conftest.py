@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from typing import NamedTuple
 
 import numpy as np
@@ -45,3 +47,18 @@ def run_core(config, params, trace=None) -> Core:
         trace = generate_trace(config, config.seed)
     policy = make_policy(params, config, trace)
     return Core(policy, *policy.serve(trace))
+
+
+def metrics_digest(metrics):
+    """sha256 over every RunMetrics field: arrays by dtype, shape and bytes,
+    everything else by repr."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(metrics):
+        value = getattr(metrics, f.name)
+        h.update(f.name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()

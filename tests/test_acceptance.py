@@ -14,6 +14,7 @@ burst baselines that leave most of the backlog unserved. The test states
 the requirement faithfully and reports the measured numbers.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -34,7 +35,7 @@ from hpclease.engine import (
 from hpclease.oracle import OfflineInstance, solve_dp
 from hpclease.policy import IS_REDUCED, Action, LyapunovParams, QualityParams
 
-from conftest import run_core
+from conftest import metrics_digest, run_core
 from reference import (
     ArrivalBatch,
     ConcentratorState,
@@ -156,6 +157,42 @@ def test_cost_queue_tradeoff_over_weight_grid(v_sweep):
     assert v_sweep.elapsed < 120.0, (
         f"sweep took {v_sweep.elapsed:.1f}s, budget is two minutes"
     )
+
+
+def _fixture_digest(runs, offline=()):
+    """sha256 over the RunMetrics digests of ``runs``, in order, and any
+    offline costs."""
+    h = hashlib.sha256()
+    for metrics in runs:
+        h.update(metrics_digest(metrics).encode())
+    h.update(repr(list(offline)).encode())
+    return h.hexdigest()
+
+
+# every RunMetrics the fixtures compute on the reference preset, with the
+# oracle's costs, taken before the threshold slot step stopped copying the
+# free grant per slot: the 50 threshold runs span all 37 of a run's slot blocks
+# and all 10 row blocks of its post-run pass, which the small pins of
+# test_engine and test_cli_golden never reach
+REFERENCE_SCALE_DIGESTS = {
+    "v_sweep": "23968726f359b97b2f16c3eb9abc6803f67189eee2057be175158c5d0f6e0f7a",
+    "static_runs": "14c3d091c5d3026b6d4306966902fe7c264d04c11a74273038b0b114fceffbab",
+    "quality_sweep": "806d4bc1930f0eea47c503e2e1949d1958b8c085b1476515f61a1558a2ff2a09",
+}
+
+
+def test_reference_scale_metrics_digests(v_sweep, static_runs, quality_sweep):
+    _, comparisons = quality_sweep  # every deadline run and its reference
+    digests = {
+        "v_sweep": _fixture_digest(
+            m for runs in v_sweep.runs_by_v.values() for m in runs
+        ),
+        "static_runs": _fixture_digest(m for runs in static_runs for m in runs),
+        "quality_sweep": _fixture_digest(
+            [m for m, _ in comparisons], [cost for _, cost in comparisons]
+        ),
+    }
+    assert digests == REFERENCE_SCALE_DIGESTS
 
 
 def test_burst_baselines_ordered_and_threshold_competitive(

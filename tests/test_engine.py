@@ -1,6 +1,5 @@
 import base64
 import dataclasses
-import hashlib
 import json
 import re
 import tracemalloc
@@ -34,7 +33,7 @@ from hpclease.policy import (
     reduced_capacity,
 )
 
-from conftest import run_core
+from conftest import metrics_digest, run_core
 from reference import (
     ArrivalBatch,
     ConcentratorState,
@@ -568,21 +567,6 @@ def test_reduced_quality_units_tracked(small_cfg):
     )
 
 
-def _metrics_digest(metrics):
-    """sha256 over every RunMetrics field: arrays by dtype, shape and bytes,
-    everything else by repr."""
-    h = hashlib.sha256()
-    for f in dataclasses.fields(metrics):
-        value = getattr(metrics, f.name)
-        h.update(f.name.encode())
-        if isinstance(value, np.ndarray):
-            h.update(f"{value.dtype}{value.shape}".encode())
-            h.update(np.ascontiguousarray(value).tobytes())
-        else:
-            h.update(repr(value).encode())
-    return h.hexdigest()
-
-
 _DIGEST_CFG = ScenarioConfig(k_concentrators=4, horizon=200, seed=7)
 _DIGEST_POISSON = ScenarioConfig(
     k_concentrators=4, horizon=200, arrival_law="poisson", seed=11
@@ -622,7 +606,7 @@ def test_run_metrics_digests(case):
     # a run keeps summaries, never a per-cell matrix
     arrays = [getattr(metrics, f.name) for f in dataclasses.fields(metrics)]
     assert all(a.ndim == 1 for a in arrays if isinstance(a, np.ndarray))
-    assert _metrics_digest(metrics) == RUN_METRICS_DIGESTS[case]
+    assert metrics_digest(metrics) == RUN_METRICS_DIGESTS[case]
 
 
 @st.composite
@@ -723,7 +707,7 @@ def test_grant_loop_matches_action_code_loop(case):
         assert np.array_equal(serves, col_serves) and np.array_equal(q, col_q)
         assert column.z.tobytes() == ref_z.tobytes()
     expected = engine._summarize(params, cfg, trace, ref_codes, ref_serves, ref_q)
-    assert _metrics_digest(metrics) == _metrics_digest(expected)
+    assert metrics_digest(metrics) == metrics_digest(expected)
 
 
 @st.composite
@@ -776,7 +760,7 @@ def test_post_run_pass_matches_reference(case):
             engine._summarize(params, cfg, trace, codes, serves, q)
     else:
         metrics = engine._summarize(params, cfg, trace, codes, serves, q)
-        assert _metrics_digest(metrics) == _metrics_digest(expected)
+        assert metrics_digest(metrics) == metrics_digest(expected)
 
 
 @st.composite
