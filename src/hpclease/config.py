@@ -116,7 +116,7 @@ class ScenarioConfig:
         if self.unit_size_packets > INT16_MAX:
             raise ConfigurationError(
                 f"unit_size_packets must be at most {INT16_MAX}, "
-                f"got {self.unit_size_packets}"
+                f"got {self.unit_size_packets}" + self._derived_note("unit_size_packets")
             )
         for name in ("mean_arrival", "arrival_bound"):
             if getattr(self, name) > INT32_MAX:
@@ -139,6 +139,7 @@ class ScenarioConfig:
                 f"price_high_cents {self.price_high_cents} is too high: "
                 "k_concentrators * horizon * unit_size_packets * price_high "
                 f"must be at most {EXACT_MICROCENTS} micro-cents"
+                + self._derived_note("unit_size_packets")
             )
         # prices are drawn in whole micro-cents
         low, high = map(to_microcents, (self.price_low_cents, self.price_high_cents))
@@ -155,6 +156,7 @@ class ScenarioConfig:
                 f"unit_size_packets {self.unit_size_packets} with reduced_fraction "
                 f"{self.reduced_fraction} gives a reduced unit of {reduced} "
                 "packets, no smaller than the full unit"
+                + self._derived_note("unit_size_packets")
             )
         if self.arrival_law not in ARRIVAL_LAWS:
             raise ConfigurationError(
@@ -171,7 +173,7 @@ class ScenarioConfig:
         if self.horizon * most > EXACT_PACKETS:
             raise ConfigurationError(
                 f"horizon * {name} must be at most {EXACT_PACKETS} packets, got "
-                f"{self.horizon} * {most}"
+                f"{self.horizon} * {most}" + self._derived_note(name)
             )
         if not 0 < self.epsilon <= MAX_WEIGHT:
             raise ConfigurationError(
@@ -179,6 +181,16 @@ class ScenarioConfig:
             )
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
+
+    def _derived_note(self, name: str) -> str:
+        """The end of a refusal that reads field ``name``: where its value
+        came from when the user did not set it."""
+        if name not in self._derived:
+            return ""
+        return (
+            f"; {name} was derived from mean_arrival {self.mean_arrival}: "
+            f"set {name} to choose it"
+        )
 
     def env_fields(self) -> dict:
         """The fields that determine trace content, in canonical form."""

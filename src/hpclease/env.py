@@ -183,13 +183,15 @@ def generate_trace(config: "ScenarioConfig", seed: int) -> Trace:
     if config.arrival_law == "deterministic":
         arrivals = np.full((k, horizon), config.mean_arrival, dtype=np.int32)
     else:
-        # drawn in row blocks, the same stream as one (k, horizon) draw; the
-        # del frees each int64 block before the next is drawn
+        # drawn in row blocks of about 2**15 cells, the same stream as one
+        # (k, horizon) draw, and clipped straight into the int32 rows: the
+        # counts are then at most arrival_bound <= INT32_MAX, so the cast
+        # is exact. The half-size blocks leave room for the ufunc's cast
+        # buffer, and the del frees each int64 block before the next draw.
         arrivals = np.empty((k, horizon), dtype=np.int32)
-        for block in row_blocks(k, horizon):
+        for block in row_blocks(k, 2 * horizon):
             draws = rng.poisson(config.mean_arrival, size=arrivals[block].shape)
-            np.minimum(draws, config.arrival_bound, out=draws)
-            arrivals[block] = draws
+            np.minimum(draws, config.arrival_bound, out=arrivals[block])
             del draws
 
     reduced_packets = reduced_unit_packets(

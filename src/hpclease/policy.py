@@ -24,21 +24,22 @@ decides for the whole fleet at once, and serves its own run:
 packets served and the backlog Q after the last slot. A code is IDLE
 exactly where nothing moved. The threshold policy's grants read the
 backlog, so it serves in a slot loop that carries Q: each slot
-``decide_slot`` writes the slot's row of packets served, min(grant, Q), and
-advances the virtual queues Z, and the loop takes that row from Q and
-adds the slot's arrivals. Q, Z and the step's work rows and masks are
-(K,) arrays allocated once per run, all float64 but the masks, so each
-slot makes only in-place numpy calls that neither allocate nor cast. Q
-counts exactly because a ScenarioConfig and a Trace bound a
-concentrator's arrivals over the horizon by 2**53. The loop walks the
-horizon in blocks of about 2**14 cells, each read once into slot-major
-(slots, K) float64 rows of free capacity and arrivals, and writes the
-packets served into a slot-major block that goes into the (K, T) int16
-matrix once. The static
-baseline and the deadline scheduler never read the backlog: each grants
-every slot at once, and ``serve_grants`` serves the (K, T) grants in
-closed form, by the Lindley recursion (one prefix sum and one running
-minimum per row).
+``decide_slot`` turns the slot's row of free grants into the packets
+served, min(grant, Q), and advances the virtual queues Z, and the loop
+takes that row from Q and adds the slot's arrivals. Q, Z and the step's work rows and mask are
+(K,) arrays allocated once per run, all float64 but the mask, and the
+slot's threshold and epsilon are stride-0 views, so each slot makes only
+plain in-place numpy calls that neither allocate nor cast. Q counts
+exactly because a ScenarioConfig and a Trace bound a concentrator's
+arrivals over the horizon by 2**53. The loop walks the horizon in blocks
+of about 2**14 cells. It reads each block once into slot-major (slots, K)
+float64 rows: the level's free capacity goes straight into the block of
+packets served, which ``decide_slot`` raises and caps row by row in
+place, and the arrivals into a second block; the served block then goes
+into the (K, T) int16 matrix once. The static baseline and the deadline
+scheduler never read the backlog: each grants every slot at once, and
+``serve_grants`` serves the (K, T) grants in closed form, by the Lindley
+recursion (one prefix sum and one running minimum per row).
 
 Each parameter block checks its values when built (its numeric fields take
 their annotated types by ``config.check_field_types``) and names its policy:
@@ -280,13 +281,17 @@ class LyapunovPolicy(_PacketPolicy):
         self.epsilon = config.epsilon
         k = trace.k
         self.z = np.zeros(k)
-        # the slot step's float64 rows and masks, allocated once per run
+        # the slot step's (K,) float64 rows and mask, allocated once per
+        # run; slot t's threshold and epsilon are stride-0 views, which
+        # take no memory and which a ufunc reads without a copy (the unit
+        # and zero rows stay whole: putmask copies a stride-0 value row,
+        # and maximum reads a stride-0 zero measurably slower)
+        self.thresholds = np.broadcast_to(self.threshold[:, None], (trace.horizon, k))
+        self.epsilon_row = np.broadcast_to(self.epsilon, k)
         self.unit = np.full(k, float(self.capacity))
-        self.epsilon_row = np.full(k, self.epsilon)
         self.zero = np.zeros(k)
         self.work = np.empty(k)
         self.buy = np.empty(k, dtype=bool)
-        self.busy = np.empty(k, dtype=bool)
 
     def serve(self, trace: Trace):
         # the backlog Q in float64, exact while no concentrator's arrivals
@@ -296,36 +301,41 @@ class LyapunovPolicy(_PacketPolicy):
         free = self.free_capacity.astype(np.float64)
         # slots in blocks of about 2**14 cells (the row blocks of the (T, K)
         # transpose at 4 * K columns), each read once into slot-major
-        # (slots, K) float64 rows of free capacity and arrivals, so that no
-        # slot reads or writes a strided column of a (K, T) array or casts
+        # (slots, K) float64 rows: the served block starts as the free
+        # grant, and the arrivals, so that no slot reads or writes a
+        # strided column of a (K, T) array or casts
         for block in row_blocks(trace.horizon, 4 * trace.k):
-            free_rows = free.take(trace.levels[:, block].T)
+            served = free.take(trace.levels[:, block].T)
             arrivals = np.ascontiguousarray(trace.arrivals[:, block].T, dtype=np.float64)
-            served = np.empty(free_rows.shape)
             slots = range(trace.horizon)[block]
-            for slot, free_row, moved, arrived in zip(slots, free_rows, served, arrivals):
-                self.decide_slot(slot, free_row, q, moved)
+            for slot, moved, arrived in zip(slots, served, arrivals):
+                self.decide_slot(slot, q, moved)
                 q -= moved
                 q += arrived
             serves[:, block] = served.T
         return self.actions(serves, trace.levels), serves, q.astype(np.int64)
 
-    def decide_slot(self, slot, free, q, served):
-        """Write into ``served`` the packets each concentrator moves in
-        ``slot``: the slot's free capacity ``free``, raised to a unit where
-        Q + Z exceeds the threshold, and at most the backlog ``q``; then
-        advance Z past them. Every row is a (K,) float64 array and every
-        call works in place, so a slot neither allocates nor casts."""
-        z, work, buy, busy = self.z, self.work, self.buy, self.busy
+    def decide_slot(self, slot, q, served):
+        """Turn ``served``, the slot's free grant, into the packets each
+        concentrator moves in ``slot``: raised to a unit where Q + Z exceeds
+        the threshold, then at most the backlog ``q``; then advance Z past
+        them. Every row is a (K,) float64 array and every call is a plain
+        one in place, so a slot neither allocates nor casts.
+
+        Z grows by min(Q * epsilon, epsilon), which is epsilon * [Q > 0]
+        exactly: Q counts whole packets, so a busy Q * epsilon rounds to at
+        least epsilon (and stays finite, Q <= 2**53), and an idle one is
+        +0.0, which leaves Z unchanged since Z is never -0.0."""
+        z, work, buy = self.z, self.work, self.buy
         np.add(q, z, out=work)
-        np.greater(work, self.threshold[slot], out=buy)
-        np.copyto(served, free)
-        np.copyto(served, self.unit, where=buy)
+        np.greater(work, self.thresholds[slot], out=buy)
+        np.putmask(served, buy, self.unit)
         np.minimum(q, served, out=served)
         # in the order of max(Z - served + epsilon * busy, 0)
         np.subtract(z, served, out=z)
-        np.greater(q, self.zero, out=busy)
-        np.add(z, self.epsilon_row, out=z, where=busy)
+        np.multiply(q, self.epsilon_row, out=work)
+        np.minimum(work, self.epsilon_row, out=work)
+        np.add(z, work, out=z)
         np.maximum(z, self.zero, out=z)
 
     def actions(self, serves, levels):

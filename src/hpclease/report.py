@@ -187,13 +187,13 @@ def emit(result: SweepResult, format: str) -> bytes:
 def run_series_csv(metrics: RunMetrics) -> bytes:
     """Per-slot time series of one run: cost so far, backlog, leases."""
     lines = ["slot,cost_dollars,queue_mean,purchases"]
-    cost = metrics.cost_series_fleet
-    queue = metrics.queue_series_mean
-    bought = metrics.purchases_per_slot
-    for t in range(metrics.horizon):
-        lines.append(
-            f"{t},{to_dollars(int(cost[t])):.8f},{queue[t]:.6f},{int(bought[t])}"
-        )
+    columns = (
+        metrics.cost_series_fleet.tolist(),
+        metrics.queue_series_mean.tolist(),
+        metrics.purchases_per_slot.tolist(),
+    )
+    for t, (cost, queue, bought) in enumerate(zip(*columns)):
+        lines.append(f"{t},{to_dollars(cost):.8f},{queue:.6f},{bought}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

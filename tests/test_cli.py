@@ -853,6 +853,38 @@ def test_backlog_bound_is_a_config_error(
     assert "horizon" in err and field in err
 
 
+@pytest.mark.parametrize(
+    "fields, message, derived",
+    [
+        (dict(mean_arrival=1), "gives a reduced unit of 1 packets", "unit_size_packets"),
+        (dict(mean_arrival=1, unit_size_packets=1), "gives a reduced unit of 1", None),
+        (
+            dict(HUGE, arrival_law="poisson", mean_arrival=2**28 + 1),
+            r"horizon \* arrival_bound must be at most",
+            "arrival_bound",
+        ),
+        (
+            dict(HUGE, arrival_law="poisson", mean_arrival=1, arrival_bound=2**30 + 1),
+            r"horizon \* arrival_bound must be at most",
+            None,
+        ),
+    ],
+    ids=["derived-unit", "explicit-unit", "derived-bound", "explicit-bound"],
+)
+def test_refusal_names_where_a_derived_field_came_from(
+    fields, message, derived, tmp_path, capsys
+):
+    # a field the user never set is named with the mean_arrival it came from
+    with pytest.raises(ConfigurationError, match=message) as refused:
+        ScenarioConfig(**fields)
+    note = f"{derived} was derived from mean_arrival {fields['mean_arrival']}: set {derived}"
+    assert (note in str(refused.value)) == (derived is not None)
+    assert ("derived" in str(refused.value)) == (derived is not None)
+    flags = [f"--set={name}={json.dumps(v)}" for name, v in fields.items()]
+    assert main(tmp_path, "gen-trace", *flags) == 3
+    assert str(refused.value) in capsys.readouterr().err
+
+
 def test_fleet_cell_bound_is_a_config_error():
     # checked when the config is built: an oversize run would need gigabytes
     edge = ScenarioConfig(k_concentrators=2**12, horizon=2**12)

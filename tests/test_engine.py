@@ -925,6 +925,28 @@ def test_trace_and_runs_peak_within_their_bytes_per_cell(law):
         assert peak <= RUN_BYTES_PER_CELL * cells + BLOCK_SLACK_BYTES, params.label
 
 
+# Above 2**14 concentrators a threshold run's slot block is one slot, so
+# its (K,) rows outweigh its block work: per concentrator, eight 8-byte
+# rows (Q, Z, the work, unit and zero rows, the slot's served and arrival
+# rows, and the int64 Q it returns) and the buy mask. The threshold and
+# epsilon rows are stride-0 views. At 65,536 x 4 a run peaks at 65.05
+# bytes per concentrator above its outputs; a separate free-grant block and
+# busy mask made that 90.05.
+WIDE_RUN_BYTES_PER_CONCENTRATOR = 8 * 8 + 1
+
+
+def test_wide_short_threshold_run_peaks_within_its_rows():
+    cfg = ScenarioConfig(k_concentrators=2**16, horizon=4, seed=3)
+    trace = generate_trace(cfg, cfg.seed)
+    run(cfg, LYAP1, trace)  # first-call imports and caches
+    peak = _peak_bytes(lambda: run(cfg, LYAP1, trace))
+    assert peak <= (
+        RUN_BYTES_PER_CELL * cfg.k_concentrators * cfg.horizon
+        + WIDE_RUN_BYTES_PER_CONCENTRATOR * cfg.k_concentrators
+        + BLOCK_SLACK_BYTES
+    )
+
+
 # The oracle solves a fleet a row block at a time, so its peak is a fixed
 # count of block temporaries however many rows the fleet has: a block's
 # costs and savings, the bisection's keys, and the final pass's masks and
@@ -993,8 +1015,8 @@ class RoguePolicy:
         elif isinstance(inner, LyapunovPolicy):
             decide = inner.decide_slot
 
-            def decide_slot(slot, free, q, served):
-                decide(slot, free, q, served)
+            def decide_slot(slot, q, served):
+                decide(slot, q, served)
                 if slot in taken:
                     served[i] = min(q[i], self.grant[taken[slot], row[slot]])
 

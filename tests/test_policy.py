@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -401,9 +402,9 @@ def test_threshold_policy_keeps_its_worst_case_delay_bound(case):
     z_max = np.zeros(cfg.k_concentrators)
     decide = LyapunovPolicy.decide_slot
 
-    def recording(self, slot, free, q, served):
+    def recording(self, slot, q, served):
         np.maximum(q_max, q, out=q_max)  # pre-service Q
-        decide(self, slot, free, q, served)
+        decide(self, slot, q, served)
         np.maximum(z_max, self.z, out=z_max)
 
     trace = generate_trace(cfg, cfg.seed)
@@ -498,6 +499,26 @@ def test_in_place_slot_step_matches_the_int64_step(case):
     assert core.policy.z.tobytes() == reference.z.tobytes()
 
 
+def test_threshold_slot_step_allocates_nothing():
+    """64 slot steps of a 4,096-wide fleet peak below one (K,) bool mask,
+    the smallest row a call could allocate: no call copies an operand, such
+    as a stride-0 view, or makes a mask or a float64 row."""
+    cfg = ScenarioConfig(k_concentrators=4096, horizon=64, arrival_law="poisson", seed=5)
+    trace = generate_trace(cfg, cfg.seed)
+    policy = LyapunovPolicy(LyapunovParams(10.0), cfg, trace)
+    served = policy.free_capacity.astype(np.float64).take(trace.levels.T)
+    q = trace.arrivals[:, 0].astype(np.float64)
+    policy.decide_slot(0, q.copy(), served[0].copy())  # first-call caches
+    tracemalloc.start()
+    try:
+        for slot, moved in enumerate(served):
+            policy.decide_slot(slot, q, moved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.k_concentrators, peak
+
+
 def test_d_flag_matches_purchase_actions():
     # the engine counts a send as a lease when its code is >= BUY_FULL
     purchases = {a for a in Action if a >= Action.BUY_FULL}
@@ -549,9 +570,9 @@ def test_lyapunov_policy_matches_scalar(data):
         price_trace([7, 7, 7, full], k=k),
     )
     policy.z[:] = z
-    served = np.empty(k)
-    free = policy.free_capacity[levels].astype(np.float64)
-    policy.decide_slot(3, free, q.astype(np.float64), served)
+    # the step raises the slot's free grant in place
+    served = policy.free_capacity[levels].astype(np.float64)
+    policy.decide_slot(3, q.astype(np.float64), served)
     served, codes = _served_and_codes(policy, 3, 4, levels, served)
     assert codes.dtype == np.uint8
     moves = packet_grant(5, reduced_capacity)
