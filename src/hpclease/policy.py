@@ -26,10 +26,11 @@ exactly where nothing moved. The threshold policy's grants read the
 backlog, so it serves in a slot loop that carries Q: each slot
 ``decide_slot`` turns the slot's row of free grants into the packets
 served, min(grant, Q), and advances the virtual queues Z, and the loop
-takes that row from Q and adds the slot's arrivals. Q, Z and the step's work rows and mask are
-(K,) arrays allocated once per run, all float64 but the mask, and the
-slot's threshold and epsilon are stride-0 views, so each slot makes only
-plain in-place numpy calls that neither allocate nor cast. Q counts
+takes that row from Q and adds the slot's arrivals. Q, Z and the step's
+work rows and mask are (K,) arrays allocated once per run, all float64
+but the mask, and the slot's threshold and epsilon are stride-0 views, so
+each slot makes only plain in-place numpy calls that neither allocate nor
+cast. Q counts
 exactly because a ScenarioConfig and a Trace bound a concentrator's
 arrivals over the horizon by 2**53. The loop walks the horizon in blocks
 of about 2**14 cells. It reads each block once into slot-major (slots, K)
@@ -300,9 +301,9 @@ class LyapunovPolicy(_PacketPolicy):
         serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
         free = self.free_capacity.astype(np.float64)
         # slots in blocks of about 2**14 cells (the row blocks of the (T, K)
-        # transpose at 4 * K columns), each read once into slot-major
-        # (slots, K) float64 rows: the served block starts as the free
-        # grant, and the arrivals, so that no slot reads or writes a
+        # transpose at 4 * K columns), each read once into two slot-major
+        # (slots, K) float64 blocks, the free grant that becomes the packets
+        # served and the arrivals, so that no slot reads or writes a
         # strided column of a (K, T) array or casts
         for block in row_blocks(trace.horizon, 4 * trace.k):
             served = free.take(trace.levels[:, block].T)
@@ -313,6 +314,9 @@ class LyapunovPolicy(_PacketPolicy):
                 q -= moved
                 q += arrived
             serves[:, block] = served.T
+            # drop both blocks, which the last rows also hold, before the
+            # next is read: one-slot blocks of a wide fleet would peak at two
+            del served, arrivals, moved, arrived
         return self.actions(serves, trace.levels), serves, q.astype(np.int64)
 
     def decide_slot(self, slot, q, served):

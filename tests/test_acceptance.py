@@ -171,9 +171,9 @@ def _fixture_digest(runs, offline=()):
 
 # every RunMetrics the fixtures compute on the reference preset, with the
 # oracle's costs, taken before the threshold slot step stopped copying the
-# free grant per slot: the 50 threshold runs span all 37 of a run's slot blocks
-# and all 10 row blocks of its post-run pass, which the small pins of
-# test_engine and test_cli_golden never reach
+# free grant per slot: the 50 threshold runs span all 37 of a run's slot
+# blocks and all 10 row blocks of its post-run pass, which the small pins
+# of test_engine and test_cli_golden never reach
 REFERENCE_SCALE_DIGESTS = {
     "v_sweep": "23968726f359b97b2f16c3eb9abc6803f67189eee2057be175158c5d0f6e0f7a",
     "static_runs": "14c3d091c5d3026b6d4306966902fe7c264d04c11a74273038b0b114fceffbab",

@@ -926,13 +926,14 @@ def test_trace_and_runs_peak_within_their_bytes_per_cell(law):
 
 
 # Above 2**14 concentrators a threshold run's slot block is one slot, so
-# its (K,) rows outweigh its block work: per concentrator, eight 8-byte
-# rows (Q, Z, the work, unit and zero rows, the slot's served and arrival
-# rows, and the int64 Q it returns) and the buy mask. The threshold and
-# epsilon rows are stride-0 views. At 65,536 x 4 a run peaks at 65.05
-# bytes per concentrator above its outputs; a separate free-grant block and
-# busy mask made that 90.05.
-WIDE_RUN_BYTES_PER_CONCENTRATOR = 8 * 8 + 1
+# its (K,) rows outweigh its block work. Beside its outputs it holds, per
+# concentrator, Q, Z, the work, unit and zero rows and one slot's served
+# row (8 bytes each) and the buy mask; the threshold and epsilon rows are
+# stride-0 views, and each block is freed before the next is read. The
+# 8-byte index row that take makes to read a slot of levels fits in the
+# one-block slack. At 65,536 x 4 a run peaks at 65.0 bytes per
+# concentrator, outputs included.
+WIDE_RUN_BYTES_PER_CONCENTRATOR = 6 * 8 + 1
 
 
 def test_wide_short_threshold_run_peaks_within_its_rows():
