@@ -21,12 +21,7 @@ from .errors import (
     InvariantViolationError,
     TraceFormatError,
 )
-from .oracle import (
-    OfflineInstance,
-    Schedule,
-    instance_from_trace,
-    solve_dp,
-)
+from .oracle import OfflineInstance, instance_from_trace, solve_dp
 from .policy import (
     Action,
     LyapunovParams,
@@ -52,7 +47,6 @@ __all__ = [
     "OfflineInstance",
     "QualityParams",
     "RunMetrics",
-    "Schedule",
     "ScenarioConfig",
     "SpectrumLevel",
     "StaticParams",

@@ -384,6 +384,8 @@ def _cmd_sweep_quality(spec: argparse.Namespace) -> int:
     shares = DEFAULT_BUDGET_SHARES if spec.budget_shares is None else spec.budget_shares
     if not shares:
         raise ConfigurationError("--budgets: empty sweep")
+    if len(set(shares)) != len(shares):
+        raise ConfigurationError(f"--budgets: duplicate shares in the sweep {shares}")
     beta_c = _given(spec, "beta_c")
     for share in shares:
         derive_quality_params(cfg, 1, share, name="--budgets budget_share", **beta_c)
@@ -440,35 +442,24 @@ def _cmd_oracle(spec: argparse.Namespace) -> int:
     else:
         cfg = _scenario(spec)
         trace = generate_trace(cfg, cfg.seed)
-    budget = spec.quality_budget
-    last_slot = spec.last_slot if spec.last_slot is not None else trace.horizon - 1
+    c = spec.concentrator
     instance = instance_from_trace(
-        trace,
-        spec.concentrator,
-        spec.n_units,
-        budget,
-        first_slot=spec.first_slot,
-        last_slot=last_slot,
+        trace, slice(c, c + 1), spec.n_units, spec.quality_budget,
+        spec.first_slot, spec.last_slot,
     )
-    try:
-        schedule = solve_dp(instance)
-    except InvariantViolationError as exc:
-        raise InvariantViolationError(
-            f"oracle seed {trace.seed}, concentrator {spec.concentrator}, slots "
-            f"{spec.first_slot}-{last_slot}, n_units {spec.n_units}, "
-            f"budget {budget}: {exc}"
-        ) from exc
+    schedule = solve_dp(instance)
+    cost, actions = int(schedule.cost[0]), schedule.actions[0]
     doc = {
-        "concentrator": spec.concentrator,
+        "concentrator": c,
         "first_slot": spec.first_slot,
-        "last_slot": last_slot,
+        "last_slot": spec.first_slot + instance.horizon - 1,
         "n_units": spec.n_units,
-        "quality_budget": budget,
-        "cost_microcents": schedule.total_cost_microcents,
-        "cost_dollars": round(to_dollars(schedule.total_cost_microcents), 8),
-        "reduced_count": schedule.reduced_count,
-        "sends": schedule.sends,
-        "action_codes": [int(a) for a in schedule.actions],
+        "quality_budget": spec.quality_budget,
+        "cost_microcents": cost,
+        "cost_dollars": round(to_dollars(cost), 8),
+        "reduced_count": int(schedule.reduced_count[0]),
+        "sends": int(np.count_nonzero(actions != Action.IDLE)),
+        "action_codes": actions.tolist(),
         "action_legend": {str(int(a)): a.name.lower() for a in Action},
     }
     _write(spec, "oracle.json", _json_bytes(doc))

@@ -39,7 +39,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .env import SpectrumLevel, Trace, generate_trace, row_blocks, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
-from .oracle import check_workload, schedule_violation, solve_rows
+from .oracle import instance_from_trace, solve_dp
 from .policy import POLICIES, Action, PolicyParams, QualityParams, free_capacities
 
 
@@ -354,28 +354,12 @@ def oracle_reference(
     quality_budget: int,
 ) -> np.ndarray:
     """Offline-optimal cost of the (n_units, budget) workload per concentrator,
-    over slots 1 to T - 1 (instance_from_trace's window): solve_rows solves
-    the fleet a row block at a time, and each block's schedules must keep
-    schedule_violation's rules and recompute to the dual bound that
-    certifies them."""
-    window = slice(1, trace.horizon)
-    price_full, price_reduced = trace.price_full[window], trace.price_reduced[window]
-    check_workload(trace.horizon - 1, n_units, quality_budget)
+    over slots 1 to T - 1 (instance_from_trace's window), solved and checked
+    by solve_dp a row block at a time."""
     per_conc = np.empty(trace.k, dtype=np.int64)
     for block in row_blocks(trace.k, trace.horizon - 1):
-        levels = trace.levels[block, window]
-        rows = solve_rows(levels, price_full, price_reduced, n_units, quality_budget)
-        broken = schedule_violation(
-            levels, price_full, price_reduced, n_units, quality_budget,
-            rows.actions, rows.cost, rows.reduced_count,
-        )
-        if broken is not None:
-            row, message = broken
-            raise InvariantViolationError(
-                f"oracle seed {trace.seed}, concentrator {block.start + row}, "
-                f"n_units {n_units}, budget {quality_budget}: {message}"
-            )
-        per_conc[block] = rows.cost
+        instance = instance_from_trace(trace, block, n_units, quality_budget)
+        per_conc[block] = solve_dp(instance).cost
     return per_conc
 
 

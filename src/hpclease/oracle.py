@@ -8,11 +8,11 @@ quality budget with a Lagrange multiplier (exact, as the problem is a
 min-cost flow) that each row bisects inside a bracket of its savings' order
 statistics, one row-wise selection per step. The slots that the multiplier
 leaves open it settles under the tie rule for the whole block at once, in
-a few rounds of array operations, and every schedule it returns must meet
-the dual bound that certifies it. solve_dp is its one-row case;
-engine.oracle_reference solves a fleet with it. schedule_violation holds
-the rules a schedule must keep, for a block of rows; validate_schedule is
-their one-row case.
+a few rounds of array operations. solve_dp is the one checked entry: it
+solves an OfflineInstance, a block of rows that instance_from_trace cuts
+from a trace for engine.oracle_reference (the fleet) and the oracle
+subcommand (one row), and every schedule it returns must keep
+schedule_violation's rules and meet the dual bound that certifies it.
 
 Conventions shared with the online policies: unit i (0-based) arrives at
 slot i and cannot be sent earlier; at most one unit leaves per slot; a
@@ -41,12 +41,16 @@ _SEND_ACTION = np.array(
 
 @dataclass(frozen=True)
 class OfflineInstance:
-    """One concentrator's scheduling problem over T slots.
+    """A block of concentrators' scheduling problems over T shared slots.
 
-    levels[t] is the free-spectrum state of slot t; price arrays hold the
-    posted per-unit lease prices in micro-cents. n_units must fit in the
-    horizon and quality_budget must leave at least one full-quality unit;
-    both are ints once built (config.check_field_types).
+    levels[r, t] is the free-spectrum state of row r in slot t, an (R, T)
+    block of at least one row, viewed and not copied; the (T,) price rows
+    hold the posted per-unit lease prices in micro-cents. Every row sends
+    n_units units, at most quality_budget of them reduced: n_units must fit
+    in the horizon and quality_budget must leave a full-quality unit.
+    seed, concentrator and first_slot name the trace, row 0 and slot 0,
+    for solve_dp's errors (instance_from_trace sets them). Int fields are
+    ints once built (config.check_field_types).
     T times the dearest full price is at most 2**53 micro-cents, as a
     ScenarioConfig bounds a fleet's bill, so every cost sum the solver forms
     is exact.
@@ -57,18 +61,24 @@ class OfflineInstance:
     price_reduced_microcents: np.ndarray
     n_units: int
     quality_budget: int
+    seed: int | None = None
+    concentrator: int = 0
+    first_slot: int = 0
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        levels = np.ascontiguousarray(self.levels, dtype=np.uint8)
-        full = np.ascontiguousarray(self.price_full_microcents, dtype=np.int64)
-        reduced = np.ascontiguousarray(self.price_reduced_microcents, dtype=np.int64)
+        levels = np.asarray(self.levels, dtype=np.uint8)
+        full = np.asarray(self.price_full_microcents, dtype=np.int64)
+        reduced = np.asarray(self.price_reduced_microcents, dtype=np.int64)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "price_full_microcents", full)
         object.__setattr__(self, "price_reduced_microcents", reduced)
-        t = levels.shape[0]
-        if levels.ndim != 1 or full.shape != (t,) or reduced.shape != (t,):
-            raise ConfigurationError("instance arrays must be 1-D with equal length")
+        rows, t = levels.shape if levels.ndim == 2 else (0, 0)
+        if not rows or full.shape != (t,) or reduced.shape != (t,):
+            raise ConfigurationError(
+                "instance levels must be 2-D, (rows >= 1, T), over (T,) price rows: "
+                f"got {levels.shape}, {full.shape} and {reduced.shape}"
+            )
         if levels.size and levels.max() > int(SpectrumLevel.FULL):
             raise ConfigurationError("unknown spectrum level code in instance")
         if np.any(reduced < 1) or np.any(full <= reduced):
@@ -77,60 +87,20 @@ class OfflineInstance:
             raise ConfigurationError(
                 f"{t} slots at full prices up to {int(full.max())} pass 2**53 micro-cents"
             )
-        check_workload(t, self.n_units, self.quality_budget)
+        n, m = self.n_units, self.quality_budget
+        if n < 0 or m < 0:
+            raise ConfigurationError("n_units and quality_budget cannot be negative")
+        if m >= max(1, n):
+            raise ConfigurationError(
+                "quality budget must leave a full-quality unit, or be 0 in an empty "
+                f"instance: quality_budget {m}, n_units {n}"
+            )
+        if n > t:
+            raise InfeasibleError(f"{n} units cannot be sent in {t} slots")
 
     @property
     def horizon(self) -> int:
-        return int(self.levels.shape[0])
-
-
-def check_workload(horizon: int, n_units: int, quality_budget: int) -> None:
-    """Refuse a workload of n_units units, at most quality_budget of them
-    reduced, that no schedule over ``horizon`` slots can serve."""
-    if n_units < 0 or quality_budget < 0:
-        raise ConfigurationError("n_units and quality_budget cannot be negative")
-    if quality_budget >= max(1, n_units):
-        raise ConfigurationError(
-            "quality budget must leave a full-quality unit, or be 0 in an empty "
-            f"instance: quality_budget {quality_budget}, n_units {n_units}"
-        )
-    if n_units > horizon:
-        raise InfeasibleError(f"{n_units} units cannot be sent in {horizon} slots")
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A feasible plan: one action per slot plus its realized totals."""
-
-    actions: np.ndarray
-    total_cost_microcents: int
-    reduced_count: int
-
-    @property
-    def sends(self) -> int:
-        return int(np.count_nonzero(self.actions != int(Action.IDLE)))
-
-
-def validate_schedule(instance: OfflineInstance, schedule: Schedule) -> int:
-    """Re-check every schedule invariant; returns the recomputed cost.
-
-    Raises InvariantViolationError on any violation, including a stored
-    total that disagrees with the recomputed one. The rules are
-    schedule_violation's, over a block of one row.
-    """
-    broken = schedule_violation(
-        instance.levels[None],
-        instance.price_full_microcents,
-        instance.price_reduced_microcents,
-        instance.n_units,
-        instance.quality_budget,
-        np.asarray(schedule.actions)[None],
-        np.array([schedule.total_cost_microcents], dtype=np.int64),
-        np.array([schedule.reduced_count], dtype=np.int64),
-    )
-    if broken is not None:
-        raise InvariantViolationError(broken[1])
-    return int(schedule.total_cost_microcents)
+        return self.levels.shape[1]
 
 
 def _first_row(broken: np.ndarray) -> int | None:
@@ -190,23 +160,27 @@ class RowSchedules:
     lam: np.ndarray
 
 
-def solve_dp(instance: OfflineInstance) -> Schedule:
-    """Minimum-cost feasible schedule of one instance, exact in int64, and
-    first under the tie rule: solve_rows' one-row case, which bisects the
-    budget's multiplier lam* inside its bracket [max(0, D_{M+T-N+1}),
-    max(0, D_{M+1})] of the savings' order statistics, one selection per
-    step, by the slope rule s(lam) <= M. validate_schedule checks it,
-    against the dual bound that certifies it optimal."""
-    rows = solve_rows(
-        instance.levels[None],
-        instance.price_full_microcents,
-        instance.price_reduced_microcents,
-        instance.n_units,
-        instance.quality_budget,
+def solve_dp(instance: OfflineInstance) -> RowSchedules:
+    """The minimum-cost schedules of every row of an instance, exact in int64,
+    each first under the tie rule (solve_rows), once they keep every rule of
+    schedule_violation and recompute to the dual bound that certifies them
+    optimal. A row that does not raises InvariantViolationError naming the
+    seed, its concentrator, the slot window and the workload."""
+    args = (
+        instance.levels, instance.price_full_microcents,
+        instance.price_reduced_microcents, instance.n_units, instance.quality_budget,
     )
-    schedule = Schedule(rows.actions[0], int(rows.cost[0]), int(rows.reduced_count[0]))
-    validate_schedule(instance, schedule)
-    return schedule
+    rows = solve_rows(*args)
+    broken = schedule_violation(*args, rows.actions, rows.cost, rows.reduced_count)
+    if broken is not None:
+        row, rule = broken
+        first = instance.first_slot
+        raise InvariantViolationError(
+            f"oracle seed {instance.seed}, concentrator {instance.concentrator + row}, "
+            f"slots {first}-{first + instance.horizon - 1}, n_units {instance.n_units}, "
+            f"budget {instance.quality_budget}: {rule}"
+        )
+    return rows
 
 
 def solve_rows(levels, price_full, price_reduced, n_units, quality_budget) -> RowSchedules:
@@ -214,7 +188,7 @@ def solve_rows(levels, price_full, price_reduced, n_units, quality_budget) -> Ro
 
     Each row of the (R, T) levels is one instance over the shared (T,)
     price rows, with one workload: N units, at most M reduced, N and M as
-    check_workload admits them. Causality never binds, so a row sends in N
+    OfflineInstance admits them. Causality never binds, so a row sends in N
     of the T slots, each at full quality for a_t (0 on full spectrum, else
     the full price) or reduced for b_t (0 on reduced spectrum, else the
     reduced price), at most M reduced. That is a min-cost flow, so pricing
@@ -425,22 +399,21 @@ def _settle(row, kind, unsent, reduced_left, priced):
 
 def instance_from_trace(
     trace,
-    concentrator: int,
+    rows: slice,
     n_units: int,
     quality_budget: int,
     first_slot: int = 1,
     last_slot: int | None = None,
 ) -> OfflineInstance:
-    """Extract one concentrator's offline problem from a drawn trace.
-
-    The window [first_slot, last_slot] becomes instance slots 0..T-1.
-    first_slot defaults to 1 because slot 0 precedes the first arrivals
-    under the engine's slot ordering and so can never carry a send.
+    """The offline problem of a block of a trace's concentrators: ``rows``, a
+    slice such as row_blocks gives, clipped to the fleet, over the slot
+    window [first_slot, last_slot], which becomes instance slots 0..T-1.
+    The instance views the trace's arrays. first_slot defaults to 1 because
+    slot 0 precedes the first arrivals under the engine's slot ordering and
+    so can never carry a send.
     """
-    if not 0 <= concentrator < trace.k:
-        raise ConfigurationError(
-            f"concentrator {concentrator} outside fleet of {trace.k}"
-        )
+    if not 0 <= rows.start < trace.k:
+        raise ConfigurationError(f"concentrator {rows.start} outside fleet of {trace.k}")
     if last_slot is None:
         last_slot = trace.horizon - 1
     if not 0 <= first_slot <= last_slot < trace.horizon:
@@ -450,9 +423,12 @@ def instance_from_trace(
         )
     window = slice(first_slot, last_slot + 1)
     return OfflineInstance(
-        levels=trace.levels[concentrator, window],
+        levels=trace.levels[rows, window],
         price_full_microcents=trace.price_full[window],
         price_reduced_microcents=trace.price_reduced[window],
         n_units=n_units,
         quality_budget=quality_budget,
+        seed=trace.seed,
+        concentrator=rows.start,
+        first_slot=first_slot,
     )

@@ -16,9 +16,10 @@ def cents(x: float) -> int:
 
 
 def make_instance(levels, full_cents, reduced_cents, n_units, quality_budget=0):
-    """Build a small offline instance from price lists given in cents."""
+    """Build a small one-row offline instance from a row of levels and price
+    lists given in cents."""
     return OfflineInstance(
-        levels=np.asarray(levels, dtype=np.uint8),
+        levels=np.asarray(levels, dtype=np.uint8)[None],
         price_full_microcents=np.asarray([cents(c) for c in full_cents]),
         price_reduced_microcents=np.asarray([cents(c) for c in reduced_cents]),
         n_units=n_units,

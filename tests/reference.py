@@ -32,6 +32,9 @@
   and the delay from two cumulative sums. It also keeps the packet-policy
   rule that the fused pass added (a free send that moved more than the
   level's free capacity), so that both report every rogue run alike.
+* The offline solvers below each solve a one-row OfflineInstance and
+  return a Row (its Action codes, cost and reduced count) that must keep
+  every rule of oracle.schedule_violation.
 * solve_bruteforce enumerates every schedule of a small offline instance.
 * solve_by_bisection is the selection solver as it ran one instance at a
   time, before it solved a block of rows at once: it bisects the budget's
@@ -54,7 +57,7 @@ import numpy as np
 from hpclease.engine import RunMetrics
 from hpclease.env import SpectrumLevel, row_blocks
 from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
-from hpclease.oracle import OfflineInstance, Schedule, validate_schedule
+from hpclease.oracle import OfflineInstance, schedule_violation
 from hpclease.policy import (
     IS_REDUCED,
     QUALITY_TABLE,
@@ -573,13 +576,37 @@ def check_decisions(run_name, params, config, decisions, serves, levels) -> None
 
 
 # ---------------------------------------------------------------------------
-# offline solvers
+# offline solvers, each over a one-row OfflineInstance
+
+
+@dataclass(frozen=True)
+class Row:
+    """One row's schedule: its (T,) Action codes and their totals."""
+
+    actions: np.ndarray
+    cost: int
+    reduced_count: int
+
+
+def _checked(instance: OfflineInstance, row: Row) -> Row:
+    """``row``, once it keeps every rule of schedule_violation for the
+    one-row ``instance`` (InvariantViolationError if not)."""
+    broken = schedule_violation(
+        instance.levels, instance.price_full_microcents,
+        instance.price_reduced_microcents, instance.n_units, instance.quality_budget,
+        row.actions[None], np.array([row.cost]), np.array([row.reduced_count]),
+    )
+    if broken is not None:
+        raise InvariantViolationError(broken[1])
+    return row
+
 
 _BRUTE_FORCE_MAX_SLOTS = 12
 
 
-def solve_bruteforce(instance: OfflineInstance) -> Schedule:
+def solve_bruteforce(instance: OfflineInstance) -> Row:
     """Exhaustive minimum over all feasible schedules; small instances only."""
+    (levels,) = instance.levels
     t_total = instance.horizon
     if t_total > _BRUTE_FORCE_MAX_SLOTS:
         raise ConfigurationError(
@@ -594,7 +621,7 @@ def solve_bruteforce(instance: OfflineInstance) -> Schedule:
 
     def options(t: int) -> list[tuple[int, int, int]]:
         # (action, cost, reduced) in tie-break preference order
-        level = int(instance.levels[t])
+        level = int(levels[t])
         cf = int(instance.price_full_microcents[t])
         cr = int(instance.price_reduced_microcents[t])
         out: list[tuple[int, int, int]] = []
@@ -637,13 +664,8 @@ def solve_bruteforce(instance: OfflineInstance) -> Schedule:
     reduced_mask = [
         a in (int(Action.FREE_REDUCED), int(Action.BUY_REDUCED)) for a in best_actions
     ]
-    schedule = Schedule(
-        actions=np.asarray(best_actions, dtype=np.uint8),
-        total_cost_microcents=int(best_cost),
-        reduced_count=sum(reduced_mask),
-    )
-    validate_schedule(instance, schedule)
-    return schedule
+    actions = np.asarray(best_actions, dtype=np.uint8)
+    return _checked(instance, Row(actions, int(best_cost), sum(reduced_mask)))
 
 
 # the action of a slot by [option (0 idle, 1 full, 2 reduced), SpectrumLevel]
@@ -655,18 +677,16 @@ _SEND_ACTION = np.array(
 )
 
 
-def solve_by_bisection(instance: OfflineInstance) -> tuple[Schedule, int]:
+def solve_by_bisection(instance: OfflineInstance) -> tuple[Row, int]:
     """The optimal schedule under the tie rule and the budget's multiplier
     lam*, one instance at a time: the dual L(lam) = (sum of the N smallest
     min(a, b + lam)) - lam * M peaks at the least integer lam* where
     L(lam + 1) <= L(lam), and the walk over the slots it leaves open must
     cost L(lam*)."""
+    (levels,) = instance.levels
     t_total, n, m = instance.horizon, instance.n_units, instance.quality_budget
     if n == 0:
-        schedule = Schedule(np.zeros(t_total, dtype=np.uint8), 0, 0)
-        validate_schedule(instance, schedule)
-        return schedule, 0
-    levels = instance.levels
+        return _checked(instance, Row(np.zeros(t_total, dtype=np.uint8), 0, 0)), 0
     a = np.where(levels == SpectrumLevel.FULL, 0, instance.price_full_microcents)
     b = np.where(levels == SpectrumLevel.REDUCED, 0, instance.price_reduced_microcents)
     d = a - b
@@ -728,17 +748,15 @@ def solve_by_bisection(instance: OfflineInstance) -> tuple[Schedule, int]:
         sends_left -= ds
         reduced_left -= dr
 
-    # validate_schedule recomputes the cost: equal to the dual bound, optimal
-    schedule = Schedule(actions, dual(lam), reduced_count=m - reduced_left)
-    validate_schedule(instance, schedule)
-    return schedule, lam
+    # schedule_violation recomputes the cost: equal to the dual bound, optimal
+    return _checked(instance, Row(actions, dual(lam), m - reduced_left)), lam
 
 
 # choice codes, ordered by tie-break preference (argmin picks the lowest)
 _IDLE, _FREE, _PAID_FULL, _PAID_REDUCED = 0, 1, 2, 3
 
 
-def solve_banded_dp(instance: OfflineInstance) -> Schedule:
+def solve_banded_dp(instance: OfflineInstance) -> Row:
     """Minimum-cost feasible schedule by dynamic programming.
 
     State: (slot, units sent, reduced used). Units-sent is banded: with s
@@ -748,17 +766,12 @@ def solve_banded_dp(instance: OfflineInstance) -> Schedule:
     prefer idle, then free, then a full-price lease, then a reduced lease,
     resolving earlier slots first.
     """
+    (levels,) = instance.levels
     t_total = instance.horizon
     n = instance.n_units
     m_budget = instance.quality_budget
     if n == 0:
-        schedule = Schedule(
-            actions=np.zeros(t_total, dtype=np.uint8),
-            total_cost_microcents=0,
-            reduced_count=0,
-        )
-        validate_schedule(instance, schedule)
-        return schedule
+        return _checked(instance, Row(np.zeros(t_total, dtype=np.uint8), 0, 0))
 
     width = t_total - n + 1  # slack axis size
     m_axis = m_budget + 1
@@ -771,7 +784,7 @@ def solve_banded_dp(instance: OfflineInstance) -> Schedule:
 
     candidates = np.empty((4, width, m_axis))
     for t in range(t_total - 1, -1, -1):
-        level = int(instance.levels[t])
+        level = int(levels[t])
         cf = float(instance.price_full_microcents[t])
         cr = float(instance.price_reduced_microcents[t])
 
@@ -819,7 +832,7 @@ def solve_banded_dp(instance: OfflineInstance) -> Schedule:
         code = int(choices[t, u, used])
         if code == _IDLE:
             continue
-        level = int(instance.levels[t])
+        level = int(levels[t])
         if code == _FREE:
             if level == int(SpectrumLevel.FULL):
                 actions[t] = int(Action.FREE_FULL)
@@ -839,8 +852,4 @@ def solve_banded_dp(instance: OfflineInstance) -> Schedule:
         raise InvariantViolationError(
             f"schedule walk cost {cost} != dp value {int(start_cost)}"
         )
-    schedule = Schedule(
-        actions=actions, total_cost_microcents=cost, reduced_count=used
-    )
-    validate_schedule(instance, schedule)
-    return schedule
+    return _checked(instance, Row(actions, cost, used))

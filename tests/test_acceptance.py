@@ -252,7 +252,7 @@ def _random_small_instance(rng, t, n, m):
     reduced = rng.integers(1, 500_000, size=t, dtype=np.int64)
     full = reduced + rng.integers(1, 500_000, size=t, dtype=np.int64)
     return OfflineInstance(
-        levels=levels,
+        levels=levels[None],
         price_full_microcents=full,
         price_reduced_microcents=reduced,
         n_units=n,
@@ -269,11 +269,10 @@ def test_exact_solver_matches_bruteforce():
             for m in range(max(1, n)):  # all budgets below the unit count
                 for _ in range(8):
                     inst = _random_small_instance(rng, t, n, m)
-                    dp = solve_dp(inst)
+                    (dp,) = solve_dp(inst).cost
                     bf = solve_bruteforce(inst)
-                    assert dp.total_cost_microcents == bf.total_cost_microcents, (
-                        f"T={t} N={n} M={m}: dp {dp.total_cost_microcents} "
-                        f"!= brute force {bf.total_cost_microcents}"
+                    assert dp == bf.cost, (
+                        f"T={t} N={n} M={m}: dp {dp} != brute force {bf.cost}"
                     )
                     checked += 1
     elapsed = time.perf_counter() - start

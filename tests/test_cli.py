@@ -17,11 +17,12 @@ from hpclease import (
     derive_quality_params,
     engine,
     generate_trace,
+    oracle,
     run,
 )
 from hpclease.env import Trace, load_trace, save_trace
 from hpclease.errors import ConfigurationError, InvariantViolationError
-from hpclease.oracle import Schedule, instance_from_trace, validate_schedule
+from hpclease.oracle import instance_from_trace, schedule_violation
 from hpclease.policy import Action
 
 from conftest import run_core
@@ -72,6 +73,10 @@ def test_repeated_seeds_are_a_config_error(command, monkeypatch, tmp_path, capsy
     [
         (["sweep-v", "--v", "5"], "a sweep needs at least two distinct axis values"),
         (["sweep-quality", "--budgets", "", "--seeds", "2"], "empty sweep"),
+        (
+            ["sweep-quality", "--preset", "reference", "--budgets", "0.1,0.3,0.1"],
+            "--budgets: duplicate shares in the sweep [0.1, 0.3, 0.1]",
+        ),
     ],
 )
 def test_degenerate_sweep_grid_fails_before_any_run(
@@ -412,6 +417,14 @@ def test_sweep_v_rejects_duplicate_grid(tmp_path, capsys):
     assert rc == 3
 
 
+def test_sweep_quality_refuses_distinct_shares_that_give_one_budget(tmp_path, capsys):
+    # 0.1 and 0.1001 of the 299 units both round down to 29 reduced units
+    argv = ["sweep-quality", *SMALL, "--budgets", "0.1,0.1001", "--seeds", "1"]
+    assert main(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert "budget shares collide at 29 reduced units of n_units 299" in err
+
+
 def test_sweep_quality_json_with_oracle(tmp_path):
     rc = main(
         tmp_path,
@@ -485,13 +498,14 @@ def test_oracle_solves_a_wide_budget_instance(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "oracle.json").read_text())
     cfg = ScenarioConfig(horizon=3000, k_concentrators=1, seed=101)  # reference preset
-    instance = instance_from_trace(generate_trace(cfg, cfg.seed), 0, 1500, 1000)
-    schedule = Schedule(
-        np.array(doc["action_codes"], dtype=np.uint8),
-        doc["cost_microcents"],
-        doc["reduced_count"],
-    )
-    assert validate_schedule(instance, schedule) == doc["cost_microcents"]
+    # the written schedule keeps every rule and recomputes to its cost
+    instance = instance_from_trace(generate_trace(cfg, cfg.seed), slice(0, 1), 1500, 1000)
+    assert schedule_violation(
+        instance.levels, instance.price_full_microcents,
+        instance.price_reduced_microcents, 1500, 1000,
+        np.array([doc["action_codes"]], dtype=np.uint8),
+        np.array([doc["cost_microcents"]]), np.array([doc["reduced_count"]]),
+    ) is None
     assert doc["sends"] == 1500
 
 
@@ -502,19 +516,26 @@ def test_oracle_infeasible_exits_4(tmp_path, capsys):
 
 
 def test_oracle_solve_failure_names_its_instance(monkeypatch, tmp_path, capsys):
-    def broken(instance):
-        raise InvariantViolationError("walk cost 5 != dual bound 4")
+    argv = [
+        "oracle", *SMALL, "--seed", "9", "--concentrator", "2", "--first-slot", "5",
+        "--last-slot", "120", "--n-units", "40", "--quality-budget", "7",
+    ]
+    assert main(tmp_path, *argv) == 0
+    optimum = json.loads((tmp_path / "oracle.json").read_text())["cost_microcents"]
+    solve = oracle.solve_rows
 
-    monkeypatch.setattr(cli, "solve_dp", broken)
-    rc = main(
-        tmp_path, "oracle", *SMALL, "--seed", "9", "--concentrator", "2",
-        "--first-slot", "5", "--last-slot", "120", "--n-units", "40",
-        "--quality-budget", "7",
-    )
-    assert rc == 5
+    def misstated(*args):
+        rows = solve(*args)
+        rows.cost[0] += 1
+        return rows
+
+    # the block core states the one row's bound too high; solve_dp's one
+    # message format, as engine.oracle_reference's test expects it
+    monkeypatch.setattr(oracle, "solve_rows", misstated)
+    assert main(tmp_path, *argv) == 5
     assert (
         "oracle seed 9, concentrator 2, slots 5-120, n_units 40, budget 7: "
-        "walk cost 5 != dual bound 4"
+        f"stored cost {optimum + 1} != recomputed {optimum}"
     ) in capsys.readouterr().err
 
 

@@ -26,7 +26,7 @@ SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "schema"
 
 def instance(**fields):
     return OfflineInstance(
-        levels=np.zeros(4, dtype=np.uint8),
+        levels=np.zeros((1, 4), dtype=np.uint8),
         price_full_microcents=np.full(4, 10),
         price_reduced_microcents=np.full(4, 4),
         **{"n_units": 2, "quality_budget": 0, **fields},
@@ -59,6 +59,7 @@ def quality(**fields):
         (lambda: LyapunovParams(np.bool_(True)), "v_factor"),
         (lambda: instance(n_units=2.5), "n_units"),
         (lambda: instance(quality_budget=1.5), "quality_budget"),
+        (lambda: instance(concentrator=0.5), "concentrator"),
     ],
 )
 def test_wrongly_typed_value_fails_when_built(build, field):
@@ -103,8 +104,9 @@ def test_integral_values_build_and_read_back_as_int():
     # the integral values run, and the oracle takes its integral instance
     metrics = run(cfg, quality(n_units=np.int64(20), deadline=90.0))
     assert metrics.k == 3 and metrics.horizon == 100
-    schedule = solve_dp(instance(n_units=3.0, quality_budget=np.int64(1)))
-    assert schedule.reduced_count == 1
+    typed = instance(n_units=3.0, quality_budget=np.int64(1), seed=np.uint8(7))
+    assert type(typed.seed) is int
+    assert solve_dp(typed).reduced_count.tolist() == [1]
 
 
 def test_schema_types_match_the_field_annotations():

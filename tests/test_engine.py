@@ -18,6 +18,7 @@ from hpclease import (
     derive_quality_params,
     engine,
     generate_trace,
+    oracle,
     run,
 )
 from hpclease.engine import is_unit_granular, make_policy
@@ -448,19 +449,21 @@ def test_oracle_dominance_failure_names_the_concentrator(small_cfg, monkeypatch)
 
 def _misstate_one_bound(monkeypatch, trace, concentrator, n_units, budget) -> str:
     """Make the block core state one bound too high for ``concentrator``;
-    returns the error oracle_reference must then raise."""
+    returns the error oracle_reference must then raise, in solve_dp's one
+    format (the oracle subcommand's test expects the same)."""
     optimum = int(engine.oracle_reference(trace, n_units, budget)[concentrator])
-    solve = engine.solve_rows
+    solve = oracle.solve_rows
 
     def misstated(levels, *args):
         rows = solve(levels, *args)
         rows.cost[(levels == trace.levels[concentrator, 1:]).all(axis=1)] += 1
         return rows
 
-    monkeypatch.setattr(engine, "solve_rows", misstated)
+    monkeypatch.setattr(oracle, "solve_rows", misstated)
     return (
-        f"oracle seed {trace.seed}, concentrator {concentrator}, n_units {n_units}, "
-        f"budget {budget}: stored cost {optimum + 1} != recomputed {optimum}"
+        f"oracle seed {trace.seed}, concentrator {concentrator}, slots "
+        f"1-{trace.horizon - 1}, n_units {n_units}, budget {budget}: "
+        f"stored cost {optimum + 1} != recomputed {optimum}"
     )
 
 

@@ -1,45 +1,57 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpclease import generate_trace
+from hpclease import ScenarioConfig, engine, generate_trace
 from hpclease.env import SpectrumLevel, to_microcents
-from hpclease.errors import ConfigurationError, InfeasibleError, InvariantViolationError
+from hpclease.errors import ConfigurationError, InfeasibleError
 from hpclease.oracle import (
     OfflineInstance,
-    Schedule,
     instance_from_trace,
+    schedule_violation,
     solve_dp,
     solve_rows,
-    validate_schedule,
 )
 from hpclease.policy import Action
 
 from conftest import make_instance
-from reference import solve_banded_dp, solve_bruteforce, solve_by_bisection
+from reference import Row, solve_banded_dp, solve_bruteforce, solve_by_bisection
 
 N0, R1, F2 = int(SpectrumLevel.NONE), int(SpectrumLevel.REDUCED), int(SpectrumLevel.FULL)
+
+
+def solve_row(inst) -> Row:
+    """solve_dp's schedule of a one-row instance, as the references give theirs."""
+    got = solve_dp(inst)
+    (actions,), (cost,), (reduced_count,) = got.actions, got.cost, got.reduced_count
+    return Row(actions, int(cost), int(reduced_count))
+
+
+def sends(schedule: Row) -> int:
+    return int(np.count_nonzero(schedule.actions != int(Action.IDLE)))
 
 
 def test_two_of_three_slots_picks_cheapest_pair():
     # feasible send sets cost 6, 8 and 4 cents; the minimum is {1, 2}
     inst = make_instance([N0, N0, N0], [5, 1, 3], [2.5, 0.5, 1.5], n_units=2)
-    sched = solve_dp(inst)
-    assert sched.total_cost_microcents == to_microcents(4)
+    sched = solve_row(inst)
+    assert sched.cost == to_microcents(4)
     assert list(np.flatnonzero(sched.actions != 0)) == [1, 2]
     assert sched.reduced_count == 0
     brute = solve_bruteforce(inst)
-    assert brute.total_cost_microcents == sched.total_cost_microcents
+    assert brute.cost == sched.cost
     assert np.array_equal(brute.actions, sched.actions)
 
 
 def test_all_full_levels_cost_zero():
     for n in (1, 3, 5):
         inst = make_instance([F2] * 5, [5] * 5, [2] * 5, n_units=n)
-        sched = solve_dp(inst)
-        assert sched.total_cost_microcents == 0
-        assert sched.sends == n
+        sched = solve_row(inst)
+        assert sched.cost == 0
+        assert sends(sched) == n
 
 
 def test_every_slot_forced_with_budget():
@@ -48,39 +60,39 @@ def test_every_slot_forced_with_budget():
     inst = make_instance(
         [F2, N0, R1, N0], [5, 5, 5, 5], [2, 2, 2, 2], n_units=4, quality_budget=1
     )
-    sched = solve_dp(inst)
-    assert sched.total_cost_microcents == to_microcents(10)
+    sched = solve_row(inst)
+    assert sched.cost == to_microcents(10)
     assert sched.reduced_count == 1
     assert sched.actions[2] == int(Action.FREE_REDUCED)
     brute = solve_bruteforce(inst)
-    assert brute.total_cost_microcents == sched.total_cost_microcents
+    assert brute.cost == sched.cost
 
 
 def test_every_slot_forced_no_budget_pays_full():
     inst = make_instance([N0, N0], [5, 3], [2, 1], n_units=2)
-    sched = solve_dp(inst)
-    assert sched.total_cost_microcents == to_microcents(8)
+    sched = solve_row(inst)
+    assert sched.cost == to_microcents(8)
     assert all(a == int(Action.BUY_FULL) for a in sched.actions)
 
 
 def test_empty_workload():
     inst = make_instance([N0, R1, F2], [5, 5, 5], [2, 2, 2], n_units=0)
-    sched = solve_dp(inst)
-    assert sched.total_cost_microcents == 0
-    assert sched.sends == 0
-    assert solve_bruteforce(inst).total_cost_microcents == 0
+    sched = solve_row(inst)
+    assert sched.cost == 0
+    assert sends(sched) == 0
+    assert solve_bruteforce(inst).cost == 0
 
 
 def test_single_slot_single_unit():
     inst = make_instance([N0], [7], [3], n_units=1)
-    assert solve_dp(inst).total_cost_microcents == to_microcents(7)
+    assert solve_row(inst).cost == to_microcents(7)
 
 
 def test_tie_break_prefers_late_idle_first_walk():
     # equal prices everywhere: idling is preferred at every tie, so the
     # single send lands in the last slot
     inst = make_instance([N0, N0, N0], [1, 1, 1], [0.5, 0.5, 0.5], n_units=1)
-    sched = solve_dp(inst)
+    sched = solve_row(inst)
     assert list(np.flatnonzero(sched.actions != 0)) == [2]
     brute = solve_bruteforce(inst)
     assert np.array_equal(brute.actions, sched.actions)
@@ -100,7 +112,7 @@ def test_instance_validation():
         make_instance([N0], [5], [2], n_units=0, quality_budget=1)
     with pytest.raises(ConfigurationError):
         make_instance([9], [5], [2], n_units=1)  # unknown level code
-    with pytest.raises(ConfigurationError, match="1-D"):
+    with pytest.raises(ConfigurationError, match="2-D"):
         make_instance([[N0, N0]], [5, 5], [2, 2], n_units=1)
     with pytest.raises(ConfigurationError, match="cannot be negative"):
         make_instance([N0], [5], [2], n_units=-1)
@@ -120,7 +132,7 @@ def _random_instance(rng, max_t=8):
     n = int(rng.integers(0, t + 1))
     m = int(rng.integers(0, n)) if n > 1 else 0
     return OfflineInstance(
-        levels=levels,
+        levels=levels[None],
         price_full_microcents=full,
         price_reduced_microcents=reduced,
         n_units=n,
@@ -132,12 +144,11 @@ def test_dp_matches_bruteforce_on_random_instances():
     rng = np.random.default_rng(424242)
     for _ in range(400):
         inst = _random_instance(rng)
-        dp = solve_dp(inst)
+        # each solver's schedule keeps every rule of schedule_violation
+        dp = solve_row(inst)
         bf = solve_bruteforce(inst)
-        assert dp.total_cost_microcents == bf.total_cost_microcents
+        assert dp.cost == bf.cost
         assert np.array_equal(dp.actions, bf.actions)  # shared tie-break
-        validate_schedule(inst, dp)
-        validate_schedule(inst, bf)
 
 
 def test_cost_nonincreasing_in_budget():
@@ -147,19 +158,9 @@ def test_cost_nonincreasing_in_budget():
         if inst.n_units < 2:
             continue
         for m in range(inst.n_units - 1):
-            a = solve_dp(
-                OfflineInstance(
-                    inst.levels, inst.price_full_microcents,
-                    inst.price_reduced_microcents, inst.n_units, m,
-                )
-            )
-            b = solve_dp(
-                OfflineInstance(
-                    inst.levels, inst.price_full_microcents,
-                    inst.price_reduced_microcents, inst.n_units, m + 1,
-                )
-            )
-            assert b.total_cost_microcents <= a.total_cost_microcents
+            a = solve_row(dataclasses.replace(inst, quality_budget=m))
+            b = solve_row(dataclasses.replace(inst, quality_budget=m + 1))
+            assert b.cost <= a.cost
 
 
 def test_cost_nonincreasing_in_horizon():
@@ -167,56 +168,52 @@ def test_cost_nonincreasing_in_horizon():
     for _ in range(120):
         inst = _random_instance(rng, max_t=7)
         longer = OfflineInstance(
-            np.append(inst.levels, np.uint8(N0)),
+            np.append(inst.levels, [[N0]], axis=1),
             np.append(inst.price_full_microcents, 1_000_000),
             np.append(inst.price_reduced_microcents, 500_000),
             inst.n_units,
             inst.quality_budget,
         )
-        assert (
-            solve_dp(longer).total_cost_microcents
-            <= solve_dp(inst).total_cost_microcents
-        )
+        assert solve_row(longer).cost <= solve_row(inst).cost
+
+
+def broken_rule(inst, actions, cost, reduced_count) -> str | None:
+    """The rule that one row of Action codes and its stored totals break in
+    the one-row ``inst``, by schedule_violation; None when they keep all."""
+    broken = schedule_violation(
+        inst.levels, inst.price_full_microcents, inst.price_reduced_microcents,
+        inst.n_units, inst.quality_budget, np.asarray(actions, dtype=np.uint8)[None],
+        np.array([cost]), np.array([reduced_count]),
+    )
+    return None if broken is None else broken[1]
 
 
 def test_validate_schedule_catches_corruption():
     inst = make_instance([N0, N0, N0], [5, 1, 3], [2, 0.5, 1], n_units=2)
-    good = solve_dp(inst)
-    validate_schedule(inst, good)
+    good = solve_row(inst)
+    assert broken_rule(inst, good.actions, good.cost, 0) is None
 
-    wrong_cost = Schedule(good.actions, good.total_cost_microcents + 1, 0)
-    with pytest.raises(InvariantViolationError):
-        validate_schedule(inst, wrong_cost)
+    assert "stored cost" in broken_rule(inst, good.actions, good.cost + 1, 0)
 
     extra_send = good.actions.copy()
     extra_send[0] = int(Action.BUY_FULL)
-    with pytest.raises(InvariantViolationError):
-        validate_schedule(inst, Schedule(extra_send, good.total_cost_microcents, 0))
+    assert "sends 3 units" in broken_rule(inst, extra_send, good.cost, 0)
 
     free_without_level = good.actions.copy()
     free_without_level[1] = int(Action.FREE_FULL)  # level there is None
-    with pytest.raises(InvariantViolationError):
-        validate_schedule(
-            inst, Schedule(free_without_level, good.total_cost_microcents, 0)
-        )
+    assert "without full spectrum" in broken_rule(inst, free_without_level, good.cost, 0)
 
-    over_budget = np.array(
-        [int(Action.BUY_REDUCED), int(Action.BUY_FULL), 0], dtype=np.uint8
-    )
+    over_budget = [int(Action.BUY_REDUCED), int(Action.BUY_FULL), 0]
     cost = int(inst.price_reduced_microcents[0] + inst.price_full_microcents[1])
-    with pytest.raises(InvariantViolationError):
-        validate_schedule(inst, Schedule(over_budget, cost, 1))
+    assert "quality budget" in broken_rule(inst, over_budget, cost, 1)
 
-    with pytest.raises(InvariantViolationError, match="length"):
-        validate_schedule(inst, Schedule(good.actions[:2], good.total_cost_microcents, 0))
+    assert "length" in broken_rule(inst, good.actions[:2], good.cost, 0)
     reduced_without_level = good.actions.copy()
     reduced_without_level[1] = int(Action.FREE_REDUCED)  # level there is None
-    with pytest.raises(InvariantViolationError, match="without reduced spectrum"):
-        validate_schedule(
-            inst, Schedule(reduced_without_level, good.total_cost_microcents, 1)
-        )
-    with pytest.raises(InvariantViolationError, match="reduced_count"):
-        validate_schedule(inst, Schedule(good.actions, good.total_cost_microcents, 1))
+    assert "without reduced spectrum" in broken_rule(
+        inst, reduced_without_level, good.cost, 1
+    )
+    assert "reduced_count" in broken_rule(inst, good.actions, good.cost, 1)
 
 
 def test_validate_schedule_catches_causality_violation():
@@ -224,42 +221,49 @@ def test_validate_schedule_catches_causality_violation():
     # both land before the second unit exists
     inst = make_instance([F2, F2, F2], [5, 5, 5], [2, 2, 2], n_units=2)
     # legal plan sends at slots 0,1; illegal one sends two units at slot 0
-    bad = np.array([int(Action.FREE_FULL), 0, int(Action.FREE_FULL)], dtype=np.uint8)
-    validate_schedule(inst, Schedule(bad, 0, 0))  # 0 and 2 is fine
-    really_bad = np.array([int(Action.FREE_FULL)] * 2 + [0], dtype=np.uint8)
-    validate_schedule(inst, Schedule(really_bad, 0, 0))  # 0 and 1 is fine too
+    bad = [int(Action.FREE_FULL), 0, int(Action.FREE_FULL)]
+    assert broken_rule(inst, bad, 0, 0) is None  # 0 and 2 is fine
+    really_bad = [int(Action.FREE_FULL)] * 2 + [0]
+    assert broken_rule(inst, really_bad, 0, 0) is None  # 0 and 1 is fine too
     # shift instance so slot 0 may carry at most unit 0: craft length-2
     # instance with both sends in slot 0 is impossible by construction
     # (one action per slot), so corrupt the send count instead
-    short = Schedule(np.array([int(Action.FREE_FULL), 0, 0], dtype=np.uint8), 0, 0)
-    with pytest.raises(InvariantViolationError):
-        validate_schedule(inst, short)
+    short = [int(Action.FREE_FULL), 0, 0]
+    assert "sends 1 units" in broken_rule(inst, short, 0, 0)
 
 
 def test_instance_from_trace_window(small_cfg):
     trace = generate_trace(small_cfg, 7)
-    inst = instance_from_trace(trace, 2, n_units=10, quality_budget=3)
+    inst = instance_from_trace(trace, slice(2, 3), n_units=10, quality_budget=3)
     assert inst.horizon == small_cfg.horizon - 1
-    assert np.array_equal(inst.levels, trace.levels[2, 1:])
+    assert np.array_equal(inst.levels, trace.levels[2:3, 1:])
     assert np.array_equal(inst.price_full_microcents, trace.price_full[1:])
+    # the instance views the trace's rows, and names where they came from
+    assert np.shares_memory(inst.levels, trace.levels)
+    assert (inst.seed, inst.concentrator, inst.first_slot) == (7, 2, 1)
 
     windowed = instance_from_trace(
-        trace, 0, n_units=4, quality_budget=0, first_slot=10, last_slot=19
+        trace, slice(0, 1), n_units=4, quality_budget=0, first_slot=10, last_slot=19
     )
     assert windowed.horizon == 10
-    assert np.array_equal(windowed.levels, trace.levels[0, 10:20])
+    assert np.array_equal(windowed.levels, trace.levels[0:1, 10:20])
+    # a row_blocks slice that runs past the fleet is clipped to it
+    block = instance_from_trace(trace, slice(1, 65), n_units=4, quality_budget=0)
+    assert np.array_equal(block.levels, trace.levels[1:, 1:])
 
 
 def test_instance_from_trace_guards(small_cfg):
     trace = generate_trace(small_cfg, 7)
+    for rows in (slice(99, 100), slice(4, 65), slice(-1, 0)):
+        with pytest.raises(ConfigurationError, match=f"concentrator {rows.start} outside"):
+            instance_from_trace(trace, rows, n_units=1, quality_budget=0)
+    one = slice(0, 1)
     with pytest.raises(ConfigurationError):
-        instance_from_trace(trace, 99, n_units=1, quality_budget=0)
+        instance_from_trace(trace, one, 1, 0, first_slot=50, last_slot=10)
     with pytest.raises(ConfigurationError):
-        instance_from_trace(trace, 0, 1, 0, first_slot=50, last_slot=10)
-    with pytest.raises(ConfigurationError):
-        instance_from_trace(trace, 0, 1, 0, first_slot=0, last_slot=10**6)
+        instance_from_trace(trace, one, 1, 0, first_slot=0, last_slot=10**6)
     with pytest.raises(InfeasibleError):
-        instance_from_trace(trace, 0, n_units=10**6, quality_budget=0)
+        instance_from_trace(trace, one, n_units=10**6, quality_budget=0)
 
 
 def test_large_contract_instance_runs():
@@ -270,15 +274,14 @@ def test_large_contract_instance_runs():
     levels = rng.integers(0, 3, size=t).astype(np.uint8)
     full = rng.integers(100_000, 1_000_001, size=t)
     reduced = full * 3 // 5
-    forced = OfflineInstance(levels, full, reduced, n_units=t, quality_budget=3000)
-    sched = solve_dp(forced)
-    assert validate_schedule(forced, sched) == sched.total_cost_microcents
-    assert sched.sends == t
+    # solve_dp recomputes each schedule's cost to the dual bound it returns
+    forced = OfflineInstance(levels[None], full, reduced, n_units=t, quality_budget=3000)
+    sched = solve_row(forced)
+    assert sends(sched) == t
 
-    banded = OfflineInstance(levels, full, reduced, n_units=t - 1, quality_budget=3000)
-    sched2 = solve_dp(banded)
-    assert validate_schedule(banded, sched2) == sched2.total_cost_microcents
-    assert sched2.total_cost_microcents <= sched.total_cost_microcents
+    banded = dataclasses.replace(forced, n_units=t - 1)
+    sched2 = solve_row(banded)
+    assert sched2.cost <= sched.cost
 
 
 def test_forced_fast_path_matches_general_dp():
@@ -292,10 +295,10 @@ def test_forced_fast_path_matches_general_dp():
         reduced = np.maximum(full // 2, 1)
         n = t
         m = int(rng.integers(0, n))
-        forced = OfflineInstance(levels, full, reduced, n, m)
+        forced = OfflineInstance(levels[None], full, reduced, n, m)
         bf = solve_bruteforce(forced)
-        dp = solve_dp(forced)
-        assert dp.total_cost_microcents == bf.total_cost_microcents
+        dp = solve_row(forced)
+        assert dp.cost == bf.cost
         assert np.array_equal(dp.actions, bf.actions)
 
 
@@ -308,7 +311,7 @@ def _grid_instance(rng, t, n, m, tie_heavy):
     else:
         reduced = rng.integers(1, 500_000, size=t)
         full = reduced + rng.integers(1, 500_000, size=t)
-    return OfflineInstance(levels, full, reduced, n_units=n, quality_budget=m)
+    return OfflineInstance(levels[None], full, reduced, n_units=n, quality_budget=m)
 
 
 def test_solver_matches_banded_dp_and_bruteforce():
@@ -325,13 +328,13 @@ def test_solver_matches_banded_dp_and_bruteforce():
                 cases = [(t % max(1, n), (t + n) % 2 == 0)]
             for m, tie_heavy in cases:
                 inst = _grid_instance(rng, t, n, m, tie_heavy)
-                got = solve_dp(inst)
+                got = solve_row(inst)
                 refs = [solve_banded_dp(inst)]
                 if t <= 9:
                     refs.append(solve_bruteforce(inst))
                 for ref in refs:
                     assert np.array_equal(got.actions, ref.actions), (t, n, m)
-                    assert got.total_cost_microcents == ref.total_cost_microcents
+                    assert got.cost == ref.cost
                     assert got.reduced_count == ref.reduced_count
                 checked += 1
     assert checked > 3000
@@ -370,10 +373,11 @@ def test_row_block_solver_matches_the_per_row_bisection(workload):
     got = solve_rows(levels, full, reduced, n, m)
     assert got.actions.shape == (rows, t)
     for i in range(rows):
-        want, lam = solve_by_bisection(OfflineInstance(levels[i], full, reduced, n, m))
+        row = OfflineInstance(levels[i, None], full, reduced, n, m)
+        want, lam = solve_by_bisection(row)
         assert got.lam[i] == lam
         assert np.array_equal(got.actions[i], want.actions)
-        assert got.cost[i] == want.total_cost_microcents
+        assert got.cost[i] == want.cost
         assert got.reduced_count[i] == want.reduced_count
         if n:
             # lam* lies in [max(0, D_{M+T-N+1}), max(0, D_{M+1})], D_j the
@@ -390,7 +394,7 @@ def test_all_forced_tie_keeps_the_full_lease_at_the_earlier_slot():
     inst = make_instance(
         [R1, N0, N0, N0], [4, 3, 3, 2], [1, 1, 1, 1], n_units=4, quality_budget=2
     )
-    sched = solve_dp(inst)
+    sched = solve_row(inst)
     assert sched.actions.tolist() == [2, 3, 4, 3]
     assert np.array_equal(solve_bruteforce(inst).actions, sched.actions)
 
@@ -403,15 +407,12 @@ def test_half_workload_with_large_budget_runs():
     levels = rng.choice(np.array([N0, R1, F2], dtype=np.uint8), size=t, p=[0.9, 0.05, 0.05])
     full = rng.integers(100_000, 1_000_001, size=t)
     reduced = full * 3 // 5
-    inst = OfflineInstance(levels, full, reduced, n_units=5000, quality_budget=3000)
-    sched = solve_dp(inst)
-    assert validate_schedule(inst, sched) == sched.total_cost_microcents
-    assert sched.sends == 5000
+    inst = OfflineInstance(levels[None], full, reduced, n_units=5000, quality_budget=3000)
+    sched = solve_row(inst)
+    assert sends(sched) == 5000
     assert sched.reduced_count == 3000
-    tighter = solve_dp(
-        OfflineInstance(levels, full, reduced, n_units=5000, quality_budget=2999)
-    )
-    assert sched.total_cost_microcents < tighter.total_cost_microcents
+    tighter = solve_row(dataclasses.replace(inst, quality_budget=2999))
+    assert sched.cost < tighter.cost
 
 
 def test_tie_heavy_half_workload_matches_the_per_row_bisection():
@@ -422,20 +423,73 @@ def test_tie_heavy_half_workload_matches_the_per_row_bisection():
     levels = rng.integers(0, 3, size=t).astype(np.uint8)
     full = rng.integers(100_000, 1_000_001, size=t)
     reduced = full * 3 // 5
-    inst = OfflineInstance(levels, full, reduced, n_units=5000, quality_budget=3000)
+    inst = OfflineInstance(levels[None], full, reduced, n_units=5000, quality_budget=3000)
     want, lam = solve_by_bisection(inst)
     got = solve_rows(levels[None], full, reduced, 5000, 3000)
     assert got.lam[0] == lam
     assert np.array_equal(got.actions[0], want.actions)
-    assert got.cost[0] == want.total_cost_microcents
+    assert got.cost[0] == want.cost
     assert got.reduced_count[0] == want.reduced_count
 
 
 def test_instance_prices_bounded_for_exact_sums():
     # horizon * dearest full price may reach 2**53 micro-cents, not pass it
     top = 2**52
-    OfflineInstance(np.zeros(2, np.uint8), [top, 2], [1, 1], n_units=1, quality_budget=0)
+    levels = np.zeros((3, 2), np.uint8)
+    OfflineInstance(levels, [top, 2], [1, 1], n_units=1, quality_budget=0)
     with pytest.raises(ConfigurationError, match=r"pass 2\*\*53"):
-        OfflineInstance(
-            np.zeros(2, np.uint8), [top + 1, 2], [1, 1], n_units=1, quality_budget=0
-        )
+        OfflineInstance(levels, [top + 1, 2], [1, 1], n_units=1, quality_budget=0)
+
+
+@st.composite
+def _trace_blocks(draw):
+    """(config, rows, first_slot, last_slot, N, M): a small unit-granular
+    scenario, a block of its rows that may start past row 0 and run past
+    the fleet, a slot window that may start past slot 1, and a workload
+    that fits the window."""
+    k, horizon = draw(st.integers(1, 6)), draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 999))
+    cfg = ScenarioConfig(k_concentrators=k, horizon=horizon, seed=seed)
+    start = draw(st.integers(0, k - 1))
+    rows = slice(start, draw(st.integers(start + 1, k + 3)))
+    first = draw(st.integers(1, horizon - 1))
+    last = draw(st.integers(first, horizon - 1))
+    n = draw(st.integers(0, last - first + 1))
+    m = draw(st.integers(0, n - 1)) if n > 1 else 0
+    return cfg, rows, first, last, n, m
+
+
+@given(_trace_blocks())
+@settings(max_examples=80, deadline=None)
+# rows 2-4 of 5 (the block runs past the fleet) over slots 7-29
+@example((ScenarioConfig(k_concentrators=5, horizon=30, seed=3), slice(2, 9), 7, 29, 12, 5))
+def test_solve_dp_on_a_trace_block_matches_the_per_row_bisection(case):
+    cfg, rows, first, last, n, m = case
+    trace = generate_trace(cfg, cfg.seed)
+    assert engine.is_unit_granular(cfg)
+    got = solve_dp(instance_from_trace(trace, rows, n, m, first_slot=first, last_slot=last))
+    concentrators = range(rows.start, min(rows.stop, cfg.k_concentrators))
+    assert got.actions.shape == (len(concentrators), last - first + 1)
+
+    def reference(c, window):
+        return solve_by_bisection(OfflineInstance(
+            trace.levels[c, None, window], trace.price_full[window],
+            trace.price_reduced[window], n, m,
+        ))[0]
+
+    for i, c in enumerate(concentrators):
+        want = reference(c, slice(first, last + 1))
+        assert np.array_equal(got.actions[i], want.actions)
+        assert got.cost[i] == want.cost
+        assert got.reduced_count[i] == want.reduced_count
+    # the fleet path: every row over slots 1 to T - 1
+    per_row = [reference(c, slice(1, cfg.horizon)).cost for c in range(cfg.k_concentrators)]
+    fleet = engine.oracle_reference(trace, n, m)
+    assert fleet.tolist() == per_row
+    assert int(fleet.sum()) == sum(per_row)
+
+
+def test_instance_levels_must_be_a_block_of_rows():
+    for levels in (np.zeros(3, np.uint8), np.zeros((0, 3), np.uint8), np.zeros((1, 1, 3))):
+        with pytest.raises(ConfigurationError, match="2-D"):
+            OfflineInstance(levels, [5, 5, 5], [2, 2, 2], n_units=1, quality_budget=0)
