@@ -21,7 +21,7 @@ from .errors import (
     InvariantViolationError,
     TraceFormatError,
 )
-from .oracle import OfflineInstance, instance_from_trace, solve_dp
+from .oracle import OfflineInstance, solve_dp
 from .policy import (
     Action,
     LyapunovParams,
@@ -58,7 +58,6 @@ __all__ = [
     "derive_quality_params",
     "emit",
     "generate_trace",
-    "instance_from_trace",
     "load_trace",
     "quality_sweep_summary",
     "run",

@@ -29,7 +29,7 @@ from .engine import (
 )
 from .env import generate_trace, load_trace, save_trace, to_dollars
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
-from .oracle import instance_from_trace, solve_dp
+from .oracle import OfflineInstance, solve_dp
 from .policy import Action, LyapunovParams, PolicyParams, QualityParams, StaticParams
 from . import report
 
@@ -443,7 +443,7 @@ def _cmd_oracle(spec: argparse.Namespace) -> int:
         cfg = _scenario(spec)
         trace = generate_trace(cfg, cfg.seed)
     c = spec.concentrator
-    instance = instance_from_trace(
+    instance = OfflineInstance(
         trace, slice(c, c + 1), spec.n_units, spec.quality_budget,
         spec.first_slot, spec.last_slot,
     )
@@ -452,7 +452,7 @@ def _cmd_oracle(spec: argparse.Namespace) -> int:
     doc = {
         "concentrator": c,
         "first_slot": spec.first_slot,
-        "last_slot": spec.first_slot + instance.horizon - 1,
+        "last_slot": instance.last_slot,
         "n_units": spec.n_units,
         "quality_budget": spec.quality_budget,
         "cost_microcents": cost,

@@ -39,7 +39,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .env import SpectrumLevel, Trace, generate_trace, row_blocks, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
-from .oracle import instance_from_trace, solve_dp
+from .oracle import OfflineInstance, solve_dp
 from .policy import POLICIES, Action, PolicyParams, QualityParams, free_capacities
 
 
@@ -354,11 +354,11 @@ def oracle_reference(
     quality_budget: int,
 ) -> np.ndarray:
     """Offline-optimal cost of the (n_units, budget) workload per concentrator,
-    over slots 1 to T - 1 (instance_from_trace's window), solved and checked
-    by solve_dp a row block at a time."""
+    over slots 1 to T - 1 (OfflineInstance's default window), solved and
+    checked by solve_dp a row block at a time."""
     per_conc = np.empty(trace.k, dtype=np.int64)
     for block in row_blocks(trace.k, trace.horizon - 1):
-        instance = instance_from_trace(trace, block, n_units, quality_budget)
+        instance = OfflineInstance(trace, block, n_units, quality_budget)
         per_conc[block] = solve_dp(instance).cost
     return per_conc
 

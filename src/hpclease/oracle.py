@@ -9,10 +9,10 @@ min-cost flow) that each row bisects inside a bracket of its savings' order
 statistics, one row-wise selection per step. The slots that the multiplier
 leaves open it settles under the tie rule for the whole block at once, in
 a few rounds of array operations. solve_dp is the one checked entry: it
-solves an OfflineInstance, a block of rows that instance_from_trace cuts
-from a trace for engine.oracle_reference (the fleet) and the oracle
-subcommand (one row), and every schedule it returns must keep
-schedule_violation's rules and meet the dual bound that certifies it.
+solves an OfflineInstance, a block of a trace's rows over a window of
+slots, for engine.oracle_reference (the fleet) and the oracle subcommand
+(one row), and every schedule it returns must keep schedule_violation's
+rules and meet the dual bound that certifies it.
 
 Conventions shared with the online policies: unit i (0-based) arrives at
 slot i and cannot be sent earlier; at most one unit leaves per slot; a
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_field_types
-from .env import EXACT_MICROCENTS, SpectrumLevel
+from .env import SpectrumLevel, Trace
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
 from .policy import Action
 
@@ -41,51 +41,48 @@ _SEND_ACTION = np.array(
 
 @dataclass(frozen=True)
 class OfflineInstance:
-    """A block of concentrators' scheduling problems over T shared slots.
+    """A block of a trace's concentrators, scheduled over a window of slots.
 
-    levels[r, t] is the free-spectrum state of row r in slot t, an (R, T)
-    block of at least one row, viewed and not copied; the (T,) price rows
-    hold the posted per-unit lease prices in micro-cents. Every row sends
-    n_units units, at most quality_budget of them reduced: n_units must fit
-    in the horizon and quality_budget must leave a full-quality unit.
-    seed, concentrator and first_slot name the trace, row 0 and slot 0,
-    for solve_dp's errors (instance_from_trace sets them). Int fields are
-    ints once built (config.check_field_types).
-    T times the dearest full price is at most 2**53 micro-cents, as a
-    ScenarioConfig bounds a fleet's bill, so every cost sum the solver forms
-    is exact.
+    ``rows`` is a slice of the fleet such as row_blocks gives, start:stop
+    with a start inside the fleet and a stop that may run past it (the
+    block is clipped to the fleet). The window [first_slot, last_slot]
+    (last_slot defaults to the trace's last slot) becomes slots 0..T-1.
+    first_slot defaults to 1 because slot 0 precedes the first arrivals
+    under the engine's slot ordering and so can never carry a send. Every
+    row sends n_units units, at most quality_budget of them reduced:
+    n_units must fit in the window and quality_budget must leave a
+    full-quality unit. levels and the two price rows are views of the
+    trace, which has checked their codes, 0 < reduced < full and the 2**53
+    bound on every cost sum. Int fields are ints once built
+    (config.check_field_types).
     """
 
-    levels: np.ndarray
-    price_full_microcents: np.ndarray
-    price_reduced_microcents: np.ndarray
+    trace: Trace
+    rows: slice
     n_units: int
     quality_budget: int
-    seed: int | None = None
-    concentrator: int = 0
-    first_slot: int = 0
+    first_slot: int = 1
+    last_slot: int | None = None
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        levels = np.asarray(self.levels, dtype=np.uint8)
-        full = np.asarray(self.price_full_microcents, dtype=np.int64)
-        reduced = np.asarray(self.price_reduced_microcents, dtype=np.int64)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "price_full_microcents", full)
-        object.__setattr__(self, "price_reduced_microcents", reduced)
-        rows, t = levels.shape if levels.ndim == 2 else (0, 0)
-        if not rows or full.shape != (t,) or reduced.shape != (t,):
+        trace, rows = self.trace, self.rows
+        # a stepped or open-ended slice would misname its rows in solve_dp's errors
+        if not (
+            isinstance(rows, slice) and isinstance(rows.start, int)
+            and isinstance(rows.stop, int) and rows.start < rows.stop
+            and rows.step in (None, 1)
+        ):
+            raise ConfigurationError(f"rows must be a slice start:stop of step 1, got {rows}")
+        if not 0 <= rows.start < trace.k:
+            raise ConfigurationError(f"concentrator {rows.start} outside fleet of {trace.k}")
+        if self.last_slot is None:
+            object.__setattr__(self, "last_slot", trace.horizon - 1)
+        first, last = self.first_slot, self.last_slot
+        if not 0 <= first <= last < trace.horizon:
             raise ConfigurationError(
-                "instance levels must be 2-D, (rows >= 1, T), over (T,) price rows: "
-                f"got {levels.shape}, {full.shape} and {reduced.shape}"
-            )
-        if levels.size and levels.max() > int(SpectrumLevel.FULL):
-            raise ConfigurationError("unknown spectrum level code in instance")
-        if np.any(reduced < 1) or np.any(full <= reduced):
-            raise ConfigurationError("prices must satisfy full > reduced > 0")
-        if t * int(full.max(initial=0)) > EXACT_MICROCENTS:
-            raise ConfigurationError(
-                f"{t} slots at full prices up to {int(full.max())} pass 2**53 micro-cents"
+                f"slot window [{first}, {last}] outside trace horizon: need "
+                f"0 <= first_slot <= last_slot < {trace.horizon}"
             )
         n, m = self.n_units, self.quality_budget
         if n < 0 or m < 0:
@@ -95,12 +92,25 @@ class OfflineInstance:
                 "quality budget must leave a full-quality unit, or be 0 in an empty "
                 f"instance: quality_budget {m}, n_units {n}"
             )
-        if n > t:
-            raise InfeasibleError(f"{n} units cannot be sent in {t} slots")
+        if n > self.horizon:
+            raise InfeasibleError(f"{n} units cannot be sent in {self.horizon} slots")
 
     @property
     def horizon(self) -> int:
-        return self.levels.shape[1]
+        return self.last_slot - self.first_slot + 1
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The (R, T) block of the trace's levels."""
+        return self.trace.levels[self.rows, self.first_slot : self.last_slot + 1]
+
+    @property
+    def price_full_microcents(self) -> np.ndarray:
+        return self.trace.price_full[self.first_slot : self.last_slot + 1]
+
+    @property
+    def price_reduced_microcents(self) -> np.ndarray:
+        return self.trace.price_reduced[self.first_slot : self.last_slot + 1]
 
 
 def _first_row(broken: np.ndarray) -> int | None:
@@ -174,10 +184,9 @@ def solve_dp(instance: OfflineInstance) -> RowSchedules:
     broken = schedule_violation(*args, rows.actions, rows.cost, rows.reduced_count)
     if broken is not None:
         row, rule = broken
-        first = instance.first_slot
         raise InvariantViolationError(
-            f"oracle seed {instance.seed}, concentrator {instance.concentrator + row}, "
-            f"slots {first}-{first + instance.horizon - 1}, n_units {instance.n_units}, "
+            f"oracle seed {instance.trace.seed}, concentrator {instance.rows.start + row}, "
+            f"slots {instance.first_slot}-{instance.last_slot}, n_units {instance.n_units}, "
             f"budget {instance.quality_budget}: {rule}"
         )
     return rows
@@ -396,39 +405,3 @@ def _settle(row, kind, unsent, reduced_left, priced):
         start = stop
     return steps >> 6, gaps[_REDUCED_LEFT]
 
-
-def instance_from_trace(
-    trace,
-    rows: slice,
-    n_units: int,
-    quality_budget: int,
-    first_slot: int = 1,
-    last_slot: int | None = None,
-) -> OfflineInstance:
-    """The offline problem of a block of a trace's concentrators: ``rows``, a
-    slice such as row_blocks gives, clipped to the fleet, over the slot
-    window [first_slot, last_slot], which becomes instance slots 0..T-1.
-    The instance views the trace's arrays. first_slot defaults to 1 because
-    slot 0 precedes the first arrivals under the engine's slot ordering and
-    so can never carry a send.
-    """
-    if not 0 <= rows.start < trace.k:
-        raise ConfigurationError(f"concentrator {rows.start} outside fleet of {trace.k}")
-    if last_slot is None:
-        last_slot = trace.horizon - 1
-    if not 0 <= first_slot <= last_slot < trace.horizon:
-        raise ConfigurationError(
-            f"slot window [{first_slot}, {last_slot}] outside trace horizon: need "
-            f"0 <= first_slot <= last_slot < {trace.horizon}"
-        )
-    window = slice(first_slot, last_slot + 1)
-    return OfflineInstance(
-        levels=trace.levels[rows, window],
-        price_full_microcents=trace.price_full[window],
-        price_reduced_microcents=trace.price_reduced[window],
-        n_units=n_units,
-        quality_budget=quality_budget,
-        seed=trace.seed,
-        concentrator=rows.start,
-        first_slot=first_slot,
-    )

@@ -5,26 +5,30 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from hpclease import ScenarioConfig, generate_trace
+from hpclease import ScenarioConfig, Trace, generate_trace
 from hpclease.engine import make_policy
-from hpclease.env import MICROCENTS_PER_CENT
+from hpclease.env import to_microcents
 from hpclease.oracle import OfflineInstance
 
 
-def cents(x: float) -> int:
-    return round(x * MICROCENTS_PER_CENT)
+def cents(prices) -> list[int]:
+    """A list of prices in cents, in micro-cents."""
+    return [to_microcents(c) for c in prices]
 
 
-def make_instance(levels, full_cents, reduced_cents, n_units, quality_budget=0):
-    """Build a small one-row offline instance from a row of levels and price
-    lists given in cents."""
-    return OfflineInstance(
-        levels=np.asarray(levels, dtype=np.uint8)[None],
-        price_full_microcents=np.asarray([cents(c) for c in full_cents]),
-        price_reduced_microcents=np.asarray([cents(c) for c in reduced_cents]),
-        n_units=n_units,
-        quality_budget=quality_budget,
+def one_row_instance(levels, full, reduced, n_units, quality_budget=0):
+    """The offline instance of one hand-built row over its whole window
+    [0, T-1]: ``levels`` is a row of T level codes, ``full`` and ``reduced``
+    its unit prices in micro-cents. It views a one-row Trace of seed 0 with
+    no arrivals (its packet price is the full unit's), built from copies,
+    which checks the codes and prices as it checks any trace's."""
+    levels = np.array(levels, dtype=np.uint8)[None]
+    full = np.array(full, dtype=np.int64)
+    trace = Trace(
+        0, "", levels, np.zeros(levels.shape, dtype=np.int32), full, full,
+        np.array(reduced, dtype=np.int64),
     )
+    return OfflineInstance(trace, slice(0, 1), n_units, quality_budget, first_slot=0)
 
 
 @pytest.fixture

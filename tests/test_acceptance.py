@@ -32,10 +32,10 @@ from hpclease.engine import (
     derive_quality_params,
     run,
 )
-from hpclease.oracle import OfflineInstance, solve_dp
+from hpclease.oracle import solve_dp
 from hpclease.policy import IS_REDUCED, Action, LyapunovParams, QualityParams
 
-from conftest import metrics_digest, run_core
+from conftest import metrics_digest, one_row_instance, run_core
 from reference import (
     ArrivalBatch,
     ConcentratorState,
@@ -251,13 +251,7 @@ def _random_small_instance(rng, t, n, m):
     levels = rng.integers(0, 3, size=t, dtype=np.uint8)
     reduced = rng.integers(1, 500_000, size=t, dtype=np.int64)
     full = reduced + rng.integers(1, 500_000, size=t, dtype=np.int64)
-    return OfflineInstance(
-        levels=levels[None],
-        price_full_microcents=full,
-        price_reduced_microcents=reduced,
-        n_units=n,
-        quality_budget=m,
-    )
+    return one_row_instance(levels, full, reduced, n_units=n, quality_budget=m)
 
 
 def test_exact_solver_matches_bruteforce():

@@ -22,7 +22,7 @@ from hpclease import (
 )
 from hpclease.env import Trace, load_trace, save_trace
 from hpclease.errors import ConfigurationError, InvariantViolationError
-from hpclease.oracle import instance_from_trace, schedule_violation
+from hpclease.oracle import OfflineInstance, schedule_violation
 from hpclease.policy import Action
 
 from conftest import run_core
@@ -499,7 +499,7 @@ def test_oracle_solves_a_wide_budget_instance(tmp_path):
     doc = json.loads((tmp_path / "oracle.json").read_text())
     cfg = ScenarioConfig(horizon=3000, k_concentrators=1, seed=101)  # reference preset
     # the written schedule keeps every rule and recomputes to its cost
-    instance = instance_from_trace(generate_trace(cfg, cfg.seed), slice(0, 1), 1500, 1000)
+    instance = OfflineInstance(generate_trace(cfg, cfg.seed), slice(0, 1), 1500, 1000)
     assert schedule_violation(
         instance.levels, instance.price_full_microcents,
         instance.price_reduced_microcents, 1500, 1000,

@@ -10,7 +10,6 @@ import pytest
 
 from hpclease import (
     LyapunovParams,
-    OfflineInstance,
     QualityParams,
     ScenarioConfig,
     StaticParams,
@@ -21,16 +20,13 @@ from hpclease import (
 )
 from hpclease.errors import ConfigurationError
 
+from conftest import one_row_instance
+
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "schema"
 
 
-def instance(**fields):
-    return OfflineInstance(
-        levels=np.zeros((1, 4), dtype=np.uint8),
-        price_full_microcents=np.full(4, 10),
-        price_reduced_microcents=np.full(4, 4),
-        **{"n_units": 2, "quality_budget": 0, **fields},
-    )
+# levels and prices of one row of four slots without free spectrum
+ROW = ([0] * 4, [10] * 4, [4] * 4)
 
 
 def quality(**fields):
@@ -57,9 +53,9 @@ def quality(**fields):
         (lambda: StaticParams(period=2.5, burst_len=1), "period"),
         (lambda: LyapunovParams(True), "v_factor"),
         (lambda: LyapunovParams(np.bool_(True)), "v_factor"),
-        (lambda: instance(n_units=2.5), "n_units"),
-        (lambda: instance(quality_budget=1.5), "quality_budget"),
-        (lambda: instance(concentrator=0.5), "concentrator"),
+        (lambda: one_row_instance(*ROW, n_units=2.5), "n_units"),
+        (lambda: one_row_instance(*ROW, n_units=2, quality_budget=1.5), "quality_budget"),
+        (lambda: dataclasses.replace(one_row_instance(*ROW, 2), first_slot=0.5), "first_slot"),
     ],
 )
 def test_wrongly_typed_value_fails_when_built(build, field):
@@ -100,12 +96,12 @@ def test_integral_values_build_and_read_back_as_int():
         int, int, "static[10/2]"
     )
     assert type(LyapunovParams(np.int64(50)).v_factor) is float
-    assert type(instance(n_units=np.int64(2)).n_units) is int
+    assert type(one_row_instance(*ROW, n_units=np.int64(2)).n_units) is int
     # the integral values run, and the oracle takes its integral instance
     metrics = run(cfg, quality(n_units=np.int64(20), deadline=90.0))
     assert metrics.k == 3 and metrics.horizon == 100
-    typed = instance(n_units=3.0, quality_budget=np.int64(1), seed=np.uint8(7))
-    assert type(typed.seed) is int
+    typed = dataclasses.replace(one_row_instance(*ROW, 3.0, np.int64(1)), first_slot=np.uint8(0))
+    assert {type(typed.n_units), type(typed.quality_budget), type(typed.first_slot)} == {int}
     assert solve_dp(typed).reduced_count.tolist() == [1]
 
 

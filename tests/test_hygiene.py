@@ -1,6 +1,8 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,10 +157,12 @@ def test_checker_flags_an_unread_field():
     assert unread_fields(sources, "M") == ["y", "z"]
 
 
-def test_every_run_metrics_field_is_read_by_the_package():
-    # a field that only tests read belongs in a test helper, not in every run
+@pytest.mark.parametrize("cls", ["RunMetrics", "OfflineInstance"])
+def test_every_run_metrics_field_is_read_by_the_package(cls):
+    # a field that only tests or errors read belongs in a test helper, not
+    # in every run or every row block the oracle solves
     sources = {module.name: module.read_text() for module in MODULES}
-    assert unread_fields(sources, "RunMetrics") == []
+    assert unread_fields(sources, cls) == []
 
 
 def unshared_exports(init_source: str, sources: dict[str, str]) -> list[str]:
@@ -201,3 +205,25 @@ def test_every_exported_function_is_used_beyond_its_module():
     sources = {module.name: module.read_text() for module in MODULES}
     init = (PACKAGE / "__init__.py").read_text()
     assert unshared_exports(init, sources) == []
+
+
+def test_a_failing_hypothesis_test_fails_without_aborting_the_session(tmp_path):
+    # hypothesis imports libcst to report a failing example; under the
+    # project's warning filters its DeprecationWarning once ended the whole
+    # session with an INTERNALERROR (exit 3) before any later test ran
+    (tmp_path / "test_example.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_after():\n    pass\n"
+    )
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(TESTS.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+            "test_example.py",
+        ],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

@@ -7,17 +7,11 @@ from hypothesis import strategies as st
 
 from hpclease import ScenarioConfig, engine, generate_trace
 from hpclease.env import SpectrumLevel, to_microcents
-from hpclease.errors import ConfigurationError, InfeasibleError
-from hpclease.oracle import (
-    OfflineInstance,
-    instance_from_trace,
-    schedule_violation,
-    solve_dp,
-    solve_rows,
-)
+from hpclease.errors import ConfigurationError, InfeasibleError, TraceFormatError
+from hpclease.oracle import OfflineInstance, schedule_violation, solve_dp, solve_rows
 from hpclease.policy import Action
 
-from conftest import make_instance
+from conftest import cents, one_row_instance
 from reference import Row, solve_banded_dp, solve_bruteforce, solve_by_bisection
 
 N0, R1, F2 = int(SpectrumLevel.NONE), int(SpectrumLevel.REDUCED), int(SpectrumLevel.FULL)
@@ -36,7 +30,9 @@ def sends(schedule: Row) -> int:
 
 def test_two_of_three_slots_picks_cheapest_pair():
     # feasible send sets cost 6, 8 and 4 cents; the minimum is {1, 2}
-    inst = make_instance([N0, N0, N0], [5, 1, 3], [2.5, 0.5, 1.5], n_units=2)
+    inst = one_row_instance(
+        [N0, N0, N0], cents([5, 1, 3]), cents([2.5, 0.5, 1.5]), n_units=2
+    )
     sched = solve_row(inst)
     assert sched.cost == to_microcents(4)
     assert list(np.flatnonzero(sched.actions != 0)) == [1, 2]
@@ -48,7 +44,7 @@ def test_two_of_three_slots_picks_cheapest_pair():
 
 def test_all_full_levels_cost_zero():
     for n in (1, 3, 5):
-        inst = make_instance([F2] * 5, [5] * 5, [2] * 5, n_units=n)
+        inst = one_row_instance([F2] * 5, cents([5] * 5), cents([2] * 5), n_units=n)
         sched = solve_row(inst)
         assert sched.cost == 0
         assert sends(sched) == n
@@ -57,8 +53,9 @@ def test_all_full_levels_cost_zero():
 def test_every_slot_forced_with_budget():
     # all slots send; budget 1 is spent where it saves the most (the
     # reduced-level slot saves the whole 5 cents)
-    inst = make_instance(
-        [F2, N0, R1, N0], [5, 5, 5, 5], [2, 2, 2, 2], n_units=4, quality_budget=1
+    inst = one_row_instance(
+        [F2, N0, R1, N0], cents([5, 5, 5, 5]), cents([2, 2, 2, 2]), n_units=4,
+        quality_budget=1,
     )
     sched = solve_row(inst)
     assert sched.cost == to_microcents(10)
@@ -69,14 +66,14 @@ def test_every_slot_forced_with_budget():
 
 
 def test_every_slot_forced_no_budget_pays_full():
-    inst = make_instance([N0, N0], [5, 3], [2, 1], n_units=2)
+    inst = one_row_instance([N0, N0], cents([5, 3]), cents([2, 1]), n_units=2)
     sched = solve_row(inst)
     assert sched.cost == to_microcents(8)
     assert all(a == int(Action.BUY_FULL) for a in sched.actions)
 
 
 def test_empty_workload():
-    inst = make_instance([N0, R1, F2], [5, 5, 5], [2, 2, 2], n_units=0)
+    inst = one_row_instance([N0, R1, F2], cents([5, 5, 5]), cents([2, 2, 2]), n_units=0)
     sched = solve_row(inst)
     assert sched.cost == 0
     assert sends(sched) == 0
@@ -84,14 +81,16 @@ def test_empty_workload():
 
 
 def test_single_slot_single_unit():
-    inst = make_instance([N0], [7], [3], n_units=1)
+    inst = one_row_instance([N0], cents([7]), cents([3]), n_units=1)
     assert solve_row(inst).cost == to_microcents(7)
 
 
 def test_tie_break_prefers_late_idle_first_walk():
     # equal prices everywhere: idling is preferred at every tie, so the
     # single send lands in the last slot
-    inst = make_instance([N0, N0, N0], [1, 1, 1], [0.5, 0.5, 0.5], n_units=1)
+    inst = one_row_instance(
+        [N0, N0, N0], cents([1, 1, 1]), cents([0.5, 0.5, 0.5]), n_units=1
+    )
     sched = solve_row(inst)
     assert list(np.flatnonzero(sched.actions != 0)) == [2]
     brute = solve_bruteforce(inst)
@@ -100,26 +99,26 @@ def test_tie_break_prefers_late_idle_first_walk():
 
 def test_infeasible_more_units_than_slots():
     with pytest.raises(InfeasibleError):
-        make_instance([N0, N0], [5, 5], [2, 2], n_units=3)
+        one_row_instance([N0, N0], cents([5, 5]), cents([2, 2]), n_units=3)
 
 
 def test_instance_validation():
-    with pytest.raises(ConfigurationError):
-        make_instance([N0], [5], [5], n_units=1)  # reduced not cheaper
-    with pytest.raises(ConfigurationError):
-        make_instance([N0, N0], [5, 5], [2, 2], n_units=2, quality_budget=2)
-    with pytest.raises(ConfigurationError):
-        make_instance([N0], [5], [2], n_units=0, quality_budget=1)
-    with pytest.raises(ConfigurationError):
-        make_instance([9], [5], [2], n_units=1)  # unknown level code
-    with pytest.raises(ConfigurationError, match="2-D"):
-        make_instance([[N0, N0]], [5, 5], [2, 2], n_units=1)
+    # the level codes and the price order are checked by the trace the
+    # instance views, the workload by the instance
+    with pytest.raises(TraceFormatError, match="0 < reduced < full"):
+        one_row_instance([N0], cents([5]), cents([5]), n_units=1)  # reduced not cheaper
+    with pytest.raises(TraceFormatError, match="invalid spectrum level codes"):
+        one_row_instance([9], cents([5]), cents([2]), n_units=1)
+    with pytest.raises(ConfigurationError, match="full-quality unit"):
+        one_row_instance([N0, N0], cents([5, 5]), cents([2, 2]), n_units=2, quality_budget=2)
+    with pytest.raises(ConfigurationError, match="full-quality unit"):
+        one_row_instance([N0], cents([5]), cents([2]), n_units=0, quality_budget=1)
     with pytest.raises(ConfigurationError, match="cannot be negative"):
-        make_instance([N0], [5], [2], n_units=-1)
+        one_row_instance([N0], cents([5]), cents([2]), n_units=-1)
 
 
 def test_bruteforce_guard():
-    inst = make_instance([N0] * 13, [5] * 13, [2] * 13, n_units=1)
+    inst = one_row_instance([N0] * 13, cents([5] * 13), cents([2] * 13), n_units=1)
     with pytest.raises(ConfigurationError):
         solve_bruteforce(inst)
 
@@ -131,13 +130,7 @@ def _random_instance(rng, max_t=8):
     reduced = np.array([int(rng.integers(1, f)) for f in full], dtype=np.int64)
     n = int(rng.integers(0, t + 1))
     m = int(rng.integers(0, n)) if n > 1 else 0
-    return OfflineInstance(
-        levels=levels[None],
-        price_full_microcents=full,
-        price_reduced_microcents=reduced,
-        n_units=n,
-        quality_budget=m,
-    )
+    return one_row_instance(levels, full, reduced, n_units=n, quality_budget=m)
 
 
 def test_dp_matches_bruteforce_on_random_instances():
@@ -167,8 +160,8 @@ def test_cost_nonincreasing_in_horizon():
     rng = np.random.default_rng(31337)
     for _ in range(120):
         inst = _random_instance(rng, max_t=7)
-        longer = OfflineInstance(
-            np.append(inst.levels, [[N0]], axis=1),
+        longer = one_row_instance(
+            np.append(inst.levels[0], N0),
             np.append(inst.price_full_microcents, 1_000_000),
             np.append(inst.price_reduced_microcents, 500_000),
             inst.n_units,
@@ -189,7 +182,9 @@ def broken_rule(inst, actions, cost, reduced_count) -> str | None:
 
 
 def test_validate_schedule_catches_corruption():
-    inst = make_instance([N0, N0, N0], [5, 1, 3], [2, 0.5, 1], n_units=2)
+    inst = one_row_instance(
+        [N0, N0, N0], cents([5, 1, 3]), cents([2, 0.5, 1]), n_units=2
+    )
     good = solve_row(inst)
     assert broken_rule(inst, good.actions, good.cost, 0) is None
 
@@ -219,7 +214,7 @@ def test_validate_schedule_catches_corruption():
 def test_validate_schedule_catches_causality_violation():
     # two sends in the first slot's worth of arrivals is impossible when
     # both land before the second unit exists
-    inst = make_instance([F2, F2, F2], [5, 5, 5], [2, 2, 2], n_units=2)
+    inst = one_row_instance([F2, F2, F2], cents([5, 5, 5]), cents([2, 2, 2]), n_units=2)
     # legal plan sends at slots 0,1; illegal one sends two units at slot 0
     bad = [int(Action.FREE_FULL), 0, int(Action.FREE_FULL)]
     assert broken_rule(inst, bad, 0, 0) is None  # 0 and 2 is fine
@@ -232,38 +227,52 @@ def test_validate_schedule_catches_causality_violation():
     assert "sends 1 units" in broken_rule(inst, short, 0, 0)
 
 
-def test_instance_from_trace_window(small_cfg):
+def test_instance_views_a_trace_window(small_cfg):
     trace = generate_trace(small_cfg, 7)
-    inst = instance_from_trace(trace, slice(2, 3), n_units=10, quality_budget=3)
+    inst = OfflineInstance(trace, slice(2, 3), n_units=10, quality_budget=3)
     assert inst.horizon == small_cfg.horizon - 1
     assert np.array_equal(inst.levels, trace.levels[2:3, 1:])
     assert np.array_equal(inst.price_full_microcents, trace.price_full[1:])
-    # the instance views the trace's rows, and names where they came from
-    assert np.shares_memory(inst.levels, trace.levels)
-    assert (inst.seed, inst.concentrator, inst.first_slot) == (7, 2, 1)
+    assert np.array_equal(inst.price_reduced_microcents, trace.price_reduced[1:])
+    # the instance views the trace's rows, and its window defaults to 1..T-1
+    for view, whole in [
+        (inst.levels, trace.levels), (inst.price_full_microcents, trace.price_full),
+        (inst.price_reduced_microcents, trace.price_reduced),
+    ]:
+        assert np.shares_memory(view, whole)
+    assert (inst.trace.seed, inst.rows.start, inst.first_slot, inst.last_slot) == (
+        7, 2, 1, small_cfg.horizon - 1
+    )
 
-    windowed = instance_from_trace(
+    windowed = OfflineInstance(
         trace, slice(0, 1), n_units=4, quality_budget=0, first_slot=10, last_slot=19
     )
     assert windowed.horizon == 10
     assert np.array_equal(windowed.levels, trace.levels[0:1, 10:20])
     # a row_blocks slice that runs past the fleet is clipped to it
-    block = instance_from_trace(trace, slice(1, 65), n_units=4, quality_budget=0)
+    block = OfflineInstance(trace, slice(1, 65), n_units=4, quality_budget=0)
     assert np.array_equal(block.levels, trace.levels[1:, 1:])
 
 
-def test_instance_from_trace_guards(small_cfg):
+def test_instance_guards(small_cfg):
     trace = generate_trace(small_cfg, 7)
     for rows in (slice(99, 100), slice(4, 65), slice(-1, 0)):
         with pytest.raises(ConfigurationError, match=f"concentrator {rows.start} outside"):
-            instance_from_trace(trace, rows, n_units=1, quality_budget=0)
+            OfflineInstance(trace, rows, n_units=1, quality_budget=0)
+    # an open start once raised a bare TypeError; a stepped block's second
+    # row would be named as concentrator 1 in solve_dp's errors, not 2
+    for rows in (slice(None, 1), slice(0, None), slice(0, 3, 2)):
+        with pytest.raises(ConfigurationError, match="rows must be a slice"):
+            OfflineInstance(trace, rows, n_units=1, quality_budget=0)
     one = slice(0, 1)
-    with pytest.raises(ConfigurationError):
-        instance_from_trace(trace, one, 1, 0, first_slot=50, last_slot=10)
-    with pytest.raises(ConfigurationError):
-        instance_from_trace(trace, one, 1, 0, first_slot=0, last_slot=10**6)
+    with pytest.raises(ConfigurationError, match="slot window"):
+        OfflineInstance(trace, one, 1, 0, first_slot=50, last_slot=10)
+    with pytest.raises(ConfigurationError, match="slot window"):
+        OfflineInstance(trace, one, 1, 0, first_slot=0, last_slot=10**6)
     with pytest.raises(InfeasibleError):
-        instance_from_trace(trace, one, n_units=10**6, quality_budget=0)
+        OfflineInstance(trace, one, n_units=10**6, quality_budget=0)
+    with pytest.raises(InfeasibleError, match="11 units cannot be sent in 10 slots"):
+        OfflineInstance(trace, one, 11, 0, first_slot=10, last_slot=19)
 
 
 def test_large_contract_instance_runs():
@@ -275,7 +284,7 @@ def test_large_contract_instance_runs():
     full = rng.integers(100_000, 1_000_001, size=t)
     reduced = full * 3 // 5
     # solve_dp recomputes each schedule's cost to the dual bound it returns
-    forced = OfflineInstance(levels[None], full, reduced, n_units=t, quality_budget=3000)
+    forced = one_row_instance(levels, full, reduced, n_units=t, quality_budget=3000)
     sched = solve_row(forced)
     assert sends(sched) == t
 
@@ -295,7 +304,7 @@ def test_forced_fast_path_matches_general_dp():
         reduced = np.maximum(full // 2, 1)
         n = t
         m = int(rng.integers(0, n))
-        forced = OfflineInstance(levels[None], full, reduced, n, m)
+        forced = one_row_instance(levels, full, reduced, n, m)
         bf = solve_bruteforce(forced)
         dp = solve_row(forced)
         assert dp.cost == bf.cost
@@ -311,7 +320,7 @@ def _grid_instance(rng, t, n, m, tie_heavy):
     else:
         reduced = rng.integers(1, 500_000, size=t)
         full = reduced + rng.integers(1, 500_000, size=t)
-    return OfflineInstance(levels[None], full, reduced, n_units=n, quality_budget=m)
+    return one_row_instance(levels, full, reduced, n_units=n, quality_budget=m)
 
 
 def test_solver_matches_banded_dp_and_bruteforce():
@@ -373,7 +382,7 @@ def test_row_block_solver_matches_the_per_row_bisection(workload):
     got = solve_rows(levels, full, reduced, n, m)
     assert got.actions.shape == (rows, t)
     for i in range(rows):
-        row = OfflineInstance(levels[i, None], full, reduced, n, m)
+        row = one_row_instance(levels[i], full, reduced, n, m)
         want, lam = solve_by_bisection(row)
         assert got.lam[i] == lam
         assert np.array_equal(got.actions[i], want.actions)
@@ -391,8 +400,9 @@ def test_row_block_solver_matches_the_per_row_bisection(workload):
 def test_all_forced_tie_keeps_the_full_lease_at_the_earlier_slot():
     # slots 1 and 2 save the same by going reduced; the tie rule leases
     # slot 1 at full price and slot 2 reduced, as brute force does
-    inst = make_instance(
-        [R1, N0, N0, N0], [4, 3, 3, 2], [1, 1, 1, 1], n_units=4, quality_budget=2
+    inst = one_row_instance(
+        [R1, N0, N0, N0], cents([4, 3, 3, 2]), cents([1, 1, 1, 1]), n_units=4,
+        quality_budget=2,
     )
     sched = solve_row(inst)
     assert sched.actions.tolist() == [2, 3, 4, 3]
@@ -407,7 +417,7 @@ def test_half_workload_with_large_budget_runs():
     levels = rng.choice(np.array([N0, R1, F2], dtype=np.uint8), size=t, p=[0.9, 0.05, 0.05])
     full = rng.integers(100_000, 1_000_001, size=t)
     reduced = full * 3 // 5
-    inst = OfflineInstance(levels[None], full, reduced, n_units=5000, quality_budget=3000)
+    inst = one_row_instance(levels, full, reduced, n_units=5000, quality_budget=3000)
     sched = solve_row(inst)
     assert sends(sched) == 5000
     assert sched.reduced_count == 3000
@@ -423,7 +433,7 @@ def test_tie_heavy_half_workload_matches_the_per_row_bisection():
     levels = rng.integers(0, 3, size=t).astype(np.uint8)
     full = rng.integers(100_000, 1_000_001, size=t)
     reduced = full * 3 // 5
-    inst = OfflineInstance(levels[None], full, reduced, n_units=5000, quality_budget=3000)
+    inst = one_row_instance(levels, full, reduced, n_units=5000, quality_budget=3000)
     want, lam = solve_by_bisection(inst)
     got = solve_rows(levels[None], full, reduced, 5000, 3000)
     assert got.lam[0] == lam
@@ -433,12 +443,12 @@ def test_tie_heavy_half_workload_matches_the_per_row_bisection():
 
 
 def test_instance_prices_bounded_for_exact_sums():
-    # horizon * dearest full price may reach 2**53 micro-cents, not pass it
-    top = 2**52
-    levels = np.zeros((3, 2), np.uint8)
-    OfflineInstance(levels, [top, 2], [1, 1], n_units=1, quality_budget=0)
-    with pytest.raises(ConfigurationError, match=r"pass 2\*\*53"):
-        OfflineInstance(levels, [top + 1, 2], [1, 1], n_units=1, quality_budget=0)
+    # horizon * dearest full price may reach 2**53 micro-cents, not pass it:
+    # the instance's trace bounds its full prices at 2**53 // (k * horizon)
+    top = 2**53 // 3
+    one_row_instance([N0] * 3, [top, 2, 2], [1, 1, 1], n_units=3, quality_budget=2)
+    with pytest.raises(TraceFormatError, match=f"full <= {top} micro-cents"):
+        one_row_instance([N0] * 3, [top + 1, 2, 2], [1, 1, 1], n_units=1)
 
 
 @st.composite
@@ -467,13 +477,13 @@ def test_solve_dp_on_a_trace_block_matches_the_per_row_bisection(case):
     cfg, rows, first, last, n, m = case
     trace = generate_trace(cfg, cfg.seed)
     assert engine.is_unit_granular(cfg)
-    got = solve_dp(instance_from_trace(trace, rows, n, m, first_slot=first, last_slot=last))
+    got = solve_dp(OfflineInstance(trace, rows, n, m, first_slot=first, last_slot=last))
     concentrators = range(rows.start, min(rows.stop, cfg.k_concentrators))
     assert got.actions.shape == (len(concentrators), last - first + 1)
 
     def reference(c, window):
-        return solve_by_bisection(OfflineInstance(
-            trace.levels[c, None, window], trace.price_full[window],
+        return solve_by_bisection(one_row_instance(
+            trace.levels[c, window], trace.price_full[window],
             trace.price_reduced[window], n, m,
         ))[0]
 
@@ -489,7 +499,14 @@ def test_solve_dp_on_a_trace_block_matches_the_per_row_bisection(case):
     assert int(fleet.sum()) == sum(per_row)
 
 
-def test_instance_levels_must_be_a_block_of_rows():
-    for levels in (np.zeros(3, np.uint8), np.zeros((0, 3), np.uint8), np.zeros((1, 1, 3))):
-        with pytest.raises(ConfigurationError, match="2-D"):
-            OfflineInstance(levels, [5, 5, 5], [2, 2, 2], n_units=1, quality_budget=0)
+def test_instance_levels_must_be_a_block_of_rows(small_cfg):
+    # levels is always an (R, T) block of at least one row: a single row, a
+    # block and one clipped to the fleet; an empty slice or a bare index
+    # selects no such block
+    trace = generate_trace(small_cfg, 7)
+    for rows, count in ((slice(3, 4), 1), (slice(0, 2), 2), (slice(1, 65), 3)):
+        inst = OfflineInstance(trace, rows, n_units=1, quality_budget=0)
+        assert inst.levels.shape == (count, small_cfg.horizon - 1)
+    for rows in (slice(2, 2), slice(3, 1), 2):
+        with pytest.raises(ConfigurationError, match="rows must be a slice"):
+            OfflineInstance(trace, rows, n_units=1, quality_budget=0)
