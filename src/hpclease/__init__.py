@@ -7,6 +7,7 @@ from .engine import (
     compare_with_oracle,
     derive_quality_params,
     run,
+    run_many,
 )
 from .env import (
     SpectrumLevel,
@@ -61,6 +62,7 @@ __all__ = [
     "load_trace",
     "quality_sweep_summary",
     "run",
+    "run_many",
     "save_trace",
     "solve_dp",
     "v_sweep_summary",

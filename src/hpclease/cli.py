@@ -26,6 +26,7 @@ from .engine import (
     compare_with_oracle,
     derive_quality_params,
     run,
+    run_many,
 )
 from .env import generate_trace, load_trace, save_trace, to_dollars
 from .errors import ConfigurationError, InfeasibleError, InvariantViolationError
@@ -371,8 +372,8 @@ def _cmd_sweep_v(spec: argparse.Namespace) -> int:
     runs_by_v: dict[float, list[RunMetrics]] = {v: [] for v in grid}
     for seed in seeds:
         trace = generate_trace(cfg, seed)
-        for params in policies:
-            runs_by_v[params.v_factor].append(run(cfg, params, trace))
+        for params, metrics in zip(policies, run_many(cfg, policies, trace)):
+            runs_by_v[params.v_factor].append(metrics)
     result = report.v_sweep_summary(runs_by_v)
     _write(spec, f"sweep_v.{spec.format}", report.emit(result, spec.format))
     return 0

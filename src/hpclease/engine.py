@@ -1,13 +1,20 @@
 """Simulation driver for a fleet of concentrators.
 
-The policy is built once per run from the trace and serves that run (see
-``policy``): it returns the (concentrator, slot) Action codes and packets
-served, and the backlog after the last slot. Then one pass over blocks of
-about 2**16 cells of rows does all the rest: the invariant checks over
-codes and service (each error names the policy label, seed, first
-offending slot and concentrator; every rule is searched in every block,
-and the first rule in order that any block broke is reported), the cost
-accounting, the fleet's backlog per slot, and the total packet delay. A
+``run`` simulates one policy over one trace, and ``run_many`` a list of
+them over one trace, returning what ``run`` would for each, in input
+order. The policy is built once per run from the trace and serves that
+run (see ``policy``): it returns the (concentrator, slot) Action codes and
+packets served, and the backlog after the last slot. ``run_many`` serves
+its threshold runs together instead: one LyapunovPolicy steps a batch of
+them, at most MAX_CELLS cells (runs x K x T), in one slot loop whose rows
+carry a run axis, and hands each run's codes, packets served and backlog
+to ``run`` for the rest; any other run is served alone. Then one pass
+over blocks of about 2**16 cells of rows does all the rest, run by run:
+the invariant checks over codes and service (each error names the policy
+label, seed, first offending slot and concentrator; every rule is
+searched in every block, and the first rule in order that any block
+broke is reported), the cost accounting, the fleet's backlog per slot,
+and the total packet delay. A
 slot's bill is its count of full leases times the full price plus its
 count of reduced leases times the reduced price; a concentrator's bill is
 an exact int64 product of its lease masks with the price rows. A run's
@@ -32,15 +39,24 @@ exactly representable range.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import MAX_CELLS, ScenarioConfig
 from .env import SpectrumLevel, Trace, generate_trace, row_blocks, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
 from .oracle import OfflineInstance, solve_dp
-from .policy import POLICIES, Action, PolicyParams, QualityParams, free_capacities
+from .policy import (
+    POLICIES,
+    Action,
+    LyapunovParams,
+    LyapunovPolicy,
+    PolicyParams,
+    QualityParams,
+    free_capacities,
+)
 
 
 def is_unit_granular(config: ScenarioConfig) -> bool:
@@ -157,6 +173,8 @@ def run(
     config: ScenarioConfig,
     params: PolicyParams,
     trace: Trace | None = None,
+    *,
+    _served: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> RunMetrics:
     """Simulate one policy over one trace (drawn from config.seed if absent).
     A trace drawn for another scenario (config_digest != config.env_digest())
@@ -167,12 +185,60 @@ def run(
     summed in int64 and divided by k. It equals the mean of the backlog
     vector at that point while the fleet backlog stays below 2**53; above
     that the int64 sum is the more exact of the two.
+
+    ``_served`` is run_many's hand-off, the (codes, packets served, Q) of a
+    run its batch already served: only the post-run pass is then left.
     """
     if trace is None:
         trace = generate_trace(config, config.seed)
     _check_trace(config, trace)
-    decisions, serves, q = make_policy(params, config, trace).serve(trace)
-    return _summarize(params, config, trace, decisions, serves, q)
+    if _served is None:
+        _served = make_policy(params, config, trace).serve(trace)
+    return _summarize(params, config, trace, *_served)
+
+
+def run_many(
+    config: ScenarioConfig,
+    params_seq: Sequence[PolicyParams],
+    trace: Trace | None = None,
+) -> list[RunMetrics]:
+    """Simulate each policy of ``params_seq`` over one trace (drawn from
+    config.seed if absent): one RunMetrics per run, in input order, each
+    the one ``run`` returns for it.
+
+    The threshold runs are served together: each batch of them, in input
+    order and of at most MAX_CELLS cells (R * K * T), steps its slots in one
+    loop of one LyapunovPolicy. Any other run is served alone. Each run's
+    post-run pass still goes through ``run``, in input order, so an error
+    names the same run, seed, slot and concentrator as a single run would.
+    A run's Action codes are recovered when its own pass starts and freed
+    when it ends.
+    """
+    if trace is None:
+        trace = generate_trace(config, config.seed)
+    _check_trace(config, trace)
+    served = _threshold_runs(config, params_seq, trace)
+    return [
+        run(config, p, trace, _served=next(served) if isinstance(p, LyapunovParams) else None)
+        for p in params_seq
+    ]
+
+
+def _threshold_runs(config, params_seq, trace):
+    """The (codes, packets served, Q) of each threshold run of
+    ``params_seq``, in input order, for ``run``'s hand-off: batches of at
+    most MAX_CELLS cells, each served by one LyapunovPolicy; a run's codes
+    are recovered only when it is its turn."""
+    k = trace.k
+    runs = [p for p in params_seq if isinstance(p, LyapunovParams)]
+    size = MAX_CELLS // (k * trace.horizon)
+    for first in range(0, len(runs), size):
+        policy = LyapunovPolicy(tuple(runs[first : first + size]), config, trace)
+        serves, q = policy.serve_rows(trace)
+        for r in range(policy.runs):
+            own = slice(r * k, (r + 1) * k)
+            yield policy.actions(serves[own], trace.levels), serves[own], q[own]
+        del policy, serves, q  # before the next batch is served
 
 
 def _check_trace(config: ScenarioConfig, trace: Trace) -> None:

@@ -37,7 +37,15 @@ of about 2**14 cells. It reads each block once into slot-major (slots, K)
 float64 rows: the level's free capacity goes straight into the block of
 packets served, which ``decide_slot`` raises and caps row by row in
 place, and the arrivals into a second block; the served block then goes
-into the (K, T) int16 matrix once. The static baseline and the deadline
+into the (K, T) int16 matrix once.
+
+The loop has a run axis: a LyapunovPolicy built from a tuple of R
+parameter blocks serves R runs on one trace (``serve_rows``), stepping
+each slot once for all of them on flat (R * K,) rows, run r's
+concentrators at r * K to (r + 1) * K. Each slot block of the trace is
+read once and its free grant, arrivals and thresholds (each run's own,
+v * price_cents / 2.0 as in a single run) are repeated across the runs;
+``engine.run_many`` is its one caller. The static baseline and the deadline
 scheduler never read the backlog: each grants every slot at once, and
 ``serve_grants`` serves the (K, T) grants in closed form, by the Lindley
 recursion (one prefix sum and one running minimum per row).
@@ -55,7 +63,8 @@ deadline scheduler one lookup in ``QUALITY_TABLE`` per slot, decided phase
 by phase. The packet policies recover each code from the packets served
 (the threshold policy by comparing them with the level's free capacity);
 the deadline scheduler decides its codes and grants a unit to every send.
-A policy object serves one run; the next run builds a new one.
+A policy object serves one run, or one batch of threshold runs; the next
+run builds a new one.
 """
 
 from __future__ import annotations
@@ -271,44 +280,87 @@ class LyapunovPolicy(_PacketPolicy):
     grant needs no coverage test; the codes do: a slot was a purchase
     exactly when it moved more than the level's free capacity.
 
-    The policy holds each concentrator's virtual queue Z, a (K,) float64
-    array. Each slot, after the grant, Z drops by the packets served and
-    grows by epsilon if the concentrator was busy, floored at 0."""
+    The policy holds each concentrator's virtual queue Z, a flat float64
+    row. Each slot, after the grant, Z drops by the packets served and
+    grows by epsilon if the concentrator was busy, floored at 0.
 
-    def __init__(self, params: LyapunovParams, config: ScenarioConfig, trace: Trace):
+    Built from one parameter block it serves one run, and ``threshold`` is
+    its (T,) row. Built from a tuple of R blocks it serves R runs on the
+    trace in one slot loop, and ``threshold`` is (R, T): every row of the
+    step is then R * K long, run r's concentrators at r * K to (r + 1) * K,
+    flat rather than (R, K), since a ufunc call costs less on one flat row."""
+
+    def __init__(
+        self,
+        params: LyapunovParams | tuple[LyapunovParams, ...],
+        config: ScenarioConfig,
+        trace: Trace,
+    ):
         super().__init__(params, config)
         price_cents = trace.price_full / MICROCENTS_PER_CENT
-        self.threshold = params.v_factor * price_cents / 2.0
+        if isinstance(params, tuple):
+            self.threshold = np.array([p.v_factor * price_cents / 2.0 for p in params])
+            self.runs = len(params)
+        else:
+            self.threshold = params.v_factor * price_cents / 2.0
+            self.runs = 1
         self.epsilon = config.epsilon
-        k = trace.k
-        self.z = np.zeros(k)
-        # the slot step's (K,) float64 rows and mask, allocated once per
-        # run; slot t's threshold and epsilon are stride-0 views, which
-        # take no memory and which a ufunc reads without a copy (the unit
-        # and zero rows stay whole: putmask copies a stride-0 value row,
-        # and maximum reads a stride-0 zero measurably slower)
-        self.thresholds = np.broadcast_to(self.threshold[:, None], (trace.horizon, k))
-        self.epsilon_row = np.broadcast_to(self.epsilon, k)
-        self.unit = np.full(k, float(self.capacity))
-        self.zero = np.zeros(k)
-        self.work = np.empty(k)
-        self.buy = np.empty(k, dtype=bool)
+        width = self.runs * trace.k
+        self.z = np.zeros(width)
+        # the slot step's float64 rows and mask, allocated once per policy;
+        # the epsilon row is a stride-0 view, which takes no memory and
+        # which a ufunc reads without a copy (the unit and zero rows stay
+        # whole: putmask copies a stride-0 value row, and maximum reads a
+        # stride-0 zero measurably slower)
+        self.epsilon_row = np.broadcast_to(self.epsilon, width)
+        self.unit = np.full(width, float(self.capacity))
+        self.zero = np.zeros(width)
+        self.work = np.empty(width)
+        self.buy = np.empty(width, dtype=bool)
+        if self.runs == 1:
+            # slot t's thresholds are row t of a stride-0 (T, K) view; a
+            # batch's rows are built block by block (serve_rows)
+            column = self.threshold.reshape(trace.horizon, 1)
+            self.thresholds = np.broadcast_to(column, (trace.horizon, width))
 
     def serve(self, trace: Trace):
+        serves, q = self.serve_rows(trace)
+        return self.actions(serves, trace.levels), serves, q
+
+    def serve_rows(self, trace: Trace):
+        """Serve every run: the (R * K, T) int16 packets served and the
+        (R * K,) int64 backlog Q after the last slot, run r in rows r * K
+        to (r + 1) * K."""
+        k, runs = trace.k, self.runs
         # the backlog Q in float64, exact while no concentrator's arrivals
         # can sum past 2**53 (a ScenarioConfig and a Trace both refuse more)
-        q = np.zeros(trace.k)
-        serves = np.empty((trace.k, trace.horizon), dtype=np.int16)
+        q = np.zeros(runs * k)
+        serves = np.empty((runs * k, trace.horizon), dtype=np.int16)
         free = self.free_capacity.astype(np.float64)
-        # slots in blocks of about 2**14 cells (the row blocks of the (T, K)
-        # transpose at 4 * K columns), each read once into two slot-major
-        # (slots, K) float64 blocks, the free grant that becomes the packets
-        # served and the arrivals, so that no slot reads or writes a
-        # strided column of a (K, T) array or casts
-        for block in row_blocks(trace.horizon, 4 * trace.k):
-            served = free.take(trace.levels[:, block].T)
-            arrivals = np.ascontiguousarray(trace.arrivals[:, block].T, dtype=np.float64)
+        # slots in blocks of about 2**14 cells of the step's rows (the row
+        # blocks of the (T, R * K) transpose at 4 * R * K columns), each read
+        # once into two slot-major float64 blocks, the free grant that
+        # becomes the packets served and the arrivals, so that no slot
+        # reads or writes a strided column of a (K, T) array or casts
+        for block in row_blocks(trace.horizon, 4 * runs * k):
             slots = range(trace.horizon)[block]
+            if runs > 1:
+                # the block's thresholds by slot, each run's repeated over
+                # its K rows; built first, so that the last block's, alive
+                # until these replace them, never meet this block's reads
+                rows = np.repeat(self.threshold[:, block].T, k, axis=1)
+                self.thresholds = dict(zip(slots, rows))
+            # the arrivals block holds the level codes as intp until the
+            # arrivals are read into it, so that take makes no index copy
+            arrivals = np.empty((len(slots), k))
+            level_index = arrivals.view(np.intp)
+            np.copyto(level_index, trace.levels[:, block].T)
+            served = free.take(level_index)
+            np.copyto(arrivals, trace.arrivals[:, block].T)
+            if runs > 1:
+                # one read of the trace serves every run of the batch
+                served = np.tile(served, runs)
+                arrivals = np.tile(arrivals, runs)
             for slot, moved, arrived in zip(slots, served, arrivals):
                 self.decide_slot(slot, q, moved)
                 q -= moved
@@ -316,15 +368,16 @@ class LyapunovPolicy(_PacketPolicy):
             serves[:, block] = served.T
             # drop both blocks, which the last rows also hold, before the
             # next is read: one-slot blocks of a wide fleet would peak at two
-            del served, arrivals, moved, arrived
-        return self.actions(serves, trace.levels), serves, q.astype(np.int64)
+            del served, arrivals, level_index, moved, arrived
+        return serves, q.astype(np.int64)
 
     def decide_slot(self, slot, q, served):
         """Turn ``served``, the slot's free grant, into the packets each
         concentrator moves in ``slot``: raised to a unit where Q + Z exceeds
         the threshold, then at most the backlog ``q``; then advance Z past
-        them. Every row is a (K,) float64 array and every call is a plain
-        one in place, so a slot neither allocates nor casts.
+        them. Every row is a flat float64 array, of R * K for R runs, and
+        every call is a plain one in place, so a slot neither allocates nor
+        casts.
 
         Z grows by min(Q * epsilon, epsilon), which is epsilon * [Q > 0]
         exactly: Q counts whole packets, so a busy Q * epsilon rounds to at

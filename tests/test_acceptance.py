@@ -31,6 +31,7 @@ from hpclease.engine import (
     compare_with_oracle,
     derive_quality_params,
     run,
+    run_many,
 )
 from hpclease.oracle import solve_dp
 from hpclease.policy import IS_REDUCED, Action, LyapunovParams, QualityParams
@@ -69,13 +70,15 @@ def traces(ref_cfg, seeds):
 
 @pytest.fixture(scope="session")
 def v_sweep(ref_cfg, seeds, traces):
-    """Cost-weight sweep on the reference preset: DEFAULT_V_GRID x seeds."""
+    """Cost-weight sweep on the reference preset: DEFAULT_V_GRID x seeds,
+    each seed's weights served together by one run_many call."""
     start = time.perf_counter()
     runs_by_v = {v: [] for v in DEFAULT_V_GRID}
+    policies = [LyapunovParams(v_factor=v) for v in DEFAULT_V_GRID]
     for s in seeds:
-        for v in DEFAULT_V_GRID:
-            params = LyapunovParams(v_factor=v)
-            runs_by_v[v].append(run(ref_cfg, params, traces.by_seed[s]))
+        batch = run_many(ref_cfg, policies, traces.by_seed[s])
+        for params, metrics in zip(policies, batch):
+            runs_by_v[params.v_factor].append(metrics)
     summary = report.v_sweep_summary(runs_by_v)
     elapsed = time.perf_counter() - start + traces.elapsed
     return SimpleNamespace(runs_by_v=runs_by_v, summary=summary, elapsed=elapsed)

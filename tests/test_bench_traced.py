@@ -6,8 +6,9 @@
 workload runs here once at the self-test's tiny size under the same
 wrappers, so a change that breaks that contract fails tier-1 first. So
 does a slot loop that stops calling `decide_slot` through the policy
-instance, where the benchmark's per-slot span wraps it. Nothing is
-written under `bench/`.
+instance, once per slot of each batch of runs, where the benchmark's
+per-slot span wraps it, and a run that skips `engine.run`, whose return
+value the tracer counts. Nothing is written under `bench/`.
 """
 
 import importlib.util
@@ -42,10 +43,11 @@ def _load_bench():
 
 tracer, bench_run, selftest = _load_bench()
 
-# one traced decide_slot per slot of every threshold run: sweep_v's two
-# weights over 200 slots, wide_fleet's one run over 300, and quality_oracle's
-# reference run over 200 (its deadline-scheduler runs have no slot loop)
-DECIDE_SLOT_CALLS = {"sweep_v": 400, "wide_fleet": 300, "quality_oracle": 200}
+# one traced decide_slot per slot of every batch of threshold runs:
+# sweep_v's two weights share one batch over 200 slots, wide_fleet's one run
+# takes 300, and quality_oracle's reference run 200 (its deadline-scheduler
+# runs have no slot loop)
+DECIDE_SLOT_CALLS = {"sweep_v": 200, "wide_fleet": 300, "quality_oracle": 200}
 
 
 @pytest.mark.parametrize("name", sorted(selftest.TINY))
@@ -65,3 +67,6 @@ def test_traced_workload_counts_every_conc_slot(name, tmp_path):
     assert traced.counts["engine.conc_slots"] == workload.conc_slots
     calls = traced.totals()[2]
     assert calls.get("policy.decide_slot", 0) == DECIDE_SLOT_CALLS[name]
+    # a batch steps its runs together, but each run's post-run pass still
+    # passes through engine.run, once
+    assert calls["engine.run"] == workload.runs

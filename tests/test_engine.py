@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import itertools
 import json
 import re
 import tracemalloc
@@ -20,7 +21,9 @@ from hpclease import (
     generate_trace,
     oracle,
     run,
+    run_many,
 )
+from hpclease.config import MAX_CELLS
 from hpclease.engine import is_unit_granular, make_policy
 from hpclease.env import SpectrumLevel, row_blocks, save_trace
 from hpclease.errors import ConfigurationError, InvariantViolationError, TraceFormatError
@@ -889,7 +892,8 @@ def test_huge_arrivals_run_in_fleet_sized_memory():
 # included).
 TRACE_BYTES_PER_CELL = 1 + 4
 TRACE_BYTES_PER_SLOT = 3 * 8
-RUN_BYTES_PER_CELL = 2 + 1 + 1
+SERVED_BYTES_PER_CELL = 2
+RUN_BYTES_PER_CELL = SERVED_BYTES_PER_CELL + 1 + 1
 BLOCK_SLACK_BYTES = 8 * 2**16
 
 
@@ -927,15 +931,33 @@ def test_trace_and_runs_peak_within_their_bytes_per_cell(law):
         peak = _peak_bytes(lambda: run(cfg, params, trace))
         assert peak <= RUN_BYTES_PER_CELL * cells + BLOCK_SLACK_BYTES, params.label
 
+    # a batch holds the packets served of all its threshold runs until
+    # their last post-run pass, and serves any other run alone: it peaks at
+    # most at its runs' bytes per cell
+    batch = [*policies, *(LyapunovParams(v) for v in (10.0, 100.0, 1000.0, 1e4))]
+    run_many(small, batch)  # first-call imports and caches
+    peak = _peak_bytes(lambda: run_many(cfg, batch, trace))
+    assert peak <= RUN_BYTES_PER_CELL * cells * len(batch) + BLOCK_SLACK_BYTES
+    # it holds each run's Action codes only through that run's own pass, so
+    # threshold runs alone peak at their packets served plus one run's
+    # bytes per cell (holding all five runs' codes would take four more)
+    threshold_runs = [p for p in batch if isinstance(p, LyapunovParams)]
+    peak = _peak_bytes(lambda: run_many(cfg, threshold_runs, trace))
+    assert peak <= (
+        (SERVED_BYTES_PER_CELL * len(threshold_runs) + RUN_BYTES_PER_CELL) * cells
+        + BLOCK_SLACK_BYTES
+    )
+
 
 # Above 2**14 concentrators a threshold run's slot block is one slot, so
 # its (K,) rows outweigh its block work. Beside its outputs it holds, per
 # concentrator, Q, Z, the work, unit and zero rows and one slot's served
 # row (8 bytes each) and the buy mask; the threshold and epsilon rows are
 # stride-0 views, and each block is freed before the next is read. The
-# 8-byte index row that take makes to read a slot of levels fits in the
-# one-block slack. At 65,536 x 4 a run peaks at 65.0 bytes per
-# concentrator, outputs included.
+# slot's arrivals row fits in the one-block slack; it holds the slot's
+# level codes as intp before the arrivals, so that the free grant is read
+# with no index row of its own. At 65,536 x 4 a run peaks at 65.0 bytes
+# per concentrator, outputs included.
 WIDE_RUN_BYTES_PER_CONCENTRATOR = 6 * 8 + 1
 
 
@@ -1175,3 +1197,110 @@ def test_post_run_pass_reports_rogue_runs_as_reference(case):
         summarize(params, ROGUE_CFG, trace, codes, serves, q)
     with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(expected.value))}$"):
         engine._summarize(params, ROGUE_CFG, trace, codes, serves, q)
+
+
+@st.composite
+def _run_lists(draw):
+    """A small config and a list of runs on one of its traces, in any order:
+    threshold runs with repeated weights, static runs, and deadline-scheduler
+    runs where arrivals are unit-granular; and a cell cap that splits the
+    threshold runs into batches of 1 to 3."""
+    unit = draw(st.integers(2, 8))
+    law = draw(st.sampled_from(["deterministic", "poisson"]))
+    granular = law == "deterministic" and draw(st.booleans())
+    horizon = draw(st.integers(2, 600))
+    k = draw(st.integers(1, 40))
+    cfg = ScenarioConfig(
+        k_concentrators=k,
+        horizon=horizon,
+        mean_arrival=unit if granular else draw(st.integers(0, 2 * unit)),
+        unit_size_packets=unit,
+        reduced_fraction=draw(st.sampled_from([0.1, 0.5])),
+        arrival_law=law,
+        epsilon=draw(st.sampled_from([None, 0.37, 3.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    kinds = ["lyapunov", "static"] + ["quality"] * granular
+    params = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        if kind == "lyapunov":
+            params.append(LyapunovParams(draw(st.sampled_from([0.0, 0.5, 10.0, 1e4]))))
+        elif kind == "static":
+            period = draw(st.integers(1, 20))
+            params.append(StaticParams(period, draw(st.integers(1, period))))
+        else:
+            n_units = draw(st.integers(1, horizon - 1))
+            params.append(QualityParams(
+                n_units=n_units,
+                deadline=draw(st.integers(n_units, horizon - 1)),
+                quality_budget=draw(st.integers(0, n_units - 1)),
+            ))
+    return cfg, params, draw(st.integers(1, 3)) * k * horizon
+
+
+_WEIGHTS = [LyapunovParams(v) for v in (10.0, 0.5, 1e4, 10.0)]
+
+
+@given(_run_lists())
+# a batch over 15 slot blocks, and over one slot per block, on Poisson
+# arrivals with an epsilon override; and one split into batches of one
+@example((cli.PRESETS["reference"].with_overrides(horizon=1000), _WEIGHTS, MAX_CELLS))
+@example((
+    ScenarioConfig(
+        k_concentrators=2**13 + 1, horizon=3, arrival_law="poisson", epsilon=0.37, seed=2
+    ),
+    _WEIGHTS,
+    MAX_CELLS,
+))
+@example((_CODE_LOOP_CFG, [*_WEIGHTS, StaticParams(10, 4), LYAP1], 4 * 60))
+@settings(max_examples=60, deadline=None)
+def test_run_many_matches_single_runs(case):
+    """Every RunMetrics field of a list of runs served by run_many, its
+    threshold runs in batches of at most MAX_CELLS cells, equals the one
+    a single run returns."""
+    cfg, params, max_cells = case
+    trace = generate_trace(cfg, cfg.seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "MAX_CELLS", max_cells)
+        batched = run_many(cfg, params, trace)
+    single = [run(cfg, p, trace) for p in params]
+    assert [metrics_digest(m) for m in batched] == [metrics_digest(m) for m in single]
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
+    """An invariant broken in the post-run pass of one threshold run of a
+    batch names the same run, seed, slot and concentrator as when the run
+    is served alone; the third threshold run opens a second batch."""
+    params = [LYAP1, StaticParams(50, 10), LyapunovParams(10.0), LyapunovParams(100.0)]
+    trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
+    concentrator = 1
+    slot = _first_slot(trace.levels[concentrator] == SpectrumLevel.NONE, 1)
+    actions = LyapunovPolicy.actions
+
+    def recode_the_target_run():
+        """LyapunovPolicy.actions, with one free send where there is no
+        free spectrum in the codes of the target-th run it recovers."""
+        recovered = itertools.count()
+
+        def recoded(self, serves, levels):
+            codes = actions(self, serves, levels)
+            if next(recovered) == target:
+                codes[concentrator, slot] = Action.FREE_FULL
+            return codes
+
+        return recoded
+
+    monkeypatch.setattr(engine, "MAX_CELLS", 2 * ROGUE_CFG.k_concentrators * ROGUE_CFG.horizon)
+    monkeypatch.setattr(LyapunovPolicy, "actions", recode_the_target_run())
+    label = [p for p in params if isinstance(p, LyapunovParams)][target].label
+    expected = (
+        f"{label} seed 7: free transmission without free spectrum "
+        f"at slot {slot}, concentrator {concentrator}"
+    )
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
+        for p in params:
+            run(ROGUE_CFG, p, trace)
+    monkeypatch.setattr(LyapunovPolicy, "actions", recode_the_target_run())
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
+        run_many(ROGUE_CFG, params, trace)
