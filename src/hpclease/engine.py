@@ -7,17 +7,22 @@ run (see ``policy``): it returns the (concentrator, slot) Action codes and
 packets served, and the backlog after the last slot. ``run_many`` serves
 its threshold runs together instead: one LyapunovPolicy steps a batch of
 them, at most MAX_CELLS cells (runs x K x T), in one slot loop whose rows
-carry a run axis, and hands each run's codes, packets served and backlog
-to ``run`` for the rest; any other run is served alone. Then one pass
-over blocks of about 2**16 cells of rows does all the rest, run by run:
-the invariant checks over codes and service (each error names the policy
-label, seed, first offending slot and concentrator; every rule is
-searched in every block, and the first rule in order that any block
-broke is reported), the cost accounting, the fleet's backlog per slot,
-and the total packet delay. A
-slot's bill is its count of full leases times the full price plus its
-count of reduced leases times the reduced price; a concentrator's bill is
-an exact int64 product of its lease masks with the price rows. A run's
+carry a run axis, and hands each run's codes, packets served, backlog and
+arrival sums to ``run`` for the rest; any other run is served alone.
+
+The post-run pass has two halves, each over blocks of about 2**16 cells
+of rows. The arrival half (_arrival_sums) reads the trace's arrivals once
+for every run of a batch, and once for a single run: the total arrivals,
+the fleet's arrivals per slot, and each run's sum_t min(A_t, n) over its
+rows. The other half reads a run's own codes and service, run by run: the
+invariant checks (each error names the policy label, seed, first
+offending slot and concentrator; every rule is searched in every block,
+and the first rule in order that any block broke is reported), packet
+conservation, the cost accounting, the fleet's backlog per slot, and the
+total packet delay. A slot's bill is its count of full leases times the
+full price plus its count of reduced leases times the reduced price; a
+concentrator's bill is an exact int64 product of its lease masks with the
+price rows, and a block without reduced leases skips their half. A run's
 RunMetrics keeps only these summaries, never the codes or the service
 matrix. Service is FIFO within a concentrator, so the total delay is the
 area between its cumulative arrival and service curves (the sample-path
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,7 +180,7 @@ def run(
     params: PolicyParams,
     trace: Trace | None = None,
     *,
-    _served: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    _served: tuple[np.ndarray, np.ndarray, np.ndarray, _ArrivalSums] | None = None,
 ) -> RunMetrics:
     """Simulate one policy over one trace (drawn from config.seed if absent).
     A trace drawn for another scenario (config_digest != config.env_digest())
@@ -186,8 +192,9 @@ def run(
     vector at that point while the fleet backlog stays below 2**53; above
     that the int64 sum is the more exact of the two.
 
-    ``_served`` is run_many's hand-off, the (codes, packets served, Q) of a
-    run its batch already served: only the post-run pass is then left.
+    ``_served`` is run_many's hand-off, the (codes, packets served, Q,
+    arrival sums) of a run its batch already served: only the part of the
+    post-run pass that reads the run's own codes and service is then left.
     """
     if trace is None:
         trace = generate_trace(config, config.seed)
@@ -208,7 +215,8 @@ def run_many(
 
     The threshold runs are served together: each batch of them, in input
     order and of at most MAX_CELLS cells (R * K * T), steps its slots in one
-    loop of one LyapunovPolicy. Any other run is served alone. Each run's
+    loop of one LyapunovPolicy and sums the trace's arrivals once for all
+    its runs (_arrival_sums). Any other run is served alone. Each run's
     post-run pass still goes through ``run``, in input order, so an error
     names the same run, seed, slot and concentrator as a single run would.
     A run's Action codes are recovered when its own pass starts and freed
@@ -225,20 +233,62 @@ def run_many(
 
 
 def _threshold_runs(config, params_seq, trace):
-    """The (codes, packets served, Q) of each threshold run of
-    ``params_seq``, in input order, for ``run``'s hand-off: batches of at
-    most MAX_CELLS cells, each served by one LyapunovPolicy; a run's codes
-    are recovered only when it is its turn."""
+    """The (codes, packets served, Q, arrival sums) of each threshold run
+    of ``params_seq``, in input order, for ``run``'s hand-off: batches of
+    at most MAX_CELLS cells, each served by one LyapunovPolicy, whose slot
+    loop state is freed once it has served them; a run's codes are
+    recovered only when it is its turn."""
     k = trace.k
     runs = [p for p in params_seq if isinstance(p, LyapunovParams)]
     size = MAX_CELLS // (k * trace.horizon)
     for first in range(0, len(runs), size):
         policy = LyapunovPolicy(tuple(runs[first : first + size]), config, trace)
         serves, q = policy.serve_rows(trace)
-        for r in range(policy.runs):
+        policy.release_loop()
+        for r, sums in enumerate(_arrival_sums(trace, serves)):
             own = slice(r * k, (r + 1) * k)
-            yield policy.actions(serves[own], trace.levels), serves[own], q[own]
+            yield policy.actions(serves[own], trace.levels), serves[own], q[own], sums
         del policy, serves, q  # before the next batch is served
+
+
+class _ArrivalSums(NamedTuple):
+    """The sums of one run's post-run pass that read the trace's arrivals:
+    ``capped`` is sum_t min(A_t, n) over the run's rows, with A_t a row's
+    arrivals through slot t and n its packets served, and ``served`` the
+    sum of n. ``arrived`` (the total arrivals) and ``per_slot`` (the
+    fleet's (T,) int64 arrivals per slot) are the trace's, shared by every
+    run of a batch."""
+
+    capped: int
+    served: int
+    arrived: int
+    per_slot: np.ndarray
+
+
+def _arrival_sums(trace: Trace, serves: np.ndarray) -> list[_ArrivalSums]:
+    """The arrival sums of the R runs whose packets served are the rows of
+    ``serves``, (R * K, T), run r in rows r * K to (r + 1) * K. Each block
+    of rows of the trace's arrivals is read, cast and summed once, however
+    many runs there are; only the min against each run's n is per run."""
+    k, horizon = trace.k, trace.horizon
+    departed = serves.sum(axis=1, dtype=np.int64).reshape(-1, k)
+    capped = [0] * len(departed)
+    per_slot = np.zeros(horizon, dtype=np.int64)
+    # blocks of about 2**15 cells: a batch's running sums and one run's
+    # minimum, two int64 blocks, take the memory of one block of the pass
+    for block in row_blocks(k, 2 * horizon):
+        arrivals = trace.arrivals[block]
+        per_slot += arrivals.sum(axis=0, dtype=np.int64)
+        arrived = arrivals.astype(np.int64)
+        np.cumsum(arrived, axis=1, out=arrived)
+        below = np.empty_like(arrived) if len(departed) > 1 else None
+        for r, n in enumerate(departed[:-1]):
+            capped[r] += int(np.minimum(arrived, n[block, None], out=below).sum())
+        # the last run's minimum in place, so that one run needs one block
+        capped[-1] += int(np.minimum(arrived, departed[-1, block, None], out=arrived).sum())
+        del arrived, below  # before the next block's temporaries
+    arrived = int(per_slot.sum())
+    return [_ArrivalSums(c, int(n.sum()), arrived, per_slot) for c, n in zip(capped, departed)]
 
 
 def _check_trace(config: ScenarioConfig, trace: Trace) -> None:
@@ -256,25 +306,25 @@ _IDLE, _FREE_FULL, _FREE_REDUCED, _BUY_FULL, _BUY_REDUCED = (np.uint8(a) for a i
 _NONE, _REDUCED, _FULL = (np.uint8(level) for level in SpectrumLevel)
 
 
-def _summarize(params, config, trace, decisions, serves, q) -> RunMetrics:
+def _summarize(params, config, trace, decisions, serves, q, sums=None) -> RunMetrics:
     """Check a finished run and account for it, from its (K, T) Action
-    codes and packets served and its final Q, in one pass over blocks of
-    rows, so that no (K, T) temporary is ever built."""
+    codes and packets served, its final Q and its arrival sums (from
+    _arrival_sums when absent), in one pass over blocks of rows, so that no
+    (K, T) temporary is ever built."""
     k, horizon = trace.k, trace.horizon
+    if sums is None:
+        (sums,) = _arrival_sums(trace, serves)
     run_name = f"{params.label} seed {trace.seed}"
     free = free_capacities(config).astype(np.int16)
-    # slot t's service is still counted as departed at T - t slot ends
-    remaining = np.arange(horizon, 0, -1, dtype=np.int64)
     leases_full = np.zeros(horizon, dtype=np.int64)
     leases_reduced = np.zeros(horizon, dtype=np.int64)
     cost_per_conc = np.empty(k, dtype=np.int64)
-    net = np.zeros(horizon, dtype=np.int64)
+    served_per_slot = np.zeros(horizon, dtype=np.int64)
     # each rule's first offence so far: (slot, concentrator), or None
     first: dict[str, tuple[int, int] | None] = {}
-    total_arrived = total_served = total_delay = sent = reduced = 0
+    sent = reduced = 0
     for block in row_blocks(k, horizon):
         codes, served = decisions[block], serves[block]
-        arrivals = trace.arrivals[block]
         rules = _violations(params, free, codes, served, trace.levels[block])
         for rule, offending in rules:
             found = first.setdefault(rule, None)
@@ -283,46 +333,44 @@ def _summarize(params, config, trace, decisions, serves, q) -> RunMetrics:
                 if found is None or t < found[0]:
                     first[rule] = t, block.start + int(offending[:, t].argmax())
 
+        # a uint8 view sums per slot as int32 faster than a bool mask as int64
         full = codes == _BUY_FULL
+        leases_full += full.view(np.uint8).sum(axis=0, dtype=np.int32)
+        cost_per_conc[block] = full @ trace.price_full
         part = codes == _BUY_REDUCED
-        leases_full += full.sum(axis=0)
-        leases_reduced += part.sum(axis=0)
-        cost_per_conc[block] = full @ trace.price_full + part @ trace.price_reduced
+        if part.any():  # only the deadline scheduler leases reduced units
+            leases_reduced += part.view(np.uint8).sum(axis=0, dtype=np.int32)
+            cost_per_conc[block] += part @ trace.price_reduced
+            reduced += int(np.count_nonzero(part))
         # a code is IDLE exactly where nothing moved, so every other code is a send
         sent += int(np.count_nonzero(codes))
-        reduced += int(np.count_nonzero(part) + np.count_nonzero(codes == _FREE_REDUCED))
+        reduced += int(np.count_nonzero(codes == _FREE_REDUCED))
 
-        # each packet waits one slot per slot end at which it has arrived
-        # and is not yet served; only the first n arrivals ever leave, n the
-        # row's packets served: sum_t min(A_t, n) - sum_t S_t, and
-        # sum_t S_t = sum_t s_t (T - t)
-        departed = served.sum(axis=1, dtype=np.int64)
-        total_served += int(departed.sum())
-        total_delay -= int((served @ remaining).sum())
-        waiting = arrivals.astype(np.int64)
-        np.cumsum(waiting, axis=1, out=waiting)
-        total_arrived += int(waiting[:, -1].sum())
-        np.minimum(waiting, departed[:, None], out=waiting)
-        total_delay += int(waiting.sum())
-        del waiting  # before the next block's temporaries
-        net += arrivals.sum(axis=0, dtype=np.int64)
-        net -= served.sum(axis=0, dtype=np.int64)
+        served_per_slot += served.sum(axis=0, dtype=np.int64)
 
     for rule, found in first.items():
         if found is not None:
             raise InvariantViolationError(
                 f"{run_name}: {rule} at slot {found[0]}, concentrator {found[1]}"
             )
-    if total_arrived != total_served + int(q.sum()):
+    if sums.arrived != sums.served + int(q.sum()):
         raise InvariantViolationError(
             f"{run_name}: packet conservation broken: "
-            f"{total_arrived} arrived != {total_served} served + {int(q.sum())} queued"
+            f"{sums.arrived} arrived != {sums.served} served + {int(q.sum())} queued"
         )
     cost_series_fleet = np.cumsum(
         leases_full * trace.price_full + leases_reduced * trace.price_reduced
     )
     backlog = np.zeros(horizon, dtype=np.int64)
+    net = sums.per_slot - served_per_slot
     np.cumsum(net[:-1], out=backlog[1:])
+    # each packet waits one slot per slot end at which it has arrived and
+    # is not yet served; only the first n arrivals ever leave, n the row's
+    # packets served: sum_t min(A_t, n) - sum_t S_t over the rows, and
+    # sum_t S_t = sum_t s_t (T - t), whose sum over the rows needs only
+    # the fleet's service per slot
+    remaining = np.arange(horizon, 0, -1, dtype=np.int64)
+    total_delay = sums.capped - int(served_per_slot @ remaining)
 
     return RunMetrics(
         params=params,
@@ -337,8 +385,8 @@ def _summarize(params, config, trace, decisions, serves, q) -> RunMetrics:
         queue_series_mean=backlog / k,
         final_queue=q - trace.arrivals[:, -1],
         total_delay_slots=total_delay,
-        total_arrived=total_arrived,
-        total_served=total_served,
+        total_arrived=sums.arrived,
+        total_served=sums.served,
         units_sent_full=sent - reduced,
         units_sent_reduced=reduced,
     )

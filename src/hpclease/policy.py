@@ -45,7 +45,9 @@ each slot once for all of them on flat (R * K,) rows, run r's
 concentrators at r * K to (r + 1) * K. Each slot block of the trace is
 read once and its free grant, arrivals and thresholds (each run's own,
 v * price_cents / 2.0 as in a single run) are repeated across the runs;
-``engine.run_many`` is its one caller. The static baseline and the deadline
+``engine.run_many`` is its one caller, and frees the loop's rows and
+thresholds (``release_loop``) once the runs are served, keeping the
+policy only for ``actions``. The static baseline and the deadline
 scheduler never read the backlog: each grants every slot at once, and
 ``serve_grants`` serves the (K, T) grants in closed form, by the Lindley
 recursion (one prefix sum and one running minimum per row).
@@ -370,6 +372,12 @@ class LyapunovPolicy(_PacketPolicy):
             # next is read: one-slot blocks of a wide fleet would peak at two
             del served, arrivals, level_index, moved, arrived
         return serves, q.astype(np.int64)
+
+    def release_loop(self):
+        """Free what only the slot loop reads, the step's rows and the
+        thresholds, once ``serve_rows`` has returned; ``actions``, which
+        reads only the free capacities, still works."""
+        del self.z, self.unit, self.zero, self.work, self.buy, self.threshold, self.thresholds
 
     def decide_slot(self, slot, q, served):
         """Turn ``served``, the slot's free grant, into the packets each

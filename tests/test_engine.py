@@ -1271,7 +1271,9 @@ def test_run_many_matches_single_runs(case):
 def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
     """An invariant broken in the post-run pass of one threshold run of a
     batch names the same run, seed, slot and concentrator as when the run
-    is served alone; the third threshold run opens a second batch."""
+    is served alone; the third threshold run opens a second batch. So does
+    broken packet conservation, which reads the arrivals that a batch sums
+    once for all its runs: it names the same run, seed and counts."""
     params = [LYAP1, StaticParams(50, 10), LyapunovParams(10.0), LyapunovParams(100.0)]
     trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
     concentrator = 1
@@ -1304,3 +1306,90 @@ def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
     monkeypatch.setattr(LyapunovPolicy, "actions", recode_the_target_run())
     with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
         run_many(ROGUE_CFG, params, trace)
+
+    # one more packet served by the target run than its queue let it move:
+    # a threshold run's codes follow from its packets served, so no
+    # per-slot rule breaks, only conservation
+    monkeypatch.setattr(LyapunovPolicy, "actions", actions)
+    honest = run(ROGUE_CFG, [p for p in params if isinstance(p, LyapunovParams)][target], trace)
+    serve_rows = LyapunovPolicy.serve_rows
+
+    def serve_one_more_in_the_target_run():
+        """LyapunovPolicy.serve_rows, with one more packet served at
+        (concentrator, slot) in the target-th run it serves."""
+        served_runs = itertools.count()
+
+        def tampered(self, trace):
+            serves, q = serve_rows(self, trace)
+            for r in range(self.runs):
+                if next(served_runs) == target:
+                    serves[r * trace.k + concentrator, slot] += 1
+            return serves, q
+
+        return tampered
+
+    queued = honest.total_arrived - honest.total_served
+    expected = (
+        f"{label} seed 7: packet conservation broken: {honest.total_arrived} arrived "
+        f"!= {honest.total_served + 1} served + {queued} queued"
+    )
+    monkeypatch.setattr(LyapunovPolicy, "serve_rows", serve_one_more_in_the_target_run())
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
+        for p in params:
+            run(ROGUE_CFG, p, trace)
+    monkeypatch.setattr(LyapunovPolicy, "serve_rows", serve_one_more_in_the_target_run())
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
+        run_many(ROGUE_CFG, params, trace)
+
+
+# 70 x 1000 cells, two row blocks of the post-run pass. Rows 0-2 get no
+# arrivals and every fourth row from 3 on twice the trace's, so that under
+# either arrival law, at v = 0 and at v = 0.5, some rows with arrivals
+# drain and others keep a backlog
+_BATCH_PASS_CFG = ScenarioConfig(
+    k_concentrators=70, horizon=1000, mean_arrival=4, unit_size_packets=5, seed=11
+)
+_BATCH_PASS_RUNS = [
+    LyapunovParams(0.0),
+    LyapunovParams(0.5),
+    StaticParams(10, 4),
+    LyapunovParams(10.0),
+    LyapunovParams(0.5),
+    LyapunovParams(1e4),
+]
+
+
+@pytest.mark.parametrize("runs_per_batch", [2, None])
+@pytest.mark.parametrize("law", ["deterministic", "poisson"])
+def test_run_many_matches_the_rule_by_rule_pass(law, runs_per_batch, monkeypatch):
+    """Every run that run_many returns equals the rule-by-rule pass
+    (reference.summarize) over the codes, packets served and Q that its own
+    post-run pass received. The reference sums the arrivals itself, so a
+    fault in the arrival sums that a batch shares, which single runs share
+    too, shows here; with ``runs_per_batch`` the threshold runs are split
+    into batches of at most that many."""
+    cfg = dataclasses.replace(_BATCH_PASS_CFG, arrival_law=law)
+    trace = generate_trace(cfg, cfg.seed)
+    arrivals = trace.arrivals.copy()
+    arrivals[:3] = 0
+    arrivals[3::4] *= 2
+    trace = dataclasses.replace(trace, arrivals=arrivals)
+    if runs_per_batch is not None:
+        cells = runs_per_batch * cfg.k_concentrators * cfg.horizon
+        monkeypatch.setattr(engine, "MAX_CELLS", cells)
+    received = []
+    summarize_run = engine._summarize
+
+    def recording(params, config, trace, codes, serves, q, *sums):
+        received.append((params, codes.copy(), serves.copy(), q.copy()))
+        return summarize_run(params, config, trace, codes, serves, q, *sums)
+
+    monkeypatch.setattr(engine, "_summarize", recording)
+    batched = run_many(cfg, _BATCH_PASS_RUNS, trace)
+    assert [params for params, *_ in received] == _BATCH_PASS_RUNS
+    expected = [summarize(p, cfg, trace, *served) for p, *served in received]
+    assert [metrics_digest(m) for m in batched] == [metrics_digest(m) for m in expected]
+    for metrics in batched[:2]:
+        assert not metrics.final_queue[:3].any()
+        drained = metrics.final_queue[3:] == 0
+        assert drained.any() and not drained.all(), metrics.policy_label
