@@ -10,25 +10,26 @@ them, at most MAX_CELLS cells (runs x K x T), in one slot loop whose rows
 carry a run axis, and hands each run's codes, packets served, backlog and
 arrival sums to ``run`` for the rest; any other run is served alone.
 
-The post-run pass has two halves, each over blocks of about 2**16 cells
-of rows. The arrival half (_arrival_sums) reads the trace's arrivals once
-for every run of a batch, and once for a single run: the total arrivals,
-the fleet's arrivals per slot, and each run's sum_t min(A_t, n) over its
-rows. The other half reads a run's own codes and service, run by run: the
-invariant checks (each error names the policy label, seed, first
-offending slot and concentrator; every rule is searched in every block,
-and the first rule in order that any block broke is reported), packet
-conservation, the cost accounting, the fleet's backlog per slot, and the
-total packet delay. A slot's bill is its count of full leases times the
-full price plus its count of reduced leases times the reduced price; a
-concentrator's bill is an exact int64 product of its lease masks with the
-price rows, and a block without reduced leases skips their half. A run's
-RunMetrics keeps only these summaries, never the codes or the service
-matrix. Service is FIFO within a concentrator, so the total delay is the
-area between its cumulative arrival and service curves (the sample-path
-argument behind Little's law), computed from per-slot counts and never per
-packet: with A_t the arrivals through slot t, s_t the packets served in
-slot t and n their total, it is sum_t min(A_t, n) - sum_t s_t (T - t).
+The post-run pass has two halves, each over blocks of rows. The arrival
+half (_arrival_sums, blocks of about 2**15 cells) reads the trace's
+arrivals once for every run of a batch, and once for a single run: the
+fleet's arrivals per slot, and each run's sum_t min(A_t, n) over its rows.
+The other half (blocks of about 2**16 cells) reads a run's own codes and
+service, run by run: the invariant checks (each error names the policy
+label, seed, first offending slot and concentrator; every rule is searched
+in every block, and the first rule in order that any block broke is
+reported), packet conservation, the cost accounting, the fleet's backlog
+per slot, and the total packet delay. A slot's bill is its count of full
+leases times the full price plus its count of reduced leases times the
+reduced price; a concentrator's bill is an exact int64 product of its
+lease masks with the price rows, and a block without reduced leases skips
+their half. A run's RunMetrics keeps only these summaries, never the codes
+or the service matrix. Service is FIFO within a concentrator, so the total
+delay is the area between its cumulative arrival and service curves (the
+sample-path argument behind Little's law), computed from per-slot counts
+and never per packet: with A_t the arrivals through slot t, s_t the
+packets served in slot t and n their total, it is
+sum_t min(A_t, n) - sum_t s_t (T - t).
 
 compare_with_oracle is the one offline comparison: it takes every run on
 one trace, solves each distinct (n_units, quality_budget) workload once
@@ -44,7 +45,7 @@ exactly representable range.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -206,7 +207,7 @@ def run(
 
 def run_many(
     config: ScenarioConfig,
-    params_seq: Sequence[PolicyParams],
+    params_seq: Iterable[PolicyParams],
     trace: Trace | None = None,
 ) -> list[RunMetrics]:
     """Simulate each policy of ``params_seq`` over one trace (drawn from
@@ -222,6 +223,7 @@ def run_many(
     A run's Action codes are recovered when its own pass starts and freed
     when it ends.
     """
+    params_seq = list(params_seq)  # read once: a batch and its passes both walk it
     if trace is None:
         trace = generate_trace(config, config.seed)
     _check_trace(config, trace)
@@ -254,14 +256,11 @@ def _threshold_runs(config, params_seq, trace):
 class _ArrivalSums(NamedTuple):
     """The sums of one run's post-run pass that read the trace's arrivals:
     ``capped`` is sum_t min(A_t, n) over the run's rows, with A_t a row's
-    arrivals through slot t and n its packets served, and ``served`` the
-    sum of n. ``arrived`` (the total arrivals) and ``per_slot`` (the
-    fleet's (T,) int64 arrivals per slot) are the trace's, shared by every
+    arrivals through slot t and n its packets served, and ``per_slot`` the
+    trace's (T,) int64 arrivals per slot over the fleet, shared by every
     run of a batch."""
 
     capped: int
-    served: int
-    arrived: int
     per_slot: np.ndarray
 
 
@@ -287,8 +286,7 @@ def _arrival_sums(trace: Trace, serves: np.ndarray) -> list[_ArrivalSums]:
         # the last run's minimum in place, so that one run needs one block
         capped[-1] += int(np.minimum(arrived, departed[-1, block, None], out=arrived).sum())
         del arrived, below  # before the next block's temporaries
-    arrived = int(per_slot.sum())
-    return [_ArrivalSums(c, int(n.sum()), arrived, per_slot) for c, n in zip(capped, departed)]
+    return [_ArrivalSums(c, per_slot) for c in capped]
 
 
 def _check_trace(config: ScenarioConfig, trace: Trace) -> None:
@@ -353,10 +351,11 @@ def _summarize(params, config, trace, decisions, serves, q, sums=None) -> RunMet
             raise InvariantViolationError(
                 f"{run_name}: {rule} at slot {found[0]}, concentrator {found[1]}"
             )
-    if sums.arrived != sums.served + int(q.sum()):
+    total_arrived, total_served = int(sums.per_slot.sum()), int(served_per_slot.sum())
+    if total_arrived != total_served + int(q.sum()):
         raise InvariantViolationError(
             f"{run_name}: packet conservation broken: "
-            f"{sums.arrived} arrived != {sums.served} served + {int(q.sum())} queued"
+            f"{total_arrived} arrived != {total_served} served + {int(q.sum())} queued"
         )
     cost_series_fleet = np.cumsum(
         leases_full * trace.price_full + leases_reduced * trace.price_reduced
@@ -385,8 +384,8 @@ def _summarize(params, config, trace, decisions, serves, q, sums=None) -> RunMet
         queue_series_mean=backlog / k,
         final_queue=q - trace.arrivals[:, -1],
         total_delay_slots=total_delay,
-        total_arrived=sums.arrived,
-        total_served=sums.served,
+        total_arrived=total_arrived,
+        total_served=total_served,
         units_sent_full=sent - reduced,
         units_sent_reduced=reduced,
     )
@@ -480,7 +479,7 @@ def oracle_reference(
 def compare_with_oracle(
     config: ScenarioConfig,
     trace: Trace,
-    runs: list[RunMetrics],
+    runs: Iterable[RunMetrics],
 ) -> tuple[list[int | None], tuple[str, int] | None]:
     """Every run on ``trace`` against the offline optimum, each distinct
     (n_units, quality_budget) workload solved once.
@@ -501,6 +500,7 @@ def compare_with_oracle(
     A trace drawn for another scenario, or a run whose seed or environment
     digest differs from the trace's, raises ConfigurationError.
     """
+    runs = list(runs)  # read once: the checks, the workloads and the costs walk it
     _check_trace(config, trace)
     for m in runs:
         if (m.seed, m.config_digest) != (trace.seed, trace.config_digest):

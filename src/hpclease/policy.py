@@ -28,9 +28,8 @@ backlog, so it serves in a slot loop that carries Q: each slot
 served, min(grant, Q), and advances the virtual queues Z, and the loop
 takes that row from Q and adds the slot's arrivals. Q, Z and the step's
 work rows and mask are (K,) arrays allocated once per run, all float64
-but the mask, and the slot's threshold and epsilon are stride-0 views, so
-each slot makes only plain in-place numpy calls that neither allocate nor
-cast. Q counts
+but the mask, and epsilon is a stride-0 view, so each slot makes only
+plain in-place numpy calls that neither allocate nor cast. Q counts
 exactly because a ScenarioConfig and a Trace bound a concentrator's
 arrivals over the horizon by 2**53. The loop walks the horizon in blocks
 of about 2**14 cells. It reads each block once into slot-major (slots, K)
@@ -40,13 +39,13 @@ place, and the arrivals into a second block; the served block then goes
 into the (K, T) int16 matrix once.
 
 The loop has a run axis: a LyapunovPolicy built from a tuple of R
-parameter blocks serves R runs on one trace (``serve_rows``), stepping
-each slot once for all of them on flat (R * K,) rows, run r's
-concentrators at r * K to (r + 1) * K. Each slot block of the trace is
-read once and its free grant, arrivals and thresholds (each run's own,
-v * price_cents / 2.0 as in a single run) are repeated across the runs;
-``engine.run_many`` is its one caller, and frees the loop's rows and
-thresholds (``release_loop``) once the runs are served, keeping the
+parameter blocks serves R runs on one trace (``serve_rows``), one run
+being a batch of one, stepping each slot once for all of them on flat
+(R * K,) rows, run r's concentrators at r * K to (r + 1) * K. Each slot
+block of the trace is read once, its free grant and arrivals repeated
+across the runs, and its threshold rows built from the (T, R) thresholds
+(``slot_thresholds``). ``engine.run_many`` frees the loop's rows and
+thresholds (``release_loop``) once its runs are served, keeping the
 policy only for ``actions``. The static baseline and the deadline
 scheduler never read the backlog: each grants every slot at once, and
 ``serve_grants`` serves the (K, T) grants in closed form, by the Lindley
@@ -272,6 +271,15 @@ class _PacketPolicy:
         self.free_capacity = free_capacities(config)
 
 
+def slot_thresholds(threshold: np.ndarray, block: slice, k: int) -> np.ndarray:
+    """The step's rows of the (T, R) ``threshold`` for the slots of
+    ``block``, each run's repeated over its K concentrators: a stride-0
+    view for one run, which takes no memory, one block copy for more."""
+    column = threshold[block, :, None]
+    rows, runs = column.shape[:2]
+    return np.broadcast_to(column, (rows, runs, k)).reshape(rows, runs * k)
+
+
 class LyapunovPolicy(_PacketPolicy):
     """Purchases when Q + Z exceeds threshold[slot] = V * c / 2, with c the
     slot's full-unit price in cents, unless the level's free capacity covers
@@ -286,11 +294,11 @@ class LyapunovPolicy(_PacketPolicy):
     row. Each slot, after the grant, Z drops by the packets served and
     grows by epsilon if the concentrator was busy, floored at 0.
 
-    Built from one parameter block it serves one run, and ``threshold`` is
-    its (T,) row. Built from a tuple of R blocks it serves R runs on the
-    trace in one slot loop, and ``threshold`` is (R, T): every row of the
-    step is then R * K long, run r's concentrators at r * K to (r + 1) * K,
-    flat rather than (R, K), since a ufunc call costs less on one flat row."""
+    Built from a tuple of R parameter blocks, or from one (R = 1), it
+    serves R runs on the trace in one slot loop. ``threshold`` is (T, R),
+    and every row of the step is R * K long, run r's concentrators at
+    r * K to (r + 1) * K, flat rather than (R, K), since a ufunc call costs
+    less on one flat row."""
 
     def __init__(
         self,
@@ -299,13 +307,10 @@ class LyapunovPolicy(_PacketPolicy):
         trace: Trace,
     ):
         super().__init__(params, config)
+        blocks = params if isinstance(params, tuple) else (params,)
         price_cents = trace.price_full / MICROCENTS_PER_CENT
-        if isinstance(params, tuple):
-            self.threshold = np.array([p.v_factor * price_cents / 2.0 for p in params])
-            self.runs = len(params)
-        else:
-            self.threshold = params.v_factor * price_cents / 2.0
-            self.runs = 1
+        self.threshold = np.multiply.outer(price_cents, [p.v_factor for p in blocks]) / 2.0
+        self.runs = len(blocks)
         self.epsilon = config.epsilon
         width = self.runs * trace.k
         self.z = np.zeros(width)
@@ -319,11 +324,6 @@ class LyapunovPolicy(_PacketPolicy):
         self.zero = np.zeros(width)
         self.work = np.empty(width)
         self.buy = np.empty(width, dtype=bool)
-        if self.runs == 1:
-            # slot t's thresholds are row t of a stride-0 (T, K) view; a
-            # batch's rows are built block by block (serve_rows)
-            column = self.threshold.reshape(trace.horizon, 1)
-            self.thresholds = np.broadcast_to(column, (trace.horizon, width))
 
     def serve(self, trace: Trace):
         serves, q = self.serve_rows(trace)
@@ -346,12 +346,10 @@ class LyapunovPolicy(_PacketPolicy):
         # reads or writes a strided column of a (K, T) array or casts
         for block in row_blocks(trace.horizon, 4 * runs * k):
             slots = range(trace.horizon)[block]
-            if runs > 1:
-                # the block's thresholds by slot, each run's repeated over
-                # its K rows; built first, so that the last block's, alive
-                # until these replace them, never meet this block's reads
-                rows = np.repeat(self.threshold[:, block].T, k, axis=1)
-                self.thresholds = dict(zip(slots, rows))
+            # the block's threshold rows, row i for slot first_slot + i,
+            # built first, so that the last block's never meet its reads
+            self.thresholds = slot_thresholds(self.threshold, block, k)
+            self.first_slot = block.start
             # the arrivals block holds the level codes as intp until the
             # arrivals are read into it, so that take makes no index copy
             arrivals = np.empty((len(slots), k))
@@ -393,7 +391,7 @@ class LyapunovPolicy(_PacketPolicy):
         +0.0, which leaves Z unchanged since Z is never -0.0."""
         z, work, buy = self.z, self.work, self.buy
         np.add(q, z, out=work)
-        np.greater(work, self.thresholds[slot], out=buy)
+        np.greater(work, self.thresholds[slot - self.first_slot], out=buy)
         np.putmask(served, buy, self.unit)
         np.minimum(q, served, out=served)
         # in the order of max(Z - served + epsilon * busy, 0)

@@ -428,6 +428,16 @@ def test_compare_with_oracle_quality_and_lyapunov(small_cfg):
     assert qoffline <= qmetrics.cost_total_microcents
 
 
+def test_compare_with_oracle_reads_a_one_shot_iterable_once(small_cfg):
+    trace = generate_trace(small_cfg, small_cfg.seed)
+    reference = run(small_cfg, LYAP1, trace)
+    params = derive_quality_params(small_cfg, reference.littles_delay, 0.25)
+    runs = [reference, run(small_cfg, params, trace)]
+    expected = compare_with_oracle(small_cfg, trace, runs)
+    assert all(isinstance(cost, int) for cost in expected[0])
+    assert compare_with_oracle(small_cfg, trace, (m for m in runs)) == expected
+
+
 def test_oracle_dominance_failure_names_the_concentrator(small_cfg, monkeypatch):
     trace = generate_trace(small_cfg, small_cfg.seed)
     metrics = run(small_cfg, LYAP1, trace)
@@ -1265,6 +1275,17 @@ def test_run_many_matches_single_runs(case):
         batched = run_many(cfg, params, trace)
     single = [run(cfg, p, trace) for p in params]
     assert [metrics_digest(m) for m in batched] == [metrics_digest(m) for m in single]
+
+
+def test_run_many_reads_a_one_shot_iterable_once(small_cfg):
+    """Runs given by an iterator are each served, in input order, as the
+    same runs given by a list: the batch and the passes read one list."""
+    params = [StaticParams(10, 2), LyapunovParams(1.0), LyapunovParams(1e4)]
+    trace = generate_trace(small_cfg, small_cfg.seed)
+    expected = run_many(small_cfg, params, trace)
+    batched = run_many(small_cfg, iter(params), trace)
+    assert [m.params for m in batched] == params
+    assert [metrics_digest(m) for m in batched] == [metrics_digest(m) for m in expected]
 
 
 @pytest.mark.parametrize("target", [0, 1, 2])

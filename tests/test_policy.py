@@ -31,6 +31,7 @@ from hpclease.policy import (
     QualityPolicy,
     StaticBurstPolicy,
     StaticParams,
+    slot_thresholds,
 )
 
 from conftest import run_core
@@ -71,9 +72,10 @@ def price_trace(full, reduced=None, k=1):
 
 
 def thresholds(v_factor, full_microcents):
-    """The Lyapunov policy's per-slot purchase thresholds for these prices."""
+    """The Lyapunov policy's per-slot purchase thresholds for these prices:
+    the one column of a one-run policy's (T, R) thresholds."""
     trace = price_trace(full_microcents)
-    return LyapunovPolicy(LyapunovParams(v_factor), unit5(), trace).threshold
+    return LyapunovPolicy(LyapunovParams(v_factor), unit5(), trace).threshold[:, 0]
 
 
 def quality_policy(params, prices):
@@ -460,7 +462,8 @@ def test_threshold_policy_keeps_its_backlog_bound(case):
 
 @st.composite
 def _step_runs(draw):
-    """Threshold runs with 0 or unit // 2 free packets on reduced spectrum."""
+    """One to three threshold runs with 0 or unit // 2 free packets on
+    reduced spectrum."""
     unit = draw(st.integers(2, 8))
     cfg = ScenarioConfig(
         k_concentrators=draw(st.integers(1, 40)),
@@ -472,31 +475,51 @@ def _step_runs(draw):
         epsilon=draw(st.sampled_from([None, 0.37, 3.0])),
         seed=draw(st.integers(0, 1000)),
     )
-    return cfg, LyapunovParams(v_factor=draw(st.floats(0.0, 1000.0)))
+    weights = draw(st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=3))
+    return cfg, [LyapunovParams(v) for v in weights]
 
 
-# the reference preset's fleet over four slot blocks, and one slot per block
-@example((PRESETS["reference"].with_overrides(horizon=1000, epsilon=0.37), LyapunovParams(10.0)))
+# the reference preset's fleet over four slot blocks, and one slot per
+# block; a batch of three weights over eleven blocks, and of two over one
+# slot per block
+@example((
+    PRESETS["reference"].with_overrides(horizon=1000, epsilon=0.37), [LyapunovParams(10.0)]
+))
 @example((
     ScenarioConfig(k_concentrators=2**14 + 1, horizon=3, arrival_law="poisson", seed=2),
-    LyapunovParams(10.0),
+    [LyapunovParams(10.0)],
+))
+@example((
+    PRESETS["reference"].with_overrides(horizon=1000, epsilon=0.37),
+    [LyapunovParams(v) for v in (10.0, 0.5, 1e4)],
+))
+@example((
+    ScenarioConfig(k_concentrators=2**13 + 1, horizon=3, arrival_law="poisson", seed=2),
+    [LyapunovParams(10.0), LyapunovParams(0.5)],
 ))
 @given(_step_runs())
 @settings(max_examples=60, deadline=None)
 def test_in_place_slot_step_matches_the_int64_step(case):
-    """A threshold run, each slot stepped in place on float64 rows, against
-    the step it replaced (an int64 backlog, a new grant array per slot):
-    the same codes, packets served, Q and Z, to the bit."""
+    """Threshold runs served as one batch, each slot stepped in place on
+    flat float64 rows, against each run's own step as it was before (an
+    int64 backlog, a new grant array per slot): run r's rows hold the same
+    codes, packets served, Q and Z, to the bit."""
     cfg, params = case
     trace = generate_trace(cfg, cfg.seed)
-    core = run_core(cfg, params, trace)
-    reference = LyapunovPolicy(params, cfg, trace)
-    serves, q = serve_grant_slots(partial(lyapunov_step, reference), trace)
-    codes = reference.actions(serves, trace.levels)
-    assert core.codes.dtype == codes.dtype and core.codes.tobytes() == codes.tobytes()
-    assert core.serves.dtype == serves.dtype and core.serves.tobytes() == serves.tobytes()
-    assert core.q.dtype == q.dtype and core.q.tobytes() == q.tobytes()
-    assert core.policy.z.tobytes() == reference.z.tobytes()
+    k = cfg.k_concentrators
+    batch = LyapunovPolicy(tuple(params), cfg, trace)
+    serves, q = batch.serve_rows(trace)
+    assert serves.dtype == np.int16 and q.dtype == np.int64
+    for r, p in enumerate(params):
+        own = slice(r * k, (r + 1) * k)
+        reference = LyapunovPolicy(p, cfg, trace)
+        expected, expected_q = serve_grant_slots(partial(lyapunov_step, reference), trace)
+        codes = batch.actions(serves[own], trace.levels)
+        assert codes.dtype == np.uint8
+        assert codes.tobytes() == reference.actions(expected, trace.levels).tobytes(), p
+        assert serves[own].tobytes() == expected.tobytes(), p
+        assert q[own].tobytes() == expected_q.tobytes(), p
+        assert batch.z[own].tobytes() == reference.z.tobytes(), p
 
 
 def test_threshold_slot_step_allocates_nothing():
@@ -506,6 +529,9 @@ def test_threshold_slot_step_allocates_nothing():
     cfg = ScenarioConfig(k_concentrators=4096, horizon=64, arrival_law="poisson", seed=5)
     trace = generate_trace(cfg, cfg.seed)
     policy = LyapunovPolicy(LyapunovParams(10.0), cfg, trace)
+    # every slot's threshold row, as the loop builds a block's
+    policy.thresholds = slot_thresholds(policy.threshold, slice(None), cfg.k_concentrators)
+    policy.first_slot = 0
     served = policy.free_capacity.astype(np.float64).take(trace.levels.T)
     q = trace.arrivals[:, 0].astype(np.float64)
     policy.decide_slot(0, q.copy(), served[0].copy())  # first-call caches
@@ -570,6 +596,8 @@ def test_lyapunov_policy_matches_scalar(data):
         price_trace([7, 7, 7, full], k=k),
     )
     policy.z[:] = z
+    policy.thresholds = slot_thresholds(policy.threshold, slice(None), k)
+    policy.first_slot = 0
     # the step raises the slot's free grant in place
     served = policy.free_capacity[levels].astype(np.float64)
     policy.decide_slot(3, q.astype(np.float64), served)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hpclease import ScenarioConfig, generate_trace, run
+from hpclease import ScenarioConfig, cli, generate_trace, run
 from hpclease.errors import ConfigurationError
 from hpclease.policy import LyapunovParams, StaticParams
 from hpclease.report import (
@@ -23,6 +24,8 @@ from hpclease.report import (
     run_summary,
     v_sweep_summary,
 )
+
+from test_cli_golden import SMALL
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schema"
 
@@ -203,6 +206,36 @@ def test_emitted_json_validates_against_published_schema():
 
     empty = json.loads(emit(SweepResult(AXIS_V_FACTOR, 1, ()), "json"))
     jsonschema.validate(empty, schema)
+
+
+# the sha256 of each sweep's dat and json file at the CLI goldens' small
+# scenario, whose csv files test_cli_golden.py pins
+SWEEP_FORMAT_GOLDEN = {
+    "sweep_v.dat": (
+        ["sweep-v", "--seeds", "2", "--format", "dat"],
+        "6430fde73959fc12609f6105889343b4da07c6d4105ac65d6b0e6719d2c74360",
+    ),
+    "sweep_v.json": (
+        ["sweep-v", "--seeds", "2", "--format", "json"],
+        "bcde18c0ee80f46921f11b2b429631498c0186a3ce06413ad1a7d864c21523ec",
+    ),
+    "sweep_quality.dat": (
+        ["sweep-quality", "--with-oracle", "--seeds", "2", "--format", "dat"],
+        "bb9824983a3f773b92dafa16a5b2ea2492189a72a470df66d4f49cf476203728",
+    ),
+    "sweep_quality.json": (
+        ["sweep-quality", "--with-oracle", "--seeds", "2", "--format", "json"],
+        "832502b0311c349ec6d224d09c8b9128ba0c0707c575801c90b0014571c1bbf5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FORMAT_GOLDEN))
+def test_sweep_dat_and_json_digests(name, tmp_path):
+    argv, digest = SWEEP_FORMAT_GOLDEN[name]
+    assert cli.main([*argv, *SMALL, "-o", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_run_summary_and_series(small_cfg):
