@@ -118,9 +118,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_run = _subcommand(subs, "run", _cmd_run, "simulate one policy on one trace")
-    p_run.add_argument(
-        "--policy", default="lyapunov", choices=["lyapunov", "static", "quality"]
-    )
+    p_run.add_argument("--policy", default="lyapunov", choices=list(_BLOCKS))
     p_run.add_argument("--v-factor", type=float)
     p_run.add_argument("--period", type=int)
     p_run.add_argument("--burst-len", type=int)

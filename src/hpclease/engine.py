@@ -2,13 +2,13 @@
 
 ``run`` simulates one policy over one trace, and ``run_many`` a list of
 them over one trace, returning what ``run`` would for each, in input
-order. The policy is built once per run from the trace and serves that
-run (see ``policy``): it returns the (concentrator, slot) Action codes and
-packets served, and the backlog after the last slot. ``run_many`` serves
-its threshold runs together instead: one LyapunovPolicy steps a batch of
-them, at most MAX_CELLS cells (runs x K x T), in one slot loop whose rows
-carry a run axis, and hands each run's codes, packets served, backlog and
-arrival sums to ``run`` for the rest; any other run is served alone.
+order. Both serve their runs by one route, ``_serve``, a single run being
+a list of one (see ``policy``): one LyapunovPolicy steps a batch of
+threshold runs, at most MAX_CELLS cells (runs x K x T), in one slot loop
+whose rows carry a run axis, and any other run is served alone, by the
+policy built for it from the trace. Each run's (concentrator, slot)
+Action codes and packets served, backlog after the last slot and
+arrival sums then go to ``run`` for the post-run pass.
 
 The post-run pass has two halves, each over blocks of rows. The arrival
 half (_arrival_sums, blocks of about 2**15 cells) reads the trace's
@@ -56,8 +56,12 @@ from .env import SpectrumLevel, Trace, generate_trace, row_blocks, to_dollars
 from .errors import ConfigurationError, InvariantViolationError
 from .oracle import OfflineInstance, solve_dp
 from .policy import (
+    _BUY_FULL,
+    _BUY_REDUCED,
+    _FREE_FULL,
+    _FREE_REDUCED,
+    _IDLE,
     POLICIES,
-    Action,
     LyapunovParams,
     LyapunovPolicy,
     PolicyParams,
@@ -193,15 +197,15 @@ def run(
     vector at that point while the fleet backlog stays below 2**53; above
     that the int64 sum is the more exact of the two.
 
-    ``_served`` is run_many's hand-off, the (codes, packets served, Q,
-    arrival sums) of a run its batch already served: only the part of the
-    post-run pass that reads the run's own codes and service is then left.
+    The run is served as a list of one (_serve). ``_served`` is run_many's
+    hand-off, the (codes, packets served, Q, arrival sums) that _serve
+    yielded for the run: only the post-run pass is then left.
     """
     if trace is None:
         trace = generate_trace(config, config.seed)
     _check_trace(config, trace)
     if _served is None:
-        _served = make_policy(params, config, trace).serve(trace)
+        _served = next(_serve(config, [params], trace))
     return _summarize(params, config, trace, *_served)
 
 
@@ -214,43 +218,46 @@ def run_many(
     config.seed if absent): one RunMetrics per run, in input order, each
     the one ``run`` returns for it.
 
-    The threshold runs are served together: each batch of them, in input
-    order and of at most MAX_CELLS cells (R * K * T), steps its slots in one
-    loop of one LyapunovPolicy and sums the trace's arrivals once for all
-    its runs (_arrival_sums). Any other run is served alone. Each run's
-    post-run pass still goes through ``run``, in input order, so an error
-    names the same run, seed, slot and concentrator as a single run would.
-    A run's Action codes are recovered when its own pass starts and freed
-    when it ends.
+    The runs are served by _serve, and each run's post-run pass still goes
+    through ``run``, in input order, so an error names the same run, seed,
+    slot and concentrator as a single run would. A run's Action codes are
+    recovered when its own pass starts and freed when it ends.
     """
     params_seq = list(params_seq)  # read once: a batch and its passes both walk it
     if trace is None:
         trace = generate_trace(config, config.seed)
     _check_trace(config, trace)
-    served = _threshold_runs(config, params_seq, trace)
-    return [
-        run(config, p, trace, _served=next(served) if isinstance(p, LyapunovParams) else None)
-        for p in params_seq
-    ]
+    served = _serve(config, params_seq, trace)
+    return [run(config, p, trace, _served=next(served)) for p in params_seq]
 
 
-def _threshold_runs(config, params_seq, trace):
-    """The (codes, packets served, Q, arrival sums) of each threshold run
-    of ``params_seq``, in input order, for ``run``'s hand-off: batches of
-    at most MAX_CELLS cells, each served by one LyapunovPolicy, whose slot
-    loop state is freed once it has served them; a run's codes are
-    recovered only when it is its turn."""
+def _serve(config, params_seq, trace):
+    """Serve each run of ``params_seq`` on ``trace`` and yield its (codes,
+    packets served, Q, arrival sums), in input order. The threshold runs
+    are served in batches, in input order, of at most MAX_CELLS cells
+    (R * K * T): each batch steps its slots in one loop of one
+    LyapunovPolicy and sums the trace's arrivals once for all its runs
+    (_arrival_sums). A run's codes are recovered only when its turn comes.
+    Any other run is served alone, by the policy that make_policy builds."""
     k = trace.k
-    runs = [p for p in params_seq if isinstance(p, LyapunovParams)]
     size = MAX_CELLS // (k * trace.horizon)
-    for first in range(0, len(runs), size):
-        policy = LyapunovPolicy(tuple(runs[first : first + size]), config, trace)
-        serves, q = policy.serve_rows(trace)
-        policy.release_loop()
-        for r, sums in enumerate(_arrival_sums(trace, serves)):
-            own = slice(r * k, (r + 1) * k)
-            yield policy.actions(serves[own], trace.levels), serves[own], q[own], sums
-        del policy, serves, q  # before the next batch is served
+    runs = [p for p in params_seq if isinstance(p, LyapunovParams)]
+    done = 0  # threshold runs yielded so far
+    for params in params_seq:
+        if not isinstance(params, LyapunovParams):
+            alone = make_policy(params, config, trace).serve(trace)
+            yield (*alone, _arrival_sums(trace, alone[1])[0])
+            del alone  # before the next run is served
+            continue
+        r = done % size
+        if r == 0:
+            policy = serves = q = None  # the last batch's, freed before this one
+            policy = LyapunovPolicy(tuple(runs[done : done + size]), config, trace)
+            serves, q = policy.serve_rows(trace)
+            sums = _arrival_sums(trace, serves)
+        done += 1
+        own = slice(r * k, (r + 1) * k)
+        yield policy.actions(serves[own], trace.levels), serves[own], q[own], sums[r]
 
 
 class _ArrivalSums(NamedTuple):
@@ -298,20 +305,15 @@ def _check_trace(config: ScenarioConfig, trace: Trace) -> None:
         )
 
 
-# Action codes and spectrum levels as uint8 scalars: a (K, T) uint8 matrix
-# compares with one several times faster than with an IntEnum member
-_IDLE, _FREE_FULL, _FREE_REDUCED, _BUY_FULL, _BUY_REDUCED = (np.uint8(a) for a in Action)
+# spectrum levels as uint8 scalars, as policy keeps the Action codes
 _NONE, _REDUCED, _FULL = (np.uint8(level) for level in SpectrumLevel)
 
 
-def _summarize(params, config, trace, decisions, serves, q, sums=None) -> RunMetrics:
+def _summarize(params, config, trace, decisions, serves, q, sums) -> RunMetrics:
     """Check a finished run and account for it, from its (K, T) Action
-    codes and packets served, its final Q and its arrival sums (from
-    _arrival_sums when absent), in one pass over blocks of rows, so that no
-    (K, T) temporary is ever built."""
+    codes and packets served, its final Q and its arrival sums, in one
+    pass over blocks of rows, so that no (K, T) temporary is ever built."""
     k, horizon = trace.k, trace.horizon
-    if sums is None:
-        (sums,) = _arrival_sums(trace, serves)
     run_name = f"{params.label} seed {trace.seed}"
     free = free_capacities(config).astype(np.int16)
     leases_full = np.zeros(horizon, dtype=np.int64)

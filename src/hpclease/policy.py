@@ -19,17 +19,19 @@ Three families are implemented.
 
 Each policy is built from its parameter block, the scenario and the trace,
 ``Policy(params, config, trace)``, and reads what it needs of them. It
-decides for the whole fleet at once, and serves its own run:
-``serve(trace)`` returns the (K, T) uint8 Action codes, the (K, T) int16
-packets served and the backlog Q after the last slot. A code is IDLE
-exactly where nothing moved. The threshold policy's grants read the
-backlog, so it serves in a slot loop that carries Q: each slot
-``decide_slot`` turns the slot's row of free grants into the packets
-served, min(grant, Q), and advances the virtual queues Z, and the loop
-takes that row from Q and adds the slot's arrivals. Q, Z and the step's
-work rows and mask are (K,) arrays allocated once per run, all float64
-but the mask, and epsilon is a stride-0 view, so each slot makes only
-plain in-place numpy calls that neither allocate nor cast. Q counts
+decides for the whole fleet at once. The static baseline and the deadline
+scheduler serve their own run: ``serve(trace)`` returns the (K, T) uint8
+Action codes, the (K, T) int16 packets served and the backlog Q after the
+last slot. A code is IDLE exactly where nothing moved. The threshold
+policy's grants read the backlog, so it serves in a slot loop that
+carries Q (``serve_rows``), and ``actions`` recovers its codes from the
+packets served. Each slot ``decide_slot`` turns the slot's row of free
+grants into the packets served, min(grant, Q), and advances the virtual
+queues Z, and the loop takes that row from Q and adds the slot's
+arrivals. Q, Z and the step's work rows and mask are (K,) arrays
+allocated once per run, all float64 but the mask, and epsilon is a
+stride-0 view, so each slot makes only plain in-place numpy calls that
+neither allocate nor cast. Q counts
 exactly because a ScenarioConfig and a Trace bound a concentrator's
 arrivals over the horizon by 2**53. The loop walks the horizon in blocks
 of about 2**14 cells. It reads each block once into slot-major (slots, K)
@@ -44,12 +46,13 @@ being a batch of one, stepping each slot once for all of them on flat
 (R * K,) rows, run r's concentrators at r * K to (r + 1) * K. Each slot
 block of the trace is read once, its free grant and arrivals repeated
 across the runs, and its threshold rows built from the (T, R) thresholds
-(``slot_thresholds``). ``engine.run_many`` frees the loop's rows and
-thresholds (``release_loop``) once its runs are served, keeping the
-policy only for ``actions``. The static baseline and the deadline
-scheduler never read the backlog: each grants every slot at once, and
-``serve_grants`` serves the (K, T) grants in closed form, by the Lindley
-recursion (one prefix sum and one running minimum per row).
+(``slot_thresholds``). The loop's state, Z included, is freed when
+``serve_rows`` returns; ``actions`` reads only the free capacities, so a
+batch keeps its policy until its last run's codes are recovered. The
+static baseline and the deadline scheduler never read the backlog: each
+grants every slot at once, and ``serve_grants`` serves the (K, T) grants
+in closed form, by the Lindley recursion (one prefix sum and one running
+minimum per row).
 
 Each parameter block checks its values when built (its numeric fields take
 their annotated types by ``config.check_field_types``) and names its policy:
@@ -64,8 +67,8 @@ deadline scheduler one lookup in ``QUALITY_TABLE`` per slot, decided phase
 by phase. The packet policies recover each code from the packets served
 (the threshold policy by comparing them with the level's free capacity);
 the deadline scheduler decides its codes and grants a unit to every send.
-A policy object serves one run, or one batch of threshold runs; the next
-run builds a new one.
+A policy object serves once, one run or one batch of threshold runs;
+the next run builds a new one.
 """
 
 from __future__ import annotations
@@ -220,9 +223,9 @@ def serve_grants(grants: np.ndarray, arrivals: np.ndarray):
 # ---------------------------------------------------------------------------
 # vectorized engine-facing policies
 
-_IDLE, _FREE_FULL, _BUY_FULL = (
-    np.uint8(a) for a in (Action.IDLE, Action.FREE_FULL, Action.BUY_FULL)
-)
+# Action codes as uint8 scalars: a (K, T) uint8 matrix compares with one
+# several times faster than with an IntEnum member
+_IDLE, _FREE_FULL, _FREE_REDUCED, _BUY_FULL, _BUY_REDUCED = (np.uint8(a) for a in Action)
 
 # whether an Action code sends a reduced-quality unit
 IS_REDUCED = np.array([a in (Action.FREE_REDUCED, Action.BUY_REDUCED) for a in Action])
@@ -265,8 +268,7 @@ class _PacketPolicy:
     """A policy that moves packets: service capacity per slot (one unit)
     and the free capacity of each spectrum level."""
 
-    def __init__(self, params: LyapunovParams | StaticParams, config: ScenarioConfig):
-        self.params = params
+    def __init__(self, config: ScenarioConfig):
         self.capacity = config.unit_size_packets
         self.free_capacity = free_capacities(config)
 
@@ -290,9 +292,9 @@ class LyapunovPolicy(_PacketPolicy):
     grant needs no coverage test; the codes do: a slot was a purchase
     exactly when it moved more than the level's free capacity.
 
-    The policy holds each concentrator's virtual queue Z, a flat float64
-    row. Each slot, after the grant, Z drops by the packets served and
-    grows by epsilon if the concentrator was busy, floored at 0.
+    While it serves, the policy holds each concentrator's virtual queue Z,
+    a flat float64 row. Each slot, after the grant, Z drops by the packets
+    served and grows by epsilon if the concentrator was busy, floored at 0.
 
     Built from a tuple of R parameter blocks, or from one (R = 1), it
     serves R runs on the trace in one slot loop. ``threshold`` is (T, R),
@@ -306,7 +308,7 @@ class LyapunovPolicy(_PacketPolicy):
         config: ScenarioConfig,
         trace: Trace,
     ):
-        super().__init__(params, config)
+        super().__init__(config)
         blocks = params if isinstance(params, tuple) else (params,)
         price_cents = trace.price_full / MICROCENTS_PER_CENT
         self.threshold = np.multiply.outer(price_cents, [p.v_factor for p in blocks]) / 2.0
@@ -325,14 +327,12 @@ class LyapunovPolicy(_PacketPolicy):
         self.work = np.empty(width)
         self.buy = np.empty(width, dtype=bool)
 
-    def serve(self, trace: Trace):
-        serves, q = self.serve_rows(trace)
-        return self.actions(serves, trace.levels), serves, q
-
     def serve_rows(self, trace: Trace):
         """Serve every run: the (R * K, T) int16 packets served and the
         (R * K,) int64 backlog Q after the last slot, run r in rows r * K
-        to (r + 1) * K."""
+        to (r + 1) * K. A policy serves once: the loop's state, Z and the
+        thresholds among it, is freed when it returns, and ``actions``,
+        which reads only the free capacities, still works."""
         k, runs = trace.k, self.runs
         # the backlog Q in float64, exact while no concentrator's arrivals
         # can sum past 2**53 (a ScenarioConfig and a Trace both refuse more)
@@ -369,13 +369,8 @@ class LyapunovPolicy(_PacketPolicy):
             # drop both blocks, which the last rows also hold, before the
             # next is read: one-slot blocks of a wide fleet would peak at two
             del served, arrivals, level_index, moved, arrived
+        del self.z, self.threshold, self.thresholds, self.work, self.unit, self.zero, self.buy
         return serves, q.astype(np.int64)
-
-    def release_loop(self):
-        """Free what only the slot loop reads, the step's rows and the
-        thresholds, once ``serve_rows`` has returned; ``actions``, which
-        reads only the free capacities, still works."""
-        del self.z, self.unit, self.zero, self.work, self.buy, self.threshold, self.thresholds
 
     def decide_slot(self, slot, q, served):
         """Turn ``served``, the slot's free grant, into the packets each
@@ -419,7 +414,7 @@ class StaticBurstPolicy(_PacketPolicy):
     spectrum otherwise; in_burst[slot] marks the burst slots of the run."""
 
     def __init__(self, params: StaticParams, config: ScenarioConfig, trace: Trace):
-        super().__init__(params, config)
+        super().__init__(config)
         slots = np.arange(trace.horizon)
         self.in_burst = (slots >= 1) & ((slots - 1) % params.period < params.burst_len)
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 from functools import partial
 
@@ -33,6 +34,7 @@ from hpclease.policy import (
     LyapunovParams,
     LyapunovPolicy,
     QualityParams,
+    StaticBurstPolicy,
     StaticParams,
     reduced_capacity,
 )
@@ -722,7 +724,8 @@ def test_grant_loop_matches_action_code_loop(case):
         col_serves, col_q = serve_grant_slots(partial(lyapunov_step, column), trace)
         assert np.array_equal(serves, col_serves) and np.array_equal(q, col_q)
         assert column.z.tobytes() == ref_z.tobytes()
-    expected = engine._summarize(params, cfg, trace, ref_codes, ref_serves, ref_q)
+    (sums,) = engine._arrival_sums(trace, ref_serves)
+    expected = engine._summarize(params, cfg, trace, ref_codes, ref_serves, ref_q, sums)
     assert metrics_digest(metrics) == metrics_digest(expected)
 
 
@@ -769,13 +772,14 @@ def test_post_run_pass_matches_reference(case):
         codes[i, t] = action
     for (i, t), packets in reserved:
         serves[i, t] = packets
+    (sums,) = engine._arrival_sums(trace, serves)
     try:
         expected = summarize(params, cfg, trace, codes, serves, q)
     except InvariantViolationError as exc:
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(exc))}$"):
-            engine._summarize(params, cfg, trace, codes, serves, q)
+            engine._summarize(params, cfg, trace, codes, serves, q, sums)
     else:
-        metrics = engine._summarize(params, cfg, trace, codes, serves, q)
+        metrics = engine._summarize(params, cfg, trace, codes, serves, q, sums)
         assert metrics_digest(metrics) == metrics_digest(expected)
 
 
@@ -1023,52 +1027,53 @@ class RoguePolicy:
     """The real policy, except that one concentrator takes the action
     ``recode(slot, its level)`` wherever that is not None: it moves what
     that action may move on the level, and the run reports the action's
-    code. A threshold run is altered slot by slot, as its slot loop serves
-    it; a deadline-scheduler run has its codes altered before it grants a
-    unit to every send and serves the grants in closed form. With
-    ``relabel``, the concentrator moves what the real policy moved, and
-    only the reported code changes."""
+    code. A threshold run is altered through LyapunovPolicy's own methods,
+    which the engine's batch calls: slot by slot in ``decide_slot`` as its
+    slot loop serves it, and in the codes that ``actions`` recovers. A
+    deadline-scheduler run is built by a stand-in for the engine's
+    make_policy, and has its codes altered before it grants a unit to every
+    send and serves the grants in closed form. With ``relabel``, the
+    concentrator moves what the real policy moved, and only the reported
+    code changes."""
 
     def __init__(self, params, concentrator, recode, relabel=False):
         self.params = params
         self.concentrator, self.recode = concentrator, recode
         self.relabel = relabel
 
-    def build(self, config, trace):
-        """The engine's make_policy: a fresh inner policy for every run."""
-        self.inner = make_policy(self.params, config, trace)
-        self.grant = packet_grant(config.unit_size_packets, reduced_capacity(config))
-        return self
-
-    def serve(self, trace):
-        i, inner = self.concentrator, self.inner
-        row = trace.levels[i]
+    def install(self, monkeypatch, config, trace):
+        """Make the engine serve this rogue's run on ``trace``."""
+        i, row = self.concentrator, trace.levels[self.concentrator]
         taken = {t: self.recode(t, row[t]) for t in range(len(row))}
         taken = {t: int(action) for t, action in taken.items() if action is not None}
         slots, actions = list(taken), list(taken.values())
-        if self.relabel:
-            pass
-        elif isinstance(inner, LyapunovPolicy):
-            decide = inner.decide_slot
 
-            def decide_slot(slot, q, served):
-                decide(slot, q, served)
-                if slot in taken:
-                    served[i] = min(q[i], self.grant[taken[slot], row[slot]])
+        def recoded(codes):
+            codes[i, slots] = actions
+            return codes
 
-            inner.decide_slot = decide_slot
-        else:
-            schedule = inner.schedule
+        if isinstance(self.params, QualityParams):
 
-            def rogue_schedule(levels):
-                codes = schedule(levels)
-                codes[i, slots] = actions
-                return codes
+            def build(params, config, trace):
+                policy = make_policy(self.params, config, trace)
+                schedule = policy.schedule
+                policy.schedule = lambda levels: recoded(schedule(levels))
+                return policy
 
-            inner.schedule = rogue_schedule
-        codes, serves, q = inner.serve(trace)
-        codes[i, slots] = actions
-        return codes, serves, q
+            monkeypatch.setattr(engine, "make_policy", build)
+            return
+        decide, recover = LyapunovPolicy.decide_slot, LyapunovPolicy.actions
+        grant = packet_grant(config.unit_size_packets, reduced_capacity(config))
+
+        def decide_slot(policy, slot, q, served):
+            decide(policy, slot, q, served)
+            if slot in taken and not self.relabel:
+                served[i] = min(q[i], grant[taken[slot], row[slot]])
+
+        monkeypatch.setattr(LyapunovPolicy, "decide_slot", decide_slot)
+        monkeypatch.setattr(
+            LyapunovPolicy, "actions", lambda policy, *args: recoded(recover(policy, *args))
+        )
 
 
 def _taking(action, when):
@@ -1186,7 +1191,7 @@ ROGUE_CASE_IDS = [
 def test_rogue_policy_is_caught_after_the_run(case, monkeypatch, tmp_path, capsys):
     trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
     params, rogue, rule, (slot, concentrator) = _rogue_cases(trace.levels)[case]
-    monkeypatch.setattr(engine, "make_policy", lambda p, c, t: rogue.build(c, t))
+    rogue.install(monkeypatch, ROGUE_CFG, trace)
     expected = f"{params.label} seed 7: {rule} at slot {slot}, concentrator {concentrator}"
     with pytest.raises(InvariantViolationError, match=re.escape(expected)):
         run(ROGUE_CFG, params, trace)
@@ -1199,14 +1204,15 @@ def test_rogue_policy_is_caught_after_the_run(case, monkeypatch, tmp_path, capsy
 
 
 @pytest.mark.parametrize("case", ROGUE_CASE_IDS)
-def test_post_run_pass_reports_rogue_runs_as_reference(case):
+def test_post_run_pass_reports_rogue_runs_as_reference(case, monkeypatch):
     trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
     params, rogue, _, _ = _rogue_cases(trace.levels)[case]
-    codes, serves, q = rogue.build(ROGUE_CFG, trace).serve(trace)
+    rogue.install(monkeypatch, ROGUE_CFG, trace)
+    codes, serves, q, sums = next(engine._serve(ROGUE_CFG, [params], trace))
     with pytest.raises(InvariantViolationError) as expected:
         summarize(params, ROGUE_CFG, trace, codes, serves, q)
     with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(expected.value))}$"):
-        engine._summarize(params, ROGUE_CFG, trace, codes, serves, q)
+        engine._summarize(params, ROGUE_CFG, trace, codes, serves, q, sums)
 
 
 @st.composite
@@ -1361,6 +1367,37 @@ def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
     monkeypatch.setattr(LyapunovPolicy, "serve_rows", serve_one_more_in_the_target_run())
     with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
         run_many(ROGUE_CFG, params, trace)
+
+
+@pytest.mark.parametrize("runs_per_batch", [2, None])
+def test_a_runs_action_codes_die_with_its_own_pass(runs_per_batch, small_cfg, monkeypatch):
+    """run_many frees each run's Action codes when its post-run pass ends:
+    every earlier run's codes are collected before the next run's are
+    recovered, within a batch of threshold runs, across two batches, and
+    around a run served alone."""
+    trace = generate_trace(small_cfg, small_cfg.seed)
+    if runs_per_batch is not None:
+        cells = runs_per_batch * small_cfg.k_concentrators * small_cfg.horizon
+        monkeypatch.setattr(engine, "MAX_CELLS", cells)
+    recovered = []  # a weak reference to each run's codes, in recovery order
+    alive = []  # per recovery, how many earlier runs' codes were still alive
+
+    def watched(actions):
+        def recover(policy, serves, levels):
+            alive.append(sum(ref() is not None for ref in recovered))
+            codes = actions(policy, serves, levels)
+            recovered.append(weakref.ref(codes))
+            return codes
+
+        return recover
+
+    for cls in (LyapunovPolicy, StaticBurstPolicy):
+        monkeypatch.setattr(cls, "actions", watched(cls.actions))
+    params = [LyapunovParams(0.5), LYAP1, StaticParams(10, 2), *(
+        LyapunovParams(v) for v in (10.0, 100.0, 1e4)
+    )]
+    run_many(small_cfg, params, trace)
+    assert alive == [0] * len(params)
 
 
 # 70 x 1000 cells, two row blocks of the post-run pass. Rows 0-2 get no

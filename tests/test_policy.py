@@ -456,7 +456,9 @@ def test_threshold_policy_keeps_its_backlog_bound(case):
     backlog = np.cumsum(trace.arrivals - core.serves, axis=1)
     before = np.zeros(trace.arrivals.shape, dtype=np.int64)
     before[:, 1:] = backlog[:, :-1]  # Q before each slot's service
-    bound = core.policy.threshold.max() + trace.arrivals.max(axis=1)
+    # a policy frees its thresholds once it has served, so a fresh one's
+    threshold = LyapunovPolicy(params, cfg, trace).threshold
+    bound = threshold.max() + trace.arrivals.max(axis=1)
     assert (before.max(axis=1) <= bound).all()
 
 
@@ -508,6 +510,7 @@ def test_in_place_slot_step_matches_the_int64_step(case):
     trace = generate_trace(cfg, cfg.seed)
     k = cfg.k_concentrators
     batch = LyapunovPolicy(tuple(params), cfg, trace)
+    z = batch.z  # which serve_rows frees once it has served
     serves, q = batch.serve_rows(trace)
     assert serves.dtype == np.int16 and q.dtype == np.int64
     for r, p in enumerate(params):
@@ -519,7 +522,7 @@ def test_in_place_slot_step_matches_the_int64_step(case):
         assert codes.tobytes() == reference.actions(expected, trace.levels).tobytes(), p
         assert serves[own].tobytes() == expected.tobytes(), p
         assert q[own].tobytes() == expected_q.tobytes(), p
-        assert batch.z[own].tobytes() == reference.z.tobytes(), p
+        assert z[own].tobytes() == reference.z.tobytes(), p
 
 
 def test_threshold_slot_step_allocates_nothing():
