@@ -9,6 +9,7 @@ stderr; data goes to stdout only with `-o -`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,6 +112,11 @@ def _subcommand(subs, name: str, handler, help: str) -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    return _parser().parse_args(argv)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpclease",
         description="Leased-channel simulator for smart-grid concentrator fleets",
@@ -186,7 +192,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     p_or.add_argument("--last-slot", type=int)
 
     _subcommand(subs, "gen-trace", _cmd_gen_trace, "draw and save a scenario trace")
-    return parser.parse_args(argv)
+    return parser
 
 
 def _scenario(spec: argparse.Namespace) -> ScenarioConfig:

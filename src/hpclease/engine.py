@@ -67,6 +67,7 @@ from .policy import (
     PolicyParams,
     QualityParams,
     free_capacities,
+    threshold_actions,
 )
 
 
@@ -235,10 +236,10 @@ def _serve(config, params_seq, trace):
     """Serve each run of ``params_seq`` on ``trace`` and yield its (codes,
     packets served, Q, arrival sums), in input order. The threshold runs
     are served in batches, in input order, of at most MAX_CELLS cells
-    (R * K * T): each batch steps its slots in one loop of one
-    LyapunovPolicy and sums the trace's arrivals once for all its runs
-    (_arrival_sums). A run's codes are recovered only when its turn comes.
-    Any other run is served alone, by the policy that make_policy builds."""
+    (R * K * T): each batch steps its slots in one loop of a LyapunovPolicy
+    dropped when it returns, and sums the trace's arrivals once for all its
+    runs (_arrival_sums). A run's codes are recovered only when its turn
+    comes. Any other run is served alone, by the policy make_policy builds."""
     k = trace.k
     size = MAX_CELLS // (k * trace.horizon)
     runs = [p for p in params_seq if isinstance(p, LyapunovParams)]
@@ -251,13 +252,14 @@ def _serve(config, params_seq, trace):
             continue
         r = done % size
         if r == 0:
-            policy = serves = q = None  # the last batch's, freed before this one
-            policy = LyapunovPolicy(tuple(runs[done : done + size]), config, trace)
-            serves, q = policy.serve_rows(trace)
+            serves = q = None  # the last batch's, freed before this one
+            batch = tuple(runs[done : done + size])
+            serves, q = LyapunovPolicy(batch, config, trace).serve_rows(trace)
             sums = _arrival_sums(trace, serves)
         done += 1
         own = slice(r * k, (r + 1) * k)
-        yield policy.actions(serves[own], trace.levels), serves[own], q[own], sums[r]
+        served = serves[own]  # a view; no local holds the run's codes
+        yield threshold_actions(config, served, trace.levels), served, q[own], sums[r]
 
 
 class _ArrivalSums(NamedTuple):

@@ -17,21 +17,21 @@ Three families are implemented.
 * StaticBurstPolicy: purchases in fixed bursts at fixed period boundaries,
   independent of queue state and prices; the classic dumb baseline.
 
-Each policy is built from its parameter block, the scenario and the trace,
-``Policy(params, config, trace)``, and reads what it needs of them. It
-decides for the whole fleet at once. The static baseline and the deadline
-scheduler serve their own run: ``serve(trace)`` returns the (K, T) uint8
-Action codes, the (K, T) int16 packets served and the backlog Q after the
-last slot. A code is IDLE exactly where nothing moved. The threshold
-policy's grants read the backlog, so it serves in a slot loop that
-carries Q (``serve_rows``), and ``actions`` recovers its codes from the
-packets served. Each slot ``decide_slot`` turns the slot's row of free
-grants into the packets served, min(grant, Q), and advances the virtual
-queues Z, and the loop takes that row from Q and adds the slot's
-arrivals. Q, Z and the step's work rows and mask are (K,) arrays
-allocated once per run, all float64 but the mask, and epsilon is a
-stride-0 view, so each slot makes only plain in-place numpy calls that
-neither allocate nor cast. Q counts
+Each policy is built from its parameter block, the scenario and the
+trace, ``Policy(params, config, trace)``, and reads what it needs of
+them. It decides for the whole fleet at once. The static baseline and the
+deadline scheduler serve their own run: ``serve(trace)`` returns the
+(K, T) uint8 Action codes, the (K, T) int16 packets served and the
+backlog Q after the last slot. A code is IDLE exactly where nothing
+moved. The threshold policy's grants read the backlog, so it serves in a
+slot loop that carries Q (``serve_rows``), and ``threshold_actions``
+recovers its codes from the packets served and the scenario. Each slot
+``decide_slot`` turns the slot's row of free grants into the packets
+served, min(grant, Q), and advances the virtual queues Z, and the loop
+takes that row from Q and adds the slot's arrivals. Q, Z and the step's
+work rows and mask are (K,) arrays allocated once per run, all float64
+but the mask, and epsilon is a stride-0 view, so each slot makes only
+plain in-place numpy calls that neither allocate nor cast. Q counts
 exactly because a ScenarioConfig and a Trace bound a concentrator's
 arrivals over the horizon by 2**53. The loop walks the horizon in blocks
 of about 2**14 cells. It reads each block once into slot-major (slots, K)
@@ -46,13 +46,12 @@ being a batch of one, stepping each slot once for all of them on flat
 (R * K,) rows, run r's concentrators at r * K to (r + 1) * K. Each slot
 block of the trace is read once, its free grant and arrivals repeated
 across the runs, and its threshold rows built from the (T, R) thresholds
-(``slot_thresholds``). The loop's state, Z included, is freed when
-``serve_rows`` returns; ``actions`` reads only the free capacities, so a
-batch keeps its policy until its last run's codes are recovered. The
-static baseline and the deadline scheduler never read the backlog: each
-grants every slot at once, and ``serve_grants`` serves the (K, T) grants
-in closed form, by the Lindley recursion (one prefix sum and one running
-minimum per row).
+(``slot_thresholds``). A batch's codes come from the scenario
+(``threshold_actions``), so the loop's state, Z included, goes with the
+policy when the loop ends. The static baseline and the deadline scheduler
+never read the backlog: each grants every slot at once, and
+``serve_grants`` serves the (K, T) grants in closed form, by the Lindley
+recursion (one prefix sum and one running minimum per row).
 
 Each parameter block checks its values when built (its numeric fields take
 their annotated types by ``config.check_field_types``) and names its policy:
@@ -65,7 +64,7 @@ concentrator buys, per slot for the threshold policy, the burst
 flag or the level's free capacity for the static baseline, and for the
 deadline scheduler one lookup in ``QUALITY_TABLE`` per slot, decided phase
 by phase. The packet policies recover each code from the packets served
-(the threshold policy by comparing them with the level's free capacity);
+(``threshold_actions`` by comparing them with the level's free capacity);
 the deadline scheduler decides its codes and grants a unit to every send.
 A policy object serves once, one run or one batch of threshold runs;
 the next run builds a new one.
@@ -264,15 +263,6 @@ def free_capacities(config: ScenarioConfig) -> np.ndarray:
     return np.array([0, reduced_capacity(config), unit], dtype=np.int64)
 
 
-class _PacketPolicy:
-    """A policy that moves packets: service capacity per slot (one unit)
-    and the free capacity of each spectrum level."""
-
-    def __init__(self, config: ScenarioConfig):
-        self.capacity = config.unit_size_packets
-        self.free_capacity = free_capacities(config)
-
-
 def slot_thresholds(threshold: np.ndarray, block: slice, k: int) -> np.ndarray:
     """The step's rows of the (T, R) ``threshold`` for the slots of
     ``block``, each run's repeated over its K concentrators: a stride-0
@@ -282,7 +272,7 @@ def slot_thresholds(threshold: np.ndarray, block: slice, k: int) -> np.ndarray:
     return np.broadcast_to(column, (rows, runs, k)).reshape(rows, runs * k)
 
 
-class LyapunovPolicy(_PacketPolicy):
+class LyapunovPolicy:
     """Purchases when Q + Z exceeds threshold[slot] = V * c / 2, with c the
     slot's full-unit price in cents, unless the level's free capacity covers
     the slot's service; without a purchase, any free capacity is used.
@@ -308,7 +298,7 @@ class LyapunovPolicy(_PacketPolicy):
         config: ScenarioConfig,
         trace: Trace,
     ):
-        super().__init__(config)
+        self.free_capacity = free_capacities(config)
         blocks = params if isinstance(params, tuple) else (params,)
         price_cents = trace.price_full / MICROCENTS_PER_CENT
         self.threshold = np.multiply.outer(price_cents, [p.v_factor for p in blocks]) / 2.0
@@ -322,7 +312,7 @@ class LyapunovPolicy(_PacketPolicy):
         # whole: putmask copies a stride-0 value row, and maximum reads a
         # stride-0 zero measurably slower)
         self.epsilon_row = np.broadcast_to(self.epsilon, width)
-        self.unit = np.full(width, float(self.capacity))
+        self.unit = np.full(width, float(config.unit_size_packets))
         self.zero = np.zeros(width)
         self.work = np.empty(width)
         self.buy = np.empty(width, dtype=bool)
@@ -330,9 +320,8 @@ class LyapunovPolicy(_PacketPolicy):
     def serve_rows(self, trace: Trace):
         """Serve every run: the (R * K, T) int16 packets served and the
         (R * K,) int64 backlog Q after the last slot, run r in rows r * K
-        to (r + 1) * K. A policy serves once: the loop's state, Z and the
-        thresholds among it, is freed when it returns, and ``actions``,
-        which reads only the free capacities, still works."""
+        to (r + 1) * K. A policy serves once; its Z and thresholds are
+        left as the last slot left them."""
         k, runs = trace.k, self.runs
         # the backlog Q in float64, exact while no concentrator's arrivals
         # can sum past 2**53 (a ScenarioConfig and a Trace both refuse more)
@@ -369,7 +358,6 @@ class LyapunovPolicy(_PacketPolicy):
             # drop both blocks, which the last rows also hold, before the
             # next is read: one-slot blocks of a wide fleet would peak at two
             del served, arrivals, level_index, moved, arrived
-        del self.z, self.threshold, self.thresholds, self.work, self.unit, self.zero, self.buy
         return serves, q.astype(np.int64)
 
     def decide_slot(self, slot, q, served):
@@ -396,25 +384,28 @@ class LyapunovPolicy(_PacketPolicy):
         np.add(z, work, out=z)
         np.maximum(z, self.zero, out=z)
 
-    def actions(self, serves, levels):
-        # a slot bought exactly when it moved more than the level frees, so
-        # its code is 2 * bought + moved: BUY_FULL, FREE_FULL or IDLE
-        free = self.free_capacity.astype(np.int16)
-        codes = np.empty(serves.shape, dtype=np.uint8)
-        for block in row_blocks(*serves.shape):
-            sent, code = serves[block], codes[block]
-            np.greater(sent, free.take(levels[block]), out=code)
-            code *= _BUY_FULL - _FREE_FULL
-            code += sent > 0
-        return codes
+
+def threshold_actions(config: ScenarioConfig, serves, levels):
+    """A threshold run's (K, T) uint8 Action codes, from its packets served."""
+    # a slot bought exactly when it moved more than the level frees, so
+    # its code is 2 * bought + moved: BUY_FULL, FREE_FULL or IDLE
+    free = free_capacities(config).astype(np.int16)
+    codes = np.empty(serves.shape, dtype=np.uint8)
+    for block in row_blocks(*serves.shape):
+        sent, code = serves[block], codes[block]
+        np.greater(sent, free.take(levels[block]), out=code)
+        code *= _BUY_FULL - _FREE_FULL
+        code += sent > 0
+    return codes
 
 
-class StaticBurstPolicy(_PacketPolicy):
+class StaticBurstPolicy:
     """Every busy concentrator buys in the slots of a burst and uses free
     spectrum otherwise; in_burst[slot] marks the burst slots of the run."""
 
     def __init__(self, params: StaticParams, config: ScenarioConfig, trace: Trace):
-        super().__init__(config)
+        self.capacity = config.unit_size_packets
+        self.free_capacity = free_capacities(config)
         slots = np.arange(trace.horizon)
         self.in_burst = (slots >= 1) & ((slots - 1) % params.period < params.burst_len)
 

@@ -9,7 +9,7 @@ from hpclease import ScenarioConfig, Trace, generate_trace
 from hpclease.engine import make_policy
 from hpclease.env import to_microcents
 from hpclease.oracle import OfflineInstance
-from hpclease.policy import LyapunovPolicy
+from hpclease.policy import LyapunovPolicy, threshold_actions
 
 
 def cents(prices) -> list[int]:
@@ -49,15 +49,13 @@ class Core(NamedTuple):
 def run_core(config, params, trace=None) -> Core:
     """One run served as the engine serves it, for the per-cell and
     per-policy state that RunMetrics does not keep: a threshold run as a
-    batch of one (serve_rows, then its codes recovered by actions)."""
+    batch of one (serve_rows, then its codes recovered by threshold_actions)."""
     if trace is None:
         trace = generate_trace(config, config.seed)
     policy = make_policy(params, config, trace)
     if isinstance(policy, LyapunovPolicy):
-        z = policy.z  # serve_rows frees the loop's state, Z too, once it has served
         serves, q = policy.serve_rows(trace)
-        policy.z = z
-        return Core(policy, policy.actions(serves, trace.levels), serves, q)
+        return Core(policy, threshold_actions(config, serves, trace.levels), serves, q)
     return Core(policy, *policy.serve(trace))
 
 

@@ -338,6 +338,11 @@ def packet_grant(capacity: int, reduced_capacity: int) -> np.ndarray:
     return grant
 
 
+def _unit(policy: LyapunovPolicy) -> int:
+    """A threshold policy's unit: the free capacity of full spectrum."""
+    return policy.free_capacity[SpectrumLevel.FULL]
+
+
 def _free_action(policy, levels):
     """What a busy concentrator does on each level when it does not buy."""
     return np.where(policy.free_capacity[levels] > 0, _FREE_FULL_CODE, _IDLE_CODE)
@@ -345,7 +350,7 @@ def _free_action(policy, levels):
 
 def lyapunov_codes(policy: LyapunovPolicy, slot, levels, q_len, z_len):
     """LyapunovPolicy's rule as one Action code per concentrator."""
-    covered = policy.free_capacity[levels] >= np.minimum(q_len, policy.capacity)
+    covered = policy.free_capacity[levels] >= np.minimum(q_len, _unit(policy))
     buying = q_len + z_len > policy.threshold[slot]
     actions = np.where(buying, _BUY_FULL_CODE, _free_action(policy, levels))
     return np.where(q_len > 0, np.where(covered, _FREE_FULL_CODE, actions), _IDLE_CODE)
@@ -403,7 +408,7 @@ def lyapunov_step(policy: LyapunovPolicy, slot, levels, q_len):
     """The packets each concentrator moves in ``slot``, at most its int64
     backlog ``q_len``; the policy's Z advances past them."""
     grant = policy.free_capacity.take(levels)
-    grant[q_len + policy.z > policy.threshold[slot]] = policy.capacity
+    grant[q_len + policy.z > policy.threshold[slot]] = _unit(policy)
     np.minimum(q_len, grant, out=grant)
     # in place, in the order of max(Z - served + epsilon * busy, 0)
     z = policy.z

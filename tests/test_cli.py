@@ -668,10 +668,10 @@ def test_bad_override_value_exits_3(tmp_path, capsys):
 
 
 def test_invariant_violation_maps_to_exit_5(monkeypatch, tmp_path):
-    def boom(spec):
+    def boom(*args):
         raise InvariantViolationError("synthetic")
 
-    monkeypatch.setattr(cli, "_cmd_run", boom)
+    monkeypatch.setattr(cli, "run", boom)
     assert main(tmp_path, "run") == 5
 
 

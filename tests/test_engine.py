@@ -1027,9 +1027,10 @@ class RoguePolicy:
     """The real policy, except that one concentrator takes the action
     ``recode(slot, its level)`` wherever that is not None: it moves what
     that action may move on the level, and the run reports the action's
-    code. A threshold run is altered through LyapunovPolicy's own methods,
-    which the engine's batch calls: slot by slot in ``decide_slot`` as its
-    slot loop serves it, and in the codes that ``actions`` recovers. A
+    code. A threshold run is altered where the engine serves it: slot by
+    slot in LyapunovPolicy's ``decide_slot`` as its batch's slot loop
+    serves it, and in the codes that the engine's ``threshold_actions``
+    recovers. A
     deadline-scheduler run is built by a stand-in for the engine's
     make_policy, and has its codes altered before it grants a unit to every
     send and serves the grants in closed form. With ``relabel``, the
@@ -1062,7 +1063,7 @@ class RoguePolicy:
 
             monkeypatch.setattr(engine, "make_policy", build)
             return
-        decide, recover = LyapunovPolicy.decide_slot, LyapunovPolicy.actions
+        decide, recover = LyapunovPolicy.decide_slot, engine.threshold_actions
         grant = packet_grant(config.unit_size_packets, reduced_capacity(config))
 
         def decide_slot(policy, slot, q, served):
@@ -1072,7 +1073,7 @@ class RoguePolicy:
 
         monkeypatch.setattr(LyapunovPolicy, "decide_slot", decide_slot)
         monkeypatch.setattr(
-            LyapunovPolicy, "actions", lambda policy, *args: recoded(recover(policy, *args))
+            engine, "threshold_actions", lambda *args: recoded(recover(*args))
         )
 
 
@@ -1305,15 +1306,15 @@ def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
     trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
     concentrator = 1
     slot = _first_slot(trace.levels[concentrator] == SpectrumLevel.NONE, 1)
-    actions = LyapunovPolicy.actions
+    actions = engine.threshold_actions
 
     def recode_the_target_run():
-        """LyapunovPolicy.actions, with one free send where there is no
-        free spectrum in the codes of the target-th run it recovers."""
+        """threshold_actions, with one free send where there is no free
+        spectrum in the codes of the target-th run it recovers."""
         recovered = itertools.count()
 
-        def recoded(self, serves, levels):
-            codes = actions(self, serves, levels)
+        def recoded(config, serves, levels):
+            codes = actions(config, serves, levels)
             if next(recovered) == target:
                 codes[concentrator, slot] = Action.FREE_FULL
             return codes
@@ -1321,7 +1322,7 @@ def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
         return recoded
 
     monkeypatch.setattr(engine, "MAX_CELLS", 2 * ROGUE_CFG.k_concentrators * ROGUE_CFG.horizon)
-    monkeypatch.setattr(LyapunovPolicy, "actions", recode_the_target_run())
+    monkeypatch.setattr(engine, "threshold_actions", recode_the_target_run())
     label = [p for p in params if isinstance(p, LyapunovParams)][target].label
     expected = (
         f"{label} seed 7: free transmission without free spectrum "
@@ -1330,14 +1331,14 @@ def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
     with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
         for p in params:
             run(ROGUE_CFG, p, trace)
-    monkeypatch.setattr(LyapunovPolicy, "actions", recode_the_target_run())
+    monkeypatch.setattr(engine, "threshold_actions", recode_the_target_run())
     with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
         run_many(ROGUE_CFG, params, trace)
 
     # one more packet served by the target run than its queue let it move:
     # a threshold run's codes follow from its packets served, so no
     # per-slot rule breaks, only conservation
-    monkeypatch.setattr(LyapunovPolicy, "actions", actions)
+    monkeypatch.setattr(engine, "threshold_actions", actions)
     honest = run(ROGUE_CFG, [p for p in params if isinstance(p, LyapunovParams)][target], trace)
     serve_rows = LyapunovPolicy.serve_rows
 
@@ -1383,20 +1384,49 @@ def test_a_runs_action_codes_die_with_its_own_pass(runs_per_batch, small_cfg, mo
     alive = []  # per recovery, how many earlier runs' codes were still alive
 
     def watched(actions):
-        def recover(policy, serves, levels):
+        def recover(*args):
             alive.append(sum(ref() is not None for ref in recovered))
-            codes = actions(policy, serves, levels)
+            codes = actions(*args)
             recovered.append(weakref.ref(codes))
             return codes
 
         return recover
 
-    for cls in (LyapunovPolicy, StaticBurstPolicy):
-        monkeypatch.setattr(cls, "actions", watched(cls.actions))
+    monkeypatch.setattr(engine, "threshold_actions", watched(engine.threshold_actions))
+    monkeypatch.setattr(StaticBurstPolicy, "actions", watched(StaticBurstPolicy.actions))
     params = [LyapunovParams(0.5), LYAP1, StaticParams(10, 2), *(
         LyapunovParams(v) for v in (10.0, 100.0, 1e4)
     )]
     run_many(small_cfg, params, trace)
+    assert alive == [0] * len(params)
+
+
+def test_a_batchs_policy_dies_before_its_first_pass(small_cfg, monkeypatch):
+    """run_many drops each batch's LyapunovPolicy, and with it the slot
+    loop's state, when the batch's slot loop returns: no served policy is
+    alive when any post-run pass starts, over two batches of two threshold
+    runs with a static run between them."""
+    trace = generate_trace(small_cfg, small_cfg.seed)
+    monkeypatch.setattr(engine, "MAX_CELLS", 2 * small_cfg.k_concentrators * small_cfg.horizon)
+    served = []  # a weak reference to each policy whose loop has run
+    alive = []  # per post-run pass, how many served policies were alive
+    serve_rows, summarize_run = LyapunovPolicy.serve_rows, engine._summarize
+
+    def watched_serve(policy, trace):
+        served.append(weakref.ref(policy))
+        return serve_rows(policy, trace)
+
+    def watched_summarize(*args):
+        alive.append(sum(ref() is not None for ref in served))
+        return summarize_run(*args)
+
+    monkeypatch.setattr(LyapunovPolicy, "serve_rows", watched_serve)
+    monkeypatch.setattr(engine, "_summarize", watched_summarize)
+    params = [LyapunovParams(0.5), LYAP1, StaticParams(10, 2), *(
+        LyapunovParams(v) for v in (10.0, 100.0)
+    )]
+    run_many(small_cfg, params, trace)
+    assert len(served) == 2
     assert alive == [0] * len(params)
 
 

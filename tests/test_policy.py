@@ -32,6 +32,7 @@ from hpclease.policy import (
     StaticBurstPolicy,
     StaticParams,
     slot_thresholds,
+    threshold_actions,
 )
 
 from conftest import run_core
@@ -456,9 +457,7 @@ def test_threshold_policy_keeps_its_backlog_bound(case):
     backlog = np.cumsum(trace.arrivals - core.serves, axis=1)
     before = np.zeros(trace.arrivals.shape, dtype=np.int64)
     before[:, 1:] = backlog[:, :-1]  # Q before each slot's service
-    # a policy frees its thresholds once it has served, so a fresh one's
-    threshold = LyapunovPolicy(params, cfg, trace).threshold
-    bound = threshold.max() + trace.arrivals.max(axis=1)
+    bound = core.policy.threshold.max() + trace.arrivals.max(axis=1)
     assert (before.max(axis=1) <= bound).all()
 
 
@@ -510,19 +509,19 @@ def test_in_place_slot_step_matches_the_int64_step(case):
     trace = generate_trace(cfg, cfg.seed)
     k = cfg.k_concentrators
     batch = LyapunovPolicy(tuple(params), cfg, trace)
-    z = batch.z  # which serve_rows frees once it has served
     serves, q = batch.serve_rows(trace)
     assert serves.dtype == np.int16 and q.dtype == np.int64
     for r, p in enumerate(params):
         own = slice(r * k, (r + 1) * k)
         reference = LyapunovPolicy(p, cfg, trace)
         expected, expected_q = serve_grant_slots(partial(lyapunov_step, reference), trace)
-        codes = batch.actions(serves[own], trace.levels)
+        codes = threshold_actions(cfg, serves[own], trace.levels)
         assert codes.dtype == np.uint8
-        assert codes.tobytes() == reference.actions(expected, trace.levels).tobytes(), p
+        expected_codes = threshold_actions(cfg, expected, trace.levels)
+        assert codes.tobytes() == expected_codes.tobytes(), p
         assert serves[own].tobytes() == expected.tobytes(), p
         assert q[own].tobytes() == expected_q.tobytes(), p
-        assert z[own].tobytes() == reference.z.tobytes(), p
+        assert batch.z[own].tobytes() == reference.z.tobytes(), p
 
 
 def test_threshold_slot_step_allocates_nothing():
@@ -566,12 +565,13 @@ def test_action_classification():
 # -- vectorized policies agree with the scalar rules --------------------
 
 
-def _served_and_codes(policy, slot, horizon, levels, served):
-    """One slot's service as int16, and the codes a packet policy recovers
-    for it from a run that moved nothing in any other slot."""
+def _served_and_codes(actions, slot, horizon, levels, served):
+    """One slot's service as int16, and the codes ``actions(serves,
+    levels)``, a packet policy's code recovery, gives it in a run that
+    moved nothing in any other slot."""
     serves = np.zeros((len(levels), horizon), dtype=np.int16)
     serves[:, slot] = served
-    codes = policy.actions(serves, np.broadcast_to(levels[:, None], serves.shape))
+    codes = actions(serves, np.broadcast_to(levels[:, None], serves.shape))
     return serves[:, slot], codes[:, slot]
 
 
@@ -593,10 +593,9 @@ def test_lyapunov_policy_matches_scalar(data):
     # a reduced level may be worth no packets at all
     reduced_capacity = data.draw(st.sampled_from([0, 2]))
     epsilon = data.draw(st.sampled_from([0.25, 1.0, 5.0]))
+    cfg = unit5(reduced_capacity, epsilon=epsilon)
     policy = LyapunovPolicy(
-        LyapunovParams(v_factor=v),
-        unit5(reduced_capacity, epsilon=epsilon),
-        price_trace([7, 7, 7, full], k=k),
+        LyapunovParams(v_factor=v), cfg, price_trace([7, 7, 7, full], k=k)
     )
     policy.z[:] = z
     policy.thresholds = slot_thresholds(policy.threshold, slice(None), k)
@@ -604,7 +603,7 @@ def test_lyapunov_policy_matches_scalar(data):
     # the step raises the slot's free grant in place
     served = policy.free_capacity[levels].astype(np.float64)
     policy.decide_slot(3, q.astype(np.float64), served)
-    served, codes = _served_and_codes(policy, 3, 4, levels, served)
+    served, codes = _served_and_codes(partial(threshold_actions, cfg), 3, 4, levels, served)
     assert codes.dtype == np.uint8
     moves = packet_grant(5, reduced_capacity)
     threshold = v * (full / MICROCENTS_PER_CENT) / 2.0  # the scalar V * c / 2
@@ -640,7 +639,7 @@ def test_static_policy_matches_scalar(data):
     grants = policy.grants(np.repeat(levels[:, None], 2501, axis=1))
     assert grants.dtype == np.int16
     served, codes = _served_and_codes(
-        policy, slot, 2501, levels, np.minimum(q, grants[:, slot])
+        policy.actions, slot, 2501, levels, np.minimum(q, grants[:, slot])
     )
     moves = packet_grant(5, 2)
     for i in range(k):
