@@ -5,26 +5,27 @@ them over one trace, returning what ``run`` would for each, in input
 order. Both serve their runs by one route, ``_serve``, a single run being
 a list of one (see ``policy``): one LyapunovPolicy steps a batch of
 threshold runs, at most MAX_CELLS cells (runs x K x T), in one slot loop
-whose rows carry a run axis, and any other run is served alone, by the
-policy built for it from the trace. Each run's (concentrator, slot)
-Action codes and packets served, backlog after the last slot and
-arrival sums then go to ``run`` for the post-run pass.
+whose rows carry a run axis and which sums each run's service as it goes,
+and any other run is served alone, by the policy built for it from the
+trace. Each run's sums (_RunSums) then go to ``run``, which checks packet
+conservation and builds the RunMetrics. A threshold run holds no per-cell
+array beyond its trace and has no codes: its leases are read from its
+packets served, on which the per-slot rules hold by construction.
 
-The post-run pass has two halves, each over blocks of rows. The arrival
-half (_arrival_sums, blocks of about 2**15 cells) reads the trace's
-arrivals once for every run of a batch, and once for a single run: the
-fleet's arrivals per slot, and each run's sum_t min(A_t, n) over its rows.
-The other half (blocks of about 2**16 cells) reads a run's own codes and
-service, run by run: the invariant checks (each error names the policy
-label, seed, first offending slot and concentrator; every rule is searched
-in every block, and the first rule in order that any block broke is
-reported), packet conservation, the cost accounting, the fleet's backlog
-per slot, and the total packet delay. A slot's bill is its count of full
-leases times the full price plus its count of reduced leases times the
-reduced price; a concentrator's bill is an exact int64 product of its
-lease masks with the price rows, and a block without reduced leases skips
-their half. A run's RunMetrics keeps only these summaries, never the codes
-or the service matrix. Service is FIFO within a concentrator, so the total
+The sums that read the trace's arrivals (_arrival_sums, blocks of about
+2**15 cells) are taken once for every run of a batch, and once for a
+single run: the fleet's arrivals per slot, and each run's sum_t min(A_t,
+n) over its rows. A static or deadline-scheduler run's codes and service
+are checked and summed in one pass over blocks of about 2**16 cells
+(_account): the invariant checks (each error names the policy label,
+seed, first offending slot and concentrator; every rule is searched in
+every block, and the first rule in order that any block broke is
+reported), the bills, the lease counts and the service sums. A
+concentrator's bill is an exact int64 product of its lease masks with the
+price rows, and a block without reduced leases skips their half; a slot's
+bill is its count of full leases times the full price plus its count of
+reduced leases times the reduced price. A run's RunMetrics keeps only
+these summaries. Service is FIFO within a concentrator, so the total
 delay is the area between its cumulative arrival and service curves (the
 sample-path argument behind Little's law), computed from per-slot counts
 and never per packet: with A_t the arrivals through slot t, s_t the
@@ -67,7 +68,6 @@ from .policy import (
     PolicyParams,
     QualityParams,
     free_capacities,
-    threshold_actions,
 )
 
 
@@ -186,7 +186,7 @@ def run(
     params: PolicyParams,
     trace: Trace | None = None,
     *,
-    _served: tuple[np.ndarray, np.ndarray, np.ndarray, _ArrivalSums] | None = None,
+    _served: _RunSums | None = None,
 ) -> RunMetrics:
     """Simulate one policy over one trace (drawn from config.seed if absent).
     A trace drawn for another scenario (config_digest != config.env_digest())
@@ -199,15 +199,15 @@ def run(
     that the int64 sum is the more exact of the two.
 
     The run is served as a list of one (_serve). ``_served`` is run_many's
-    hand-off, the (codes, packets served, Q, arrival sums) that _serve
-    yielded for the run: only the post-run pass is then left.
+    hand-off, the sums that _serve yielded for the run: only packet
+    conservation and the RunMetrics are then left.
     """
     if trace is None:
         trace = generate_trace(config, config.seed)
     _check_trace(config, trace)
     if _served is None:
         _served = next(_serve(config, [params], trace))
-    return _summarize(params, config, trace, *_served)
+    return _summarize(params, trace, _served)
 
 
 def run_many(
@@ -219,12 +219,11 @@ def run_many(
     config.seed if absent): one RunMetrics per run, in input order, each
     the one ``run`` returns for it.
 
-    The runs are served by _serve, and each run's post-run pass still goes
-    through ``run``, in input order, so an error names the same run, seed,
-    slot and concentrator as a single run would. A run's Action codes are
-    recovered when its own pass starts and freed when it ends.
+    The runs are served by _serve, and each run's sums still go through
+    ``run``, in input order, so an error names the same run, seed, slot
+    and concentrator as a single run would.
     """
-    params_seq = list(params_seq)  # read once: a batch and its passes both walk it
+    params_seq = list(params_seq)  # read once: a batch and its runs both walk it
     if trace is None:
         trace = generate_trace(config, config.seed)
     _check_trace(config, trace)
@@ -233,53 +232,63 @@ def run_many(
 
 
 def _serve(config, params_seq, trace):
-    """Serve each run of ``params_seq`` on ``trace`` and yield its (codes,
-    packets served, Q, arrival sums), in input order. The threshold runs
-    are served in batches, in input order, of at most MAX_CELLS cells
-    (R * K * T): each batch steps its slots in one loop of a LyapunovPolicy
-    dropped when it returns, and sums the trace's arrivals once for all its
-    runs (_arrival_sums). A run's codes are recovered only when its turn
-    comes. Any other run is served alone, by the policy make_policy builds."""
+    """Serve each run of ``params_seq`` on ``trace`` and yield its
+    _RunSums, in input order. The threshold runs are served in batches, in
+    input order, of at most MAX_CELLS cells (R * K * T): each batch steps
+    its slots in one loop of a LyapunovPolicy dropped when it returns,
+    which sums each run's service as it goes, and sums the trace's
+    arrivals once for all its runs (_arrival_sums). Any other run is
+    served alone, by the policy make_policy builds, and its codes and
+    packets served are checked and summed (_account) when its turn comes."""
     k = trace.k
     size = MAX_CELLS // (k * trace.horizon)
     runs = [p for p in params_seq if isinstance(p, LyapunovParams)]
     done = 0  # threshold runs yielded so far
     for params in params_seq:
         if not isinstance(params, LyapunovParams):
-            alone = make_policy(params, config, trace).serve(trace)
-            yield (*alone, _arrival_sums(trace, alone[1])[0])
-            del alone  # before the next run is served
+            yield _account(params, config, trace, *make_policy(params, config, trace).serve(trace))
             continue
         r = done % size
         if r == 0:
-            serves = q = None  # the last batch's, freed before this one
             batch = tuple(runs[done : done + size])
-            serves, q = LyapunovPolicy(batch, config, trace).serve_rows(trace)
-            sums = _arrival_sums(trace, serves)
+            sums = LyapunovPolicy(batch, config, trace).serve_rows(trace)
+            q, departed, bills, leases, service, sends = sums
+            capped, arrived = _arrival_sums(trace, departed)
         done += 1
         own = slice(r * k, (r + 1) * k)
-        served = serves[own]  # a view; no local holds the run's codes
-        yield threshold_actions(config, served, trace.levels), served, q[own], sums[r]
+        # a threshold run sends and leases only full units
+        yield _RunSums(
+            bills[own], leases[r], 0, service[r], q[own], int(sends[r]), 0, capped[r], arrived
+        )
 
 
-class _ArrivalSums(NamedTuple):
-    """The sums of one run's post-run pass that read the trace's arrivals:
-    ``capped`` is sum_t min(A_t, n) over the run's rows, with A_t a row's
-    arrivals through slot t and n its packets served, and ``per_slot`` the
-    trace's (T,) int64 arrivals per slot over the fleet, shared by every
-    run of a batch."""
+class _RunSums(NamedTuple):
+    """What one run's RunMetrics needs: its ``bills`` per concentrator,
+    its full and reduced ``leases`` and packets ``served`` per slot, Q
+    after the last slot, its units sent at full and reduced quality,
+    ``capped``, sum_t min(A_t, n) over its rows (A_t a row's arrivals
+    through slot t, n its packets served), and the fleet's (T,) int64
+    arrivals per slot, which every run of a batch shares."""
 
+    bills: np.ndarray
+    leases_full: np.ndarray
+    leases_reduced: np.ndarray | int
+    served: np.ndarray
+    q: np.ndarray
+    sent_full: int
+    sent_reduced: int
     capped: int
-    per_slot: np.ndarray
+    arrived: np.ndarray
 
 
-def _arrival_sums(trace: Trace, serves: np.ndarray) -> list[_ArrivalSums]:
-    """The arrival sums of the R runs whose packets served are the rows of
-    ``serves``, (R * K, T), run r in rows r * K to (r + 1) * K. Each block
-    of rows of the trace's arrivals is read, cast and summed once, however
-    many runs there are; only the min against each run's n is per run."""
+def _arrival_sums(trace: Trace, departed: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The arrival sums of the R runs whose packets served per row are
+    ``departed``, (R * K,), run r's rows at r * K to (r + 1) * K: each
+    run's ``capped`` and the fleet's arrivals per slot. Each block of rows
+    of the trace's arrivals is read, cast and summed once, however many
+    runs there are; only the min against each run's n is per run."""
     k, horizon = trace.k, trace.horizon
-    departed = serves.sum(axis=1, dtype=np.int64).reshape(-1, k)
+    departed = departed.reshape(-1, k)
     capped = [0] * len(departed)
     per_slot = np.zeros(horizon, dtype=np.int64)
     # blocks of about 2**15 cells: a batch's running sums and one run's
@@ -295,7 +304,7 @@ def _arrival_sums(trace: Trace, serves: np.ndarray) -> list[_ArrivalSums]:
         # the last run's minimum in place, so that one run needs one block
         capped[-1] += int(np.minimum(arrived, departed[-1, block, None], out=arrived).sum())
         del arrived, below  # before the next block's temporaries
-    return [_ArrivalSums(c, per_slot) for c in capped]
+    return capped, per_slot
 
 
 def _check_trace(config: ScenarioConfig, trace: Trace) -> None:
@@ -311,17 +320,17 @@ def _check_trace(config: ScenarioConfig, trace: Trace) -> None:
 _NONE, _REDUCED, _FULL = (np.uint8(level) for level in SpectrumLevel)
 
 
-def _summarize(params, config, trace, decisions, serves, q, sums) -> RunMetrics:
-    """Check a finished run and account for it, from its (K, T) Action
-    codes and packets served, its final Q and its arrival sums, in one
-    pass over blocks of rows, so that no (K, T) temporary is ever built."""
+def _account(params, config, trace, decisions, serves, q) -> _RunSums:
+    """Check a finished run and sum what its RunMetrics needs, from its
+    (K, T) Action codes and packets served and its final Q, in one pass
+    over blocks of rows, so that no (K, T) temporary is ever built."""
     k, horizon = trace.k, trace.horizon
-    run_name = f"{params.label} seed {trace.seed}"
     free = free_capacities(config).astype(np.int16)
     leases_full = np.zeros(horizon, dtype=np.int64)
     leases_reduced = np.zeros(horizon, dtype=np.int64)
     cost_per_conc = np.empty(k, dtype=np.int64)
     served_per_slot = np.zeros(horizon, dtype=np.int64)
+    departed = np.empty(k, dtype=np.int64)
     # each rule's first offence so far: (slot, concentrator), or None
     first: dict[str, tuple[int, int] | None] = {}
     sent = reduced = 0
@@ -349,23 +358,38 @@ def _summarize(params, config, trace, decisions, serves, q, sums) -> RunMetrics:
         reduced += int(np.count_nonzero(codes == _FREE_REDUCED))
 
         served_per_slot += served.sum(axis=0, dtype=np.int64)
+        departed[block] = served.sum(axis=1, dtype=np.int64)
 
     for rule, found in first.items():
         if found is not None:
             raise InvariantViolationError(
-                f"{run_name}: {rule} at slot {found[0]}, concentrator {found[1]}"
+                f"{params.label} seed {trace.seed}: {rule} at slot {found[0]}, "
+                f"concentrator {found[1]}"
             )
-    total_arrived, total_served = int(sums.per_slot.sum()), int(served_per_slot.sum())
-    if total_arrived != total_served + int(q.sum()):
+    (capped,), arrived = _arrival_sums(trace, departed)
+    return _RunSums(
+        cost_per_conc, leases_full, leases_reduced, served_per_slot, q,
+        sent - reduced, reduced, capped, arrived,
+    )
+
+
+def _summarize(params, trace, sums: _RunSums) -> RunMetrics:
+    """Check a run's packet conservation and build its RunMetrics from its
+    sums, whichever policy served it."""
+    k, horizon = trace.k, trace.horizon
+    total_arrived, total_served = int(sums.arrived.sum()), int(sums.served.sum())
+    queued = int(sums.q.sum())
+    if total_arrived != total_served + queued:
         raise InvariantViolationError(
-            f"{run_name}: packet conservation broken: "
-            f"{total_arrived} arrived != {total_served} served + {int(q.sum())} queued"
+            f"{params.label} seed {trace.seed}: packet conservation broken: "
+            f"{total_arrived} arrived != {total_served} served + {queued} queued"
         )
+    leases_full, leases_reduced = sums.leases_full, sums.leases_reduced
     cost_series_fleet = np.cumsum(
         leases_full * trace.price_full + leases_reduced * trace.price_reduced
     )
     backlog = np.zeros(horizon, dtype=np.int64)
-    net = sums.per_slot - served_per_slot
+    net = sums.arrived - sums.served
     np.cumsum(net[:-1], out=backlog[1:])
     # each packet waits one slot per slot end at which it has arrived and
     # is not yet served; only the first n arrivals ever leave, n the row's
@@ -373,7 +397,7 @@ def _summarize(params, config, trace, decisions, serves, q, sums) -> RunMetrics:
     # sum_t S_t = sum_t s_t (T - t), whose sum over the rows needs only
     # the fleet's service per slot
     remaining = np.arange(horizon, 0, -1, dtype=np.int64)
-    total_delay = sums.capped - int(served_per_slot @ remaining)
+    total_delay = sums.capped - int(sums.served @ remaining)
 
     return RunMetrics(
         params=params,
@@ -382,16 +406,16 @@ def _summarize(params, config, trace, decisions, serves, q, sums) -> RunMetrics:
         k=k,
         horizon=horizon,
         cost_total_microcents=int(cost_series_fleet[-1]),
-        cost_per_concentrator=cost_per_conc,
+        cost_per_concentrator=sums.bills,
         cost_series_fleet=cost_series_fleet,
         purchases_per_slot=(leases_full + leases_reduced).astype(np.int32),
         queue_series_mean=backlog / k,
-        final_queue=q - trace.arrivals[:, -1],
+        final_queue=sums.q - trace.arrivals[:, -1],
         total_delay_slots=total_delay,
         total_arrived=total_arrived,
         total_served=total_served,
-        units_sent_full=sent - reduced,
-        units_sent_reduced=reduced,
+        units_sent_full=sums.sent_full,
+        units_sent_reduced=sums.sent_reduced,
     )
 
 

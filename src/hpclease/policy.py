@@ -24,21 +24,22 @@ deadline scheduler serve their own run: ``serve(trace)`` returns the
 (K, T) uint8 Action codes, the (K, T) int16 packets served and the
 backlog Q after the last slot. A code is IDLE exactly where nothing
 moved. The threshold policy's grants read the backlog, so it serves in a
-slot loop that carries Q (``serve_rows``), and ``threshold_actions``
-recovers its codes from the packets served and the scenario. Each slot
-``decide_slot`` turns the slot's row of free grants into the packets
-served, min(grant, Q), and advances the virtual queues Z, and the loop
-takes that row from Q and adds the slot's arrivals. Q, Z and the step's
+slot loop that carries Q (``serve_rows``) and sums its service there,
+keeping no codes. Each slot ``decide_slot`` turns the slot's row of free
+grants into the packets served, min(grant, Q), and advances the virtual
+queues Z, and the loop takes that row from Q and adds the slot's arrivals. Q, Z and the step's
 work rows and mask are (K,) arrays allocated once per run, all float64
 but the mask, and epsilon is a stride-0 view, so each slot makes only
 plain in-place numpy calls that neither allocate nor cast. Q counts
 exactly because a ScenarioConfig and a Trace bound a concentrator's
 arrivals over the horizon by 2**53. The loop walks the horizon in blocks
 of about 2**14 cells. It reads each block once into slot-major (slots, K)
-float64 rows: the level's free capacity goes straight into the block of
-packets served, which ``decide_slot`` raises and caps row by row in
-place, and the arrivals into a second block; the served block then goes
-into the (K, T) int16 matrix once.
+rows: the level's free capacity (int16) is copied into the float64 block
+of packets served, which ``decide_slot`` raises and caps row by row in
+place, and the arrivals go into a second block. Once a block's slots are
+stepped, the loop sums from it what each run's RunMetrics needs (a slot
+leased exactly when it moved more than the level frees): the leases and
+packets served per slot, each row's bill and the sends.
 
 The loop has a run axis: a LyapunovPolicy built from a tuple of R
 parameter blocks serves R runs on one trace (``serve_rows``), one run
@@ -46,12 +47,12 @@ being a batch of one, stepping each slot once for all of them on flat
 (R * K,) rows, run r's concentrators at r * K to (r + 1) * K. Each slot
 block of the trace is read once, its free grant and arrivals repeated
 across the runs, and its threshold rows built from the (T, R) thresholds
-(``slot_thresholds``). A batch's codes come from the scenario
-(``threshold_actions``), so the loop's state, Z included, goes with the
-policy when the loop ends. The static baseline and the deadline scheduler
-never read the backlog: each grants every slot at once, and
-``serve_grants`` serves the (K, T) grants in closed form, by the Lindley
-recursion (one prefix sum and one running minimum per row).
+(``slot_thresholds``). A batch returns only its sums, so the loop's
+state, Z included, goes with the policy when the loop ends. The static
+baseline and the deadline scheduler never read the backlog: each grants
+every slot at once, and ``serve_grants`` serves the (K, T) grants in
+closed form, by the Lindley recursion (one prefix sum and one running
+minimum per row).
 
 Each parameter block checks its values when built (its numeric fields take
 their annotated types by ``config.check_field_types``) and names its policy:
@@ -63,9 +64,9 @@ operations: the level's free capacity, raised to a unit where the
 concentrator buys, per slot for the threshold policy, the burst
 flag or the level's free capacity for the static baseline, and for the
 deadline scheduler one lookup in ``QUALITY_TABLE`` per slot, decided phase
-by phase. The packet policies recover each code from the packets served
-(``threshold_actions`` by comparing them with the level's free capacity);
-the deadline scheduler decides its codes and grants a unit to every send.
+by phase. The static baseline recovers its codes from the packets served
+and its bursts; the deadline scheduler decides its codes and grants a
+unit to every send.
 A policy object serves once, one run or one batch of threshold runs;
 the next run builds a new one.
 """
@@ -318,20 +319,26 @@ class LyapunovPolicy:
         self.buy = np.empty(width, dtype=bool)
 
     def serve_rows(self, trace: Trace):
-        """Serve every run: the (R * K, T) int16 packets served and the
-        (R * K,) int64 backlog Q after the last slot, run r in rows r * K
-        to (r + 1) * K. A policy serves once; its Z and thresholds are
-        left as the last slot left them."""
+        """Serve every run and sum what its RunMetrics needs of its service:
+        the int64 backlog Q after the last slot, packets served and bill of
+        each of the R * K rows (run r's at r * K to (r + 1) * K), the (R, T)
+        int32 leases and int64 packets served per slot, and the (R,) int64
+        sends. A policy serves once; its Z and thresholds are left as the
+        last slot left them."""
         k, runs = trace.k, self.runs
         # the backlog Q in float64, exact while no concentrator's arrivals
-        # can sum past 2**53 (a ScenarioConfig and a Trace both refuse more)
+        # can sum past 2**53 (a ScenarioConfig and a Trace both refuse more),
+        # and so is every sum of packets served below
         q = np.zeros(runs * k)
-        serves = np.empty((runs * k, trace.horizon), dtype=np.int16)
-        free = self.free_capacity.astype(np.float64)
+        bills = np.zeros(runs * k, dtype=np.int64)
+        leases = np.empty((runs, trace.horizon), dtype=np.int32)
+        service = np.empty((runs, trace.horizon), dtype=np.int64)
+        sends = np.zeros(runs, dtype=np.int64)
+        free = self.free_capacity.astype(np.int16)
         # slots in blocks of about 2**14 cells of the step's rows (the row
         # blocks of the (T, R * K) transpose at 4 * R * K columns), each read
-        # once into two slot-major float64 blocks, the free grant that
-        # becomes the packets served and the arrivals, so that no slot
+        # once into slot-major blocks: the free grant (int16), the packets
+        # served raised from it and the arrivals (float64), so that no slot
         # reads or writes a strided column of a (K, T) array or casts
         for block in row_blocks(trace.horizon, 4 * runs * k):
             slots = range(trace.horizon)[block]
@@ -344,21 +351,34 @@ class LyapunovPolicy:
             arrivals = np.empty((len(slots), k))
             level_index = arrivals.view(np.intp)
             np.copyto(level_index, trace.levels[:, block].T)
-            served = free.take(level_index)
+            grant = free.take(level_index)
             np.copyto(arrivals, trace.arrivals[:, block].T)
+            # one read of the trace serves every run of the batch
+            served = np.empty((len(slots), runs * k))
+            per_run = served.reshape(len(slots), runs, k)
+            per_run[...] = grant[:, None, :]
             if runs > 1:
-                # one read of the trace serves every run of the batch
-                served = np.tile(served, runs)
                 arrivals = np.tile(arrivals, runs)
             for slot, moved, arrived in zip(slots, served, arrivals):
                 self.decide_slot(slot, q, moved)
                 q -= moved
                 q += arrived
-            serves[:, block] = served.T
-            # drop both blocks, which the last rows also hold, before the
-            # next is read: one-slot blocks of a wide fleet would peak at two
-            del served, arrivals, level_index, moved, arrived
-        return serves, q.astype(np.int64)
+            # drop the arrivals, which the last rows also hold, before the
+            # block's sums: one-slot blocks of a wide fleet peak at their rows
+            del arrivals, level_index, moved, arrived
+            # a slot leased exactly when it moved more than the level frees;
+            # a Trace bounds every price, so each row's bill sums exactly
+            bought = per_run > grant[:, None, :]
+            leases[:, block] = bought.view(np.uint8).sum(axis=2, dtype=np.int32).T
+            bills += np.einsum("i,ij->j", trace.price_full[block], bought.reshape(len(slots), -1))
+            service[:, block] = per_run.sum(axis=2).T
+            sends += np.count_nonzero(per_run, axis=(0, 2))
+            del grant, served, per_run, bought  # before the next block is read
+        q = q.astype(np.int64)
+        # each row's packets served are its arrivals less Q, exactly so,
+        # since the loop's Q counts exactly
+        departed = trace.arrivals.sum(axis=1, dtype=np.int64) - q.reshape(runs, k)
+        return q, departed.reshape(-1), bills, leases, service, sends
 
     def decide_slot(self, slot, q, served):
         """Turn ``served``, the slot's free grant, into the packets each
@@ -383,20 +403,6 @@ class LyapunovPolicy:
         np.minimum(work, self.epsilon_row, out=work)
         np.add(z, work, out=z)
         np.maximum(z, self.zero, out=z)
-
-
-def threshold_actions(config: ScenarioConfig, serves, levels):
-    """A threshold run's (K, T) uint8 Action codes, from its packets served."""
-    # a slot bought exactly when it moved more than the level frees, so
-    # its code is 2 * bought + moved: BUY_FULL, FREE_FULL or IDLE
-    free = free_capacities(config).astype(np.int16)
-    codes = np.empty(serves.shape, dtype=np.uint8)
-    for block in row_blocks(*serves.shape):
-        sent, code = serves[block], codes[block]
-        np.greater(sent, free.take(levels[block]), out=code)
-        code *= _BUY_FULL - _FREE_FULL
-        code += sent > 0
-    return codes
 
 
 class StaticBurstPolicy:

@@ -9,7 +9,8 @@ from hpclease import ScenarioConfig, Trace, generate_trace
 from hpclease.engine import make_policy
 from hpclease.env import to_microcents
 from hpclease.oracle import OfflineInstance
-from hpclease.policy import LyapunovPolicy, threshold_actions
+from hpclease.policy import LyapunovPolicy
+from reference import threshold_actions
 
 
 def cents(prices) -> list[int]:
@@ -46,15 +47,33 @@ class Core(NamedTuple):
     q: np.ndarray       # (K,) int64 backlog after the last slot
 
 
+def serve_recorded(policy: LyapunovPolicy, trace):
+    """``policy.serve_rows(trace)``, with each slot's packets served
+    recorded as the loop steps it: the (R * K, T) int16 packets served,
+    which the loop itself only sums, and the loop's sums."""
+    serves = np.empty((policy.runs * trace.k, trace.horizon), dtype=np.int16)
+
+    def recording(slot, q, served):
+        type(policy).decide_slot(policy, slot, q, served)
+        serves[:, slot] = served
+
+    policy.decide_slot = recording
+    try:
+        return serves, policy.serve_rows(trace)
+    finally:
+        del policy.decide_slot
+
+
 def run_core(config, params, trace=None) -> Core:
     """One run served as the engine serves it, for the per-cell and
     per-policy state that RunMetrics does not keep: a threshold run as a
-    batch of one (serve_rows, then its codes recovered by threshold_actions)."""
+    batch of one (serve_rows, its packets served recorded slot by slot and
+    its codes recovered by reference.threshold_actions)."""
     if trace is None:
         trace = generate_trace(config, config.seed)
     policy = make_policy(params, config, trace)
     if isinstance(policy, LyapunovPolicy):
-        serves, q = policy.serve_rows(trace)
+        serves, (q, *_) = serve_recorded(policy, trace)
         return Core(policy, threshold_actions(config, serves, trace.levels), serves, q)
     return Core(policy, *policy.serve(trace))
 

@@ -22,6 +22,10 @@
   threshold policy walked its slots in slot-major blocks; static_grant and
   QualityGrants are the per-slot rules it ran for the first two, and
   lyapunov_step is the rule it ran for the third.
+* threshold_actions recovers a threshold run's Action codes from its
+  packets served and the scenario, as the engine did before the slot loop
+  summed a threshold run's service itself: a slot leased exactly when it
+  moved more than the level frees.
 * lyapunov_step is the threshold policy's slot step as it ran before the
   step worked in place on float64 rows: it takes the slot's levels and the
   int64 backlog, returns a new int64 grant array and advances the policy's
@@ -354,6 +358,20 @@ def lyapunov_codes(policy: LyapunovPolicy, slot, levels, q_len, z_len):
     buying = q_len + z_len > policy.threshold[slot]
     actions = np.where(buying, _BUY_FULL_CODE, _free_action(policy, levels))
     return np.where(q_len > 0, np.where(covered, _FREE_FULL_CODE, actions), _IDLE_CODE)
+
+
+def threshold_actions(config, serves, levels):
+    """A threshold run's (K, T) uint8 Action codes, from its packets served."""
+    # a slot bought exactly when it moved more than the level frees, so
+    # its code is 2 * bought + moved: BUY_FULL, FREE_FULL or IDLE
+    free = free_capacities(config).astype(np.int16)
+    codes = np.empty(serves.shape, dtype=np.uint8)
+    for block in row_blocks(*serves.shape):
+        sent, code = serves[block], codes[block]
+        np.greater(sent, free.take(levels[block]), out=code)
+        code *= _BUY_FULL_CODE - _FREE_FULL_CODE
+        code += sent > 0
+    return codes
 
 
 def static_codes(policy: StaticBurstPolicy, slot, levels, q_len, z_len):

@@ -36,6 +36,7 @@ from hpclease.policy import (
     QualityParams,
     StaticBurstPolicy,
     StaticParams,
+    free_capacities,
     reduced_capacity,
 )
 
@@ -55,6 +56,8 @@ from reference import (
     serve_grant_slots,
     static_grant,
     summarize,
+    threshold_actions,
+    violations,
 )
 
 LYAP1 = LyapunovParams(v_factor=1.0)
@@ -724,8 +727,8 @@ def test_grant_loop_matches_action_code_loop(case):
         col_serves, col_q = serve_grant_slots(partial(lyapunov_step, column), trace)
         assert np.array_equal(serves, col_serves) and np.array_equal(q, col_q)
         assert column.z.tobytes() == ref_z.tobytes()
-    (sums,) = engine._arrival_sums(trace, ref_serves)
-    expected = engine._summarize(params, cfg, trace, ref_codes, ref_serves, ref_q, sums)
+    sums = engine._account(params, cfg, trace, ref_codes, ref_serves, ref_q)
+    expected = engine._summarize(params, trace, sums)
     assert metrics_digest(metrics) == metrics_digest(expected)
 
 
@@ -772,14 +775,14 @@ def test_post_run_pass_matches_reference(case):
         codes[i, t] = action
     for (i, t), packets in reserved:
         serves[i, t] = packets
-    (sums,) = engine._arrival_sums(trace, serves)
     try:
         expected = summarize(params, cfg, trace, codes, serves, q)
     except InvariantViolationError as exc:
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(exc))}$"):
-            engine._summarize(params, cfg, trace, codes, serves, q, sums)
+            engine._summarize(params, trace, engine._account(params, cfg, trace, codes, serves, q))
     else:
-        metrics = engine._summarize(params, cfg, trace, codes, serves, q, sums)
+        sums = engine._account(params, cfg, trace, codes, serves, q)
+        metrics = engine._summarize(params, trace, sums)
         assert metrics_digest(metrics) == metrics_digest(expected)
 
 
@@ -896,14 +899,17 @@ def test_huge_arrivals_run_in_fleet_sized_memory():
 
 # Bytes per (concentrator, slot) cell, from the dtypes the program stores:
 # a trace keeps levels (uint8) and arrivals (int32), plus three int64 prices
-# per slot. A run keeps the packets served (int16) and the Action codes
-# (uint8); the closed forms' grant matrix (int16) becomes the packets
-# served. Work that scales with the fleet beyond that, the int64 Poisson
-# draw, the threshold policy's slot blocks and the post-run pass included,
-# is done in blocks of at most 2**16 cells, so one int64 block temporary
-# is the slack. The last byte of a run covers the rest of its block work
-# (at 1000 x 1000, a run peaks at 3.96-4.20 bytes per cell, slack
-# included).
+# per slot. A static or deadline-scheduler run keeps the packets served
+# (int16) and the Action codes (uint8) through its own post-run pass; the
+# closed forms' grant matrix (int16) becomes the packets served. A
+# threshold run keeps neither: its slot loop sums what its RunMetrics
+# needs, so it holds no per-cell array and the bound is loose for it.
+# Work that scales with the fleet beyond that, the int64 Poisson draw,
+# the threshold policy's slot blocks and the post-run pass included, is
+# done in blocks of at most 2**16 cells, so one int64 block temporary is
+# the slack. The last byte of a run covers the rest of its block work (at
+# 1000 x 1000, a static or deadline-scheduler run peaks at 3.96-4.20
+# bytes per cell and a threshold run at 0.37, slack included).
 TRACE_BYTES_PER_CELL = 1 + 4
 TRACE_BYTES_PER_SLOT = 3 * 8
 SERVED_BYTES_PER_CELL = 2
@@ -945,16 +951,16 @@ def test_trace_and_runs_peak_within_their_bytes_per_cell(law):
         peak = _peak_bytes(lambda: run(cfg, params, trace))
         assert peak <= RUN_BYTES_PER_CELL * cells + BLOCK_SLACK_BYTES, params.label
 
-    # a batch holds the packets served of all its threshold runs until
-    # their last post-run pass, and serves any other run alone: it peaks at
-    # most at its runs' bytes per cell
+    # a batch's threshold runs hold only their sums, and any other run is
+    # served alone: it peaks at most at its runs' bytes per cell (4.2-4.5
+    # at 1000 x 1000)
     batch = [*policies, *(LyapunovParams(v) for v in (10.0, 100.0, 1000.0, 1e4))]
     run_many(small, batch)  # first-call imports and caches
     peak = _peak_bytes(lambda: run_many(cfg, batch, trace))
     assert peak <= RUN_BYTES_PER_CELL * cells * len(batch) + BLOCK_SLACK_BYTES
-    # it holds each run's Action codes only through that run's own pass, so
-    # threshold runs alone peak at their packets served plus one run's
-    # bytes per cell (holding all five runs' codes would take four more)
+    # threshold runs alone hold no per-cell array at all, so they peak
+    # well within the packets served they once held plus one run's bytes
+    # per cell (0.8 bytes per cell for these five at 1000 x 1000)
     threshold_runs = [p for p in batch if isinstance(p, LyapunovParams)]
     peak = _peak_bytes(lambda: run_many(cfg, threshold_runs, trace))
     assert peak <= (
@@ -964,14 +970,16 @@ def test_trace_and_runs_peak_within_their_bytes_per_cell(law):
 
 
 # Above 2**14 concentrators a threshold run's slot block is one slot, so
-# its (K,) rows outweigh its block work. Beside its outputs it holds, per
-# concentrator, Q, Z, the work, unit and zero rows and one slot's served
-# row (8 bytes each) and the buy mask; the threshold and epsilon rows are
-# stride-0 views, and each block is freed before the next is read. The
-# slot's arrivals row fits in the one-block slack; it holds the slot's
-# level codes as intp before the arrivals, so that the free grant is read
-# with no index row of its own. At 65,536 x 4 a run peaks at 65.0 bytes
-# per concentrator, outputs included.
+# its (K,) rows outweigh its block work. It holds, per concentrator, Q, Z,
+# the work, unit and zero rows and one slot's served row (8 bytes each)
+# and the buy mask; the threshold and epsilon rows are stride-0 views, and
+# each block is freed before the next is read. The slot's arrivals row
+# fits in the one-block slack; it holds the slot's level codes as intp
+# before the arrivals, so that the free grant is read with no index row
+# of its own. The run keeps no per-cell array, so RUN_BYTES_PER_CELL
+# covers its bill row (int64), the slot's free grant (int16) and its
+# outputs. At 65,536 x 4 a run peaks at 69.1 bytes per concentrator,
+# outputs included.
 WIDE_RUN_BYTES_PER_CONCENTRATOR = 6 * 8 + 1
 
 
@@ -985,6 +993,19 @@ def test_wide_short_threshold_run_peaks_within_its_rows():
         + WIDE_RUN_BYTES_PER_CONCENTRATOR * cfg.k_concentrators
         + BLOCK_SLACK_BYTES
     )
+
+
+def test_a_threshold_sweep_holds_no_per_cell_service():
+    """The default sweep grid's 10 weights on the reference preset (60 x
+    10,000 cells) peak below 5 MB in one run_many: the slot loop sums each
+    run's service, so no run holds its (K, T) packets served (1.2 MB each)
+    or Action codes. Beside the trace they hold their (R, T) lease and
+    service sums and their RunMetrics (3.6 MB)."""
+    cfg = cli.PRESETS["reference"]
+    trace = generate_trace(cfg, cfg.seed)
+    params = [LyapunovParams(v) for v in cli.DEFAULT_V_GRID]
+    run_many(cfg, params, trace)  # first-call imports and caches
+    assert _peak_bytes(lambda: run_many(cfg, params, trace)) < 5_000_000
 
 
 # The oracle solves a fleet a row block at a time, so its peak is a fixed
@@ -1008,10 +1029,11 @@ def test_oracle_peaks_at_a_fixed_count_of_block_temporaries():
 
 
 ROGUE_CFG = ScenarioConfig(k_concentrators=4, horizon=200, seed=7)
+ROGUE_STATIC = StaticParams(period=50, burst_len=10)
 ROGUE_QUALITY = QualityParams(n_units=150, deadline=199, quality_budget=30)
 ROGUE_EARLY_DEADLINE = QualityParams(n_units=100, deadline=150, quality_budget=10)
 ROGUE_ARGV = {
-    LYAP1: ["--policy", "lyapunov", "--v-factor", "1"],
+    ROGUE_STATIC: ["--policy", "static", "--period", "50", "--burst-len", "10"],
     ROGUE_QUALITY: [
         "--policy", "quality", "--n-units", "150", "--deadline", "199",
         "--quality-budget", "30",
@@ -1027,15 +1049,15 @@ class RoguePolicy:
     """The real policy, except that one concentrator takes the action
     ``recode(slot, its level)`` wherever that is not None: it moves what
     that action may move on the level, and the run reports the action's
-    code. A threshold run is altered where the engine serves it: slot by
-    slot in LyapunovPolicy's ``decide_slot`` as its batch's slot loop
-    serves it, and in the codes that the engine's ``threshold_actions``
-    recovers. A
-    deadline-scheduler run is built by a stand-in for the engine's
-    make_policy, and has its codes altered before it grants a unit to every
-    send and serves the grants in closed form. With ``relabel``, the
-    concentrator moves what the real policy moved, and only the reported
-    code changes."""
+    code. A static-baseline run has its grants altered before it serves
+    them in closed form, and its codes after they are recovered from the
+    packets served. A deadline-scheduler run is built by a stand-in for
+    the engine's make_policy, and has its codes altered before it grants
+    a unit to every send and serves the grants in closed form. With
+    ``relabel``, the concentrator moves what the real policy moved, and
+    only the reported code changes. (A threshold run has no codes to
+    alter: the slot loop sums its service, and codes recovered from
+    packets served keep every per-slot rule.)"""
 
     def __init__(self, params, concentrator, recode, relabel=False):
         self.params = params
@@ -1063,17 +1085,19 @@ class RoguePolicy:
 
             monkeypatch.setattr(engine, "make_policy", build)
             return
-        decide, recover = LyapunovPolicy.decide_slot, engine.threshold_actions
+        grants, recover = StaticBurstPolicy.grants, StaticBurstPolicy.actions
         grant = packet_grant(config.unit_size_packets, reduced_capacity(config))
+        moves = [grant[action, row[t]] for t, action in taken.items()]
 
-        def decide_slot(policy, slot, q, served):
-            decide(policy, slot, q, served)
-            if slot in taken and not self.relabel:
-                served[i] = min(q[i], grant[taken[slot], row[slot]])
+        def rogue_grants(policy, levels):
+            granted = grants(policy, levels)
+            if not self.relabel:
+                granted[i, slots] = moves
+            return granted
 
-        monkeypatch.setattr(LyapunovPolicy, "decide_slot", decide_slot)
+        monkeypatch.setattr(StaticBurstPolicy, "grants", rogue_grants)
         monkeypatch.setattr(
-            engine, "threshold_actions", lambda *args: recoded(recover(*args))
+            StaticBurstPolicy, "actions", lambda *args: recoded(recover(*args))
         )
 
 
@@ -1099,7 +1123,8 @@ def _rogue_cases(levels):
     wider = dataclasses.replace(ROGUE_QUALITY, quality_budget=60)
     bought = run_core(ROGUE_CFG, ROGUE_QUALITY).codes[2] == Action.BUY_FULL
     bought_on_reduced = bought & (levels[2] == SpectrumLevel.REDUCED)
-    leased = run_core(ROGUE_CFG, LYAP1).codes[3] == Action.BUY_FULL
+    static = run_core(ROGUE_CFG, ROGUE_STATIC)
+    leased = (static.codes[3] == Action.BUY_FULL) & (static.serves[3] > 2)
     leased_on_reduced = leased & (levels[3] == SpectrumLevel.REDUCED)
     sends = np.flatnonzero(run_core(ROGUE_CFG, ROGUE_EARLY_DEADLINE).codes[2])
     moved = {
@@ -1109,8 +1134,8 @@ def _rogue_cases(levels):
     return {
         # concentrator 2 claims free full service on no spectrum from slot 10
         "free-without-spectrum": (
-            LYAP1,
-            RoguePolicy(LYAP1, 2, _taking(
+            ROGUE_STATIC,
+            RoguePolicy(ROGUE_STATIC, 2, _taking(
                 Action.FREE_FULL, lambda t, lvl: t >= 10 and lvl == SpectrumLevel.NONE
             )),
             "free transmission without free spectrum",
@@ -1118,8 +1143,8 @@ def _rogue_cases(levels):
         ),
         # concentrator 1 sends reduced free units on full spectrum from slot 20
         "reduced-free-without-reduced-spectrum": (
-            LYAP1,
-            RoguePolicy(LYAP1, 1, _taking(
+            ROGUE_STATIC,
+            RoguePolicy(ROGUE_STATIC, 1, _taking(
                 Action.FREE_REDUCED, lambda t, lvl: t >= 20 and lvl == SpectrumLevel.FULL
             )),
             "reduced free transmission without reduced spectrum",
@@ -1162,12 +1187,12 @@ def _rogue_cases(levels):
             "quality policy missed its deadline",
             (ROGUE_EARLY_DEADLINE.deadline, 2),
         ),
-        # concentrator 3 reports its leases on reduced spectrum as free
-        # sends: each moves a unit where the level frees 2 packets, and the
+        # concentrator 3 reports its burst leases on reduced spectrum that
+        # moved more than the level frees (2 packets) as free sends, and the
         # bill would drop by their price
         "hidden-lease": (
-            LYAP1,
-            RoguePolicy(LYAP1, 3, _taking(
+            ROGUE_STATIC,
+            RoguePolicy(ROGUE_STATIC, 3, _taking(
                 Action.FREE_FULL, lambda t, lvl: leased_on_reduced[t]
             ), relabel=True),
             "free send moved more than the level's free capacity",
@@ -1209,11 +1234,11 @@ def test_post_run_pass_reports_rogue_runs_as_reference(case, monkeypatch):
     trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
     params, rogue, _, _ = _rogue_cases(trace.levels)[case]
     rogue.install(monkeypatch, ROGUE_CFG, trace)
-    codes, serves, q, sums = next(engine._serve(ROGUE_CFG, [params], trace))
+    codes, serves, q = engine.make_policy(params, ROGUE_CFG, trace).serve(trace)
     with pytest.raises(InvariantViolationError) as expected:
         summarize(params, ROGUE_CFG, trace, codes, serves, q)
     with pytest.raises(InvariantViolationError, match=f"^{re.escape(str(expected.value))}$"):
-        engine._summarize(params, ROGUE_CFG, trace, codes, serves, q, sums)
+        engine._account(params, ROGUE_CFG, trace, codes, serves, q)
 
 
 @st.composite
@@ -1297,62 +1322,34 @@ def test_run_many_reads_a_one_shot_iterable_once(small_cfg):
 
 @pytest.mark.parametrize("target", [0, 1, 2])
 def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
-    """An invariant broken in the post-run pass of one threshold run of a
-    batch names the same run, seed, slot and concentrator as when the run
-    is served alone; the third threshold run opens a second batch. So does
-    broken packet conservation, which reads the arrivals that a batch sums
-    once for all its runs: it names the same run, seed and counts."""
+    """Broken packet conservation in one threshold run of a batch names the
+    same run, seed and counts as when the run is served alone, although a
+    batch sums the arrivals once for all its runs; the third threshold run
+    opens a second batch. (A threshold run breaks no per-slot rule: its
+    slot loop sums its service, and conservation is its one check.)"""
     params = [LYAP1, StaticParams(50, 10), LyapunovParams(10.0), LyapunovParams(100.0)]
     trace = generate_trace(ROGUE_CFG, ROGUE_CFG.seed)
     concentrator = 1
     slot = _first_slot(trace.levels[concentrator] == SpectrumLevel.NONE, 1)
-    actions = engine.threshold_actions
-
-    def recode_the_target_run():
-        """threshold_actions, with one free send where there is no free
-        spectrum in the codes of the target-th run it recovers."""
-        recovered = itertools.count()
-
-        def recoded(config, serves, levels):
-            codes = actions(config, serves, levels)
-            if next(recovered) == target:
-                codes[concentrator, slot] = Action.FREE_FULL
-            return codes
-
-        return recoded
-
     monkeypatch.setattr(engine, "MAX_CELLS", 2 * ROGUE_CFG.k_concentrators * ROGUE_CFG.horizon)
-    monkeypatch.setattr(engine, "threshold_actions", recode_the_target_run())
     label = [p for p in params if isinstance(p, LyapunovParams)][target].label
-    expected = (
-        f"{label} seed 7: free transmission without free spectrum "
-        f"at slot {slot}, concentrator {concentrator}"
-    )
-    with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
-        for p in params:
-            run(ROGUE_CFG, p, trace)
-    monkeypatch.setattr(engine, "threshold_actions", recode_the_target_run())
-    with pytest.raises(InvariantViolationError, match=f"^{re.escape(expected)}$"):
-        run_many(ROGUE_CFG, params, trace)
 
-    # one more packet served by the target run than its queue let it move:
-    # a threshold run's codes follow from its packets served, so no
-    # per-slot rule breaks, only conservation
-    monkeypatch.setattr(engine, "threshold_actions", actions)
+    # one more packet served by the target run than its queue let it move
     honest = run(ROGUE_CFG, [p for p in params if isinstance(p, LyapunovParams)][target], trace)
     serve_rows = LyapunovPolicy.serve_rows
 
     def serve_one_more_in_the_target_run():
         """LyapunovPolicy.serve_rows, with one more packet served at
-        (concentrator, slot) in the target-th run it serves."""
+        (concentrator, slot) in the sums of the target-th run it serves."""
         served_runs = itertools.count()
 
         def tampered(self, trace):
-            serves, q = serve_rows(self, trace)
+            q, departed, bills, leases, service, sends = serve_rows(self, trace)
             for r in range(self.runs):
                 if next(served_runs) == target:
-                    serves[r * trace.k + concentrator, slot] += 1
-            return serves, q
+                    departed[r * trace.k + concentrator] += 1
+                    service[r, slot] += 1
+            return q, departed, bills, leases, service, sends
 
         return tampered
 
@@ -1374,8 +1371,9 @@ def test_a_broken_run_in_a_batch_is_named_as_when_alone(target, monkeypatch):
 def test_a_runs_action_codes_die_with_its_own_pass(runs_per_batch, small_cfg, monkeypatch):
     """run_many frees each run's Action codes when its post-run pass ends:
     every earlier run's codes are collected before the next run's are
-    recovered, within a batch of threshold runs, across two batches, and
-    around a run served alone."""
+    recovered, for static runs between threshold runs, within a batch of
+    threshold runs and across two batches. Threshold runs recover no
+    codes at all."""
     trace = generate_trace(small_cfg, small_cfg.seed)
     if runs_per_batch is not None:
         cells = runs_per_batch * small_cfg.k_concentrators * small_cfg.horizon
@@ -1392,42 +1390,47 @@ def test_a_runs_action_codes_die_with_its_own_pass(runs_per_batch, small_cfg, mo
 
         return recover
 
-    monkeypatch.setattr(engine, "threshold_actions", watched(engine.threshold_actions))
     monkeypatch.setattr(StaticBurstPolicy, "actions", watched(StaticBurstPolicy.actions))
-    params = [LyapunovParams(0.5), LYAP1, StaticParams(10, 2), *(
+    statics = [StaticParams(10, 2), StaticParams(20, 5), StaticParams(7, 7)]
+    params = [statics[0], LyapunovParams(0.5), LYAP1, statics[1], *(
         LyapunovParams(v) for v in (10.0, 100.0, 1e4)
-    )]
+    ), statics[2]]
     run_many(small_cfg, params, trace)
-    assert alive == [0] * len(params)
+    assert alive == [0] * len(statics)
 
 
 def test_a_batchs_policy_dies_before_its_first_pass(small_cfg, monkeypatch):
     """run_many drops each batch's LyapunovPolicy, and with it the slot
     loop's state, when the batch's slot loop returns: no served policy is
-    alive when any post-run pass starts, over two batches of two threshold
-    runs with a static run between them."""
+    alive when any arrival pass or any run's RunMetrics starts, over two
+    batches of two threshold runs with a static run between them."""
     trace = generate_trace(small_cfg, small_cfg.seed)
     monkeypatch.setattr(engine, "MAX_CELLS", 2 * small_cfg.k_concentrators * small_cfg.horizon)
     served = []  # a weak reference to each policy whose loop has run
-    alive = []  # per post-run pass, how many served policies were alive
-    serve_rows, summarize_run = LyapunovPolicy.serve_rows, engine._summarize
+    alive = []  # per pass, how many served policies were alive
+    serve_rows = LyapunovPolicy.serve_rows
 
     def watched_serve(policy, trace):
         served.append(weakref.ref(policy))
         return serve_rows(policy, trace)
 
-    def watched_summarize(*args):
-        alive.append(sum(ref() is not None for ref in served))
-        return summarize_run(*args)
+    def watched(step):
+        def start(*args):
+            alive.append(sum(ref() is not None for ref in served))
+            return step(*args)
+
+        return start
 
     monkeypatch.setattr(LyapunovPolicy, "serve_rows", watched_serve)
-    monkeypatch.setattr(engine, "_summarize", watched_summarize)
+    monkeypatch.setattr(engine, "_arrival_sums", watched(engine._arrival_sums))
+    monkeypatch.setattr(engine, "_summarize", watched(engine._summarize))
     params = [LyapunovParams(0.5), LYAP1, StaticParams(10, 2), *(
         LyapunovParams(v) for v in (10.0, 100.0)
     )]
     run_many(small_cfg, params, trace)
     assert len(served) == 2
-    assert alive == [0] * len(params)
+    # three arrival passes (two batches and the static run) and five runs
+    assert alive == [0] * (3 + len(params))
 
 
 # 70 x 1000 cells, two row blocks of the post-run pass. Rows 0-2 get no
@@ -1451,11 +1454,13 @@ _BATCH_PASS_RUNS = [
 @pytest.mark.parametrize("law", ["deterministic", "poisson"])
 def test_run_many_matches_the_rule_by_rule_pass(law, runs_per_batch, monkeypatch):
     """Every run that run_many returns equals the rule-by-rule pass
-    (reference.summarize) over the codes, packets served and Q that its own
-    post-run pass received. The reference sums the arrivals itself, so a
-    fault in the arrival sums that a batch shares, which single runs share
-    too, shows here; with ``runs_per_batch`` the threshold runs are split
-    into batches of at most that many."""
+    (reference.summarize): a static run over the codes, packets served and
+    Q that its own post-run pass received, and a threshold run, whose slot
+    loop sums its service, over those of its scalar replay (_replayed).
+    The reference sums the arrivals itself, so a fault in the arrival sums
+    that a batch shares, which single runs share too, shows here; with
+    ``runs_per_batch`` the threshold runs are split into batches of at
+    most that many."""
     cfg = dataclasses.replace(_BATCH_PASS_CFG, arrival_law=law)
     trace = generate_trace(cfg, cfg.seed)
     arrivals = trace.arrivals.copy()
@@ -1465,19 +1470,112 @@ def test_run_many_matches_the_rule_by_rule_pass(law, runs_per_batch, monkeypatch
     if runs_per_batch is not None:
         cells = runs_per_batch * cfg.k_concentrators * cfg.horizon
         monkeypatch.setattr(engine, "MAX_CELLS", cells)
-    received = []
-    summarize_run = engine._summarize
+    received = {}
+    account = engine._account
 
-    def recording(params, config, trace, codes, serves, q, *sums):
-        received.append((params, codes.copy(), serves.copy(), q.copy()))
-        return summarize_run(params, config, trace, codes, serves, q, *sums)
+    def recording(params, config, trace, codes, serves, q):
+        received[params] = codes.copy(), serves.copy(), q.copy()
+        return account(params, config, trace, codes, serves, q)
 
-    monkeypatch.setattr(engine, "_summarize", recording)
+    monkeypatch.setattr(engine, "_account", recording)
     batched = run_many(cfg, _BATCH_PASS_RUNS, trace)
-    assert [params for params, *_ in received] == _BATCH_PASS_RUNS
-    expected = [summarize(p, cfg, trace, *served) for p, *served in received]
+    assert list(received) == [p for p in _BATCH_PASS_RUNS if isinstance(p, StaticParams)]
+    expected = [
+        summarize(p, cfg, trace, *(received.get(p) or _replayed(cfg, p, trace)))
+        for p in _BATCH_PASS_RUNS
+    ]
     assert [metrics_digest(m) for m in batched] == [metrics_digest(m) for m in expected]
     for metrics in batched[:2]:
         assert not metrics.final_queue[:3].any()
         drained = metrics.final_queue[3:] == 0
         assert drained.any() and not drained.all(), metrics.policy_label
+
+
+def _replayed(cfg, params, trace):
+    """A run's (K, T) codes and packets served and its final Q, from the
+    scalar replay: the slot loop over Action codes (reference.run_codes)
+    and the policy's code-returning rule."""
+    codes, serves, q, _ = run_codes(
+        code_rule(make_policy(params, cfg, trace), trace),
+        trace,
+        cfg.unit_size_packets,
+        reduced_capacity(cfg),
+        cfg.epsilon,
+    )
+    return codes, serves, q
+
+
+@st.composite
+def _threshold_lists(draw):
+    """A small config under either arrival law, with or without an epsilon
+    override, and one to six threshold runs on one of its traces, in
+    batches of 1 to 3 runs."""
+    unit = draw(st.integers(2, 8))
+    horizon = draw(st.integers(2, 300))
+    k = draw(st.integers(1, 30))
+    cfg = ScenarioConfig(
+        k_concentrators=k,
+        horizon=horizon,
+        mean_arrival=draw(st.integers(0, 2 * unit)),
+        unit_size_packets=unit,
+        reduced_fraction=draw(st.sampled_from([0.1, 0.5])),
+        arrival_law=draw(st.sampled_from(["deterministic", "poisson"])),
+        epsilon=draw(st.sampled_from([None, 0.37, 3.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    weights = st.sampled_from([0.0, 0.5, 10.0, 1e4]) | st.floats(0.0, 1000.0)
+    params = [LyapunovParams(v) for v in draw(st.lists(weights, min_size=1, max_size=6))]
+    return cfg, params, draw(st.integers(1, 3)) * k * horizon
+
+
+@given(_threshold_lists())
+# a batch over several slot blocks, and over one slot per block
+@example((
+    cli.PRESETS["reference"].with_overrides(horizon=1000, epsilon=0.37), _WEIGHTS[:3], MAX_CELLS
+))
+@example((
+    ScenarioConfig(k_concentrators=2**13 + 1, horizon=3, arrival_law="poisson", seed=2),
+    _WEIGHTS[:2],
+    MAX_CELLS,
+))
+@settings(max_examples=60, deadline=None)
+def test_threshold_runs_match_the_scalar_replay(case):
+    """Every threshold run of run_many, whose slot loop sums its bills,
+    leases, service and sends without keeping any per-cell array, equals
+    the rule-by-rule pass (reference.summarize) over the codes and packets
+    served of its scalar replay. This carries the trust that the per-slot
+    code rules carried before: codes recovered from packets served keep
+    them by construction (test_recovered_threshold_codes_keep_every_rule)."""
+    cfg, params, max_cells = case
+    trace = generate_trace(cfg, cfg.seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "MAX_CELLS", max_cells)
+        batched = run_many(cfg, params, trace)
+    expected = [summarize(p, cfg, trace, *_replayed(cfg, p, trace)) for p in params]
+    assert [metrics_digest(m) for m in batched] == [metrics_digest(m) for m in expected]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_recovered_threshold_codes_keep_every_rule(data):
+    """Codes recovered from any packets served of at most a unit, on any
+    levels, break none of the per-slot rules of a threshold run: a free
+    send moved at most the level's free capacity, so it never lands on a
+    level that frees nothing, and no code is a reduced one."""
+    unit = data.draw(st.integers(2, 8))
+    cfg = ScenarioConfig(
+        k_concentrators=2, horizon=10, mean_arrival=unit, unit_size_packets=unit,
+        reduced_fraction=data.draw(st.sampled_from([0.1, 0.5])),
+    )
+    k, horizon = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+    cells = st.lists(st.integers(0, unit), min_size=k * horizon, max_size=k * horizon)
+    serves = np.array(data.draw(cells), dtype=np.int16).reshape(k, horizon)
+    levels = st.lists(st.integers(0, 2), min_size=k * horizon, max_size=k * horizon)
+    levels = np.array(data.draw(levels), dtype=np.uint8).reshape(k, horizon)
+    codes = threshold_actions(cfg, serves, levels)
+    for rule, offending in violations(LYAP1, cfg, codes, serves, levels):
+        assert not offending.any(), rule
+    # the recovery is the rule: IDLE where nothing moved, else a lease
+    # exactly where more moved than the level frees
+    moved_more = serves > free_capacities(cfg)[levels]
+    assert np.array_equal(codes, np.where(moved_more, 3, (serves > 0).astype(np.uint8)))

@@ -157,11 +157,11 @@ def test_checker_flags_an_unread_field():
     assert unread_fields(sources, "M") == ["y", "z"]
 
 
-@pytest.mark.parametrize("cls", ["RunMetrics", "OfflineInstance", "_ArrivalSums"])
+@pytest.mark.parametrize("cls", ["RunMetrics", "OfflineInstance", "_RunSums"])
 def test_every_run_metrics_field_is_read_by_the_package(cls):
     # a field that only tests or errors read belongs in a test helper, not
     # in every run, every row block the oracle solves or every hand-off of
-    # a batch's arrival sums
+    # a run's sums
     sources = {module.name: module.read_text() for module in MODULES}
     assert unread_fields(sources, cls) == []
 

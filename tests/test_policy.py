@@ -32,10 +32,9 @@ from hpclease.policy import (
     StaticBurstPolicy,
     StaticParams,
     slot_thresholds,
-    threshold_actions,
 )
 
-from conftest import run_core
+from conftest import run_core, serve_recorded
 from reference import (
     ConcentratorState,
     PapMirror,
@@ -46,6 +45,7 @@ from reference import (
     quality_decide,
     serve_grant_slots,
     static_decide,
+    threshold_actions,
 )
 
 NONE, REDUCED, FULL = SpectrumLevel.NONE, SpectrumLevel.REDUCED, SpectrumLevel.FULL
@@ -504,13 +504,15 @@ def test_in_place_slot_step_matches_the_int64_step(case):
     """Threshold runs served as one batch, each slot stepped in place on
     flat float64 rows, against each run's own step as it was before (an
     int64 backlog, a new grant array per slot): run r's rows hold the same
-    codes, packets served, Q and Z, to the bit."""
+    codes, packets served, Q and Z, to the bit, and the loop's sums of
+    each run are those of the old step's packets served and codes."""
     cfg, params = case
     trace = generate_trace(cfg, cfg.seed)
     k = cfg.k_concentrators
     batch = LyapunovPolicy(tuple(params), cfg, trace)
-    serves, q = batch.serve_rows(trace)
-    assert serves.dtype == np.int16 and q.dtype == np.int64
+    serves, (q, departed, bills, leases, service, sends) = serve_recorded(batch, trace)
+    assert q.dtype == departed.dtype == bills.dtype == service.dtype == np.int64
+    assert leases.dtype == np.int32 and sends.dtype == np.int64
     for r, p in enumerate(params):
         own = slice(r * k, (r + 1) * k)
         reference = LyapunovPolicy(p, cfg, trace)
@@ -522,6 +524,12 @@ def test_in_place_slot_step_matches_the_int64_step(case):
         assert serves[own].tobytes() == expected.tobytes(), p
         assert q[own].tobytes() == expected_q.tobytes(), p
         assert batch.z[own].tobytes() == reference.z.tobytes(), p
+        leased = expected_codes == Action.BUY_FULL
+        assert np.array_equal(departed[own], expected.sum(axis=1)), p
+        assert np.array_equal(bills[own], leased @ trace.price_full), p
+        assert np.array_equal(leases[r], leased.sum(axis=0)), p
+        assert np.array_equal(service[r], expected.sum(axis=0)), p
+        assert sends[r] == np.count_nonzero(expected), p
 
 
 def test_threshold_slot_step_allocates_nothing():
