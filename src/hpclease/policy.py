@@ -25,12 +25,13 @@ deadline scheduler serve their own run: ``serve(trace)`` returns the
 backlog Q after the last slot. A code is IDLE exactly where nothing
 moved. The threshold policy's grants read the backlog, so it serves in a
 slot loop that carries Q (``serve_rows``) and sums its service there,
-keeping no codes. Each slot ``decide_slot`` turns the slot's row of free
-grants into the packets served, min(grant, Q), and advances the virtual
-queues Z, and the loop takes that row from Q and adds the slot's arrivals. Q, Z and the step's
-work rows and mask are (K,) arrays allocated once per run, all float64
-but the mask, and epsilon is a stride-0 view, so each slot makes only
-plain in-place numpy calls that neither allocate nor cast. Q counts
+keeping no codes. Each slot ``decide_slot`` takes the slot's threshold
+row and turns its free grants into the packets served, min(grant, Q),
+and advances the virtual queues Z; the loop takes the packets served
+from Q and adds the slot's arrivals. Q, Z and the step's work rows and
+mask are (K,) arrays allocated once per run, all float64 but the mask,
+and epsilon is a stride-0 view, so each slot makes only plain in-place
+numpy calls that neither allocate nor cast. Q counts
 exactly because a ScenarioConfig and a Trace bound a concentrator's
 arrivals over the horizon by 2**53. The loop walks the horizon in blocks
 of about 2**14 cells. It reads each block once into slot-major (slots, K)
@@ -291,7 +292,7 @@ class LyapunovPolicy:
     serves R runs on the trace in one slot loop. ``threshold`` is (T, R),
     and every row of the step is R * K long, run r's concentrators at
     r * K to (r + 1) * K, flat rather than (R, K), since a ufunc call costs
-    less on one flat row."""
+    less on one flat row. The step is given its slot's threshold row."""
 
     def __init__(
         self,
@@ -323,8 +324,8 @@ class LyapunovPolicy:
         the int64 backlog Q after the last slot, packets served and bill of
         each of the R * K rows (run r's at r * K to (r + 1) * K), the (R, T)
         int32 leases and int64 packets served per slot, and the (R,) int64
-        sends. A policy serves once; its Z and thresholds are left as the
-        last slot left them."""
+        sends, each slot's step given its threshold row. A policy serves
+        once; its Z is left as the last slot left it."""
         k, runs = trace.k, self.runs
         # the backlog Q in float64, exact while no concentrator's arrivals
         # can sum past 2**53 (a ScenarioConfig and a Trace both refuse more),
@@ -341,36 +342,33 @@ class LyapunovPolicy:
         # served raised from it and the arrivals (float64), so that no slot
         # reads or writes a strided column of a (K, T) array or casts
         for block in row_blocks(trace.horizon, 4 * runs * k):
-            slots = range(trace.horizon)[block]
-            # the block's threshold rows, row i for slot first_slot + i,
-            # built first, so that the last block's never meet its reads
-            self.thresholds = slot_thresholds(self.threshold, block, k)
-            self.first_slot = block.start
+            thresholds = slot_thresholds(self.threshold, block, k)
+            n = len(thresholds)
             # the arrivals block holds the level codes as intp until the
             # arrivals are read into it, so that take makes no index copy
-            arrivals = np.empty((len(slots), k))
+            arrivals = np.empty((n, k))
             level_index = arrivals.view(np.intp)
             np.copyto(level_index, trace.levels[:, block].T)
             grant = free.take(level_index)
             np.copyto(arrivals, trace.arrivals[:, block].T)
             # one read of the trace serves every run of the batch
-            served = np.empty((len(slots), runs * k))
-            per_run = served.reshape(len(slots), runs, k)
+            served = np.empty((n, runs * k))
+            per_run = served.reshape(n, runs, k)
             per_run[...] = grant[:, None, :]
             if runs > 1:
                 arrivals = np.tile(arrivals, runs)
-            for slot, moved, arrived in zip(slots, served, arrivals):
-                self.decide_slot(slot, q, moved)
+            for threshold, moved, arrived in zip(thresholds, served, arrivals):
+                self.decide_slot(threshold, q, moved)
                 q -= moved
                 q += arrived
-            # drop the arrivals, which the last rows also hold, before the
-            # block's sums: one-slot blocks of a wide fleet peak at their rows
-            del arrivals, level_index, moved, arrived
+            # drop the thresholds and arrivals (and the last slot's views) before
+            # the block's sums: one-slot blocks of a wide fleet peak at their rows
+            del thresholds, arrivals, level_index, threshold, moved, arrived
             # a slot leased exactly when it moved more than the level frees;
             # a Trace bounds every price, so each row's bill sums exactly
             bought = per_run > grant[:, None, :]
             leases[:, block] = bought.view(np.uint8).sum(axis=2, dtype=np.int32).T
-            bills += np.einsum("i,ij->j", trace.price_full[block], bought.reshape(len(slots), -1))
+            bills += np.einsum("i,ij->j", trace.price_full[block], bought.reshape(n, -1))
             service[:, block] = per_run.sum(axis=2).T
             sends += np.count_nonzero(per_run, axis=(0, 2))
             del grant, served, per_run, bought  # before the next block is read
@@ -380,13 +378,13 @@ class LyapunovPolicy:
         departed = trace.arrivals.sum(axis=1, dtype=np.int64) - q.reshape(runs, k)
         return q, departed.reshape(-1), bills, leases, service, sends
 
-    def decide_slot(self, slot, q, served):
+    def decide_slot(self, threshold, q, served):
         """Turn ``served``, the slot's free grant, into the packets each
-        concentrator moves in ``slot``: raised to a unit where Q + Z exceeds
-        the threshold, then at most the backlog ``q``; then advance Z past
-        them. Every row is a flat float64 array, of R * K for R runs, and
-        every call is a plain one in place, so a slot neither allocates nor
-        casts.
+        concentrator moves in the slot: raised to a unit where Q + Z exceeds
+        ``threshold``, the slot's threshold row, then at most the backlog
+        ``q``; then advance Z past them. Every row is a flat float64 array,
+        of R * K for R runs, and every call is a plain one in place, so a
+        slot neither allocates nor casts.
 
         Z grows by min(Q * epsilon, epsilon), which is epsilon * [Q > 0]
         exactly: Q counts whole packets, so a busy Q * epsilon rounds to at
@@ -394,7 +392,7 @@ class LyapunovPolicy:
         +0.0, which leaves Z unchanged since Z is never -0.0."""
         z, work, buy = self.z, self.work, self.buy
         np.add(q, z, out=work)
-        np.greater(work, self.thresholds[slot - self.first_slot], out=buy)
+        np.greater(work, threshold, out=buy)
         np.putmask(served, buy, self.unit)
         np.minimum(q, served, out=served)
         # in the order of max(Z - served + epsilon * busy, 0)
@@ -417,19 +415,17 @@ class StaticBurstPolicy:
 
     def serve(self, trace: Trace):
         serves, q = serve_grants(self.grants(trace.levels), trace.arrivals)
-        return self.actions(serves, trace.levels), serves, q
+        return self.actions(serves), serves, q
 
     def grants(self, levels):
         grants = self.free_capacity.astype(np.int16)[levels]
         grants[:, self.in_burst] = self.capacity
         return grants
 
-    def actions(self, serves, levels):
+    def actions(self, serves):
         # IDLE (0) where nothing moved; a move leased in a burst, else was free
-        sending = np.where(self.in_burst, _BUY_FULL, _FREE_FULL)
-        codes = np.empty(serves.shape, dtype=np.uint8)
-        for block in row_blocks(*serves.shape):
-            np.multiply(serves[block] > 0, sending, out=codes[block])
+        codes = np.greater(serves, 0).view(np.uint8)
+        codes *= np.where(self.in_burst, _BUY_FULL, _FREE_FULL)
         return codes
 
 

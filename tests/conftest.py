@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -49,13 +50,15 @@ class Core(NamedTuple):
 
 def serve_recorded(policy: LyapunovPolicy, trace):
     """``policy.serve_rows(trace)``, with each slot's packets served
-    recorded as the loop steps it: the (R * K, T) int16 packets served,
-    which the loop itself only sums, and the loop's sums."""
+    recorded as the loop steps it, in the column that counts its calls
+    (the loop steps the slots in order): the (R * K, T) int16 packets
+    served, which the loop itself only sums, and the loop's sums."""
     serves = np.empty((policy.runs * trace.k, trace.horizon), dtype=np.int16)
+    slots = itertools.count()
 
-    def recording(slot, q, served):
-        type(policy).decide_slot(policy, slot, q, served)
-        serves[:, slot] = served
+    def recording(threshold, q, served):
+        type(policy).decide_slot(policy, threshold, q, served)
+        serves[:, next(slots)] = served
 
     policy.decide_slot = recording
     try:

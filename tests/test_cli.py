@@ -57,6 +57,13 @@ def test_negative_seeds_are_a_config_error(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep-v", "sweep-quality"])
+def test_zero_seed_count_is_a_config_error(command, tmp_path, capsys):
+    assert main(tmp_path, command, "--seeds", "0", *SMALL) == 3
+    assert "seed count must be at least 1, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["sweep-v", "sweep-quality"])
 def test_repeated_seeds_are_a_config_error(command, monkeypatch, tmp_path, capsys):
     def no_trace(*args):
         raise AssertionError("a trace was drawn")
@@ -202,7 +209,8 @@ def test_parse_bad_grid_is_usage_error():
 
 
 @pytest.mark.parametrize(
-    "argv", [["sweep-v", "--seeds", "1,x"], ["run", "--set", "horizon"]]
+    "argv",
+    [["sweep-v", "--seeds", "1,x"], ["run", "--set", "horizon"], ["sweep-v", "--seeds", ","]],
 )
 def test_parse_bad_seeds_or_override_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -660,6 +668,31 @@ def test_missing_trace_file_exits_3(tmp_path, capsys):
     absent = tmp_path / "absent.json"
     assert main(tmp_path, "oracle", "--trace", str(absent), "--n-units", "1") == 3
     assert f"cannot read {absent}" in capsys.readouterr().err
+
+
+def test_misshapen_trace_file_exits_3(tmp_path, capsys):
+    # a price row one slot short is refused as the Trace is built
+    envelope, short = (
+        json.loads(save_trace(generate_trace(ScenarioConfig(k_concentrators=2, horizon=t), 1)))
+        for t in (9, 8)
+    )
+    envelope["arrays"]["price_full"] = short["arrays"]["price_full"]
+    trace_file = tmp_path / "trace_1.json"
+    trace_file.write_text(json.dumps(envelope))
+    assert main(tmp_path, "oracle", "--trace", str(trace_file), "--n-units", "1") == 3
+    assert "'price_full' has wrong shape" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.json").exists()
+
+
+def test_a_failed_write_leaves_no_file(monkeypatch, tmp_path):
+    # the temporary file goes, the error is raised, and nothing is written
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        main(tmp_path, "gen-trace", *SMALL, "--seed", "8")
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_override_value_exits_3(tmp_path, capsys):

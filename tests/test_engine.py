@@ -833,7 +833,7 @@ def _assert_closed_form_matches_grant_loop(cfg, params):
         rule = static_grant(reference)
     ref_serves, ref_q = serve_grant_slots(rule, trace)
     ref_codes = rule.codes if isinstance(params, QualityParams) else (
-        reference.actions(ref_serves, trace.levels)
+        reference.actions(ref_serves)
     )
     assert codes.dtype == ref_codes.dtype
     assert np.array_equal(codes, ref_codes)

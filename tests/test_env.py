@@ -230,11 +230,18 @@ def _with_cell(arr: np.ndarray, value: int) -> np.ndarray:
         ("arrivals", lambda t: _with_cell(t.arrivals, -7), "negative arrival counts"),
         ("levels", lambda t: _with_cell(t.levels, 3), "invalid spectrum level codes"),
         ("levels", lambda t: t.levels.astype(np.int64), "'levels' is not uint8"),
+        ("levels", lambda t: t.levels[0], re.escape("share one (k, horizon) shape")),
+        ("arrivals", lambda t: t.arrivals[:, 1:], re.escape("share one (k, horizon) shape")),
+        ("price_full", lambda t: t.price_full[1:], "'price_full' has wrong shape"),
     ],
-    ids=["negative-arrival", "level-code-3", "int64-levels"],
+    ids=[
+        "negative-arrival", "level-code-3", "int64-levels",
+        "one-dimensional-levels", "short-arrivals", "short-price-row",
+    ],
 )
 def test_hand_built_trace_is_checked_when_built(small_cfg, field, bad, match):
-    # each once ran, crashed with IndexError or was accepted, before any check
+    # the first three once ran, crashed with IndexError or were accepted,
+    # before any check; a misshapen array is refused before a run reads it
     trace = generate_trace(small_cfg, 7)
     with pytest.raises(TraceFormatError, match=match):
         dataclasses.replace(trace, **{field: bad(trace)})

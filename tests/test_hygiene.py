@@ -166,6 +166,56 @@ def test_every_run_metrics_field_is_read_by_the_package(cls):
     assert unread_fields(sources, cls) == []
 
 
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of every ``def`` in ``source``, ``self`` and ``cls``
+    aside, that its body never reads by name; a nested function's read
+    counts for the function that holds it, and storing to a parameter or
+    deleting it is not a read."""
+    found = []
+
+    def scan(node, owner):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{owner}{sub.name}"
+                if not isinstance(sub, ast.ClassDef):
+                    args = sub.args
+                    params = args.posonlyargs + args.args + args.kwonlyargs
+                    params += [a for a in (args.vararg, args.kwarg) if a]
+                    read = {
+                        n.id for stmt in sub.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                    }
+                    found.extend(
+                        f"{name}({a.arg}) (line {a.lineno})" for a in params
+                        if a.arg not in {"self", "cls"} | read
+                    )
+                scan(sub, name + ".")
+            else:
+                scan(sub, owner)
+
+    scan(ast.parse(source), "")
+    return found
+
+
+def test_checker_flags_an_unread_parameter():
+    source = (
+        "def f(a, b, *c, d, **e):\n    b = 1\n    del e\n\n"
+        "    def g(self, x):\n        return a, d, x\n    return g\n\n"
+        "class C:\n    def m(self, y, z):\n        return [z for _ in y]\n\n"
+        "    @classmethod\n    def n(cls, w):\n        pass\n"
+    )
+    assert unread_parameters(source) == [
+        "f(b) (line 1)", "f(c) (line 1)", "f(e) (line 1)", "C.n(w) (line 14)",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_every_parameter_is_read(module):
+    # a parameter that no line reads is an argument every caller passes
+    # for nothing
+    assert unread_parameters(module.read_text()) == []
+
+
 def unshared_exports(init_source: str, sources: dict[str, str]) -> list[str]:
     """Functions that ``__all__`` in ``init_source`` exports and that no
     module of ``sources`` but their own names, by a bare name or an

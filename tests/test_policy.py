@@ -405,9 +405,9 @@ def test_threshold_policy_keeps_its_worst_case_delay_bound(case):
     z_max = np.zeros(cfg.k_concentrators)
     decide = LyapunovPolicy.decide_slot
 
-    def recording(self, slot, q, served):
+    def recording(self, threshold, q, served):
         np.maximum(q_max, q, out=q_max)  # pre-service Q
-        decide(self, slot, q, served)
+        decide(self, threshold, q, served)
         np.maximum(z_max, self.z, out=z_max)
 
     trace = generate_trace(cfg, cfg.seed)
@@ -540,15 +540,14 @@ def test_threshold_slot_step_allocates_nothing():
     trace = generate_trace(cfg, cfg.seed)
     policy = LyapunovPolicy(LyapunovParams(10.0), cfg, trace)
     # every slot's threshold row, as the loop builds a block's
-    policy.thresholds = slot_thresholds(policy.threshold, slice(None), cfg.k_concentrators)
-    policy.first_slot = 0
+    thresholds = slot_thresholds(policy.threshold, slice(None), cfg.k_concentrators)
     served = policy.free_capacity.astype(np.float64).take(trace.levels.T)
     q = trace.arrivals[:, 0].astype(np.float64)
-    policy.decide_slot(0, q.copy(), served[0].copy())  # first-call caches
+    policy.decide_slot(thresholds[0], q.copy(), served[0].copy())  # first-call caches
     tracemalloc.start()
     try:
-        for slot, moved in enumerate(served):
-            policy.decide_slot(slot, q, moved)
+        for threshold, moved in zip(thresholds, served):
+            policy.decide_slot(threshold, q, moved)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -573,13 +572,13 @@ def test_action_classification():
 # -- vectorized policies agree with the scalar rules --------------------
 
 
-def _served_and_codes(actions, slot, horizon, levels, served):
-    """One slot's service as int16, and the codes ``actions(serves,
-    levels)``, a packet policy's code recovery, gives it in a run that
-    moved nothing in any other slot."""
-    serves = np.zeros((len(levels), horizon), dtype=np.int16)
+def _served_and_codes(actions, slot, horizon, served):
+    """One slot's service as int16, and the codes ``actions(serves)``, a
+    packet policy's code recovery, gives it in a run that moved nothing in
+    any other slot."""
+    serves = np.zeros((len(served), horizon), dtype=np.int16)
     serves[:, slot] = served
-    codes = actions(serves, np.broadcast_to(levels[:, None], serves.shape))
+    codes = actions(serves)
     return serves[:, slot], codes[:, slot]
 
 
@@ -606,12 +605,14 @@ def test_lyapunov_policy_matches_scalar(data):
         LyapunovParams(v_factor=v), cfg, price_trace([7, 7, 7, full], k=k)
     )
     policy.z[:] = z
-    policy.thresholds = slot_thresholds(policy.threshold, slice(None), k)
-    policy.first_slot = 0
     # the step raises the slot's free grant in place
     served = policy.free_capacity[levels].astype(np.float64)
-    policy.decide_slot(3, q.astype(np.float64), served)
-    served, codes = _served_and_codes(partial(threshold_actions, cfg), 3, 4, levels, served)
+    (row,) = slot_thresholds(policy.threshold, slice(3, 4), k)  # slot 3's
+    policy.decide_slot(row, q.astype(np.float64), served)
+    slot_levels = np.broadcast_to(levels[:, None], (k, 4))
+    served, codes = _served_and_codes(
+        lambda serves: threshold_actions(cfg, serves, slot_levels), 3, 4, served
+    )
     assert codes.dtype == np.uint8
     moves = packet_grant(5, reduced_capacity)
     threshold = v * (full / MICROCENTS_PER_CENT) / 2.0  # the scalar V * c / 2
@@ -647,7 +648,7 @@ def test_static_policy_matches_scalar(data):
     grants = policy.grants(np.repeat(levels[:, None], 2501, axis=1))
     assert grants.dtype == np.int16
     served, codes = _served_and_codes(
-        policy.actions, slot, 2501, levels, np.minimum(q, grants[:, slot])
+        policy.actions, slot, 2501, np.minimum(q, grants[:, slot])
     )
     moves = packet_grant(5, 2)
     for i in range(k):
